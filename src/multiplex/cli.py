@@ -5,7 +5,6 @@ Exit codes: 0 = all checks passed / construction succeeded,
 2 = input, schema or usage error.
 
 Every construction subcommand re-validates its output before writing.
-MULTIPLEX_THREADS caps the worker threads used for page computations.
 """
 
 from __future__ import annotations
@@ -368,7 +367,10 @@ def cmd_oracle(args) -> int:
 def cmd_gen(args) -> int:
     if args.what != "random-twisted":
         raise DocumentError(f"unknown generator {args.what!r}")
-    field = QQ if args.field == "rational" else GF(args.p)
+    try:
+        field = QQ if args.field == "rational" else GF(args.p)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
     cols, verts, max_rank = args.cols, args.verts, args.max_rank
     if args.dims:
         parts = args.dims.split(",")

@@ -30,6 +30,11 @@ Matrices act on column vectors and are written as row lists; basis order
 is declaration order (for totalizations: columns ascending, then basis
 order).  Rationals are "a/b" strings or integers, prime-field entries are
 integers in [0, p).  Missing blocks are zero maps.
+
+The modulus p is a JSON integer, prime and below 2^64 (primality is
+decided exactly by deterministic Miller-Rabin in that range); a string
+or float p is an error.  JSON true/false is never read as an integer: not
+as p, a dims entry, a bidegree, a homotopy level or a matrix entry.
 """
 
 from __future__ import annotations
@@ -50,6 +55,11 @@ class DocumentError(ValueError):
     """Schema or reference error in an interchange document (exit 2)."""
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: bool is an int subclass but JSON true/false is not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_field(payload) -> Field:
     if not isinstance(payload, dict) or "kind" not in payload:
         raise DocumentError("field must be an object with a 'kind'")
@@ -58,7 +68,10 @@ def parse_field(payload) -> Field:
         if kind == "rational":
             return Field("rational")
         if kind == "prime_field":
-            return Field("prime_field", int(payload.get("p", 0)))
+            p = payload.get("p", 0)
+            if not _is_int(p):
+                raise DocumentError(f"modulus must be an integer, got {p!r}")
+            return Field("prime_field", p)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
     raise DocumentError(f"unknown field kind {kind!r}")
@@ -76,7 +89,7 @@ def parse_dims(field: Field, payload) -> BigradedModule:
     dims = {}
     for entry in payload:
         if (not isinstance(entry, list) or len(entry) != 3
-                or not all(isinstance(x, int) for x in entry)):
+                or not all(_is_int(x) for x in entry)):
             raise DocumentError(f"bad dims entry {entry!r}")
         i, j, n = entry
         if n < 0:
@@ -116,7 +129,7 @@ def parse_map(field: Field, payload, src: BigradedModule, dst: BigradedModule,
         raise DocumentError("map payload needs a 'bidegree'")
     bid = payload["bidegree"]
     if (not isinstance(bid, list) or len(bid) != 2
-            or not all(isinstance(x, int) for x in bid)):
+            or not all(_is_int(x) for x in bid)):
         raise DocumentError(f"bad bidegree {bid!r}")
     bid = (bid[0], bid[1])
     if expected_bidegree is not None and bid != expected_bidegree:
@@ -268,7 +281,7 @@ def _parse_object(field, name, obj, objects):
             return TwistedMorphism(src, dst, f)
         if t == "r_homotopy":
             r = obj.get("r")
-            if not isinstance(r, int) or r < 0:
+            if not _is_int(r) or r < 0:
                 raise DocumentError(f"bad homotopy level {r!r}")
             f = _require(objects, obj.get("f"), TwistedMorphism, "morphism")
             g = _require(objects, obj.get("g"), TwistedMorphism, "morphism")
@@ -296,7 +309,7 @@ def _parse_object(field, name, obj, objects):
         if t == "dainf_homotopy":
             from .bigraded import power_module
             r = obj.get("r")
-            if not isinstance(r, int) or r < 0:
+            if not _is_int(r) or r < 0:
                 raise DocumentError(f"bad homotopy level {r!r}")
             f = _require(objects, obj.get("f"), DAInfMorphism, "dainf morphism")
             g = _require(objects, obj.get("g"), DAInfMorphism, "dainf morphism")

@@ -3,8 +3,15 @@
 Everything downstream (homology, spectral pages, homotopy solving) reduces
 to rank / kernel / solve / subquotient over a field, so this module is the
 single computational substrate.  Matrices are dense and tiny (bidegree
-blocks), so plain Gaussian elimination over exact field elements is enough.
-No floating point anywhere.
+blocks), so plain Gauss-Jordan elimination over exact field elements is
+enough.  No floating point anywhere.
+
+All elimination goes through ``Matrix._echelon``, which reduces a list of
+row lists with one kernel per field kind (``_rref_mod_p`` for F_p,
+``_rref_qq`` for QQ), so field arithmetic is chosen once per elimination
+rather than once per entry.  The result is the canonical reduced row
+echelon form, whichever kernel produced it.  A ``Subquotient`` Z/B is
+built from a single elimination of ``[B | Z]``.
 """
 
 from __future__ import annotations
@@ -13,16 +20,39 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# the first 12 primes: as Miller-Rabin bases they decide primality exactly
+# for every n < 3.18 * 10^23 (Sorenson and Webster 2015), which covers the
+# supported moduli n < 2^64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MODULUS_BOUND = 2 ** 64
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < 2^64.
+
+    Raises ValueError for n >= 2^64, where the fixed bases are not proven.
+    """
+    if n >= _MODULUS_BOUND:
+        raise ValueError(f"modulus {n} is not below 2^64")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -77,6 +107,9 @@ class Field:
 
     def parse(self, v):
         """Element from its JSON form: int for F_p, int or 'a/b' string for QQ."""
+        # bool is an int subclass, but JSON true/false is not a field element
+        if isinstance(v, bool):
+            raise ValueError(f"{self} entries cannot be booleans, got {v!r}")
         if self.kind == "prime_field":
             if not isinstance(v, int):
                 raise ValueError(f"F_{self.p} entries must be integers, got {v!r}")
@@ -259,40 +292,15 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
     def _echelon(self):
-        """Row echelon form (in place on a copy); returns (mat, pivot cols)."""
-        f = self.field
-        m = self.copy()
-        pivots = []
-        r = 0
-        for c in range(m.cols):
-            pr = None
-            for rr in range(r, m.rows):
-                if m.data[rr * m.cols + c]:
-                    pr = rr
-                    break
-            if pr is None:
-                continue
-            if pr != r:
-                for j in range(m.cols):
-                    m.data[r * m.cols + j], m.data[pr * m.cols + j] = \
-                        m.data[pr * m.cols + j], m.data[r * m.cols + j]
-            piv = f.inv(m.data[r * m.cols + c])
-            for j in range(c, m.cols):
-                m.data[r * m.cols + j] = f.mul(piv, m.data[r * m.cols + j])
-            for rr in range(m.rows):
-                if rr == r:
-                    continue
-                factor = m.data[rr * m.cols + c]
-                if factor:
-                    for j in range(c, m.cols):
-                        m.data[rr * m.cols + j] = f.sub(
-                            m.data[rr * m.cols + j],
-                            f.mul(factor, m.data[r * m.cols + j]))
-            pivots.append(c)
-            r += 1
-            if r == m.rows:
-                break
-        return m, pivots
+        """Reduced row echelon form of a copy; returns (mat, pivot cols)."""
+        c = self.cols
+        rows = [self.data[i * c:(i + 1) * c] for i in range(self.rows)]
+        if self.field.kind == "prime_field":
+            pivots = _rref_mod_p(rows, c, self.field.p)
+        else:
+            pivots = _rref_qq(rows, c)
+        return Matrix(self.field, self.rows, c,
+                      [v for row in rows for v in row]), pivots
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -343,16 +351,50 @@ class Matrix:
         return self.rows == self.cols and self.rank() == self.rows
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
+def _rref_mod_p(rows: list, ncols: int, p: int) -> list:
+    """Gauss-Jordan on row lists over F_p, in place; returns pivot columns."""
+    pivots = []
+    r, nrows = 0, len(rows)
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        tail = [(a * inv) % p for a in rows[r][c:]]
+        rows[r][c:] = tail
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    return m.kernel_basis()
-
-
-def solve(m: Matrix, b: Matrix):
-    return m.solve(b)
+def _rref_qq(rows: list, ncols: int) -> list:
+    """Gauss-Jordan on row lists over QQ, in place; returns pivot columns."""
+    pivots = []
+    r, nrows = 0, len(rows)
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        tail = [a * inv for a in rows[r][c:]]
+        rows[r][c:] = tail
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row[c:] = [a - f * b for a, b in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 class Subquotient:
@@ -360,7 +402,9 @@ class Subquotient:
 
     Z and B are given by matrices whose columns span the cycle and boundary
     subspaces.  rep_basis columns are the first columns of Z that are
-    independent modulo B (deterministic tie-breaking by column index).
+    independent modulo B (deterministic tie-breaking by column index): they
+    are the pivot columns in the Z part of one echelon of ``[B | Z]``, B
+    first.  A second echelon gives rank Z for the containment check.
     """
 
     __slots__ = ("field", "ambient_dim", "cycle_basis", "boundary_basis",
@@ -374,23 +418,13 @@ class Subquotient:
         self.field = Z.field
         self.ambient_dim = Z.rows
         rkZ = Z.rank()
-        ZB = Z.hstack(B)
-        if ZB.rank() != rkZ:
+        _, pivots = B.hstack(Z)._echelon()
+        if len(pivots) != rkZ:
             raise ValueError("boundary span not contained in cycle span")
-        rkB = B.rank()
+        keep = [c - B.cols for c in pivots if c >= B.cols]
+        rkB = len(pivots) - len(keep)
         self.cycle_basis = Z
         self.boundary_basis = B
-        # first independent columns of Z modulo B
-        keep = []
-        base = B
-        rk = rkB
-        for c in range(Z.cols):
-            cand = base.hstack(Z.take_cols([c]))
-            r2 = cand.rank()
-            if r2 > rk:
-                keep.append(c)
-                base = cand
-                rk = r2
         self.rep_basis = Z.take_cols(keep)
         self.dim = rkZ - rkB
         if len(keep) != self.dim:

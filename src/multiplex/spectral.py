@@ -18,23 +18,9 @@ off the support and later pages are subquotients).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 from .filtration import FilteredComplex, tot, tot_morphism
 from .linalg import Matrix, Subquotient, induced_map, subquotient
 from .twisted import TwistedComplex, TwistedMorphism, cone
-
-_THREADS_ENV = "MULTIPLEX_THREADS"
-
-
-def _worker_count() -> int:
-    try:
-        n = int(os.environ.get(_THREADS_ENV, "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
 
 class SpectralPage:
     """The r-th page: subquotient entries with lifts, and delta matrices."""
@@ -125,22 +111,8 @@ def spectral_page(a: TwistedComplex | FilteredComplex, r: int,
         k = a
     else:
         k = k or tot(a)
-    field = k.field
     support = sorted(k.module.dims)
-    entries: dict = {}
-
-    def compute(pq):
-        p, q = pq
-        return pq, page_entry(k, r, p, q)
-
-    workers = _worker_count()
-    if workers > 1 and len(support) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for pq, e in ex.map(compute, support):
-                entries[pq] = e
-    else:
-        for pq in support:
-            entries[pq] = page_entry(k, r, pq[0], pq[1])
+    entries = {(p, q): page_entry(k, r, p, q) for p, q in support}
 
     delta: dict = {}
     for (p, q), e in sorted(entries.items()):

@@ -214,3 +214,49 @@ def test_filtered_ainf_via_cli(tmp_path):
 def test_solve_dainf_unsupported(fixture_docs):
     assert main(["homotopy", "solve", fixture_docs["full"], "-r", "0",
                  "--dainf"]) == 2
+
+
+def _tiny_doc(tmp_path, field=None, dims=None, bidegree=None, entry=1):
+    """An acyclic one-column twisted complex, with one field swappable."""
+    doc = {"schema_version": "1",
+           "field": field or {"kind": "prime_field", "p": 32003},
+           "objects": {"A": {
+               "type": "twisted_complex",
+               "dims": dims or [[0, 0, 1], [0, 1, 1]],
+               "d": {"0": {"bidegree": bidegree or [0, 1],
+                           "blocks": [{"src": [0, 0],
+                                       "matrix": [[entry]]}]}}}}}
+    p = tmp_path / "tiny.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("field", [
+    {"kind": "prime_field", "p": 32003},
+    {"kind": "prime_field", "p": 2 ** 61 - 1},
+    {"kind": "rational"},
+], ids=["p32003", "p2to61minus1", "QQ"])
+def test_tiny_doc_is_valid(tmp_path, field):
+    assert main(["check", "twisted", _tiny_doc(tmp_path, field=field)]) == 0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"entry": True},
+    {"entry": True, "field": {"kind": "rational"}},
+    {"dims": [[0, 0, True], [0, 1, 1]]},
+    {"bidegree": [0, True]},
+    {"field": {"kind": "prime_field", "p": "32003"}},
+    {"field": {"kind": "prime_field", "p": 32003.9}},
+    {"field": {"kind": "prime_field", "p": True}},
+    {"field": {"kind": "prime_field", "p": 561}},
+    {"field": {"kind": "prime_field", "p": 2 ** 64 + 13}},
+], ids=["entry-true-fp", "entry-true-qq", "rank-true", "bidegree-true",
+        "p-string", "p-float", "p-true", "p-carmichael", "p-2to64plus13"])
+def test_bad_scalar_types_exit_2(tmp_path, capsys, kwargs):
+    assert main(["check", "twisted", _tiny_doc(tmp_path, **kwargs)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_gen_non_prime_modulus_exit_2(capsys):
+    assert main(["gen", "random-twisted", "--seed", "1", "--p", "561"]) == 2
+    assert "not prime" in capsys.readouterr().err

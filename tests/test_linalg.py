@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 
-from multiplex.linalg import GF, QQ, Matrix, induced_map, subquotient
+from multiplex.linalg import GF, QQ, Field, Matrix, induced_map, subquotient
 
 FIELDS = [GF(), GF(5), QQ]
+REF_FIELDS = [GF(32003), GF(5), GF(2), QQ]
 
 
 def rand_matrix(field, rows, cols, rng, bound=5):
@@ -129,3 +131,176 @@ def _dual_row(f, b, n):
             row[0, i] = f.inv(b[i, 0])
             return row
     raise AssertionError("zero column")
+
+
+# -- reference implementations -------------------------------------------
+# Element-by-element Gauss-Jordan through Field.add/mul/sub, and the greedy
+# one-rank-per-column Subquotient construction.  The fast paths in linalg
+# must agree with these entry by entry (reduced row echelon form is
+# canonical, and so is "first columns of Z independent mod B").
+
+def _ref_echelon(self):
+    f = self.field
+    m = self.copy()
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pr = None
+        for rr in range(r, m.rows):
+            if m.data[rr * m.cols + c]:
+                pr = rr
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            for j in range(m.cols):
+                m.data[r * m.cols + j], m.data[pr * m.cols + j] = \
+                    m.data[pr * m.cols + j], m.data[r * m.cols + j]
+        piv = f.inv(m.data[r * m.cols + c])
+        for j in range(c, m.cols):
+            m.data[r * m.cols + j] = f.mul(piv, m.data[r * m.cols + j])
+        for rr in range(m.rows):
+            if rr == r:
+                continue
+            factor = m.data[rr * m.cols + c]
+            if factor:
+                for j in range(c, m.cols):
+                    m.data[rr * m.cols + j] = f.sub(
+                        m.data[rr * m.cols + j],
+                        f.mul(factor, m.data[r * m.cols + j]))
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return m, pivots
+
+
+def _ref_rank(m):
+    return len(_ref_echelon(m)[1])
+
+
+def _ref_subquotient(Z, B):
+    """(rep_basis, dim) by the greedy per-column rank test."""
+    rkZ = _ref_rank(Z)
+    if _ref_rank(Z.hstack(B)) != rkZ:
+        raise ValueError("boundary span not contained in cycle span")
+    rkB = _ref_rank(B)
+    keep, base, rk = [], B, rkB
+    for c in range(Z.cols):
+        cand = base.hstack(Z.take_cols([c]))
+        r2 = _ref_rank(cand)
+        if r2 > rk:
+            keep.append(c)
+            base, rk = cand, r2
+    assert len(keep) == rkZ - rkB
+    return Z.take_cols(keep), rkZ - rkB
+
+
+def _with_ref_echelon(monkeypatch, fn):
+    with monkeypatch.context() as mp:
+        mp.setattr(Matrix, "_echelon", _ref_echelon)
+        return fn()
+
+
+def _rand_low_rank(field, rows, cols, rank, rng):
+    """rows x cols of rank <= rank, with repeated and dependent columns."""
+    if rank == 0 or rows == 0 or cols == 0:
+        return Matrix.zero(field, rows, cols)
+    m = rand_matrix(field, rows, rank, rng) * rand_matrix(field, rank, cols, rng)
+    for c in range(1, cols):
+        if rng.random() < 0.25:           # a repeated column
+            src = rng.randrange(c)
+            for r in range(rows):
+                m[r, c] = m[r, src]
+    return m
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(12))
+def test_echelon_kernel_solve_match_reference(field, seed, monkeypatch):
+    rng = random.Random(7000 + seed)
+    rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+    shapes = [rand_matrix(field, rows, cols, rng),
+              _rand_low_rank(field, rows, cols, rng.randint(0, 3), rng)]
+    for m in shapes:
+        b = rand_matrix(field, rows, rng.randint(0, 2), rng)
+        b_in_image = m * rand_matrix(field, cols, 1, rng)
+        got = (m._echelon(), m.kernel_basis(), m.solve(b), m.solve(b_in_image))
+        ref = _with_ref_echelon(monkeypatch, lambda: (
+            m._echelon(), m.kernel_basis(), m.solve(b), m.solve(b_in_image)))
+        (ech, piv), *rest = got
+        (ref_ech, ref_piv), *ref_rest = ref
+        assert piv == ref_piv
+        assert ech.data == ref_ech.data
+        assert rest == ref_rest
+        assert got[3] is not None
+
+
+def _subquotient_cases(field, rng):
+    n = rng.randint(1, 7)
+    z = _rand_low_rank(field, n, rng.randint(1, 7), rng.randint(1, 4), rng)
+    yield z, z * _rand_low_rank(field, z.cols, rng.randint(0, 5),
+                                rng.randint(0, 3), rng)
+    yield z, Matrix.zero(field, n, 0)                      # empty B
+    yield Matrix.zero(field, n, 0), Matrix.zero(field, n, 0)  # empty Z
+    yield Matrix.zero(field, n, 2), Matrix.zero(field, n, 1)  # zero columns
+    yield Matrix.zero(field, 0, 3), Matrix.zero(field, 0, 2)  # zero-row ambient
+    yield z.hstack(z), z                                   # B = Z, Z repeated
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(12))
+def test_subquotient_matches_reference(field, seed):
+    rng = random.Random(8000 + seed)
+    for z, b in _subquotient_cases(field, rng):
+        sq = subquotient(z, b)
+        rep, dim = _ref_subquotient(z, b)
+        assert sq.dim == dim
+        assert sq.rep_basis == rep
+        assert sq.rep_basis.rows == z.rows and sq.rep_basis.cols == dim
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(6))
+def test_subquotient_rejects_boundary_outside_cycles(field, seed):
+    rng = random.Random(9000 + seed)
+    n = rng.randint(2, 6)
+    # Z spans the first n-1 coordinates, B has a column off that span
+    z = Matrix.zero(field, n, n - 1)
+    for i in range(n - 1):
+        z[i, i] = field.one()
+    z = z * _rand_low_rank(field, n - 1, rng.randint(1, 5), n - 1, rng)
+    b = z * rand_matrix(field, z.cols, 2, rng)
+    b[n - 1, rng.randrange(2)] = field.one()
+    with pytest.raises(ValueError):
+        _ref_subquotient(z, b)
+    with pytest.raises(ValueError):
+        subquotient(z, b)
+
+
+# -- primality of the modulus ----------------------------------------------
+
+def test_large_prime_modulus_accepted_quickly():
+    t0 = time.perf_counter()
+    f = GF(2 ** 61 - 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert f.mul(f.inv(f.of_int(3)), f.of_int(3)) == 1
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 561, 3215031751, 2 ** 61 + 1,
+                               2 ** 64 + 13, -7])
+def test_non_prime_or_oversized_modulus_rejected(p):
+    with pytest.raises(ValueError):
+        GF(p)
+
+
+def test_primality_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    for n in range(2000):
+        ok = trial(n)
+        if ok:
+            assert Field("prime_field", n).p == n
+        else:
+            with pytest.raises(ValueError):
+                Field("prime_field", n)

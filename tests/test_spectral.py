@@ -253,17 +253,6 @@ def test_page_functorial(seed):
             assert bgf[key] == bg[key] * bf[key]
 
 
-def test_threads_env_var_is_deterministic(monkeypatch):
-    rng = random.Random(999)
-    a = random_twisted_complex(F, rng)
-    base = spectral_page(a, 2)
-    monkeypatch.setenv("MULTIPLEX_THREADS", "3")
-    threaded = spectral_page(a, 2)
-    assert threaded.dims() == base.dims()
-    for key in set(base.delta) | set(threaded.delta):
-        assert base.delta_mat(*key) == threaded.delta_mat(*key)
-
-
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_homotopic_maps_same_next_page(seed, r):
