@@ -14,7 +14,9 @@ through explicit basis enumerations of tensor trees.
 
 from __future__ import annotations
 
-from .linalg import Field, Matrix
+from types import MappingProxyType
+
+from .linalg import Field, Matrix, SignedPerm
 
 Bidegree = tuple[int, int]
 
@@ -29,20 +31,26 @@ def total_degree(x: Bidegree) -> int:
 
 
 class BigradedModule:
-    """Free bigraded module with finitely many nonzero ranks."""
+    """Free bigraded module with finitely many nonzero ranks.
 
-    __slots__ = ("field", "dims", "_hash")
+    Modules are hashable and used as cache keys, so ``dims`` is a
+    read-only view of the private ``_dims``, which ``dim`` reads directly
+    because a lookup through the view costs an extra method call.
+    """
+
+    __slots__ = ("field", "dims", "_dims", "_hash")
 
     def __init__(self, field: Field, dims: dict[Bidegree, int]):
         self.field = field
-        self.dims = {k: v for k, v in dims.items() if v}
+        self._dims = {k: v for k, v in dims.items() if v}
+        self.dims = MappingProxyType(self._dims)
         self._hash = None
         for (i, j), n in self.dims.items():
             if n < 0:
                 raise ValueError(f"negative rank at {(i, j)}")
 
     def dim(self, i: int, j: int) -> int:
-        return self.dims.get((i, j), 0)
+        return self._dims.get((i, j), 0)
 
     def support(self) -> list[Bidegree]:
         return sorted(self.dims)
@@ -188,18 +196,6 @@ def compose(f: BigradedMap, g: BigradedMap) -> BigradedMap:
     return BigradedMap(g.src, f.dst, bid, blocks)
 
 
-def add(f: BigradedMap, g: BigradedMap) -> BigradedMap:
-    return f + g
-
-
-def scale(c, f: BigradedMap) -> BigradedMap:
-    return f.scale(c)
-
-
-def equal(f: BigradedMap, g: BigradedMap) -> bool:
-    return f == g
-
-
 # ---------------------------------------------------------------------------
 # tensor products
 # ---------------------------------------------------------------------------
@@ -299,20 +295,27 @@ def tensor_maps(f: BigradedMap, g: BigradedMap) -> BigradedMap:
 # ---------------------------------------------------------------------------
 
 class Tree:
-    """Parenthesized tensor word; leaves are bigraded modules."""
+    """Parenthesized tensor word; leaves are bigraded modules.
 
-    __slots__ = ("left", "right", "module", "_leaves", "_basis")
+    ``key`` is the structural key: a leaf's module, or the pair of the
+    children's keys.  Trees of the same shape over the same modules have
+    equal keys, whichever objects they are.
+    """
+
+    __slots__ = ("left", "right", "module", "key", "_leaves", "_basis")
 
     def __init__(self, left=None, right=None, module: BigradedModule | None = None):
         self._basis = {}
         if module is not None:
             self.left = self.right = None
             self.module = module
+            self.key = module
             self._leaves = [module]
         else:
             self.left = left
             self.right = right
             self.module = tensor_modules(left.module, right.module)
+            self.key = (left.key, right.key)
             self._leaves = left._leaves + right._leaves
 
     @property
@@ -380,14 +383,22 @@ def tree_basis(tree: Tree, i: int, j: int):
     return out
 
 
+_ISO_CACHE: dict = {}
+
+
 def tree_iso(src: Tree, dst: Tree, perm: list[int] | None = None) -> BigradedMap:
     """Structural isomorphism src.module -> dst.module.
 
     perm sends source leaf position s to target leaf position perm[s]
     (identity if omitted: a pure regrouping, which carries no signs).
     For genuine permutations the Koszul sign is the product over inverted
-    pairs of (-1)^{<bideg_s, bideg_t>}.
+    pairs of (-1)^{<bideg_s, bideg_t>}.  Every block is a SignedPerm, and
+    the map is memoized on the structural keys of the two trees.
     """
+    key = (src.key, dst.key, None if perm is None else tuple(perm))
+    out = _ISO_CACHE.get(key)
+    if out is not None:
+        return out
     n = len(src.leaves())
     if perm is None:
         perm = list(range(n))
@@ -396,27 +407,23 @@ def tree_iso(src: Tree, dst: Tree, perm: list[int] | None = None) -> BigradedMap
     for s in range(n):
         if src.leaves()[s] != dst.leaves()[perm[s]]:
             raise ValueError("leaf modules do not match under permutation")
-    field = src.module.field
+    inversions = [(s, t) for s in range(n) for t in range(s + 1, n)
+                  if perm[s] > perm[t]]
     blocks = {}
     for (i, j) in src.module.support():
-        sbasis = tree_basis(src, i, j)
-        dbasis = tree_basis(dst, i, j)
-        dindex = {t: k for k, t in enumerate(dbasis)}
-        m = Matrix.zero(field, len(dbasis), len(sbasis))
-        for cidx, items in enumerate(sbasis):
+        dindex = {t: k for k, t in enumerate(tree_basis(dst, i, j))}
+        targets, neg = [], []
+        for items in tree_basis(src, i, j):
             target = [None] * n
             for s, item in enumerate(items):
                 target[perm[s]] = item
-            sign = 0
-            for s in range(n):
-                for t in range(s + 1, n):
-                    if perm[s] > perm[t]:
-                        sign += sprod(items[s][:2], items[t][:2])
-            ridx = dindex[tuple(target)]
-            m[ridx, cidx] = field.one() if sign % 2 == 0 else field.of_int(-1)
-        if len(dbasis) and len(sbasis):
-            blocks[(i, j)] = m
-    return BigradedMap(src.module, dst.module, (0, 0), blocks)
+            sign = sum(sprod(items[s][:2], items[t][:2]) for s, t in inversions)
+            targets.append(dindex[tuple(target)])
+            neg.append(sign % 2 == 1)
+        blocks[(i, j)] = SignedPerm(src.module.field, targets, neg)
+    out = BigradedMap(src.module, dst.module, (0, 0), blocks)
+    _ISO_CACHE[key] = out
+    return out
 
 
 def symmetry_iso(a: BigradedModule, b: BigradedModule) -> BigradedMap:

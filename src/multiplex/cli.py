@@ -399,6 +399,17 @@ def cmd_gen(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _nonneg_int(text: str) -> int:
+    """argparse type for page and twisting indices: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="multiplex",
@@ -435,26 +446,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="compute a spectral sequence page")
     p.add_argument("file")
-    p.add_argument("--page", type=int, required=True)
+    p.add_argument("--page", type=_nonneg_int, required=True)
     add_common(p, output=False)
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("er-qis", help="decide E_r-quasi-isomorphism")
     p.add_argument("file")
-    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-r", type=_nonneg_int, required=True)
     p.add_argument("--via-cone", action="store_true")
     add_common(p, output=False)
     p.set_defaults(func=cmd_er_qis)
 
     p = sub.add_parser("cone", help="build the r-cone of a morphism")
     p.add_argument("file")
-    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-r", type=_nonneg_int, required=True)
     add_common(p)
     p.set_defaults(func=cmd_cone)
 
     p = sub.add_parser("path", help="build the r-path")
     p.add_argument("file")
-    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-r", type=_nonneg_int, required=True)
     p.add_argument("--dainf", action="store_true")
     add_common(p)
     p.set_defaults(func=cmd_path)
@@ -462,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homotopy", help="check or solve r-homotopies")
     p.add_argument("action", choices=("check", "solve"))
     p.add_argument("file")
-    p.add_argument("-r", type=int)
+    p.add_argument("-r", type=_nonneg_int)
     p.add_argument("--dainf", action="store_true")
     p.add_argument("--f", help="source-side morphism name (solve)")
     p.add_argument("--g", help="target-side morphism name (solve)")
@@ -489,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="coderivation cross-checks")
     p.add_argument("what", choices=("coderh",))
     p.add_argument("file")
-    p.add_argument("-r", type=int)
-    p.add_argument("-N", dest="n", type=int)
+    p.add_argument("-r", type=_nonneg_int)
+    p.add_argument("-N", dest="n", type=_nonneg_int)
     add_common(p, output=False)
     p.set_defaults(func=cmd_oracle)
 

@@ -30,18 +30,6 @@ from .twisted import (
     RHomotopy, TwistedComplex, TwistedMorphism, check_twisted,
 )
 
-_POW_CACHE: dict = {}
-
-
-def _pow(mod: BigradedModule, k: int) -> BigradedModule:
-    key = (mod, k)
-    out = _POW_CACHE.get(key)
-    if out is None:
-        out = power_module(mod, k)
-        _POW_CACHE[key] = out
-    return out
-
-
 class DAInfAlgebra:
     """Bigraded module with finitely many structure maps m_{ij}."""
 
@@ -54,7 +42,7 @@ class DAInfAlgebra:
         for (i, j), mij in (m or {}).items():
             if i < 0 or j < 1:
                 raise ValueError(f"bad structure index {(i, j)}")
-            if mij.src != _pow(module, j) or mij.dst != module:
+            if mij.src != power_module(module, j) or mij.dst != module:
                 raise ValueError(f"m_{(i, j)} has wrong source or target")
             if mij.bidegree != (-i, 2 - i - j):
                 raise ValueError(f"m_{(i, j)} has bidegree {mij.bidegree}, "
@@ -69,7 +57,8 @@ class DAInfAlgebra:
     def m_map(self, i: int, j: int) -> BigradedMap:
         mij = self.m.get((i, j))
         if mij is None:
-            mij = zero_map(_pow(self.module, j), self.module, (-i, 2 - i - j))
+            mij = zero_map(power_module(self.module, j), self.module,
+                           (-i, 2 - i - j))
         return mij
 
     def max_arity(self) -> int:
@@ -111,7 +100,7 @@ class DAInfMorphism:
         for (i, j), fij in (f or {}).items():
             if i < 0 or j < 1:
                 raise ValueError(f"bad morphism index {(i, j)}")
-            if fij.src != _pow(src.module, j) or fij.dst != dst.module:
+            if fij.src != power_module(src.module, j) or fij.dst != dst.module:
                 raise ValueError(f"f_{(i, j)} has wrong source or target")
             if fij.bidegree != (-i, 1 - i - j):
                 raise ValueError(f"f_{(i, j)} has bidegree {fij.bidegree}, "
@@ -126,7 +115,7 @@ class DAInfMorphism:
     def f_map(self, i: int, j: int) -> BigradedMap:
         fij = self.f.get((i, j))
         if fij is None:
-            fij = zero_map(_pow(self.src.module, j), self.dst.module,
+            fij = zero_map(power_module(self.src.module, j), self.dst.module,
                            (-i, 1 - i - j))
         return fij
 
@@ -163,7 +152,7 @@ class DAInfHomotopy:
         for (i, k), hik in (h or {}).items():
             if i < 0 or k < 1:
                 raise ValueError(f"bad homotopy index {(i, k)}")
-            if hik.src != _pow(f.src.module, k) or hik.dst != f.dst.module:
+            if hik.src != power_module(f.src.module, k) or hik.dst != f.dst.module:
                 raise ValueError(f"h_{(i, k)} has wrong source or target")
             if hik.bidegree != (r - i, r - i - k):
                 raise ValueError(f"h_{(i, k)} has bidegree {hik.bidegree}, "
@@ -182,7 +171,7 @@ class DAInfHomotopy:
     def h_map(self, i: int, k: int) -> BigradedMap:
         hik = self.h.get((i, k))
         if hik is None:
-            hik = zero_map(_pow(self.f.src.module, k), self.f.dst.module,
+            hik = zero_map(power_module(self.f.src.module, k), self.f.dst.module,
                            (self.r - i, self.r - i - k))
         return hik
 
@@ -230,7 +219,7 @@ def check_dainf(a: DAInfAlgebra) -> Report:
         for (p, q) in keys:
             u, v = i + p, j + q - 1
             if (u, v) not in buckets:
-                buckets[(u, v)] = zero_map(_pow(a.module, v), a.module,
+                buckets[(u, v)] = zero_map(power_module(a.module, v), a.module,
                                            (-u, 3 - u - v))
     memo: dict = {}
     for (i, j) in keys:
@@ -264,7 +253,7 @@ def check_dainf_morphism(f: DAInfMorphism) -> Report:
 
     def bucket(u, v):
         if (u, v) not in buckets:
-            buckets[(u, v)] = zero_map(_pow(a.module, v), b.module,
+            buckets[(u, v)] = zero_map(power_module(a.module, v), b.module,
                                        (-u, 2 - u - v))
         return (u, v)
 
@@ -378,7 +367,7 @@ def invert_dainf(f: DAInfMorphism, arity_cap: int = 8) -> DAInfMorphism | None:
                     combos.append(((i, j), parts))
             if not combos:
                 continue
-            acc = zero_map(_pow(b.module, k), a.module, (-u, 1 - u - k))
+            acc = zero_map(power_module(b.module, k), a.module, (-u, 1 - u - k))
             for (key, parts) in combos:
                 tens = tens_memo.get(parts)
                 if tens is None:
@@ -449,7 +438,7 @@ def is_er_quasi_iso_dainf(f: DAInfMorphism, r: int) -> bool:
 
 def unit_dga(field: Field) -> TwistedDga:
     mod = unit_module(field)
-    m02 = BigradedMap(_pow(mod, 2), mod, (0, 0),
+    m02 = BigradedMap(power_module(mod, 2), mod, (0, 0),
                       {(0, 0): Matrix.identity(field, 1)})
     return TwistedDga(mod, {(0, 2): m02})
 
@@ -552,7 +541,7 @@ def lambda_r_dga(r: int, field: Field | None = None) -> LambdaObject:
 
     table = {("e-", "e-"): "e-", ("e+", "e+"): "e+",
              ("e-", "u"): "u", ("u", "e+"): "u"}
-    pw2 = _pow(mod, 2)
+    pw2 = power_module(mod, 2)
     t2 = power_tree(mod, 2)
     back = {"e-": (e_bid, 0), "e+": (e_bid, 1), "u": (u_bid, 0)}
     blocks = {}
@@ -648,9 +637,9 @@ def _path_tj(a_mod: BigradedModule, path_mod: BigradedModule, r: int,
     xbar = (-1)^{r x_1 + (1-r) x_2} on every x left of the y."""
     field = a_mod.field
     mid_shift = (-r, 1 - r)
-    pw_a = _pow(a_mod, j)
+    pw_a = power_module(a_mod, j)
     target, _, _ = direct_sum([pw_a, pw_a.shifted(mid_shift), pw_a])
-    src = _pow(path_mod, j)
+    src = power_module(path_mod, j)
     ptree = power_tree(path_mod, j)
     atree = power_tree(a_mod, j)
     a_index: dict = {}
@@ -760,7 +749,7 @@ def path_dainf(a: DAInfAlgebra, r: int) -> PathDainf:
         if j < 2:
             continue
         tj = _path_tj(a.module, path_mod, r, j)
-        pw_a = _pow(a.module, j)
+        pw_a = power_module(a.module, j)
         mid_pw = pw_a.shifted(mid_shift)
         _, (jnc0, jnc1, jnc2), (jpr0, jpr1, jpr2) = \
             direct_sum([pw_a, mid_pw, pw_a])
@@ -775,9 +764,9 @@ def path_dainf(a: DAInfAlgebra, r: int) -> PathDainf:
     keys = sorted(set(transported) | set(direct))
     for key in keys:
         i, j = key
-        t = transported.get(key, zero_map(_pow(path_mod, j), path_mod,
+        t = transported.get(key, zero_map(power_module(path_mod, j), path_mod,
                                           (-i, 2 - i - j)))
-        d = direct.get(key, zero_map(_pow(path_mod, j), path_mod,
+        d = direct.get(key, zero_map(power_module(path_mod, j), path_mod,
                                      (-i, 2 - i - j)))
         if t != d:
             raise AssertionError(
@@ -821,7 +810,7 @@ def path_dainf_morphism(f: DAInfMorphism, r: int,
         [f.dst.module, f.dst.module.shifted(mid_shift), f.dst.module])
     for (i, j), fij in sorted(f.f.items()):
         tj = _path_tj(f.src.module, pa.algebra.module, r, j)
-        pw_a = _pow(f.src.module, j)
+        pw_a = power_module(f.src.module, j)
         mid_pw = pw_a.shifted(mid_shift)
         _, _, (jpr0, jpr1, jpr2) = direct_sum([pw_a, mid_pw, pw_a])
         middle = fij.shifted(mid_shift)
@@ -933,7 +922,7 @@ def _hmk_buckets(h: DAInfHomotopy) -> dict:
 
     def bucket(m, k):
         if (m, k) not in buckets:
-            buckets[(m, k)] = zero_map(_pow(a.module, k), b.module,
+            buckets[(m, k)] = zero_map(power_module(a.module, k), b.module,
                                        (r - m, r - m + 1 - k))
         return (m, k)
 

@@ -246,6 +246,10 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
                              f"{other.rows}x{other.cols}")
+        if isinstance(other, SignedPerm):
+            return other.gather_cols(self)
+        if isinstance(self, SignedPerm):
+            return self.scatter_rows(other)
         f = self.field
         out = Matrix(f, self.rows, other.cols)
         oc = other.cols
@@ -349,6 +353,69 @@ class Matrix:
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
+
+
+class SignedPerm(Matrix):
+    """Square signed permutation matrix: column c is +-e_{targets[c]}.
+
+    ``neg[c]`` says whether that entry is -1.  Structural isomorphisms of
+    tensor products are exactly these, so products with them are gathers
+    and scatters rather than dense multiplications.  The matrix is
+    immutable; its dense entries are built only when something reads them
+    (``==``, ``rank``, element access), and ``copy()`` is a plain Matrix.
+    """
+
+    __slots__ = ("targets", "neg", "_dense")
+
+    def __init__(self, field: Field, targets, neg):
+        self.field = field
+        self.rows = self.cols = len(targets)
+        self.targets = tuple(targets)
+        self.neg = tuple(neg)
+        self._dense = None
+
+    @property
+    def data(self):
+        if self._dense is None:
+            f, n = self.field, self.cols
+            one, minus_one = f.one(), f.of_int(-1)
+            d = [f.zero()] * (n * n)
+            for c, (r, s) in enumerate(zip(self.targets, self.neg)):
+                d[r * n + c] = minus_one if s else one
+            self._dense = d
+        return self._dense
+
+    def __setitem__(self, rc, v):
+        raise TypeError("signed permutation matrices are immutable")
+
+    def is_zero(self):
+        return self.rows == 0
+
+    def gather_cols(self, m: Matrix) -> Matrix:
+        """m * self: column c is +-(column targets[c] of m)."""
+        if isinstance(m, SignedPerm):
+            t, s = m.targets, m.neg
+            return SignedPerm(self.field, [t[k] for k in self.targets],
+                              [s[k] != ng for k, ng in zip(self.targets,
+                                                           self.neg)])
+        f, n = m.field, m.cols
+        pairs = list(zip(self.targets, self.neg))
+        data = m.data
+        out = []
+        for base in range(0, m.rows * n, n):
+            row = data[base:base + n]
+            out.extend([f.neg(row[k]) if ng else row[k] for k, ng in pairs])
+        return Matrix(f, m.rows, n, out)
+
+    def scatter_rows(self, m: Matrix) -> Matrix:
+        """self * m: row targets[c] is +-(row c of m)."""
+        f, k = m.field, m.cols
+        data = m.data
+        rows = [None] * self.rows
+        for c, (r, ng) in enumerate(zip(self.targets, self.neg)):
+            row = data[c * k:(c + 1) * k]
+            rows[r] = [f.neg(a) for a in row] if ng else row
+        return Matrix(f, self.rows, k, [v for row in rows for v in row])
 
 
 def _rref_mod_p(rows: list, ncols: int, p: int) -> list:

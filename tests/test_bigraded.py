@@ -3,13 +3,16 @@ import random
 import pytest
 
 from multiplex.bigraded import (
-    BigradedModule, BigradedMap, compose, identity_map, interleave_iso, leaf,
-    left_tree, node, power_module, power_tree, sprod, symmetry_iso,
-    tensor_maps, tensor_modules, tree_iso, unit_module, zero_map,
+    BigradedModule, BigradedMap, _pairs_tree, compose, hom_one_map_one,
+    identity_map, interleave_iso, leaf, left_tree, nary_tensor_maps, node,
+    power_module, power_tree, sprod, symmetry_iso, tensor_maps,
+    tensor_modules, tree_basis, tree_iso, unit_module, zero_map,
 )
-from multiplex.linalg import GF, QQ, Matrix
+from multiplex.dainf import _subpower_tree, component_tensor
+from multiplex.linalg import GF, QQ, Matrix, SignedPerm
 
 F = GF()
+ISO_FIELDS = [GF(32003), GF(2), QQ]
 
 
 def rand_module(field, rng, spots=3, maxdim=2, irange=(-1, 2), jrange=(-1, 2)):
@@ -207,7 +210,6 @@ def test_interleave_iso_is_iso_and_matches_composed_swaps():
     tau2 = interleave_iso(a, b, 2)
     # hand route: (ab)(ab) -> regroup -> a(b a)b ... easier: permutation map directly
     flat = left_tree([a, b, a, b])
-    from multiplex.bigraded import _pairs_tree
     direct = compose(tree_iso(flat, node(power_tree(a, 2), power_tree(b, 2)),
                               [0, 2, 1, 3]),
                      tree_iso(_pairs_tree(a, b, 2), flat))
@@ -222,3 +224,153 @@ def test_power_module_dims():
     p3 = power_module(a, 3)
     assert p3.total_dim() == a.total_dim() ** 3
     assert power_module(a, 0) == unit_module(F)
+
+
+def test_module_dims_are_read_only():
+    a = BigradedModule(F, {(0, 0): 1, (1, 1): 2, (2, 0): 0})
+    assert a.dims == {(0, 0): 1, (1, 1): 2}
+    with pytest.raises(TypeError):
+        a.dims[(0, 0)] = 3
+    with pytest.raises(TypeError):
+        del a.dims[(1, 1)]
+    assert hash(a) == hash(BigradedModule(F, {(1, 1): 2, (0, 0): 1}))
+
+
+# -- structural isomorphisms against the dense reference ----------------------
+
+def _ref_tree_iso(src, dst, perm=None):
+    """The dense 0/+-1 construction of a structural isomorphism, entry by
+    entry, as tree_iso built it before its blocks became SignedPerm."""
+    n = len(src.leaves())
+    if perm is None:
+        perm = list(range(n))
+    field = src.module.field
+    blocks = {}
+    for (i, j) in src.module.support():
+        sbasis = tree_basis(src, i, j)
+        dbasis = tree_basis(dst, i, j)
+        dindex = {t: k for k, t in enumerate(dbasis)}
+        m = Matrix.zero(field, len(dbasis), len(sbasis))
+        for cidx, items in enumerate(sbasis):
+            target = [None] * n
+            for s, item in enumerate(items):
+                target[perm[s]] = item
+            sign = 0
+            for s in range(n):
+                for t in range(s + 1, n):
+                    if perm[s] > perm[t]:
+                        sign += sprod(items[s][:2], items[t][:2])
+            m[dindex[tuple(target)], cidx] = (field.one() if sign % 2 == 0
+                                              else field.of_int(-1))
+        blocks[(i, j)] = m
+    return BigradedMap(src.module, dst.module, (0, 0), blocks)
+
+
+def _assert_same_blocks(got, ref):
+    """Same modules, same block keys and the same entries everywhere."""
+    assert got.src == ref.src and got.dst == ref.dst
+    assert got.bidegree == ref.bidegree
+    assert sorted(got.blocks) == sorted(ref.blocks)
+    for k, blk in got.blocks.items():
+        assert blk.to_rows() == ref.blocks[k].to_rows()
+
+
+def _ref_dense_compose(f, g):
+    """compose with every SignedPerm block densified first."""
+    def dense(m):
+        return BigradedMap(m.src, m.dst, m.bidegree,
+                           {k: b.copy() for k, b in m.blocks.items()})
+    return compose(dense(f), dense(g))
+
+
+def _rand_tree(mods, rng):
+    if len(mods) == 1:
+        return leaf(mods[0])
+    cut = rng.randint(1, len(mods) - 1)
+    return node(_rand_tree(mods[:cut], rng), _rand_tree(mods[cut:], rng))
+
+
+@pytest.mark.parametrize("field", ISO_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(4))
+def test_tree_iso_blocks_match_dense_reference(field, seed):
+    rng = random.Random(700 + seed)
+    mods = [rand_module(field, rng, spots=2) for _ in range(4)]
+    # regroupings and genuine permutations between random shapes
+    for _ in range(3):
+        k = rng.randint(2, 4)
+        word = mods[:k]
+        perm = list(range(k))
+        rng.shuffle(perm)
+        src = _rand_tree(word, rng)
+        dst = _rand_tree([word[perm.index(t)] for t in range(k)], rng)
+        iso = tree_iso(src, dst, perm)
+        assert all(isinstance(b, SignedPerm) for b in iso.blocks.values())
+        _assert_same_blocks(iso, _ref_tree_iso(src, dst, perm))
+        src2 = _rand_tree(word, rng)
+        _assert_same_blocks(tree_iso(src, src2), _ref_tree_iso(src, src2))
+    a, b = mods[0], mods[1]
+    _assert_same_blocks(symmetry_iso(a, b),
+                        _ref_tree_iso(node(leaf(a), leaf(b)),
+                                      node(leaf(b), leaf(a)), [1, 0]))
+    for k in (2, 3):
+        flat = left_tree([a, b] * k)
+        perm = []
+        for s in range(k):
+            perm.extend([s, k + s])
+        ref = _ref_dense_compose(
+            _ref_tree_iso(flat, node(power_tree(a, k), power_tree(b, k)),
+                          perm),
+            _ref_tree_iso(_pairs_tree(a, b, k), flat))
+        tau = interleave_iso(a, b, k)
+        assert all(isinstance(blk, SignedPerm) for blk in tau.blocks.values())
+        _assert_same_blocks(tau, ref)
+
+
+def _rand_nonzero_map(src, dst, rng):
+    """A random map of a bidegree that joins some bidegree of src to dst."""
+    (i, j), (k, l) = rng.choice(src.support()), rng.choice(dst.support())
+    return rand_map(src, dst, (k - i, l - j), rng)
+
+
+@pytest.mark.parametrize("field", ISO_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_component_tensor_and_hom_one_map_one_match_dense(field, seed):
+    rng = random.Random(800 + seed)
+    base = rand_module(field, rng, spots=2, irange=(0, 1), jrange=(0, 1))
+    # component_tensor shape: Pow(base, 3) -> Pow(base, 2) ((x) Pow(base, 1))
+    arities = [2, 1]
+    maps = [_rand_nonzero_map(power_module(base, q), base, rng)
+            for q in arities]
+    pre = _ref_tree_iso(power_tree(base, 3), _subpower_tree(base, arities))
+    _assert_same_blocks(
+        tree_iso(power_tree(base, 3), _subpower_tree(base, arities)), pre)
+    _assert_same_blocks(component_tensor(maps, arities, base),
+                        _ref_dense_compose(nary_tensor_maps(maps), pre))
+    # hom_one_map_one shape: 1^r (x) m (x) 1^t with m of arity q
+    r, q, t = 1, 2, 1
+    m = _rand_nonzero_map(power_module(base, q), base, rng)
+    mid = nary_tensor_maps([identity_map(power_module(base, r)), m,
+                            identity_map(power_module(base, t))])
+    src_tree = node(node(power_tree(base, r), power_tree(base, q)),
+                    power_tree(base, t))
+    dst_tree = node(node(power_tree(base, r), leaf(base)),
+                    power_tree(base, t))
+    pre = _ref_tree_iso(power_tree(base, r + q + t), src_tree)
+    post = _ref_tree_iso(dst_tree, power_tree(base, r + 1 + t))
+    _assert_same_blocks(hom_one_map_one(m, base, r, t, q),
+                        _ref_dense_compose(post,
+                                           _ref_dense_compose(mid, pre)))
+
+
+def test_structurally_equal_trees_give_equal_maps():
+    rng = random.Random(9)
+    a, b, c = (rand_module(F, rng, spots=2) for _ in range(3))
+    first = tree_iso(node(node(leaf(a), leaf(b)), leaf(c)),
+                     node(leaf(a), node(leaf(b), leaf(c))))
+    again = tree_iso(node(node(leaf(a), leaf(b)), leaf(c)),
+                     node(leaf(a), node(leaf(b), leaf(c))))
+    assert again == first
+    assert again is first  # memoized on the shapes, not the Tree objects
+    other = tree_iso(node(leaf(a), node(leaf(b), leaf(c))),
+                     node(node(leaf(a), leaf(b)), leaf(c)))
+    assert other is not first

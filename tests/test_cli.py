@@ -1,7 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import multiplex
 
 from multiplex import io as mio
 from multiplex.cli import main
@@ -260,3 +265,36 @@ def test_bad_scalar_types_exit_2(tmp_path, capsys, kwargs):
 def test_gen_non_prime_modulus_exit_2(capsys):
     assert main(["gen", "random-twisted", "--seed", "1", "--p", "561"]) == 2
     assert "not prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["spectral", "{complex}", "--page", "-3"],
+    ["er-qis", "{full}", "--name", "f", "-r", "-1"],
+    ["er-qis", "{full}", "--name", "f", "-r", "-1", "--via-cone"],
+    ["cone", "{full}", "--name", "f", "-r", "-1"],
+    ["path", "{complex}", "-r", "-1"],
+    ["path", "{complex}", "-r", "-1", "--dainf"],
+    ["homotopy", "check", "{full}", "-r", "-2"],
+    ["oracle", "coderh", "{full}", "-r", "-1"],
+    ["oracle", "coderh", "{full}", "-N", "-8"],
+], ids=["spectral", "er-qis", "er-qis-cone", "cone", "path", "path-dainf",
+        "homotopy", "oracle-r", "oracle-N"])
+def test_negative_index_exit_2(fixture_docs, capsys, args):
+    argv = [a.format(**fixture_docs) for a in args]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be >= 0" in err and "Traceback" not in err
+
+
+def test_python_m_multiplex_entry_point(fixture_docs):
+    src = os.path.dirname(os.path.dirname(multiplex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "multiplex", "spectral",
+                          fixture_docs["complex"], "--page", "-3"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert "must be >= 0" in out.stderr and "Traceback" not in out.stderr
+    out = subprocess.run([sys.executable, "-m", "multiplex", "check",
+                          "twisted", fixture_docs["complex"]],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0 and "ok" in out.stdout

@@ -3,10 +3,13 @@ import time
 
 import pytest
 
-from multiplex.linalg import GF, QQ, Field, Matrix, induced_map, subquotient
+from multiplex.linalg import (
+    GF, QQ, Field, Matrix, SignedPerm, induced_map, subquotient,
+)
 
 FIELDS = [GF(), GF(5), QQ]
 REF_FIELDS = [GF(32003), GF(5), GF(2), QQ]
+PERM_FIELDS = [GF(32003), GF(2), QQ]
 
 
 def rand_matrix(field, rows, cols, rng, bound=5):
@@ -304,3 +307,64 @@ def test_primality_agrees_with_trial_division():
         else:
             with pytest.raises(ValueError):
                 Field("prime_field", n)
+
+
+# -- signed permutations -------------------------------------------------------
+
+def _rand_signed_perm(field, n, rng):
+    targets = list(range(n))
+    rng.shuffle(targets)
+    return SignedPerm(field, targets, [rng.random() < 0.5 for _ in range(n)])
+
+
+def _ref_dense(p):
+    """The 0/+-1 matrix of a signed permutation, built entry by entry."""
+    f = p.field
+    m = Matrix.zero(f, p.rows, p.cols)
+    for c in range(p.cols):
+        m[p.targets[c], c] = f.of_int(-1) if p.neg[c] else f.one()
+    return m
+
+
+def _ref_mul(a, b):
+    f = a.field
+    out = Matrix.zero(f, a.rows, b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = f.zero()
+            for k in range(a.cols):
+                acc = f.add(acc, f.mul(a[i, k], b[k, j]))
+            out[i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("field", PERM_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(8))
+def test_signed_perm_products_match_dense(field, seed):
+    rng = random.Random(500 + seed)
+    n = rng.randint(0, 6)
+    p = _rand_signed_perm(field, n, rng)
+    q = _rand_signed_perm(field, n, rng)
+    assert p.copy() == _ref_dense(p)
+    m = rand_matrix(field, rng.randint(0, 4), n, rng)
+    mt = rand_matrix(field, n, rng.randint(0, 4), rng)
+    assert (m * p).to_rows() == _ref_mul(m, _ref_dense(p)).to_rows()
+    assert (p * mt).to_rows() == _ref_mul(_ref_dense(p), mt).to_rows()
+    pq = p * q
+    assert isinstance(pq, SignedPerm)
+    assert pq.copy() == _ref_mul(_ref_dense(p), _ref_dense(q))
+    assert p.rank() == n
+    assert p.is_zero() == (n == 0)
+
+
+def test_signed_perm_is_immutable_and_copies_dense():
+    f = GF(32003)
+    p = SignedPerm(f, [2, 0, 1], [False, True, False])
+    assert p._dense is None  # nothing dense until an entry is read
+    with pytest.raises(TypeError):
+        p[0, 0] = 1
+    c = p.copy()
+    assert type(c) is Matrix
+    c[0, 0] = f.of_int(7)
+    assert c[0, 0] == 7 and p[0, 0] == 0
+    assert p[0, 1] == f.of_int(-1) and p[2, 0] == 1
