@@ -142,10 +142,14 @@ class BigradedMap:
                            {k: self.block(*k) + other.block(*k) for k in keys})
 
     def __sub__(self, other):
-        return self + other.scale(self.field.of_int(-1))
+        self._compatible(other)
+        keys = set(self.blocks) | set(other.blocks)
+        return BigradedMap(self.src, self.dst, self.bidegree,
+                           {k: self.block(*k) - other.block(*k) for k in keys})
 
     def __neg__(self):
-        return self.scale(self.field.of_int(-1))
+        return BigradedMap(self.src, self.dst, self.bidegree,
+                           {k: -m for k, m in self.blocks.items()})
 
     def scale(self, c) -> "BigradedMap":
         return BigradedMap(self.src, self.dst, self.bidegree,
@@ -247,6 +251,7 @@ def tensor_maps(f: BigradedMap, g: BigradedMap) -> BigradedMap:
     gb, gq = g.bidegree
     bid = (fb + gb, fq + gq)
     field = f.field
+    modulus = field.p
     blocks: dict[Bidegree, Matrix] = {}
     for (i, j) in src.support():
         src_sum = tensor_summands(f.src, g.src, i, j)
@@ -259,31 +264,37 @@ def tensor_maps(f: BigradedMap, g: BigradedMap) -> BigradedMap:
         rows = dst.dim(i + bid[0], j + bid[1])
         cols = src.dim(i, j)
         out = Matrix.zero(field, rows, cols)
+        data = out.data
         coff = 0
         nonzero = False
         for (p, q, da, db) in src_sum:
             fblk = f.blocks.get((p, q))
             gblk = g.blocks.get((i - p, j - q))
             if fblk is not None and gblk is not None:
-                sign = -1 if sprod((gb, gq), (p, q)) % 2 else 1
                 roff = dst_off.get((p + fb, q + fq))
                 if roff is None:
                     raise AssertionError("tensor block landed outside target")
+                if sprod((gb, gq), (p, q)) % 2:
+                    fblk = -fblk
                 gr, gc = gblk.rows, gblk.cols
-                for ra in range(fblk.rows):
-                    for ca in range(fblk.cols):
-                        fv = fblk[ra, ca]
-                        if not fv:
-                            continue
-                        if sign < 0:
-                            fv = field.neg(fv)
-                        for rb in range(gr):
-                            for cb in range(gc):
-                                gv = gblk[rb, cb]
-                                if gv:
-                                    out[roff + ra * gr + rb,
-                                        coff + ca * gc + cb] = field.mul(fv, gv)
-                        nonzero = True
+                # nonzero entries only, as flat indices into out.data:
+                # f[ra, ca] scales the copy of g whose top-left corner is
+                # at fnz's index; gnz holds offsets from that corner
+                fnz = [((roff + ra * gr) * cols + coff + ca * gc, fv)
+                       for ra, frow in enumerate(fblk.to_rows())
+                       for ca, fv in enumerate(frow) if fv]
+                gnz = [(rb * cols + cb, gv)
+                       for rb, grow in enumerate(gblk.to_rows())
+                       for cb, gv in enumerate(grow) if gv]
+                if modulus:
+                    for base, fv in fnz:
+                        for off, gv in gnz:
+                            data[base + off] = fv * gv % modulus
+                else:
+                    for base, fv in fnz:
+                        for off, gv in gnz:
+                            data[base + off] = fv * gv
+                nonzero = nonzero or bool(fnz)
             coff += da * db
         if nonzero:
             blocks[(i, j)] = out

@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 = all checks passed / construction succeeded,
-1 = a verified mathematical failure (the report lists locations),
-2 = input, schema or usage error.
+1 = a verified mathematical failure (the report lists locations), or an
+internal self-check that disagreed (``failed: internal check: ...``),
+2 = input, schema or usage error, including a document over the size
+budget of ``io.MAX_DIMENSION``.
 
 Every construction subcommand re-validates its output before writing.
 """
@@ -300,6 +302,8 @@ def cmd_tensor(args) -> int:
                              what="twisted complex")
     name_b, b = doc_b.select(args.name_b, TwistedComplex,
                              what="twisted complex")
+    mio.check_dimension(a.module.total_dim() * b.module.total_dim(),
+                        "tensor product")
     for nm, obj in ((name_a, a), (name_b, b)):
         rep = check_twisted(obj)
         if not rep.ok:
@@ -537,6 +541,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # failed self-validation of a construction is a mathematical failure
         print(f"failed: {exc}", file=sys.stderr)
+        return 1
+    except (AssertionError, RuntimeError) as exc:
+        # a self-check inside the program failed: a fault of the program
+        # (such as two routes that must agree not agreeing), not the input
+        print(f"failed: internal check: {exc}", file=sys.stderr)
         return 1
 
 

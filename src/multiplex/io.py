@@ -31,6 +31,12 @@ is declaration order (for totalizations: columns ascending, then basis
 order).  Rationals are "a/b" strings or integers, prime-field entries are
 integers in [0, p).  Missing blocks are zero maps.
 
+Size budget: a module declared by "dims" may have total dimension (the sum
+of its ranks, so also any single rank) at most MAX_DIMENSION = 10^4, and
+so may the tensor product that the tensor command would build from two
+documents.  A larger declaration is an input error (exit 2), reported
+before anything of that size is allocated.
+
 The modulus p is a JSON integer, prime and below 2^64 (primality is
 decided exactly by deterministic Miller-Rabin in that range); a string
 or float p is an error.  JSON true/false is never read as an integer: not
@@ -49,6 +55,10 @@ from .linalg import Field, Matrix
 from .twisted import RHomotopy, TwistedComplex, TwistedMorphism
 
 SCHEMA_VERSION = "1"
+
+# dense Tot^n matrices of a module of this total dimension have at most
+# (10^4 / 2)^2 entries, about 200 MB of list slots
+MAX_DIMENSION = 10 ** 4
 
 
 class DocumentError(ValueError):
@@ -83,6 +93,13 @@ def dump_field(field: Field):
     return {"kind": "prime_field", "p": field.p}
 
 
+def check_dimension(total: int, what: str):
+    """DocumentError unless total is within the size budget MAX_DIMENSION."""
+    if total > MAX_DIMENSION:
+        raise DocumentError(f"{what} has total dimension {total}, above the "
+                            f"size budget of {MAX_DIMENSION}")
+
+
 def parse_dims(field: Field, payload) -> BigradedModule:
     if not isinstance(payload, list):
         raise DocumentError("dims must be a list of [i, j, rank] triples")
@@ -98,6 +115,7 @@ def parse_dims(field: Field, payload) -> BigradedModule:
             raise DocumentError(f"duplicate dims entry at {(i, j)}")
         if n:
             dims[(i, j)] = n
+    check_dimension(sum(dims.values()), "module declared by dims")
     return BigradedModule(field, dims)
 
 

@@ -6,18 +6,25 @@ single computational substrate.  Matrices are dense and tiny (bidegree
 blocks), so plain Gauss-Jordan elimination over exact field elements is
 enough.  No floating point anywhere.
 
+Matrix arithmetic and elimination both use one kernel per field kind, so
+field arithmetic is chosen once per operation rather than once per entry.
+``+``, ``-``, negation and ``scale`` are list comprehensions that pass zero
+operands through; ``*`` accumulates plain integer (F_p) or Fraction (QQ)
+products and reduces ``% p`` once per output entry (``_matmul_mod_p``,
+``_matmul_qq``); ``is_zero`` is ``not any(data)``.  F_p entries are always
+ints in [0, p) and QQ entries always Fractions.
+
 All elimination goes through ``Matrix._echelon``, which reduces a list of
-row lists with one kernel per field kind (``_rref_mod_p`` for F_p,
-``_rref_qq`` for QQ), so field arithmetic is chosen once per elimination
-rather than once per entry.  The result is the canonical reduced row
-echelon form, whichever kernel produced it.  A ``Subquotient`` Z/B is
-built from a single elimination of ``[B | Z]``.
+row lists with ``_rref_mod_p`` for F_p or ``_rref_qq`` for QQ.  The result
+is the canonical reduced row echelon form, whichever kernel produced it.
+A ``Subquotient`` Z/B is built from a single elimination of ``[B | Z]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 
 # the first 12 primes: as Miller-Rabin bases they decide primality exactly
@@ -156,6 +163,13 @@ class Matrix:
 
     # -- constructors ---------------------------------------------------
     @classmethod
+    def _of(cls, field, rows, cols, data: list):
+        """Matrix that adopts data, a new list of rows * cols entries, as is."""
+        m = object.__new__(cls)
+        m.field, m.rows, m.cols, m.data = field, rows, cols, data
+        return m
+
+    @classmethod
     def zero(cls, field, rows, cols):
         return cls(field, rows, cols)
 
@@ -202,7 +216,8 @@ class Matrix:
         return [self.data[r * self.cols + c] for r in range(self.rows)]
 
     def to_rows(self):
-        return [self.row(r) for r in range(self.rows)]
+        c, d = self.cols, self.data
+        return [d[r * c:(r + 1) * c] for r in range(self.rows)]
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -216,29 +231,45 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
 
     def is_zero(self):
-        z = self.field.zero()
-        return all(v == z for v in self.data)
+        return not any(self.data)
 
     # -- arithmetic --------------------------------------------------------
+    # One kernel per field kind: F_p entries are ints in [0, p) reduced once
+    # per result entry, QQ entries are Fractions.  A zero operand is passed
+    # through rather than computed, since most blocks are mostly zeros.
     def __add__(self, other):
         self._same_shape(other)
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [f.add(a, b) for a, b in zip(self.data, other.data)])
+        p = self.field.p
+        if p:
+            data = [(a + b) % p if b else a
+                    for a, b in zip(self.data, other.data)]
+        else:
+            data = [(a + b if a else b) if b else a
+                    for a, b in zip(self.data, other.data)]
+        return Matrix._of(self.field, self.rows, self.cols, data)
 
     def __sub__(self, other):
         self._same_shape(other)
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [f.sub(a, b) for a, b in zip(self.data, other.data)])
+        p = self.field.p
+        if p:
+            data = [(a - b) % p if b else a
+                    for a, b in zip(self.data, other.data)]
+        else:
+            data = [(a - b if a else -b) if b else a
+                    for a, b in zip(self.data, other.data)]
+        return Matrix._of(self.field, self.rows, self.cols, data)
 
     def __neg__(self):
-        f = self.field
-        return Matrix(f, self.rows, self.cols, [f.neg(a) for a in self.data])
+        return Matrix._of(self.field, self.rows, self.cols,
+                          _negated(self.data, self.field.p))
 
     def scale(self, c):
-        f = self.field
-        return Matrix(f, self.rows, self.cols, [f.mul(c, a) for a in self.data])
+        p = self.field.p
+        if p:
+            data = [c * a % p if a else a for a in self.data]
+        else:
+            data = [c * a if a else a for a in self.data]
+        return Matrix._of(self.field, self.rows, self.cols, data)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -250,27 +281,18 @@ class Matrix:
             return other.gather_cols(self)
         if isinstance(self, SignedPerm):
             return self.scatter_rows(other)
-        f = self.field
-        out = Matrix(f, self.rows, other.cols)
-        oc = other.cols
-        # nonzero sweep of the right factor: products here are usually
-        # sparse identity-tensor patterns, so skip empty rows entirely
-        nz = []
-        for k in range(other.rows):
-            ob = k * oc
-            row = [(j, other.data[ob + j]) for j in range(oc)
-                   if other.data[ob + j]]
-            nz.append(row)
-        for i in range(self.rows):
-            base = i * self.cols
-            tb = i * oc
-            for k in range(self.cols):
-                a = self.data[base + k]
-                if not a:
-                    continue
-                for j, b in nz[k]:
-                    out.data[tb + j] = f.add(out.data[tb + j], f.mul(a, b))
-        return out
+        # products here are usually sparse identity-tensor patterns, so
+        # only nonzero entries are visited: those of the right factor are
+        # grouped by row, those of the left are found with compress
+        od, oc = other.data, other.cols
+        right = [[] for _ in range(other.rows)]
+        for t in compress(range(len(od)), od):
+            k, j = divmod(t, oc)
+            right[k].append((j, od[t]))
+        p = self.field.p
+        data = _matmul_mod_p(self, right, oc, p) if p else \
+            _matmul_qq(self, right, oc)
+        return Matrix._of(self.field, self.rows, oc, data)
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -298,13 +320,13 @@ class Matrix:
     def _echelon(self):
         """Reduced row echelon form of a copy; returns (mat, pivot cols)."""
         c = self.cols
-        rows = [self.data[i * c:(i + 1) * c] for i in range(self.rows)]
+        rows = self.to_rows()
         if self.field.kind == "prime_field":
             pivots = _rref_mod_p(rows, c, self.field.p)
         else:
             pivots = _rref_qq(rows, c)
-        return Matrix(self.field, self.rows, c,
-                      [v for row in rows for v in row]), pivots
+        return Matrix._of(self.field, self.rows, c,
+                          [v for row in rows for v in row]), pivots
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -316,12 +338,12 @@ class Matrix:
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]
         out = Matrix(f, self.cols, len(free))
+        one, nf, ec = f.one(), out.cols, ech.cols
         for k, fc in enumerate(free):
-            out.data[fc * out.cols + k] = f.one()
-            for r, pc in enumerate(pivots):
-                v = ech.data[r * ech.cols + fc]
-                if v:
-                    out.data[pc * out.cols + k] = f.neg(v)
+            out.data[fc * nf + k] = one
+            col = _negated(ech.data[fc:len(pivots) * ec:ec], f.p)
+            for pc, v in zip(pivots, col):
+                out.data[pc * nf + k] = v
         return out
 
     def solve(self, b: "Matrix"):
@@ -398,24 +420,60 @@ class SignedPerm(Matrix):
             return SignedPerm(self.field, [t[k] for k in self.targets],
                               [s[k] != ng for k, ng in zip(self.targets,
                                                            self.neg)])
-        f, n = m.field, m.cols
-        pairs = list(zip(self.targets, self.neg))
-        data = m.data
-        out = []
-        for base in range(0, m.rows * n, n):
-            row = data[base:base + n]
-            out.extend([f.neg(row[k]) if ng else row[k] for k, ng in pairs])
-        return Matrix(f, m.rows, n, out)
+        n, targets = m.cols, self.targets
+        out = [row[k] for row in m.to_rows() for k in targets]
+        for c, ng in enumerate(self.neg):
+            if ng:
+                out[c::n] = _negated(out[c::n], m.field.p)
+        return Matrix._of(m.field, m.rows, n, out)
 
     def scatter_rows(self, m: Matrix) -> Matrix:
         """self * m: row targets[c] is +-(row c of m)."""
-        f, k = m.field, m.cols
-        data = m.data
+        p, k, data = m.field.p, m.cols, m.data
         rows = [None] * self.rows
         for c, (r, ng) in enumerate(zip(self.targets, self.neg)):
             row = data[c * k:(c + 1) * k]
-            rows[r] = [f.neg(a) for a in row] if ng else row
-        return Matrix(f, self.rows, k, [v for row in rows for v in row])
+            rows[r] = _negated(row, p) if ng else row
+        return Matrix._of(m.field, self.rows, k,
+                          [v for row in rows for v in row])
+
+
+_QQ_ZERO = Fraction(0)  # immutable, so one object serves every matrix
+
+
+def _negated(data: list, p: int) -> list:
+    """Entrywise negation over F_p (p > 0) or QQ (p == 0)."""
+    if p:
+        return [-a % p for a in data]
+    return [-a if a else a for a in data]
+
+
+def _matmul_mod_p(a: Matrix, right: list, oc: int, p: int) -> list:
+    """Row-major data of a * B over F_p, where right[k] lists the nonzero
+    (column, value) pairs of row k of B and B has oc columns.  Sums stay
+    unreduced ints until one ``% p`` per output entry."""
+    sd, n = a.data, a.cols
+    out = [0] * (a.rows * oc)
+    for t in compress(range(len(sd)), sd):
+        i, k = divmod(t, n)
+        x, base = sd[t], i * oc
+        for j, y in right[k]:
+            out[base + j] += x * y
+    return [v % p for v in out]
+
+
+def _matmul_qq(a: Matrix, right: list, oc: int) -> list:
+    """As ``_matmul_mod_p`` over QQ.  None marks an output entry that no
+    product reached, so no Fraction is ever added to zero."""
+    sd, n = a.data, a.cols
+    out = [None] * (a.rows * oc)
+    for t in compress(range(len(sd)), sd):
+        i, k = divmod(t, n)
+        x, base = sd[t], i * oc
+        for j, y in right[k]:
+            v = out[base + j]
+            out[base + j] = x * y if v is None else v + x * y
+    return [_QQ_ZERO if v is None else v for v in out]
 
 
 def _rref_mod_p(rows: list, ncols: int, p: int) -> list:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,8 @@ from multiplex.bigraded import (
     BigradedModule, BigradedMap, _pairs_tree, compose, hom_one_map_one,
     identity_map, interleave_iso, leaf, left_tree, nary_tensor_maps, node,
     power_module, power_tree, sprod, symmetry_iso, tensor_maps,
-    tensor_modules, tree_basis, tree_iso, unit_module, zero_map,
+    tensor_modules, tensor_summands, tree_basis, tree_iso, unit_module,
+    zero_map,
 )
 from multiplex.dainf import _subpower_tree, component_tensor
 from multiplex.linalg import GF, QQ, Matrix, SignedPerm
@@ -374,3 +376,106 @@ def test_structurally_equal_trees_give_equal_maps():
     other = tree_iso(node(leaf(a), node(leaf(b), leaf(c))),
                      node(node(leaf(a), leaf(b)), leaf(c)))
     assert other is not first
+
+
+# -- tensor_maps and map negation against the per-entry reference -------------
+
+def _ref_tensor_maps(f, g):
+    """The Kronecker loop as it was before the per-field kernel: every entry
+    read and written through Matrix indexing, multiplied and negated through
+    Field.mul and Field.neg."""
+    src = tensor_modules(f.src, g.src)
+    dst = tensor_modules(f.dst, g.dst)
+    fb, fq = f.bidegree
+    gb, gq = g.bidegree
+    bid = (fb + gb, fq + gq)
+    field = f.field
+    blocks = {}
+    for (i, j) in src.support():
+        dst_off, off = {}, 0
+        for (p, q, da, db) in tensor_summands(f.dst, g.dst, i + bid[0],
+                                              j + bid[1]):
+            dst_off[(p, q)] = off
+            off += da * db
+        out = Matrix.zero(field, dst.dim(i + bid[0], j + bid[1]),
+                          src.dim(i, j))
+        coff = 0
+        for (p, q, da, db) in tensor_summands(f.src, g.src, i, j):
+            fblk = f.blocks.get((p, q))
+            gblk = g.blocks.get((i - p, j - q))
+            if fblk is not None and gblk is not None:
+                sign = -1 if sprod((gb, gq), (p, q)) % 2 else 1
+                roff = dst_off[(p + fb, q + fq)]
+                gr, gc = gblk.rows, gblk.cols
+                for ra in range(fblk.rows):
+                    for ca in range(fblk.cols):
+                        fv = fblk[ra, ca]
+                        if not fv:
+                            continue
+                        if sign < 0:
+                            fv = field.neg(fv)
+                        for rb in range(gr):
+                            for cb in range(gc):
+                                gv = gblk[rb, cb]
+                                if gv:
+                                    out[roff + ra * gr + rb,
+                                        coff + ca * gc + cb] = field.mul(fv, gv)
+            coff += da * db
+        blocks[(i, j)] = out
+    return BigradedMap(src, dst, bid, blocks)
+
+
+def _assert_canonical_map(m):
+    """F_p entries are ints in [0, p); QQ entries are Fractions."""
+    p = m.field.p
+    for blk in m.blocks.values():
+        if p:
+            assert all(type(v) is int and 0 <= v < p for v in blk.data)
+        else:
+            assert all(type(v) is Fraction for v in blk.data)
+
+
+def _rand_sparse_map(src, dst, bidegree, rng, density):
+    """rand_map with entries nonzero with the given probability."""
+    field = src.field
+    p, q = bidegree
+    blocks = {}
+    for (i, j), n in src.dims.items():
+        m = dst.dim(i + p, j + q)
+        if m:
+            blocks[(i, j)] = Matrix(field, m, n, [
+                field.of_int(rng.choice([-7, -2, -1, 1, 2, 5, 11]))
+                if rng.random() < density else field.zero()
+                for _ in range(m * n)])
+    return BigradedMap(src, dst, bidegree, blocks)
+
+
+KERNEL_FIELDS = [GF(32003), GF(5), GF(2), QQ]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(8))
+def test_tensor_maps_and_negation_match_reference(field, seed):
+    rng = random.Random(900 + seed)
+    a, b, c = (rand_module(field, rng, maxdim=3) for _ in range(3))
+    maps = []
+    for density in (0.15, 1.0):
+        maps.append(_rand_sparse_map(a, b, (rng.randint(-1, 1),
+                                            rng.randint(-1, 1)), rng, density))
+        maps.append(_rand_sparse_map(b, c, (rng.randint(-1, 1),
+                                            rng.randint(-1, 1)), rng, density))
+    maps += [zero_map(a, c, (1, 0)), identity_map(b),
+             symmetry_iso(a, b)]          # SignedPerm blocks, with signs
+    for f in maps:
+        for g in maps:
+            got = tensor_maps(f, g)
+            _assert_canonical_map(got)
+            _assert_same_blocks(got, _ref_tensor_maps(f, g))
+    for f in maps:
+        minus = f.scale(f.field.of_int(-1))
+        for got in (-f, zero_map(f.src, f.dst, f.bidegree) - f):
+            _assert_canonical_map(got)
+            _assert_same_blocks(got, minus)
+        assert (f - f).is_zero() and (f + (-f)).is_zero()
+        g = _rand_sparse_map(f.src, f.dst, f.bidegree, rng, 0.5)
+        _assert_same_blocks(f - g, f + g.scale(f.field.of_int(-1)))

@@ -3,12 +3,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 import multiplex
 
 from multiplex import io as mio
+from multiplex import linalg, twisted
 from multiplex.cli import main
 from multiplex.dainf import lambda_r_dga
 from multiplex.filtration import tot
@@ -298,3 +300,71 @@ def test_python_m_multiplex_entry_point(fixture_docs):
                           "twisted", fixture_docs["complex"]],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0 and "ok" in out.stdout
+
+
+def _dims_doc(tmp_path, name, dims):
+    """A twisted complex with the given dims and no differential."""
+    doc = {"schema_version": "1", "field": {"kind": "prime_field", "p": 32003},
+           "objects": {"A": {"type": "twisted_complex", "dims": dims,
+                             "d": {}}}}
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("dims", [
+    [[0, 0, 100000000]],
+    [[0, 0, 6000], [0, 1, 4001]],
+], ids=["rank-1e8", "total-10001"])
+@pytest.mark.parametrize("command", [["check", "twisted"], ["tot"],
+                                     ["spectral", "--page", "0"]],
+                         ids=["check", "tot", "spectral"])
+def test_size_budget_exit_2(tmp_path, capsys, dims, command):
+    path = _dims_doc(tmp_path, "big.json", dims)
+    argv = command[:1] + [path] + command[1:] if len(command) > 2 \
+        else command + [path]
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "size budget" in err and "Traceback" not in err
+
+
+def test_size_budget_boundary_and_tensor_product(tmp_path, capsys):
+    at = _dims_doc(tmp_path, "at.json", [[0, 0, mio.MAX_DIMENSION - 1],
+                                          [1, 1, 1]])
+    assert main(["check", "twisted", at]) == 0
+    # 101 * 100 = 10100 > 10^4: each document is small, the product is not
+    a = _dims_doc(tmp_path, "a.json", [[0, 0, 100], [1, 0, 1]])
+    b = _dims_doc(tmp_path, "b.json", [[0, 0, 100]])
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["tensor", a, b]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "tensor product" in err and "size budget" in err
+    assert main(["tensor", b, b, "-o", str(tmp_path / "t.json")]) == 0
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
+
+
+@pytest.mark.parametrize("argv, owner, name, exc", [
+    (["spectral", "{complex}", "--page", "1"], linalg.Subquotient,
+     "__init__",
+     AssertionError("rep basis size disagrees with rank arithmetic")),
+    (["tensor", "{tiny}", "{tiny}"], twisted, "tensor_maps",
+     AssertionError("tensor block landed outside target")),
+    (["er-qis", "{full}", "--name", "f", "-r", "1"], linalg.Subquotient,
+     "__init__", RuntimeError("page routes disagree")),
+], ids=["subquotient-assert", "tensor-assert", "runtime-error"])
+def test_internal_check_failure_exit_1(fixture_docs, capsys, monkeypatch,
+                                       argv, owner, name, exc):
+    paths = dict(fixture_docs, tiny=_tiny_doc(fixture_docs["tmp"]))
+    monkeypatch.setattr(owner, name, _raise(exc))
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err == f"failed: internal check: {exc}\n"

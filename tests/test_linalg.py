@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -368,3 +369,168 @@ def test_signed_perm_is_immutable_and_copies_dense():
     c[0, 0] = f.of_int(7)
     assert c[0, 0] == 7 and p[0, 0] == 0
     assert p[0, 1] == f.of_int(-1) and p[2, 0] == 1
+
+
+# -- matrix arithmetic kernels against the per-entry reference ----------------
+# The element-by-element Field-dispatch arithmetic that Matrix used before it
+# had one kernel per field.  The kernels must agree with it entry by entry
+# and keep every entry canonical.
+
+def _ref_add(a, b):
+    f = a.field
+    return Matrix(f, a.rows, a.cols,
+                  [f.add(x, y) for x, y in zip(a.data, b.data)])
+
+
+def _ref_sub(a, b):
+    f = a.field
+    return Matrix(f, a.rows, a.cols,
+                  [f.sub(x, y) for x, y in zip(a.data, b.data)])
+
+
+def _ref_neg(a):
+    f = a.field
+    return Matrix(f, a.rows, a.cols, [f.neg(x) for x in a.data])
+
+
+def _ref_scale(a, c):
+    f = a.field
+    return Matrix(f, a.rows, a.cols, [f.mul(c, x) for x in a.data])
+
+
+def _ref_is_zero(a):
+    z = a.field.zero()
+    return all(v == z for v in a.data)
+
+
+def _ref_gather(p, m):
+    """m * p, column c = +-(column targets[c] of m), negating through Field."""
+    f, n = m.field, m.cols
+    out = []
+    for r in range(m.rows):
+        row = m.row(r)
+        out.extend(f.neg(row[k]) if ng else row[k]
+                   for k, ng in zip(p.targets, p.neg))
+    return Matrix(f, m.rows, n, out)
+
+
+def _ref_scatter(p, m):
+    """p * m, row targets[c] = +-(row c of m), negating through Field."""
+    f = m.field
+    rows = [None] * p.rows
+    for c, (r, ng) in enumerate(zip(p.targets, p.neg)):
+        rows[r] = [f.neg(a) for a in m.row(c)] if ng else m.row(c)
+    return Matrix(f, p.rows, m.cols, [v for row in rows for v in row])
+
+
+def _assert_canonical(m):
+    """F_p entries are ints in [0, p); QQ entries are Fractions."""
+    p = m.field.p
+    if p:
+        assert all(type(v) is int and 0 <= v < p for v in m.data)
+    else:
+        assert all(type(v) is Fraction for v in m.data)
+
+
+def _rand_entry(field, rng):
+    if field.p:
+        return rng.randrange(1, field.p)
+    return Fraction(rng.randint(-40, 40) or 1, rng.randint(1, 9))
+
+
+def _rand_density(field, rows, cols, density, rng):
+    return Matrix(field, rows, cols,
+                  [_rand_entry(field, rng) if rng.random() < density
+                   else field.zero() for _ in range(rows * cols)])
+
+
+def _kernel_operands(field, rng, rows, cols):
+    """Zero-heavy, dense and all-zero matrices of one shape, plus operands
+    that cancel them: the negation and, over F_p, entries summing to p."""
+    ms = [_rand_density(field, rows, cols, d, rng) for d in (0.0, 0.2, 1.0)]
+    a = ms[1]
+    ms.append(_ref_neg(a))
+    if field.p:
+        ms.append(Matrix(field, rows, cols,
+                         [field.p - v if v else v for v in a.data]))
+    return ms
+
+
+def _shapes(rng):
+    n = rng.randint(1, 5)
+    return [(rng.randint(1, 6), rng.randint(1, 6)), (0, n), (n, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(8))
+def test_arithmetic_kernels_match_reference(field, seed):
+    rng = random.Random(6000 + seed)
+    scalars = [field.zero(), field.one(), field.of_int(-1),
+               _rand_entry(field, rng)]
+    for rows, cols in _shapes(rng):
+        ops = _kernel_operands(field, rng, rows, cols)
+        for a in ops:
+            assert a.is_zero() == _ref_is_zero(a)
+            neg = -a
+            _assert_canonical(neg)
+            assert neg == _ref_neg(a)
+            assert (a + neg).is_zero()
+            for c in scalars:
+                got = a.scale(c)
+                _assert_canonical(got)
+                assert got == _ref_scale(a, c)
+            for b in ops:
+                for got, ref in ((a + b, _ref_add(a, b)),
+                                 (a - b, _ref_sub(a, b))):
+                    _assert_canonical(got)
+                    assert got == ref
+                    assert got.is_zero() == _ref_is_zero(ref)
+    if field.p:
+        a = _rand_density(field, 3, 3, 1.0, rng)
+        comp = Matrix(field, 3, 3, [field.p - v for v in a.data])
+        assert (a + comp).data == [0] * 9   # every sum reaches p exactly
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(8))
+def test_matmul_kernel_matches_reference(field, seed):
+    rng = random.Random(6100 + seed)
+    dims = [rng.randint(1, 6) for _ in range(3)] + [0]
+    for r in dims:
+        for k in dims:
+            c = rng.choice(dims)
+            for da in (0.0, 0.25, 1.0):
+                a = _rand_density(field, r, k, da, rng)
+                b = _rand_density(field, k, c, rng.choice((0.0, 0.3, 1.0)), rng)
+                got = a * b
+                _assert_canonical(got)
+                assert (got.rows, got.cols) == (r, c)
+                assert got == _ref_mul(a, b)
+    # products whose terms cancel: a * [x; -x] summed over k
+    a = Matrix(field, 1, 2, [field.one(), field.one()])
+    x = _rand_density(field, 1, 3, 1.0, rng)
+    b = Matrix(field, 2, 3, x.data + _ref_neg(x).data)
+    got = a * b
+    _assert_canonical(got)
+    assert got.is_zero() and got == _ref_mul(a, b)
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(8))
+def test_signed_perm_negation_matches_reference(field, seed):
+    rng = random.Random(6200 + seed)
+    n = rng.randint(1, 6)
+    for neg in ([True] * n, [rng.random() < 0.5 for _ in range(n)]):
+        targets = list(range(n))
+        rng.shuffle(targets)
+        p = SignedPerm(field, targets, neg)
+        for other in (rng.randint(1, 4), 0):
+            for d in (0.0, 0.2, 1.0):
+                m = _rand_density(field, other, n, d, rng)
+                got = m * p
+                _assert_canonical(got)
+                assert got == _ref_gather(p, m)
+                mt = _rand_density(field, n, other, d, rng)
+                got = p * mt
+                _assert_canonical(got)
+                assert got == _ref_scatter(p, mt)
