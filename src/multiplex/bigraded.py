@@ -7,13 +7,19 @@ block per populated source bidegree.  The scalar product of bidegrees
 element a costs (-1)^{<g,a>}.
 
 Tensor products fix a deterministic summand ordering (lexicographic in the
-bidegree of the left factor, then basis order), and all regrouping /
-permutation isomorphisms between iterated tensor products are computed
-through explicit basis enumerations of tensor trees.
+bidegree of the left factor, then basis order); the summands and their
+coordinate offsets are memoized per module pair, and a tensor of maps
+visits only pairs of nonzero blocks.  Regrouping / permutation
+isomorphisms between iterated tensor products are signed permutations,
+computed once per pair of tree shapes through basis enumerations of
+tensor trees.  The n-ary tensors of the dA-infinity formulas do not apply
+their regroupings as products: the last tensor step writes each entry at
+its regrouped row and column, read off those permutations.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from types import MappingProxyType
 
 from .linalg import Field, Matrix, SignedPerm
@@ -62,7 +68,7 @@ class BigradedModule:
         return not self.dims
 
     def __eq__(self, other):
-        return (isinstance(other, BigradedModule)
+        return self is other or (isinstance(other, BigradedModule)
                 and self.field == other.field and self.dims == other.dims)
 
     def __hash__(self):
@@ -103,6 +109,13 @@ class BigradedMap:
                         f"block at {(i, j)} has shape {m.rows}x{m.cols}, expected "
                         f"{dst.dim(i + p, j + q)}x{src.dim(i, j)}")
                 self.blocks[(i, j)] = m
+
+    @classmethod
+    def _of(cls, src, dst, bidegree, blocks: dict) -> "BigradedMap":
+        """Map that adopts blocks, nonzero and of the right shapes, as is."""
+        m = object.__new__(cls)
+        m.src, m.dst, m.bidegree, m.blocks = src, dst, bidegree, blocks
+        return m
 
     @property
     def field(self):
@@ -208,18 +221,33 @@ _TS_CACHE: dict = {}
 _TM_CACHE: dict = {}
 
 
+def _summand_table(a: BigradedModule, b: BigradedModule) -> dict:
+    """Per bidegree (i, j) of A (x) B: its ordered summands
+    (p, q, dimA(p,q), dimB(i-p,j-q)), the coordinate offset of each keyed
+    by the left bidegree (p, q), and the total dimension.  One memo entry
+    per module pair."""
+    key = (a, b)
+    table = _TS_CACHE.get(key)
+    if table is None:
+        table = {}
+        for (p, q) in a.support():
+            da = a.dims[(p, q)]
+            for (s, t), db in b.dims.items():
+                entry = table.get((p + s, q + t))
+                if entry is None:
+                    entry = table[(p + s, q + t)] = [[], {}, 0]
+                entry[0].append((p, q, da, db))
+                entry[1][(p, q)] = entry[2]
+                entry[2] += da * db
+        table = {k: tuple(v) for k, v in table.items()}
+        _TS_CACHE[key] = table
+    return table
+
+
 def tensor_summands(a: BigradedModule, b: BigradedModule, i: int, j: int):
     """Ordered summands of (A (x) B)_i^j: (p, q, dimA(p,q), dimB(i-p,j-q))."""
-    key = (a, b, i, j)
-    out = _TS_CACHE.get(key)
-    if out is None:
-        out = []
-        for (p, q) in a.support():
-            db = b.dim(i - p, j - q)
-            if db:
-                out.append((p, q, a.dims[(p, q)], db))
-        _TS_CACHE[key] = out
-    return out
+    entry = _summand_table(a, b).get((i, j))
+    return entry[0] if entry else []
 
 
 def tensor_modules(a: BigradedModule, b: BigradedModule) -> BigradedModule:
@@ -242,63 +270,84 @@ def unit_module(field: Field) -> BigradedModule:
     return BigradedModule(field, {(0, 0): 1})
 
 
-def tensor_maps(f: BigradedMap, g: BigradedMap) -> BigradedMap:
+def _nonzero_entries(m: Matrix) -> list:
+    """(row, col, value) of every nonzero entry of m, row-major."""
+    d, c = m.data, m.cols
+    return [(t // c, t % c, d[t]) for t in compress(range(len(d)), d)]
+
+
+def tensor_maps(f: BigradedMap, g: BigradedMap, regroup=None) -> BigradedMap:
     """Koszul rule: on the (p,q) summand the block is
-    (-1)^{<bideg g, (p,q)>} f_block (x) g_block."""
+    (-1)^{<bideg g, (p,q)>} f_block (x) g_block.
+
+    Only pairs of nonzero blocks of f and g are visited, and each product
+    of nonzero entries is written once.  regroup, used by the n-ary
+    tensors, is a pair (src_iso, dst_iso) of sign-free regroupings
+    (``tree_iso`` without a permutation) out of the source and the target
+    of f (x) g, either one None for no regrouping; the result is then
+    dst_iso o (f (x) g) o src_iso^{-1}, each product written straight at
+    its regrouped row and column.  The isos are not checked: the callers
+    build them with ``tree_iso`` from the tensor's own tree shapes.
+    """
     src = tensor_modules(f.src, g.src)
     dst = tensor_modules(f.dst, g.dst)
+    src_iso, dst_iso = regroup if regroup is not None else (None, None)
     fb, fq = f.bidegree
     gb, gq = g.bidegree
-    bid = (fb + gb, fq + gq)
+    bb, bq = fb + gb, fq + gq
     field = f.field
-    modulus = field.p
-    blocks: dict[Bidegree, Matrix] = {}
-    for (i, j) in src.support():
-        src_sum = tensor_summands(f.src, g.src, i, j)
-        dst_sum = tensor_summands(f.dst, g.dst, i + bid[0], j + bid[1])
-        dst_off = {}
-        off = 0
-        for (p, q, da, db) in dst_sum:
-            dst_off[(p, q)] = off
-            off += da * db
-        rows = dst.dim(i + bid[0], j + bid[1])
-        cols = src.dim(i, j)
-        out = Matrix.zero(field, rows, cols)
-        data = out.data
-        coff = 0
-        nonzero = False
-        for (p, q, da, db) in src_sum:
-            fblk = f.blocks.get((p, q))
-            gblk = g.blocks.get((i - p, j - q))
-            if fblk is not None and gblk is not None:
-                roff = dst_off.get((p + fb, q + fq))
-                if roff is None:
+    modulus, zero = field.p, field.zero()
+    src_table = _summand_table(f.src, g.src)
+    dst_table = _summand_table(f.dst, g.dst)
+    gparts = [(s, t, gblk.rows, gblk.cols, _nonzero_entries(gblk))
+              for (s, t), gblk in g.blocks.items()]
+    # per result bidegree: data, rows, cols, the source and target summand
+    # offsets, and the column and row each tensor coordinate is written at
+    outs: dict[Bidegree, tuple] = {}
+    for (p, q), fblk in f.blocks.items():
+        fnz = _nonzero_entries(fblk)
+        if sprod((gb, gq), (p, q)) % 2:
+            fnz = [(ra, ca, -fv % modulus if modulus else -fv)
+                   for ra, ca, fv in fnz]
+        fsrc, fdst = (p, q), (p + fb, q + fq)
+        for s, t, gr, gc, gnz in gparts:
+            ij = (p + s, q + t)
+            out = outs.get(ij)
+            if out is None:
+                dij = (ij[0] + bb, ij[1] + bq)
+                dentry = dst_table.get(dij)
+                if dentry is None:
                     raise AssertionError("tensor block landed outside target")
-                if sprod((gb, gq), (p, q)) % 2:
-                    fblk = -fblk
-                gr, gc = gblk.rows, gblk.cols
-                # nonzero entries only, as flat indices into out.data:
-                # f[ra, ca] scales the copy of g whose top-left corner is
-                # at fnz's index; gnz holds offsets from that corner
-                fnz = [((roff + ra * gr) * cols + coff + ca * gc, fv)
-                       for ra, frow in enumerate(fblk.to_rows())
-                       for ca, fv in enumerate(frow) if fv]
-                gnz = [(rb * cols + cb, gv)
-                       for rb, grow in enumerate(gblk.to_rows())
-                       for cb, gv in enumerate(grow) if gv]
+                sentry = src_table[ij]
+                rows, cols = dentry[2], sentry[2]
+                out = outs[ij] = (
+                    [zero] * (rows * cols), rows, cols, sentry[1], dentry[1],
+                    range(cols) if src_iso is None
+                    else src_iso.blocks[ij].targets,
+                    range(rows) if dst_iso is None
+                    else dst_iso.blocks[dij].targets)
+            data, _, cols, soffs, doffs, cmap, rmap = out
+            coff, roff = soffs[fsrc], doffs.get(fdst)
+            if roff is None:
+                raise AssertionError("tensor block landed outside target")
+            # f[ra, ca] scales the copy of g whose top-left corner is at
+            # (r0, c0); rmap and cmap send each coordinate to its place
+            for ra, ca, fv in fnz:
+                r0, c0 = roff + ra * gr, coff + ca * gc
                 if modulus:
-                    for base, fv in fnz:
-                        for off, gv in gnz:
-                            data[base + off] = fv * gv % modulus
+                    for rb, cb, gv in gnz:
+                        data[rmap[r0 + rb] * cols + cmap[c0 + cb]] = \
+                            fv * gv % modulus
                 else:
-                    for base, fv in fnz:
-                        for off, gv in gnz:
-                            data[base + off] = fv * gv
-                nonzero = nonzero or bool(fnz)
-            coff += da * db
-        if nonzero:
-            blocks[(i, j)] = out
-    return BigradedMap(src, dst, bid, blocks)
+                    for rb, cb, gv in gnz:
+                        data[rmap[r0 + rb] * cols + cmap[c0 + cb]] = fv * gv
+    # blocks of a map are nonzero, so every block written holds a nonzero
+    # product; source-support order keeps iteration order deterministic
+    return BigradedMap._of(
+        src if src_iso is None else src_iso.dst,
+        dst if dst_iso is None else dst_iso.dst, (bb, bq),
+        {k: Matrix._of(field, outs[k][1], outs[k][2], outs[k][0])
+         for k in sorted(outs)})
 
 
 # ---------------------------------------------------------------------------
@@ -518,16 +567,21 @@ def shift_out(mod: BigradedModule, shift: Bidegree) -> BigradedMap:
                         for (i, j), n in mod.dims.items()})
 
 
-def nary_tensor_maps(maps: list[BigradedMap]) -> BigradedMap:
+def nary_tensor_maps(maps: list[BigradedMap], regroup=None) -> BigradedMap:
     """Left-associated Koszul tensor of several maps.
 
     Source and target are the left-associated tensor products of the
-    sources / targets; regroup with tree_iso if other shapes are needed.
+    sources / targets.  regroup, as in tensor_maps, regroups them: the
+    last tensor step writes its products at the regrouped coordinates.
     """
+    if len(maps) == 1:
+        if regroup is not None:
+            raise ValueError("regroup needs at least two maps")
+        return maps[0]
     out = maps[0]
-    for m in maps[1:]:
+    for m in maps[1:-1]:
         out = tensor_maps(out, m)
-    return out
+    return tensor_maps(out, maps[-1], regroup)
 
 
 def hom_one_map_one(m: BigradedMap, base: BigradedModule, r: int, t: int,
@@ -538,22 +592,20 @@ def hom_one_map_one(m: BigradedMap, base: BigradedModule, r: int, t: int,
     """
     if m.src != power_module(base, q) or m.dst != base:
         raise ValueError("map shape does not match the stated arity")
+    if not r and not t:
+        return m
     parts = []
-    if r:
-        parts.append(identity_map(power_module(base, r)))
-    parts.append(m)
-    if t:
-        parts.append(identity_map(power_module(base, t)))
-    mid = nary_tensor_maps(parts)
-    # conjugate by regroupings so src/dst are canonical left powers
     src_shape = []
     dst_shape = []
     if r:
+        parts.append(identity_map(power_module(base, r)))
         src_shape.append(power_tree(base, r))
         dst_shape.append(power_tree(base, r))
+    parts.append(m)
     src_shape.append(power_tree(base, q))
     dst_shape.append(leaf(base))
     if t:
+        parts.append(identity_map(power_module(base, t)))
         src_shape.append(power_tree(base, t))
         dst_shape.append(power_tree(base, t))
     src_tree = src_shape[0]
@@ -562,6 +614,7 @@ def hom_one_map_one(m: BigradedMap, base: BigradedModule, r: int, t: int,
     dst_tree = dst_shape[0]
     for s in dst_shape[1:]:
         dst_tree = node(dst_tree, s)
-    pre = tree_iso(power_tree(base, r + q + t), src_tree)
-    post = tree_iso(dst_tree, power_tree(base, r + 1 + t))
-    return compose(post, compose(mid, pre))
+    # the tensor is built straight into canonical left-power coordinates
+    return nary_tensor_maps(parts, (
+        tree_iso(src_tree, power_tree(base, r + q + t)),
+        tree_iso(dst_tree, power_tree(base, r + 1 + t))))

@@ -4,7 +4,8 @@ Exit codes: 0 = all checks passed / construction succeeded,
 1 = a verified mathematical failure (the report lists locations), or an
 internal self-check that disagreed (``failed: internal check: ...``),
 2 = input, schema or usage error, including a document over the size
-budget of ``io.MAX_DIMENSION``.
+budget of ``io.MAX_DIMENSION`` (and ``io.MAX_ARITY`` for the tensor
+powers a filtered A-infinity check builds).
 
 Every construction subcommand re-validates its output before writing.
 """

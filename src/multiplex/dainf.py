@@ -18,7 +18,8 @@ from .bigraded import (
     BigradedMap, BigradedModule, compose as bcompose, direct_sum,
     hom_one_map_one, identity_map, interleave_iso, node,
     nary_tensor_maps, power_module, power_tree, shift_into, shift_out,
-    tensor_maps, tensor_modules, tree_basis, tree_iso, unit_module, zero_map,
+    tensor_maps, tensor_modules, tensor_summands, tree_basis, tree_iso,
+    unit_module, zero_map,
 )
 from .linalg import Field, Matrix
 from .reports import Report
@@ -201,10 +202,10 @@ def component_tensor(maps: list[BigradedMap], arities: list[int],
     signs; f_t maps Pow(src, arities[t]) -> dst."""
     if len(maps) == 1:
         return maps[0]
-    mid = nary_tensor_maps(maps)
-    k = sum(arities)
-    pre = tree_iso(power_tree(src_mod, k), _subpower_tree(src_mod, arities))
-    return bcompose(mid, pre)
+    # the last tensor step writes each column at its left-power position
+    cols = tree_iso(_subpower_tree(src_mod, arities),
+                    power_tree(src_mod, sum(arities)))
+    return nary_tensor_maps(maps, (cols, None))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +605,6 @@ def lambda_ident_iso(lam_mod: BigradedModule, a_mod: BigradedModule,
                      path_mod: BigradedModule, r: int) -> BigradedMap:
     """Strict iso Lambda_r (x) A -> A (+) A[mid] (+) A matching
     e_- (x) x + u (x) y + e_+ (x) z <-> (x, y, z)."""
-    from .bigraded import tensor_summands
     field = a_mod.field
     src = tensor_modules(lam_mod, a_mod)
     blocks = {}
@@ -840,7 +840,6 @@ def diagonal_delta(r: int, field: Field | None = None):
     labels = {("e-",): (e_bid, 0), ("e+",): (e_bid, 1), ("u",): (u_bid, 0)}
 
     def pair_index(i, j, la, lb):
-        from .bigraded import tensor_summands
         (pa, qa), ia = labels[(la,)]
         (pb, qb), ib = labels[(lb,)]
         if (pa + pb, qa + qb) != (i, j):

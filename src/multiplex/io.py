@@ -34,8 +34,11 @@ integers in [0, p).  Missing blocks are zero maps.
 Size budget: a module declared by "dims" may have total dimension (the sum
 of its ranks, so also any single rank) at most MAX_DIMENSION = 10^4, and
 so may the tensor product that the tensor command would build from two
-documents.  A larger declaration is an input error (exit 2), reported
-before anything of that size is allocated.
+documents and every tensor power A^{(x) v} that checking a filtered_ainf
+document builds (v = 2k - 1 for its largest arity key k, where m_k meets
+m_k in the A-infinity relations); those arities v are at most
+MAX_ARITY = 100.  A larger declaration is an input error (exit 2),
+reported before anything of that size is allocated.
 
 The modulus p is a JSON integer, prime and below 2^64 (primality is
 decided exactly by deterministic Miller-Rabin in that range); a string
@@ -59,6 +62,9 @@ SCHEMA_VERSION = "1"
 # dense Tot^n matrices of a module of this total dimension have at most
 # (10^4 / 2)^2 entries, about 200 MB of list slots
 MAX_DIMENSION = 10 ** 4
+# a k-th tensor power is a tree k levels deep whose basis enumeration
+# recurses once per level, so k stays far below the recursion limit
+MAX_ARITY = 100
 
 
 class DocumentError(ValueError):
@@ -98,6 +104,24 @@ def check_dimension(total: int, what: str):
     if total > MAX_DIMENSION:
         raise DocumentError(f"{what} has total dimension {total}, above the "
                             f"size budget of {MAX_DIMENSION}")
+
+
+def check_power_dimension(module: BigradedModule, k: int, what: str):
+    """DocumentError unless the k-th tensor power of module is within the
+    size budget: k at most MAX_ARITY and total_dim ** k at most
+    MAX_DIMENSION, multiplied up with an early exit, so neither a tree nor
+    a big integer is built."""
+    if k > MAX_ARITY:
+        raise DocumentError(f"{what} needs a tensor power of arity {k}, "
+                            f"above the size budget of {MAX_ARITY}")
+    total, size = module.total_dim(), 1
+    for _ in range(k):
+        size *= total
+        if size > MAX_DIMENSION:
+            raise DocumentError(
+                f"{what} needs a tensor power of arity {k} of a module of "
+                f"total dimension {total}, above the size budget of "
+                f"{MAX_DIMENSION}")
 
 
 def parse_dims(field: Field, payload) -> BigradedModule:
@@ -354,6 +378,9 @@ def _parse_object(field, name, obj, objects):
                 k = int(kkey)
                 if k < 1:
                     raise DocumentError(f"bad arity {k}")
+                # the relations compose m_k after 1 (x) m_k (x) 1
+                check_power_dimension(module, 2 * k - 1,
+                                      f"object {name!r} (arity {k})")
                 ms[k] = {}
                 for nkey, mat in per.items():
                     n = int(nkey)

@@ -479,3 +479,158 @@ def test_tensor_maps_and_negation_match_reference(field, seed):
         assert (f - f).is_zero() and (f + (-f)).is_zero()
         g = _rand_sparse_map(f.src, f.dst, f.bidegree, rng, 0.5)
         _assert_same_blocks(f - g, f + g.scale(f.field.of_int(-1)))
+
+
+def _ref_tensor_summands(a, b, i, j):
+    """The summand list as it was built per bidegree before the per-pair
+    memo."""
+    out = []
+    for (p, q) in a.support():
+        db = b.dim(i - p, j - q)
+        if db:
+            out.append((p, q, a.dims[(p, q)], db))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tensor_summands_match_reference(seed):
+    rng = random.Random(1200 + seed)
+    a, b = (rand_module(F, rng, spots=4, maxdim=3) for _ in range(2))
+    ab = tensor_modules(a, b)
+    for i in range(-3, 6):
+        for j in range(-3, 6):
+            got = tensor_summands(a, b, i, j)
+            assert got == _ref_tensor_summands(a, b, i, j)
+            assert sum(da * db for *_, da, db in got) == ab.dim(i, j)
+
+
+# -- fused n-ary tensors against nary tensor, then regroupings -----------------
+
+def _ref_nary_tensor(maps):
+    out = maps[0]
+    for m in maps[1:]:
+        out = _ref_tensor_maps(out, m)
+    return out
+
+
+def _ref_component_tensor(maps, arities, src_mod):
+    """component_tensor as it was before the fused regroup: the dense
+    left-associated tensor, then the column regrouping as a composite."""
+    if len(maps) == 1:
+        return maps[0]
+    pre = tree_iso(power_tree(src_mod, sum(arities)),
+                   _subpower_tree(src_mod, arities))
+    return compose(_ref_nary_tensor(maps), pre)
+
+
+def _ref_hom_one_map_one(m, base, r, t, q):
+    """hom_one_map_one as it was before the fused regroup."""
+    parts, src_shape, dst_shape = [], [], []
+    if r:
+        parts.append(identity_map(power_module(base, r)))
+        src_shape.append(power_tree(base, r))
+        dst_shape.append(power_tree(base, r))
+    parts.append(m)
+    src_shape.append(power_tree(base, q))
+    dst_shape.append(leaf(base))
+    if t:
+        parts.append(identity_map(power_module(base, t)))
+        src_shape.append(power_tree(base, t))
+        dst_shape.append(power_tree(base, t))
+    src_tree, dst_tree = src_shape[0], dst_shape[0]
+    for s in src_shape[1:]:
+        src_tree = node(src_tree, s)
+    for s in dst_shape[1:]:
+        dst_tree = node(dst_tree, s)
+    pre = tree_iso(power_tree(base, r + q + t), src_tree)
+    post = tree_iso(dst_tree, power_tree(base, r + 1 + t))
+    return compose(post, compose(_ref_nary_tensor(parts), pre))
+
+
+def _rand_component(src, dst, rng):
+    """A map src -> dst of a random bidegree joining their supports: dense,
+    sparse, with most blocks dropped, or zero."""
+    (i, j), (k, l) = rng.choice(src.support()), rng.choice(dst.support())
+    bid = (k - i, l - j)
+    kind = rng.choice(["dense", "sparse", "few blocks", "zero"])
+    if kind == "zero":
+        return zero_map(src, dst, bid)
+    m = _rand_sparse_map(src, dst, bid, rng,
+                         0.3 if kind == "sparse" else 1.0)
+    if kind == "few blocks":
+        keep = {key: blk for key, blk in m.blocks.items()
+                if rng.random() < 0.3}
+        m = BigradedMap(src, dst, bid, keep)
+    return m
+
+
+def _has_odd_koszul_sign(maps):
+    """Some pair of nonzero blocks in the left-associated tensor carries
+    the sign (-1)^{<bideg g, (p,q)>} = -1."""
+    left = maps[0]
+    for g in maps[1:]:
+        gb = g.bidegree
+        if g.blocks and any(sprod(gb, pq) % 2 for pq in left.blocks):
+            return True
+        left = _ref_tensor_maps(left, g)
+    return False
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(8))
+def test_component_tensor_matches_nary_tensor_then_regroup(field, seed):
+    rng = random.Random(1000 + seed)
+    base = rand_module(field, rng, spots=3, irange=(0, 1), jrange=(-1, 1))
+    dst = rand_module(field, rng, spots=2, irange=(0, 1), jrange=(-1, 1))
+    odd = 0
+    for arities in ([1, 2], [2, 1], [2, 1, 1], [1, 1, 2], [2, 2], [1, 1]):
+        # three draws, then more until one carries an odd Koszul sign
+        for n in range(100):
+            maps = [_rand_component(power_module(base, q), dst, rng)
+                    for q in arities]
+            if n >= 3 and not _has_odd_koszul_sign(maps):
+                continue
+            got = component_tensor(maps, arities, base)
+            _assert_canonical_map(got)
+            _assert_same_blocks(got, _ref_component_tensor(maps, arities,
+                                                           base))
+            assert got.src == power_module(base, sum(arities))
+            assert got.dst == power_module(dst, len(arities))
+            assert list(got.blocks) == sorted(got.blocks)
+            if _has_odd_koszul_sign(maps):
+                odd += 1
+                if n >= 3:
+                    break
+    assert odd  # odd Koszul signs are reached on every seed
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(8))
+def test_hom_one_map_one_matches_nary_tensor_then_regroup(field, seed):
+    rng = random.Random(1100 + seed)
+    base = rand_module(field, rng, spots=3, irange=(0, 1), jrange=(-1, 1))
+    for (r, q, t) in [(0, 1, 0), (0, 2, 0), (0, 2, 1), (1, 2, 0),
+                      (1, 1, 1), (2, 1, 0), (0, 1, 2), (1, 2, 1)]:
+        m = _rand_component(power_module(base, q), base, rng)
+        got = hom_one_map_one(m, base, r, t, q)
+        _assert_canonical_map(got)
+        _assert_same_blocks(got, _ref_hom_one_map_one(m, base, r, t, q))
+        assert got.src == power_module(base, r + q + t)
+        assert got.dst == power_module(base, r + 1 + t)
+        if r or t:
+            assert list(got.blocks) == sorted(got.blocks)
+        else:
+            assert got is m
+
+
+def test_nary_tensor_of_one_map_and_identity_regroup():
+    rng = random.Random(12)
+    a, b = (rand_module(F, rng, spots=2) for _ in range(2))
+    f, g = identity_map(a), identity_map(b)
+    ab = node(leaf(a), leaf(b))
+    assert nary_tensor_maps([f]) is f
+    with pytest.raises(ValueError):
+        nary_tensor_maps([f], (tree_iso(leaf(a), leaf(a)), None))
+    # regrouping by identities changes nothing
+    same = tensor_maps(f, g, (tree_iso(ab, ab), tree_iso(ab, ab)))
+    _assert_same_blocks(same, tensor_maps(f, g))

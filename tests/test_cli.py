@@ -346,6 +346,46 @@ def test_size_budget_boundary_and_tensor_product(tmp_path, capsys):
     assert main(["tensor", b, b, "-o", str(tmp_path / "t.json")]) == 0
 
 
+def _filtered_ainf_doc(tmp_path, dims, arity):
+    """A filtered A-infinity document whose only structure map has the
+    given arity and no Tot^0 rows to fill."""
+    doc = {"schema_version": "1",
+           "field": {"kind": "prime_field", "p": 32003},
+           "objects": {"FA": {"type": "filtered_ainf", "dims": dims,
+                              "m": {str(arity): {"0": []}}}}}
+    p = tmp_path / f"fa{len(dims)}-{arity}.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+# checking arity k builds the power of arity 2k - 1
+@pytest.mark.parametrize("dims, arity", [
+    ([[0, 0, 2], [0, 1, 2]], 30),      # 4^59 basis words
+    ([[0, 0, 2], [0, 1, 2]], 4),       # 4^7 = 16384, just above 10^4
+    ([[0, 0, 1]], 51),                 # one-dimensional, 101 levels deep
+    ([[0, 0, 1]], 900),
+    ([[0, 0, 1]], 10 ** 18),           # neither a tree nor a big power
+], ids=["total4-arity30", "total4-arity4", "total1-arity51",
+        "total1-arity900", "total1-arity1e18"])
+def test_filtered_ainf_power_size_budget_exit_2(tmp_path, capsys, dims,
+                                                arity):
+    path = _filtered_ainf_doc(tmp_path, dims, arity)
+    t0 = time.perf_counter()
+    assert main(["check", "filtered-ainf", path]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "size budget" in err and "Traceback" not in err
+
+
+def test_filtered_ainf_power_size_budget_boundary(tmp_path):
+    # 4^5 = 1024 fits, and so does arity 99 of a one-dimensional module
+    assert main(["check", "filtered-ainf",
+                 _filtered_ainf_doc(tmp_path, [[0, 0, 2], [0, 1, 2]], 3)]) == 0
+    assert main(["check", "filtered-ainf",
+                 _filtered_ainf_doc(tmp_path, [[0, 0, 1]],
+                                    (mio.MAX_ARITY + 1) // 2)]) == 0
+
+
 def _raise(exc):
     def raiser(*args, **kwargs):
         raise exc

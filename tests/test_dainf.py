@@ -186,6 +186,25 @@ def test_compose_associative_and_unital(seed):
         twisted_compose(ug, uf)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_compose_associative_rank2(seed):
+    # rank-2 spots; g of arity 1 keeps the double composites at arity 4
+    a = small_zero_product(seed + 10, max_rank=2)
+    rng = random.Random(80 + seed)
+    space2 = dainf_morphism_space(a, a, max_arity=2)
+    space1 = dainf_morphism_space(a, a, max_arity=1)
+    f = random_dainf_morphism(a, a, rng, space=space2, density=1.0)
+    g = random_dainf_morphism(a, a, rng, space=space1, density=1.0)
+    h = random_dainf_morphism(a, a, rng, space=space2, density=1.0)
+    gf = compose_dainf(g, f, check=False)
+    hg = compose_dainf(h, g, check=False)
+    assert check_dainf_morphism(gf).ok
+    assert check_dainf_morphism(hg).ok
+    lhs = compose_dainf(h, gf, check=False)
+    assert lhs == compose_dainf(hg, f, check=False)
+    assert lhs.f
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_invert(seed):
     # total degrees in [-1, 0] kill every arity >= 3 (the vertical window
