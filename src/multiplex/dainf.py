@@ -7,6 +7,11 @@ morphisms f_{ij} of bidegree (-i, 1-i-j) with relations (B_uv), twisted
 dgas and their tensor products, the three-dimensional path dga Lambda_r,
 functorial r-paths, and r-homotopies via the explicit (H_mk) conditions
 cross-checked against the assembled morphism into the r-path.
+
+A morphism is a map of bar coalgebras (Lefevre-Hasegawa 2003; Sagave
+2010), so composition, inversion and the right side of (B_uv) apply maps
+to bar powers: the signed sums of all tensor words of components in one
+class (sum p, sum q), each built from the class one letter shorter.
 """
 
 from __future__ import annotations
@@ -24,11 +29,10 @@ from .bigraded import (
 from .linalg import Field, Matrix
 from .reports import Report
 from .signs import (
-    compose_sign, homotopy_beta, homotopy_sum1_sign, morphism_rhs_sign,
-    structure_sign,
+    compose_sign_step, homotopy_beta, homotopy_sum1_sign, structure_sign,
 )
 from .twisted import (
-    RHomotopy, TwistedComplex, TwistedMorphism, check_twisted,
+    TwistedComplex, TwistedMorphism, check_twisted,
 )
 
 class DAInfAlgebra:
@@ -208,95 +212,103 @@ def component_tensor(maps: list[BigradedMap], arities: list[int],
     return nary_tensor_maps(maps, (cols, None))
 
 
+def _sumset(points, k: int) -> set[tuple[int, int]]:
+    """All sums of k pairs drawn from points, with repetition: the
+    bidegrees of a k-fold tensor power of a module supported on points,
+    or the classes (sum p, sum q) of the words of k components."""
+    acc = set(points)
+    for _ in range(k - 1):
+        acc = {(a + c, b + d) for (a, b) in acc for (c, d) in points}
+    return acc
+
+
+def bar_power(g: dict[tuple[int, int], BigradedMap], mod: BigradedModule,
+              n: int, U: int, K: int, memo: dict) -> BigradedMap | None:
+    """T_n(g)[(U, K)]: Pow(mod, K) -> Pow(dst, n), the sum of
+    (-1)^compose_sign g_{p_1q_1} (x) ... (x) g_{p_nq_n} over all words of
+    n components with sum p = U and sum q = K; None if there is no word.
+
+    Each class is built from the classes one letter shorter,
+    T_n[(U, K)] = sum_{(p,q)} (-1)^e T_{n-1}[(U-p, K-q)] (x) g_{pq} with
+    e = compose_sign_step.  T_1 reads g itself; memo holds the classes
+    with n >= 2, which only read components of arity below K.
+    """
+    if n == 1:
+        return g.get((U, K))
+    key = (n, U, K)
+    if key not in memo:
+        memo[key] = None
+        for (p, q), gpq in sorted(g.items()):
+            hu, hk = U - p, K - q
+            if hu < 0 or hk < n - 1:
+                continue
+            head = bar_power(g, mod, n - 1, hu, hk, memo)
+            if head is None:
+                continue
+            cols = tree_iso(node(power_tree(mod, hk), power_tree(mod, q)),
+                            power_tree(mod, K))
+            _accumulate(memo, key, tensor_maps(head, gpq, (cols, None)),
+                        compose_sign_step(hu, hk, p, q))
+    return memo[key]
+
+
+def _accumulate(acc: dict, key, term: BigradedMap, odd: int):
+    """acc[key] += (-1)^odd term, where an absent or None entry is zero."""
+    old = acc.get(key)
+    if old is None:
+        acc[key] = -term if odd % 2 else term
+    else:
+        acc[key] = old - term if odd % 2 else old + term
+
+
 # ---------------------------------------------------------------------------
 # axiom checkers
 # ---------------------------------------------------------------------------
 
-def check_dainf(a: DAInfAlgebra) -> Report:
-    rep = Report("derived A-infinity relations (A_uv)")
-    keys = sorted(a.m)
-    buckets: dict[tuple[int, int], BigradedMap] = {}
-    for (i, j) in keys:
-        for (p, q) in keys:
-            u, v = i + p, j + q - 1
-            if (u, v) not in buckets:
-                buckets[(u, v)] = zero_map(power_module(a.module, v), a.module,
-                                           (-u, 3 - u - v))
+def _add_insertions(buckets: dict, outer: dict, a: DAInfAlgebra):
+    """buckets[(i+p, j+q-1)] += (-1)^{rq+t+pj} o_{ij}(1^r (x) m_{pq} (x) 1^t)
+    for every map o_{ij} out of Pow(A, j) in outer and every m_{pq} of a."""
     memo: dict = {}
-    for (i, j) in keys:
-        mij = a.m[(i, j)]
-        for (p, q) in keys:
-            mpq = a.m[(p, q)]
-            u, v = i + p, j + q - 1
+    for (i, j), oij in sorted(outer.items()):
+        for (p, q), mpq in sorted(a.m.items()):
             for r in range(j):
                 t = j - 1 - r
-                mk = (p, q, r, t)
-                inner = memo.get(mk)
+                inner = memo.get((p, q, r, t))
                 if inner is None:
-                    inner = hom_one_map_one(mpq, a.module, r, t, q)
-                    memo[mk] = inner
-                term = bcompose(mij, inner)
-                if structure_sign(r, q, t, p, j):
-                    term = -term
-                buckets[(u, v)] = buckets[(u, v)] + term
+                    inner = memo[(p, q, r, t)] = \
+                        hom_one_map_one(mpq, a.module, r, t, q)
+                _accumulate(buckets, (i + p, j + q - 1), bcompose(oij, inner),
+                            structure_sign(r, q, t, p, j))
+
+
+def _report(rep: Report, buckets: dict, name: str) -> Report:
+    """One condition per bucket, failing on each nonzero block."""
     for (u, v) in sorted(buckets):
         rep.tick()
         for loc in sorted(buckets[(u, v)].blocks):
-            rep.fail((u, v) + loc, f"(A_{{{u}{v}}}) fails on the block at {loc}")
+            rep.fail((u, v) + loc,
+                     f"({name}_{{{u}{v}}}) fails on the block at {loc}")
     return rep
+
+
+def check_dainf(a: DAInfAlgebra) -> Report:
+    buckets: dict = {}
+    _add_insertions(buckets, a.m, a)
+    return _report(Report("derived A-infinity relations (A_uv)"), buckets, "A")
 
 
 def check_dainf_morphism(f: DAInfMorphism) -> Report:
-    rep = Report("dA-infinity morphism relations (B_uv)")
-    a, b = f.src, f.dst
-    fk = sorted(f.f)
-    buckets: dict[tuple[int, int], BigradedMap] = {}
-
-    def bucket(u, v):
-        if (u, v) not in buckets:
-            buckets[(u, v)] = zero_map(power_module(a.module, v), b.module,
-                                       (-u, 2 - u - v))
-        return (u, v)
-
+    """(B_uv): the left side inserts m^A into f, the right side applies
+    (-1)^u m^B_{ij} to the bar power T_j(f)[(u - i, v)]."""
+    buckets: dict = {}
+    _add_insertions(buckets, f.f, f.src)
     memo: dict = {}
-    for (i, j) in fk:
-        fij = f.f[(i, j)]
-        for (p, q) in sorted(a.m):
-            mpq = a.m[(p, q)]
-            u, v = i + p, j + q - 1
-            key = bucket(u, v)
-            for r in range(j):
-                t = j - 1 - r
-                mk = (p, q, r, t)
-                inner = memo.get(mk)
-                if inner is None:
-                    inner = hom_one_map_one(mpq, a.module, r, t, q)
-                    memo[mk] = inner
-                term = bcompose(fij, inner)
-                if structure_sign(r, q, t, p, j):
-                    term = -term
-                buckets[key] = buckets[key] + term
-    tens_memo: dict = {}
-    for (i, j) in sorted(b.m):
-        mij = b.m[(i, j)]
-        for parts in iproduct(fk, repeat=j):
-            u = i + sum(p for (p, _) in parts)
-            v = sum(q for (_, q) in parts)
-            key = bucket(u, v)
-            tens = tens_memo.get(parts)
-            if tens is None:
-                tens = component_tensor([f.f[pt] for pt in parts],
-                                        [q for (_, q) in parts], a.module)
-                tens_memo[parts] = tens
-            term = bcompose(mij, tens)
-            if morphism_rhs_sign(u, list(parts)):
-                term = -term
-            buckets[key] = buckets[key] - term
-    for (u, v) in sorted(buckets):
-        rep.tick()
-        for loc in sorted(buckets[(u, v)].blocks):
-            rep.fail((u, v) + loc, f"(B_{{{u}{v}}}) fails on the block at {loc}")
-    return rep
+    for (i, j), mij in sorted(f.dst.m.items()):
+        for (U, K) in sorted(_sumset(f.f, j)):
+            tens = bar_power(f.f, f.src.module, j, U, K, memo)
+            _accumulate(buckets, (i + U, K), bcompose(mij, tens), i + U + 1)
+    return _report(Report("dA-infinity morphism relations (B_uv)"),
+                   buckets, "B")
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +317,17 @@ def check_dainf_morphism(f: DAInfMorphism) -> Report:
 
 def compose_dainf(f: DAInfMorphism, g: DAInfMorphism,
                   check: bool = True) -> DAInfMorphism:
-    """f after g: (fg)_{uk} = sum (-1)^sigma f_{ij}(g_{p_1q_1} (x) ...)."""
+    """f after g as bar coalgebra maps: (fg)_{uk} = sum f_{ij} o
+    T_j(g)[(u - i, k)]."""
     if g.dst != f.src:
         raise ValueError("source/target mismatch")
     comps: dict[tuple[int, int], BigradedMap] = {}
-    gk = sorted(g.f)
-    for (i, j) in sorted(f.f):
-        fij = f.f[(i, j)]
-        for parts in iproduct(gk, repeat=j):
-            u = i + sum(p for (p, _) in parts)
-            k = sum(q for (_, q) in parts)
-            tens = component_tensor([g.f[pt] for pt in parts],
-                                    [q for (_, q) in parts], g.src.module)
-            term = bcompose(fij, tens)
-            if compose_sign(list(parts)):
-                term = -term
-            key = (u, k)
-            comps[key] = comps[key] + term if key in comps else term
-    out = DAInfMorphism(g.src, f.dst,
-                        {k: v for k, v in comps.items() if not v.is_zero()})
+    memo: dict = {}
+    for (i, j), fij in sorted(f.f.items()):
+        for (U, K) in sorted(_sumset(g.f, j)):
+            tens = bar_power(g.f, g.src.module, j, U, K, memo)
+            _accumulate(comps, (i + U, K), bcompose(fij, tens), 0)
+    out = DAInfMorphism(g.src, f.dst, comps)
     if check:
         check_dainf_morphism(out).raise_if_failed()
     return out
@@ -345,43 +349,22 @@ def invert_dainf(f: DAInfMorphism, arity_cap: int = 8) -> DAInfMorphism | None:
         inv_blocks[(i, j)] = blk
     g01 = BigradedMap(b.module, a.module, (0, 0), inv_blocks)
     g: dict[tuple[int, int], BigradedMap] = {(0, 1): g01}
-    # solve (f o g)_{uk} = (1)_{uk} by recursion on (k, u): the top term
-    # is f_{01} g_{uk}, everything else uses components with smaller (k, u)
-    tens_memo: dict = {}
+    # solve (f o g)_{uk} = (1)_{uk} by recursion on (k, u): g_{uk} is not
+    # in g while its equation is summed, so the top term f_{01} g_{uk}
+    # drops out, and every other term reads components set before it
+    memo: dict = {}
     for k in range(1, arity_cap + 1):
-        # u values where the map space is nonzero, from bidegree sumsets;
-        # Pow(B, k) is only materialized when some term contributes
-        u_cands = sorted(_reachable_u(b.module, a.module, k))
-        for u in u_cands:
+        # u values where the map space is nonzero, from bidegree sumsets
+        for u in sorted(_reachable_u(b.module, a.module, k)):
             if (u, k) == (0, 1):
                 continue
-            gk = sorted(g)  # includes same-arity entries with smaller u
-            combos = []
-            for (i, j) in sorted(f.f):
-                for parts in iproduct(gk, repeat=j):
-                    if sum(q for (_, q) in parts) != k:
-                        continue
-                    if i + sum(p for (p, _) in parts) != u:
-                        continue
-                    if (i, j) == (0, 1) and parts == ((u, k),):
-                        continue
-                    combos.append(((i, j), parts))
-            if not combos:
-                continue
-            acc = zero_map(power_module(b.module, k), a.module, (-u, 1 - u - k))
-            for (key, parts) in combos:
-                tens = tens_memo.get(parts)
-                if tens is None:
-                    tens = component_tensor([g[pt] for pt in parts],
-                                            [q for (_, q) in parts], b.module)
-                    tens_memo[parts] = tens
-                term = bcompose(f.f[key], tens)
-                if compose_sign(list(parts)):
-                    term = -term
-                acc = acc + term
-            guk = -bcompose(g01, acc)
-            if not guk.is_zero():
-                g[(u, k)] = guk
+            terms = [bcompose(fij, tens) for (i, j), fij in sorted(f.f.items())
+                     if (tens := bar_power(g, b.module, j, u - i, k, memo))
+                     is not None]
+            if terms:
+                guk = -bcompose(g01, sum(terms[1:], terms[0]))
+                if not guk.is_zero():
+                    g[(u, k)] = guk
     ginv = DAInfMorphism(b, a, g)
     if compose_dainf(f, ginv, check=False) != identity_dainf(b) or \
        compose_dainf(ginv, f, check=False) != identity_dainf(a):
@@ -390,20 +373,12 @@ def invert_dainf(f: DAInfMorphism, arity_cap: int = 8) -> DAInfMorphism | None:
     return ginv
 
 
-def _sumset(mod: BigradedModule, k: int) -> set[tuple[int, int]]:
-    """Bidegrees appearing in the k-fold tensor power, without building it."""
-    acc = set(mod.dims)
-    for _ in range(k - 1):
-        acc = {(i1 + i2, j1 + j2) for (i1, j1) in acc for (i2, j2) in mod.dims}
-    return acc
-
-
 def _reachable_u(src_mod: BigradedModule, dst_mod: BigradedModule,
                  k: int) -> set[int]:
     """u >= 0 for which a map Pow(src,k) -> dst of bidegree (-u, 1-u-k)
     has a nonzero block."""
     out = set()
-    for (si, sj) in _sumset(src_mod, k):
+    for (si, sj) in _sumset(src_mod.dims, k):
         for (ti, tj) in dst_mod.dims:
             u = si - ti
             if u >= 0 and sj + 1 - u - k == tj:
@@ -913,62 +888,39 @@ def assemble_into_path_dainf(h: DAInfHomotopy,
 def _hmk_buckets(h: DAInfHomotopy) -> dict:
     """Left side of (H_mk) minus right side, bucketed by (m, k)."""
     a, b, r = h.src, h.dst, h.r
-    field = a.field
     gk = sorted(h.g.f)
     fk = sorted(h.f.f)
     hk = sorted(h.h)
     buckets: dict[tuple[int, int], BigradedMap] = {}
-
-    def bucket(m, k):
-        if (m, k) not in buckets:
-            buckets[(m, k)] = zero_map(power_module(a.module, k), b.module,
-                                       (r - m, r - m + 1 - k))
-        return (m, k)
-
-    # sum 1: m^B_{il} applied to g .. g h f .. f
-    for (i, l) in sorted(b.m):
-        mil = b.m[(i, l)]
+    # sum 1: m^B_{il} applied to g .. g h f .. f, one tensor per word, so
+    # this route stays independent of the bar powers the assembled-path
+    # cross-check runs through
+    for (i, l), mil in sorted(b.m.items()):
         for s in range(l):
             slot_choices = [gk] * s + [hk] + [fk] * (l - s - 1)
             for parts in iproduct(*slot_choices):
                 p = sum(pp for (pp, _) in parts)
                 k = sum(qq for (_, qq) in parts)
-                m = i + p
                 comps = ([h.g.f[pt] for pt in parts[:s]]
                          + [h.h[parts[s]]]
                          + [h.f.f[pt] for pt in parts[s + 1:]])
                 tens = component_tensor(comps, [q for (_, q) in parts],
                                         a.module)
-                term = bcompose(mil, tens)
-                sgn = homotopy_sum1_sign(r, p, s, list(parts))
-                if (m - r) % 2:
-                    sgn += 1
-                if sgn % 2:
-                    term = -term
-                key = bucket(m, k)
-                buckets[key] = buckets[key] + term
+                _accumulate(buckets, (i + p, k), bcompose(mil, tens),
+                            homotopy_sum1_sign(r, p, s, list(parts))
+                            + i + p - r)
     # sum 2: h_{il} applied to 1^s (x) m^A_{pq} (x) 1^t
     for (i, l) in hk:
         hil = h.h[(i, l)]
-        for (p, q) in sorted(a.m):
-            mpq = a.m[(p, q)]
+        for (p, q), mpq in sorted(a.m.items()):
             for s in range(l):
                 t = l - 1 - s
-                k = s + q + t
-                m = i + p
                 term = bcompose(hil, hom_one_map_one(mpq, a.module, s, t, q))
-                sgn = homotopy_beta(r, s, q, t, p, l)
-                if (m - r) % 2:
-                    sgn += 1
-                if sgn % 2:
-                    term = -term
-                key = bucket(m, k)
-                buckets[key] = buckets[key] + term
+                _accumulate(buckets, (i + p, s + q + t), term,
+                            homotopy_beta(r, s, q, t, p, l) + i + p - r)
     # right side
     for (i, k) in sorted(set(fk) | set(gk)):
-        key = bucket(i + r, k)
-        diff = h.g.f_map(i, k) - h.f.f_map(i, k)
-        buckets[key] = buckets[key] - diff
+        _accumulate(buckets, (i + r, k), h.g.f_map(i, k) - h.f.f_map(i, k), 1)
     return buckets
 
 
@@ -981,10 +933,7 @@ def check_r_homotopy_dainf(h: DAInfHomotopy) -> Report:
     if not fr.ok or not gr.ok:
         rep.fail("inputs", "f or g is not a morphism")
         return rep
-    for (m, k), acc in sorted(_hmk_buckets(h).items()):
-        rep.tick()
-        for loc in sorted(acc.blocks):
-            rep.fail((m, k) + loc, f"(H_{{{m}{k}}}) fails on the block at {loc}")
+    _report(rep, _hmk_buckets(h), "H")
     assembled = check_dainf_morphism(assemble_into_path_dainf(h))
     if assembled.ok != rep.ok:
         raise AssertionError(

@@ -34,11 +34,13 @@ integers in [0, p).  Missing blocks are zero maps.
 Size budget: a module declared by "dims" may have total dimension (the sum
 of its ranks, so also any single rank) at most MAX_DIMENSION = 10^4, and
 so may the tensor product that the tensor command would build from two
-documents and every tensor power A^{(x) v} that checking a filtered_ainf
-document builds (v = 2k - 1 for its largest arity key k, where m_k meets
-m_k in the A-infinity relations); those arities v are at most
-MAX_ARITY = 100.  A larger declaration is an input error (exit 2),
-reported before anything of that size is allocated.
+documents and the tensor power A^{(x) v} with v = 2k - 1 for each arity
+key k of a filtered_ainf ("k"), dainf_algebra, dainf_morphism or
+dainf_homotopy ("i,k", on the source module) document: the relations of
+an algebra compose m_k after 1 (x) m_k (x) 1, and morphism and homotopy
+keys follow the same rule.  Those arities v are at most MAX_ARITY = 100.
+A larger declaration is an input error (exit 2), reported before
+anything of that size is allocated.
 
 The modulus p is a JSON integer, prime and below 2^64 (primality is
 decided exactly by deterministic Miller-Rabin in that range); a string
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import json
 
-from .bigraded import BigradedMap, BigradedModule
+from .bigraded import BigradedMap, BigradedModule, power_module
 from .dainf import DAInfAlgebra, DAInfHomotopy, DAInfMorphism
 from .filtered_ainf import FilteredAInf
 from .filtration import FilteredComplex
@@ -122,6 +124,23 @@ def check_power_dimension(module: BigradedModule, k: int, what: str):
                 f"{what} needs a tensor power of arity {k} of a module of "
                 f"total dimension {total}, above the size budget of "
                 f"{MAX_DIMENSION}")
+
+
+def _check_arity(module: BigradedModule, k: int, name: str):
+    """Size budget of an arity key k on module: the relations of an
+    algebra compose m_k after 1 (x) m_k (x) 1, which builds the tensor
+    power of arity 2k - 1, and morphism and homotopy components of arity
+    k are held to the same bound."""
+    check_power_dimension(module, 2 * k - 1, f"object {name!r} (arity {k})")
+
+
+def _budgeted_power(module: BigradedModule, name: str):
+    """Source of an arity-k component, the k-th power of module, built
+    only once its arity key is within the size budget."""
+    def power(k: int) -> BigradedModule:
+        _check_arity(module, k, name)
+        return power_module(module, k)
+    return power
 
 
 def parse_dims(field: Field, payload) -> BigradedModule:
@@ -332,31 +351,28 @@ def _parse_object(field, name, obj, objects):
                                     lambda m: (-m + r, -m + r - 1), "h")
             return RHomotopy(r, f, g, h)
         if t == "dainf_algebra":
-            from .bigraded import power_module
             module = parse_dims(field, obj.get("dims"))
             m = _parse_pair_indexed_maps(
-                field, obj.get("m"), lambda j: power_module(module, j),
+                field, obj.get("m"), _budgeted_power(module, name),
                 module, lambda i, j: (-i, 2 - i - j), "m")
             return DAInfAlgebra(module, m)
         if t == "dainf_morphism":
-            from .bigraded import power_module
             src = _require(objects, obj.get("src"), DAInfAlgebra,
                            "dainf algebra")
             dst = _require(objects, obj.get("dst"), DAInfAlgebra,
                            "dainf algebra")
             f = _parse_pair_indexed_maps(
-                field, obj.get("f"), lambda j: power_module(src.module, j),
+                field, obj.get("f"), _budgeted_power(src.module, name),
                 dst.module, lambda i, j: (-i, 1 - i - j), "f")
             return DAInfMorphism(src, dst, f)
         if t == "dainf_homotopy":
-            from .bigraded import power_module
             r = obj.get("r")
             if not _is_int(r) or r < 0:
                 raise DocumentError(f"bad homotopy level {r!r}")
             f = _require(objects, obj.get("f"), DAInfMorphism, "dainf morphism")
             g = _require(objects, obj.get("g"), DAInfMorphism, "dainf morphism")
             h = _parse_pair_indexed_maps(
-                field, obj.get("h"), lambda k: power_module(f.src.module, k),
+                field, obj.get("h"), _budgeted_power(f.src.module, name),
                 f.dst.module, lambda i, k: (r - i, r - i - k), "h")
             return DAInfHomotopy(r, f, g, h)
         if t == "filtered_complex":
@@ -378,9 +394,7 @@ def _parse_object(field, name, obj, objects):
                 k = int(kkey)
                 if k < 1:
                     raise DocumentError(f"bad arity {k}")
-                # the relations compose m_k after 1 (x) m_k (x) 1
-                check_power_dimension(module, 2 * k - 1,
-                                      f"object {name!r} (arity {k})")
+                _check_arity(module, k, name)
                 ms[k] = {}
                 for nkey, mat in per.items():
                     n = int(nkey)

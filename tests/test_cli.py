@@ -386,6 +386,87 @@ def test_filtered_ainf_power_size_budget_boundary(tmp_path):
                                     (mio.MAX_ARITY + 1) // 2)]) == 0
 
 
+def _dainf_doc(tmp_path, dims, arity, kind):
+    """A dA-infinity algebra on dims whose only structure map (kind
+    "algebra"), morphism component ("morphism") or homotopy component
+    ("homotopy") has key "0,arity" and is zero; f and g are the zero
+    morphisms A -> A."""
+    def zero(bidegree):
+        return {f"0,{arity}": {"bidegree": bidegree, "blocks": []}}
+    objects = {"A": {"type": "dainf_algebra", "dims": dims, "m": {}},
+               "f": {"type": "dainf_morphism", "src": "A", "dst": "A"},
+               "g": {"type": "dainf_morphism", "src": "A", "dst": "A"}}
+    if kind == "algebra":
+        objects = {"A": dict(objects["A"], m=zero([0, 2 - arity]))}
+    elif kind == "morphism":
+        objects["g"]["f"] = zero([0, 1 - arity])
+    else:
+        objects["H"] = {"type": "dainf_homotopy", "r": 0, "f": "f",
+                        "g": "g", "h": zero([0, -arity])}
+    doc = {"schema_version": "1",
+           "field": {"kind": "prime_field", "p": 32003}, "objects": objects}
+    p = tmp_path / f"dainf-{kind}.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+_DAINF_COMMANDS = {"algebra": ["check", "dainf"],
+                   "morphism": ["check", "dainf-morphism", "--name", "g"],
+                   "homotopy": ["homotopy", "check", "--dainf"]}
+
+
+def test_dainf_arity_size_budget_exit_2(tmp_path, capsys):
+    # this document used to build power_module(A, 2000) and end in a
+    # MemoryError traceback with exit 1
+    doc = {"schema_version": "1",
+           "field": {"kind": "prime_field", "p": 32003},
+           "objects": {"A": {
+               "type": "dainf_algebra", "dims": [[0, 0, 1], [0, -1998, 1]],
+               "m": {"0,2000": {"bidegree": [0, -1998],
+                                "blocks": [{"src": [0, 0],
+                                            "matrix": [[1]]}]}}}}}
+    path = tmp_path / "arity2000.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert main(["check", "dainf", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "size budget" in err and "Traceback" not in err
+
+
+# checking arity k builds the power of arity 2k - 1, for algebras,
+# morphisms and homotopies alike
+@pytest.mark.parametrize("kind", ["algebra", "morphism", "homotopy"])
+@pytest.mark.parametrize("dims, arity", [
+    ([[0, 0, 1], [0, -1998, 1]], 2000),
+    ([[0, 0, 2], [0, 1, 2]], 4),        # 4^7 = 16384, just above 10^4
+    ([[0, 0, 1]], 51),                  # one-dimensional, 101 levels deep
+    ([[0, 0, 1]], 10 ** 18),
+], ids=["total2-arity2000", "total4-arity4", "total1-arity51",
+        "total1-arity1e18"])
+def test_dainf_power_size_budget_exit_2(tmp_path, capsys, kind, dims,
+                                        arity):
+    path = _dainf_doc(tmp_path, dims, arity, kind)
+    cmd = _DAINF_COMMANDS[kind]
+    t0 = time.perf_counter()
+    assert main(cmd[:2] + [path] + cmd[2:]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "size budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["algebra", "morphism", "homotopy"])
+def test_dainf_power_size_budget_boundary(tmp_path, kind):
+    # arity 3 needs 4^5 = 1024 and arity 50 the arity-99 power of a
+    # one-dimensional module, both within budget; the maps are zero, so
+    # every check passes
+    cmd = _DAINF_COMMANDS[kind]
+    for dims, arity in [([[0, 0, 2], [0, 1, 2]], 3),
+                        ([[0, 0, 1]], (mio.MAX_ARITY + 1) // 2)]:
+        path = _dainf_doc(tmp_path, dims, arity, kind)
+        assert main(cmd[:2] + [path] + cmd[2:]) == 0
+
+
 def _raise(exc):
     def raiser(*args, **kwargs):
         raise exc

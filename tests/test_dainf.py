@@ -1,25 +1,28 @@
 import random
+from itertools import product as iproduct
 
 import pytest
 
 from multiplex.bigraded import (
-    BigradedMap, BigradedModule, compose as bcompose, identity_map,
-    power_module, tensor_modules,
+    BigradedMap, BigradedModule, compose as bcompose, hom_one_map_one,
+    identity_map, power_module, tensor_modules,
 )
 from multiplex.dainf import (
-    DAInfAlgebra, DAInfHomotopy, DAInfMorphism, TwistedDga,
+    DAInfAlgebra, DAInfHomotopy, DAInfMorphism, TwistedDga, _reachable_u,
     assemble_into_path_dainf, check_dainf, check_dainf_morphism,
-    check_r_homotopy_dainf, collapse_after, compose_dainf, diagonal_delta,
-    identity_dainf, invert_dainf, is_er_quasi_iso_dainf, iterated_mu,
-    lambda_r_dga, path_dainf, path_dainf_morphism, tensor_dga_morphism,
-    tensor_twisted_dga, underlying_twisted, underlying_twisted_morphism,
-    unit_dga, zero_dainf_morphism,
+    check_r_homotopy_dainf, collapse_after, component_tensor, compose_dainf,
+    diagonal_delta, identity_dainf, invert_dainf, is_er_quasi_iso_dainf,
+    iterated_mu, lambda_r_dga, path_dainf, path_dainf_morphism,
+    tensor_dga_morphism, tensor_twisted_dga, underlying_twisted,
+    underlying_twisted_morphism, unit_dga, zero_dainf_morphism,
 )
 from multiplex.generators import (
     dainf_morphism_space, random_dainf_morphism, random_twisted_complex,
     random_zero_product_dainf,
 )
-from multiplex.linalg import GF, Matrix
+from multiplex.linalg import GF, QQ, Matrix
+from multiplex.reports import Report
+from multiplex.signs import compose_sign, structure_sign
 from multiplex.twisted import check_morphism as check_twisted_morphism
 from multiplex.twisted import compose as twisted_compose
 from multiplex.twisted import path as twisted_path
@@ -162,10 +165,14 @@ def test_identity_and_strict_composition():
         identity_map(a.module).scale(F.of_int(6))
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_compose_associative_and_unital(seed):
-    # rank-1 spots keep the arity-8 double composites within desk scale
-    a = small_zero_product(seed + 10, max_rank=1)
+# rank-1 spots for every seed and rank-2 spots for seeds 1-3 stay within
+# desk scale; rank-2 seed 0 (about 7 s of arity-8 double composites) waits
+# for sparse storage of high-arity maps
+@pytest.mark.parametrize("seed, max_rank", [
+    (0, 1), (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2),
+], ids=["0", "1", "2", "3", "1-rank2", "2-rank2", "3-rank2"])
+def test_compose_associative_and_unital(seed, max_rank):
+    a = small_zero_product(seed + 10, max_rank=max_rank)
     rng = random.Random(50 + seed)
     space = dainf_morphism_space(a, a, max_arity=2)
     f = random_dainf_morphism(a, a, rng, space=space)
@@ -457,3 +464,225 @@ def test_is_er_quasi_iso_dainf(r):
     from multiplex.spectral import spectral_page
     if not spectral_page(underlying_twisted(a), r + 1).is_zero():
         assert not is_er_quasi_iso_dainf(zero_dainf_morphism(a, a), r)
+
+
+# ---------------------------------------------------------------------------
+# the bar route against the per-tuple reference
+# ---------------------------------------------------------------------------
+
+BAR_FIELDS = [GF(32003), GF(5), GF(2), QQ]
+
+
+def _ref_tuple_terms(outer, g, src_mod):
+    """(key, (-1)^compose_sign o_{ij}(g_{p_1q_1} (x) ... (x) g_{p_jq_j}),
+    i + sum p) for every outer map o_{ij} and every tuple of components
+    of g, one tensor per tuple: the route before the bar powers."""
+    for (i, j), oij in sorted(outer.items()):
+        for parts in iproduct(sorted(g), repeat=j):
+            u = i + sum(p for (p, _) in parts)
+            k = sum(q for (_, q) in parts)
+            tens = component_tensor([g[pt] for pt in parts],
+                                    [q for (_, q) in parts], src_mod)
+            term = bcompose(oij, tens)
+            if compose_sign(list(parts)):
+                term = -term
+            yield (u, k), term, u
+
+
+def _ref_compose(f, g):
+    comps = {}
+    for key, term, _ in _ref_tuple_terms(f.f, g.f, g.src.module):
+        comps[key] = comps[key] + term if key in comps else term
+    return DAInfMorphism(g.src, f.dst, comps)
+
+
+def _ref_check_morphism(f):
+    """(B_uv) with the right side summed tuple by tuple."""
+    a, b = f.src, f.dst
+    buckets = {}
+
+    def add(key, term):
+        buckets[key] = buckets[key] + term if key in buckets else term
+
+    for (i, j), fij in sorted(f.f.items()):
+        for (p, q), mpq in sorted(a.m.items()):
+            for r in range(j):
+                t = j - 1 - r
+                term = bcompose(fij, hom_one_map_one(mpq, a.module, r, t, q))
+                add((i + p, j + q - 1),
+                    -term if structure_sign(r, q, t, p, j) else term)
+    for key, term, u in _ref_tuple_terms(b.m, f.f, a.module):
+        add(key, term if u % 2 else -term)
+    rep = Report("dA-infinity morphism relations (B_uv)")
+    for (u, v) in sorted(buckets):
+        rep.tick()
+        for loc in sorted(buckets[(u, v)].blocks):
+            rep.fail((u, v) + loc, f"(B_{{{u}{v}}}) fails on the block at {loc}")
+    return rep
+
+
+def _ref_invert(f, arity_cap=8):
+    """The components invert_dainf solves for, with the top term
+    f_{01} g_{uk} skipped by hand."""
+    a, b = f.src, f.dst
+    g01 = BigradedMap(b.module, a.module, (0, 0),
+                      {k: f.f_map(0, 1).block(*k).inverse()
+                       for k in b.module.dims})
+    g = {(0, 1): g01}
+    for k in range(1, arity_cap + 1):
+        for u in sorted(_reachable_u(b.module, a.module, k)):
+            if (u, k) == (0, 1):
+                continue
+            acc = None
+            for (i, j), fij in sorted(f.f.items()):
+                for parts in iproduct(sorted(g), repeat=j):
+                    if sum(q for (_, q) in parts) != k or \
+                       i + sum(p for (p, _) in parts) != u or \
+                       ((i, j) == (0, 1) and parts == ((u, k),)):
+                        continue
+                    tens = component_tensor([g[pt] for pt in parts],
+                                            [q for (_, q) in parts],
+                                            b.module)
+                    term = bcompose(fij, tens)
+                    if compose_sign(list(parts)):
+                        term = -term
+                    acc = term if acc is None else acc + term
+            if acc is not None and not bcompose(g01, acc).is_zero():
+                g[(u, k)] = -bcompose(g01, acc)
+    return DAInfMorphism(b, a, g)
+
+
+def _assert_same_morphism(got, want):
+    assert sorted(got.f) == sorted(want.f)
+    for key, comp in want.f.items():
+        assert sorted(got.f[key].blocks) == sorted(comp.blocks)
+        for loc, blk in comp.blocks.items():
+            # entry by entry, F_p ints and QQ Fractions alike
+            assert [(type(x), x) for x in got.f[key].blocks[loc].data] == \
+                [(type(x), x) for x in blk.data]
+
+
+def _rand_map(src, dst, bidegree, rng):
+    """A map src -> dst with every block its bidegree allows, random
+    entries and a 1 in each top-left corner, so no block is zero."""
+    blocks = {}
+    for (s, t), n in src.dims.items():
+        rows = dst.dim(s + bidegree[0], t + bidegree[1])
+        if rows:
+            entries = [[rng.choice((0, 1, -1, 2, 3)) for _ in range(n)]
+                       for _ in range(rows)]
+            entries[0][0] = 1
+            blocks[(s, t)] = Matrix.from_rows(src.field, entries)
+    return BigradedMap(src, dst, bidegree, blocks)
+
+
+def _perturbed(f, rng, keys):
+    """f plus random components at keys: not a morphism in general."""
+    comps = dict(f.f)
+    for (i, j) in keys:
+        c = _rand_map(power_module(f.src.module, j), f.dst.module,
+                      (-i, 1 - i - j), rng)
+        comps[(i, j)] = comps[(i, j)] + c if (i, j) in comps else c
+    return DAInfMorphism(f.src, f.dst, comps)
+
+
+def _bar_corpus(field, seed):
+    """Morphisms of a zero-product algebra on (0,0), (0,1), (1,1), (1,2)
+    (as many of them as the draw fills): f and g valid, bad a perturbed
+    f with arity-2 components, low a perturbed zero map of arity 1."""
+    rng = random.Random(300 + seed)
+    a = random_zero_product_dainf(field, rng, cols=(0, 1), verts=(0, 1),
+                                  max_rank=1, spots=8)
+    space = dainf_morphism_space(a, a, max_arity=2)
+    f = random_dainf_morphism(a, a, rng, space=space, density=1.0)
+    g = random_dainf_morphism(a, a, rng, space=space, density=1.0)
+    bad = _perturbed(f, rng, [(0, 1), (0, 2), (1, 1), (1, 2)])
+    low = _perturbed(zero_dainf_morphism(a, a), rng, [(0, 1), (1, 1)])
+    return f, g, bad, low
+
+
+@pytest.mark.parametrize("field", BAR_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_compose_matches_tuple_reference(field, seed):
+    f, g, bad, low = _bar_corpus(field, seed)
+    bb = compose_dainf(bad, bad, check=False)
+    # bb has components of arity 3 and 4, so bb o low sums words of up to
+    # four letters of low, with several words per class
+    assert max(j for (_, j) in bb.f) >= 3 and len(low.f) >= 2
+    for outer, inner in [(g, f), (f, g), (g, bad), (bad, g), (bad, bad),
+                         (bb, low), (low, bb)]:
+        got = compose_dainf(outer, inner, check=False)
+        _assert_same_morphism(got, _ref_compose(outer, inner))
+
+
+@pytest.mark.parametrize("field", BAR_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_invert_matches_tuple_reference(field, seed):
+    rng = random.Random(400 + seed)
+    # the benchmark's shape: a differential, arity <= 2
+    b = random_zero_product_dainf(field, rng, cols=(0, 0), verts=(-1, 0),
+                                  max_rank=2, spots=20)
+    perturb = [el for el in dainf_morphism_space(b, b, 2)
+               if (0, 1) not in el]
+    e = random_dainf_morphism(b, b, rng, space=perturb, density=1.0,
+                              with_identity=True)
+    _assert_same_morphism(invert_dainf(e), _ref_invert(e))
+    # with no structure maps every family of components is a morphism, so
+    # a perturbed identity is one too; total degrees in [-2, 0] close the
+    # window above arity 3, and the inverse reaches it
+    rng = random.Random(450 + seed)
+    a = DAInfAlgebra(BigradedModule(field, {
+        (i, i + d): 1 for i in (0, 1) for d in (-2, -1, 0)}), {})
+    e = _perturbed(identity_dainf(a), rng, [(1, 1), (2, 1), (0, 2), (1, 2)])
+    got = invert_dainf(e)
+    _assert_same_morphism(got, _ref_invert(e))
+    assert max(j for (_, j) in got.f) == 3
+
+
+def _product_targets(field, rng):
+    """Morphisms into algebras with products, so the (B_uv) right side
+    meets words of length >= 2: the r-path of Lambda_1, the diagonal of
+    Lambda_r into Lambda_r (x) Lambda_r, and each of them perturbed."""
+    lam1 = lambda_r_dga(1, field).algebra
+    out = []
+    for r in (0, 1):
+        p = path_dainf(lam1, r)
+        delta, lam, square = diagonal_delta(r, field)
+        assert square == tensor_twisted_dga(lam.algebra, lam.algebra)
+        out += [p.iota, p.p_minus, p.p_plus, delta]
+    bad = [_perturbed(m, rng, [(0, 1), (0, 2), (1, 1), (1, 2)])
+           for m in out]
+    return out + bad
+
+
+@pytest.mark.parametrize("field", BAR_FIELDS, ids=str)
+def test_check_morphism_matches_tuple_reference(field):
+    rng = random.Random(500)
+    mors = _product_targets(field, rng)
+    f, g, bad, low = _bar_corpus(field, 0)
+    mors += [f, bad, low, compose_dainf(g, f, check=False)]
+    failing = 0
+    for mor in mors:
+        got = check_dainf_morphism(mor).to_dict()
+        assert got == _ref_check_morphism(mor).to_dict()
+        failing += not got["ok"]
+    assert failing >= 8
+    # words of length >= 2 reach the right side
+    assert any(j >= 2 for mor in mors for (_, j) in mor.dst.m)
+
+
+@pytest.mark.parametrize("field", BAR_FIELDS, ids=str)
+def test_check_morphism_three_letter_words(field):
+    # random, unchecked structure maps of arity 3 in the target make the
+    # right side sum words of three components
+    rng = random.Random(600)
+    f, _, bad, low = _bar_corpus(field, 1)
+    mod = f.dst.module
+    m = {(i, j): _rand_map(power_module(mod, j), mod, (-i, 2 - i - j), rng)
+         for (i, j) in [(0, 2), (0, 3), (1, 3)]}
+    tgt = DAInfAlgebra(mod, {**f.dst.m, **m})
+    assert any(j == 3 for (_, j) in tgt.m)
+    for mor in (f, bad, low):
+        mor = DAInfMorphism(mor.src, tgt, mor.f)
+        assert check_dainf_morphism(mor).to_dict() == \
+            _ref_check_morphism(mor).to_dict()
