@@ -32,10 +32,6 @@ def sprod(x: Bidegree, y: Bidegree) -> int:
     return x[0] * y[0] + x[1] * y[1]
 
 
-def total_degree(x: Bidegree) -> int:
-    return x[1] - x[0]
-
-
 class BigradedModule:
     """Free bigraded module with finitely many nonzero ranks.
 

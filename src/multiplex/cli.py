@@ -5,7 +5,7 @@ Exit codes: 0 = all checks passed / construction succeeded,
 internal self-check that disagreed (``failed: internal check: ...``),
 2 = input, schema or usage error, including a document over the size
 budget of ``io.MAX_DIMENSION`` (and ``io.MAX_ARITY`` for the tensor
-powers a filtered A-infinity check builds).
+powers that checking or composing A-infinity structures builds).
 
 Every construction subcommand re-validates its output before writing.
 """
@@ -67,6 +67,22 @@ def _print_reports(reports: list[tuple[str, Report]], as_json: bool) -> int:
     return 0 if all(rep.ok for _, rep in reports) else 1
 
 
+def _arity(keys) -> int:
+    """Largest arity j among (i, j) component keys; 0 if there are none."""
+    return max((j for (_, j) in keys), default=0)
+
+
+def _check_bar_budget(src: DAInfAlgebra, f_arity: int, dst: DAInfAlgebra,
+                      what: str):
+    """Size budget of (B_uv) for a morphism src -> dst with components of
+    arity at most f_arity, checked before any power is built: the right
+    side builds Pow(src, (largest m^dst arity) * f_arity), which also
+    bounds the bar powers of a composition, and the left side
+    Pow(src, f_arity + (largest m^src arity) - 1)."""
+    for k in (dst.max_arity() * f_arity, f_arity + src.max_arity() - 1):
+        mio.check_power_dimension(src.module, k, what)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -88,6 +104,10 @@ def cmd_check(args) -> int:
         targets = {name: obj}
     if not targets:
         raise DocumentError(f"document has no {args.what} objects")
+    if args.what == "dainf-morphism":
+        for name, f in sorted(targets.items()):
+            _check_bar_budget(f.src, _arity(f.f), f.dst,
+                              f"checking morphism {name!r}")
     reports = [(name, checker(obj)) for name, obj in sorted(targets.items())]
     return _print_reports(reports, args.format == "json")
 
@@ -330,6 +350,8 @@ def cmd_compose(args) -> int:
         if g.dst != f.src:
             raise DocumentError("morphisms are not composable: the target "
                                 "of g must be the source of f")
+        _check_bar_budget(g.src, _arity(f.f) * _arity(g.f), f.dst,
+                          f"composing {fname!r} after {gname!r}")
         out = compose_dainf(f, g)
         objects = {
             "source": mio.dump_dainf(field, g.src),

@@ -124,9 +124,6 @@ class DAInfMorphism:
                            (-i, 1 - i - j))
         return fij
 
-    def is_strict(self) -> bool:
-        return all(k == (0, 1) for k in self.f)
-
     def __eq__(self, other):
         if not isinstance(other, DAInfMorphism):
             return NotImplemented
@@ -852,7 +849,6 @@ def collapse_after(delta: DAInfMorphism, lam: LambdaObject, side: str) \
     """(p^{side} (x) 1) o Delta as a strict morphism Lambda_r -> Lambda_r."""
     proj = lam.p_plus if side == "+" else lam.p_minus
     mod = lam.algebra.module
-    field = mod.field
     p01 = proj.f_map(0, 1)
     coll = _unit_collapse(mod)
     mixed = bcompose(coll, tensor_maps(p01, identity_map(mod)))

@@ -74,7 +74,6 @@ def power_complex(k_complex: FilteredComplex, k: int) -> FilteredComplex:
 
 def check_filtered_ainf(fa: FilteredAInf) -> Report:
     rep = Report("filtered A-infinity structure")
-    field = fa.field
     module = fa.module
     # the underlying complex: m_1 must be a filtered differential
     try:
@@ -131,7 +130,6 @@ def check_filtered_ainf(fa: FilteredAInf) -> Report:
         return rep
 
     # A-infinity relations
-    max_ar = max(fa.arities())
     vs = sorted({r + q + t
                  for q in fa.arities() for j in fa.arities()
                  for r in range(j) for t in [j - 1 - r]})
@@ -237,7 +235,6 @@ def tot_dainf(a: DAInfAlgebra) -> FilteredAInf:
     """m_k := Tot(M_k) o mu_k with (M_k)_u = (-1)^{u(k+1)} m_{uk}."""
     u_twisted = underlying_twisted(a)
     base = tot(u_twisted)
-    field = a.field
     ms: dict[int, dict[int, Matrix]] = {1: dict(base.d)}
     arities = sorted({k for (_, k) in a.m if k >= 2})
     if arities:

@@ -13,6 +13,13 @@ the basis order inside A_i^{n+i}.  The same convention is reused for
 tensor products of totalizations, where the column of a (x) b is the sum
 of columns; with that ordering the lax-monoidal comparison map mu is
 diagonal with entries (-1)^{k_1 n_2}.
+
+Offset layout: ``tot_layout(module, n)`` is the table
+i -> (offset, dim A_i^{n+i}) of Tot^n, so a matrix between totalizations
+is a grid of blocks, column i to column i2.  Tot writes each d_m (or f_m)
+as one signed block (``Matrix.set_block``), the inverse readings read the
+blocks back (``Matrix.get_block``), and since columns ascend, F_p Tot^n is
+a column prefix, so filtration checks are zero tests on prefixes.
 """
 
 from __future__ import annotations
@@ -20,44 +27,72 @@ from __future__ import annotations
 from .bigraded import BigradedMap, BigradedModule, tensor_modules, tensor_summands
 from .linalg import Matrix
 from .reports import Report
-from .twisted import RHomotopy, TwistedComplex, TwistedMorphism, check_r_homotopy
+from .twisted import (
+    RHomotopy, TwistedComplex, TwistedMorphism, check_morphism,
+    check_r_homotopy, check_twisted,
+)
 
 
 def degrees_of(module: BigradedModule) -> list[int]:
     return sorted({j - i for (i, j) in module.dims})
 
 
+def tot_layout(module: BigradedModule, n: int) -> dict[int, tuple[int, int]]:
+    """Tot^n as one table: column i -> (offset, dim A_i^{n+i}), ascending."""
+    out, off = {}, 0
+    for i in sorted(i for (i, j) in module.dims if j - i == n):
+        dim = module.dims[(i, n + i)]
+        out[i] = (off, dim)
+        off += dim
+    return out
+
+
+def tot_dim(module: BigradedModule, n: int) -> int:
+    return sum(dim for _, dim in tot_layout(module, n).values())
+
+
 def tot_basis(module: BigradedModule, n: int) -> list[tuple[int, int]]:
     """Ordered basis of Tot^n: (column i, index inside A_i^{n+i})."""
-    out = []
-    for i in sorted({i for (i, j) in module.dims if j - i == n}):
-        for a in range(module.dims[(i, n + i)]):
-            out.append((i, a))
-    return out
+    return [(i, a) for i, (_, dim) in tot_layout(module, n).items()
+            for a in range(dim)]
+
+
+def _check_filtered(mat: Matrix, src: dict, dst: dict, shift: int,
+                    what: str, violates: str):
+    """ValueError unless mat has the shape of a map from the layout src to
+    the layout dst and sends column i into columns <= i + shift.  The
+    message names the first offending (i, i2) in row-major order: source
+    columns ascend, so row block i2 is tested on the column prefix of the
+    columns i < i2 - shift."""
+    rows = sum(dim for _, dim in dst.values())
+    cols = sum(dim for _, dim in src.values())
+    if mat.rows != rows or mat.cols != cols:
+        raise ValueError(f"{what} has shape {mat.rows}x{mat.cols}, "
+                         f"expected {rows}x{cols}")
+    for i2, (r0, height) in dst.items():
+        width = sum(dim for i, (_, dim) in src.items() if i < i2 - shift)
+        data = mat.get_block(r0, 0, height, width).data
+        t = next((t for t, v in enumerate(data) if v), None)
+        if t is not None:
+            i = next(i for i, (c0, dim) in src.items()
+                     if c0 <= t % width < c0 + dim)
+            raise ValueError(f"{violates}: column {i} hits column {i2}")
 
 
 class FilteredComplex:
     """Split filtered cochain complex: splitting module + total differential."""
 
-    __slots__ = ("module", "d", "_basis")
+    __slots__ = ("module", "d", "_tots")
 
     def __init__(self, module: BigradedModule, d: dict[int, Matrix]):
         self.module = module
-        self._basis = {}
+        self._tots = {}
         self.d = {}
         for n, mat in d.items():
-            src = self.basis(n)
-            dst = self.basis(n + 1)
-            if mat.rows != len(dst) or mat.cols != len(src):
-                raise ValueError(f"differential in degree {n} has shape "
-                                 f"{mat.rows}x{mat.cols}, expected "
-                                 f"{len(dst)}x{len(src)}")
-            for rr, (i2, _) in enumerate(dst):
-                for cc, (i, _) in enumerate(src):
-                    if i2 > i and mat[rr, cc]:
-                        raise ValueError(
-                            f"differential violates the filtration in degree {n}: "
-                            f"column {i} hits column {i2}")
+            _check_filtered(
+                mat, self.layout(n), self.layout(n + 1), 0,
+                f"differential in degree {n}",
+                f"differential violates the filtration in degree {n}")
             if not mat.is_zero():
                 self.d[n] = mat
 
@@ -65,15 +100,22 @@ class FilteredComplex:
     def field(self):
         return self.module.field
 
-    def basis(self, n: int) -> list[tuple[int, int]]:
-        b = self._basis.get(n)
-        if b is None:
-            b = tot_basis(self.module, n)
-            self._basis[n] = b
-        return b
+    def layout(self, n: int) -> dict[int, tuple[int, int]]:
+        return self._tot(n)[0]
 
     def dim(self, n: int) -> int:
-        return len(self.basis(n))
+        return self._tot(n)[1]
+
+    def _tot(self, n: int) -> tuple[dict, int]:
+        """(tot_layout(module, n), dim Tot^n), computed once per degree."""
+        t = self._tots.get(n)
+        if t is None:
+            lay = tot_layout(self.module, n)
+            t = self._tots[n] = (lay, sum(dim for _, dim in lay.values()))
+        return t
+
+    def basis(self, n: int) -> list[tuple[int, int]]:
+        return tot_basis(self.module, n)
 
     def degrees(self) -> list[int]:
         return degrees_of(self.module)
@@ -122,18 +164,11 @@ class FilteredMap:
         self.shift = shift
         self.blocks = {}
         for n, mat in blocks.items():
-            sb = src.basis(n)
-            db = dst.basis(n + degree)
-            if mat.rows != len(db) or mat.cols != len(sb):
-                raise ValueError(f"map block in degree {n} has shape "
-                                 f"{mat.rows}x{mat.cols}, expected "
-                                 f"{len(db)}x{len(sb)}")
-            for rr, (i2, _) in enumerate(db):
-                for cc, (i, _) in enumerate(sb):
-                    if i2 > i + shift and mat[rr, cc]:
-                        raise ValueError(
-                            f"map violates its filtration allowance {shift} "
-                            f"in degree {n}: column {i} hits column {i2}")
+            _check_filtered(
+                mat, src.layout(n), dst.layout(n + degree), shift,
+                f"map block in degree {n}",
+                f"map violates its filtration allowance {shift} "
+                f"in degree {n}")
             if not mat.is_zero():
                 self.blocks[n] = mat
 
@@ -221,33 +256,32 @@ def identity_filtered(k: FilteredComplex) -> FilteredMap:
 # Tot and its inverse
 # ---------------------------------------------------------------------------
 
+def _tot_matrix(family: dict[int, BigradedMap], u: int, n: int,
+                src: dict, dst: dict, field, extra: int = 0) -> Matrix:
+    """Tot^n block of a family of overall bidegree (u, v): f_m from column
+    i is written at row block i - m + u, times (-1)^{(m+u)n + extra}.
+    Distinct m land in distinct row blocks, so no two writes overlap."""
+    mat = Matrix.zero(field, sum(dim for _, dim in dst.values()),
+                      sum(dim for _, dim in src.values()))
+    for i, (c0, _) in src.items():
+        for m, fm in family.items():
+            blk = fm.blocks.get((i, n + i))
+            if blk is None:
+                continue
+            if i - m + u not in dst:
+                raise AssertionError("component landed off basis")
+            mat.set_block(dst[i - m + u][0], c0,
+                          -blk if ((m + u) * n + extra) % 2 else blk)
+    return mat
+
+
 def tot(a: TwistedComplex) -> FilteredComplex:
     """d(x)_j = sum_m (-1)^{mn} d_m(x_{j+m}) on Tot^n."""
     module = a.module
-    field = a.field
-    d = {}
-    for n in degrees_of(module):
-        src = tot_basis(module, n)
-        dst = tot_basis(module, n + 1)
-        if not src or not dst:
-            continue
-        dindex = {key: k for k, key in enumerate(dst)}
-        mat = Matrix.zero(field, len(dst), len(src))
-        for cc, (i, aa) in enumerate(src):
-            for m, dm in a.d.items():
-                blk = dm.blocks.get((i, n + i))
-                if blk is None:
-                    continue
-                sgn = -1 if (m * n) % 2 else 1
-                for b in range(blk.rows):
-                    v = blk[b, aa]
-                    if v:
-                        rr = dindex[(i - m, b)]
-                        mat[rr, cc] = field.add(
-                            mat[rr, cc], v if sgn > 0 else field.neg(v))
-        if not mat.is_zero():
-            d[n] = mat
-    return FilteredComplex(module, d)
+    return FilteredComplex(module, {
+        n: _tot_matrix(a.d, 0, n, tot_layout(module, n),
+                       tot_layout(module, n + 1), a.field)
+        for n in degrees_of(module)})
 
 
 def tot_family(family: dict[int, BigradedMap], u: int, v: int,
@@ -258,35 +292,34 @@ def tot_family(family: dict[int, BigradedMap], u: int, v: int,
 
     extra_sign multiplies every block (used for homotopy normalization).
     """
-    field = src.field
-    blocks = {}
     deg = v - u
-    for n in src.degrees():
-        sb = src.basis(n)
-        db = dst.basis(n + deg)
-        if not sb or not db:
-            continue
-        dindex = {key: k for k, key in enumerate(db)}
-        mat = Matrix.zero(field, len(db), len(sb))
-        nonzero = False
-        for cc, (i, aa) in enumerate(sb):
-            for m, fm in family.items():
-                blk = fm.blocks.get((i, n + i))
-                if blk is None:
+    return FilteredMap(src, dst, deg, u, {
+        n: _tot_matrix(family, u, n, src.layout(n), dst.layout(n + deg),
+                       src.field, 1 if extra_sign < 0 else 0)
+        for n in src.degrees()})
+
+
+def _tot_split(blocks: dict[int, Matrix], src: FilteredComplex,
+               dst: FilteredComplex, u: int, v: int, extra: int,
+               below: str) -> dict[int, BigradedMap]:
+    """Inverse reading of Tot for a family of overall bidegree (u, v): the
+    block from column i to column i2 of the degree-n matrix is
+    (-1)^{(m+u)n + extra} times the block of f_m at (i, n + i), with
+    m = i - i2 + u; m < 0 raises ValueError(below)."""
+    per_m: dict[int, dict] = {}
+    for n, mat in sorted(blocks.items()):
+        for i, (c0, cols) in src.layout(n).items():
+            for i2, (r0, rows) in dst.layout(n + v - u).items():
+                blk = mat.get_block(r0, c0, rows, cols)
+                if blk.is_zero():
                     continue
-                sgn = extra_sign * (-1 if ((m + u) * n) % 2 else 1)
-                for b in range(blk.rows):
-                    val = blk[b, aa]
-                    if val:
-                        rr = dindex.get((i - m + u, b))
-                        if rr is None:
-                            raise AssertionError("component landed off basis")
-                        mat[rr, cc] = field.add(
-                            mat[rr, cc], val if sgn > 0 else field.neg(val))
-                        nonzero = True
-        if nonzero:
-            blocks[n] = mat
-    return FilteredMap(src, dst, deg, u, blocks)
+                m = i - i2 + u
+                if m < 0:
+                    raise ValueError(below)
+                per_m.setdefault(m, {})[(i, n + i)] = \
+                    -blk if ((m + u) * n + extra) % 2 else blk
+    return {m: BigradedMap(src.module, dst.module, (u - m, v - m), blocks)
+            for m, blocks in per_m.items()}
 
 
 def tot_morphism(f: TwistedMorphism, src_k: FilteredComplex | None = None,
@@ -300,34 +333,8 @@ def tot_morphism(f: TwistedMorphism, src_k: FilteredComplex | None = None,
 
 def tot_inverse(k: FilteredComplex) -> TwistedComplex:
     """d_m(a) = (-1)^{nm} d(a)_{i-m} for a in A_i^{n+i}."""
-    module = k.module
-    field = k.field
-    per_m: dict[int, dict] = {}
-    for n in k.degrees():
-        src = k.basis(n)
-        dst = k.basis(n + 1)
-        mat = k.d.get(n)
-        if mat is None:
-            continue
-        for cc, (i, aa) in enumerate(src):
-            for rr, (i2, bb) in enumerate(dst):
-                v = mat[rr, cc]
-                if not v:
-                    continue
-                m = i - i2
-                if m < 0:
-                    raise ValueError("filtration violated by the differential")
-                if (n * m) % 2:
-                    v = field.neg(v)
-                blk = per_m.setdefault(m, {}).setdefault(
-                    (i, n + i),
-                    Matrix.zero(field, module.dim(i - m, n + i - m + 1),
-                                module.dim(i, n + i)))
-                blk[bb, aa] = field.add(blk[bb, aa], v)
-    d = {m: BigradedMap(module, module, (-m, -m + 1), blocks)
-         for m, blocks in per_m.items()}
-    out = TwistedComplex(module, d)
-    from .twisted import check_twisted
+    out = TwistedComplex(k.module, _tot_split(
+        k.d, k, k, 0, 1, 0, "filtration violated by the differential"))
     check_twisted(out).raise_if_failed()
     return out
 
@@ -337,33 +344,9 @@ def tot_inverse_morphism(fmap: FilteredMap, src: TwistedComplex,
     """f_m(a) = (-1)^{nm} f(a)_{i-m}; fmap must be a degree-0 filtered chain map."""
     if fmap.degree != 0 or fmap.shift > 0:
         raise ValueError("not a filtration-preserving degree-0 map")
-    field = fmap.field
-    per_m: dict[int, dict] = {}
-    for n in fmap.src.degrees():
-        mat = fmap.blocks.get(n)
-        if mat is None:
-            continue
-        sb = fmap.src.basis(n)
-        db = fmap.dst.basis(n)
-        for cc, (i, aa) in enumerate(sb):
-            for rr, (i2, bb) in enumerate(db):
-                v = mat[rr, cc]
-                if not v:
-                    continue
-                m = i - i2
-                if m < 0:
-                    raise ValueError("filtration violated by the map")
-                if (n * m) % 2:
-                    v = field.neg(v)
-                blk = per_m.setdefault(m, {}).setdefault(
-                    (i, n + i),
-                    Matrix.zero(field, dst.module.dim(i - m, n + i - m),
-                                src.module.dim(i, n + i)))
-                blk[bb, aa] = field.add(blk[bb, aa], v)
-    f = {m: BigradedMap(src.module, dst.module, (-m, -m), blocks)
-         for m, blocks in per_m.items()}
-    out = TwistedMorphism(src, dst, f)
-    from .twisted import check_morphism
+    out = TwistedMorphism(src, dst, _tot_split(
+        fmap.blocks, fmap.src, fmap.dst, 0, 0, 0,
+        "filtration violated by the map"))
     check_morphism(out).raise_if_failed()
     return out
 
@@ -573,32 +556,8 @@ def tot_to_homotopy(oh: OrderRHomotopy, f: TwistedMorphism,
     """Inverse reading: hhat_m(a) = (-1)^{(m+r)n + r} H(a)_{i-m+r}."""
     check_order_homotopy(oh).raise_if_failed()
     r = oh.r
-    field = oh.h.field
-    a_mod, b_mod = f.src.module, f.dst.module
-    per_m: dict[int, dict] = {}
-    for n in oh.h.src.degrees():
-        mat = oh.h.blocks.get(n)
-        if mat is None:
-            continue
-        sb = oh.h.src.basis(n)
-        db = oh.h.dst.basis(n - 1)
-        for cc, (i, aa) in enumerate(sb):
-            for rr, (i2, bb) in enumerate(db):
-                v = mat[rr, cc]
-                if not v:
-                    continue
-                m = i - i2 + r
-                if m < 0:
-                    raise ValueError("homotopy exceeds its filtration allowance")
-                if (((m + r) * n) + r) % 2:
-                    v = field.neg(v)
-                blk = per_m.setdefault(m, {}).setdefault(
-                    (i, n + i),
-                    Matrix.zero(field, b_mod.dim(i - m + r, n + i - m + r - 1),
-                                a_mod.dim(i, n + i)))
-                blk[bb, aa] = field.add(blk[bb, aa], v)
-    hfam = {m: BigradedMap(a_mod, b_mod, (-m + r, -m + r - 1), blocks)
-            for m, blocks in per_m.items()}
-    out = RHomotopy(r, f, g, hfam)
+    out = RHomotopy(r, f, g, _tot_split(
+        oh.h.blocks, oh.h.src, oh.h.dst, r, r - 1, r,
+        "homotopy exceeds its filtration allowance"))
     check_r_homotopy(out).raise_if_failed()
     return out

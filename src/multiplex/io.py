@@ -55,7 +55,7 @@ import json
 from .bigraded import BigradedMap, BigradedModule, power_module
 from .dainf import DAInfAlgebra, DAInfHomotopy, DAInfMorphism
 from .filtered_ainf import FilteredAInf
-from .filtration import FilteredComplex
+from .filtration import FilteredComplex, tot_dim
 from .linalg import Field, Matrix
 from .twisted import RHomotopy, TwistedComplex, TwistedMorphism
 
@@ -376,18 +376,14 @@ def _parse_object(field, name, obj, objects):
                 f.dst.module, lambda i, k: (r - i, r - i - k), "h")
             return DAInfHomotopy(r, f, g, h)
         if t == "filtered_complex":
-            from .filtration import tot_basis
             module = parse_dims(field, obj.get("dims"))
             d = {}
             for key, mat in (obj.get("d") or {}).items():
                 n = int(key)
-                rows = len(tot_basis(module, n + 1))
-                cols = len(tot_basis(module, n))
-                d[n] = parse_matrix(field, mat, rows, cols)
+                d[n] = parse_matrix(field, mat, tot_dim(module, n + 1),
+                                    tot_dim(module, n))
             return FilteredComplex(module, d)
         if t == "filtered_ainf":
-            from .filtered_ainf import power_basis
-            from .filtration import tot_basis
             module = parse_dims(field, obj.get("dims"))
             ms = {}
             for kkey, per in (obj.get("m") or {}).items():
@@ -395,12 +391,13 @@ def _parse_object(field, name, obj, objects):
                 if k < 1:
                     raise DocumentError(f"bad arity {k}")
                 _check_arity(module, k, name)
+                pw = power_module(module, k)
                 ms[k] = {}
                 for nkey, mat in per.items():
                     n = int(nkey)
-                    rows = len(tot_basis(module, n + 2 - k))
-                    cols = len(power_basis(module, k, n))
-                    ms[k][n] = parse_matrix(field, mat, rows, cols)
+                    ms[k][n] = parse_matrix(field, mat,
+                                            tot_dim(module, n + 2 - k),
+                                            tot_dim(pw, n))
             return FilteredAInf(module, ms)
         if t == "bigraded_map":
             src = _require(objects, obj.get("src"),
@@ -444,12 +441,6 @@ def dump_dainf_morphism(field, f: DAInfMorphism, src: str, dst: str):
     return {"type": "dainf_morphism", "src": src, "dst": dst,
             "f": {f"{i},{j}": dump_map(field, fij)
                   for (i, j), fij in sorted(f.f.items())}}
-
-
-def dump_dainf_homotopy(field, h: DAInfHomotopy, fname: str, gname: str):
-    return {"type": "dainf_homotopy", "r": h.r, "f": fname, "g": gname,
-            "h": {f"{i},{k}": dump_map(field, hik)
-                  for (i, k), hik in sorted(h.h.items())}}
 
 
 def dump_filtered(field, k: FilteredComplex):

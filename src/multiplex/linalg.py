@@ -212,12 +212,32 @@ class Matrix:
     def row(self, r):
         return self.data[r * self.cols:(r + 1) * self.cols]
 
-    def col(self, c):
-        return [self.data[r * self.cols + c] for r in range(self.rows)]
-
     def to_rows(self):
         c, d = self.cols, self.data
         return [d[r * c:(r + 1) * c] for r in range(self.rows)]
+
+    def get_block(self, r0: int, c0: int, rows: int, cols: int) -> "Matrix":
+        """The rows x cols block whose top left entry is (r0, c0)."""
+        if not (0 <= r0 <= r0 + rows <= self.rows
+                and 0 <= c0 <= c0 + cols <= self.cols):
+            raise ValueError(f"block {rows}x{cols} at {(r0, c0)} outside "
+                             f"{self.rows}x{self.cols}")
+        c, d = self.cols, self.data
+        data = []
+        for r in range(r0, r0 + rows):
+            data.extend(d[r * c + c0:r * c + c0 + cols])
+        return Matrix._of(self.field, rows, cols, data)
+
+    def set_block(self, r0: int, c0: int, m: "Matrix"):
+        """Overwrite the block whose top left entry is (r0, c0) with m."""
+        if not (0 <= r0 and r0 + m.rows <= self.rows
+                and 0 <= c0 and c0 + m.cols <= self.cols):
+            raise ValueError(f"block {m.rows}x{m.cols} at {(r0, c0)} outside "
+                             f"{self.rows}x{self.cols}")
+        c, d, k, md = self.cols, self.data, m.cols, m.data
+        for r in range(m.rows):
+            base = (r0 + r) * c + c0
+            d[base:base + k] = md[r * k:(r + 1) * k]
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -556,19 +576,12 @@ class Subquotient:
             raise AssertionError("rep basis size disagrees with rank arithmetic")
         self._red = self.rep_basis.hstack(self.boundary_basis)
 
-    def contains(self, v: Matrix) -> bool:
-        return self.cycle_basis.solve(v) is not None
-
     def reduce(self, v: Matrix) -> Matrix:
         """Coordinates of [v] in the rep basis; v must lie in span(Z)."""
         x = self._red.solve(v)
         if x is None:
             raise ValueError("vector not in the cycle span")
-        out = Matrix(self.field, self.dim, v.cols)
-        for i in range(self.dim):
-            for j in range(v.cols):
-                out[i, j] = x[i, j]
-        return out
+        return x.get_block(0, 0, self.dim, v.cols)
 
 
 def subquotient(Z: Matrix, B: Matrix) -> Subquotient:
@@ -637,12 +650,11 @@ class BlockLinearSystem:
 
     def assemble(self):
         f = self.field
-        voff, nvars, eoff, neqs = self._offsets()
+        voff, nvars, eoff, _ = self._offsets()
         coeff: dict[tuple[int, int], object] = {}
         for eq_key, var_key, left, right, scalar in self._terms:
             er, ec, _ = self._eqs[eq_key]
             vr, vc = self._vars[var_key]
-            lrows = er if left is None else left.rows
             if left is not None and (left.rows != er or left.cols != vr):
                 raise ValueError("left factor shape mismatch")
             if right is not None and (right.rows != vc or right.cols != ec):
@@ -668,23 +680,17 @@ class BlockLinearSystem:
                             v = f.mul(scalar, f.mul(lv, rv))
                             key = (row, col)
                             coeff[key] = f.add(coeff.get(key, f.zero()), v)
-        rhs = Matrix.zero(f, neqs, 1)
-        for k in self._eq_order:
-            er, ec, acc = self._eqs[k]
-            for r in range(er):
-                for c in range(ec):
-                    rhs[eoff[k] + r * ec + c, 0] = acc[r, c]
+        # equation blocks stacked in order, each flattened row-major
+        rhs = [v for k in self._eq_order for v in self._eqs[k][2].data]
         # drop rows that are identically zero on both sides
-        live = sorted({r for (r, _) in coeff} | {r for r in range(neqs)
-                                                 if rhs[r, 0]})
+        live = sorted({r for (r, _) in coeff} | {r for r, v in enumerate(rhs)
+                                                 if v})
         remap = {r: k for k, r in enumerate(live)}
         mat = Matrix.zero(f, len(live), nvars)
         for (r, c), v in coeff.items():
             if v:
                 mat[remap[r], c] = v
-        b = Matrix.zero(f, len(live), 1)
-        for r in live:
-            b[remap[r], 0] = rhs[r, 0]
+        b = Matrix(f, len(live), 1, [rhs[r] for r in live])
         return mat, b, voff, nvars
 
     def solve(self):
@@ -710,11 +716,8 @@ class BlockLinearSystem:
         out = {}
         for k in self._var_order:
             r, c = self._vars[k]
-            m = Matrix.zero(self.field, r, c)
-            for a in range(r):
-                for bcol in range(c):
-                    m[a, bcol] = x[voff[k] + a * c + bcol, 0]
-            out[k] = m
+            out[k] = Matrix(self.field, r, c,
+                            x.get_block(voff[k], 0, r * c, 1).data)
         return out
 
 

@@ -8,8 +8,14 @@ comodule R[x]_{<=N} (x) A by
     F(x^n (x) a) = sum_i (-1)^{i(u+v)} x^i (x) f_{n-i}(a),
 
 extraction reads the x^0 rows back; lifts never raise the x-degree, so
-the truncation is closed under everything used here.  The oracle
-statements verified against their direct counterparts:
+the truncation is closed under everything used here.
+
+Offset layout: R[x]_{<=N} (x) A at (i, j) is the sum over slots t of
+x^t (x) A_{(i+t, j+t)}, with table t -> (offset, dim) (``expand_layout``).
+A lift writes f_m from slot n into slot n - m as one signed block, and
+extraction reads back the slot-0 row block.
+
+The oracle statements verified against their direct counterparts:
 
   * lift(d)^2 = 0  iff  the twisting axioms hold for m <= N;
   * (-1)^r d~^B H~ + H~ d~^A = S^r G~ - S^r F~  iff  h is an r-homotopy,
@@ -35,12 +41,15 @@ def expand_module(mod: BigradedModule, n_max: int) -> BigradedModule:
     return BigradedModule(mod.field, dims)
 
 
-def expand_basis(mod: BigradedModule, n_max: int, i: int, j: int):
-    """Ordered basis of the expansion at (i, j): (t, index in mod)."""
-    out = []
+def expand_layout(mod: BigradedModule, n_max: int, i: int,
+                  j: int) -> list[tuple[int, int]]:
+    """The expansion at (i, j) as one table: slot t -> (offset, dim) of
+    x^t (x) mod_{(i+t, j+t)}, slots ascending."""
+    out, off = [], 0
     for t in range(n_max + 1):
-        for a in range(mod.dim(i + t, j + t)):
-            out.append((t, a))
+        dim = mod.dim(i + t, j + t)
+        out.append((off, dim))
+        off += dim
     return out
 
 
@@ -90,104 +99,59 @@ class TruncatedCoalgebraMap:
 def lift(family: dict[int, BigradedMap], u: int, v: int,
          src: BigradedModule, dst: BigradedModule,
          n_max: int) -> TruncatedCoalgebraMap:
-    """F(x^n (x) a) = sum_i (-1)^{i(u+v)} x^i (x) f_{n-i}(a)."""
+    """F(x^n (x) a) = sum_i (-1)^{i(u+v)} x^i (x) f_{n-i}(a): f_m from slot
+    n is written at slot n - m, so distinct m never overlap."""
     field = src.field
     esrc = expand_module(src, n_max)
     edst = expand_module(dst, n_max)
-    sign_flips = (u + v) % 2 == 1
     blocks: dict = {}
     for (i, j) in esrc.support():
-        sbasis = expand_basis(src, n_max, i, j)
-        ti, tj = i + u, j + v
-        dbasis = expand_basis(dst, n_max, ti, tj)
-        dindex = {key: k for k, key in enumerate(dbasis)}
-        if not sbasis or not dbasis:
-            continue
-        mat = Matrix.zero(field, len(dbasis), len(sbasis))
-        nonzero = False
-        for cc, (n, aa) in enumerate(sbasis):
-            src_bid = (i + n, j + n)
+        dslots = expand_layout(dst, n_max, i + u, j + v)
+        mat = Matrix.zero(field, edst.dim(i + u, j + v), esrc.dim(i, j))
+        for n, (c0, _) in enumerate(expand_layout(src, n_max, i, j)):
             for m, fm in family.items():
-                if m > n:
-                    continue
-                blk = fm.blocks.get(src_bid)
-                if blk is None:
+                blk = fm.blocks.get((i + n, j + n))
+                if m > n or blk is None:
                     continue
                 slot = n - m
-                sgn = -1 if (sign_flips and slot % 2) else 1
-                for bb in range(blk.rows):
-                    val = blk[bb, aa]
-                    if val:
-                        rr = dindex.get((slot, bb))
-                        if rr is None:
-                            raise AssertionError("lift escaped the truncation")
-                        mat[rr, cc] = field.add(
-                            mat[rr, cc], val if sgn > 0 else field.neg(val))
-                        nonzero = True
-        if nonzero:
-            blocks[(i, j)] = mat
+                mat.set_block(dslots[slot][0], c0,
+                              -blk if slot * (u + v) % 2 else blk)
+        blocks[(i, j)] = mat
     mp = BigradedMap(esrc, edst, (u, v), blocks)
     return TruncatedCoalgebraMap(n_max, src, dst, (u, v), mp)
 
 
 def extract(t: TruncatedCoalgebraMap) -> dict[int, BigradedMap]:
-    """Read the family back: f_n(a) = x^0-component of F(x^n (x) a)."""
+    """Read the family back: f_n(a) = x^0-component of F(x^n (x) a), the
+    top row block (slot 0) of each matrix."""
     u, v = t.bidegree
-    field = t.src.field
     per_n: dict[int, dict] = {}
     for (i, j), mat in t.map.blocks.items():
-        sbasis = expand_basis(t.src, t.n_max, i, j)
-        dbasis = expand_basis(t.dst, t.n_max, i + u, j + v)
-        for cc, (n, aa) in enumerate(sbasis):
-            src_bid = (i + n, j + n)
-            for rr, (slot, bb) in enumerate(dbasis):
-                if slot != 0:
-                    continue
-                val = mat[rr, cc]
-                if not val:
-                    continue
-                blocks = per_n.setdefault(n, {})
-                blk = blocks.get(src_bid)
-                if blk is None:
-                    blk = Matrix.zero(field,
-                                      t.dst.dim(i + u, j + v),
-                                      t.src.dim(*src_bid))
-                    blocks[src_bid] = blk
-                blk[bb, aa] = field.add(blk[bb, aa], val)
-    out = {}
-    for n, blocks in per_n.items():
-        mp = BigradedMap(t.src, t.dst, (u - n, v - n),
-                         {k: m for k, m in blocks.items() if not m.is_zero()})
-        if not mp.is_zero():
-            out[n] = mp
-    return out
+        rows = t.dst.dim(i + u, j + v)
+        for n, (c0, cols) in enumerate(expand_layout(t.src, t.n_max, i, j)):
+            blk = mat.get_block(0, c0, rows, cols)
+            if not blk.is_zero():
+                per_n.setdefault(n, {})[(i + n, j + n)] = blk
+    return {n: BigradedMap(t.src, t.dst, (u - n, v - n), blocks)
+            for n, blocks in per_n.items()}
 
 
 def x_lowering(mod: BigradedModule, n_max: int) -> TruncatedCoalgebraMap:
-    """d_x: x^n (x) a -> x^{n-1} (x) a, bidegree (1, 1)."""
+    """d_x: x^n (x) a -> x^{n-1} (x) a, bidegree (1, 1): slot n of (i, j)
+    and slot n - 1 of (i + 1, j + 1) are both mod_{(i+n, j+n)}."""
     field = mod.field
-    esrc = expand_module(mod, n_max)
+    emod = expand_module(mod, n_max)
     blocks = {}
-    for (i, j) in esrc.support():
-        sbasis = expand_basis(mod, n_max, i, j)
-        dbasis = expand_basis(mod, n_max, i + 1, j + 1)
-        dindex = {key: k for k, key in enumerate(dbasis)}
-        if not sbasis or not dbasis:
-            continue
-        mat = Matrix.zero(field, len(dbasis), len(sbasis))
-        nonzero = False
-        for cc, (n, aa) in enumerate(sbasis):
-            if n == 0:
-                continue
-            rr = dindex.get((n - 1, aa))
-            if rr is not None:
-                mat[rr, cc] = field.one()
-                nonzero = True
-        if nonzero:
-            blocks[(i, j)] = mat
+    for (i, j) in emod.support():
+        dslots = expand_layout(mod, n_max, i + 1, j + 1)
+        mat = Matrix.zero(field, emod.dim(i + 1, j + 1), emod.dim(i, j))
+        for n, (c0, dim) in enumerate(expand_layout(mod, n_max, i, j)):
+            if n:
+                mat.set_block(dslots[n - 1][0], c0,
+                              Matrix.identity(field, dim))
+        blocks[(i, j)] = mat
     return TruncatedCoalgebraMap(n_max, mod, mod, (1, 1),
-                                 BigradedMap(esrc, expand_module(mod, n_max),
-                                             (1, 1), blocks))
+                                 BigradedMap(emod, emod, (1, 1), blocks))
 
 
 def shift(t: TruncatedCoalgebraMap) -> TruncatedCoalgebraMap:

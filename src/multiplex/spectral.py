@@ -56,42 +56,24 @@ class SpectralPage:
 
 
 def _filtration_cut(k: FilteredComplex, n: int, p: int) -> int:
-    """Number of leading basis vectors of Tot^n lying in F_p."""
-    basis = k.basis(n)
-    cnt = 0
-    for (i, _) in basis:
-        if i <= p:
-            cnt += 1
-    return cnt
-
-
-def _embed(field, total: int, count: int) -> Matrix:
-    m = Matrix.zero(field, total, count)
-    for a in range(count):
-        m[a, a] = field.one()
-    return m
+    """Number of leading basis vectors of Tot^n lying in F_p: the offset
+    of the first column beyond p."""
+    return next((off for i, (off, _) in k.layout(n).items() if i > p),
+                k.dim(n))
 
 
 def z_basis(k: FilteredComplex, r: int, p: int, n: int) -> Matrix:
     """Columns span Z_r^{p,n} in Tot^n coordinates (Z_{-1}^p = F_p)."""
-    field = k.field
     total = k.dim(n)
     fp = _filtration_cut(k, n, p)
-    if r < 0:
-        return _embed(field, total, fp)
-    if fp == 0:
-        return Matrix.zero(field, total, 0)
-    d = k.d_mat(n)
-    dst = k.basis(n + 1)
-    bad_rows = [rr for rr, (i2, _) in enumerate(dst) if i2 > p - r]
-    if not bad_rows:
-        return _embed(field, total, fp)
-    c = Matrix.zero(field, len(bad_rows), fp)
-    for out_r, rr in enumerate(bad_rows):
-        for cc in range(fp):
-            c[out_r, cc] = d[rr, cc]
-    ker = c.kernel_basis()
-    return _embed(field, total, fp) * ker
+    # F_p Tot^n is spanned by the first fp basis vectors
+    f_p = Matrix.identity(k.field, total).get_block(0, 0, total, fp)
+    # rows of Tot^{n+1} outside F_{p-r}: a suffix, since columns ascend
+    first_bad = _filtration_cut(k, n + 1, p - r)
+    bad = k.dim(n + 1) - first_bad
+    if r < 0 or not fp or not bad:
+        return f_p
+    return f_p * k.d_mat(n).get_block(first_bad, 0, bad, fp).kernel_basis()
 
 
 def page_entry(k: FilteredComplex, r: int, p: int, q: int) -> Subquotient:
@@ -189,7 +171,6 @@ def page_homology(page: SpectralPage) -> dict:
     """Homology of (E_r, delta_r) at each (p, q), in page coordinates."""
     out = {}
     r = page.r
-    field = page.complex.field
     for (p, q), e in sorted(page.entries.items()):
         if e.dim == 0:
             continue
@@ -226,16 +207,12 @@ def check_page_recursion(a: TwistedComplex | FilteredComplex, r: int,
         if hdim == 0:
             continue
         e = page.entries[(p, q)]
-        cols = []
+        mat = Matrix.zero(field, nxt.dim(p, q), h.dim)
         for c in range(h.dim):
             hc = h.rep_basis.take_cols([c])       # class in E_r coordinates
             x = e.rep_basis * hc                  # Tot lift
             x2 = _zigzag_adjust(k, page, p, q, x)  # adjusted Z_{r+1} element
-            cols.append(nxt.entries[(p, q)].reduce(x2))
-        mat = Matrix.zero(field, nxt.dim(p, q), h.dim)
-        for cc, col in enumerate(cols):
-            for rr in range(mat.rows):
-                mat[rr, cc] = col[rr, 0]
+            mat.set_block(0, c, nxt.entries[(p, q)].reduce(x2))
         if not mat.is_invertible():
             return False, f"zig-zag comparison map not invertible at {(p, q)}"
         phi[(p, q)] = mat
@@ -257,9 +234,7 @@ def check_page_recursion(a: TwistedComplex | FilteredComplex, r: int,
             w = k.d_mat(n) * x2
             if tdim:
                 wr = page.entries[tgt_pq].reduce(w)     # class in E_r target
-                coords = tgt_h.reduce(wr)               # class in H(E_r) target
-                for rr in range(tdim):
-                    delta_t[rr, c] = coords[rr, 0]
+                delta_t.set_block(0, c, tgt_h.reduce(wr))  # in H(E_r) target
             elif not w.is_zero():
                 # target homology vanishes: the reduced class must vanish too
                 tgt_e = page.entries.get(tgt_pq)
@@ -296,10 +271,4 @@ def _zigzag_adjust(k: FilteredComplex, page: SpectralPage, p: int, q: int,
     sol = stacked.solve(dx)
     if sol is None:
         raise AssertionError("zig-zag decomposition failed; class not closed")
-    z2 = Matrix.zero(k.field, zb2.rows, 1)
-    if zb2.cols:
-        coords = Matrix.zero(k.field, zb2.cols, 1)
-        for i in range(zb2.cols):
-            coords[i, 0] = sol[zb1.cols + i, 0]
-        z2 = zb2 * coords
-    return x - z2
+    return x - zb2 * sol.get_block(zb1.cols, 0, zb2.cols, 1)

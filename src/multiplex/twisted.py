@@ -103,9 +103,6 @@ class TwistedMorphism:
             fm = zero_map(self.src.module, self.dst.module, (-m, -m))
         return fm
 
-    def is_strict(self) -> bool:
-        return all(m == 0 for m in self.f)
-
     def __eq__(self, other):
         if not isinstance(other, TwistedMorphism):
             return NotImplemented

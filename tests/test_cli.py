@@ -386,6 +386,16 @@ def test_filtered_ainf_power_size_budget_boundary(tmp_path):
                                     (mio.MAX_ARITY + 1) // 2)]) == 0
 
 
+def test_filtered_ainf_without_operations_ok(tmp_path, capsys):
+    # no m_k at all: a zero differential and no relations to check (this
+    # used to fail with "max() arg is an empty sequence" and exit 1)
+    path = write_doc(tmp_path, "bare.json", {
+        "FA": {"type": "filtered_ainf", "dims": [[0, 0, 1]], "m": {}}})
+    assert main(["check", "filtered-ainf", path]) == 0
+    assert capsys.readouterr().out == \
+        "FA: filtered A-infinity structure: ok (1 conditions)\n"
+
+
 def _dainf_doc(tmp_path, dims, arity, kind):
     """A dA-infinity algebra on dims whose only structure map (kind
     "algebra"), morphism component ("morphism") or homotopy component
@@ -465,6 +475,76 @@ def test_dainf_power_size_budget_boundary(tmp_path, kind):
                         ([[0, 0, 1]], (mio.MAX_ARITY + 1) // 2)]:
         path = _dainf_doc(tmp_path, dims, arity, kind)
         assert main(cmd[:2] + [path] + cmd[2:]) == 0
+
+
+def _bar_budget_docs(tmp_path, m_key):
+    """The morphism g: A -> B with one all-ones component f_{0,7} (a 1x7
+    block at (0,6)) into B, whose only structure map m^B at m_key is all
+    ones; and the identity f: B -> B.  Every key is within budget alone."""
+    q = int(m_key.split(",")[1])
+    dims = [[0, 0, 1], [0, 1, 1]]
+    field = {"kind": "prime_field", "p": 32003}
+    b = {"type": "dainf_algebra", "dims": dims,
+         "m": {m_key: {"bidegree": [0, 2 - q],
+                       "blocks": [{"src": [0, q - 2],
+                                   "matrix": [[1] * (q * (q - 1) // 2)]}]}}}
+    objects_g = {
+        "A": {"type": "dainf_algebra", "dims": dims, "m": {}}, "B": b,
+        "g": {"type": "dainf_morphism", "src": "A", "dst": "B",
+              "f": {"0,7": {"bidegree": [0, -6],
+                            "blocks": [{"src": [0, 6],
+                                        "matrix": [[1] * 7]}]}}}}
+    objects_f = {
+        "B": b,
+        "f": {"type": "dainf_morphism", "src": "B", "dst": "B",
+              "f": {"0,1": {"bidegree": [0, 0],
+                            "blocks": [{"src": [0, 0], "matrix": [[1]]},
+                                       {"src": [0, 1], "matrix": [[1]]}]}}}}
+    paths = []
+    for name, objects in (("f", objects_f), ("g", objects_g)):
+        p = tmp_path / f"bar-budget-{name}.json"
+        p.write_text(json.dumps({"schema_version": "1", "field": field,
+                                 "objects": objects}))
+        paths.append(str(p))
+    return paths
+
+
+# (B_uv) applies m^B of arity 4 (or 3) to words of four (three) arity-7
+# components: the power of arity 28 (21) of a two-dimensional module.  The
+# m key "0,4" document used to run for more than 8 s and end in a
+# MemoryError traceback; "0,3" printed "ok" after about 16 s.
+@pytest.mark.parametrize("m_key", ["0,4", "0,3"])
+@pytest.mark.parametrize("command", ["check", "compose"])
+def test_dainf_bar_power_size_budget_exit_2(tmp_path, capsys, m_key,
+                                            command):
+    path_f, path_g = _bar_budget_docs(tmp_path, m_key)
+    argv = ["check", "dainf-morphism", path_g] if command == "check" else \
+        ["compose", "--dainf", path_f, path_g, "-o", str(tmp_path / "o")]
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    arity = 7 * int(m_key[-1])
+    assert f"tensor power of arity {arity}" in err
+    assert "size budget" in err and "Traceback" not in err
+
+
+def test_dainf_bar_power_size_budget_boundary(tmp_path, capsys):
+    # m^B of arity 2 on arity-7 words: the power of arity 14 has dimension
+    # 2^14 > 10^4, but arity 2 against arity-6 words stays at 2^12, so
+    # the check runs and finds that g is not a morphism (exit 1)
+    path_f, path_g = _bar_budget_docs(tmp_path, "0,2")
+    assert main(["check", "dainf-morphism", path_g]) == 2
+    assert "tensor power of arity 14" in capsys.readouterr().err
+    doc = json.loads(open(path_g).read())
+    doc["objects"]["g"]["f"] = {"0,6": {"bidegree": [0, -5],
+                                        "blocks": [{"src": [0, 5],
+                                                    "matrix": [[1] * 6]}]}}
+    with open(path_g, "w") as fh:
+        fh.write(json.dumps(doc))
+    assert main(["check", "dainf-morphism", path_g]) == 1
+    assert main(["compose", "--dainf", path_f, path_g,
+                 "-o", str(tmp_path / "o")]) == 1
 
 
 def _raise(exc):

@@ -4,15 +4,16 @@ import pytest
 
 from multiplex.bigraded import BigradedModule, symmetry_iso
 from multiplex.filtration import (
-    FilteredComplex, check_filtered_complex, check_order_homotopy,
-    graded_map_tensor, graded_tensor, homotopy_to_tot, identity_filtered, mu,
-    tot, tot_inverse, tot_inverse_morphism, tot_morphism, tot_to_homotopy,
+    FilteredComplex, FilteredMap, check_filtered_complex,
+    check_order_homotopy, degrees_of, graded_map_tensor, graded_tensor,
+    homotopy_to_tot, identity_filtered, mu, tot, tot_basis, tot_family,
+    tot_inverse, tot_inverse_morphism, tot_morphism, tot_to_homotopy,
 )
 from multiplex.generators import (
     random_endo_morphism, random_filtered_complex, random_homotopic_pair,
-    random_twisted_complex,
+    random_homotopy_family, random_twisted_complex,
 )
-from multiplex.linalg import GF, Matrix
+from multiplex.linalg import GF, QQ, Matrix
 from multiplex.twisted import (
     TwistedComplex, TwistedMorphism, check_morphism, compose,
     identity_morphism, tensor, tensor_morphisms,
@@ -180,3 +181,310 @@ def test_homotopy_tot_roundtrip(r, seed):
     oz = homotopy_to_tot(z)
     assert oz.h.is_zero()
     assert not tot_to_homotopy(oz, f, f).h
+
+
+# ---------------------------------------------------------------------------
+# reference route: Tot, its family form and the three inverse readings one
+# entry at a time over (column, index) bases, as they were written before
+# the offset layout; the block code must agree entry by entry
+# ---------------------------------------------------------------------------
+
+FIELDS = [GF(), GF(5), GF(2), QQ]
+FIELD_IDS = ["F32003", "F5", "F2", "QQ"]
+
+
+def _ref_basis(module, n):
+    out = []
+    for i in sorted({i for (i, j) in module.dims if j - i == n}):
+        for a in range(module.dims[(i, n + i)]):
+            out.append((i, a))
+    return out
+
+
+def _ref_tot(a):
+    module, field = a.module, a.field
+    d = {}
+    for n in degrees_of(module):
+        src = _ref_basis(module, n)
+        dst = _ref_basis(module, n + 1)
+        if not src or not dst:
+            continue
+        dindex = {key: k for k, key in enumerate(dst)}
+        mat = Matrix.zero(field, len(dst), len(src))
+        for cc, (i, aa) in enumerate(src):
+            for m, dm in a.d.items():
+                blk = dm.blocks.get((i, n + i))
+                if blk is None:
+                    continue
+                sgn = -1 if (m * n) % 2 else 1
+                for b in range(blk.rows):
+                    v = blk[b, aa]
+                    if v:
+                        rr = dindex[(i - m, b)]
+                        mat[rr, cc] = field.add(
+                            mat[rr, cc], v if sgn > 0 else field.neg(v))
+        if not mat.is_zero():
+            d[n] = mat
+    return d
+
+
+def _ref_tot_family(family, u, v, src, dst, extra_sign=1):
+    field = src.field
+    blocks = {}
+    deg = v - u
+    for n in src.degrees():
+        sb = _ref_basis(src.module, n)
+        db = _ref_basis(dst.module, n + deg)
+        if not sb or not db:
+            continue
+        dindex = {key: k for k, key in enumerate(db)}
+        mat = Matrix.zero(field, len(db), len(sb))
+        nonzero = False
+        for cc, (i, aa) in enumerate(sb):
+            for m, fm in family.items():
+                blk = fm.blocks.get((i, n + i))
+                if blk is None:
+                    continue
+                sgn = extra_sign * (-1 if ((m + u) * n) % 2 else 1)
+                for b in range(blk.rows):
+                    val = blk[b, aa]
+                    if val:
+                        rr = dindex[(i - m + u, b)]
+                        mat[rr, cc] = field.add(
+                            mat[rr, cc], val if sgn > 0 else field.neg(val))
+                        nonzero = True
+        if nonzero:
+            blocks[n] = mat
+    return blocks
+
+
+def _ref_split(blocks, src, dst, deg, u, extra, src_mod, dst_mod, bid, msg):
+    """The three inverse readings share this loop: the entry from column i
+    to column i2 belongs to f_m, m = i - i2 + u, with sign
+    (-1)^{(m+u)n + extra}; bid(m) is the bidegree of f_m."""
+    field = src.field
+    per_m = {}
+    for n in src.degrees():
+        mat = blocks.get(n)
+        if mat is None:
+            continue
+        sb = _ref_basis(src.module, n)
+        db = _ref_basis(dst.module, n + deg)
+        for cc, (i, aa) in enumerate(sb):
+            for rr, (i2, bb) in enumerate(db):
+                v = mat[rr, cc]
+                if not v:
+                    continue
+                m = i - i2 + u
+                if m < 0:
+                    raise ValueError(msg)
+                if ((m + u) * n + extra) % 2:
+                    v = field.neg(v)
+                p, q = bid(m)
+                blk = per_m.setdefault(m, {}).setdefault(
+                    (i, n + i),
+                    Matrix.zero(field, dst_mod.dim(i + p, n + i + q),
+                                src_mod.dim(i, n + i)))
+                blk[bb, aa] = field.add(blk[bb, aa], v)
+    return per_m
+
+
+def _ref_tot_inverse(k):
+    return _ref_split(k.d, k, k, 1, 0, 0, k.module, k.module,
+                      lambda m: (-m, -m + 1),
+                      "filtration violated by the differential")
+
+
+def _ref_tot_inverse_morphism(fmap, src, dst):
+    return _ref_split(fmap.blocks, fmap.src, fmap.dst, 0, 0, 0, src.module,
+                      dst.module, lambda m: (-m, -m),
+                      "filtration violated by the map")
+
+
+def _ref_tot_to_homotopy(oh, f):
+    r = oh.r
+    return _ref_split(oh.h.blocks, oh.h.src, oh.h.dst, -1, r, r,
+                      f.src.module, f.dst.module,
+                      lambda m: (-m + r, -m + r - 1),
+                      "homotopy exceeds its filtration allowance")
+
+
+def _same(m1, m2):
+    """Equal shape, values and entry types."""
+    return (m1.rows, m1.cols) == (m2.rows, m2.cols) and m1.data == m2.data \
+        and [type(x) for x in m1.data] == [type(x) for x in m2.data]
+
+
+def _same_blocks(got: dict, ref: dict):
+    assert got.keys() == ref.keys()
+    for key in ref:
+        assert _same(got[key], ref[key]), key
+
+
+def _same_family(got: dict, ref: dict):
+    """got: {m: BigradedMap}, ref: {m: {bidegree: Matrix}} with only
+    nonzero blocks on both sides."""
+    assert got.keys() == ref.keys()
+    for m in ref:
+        _same_blocks(got[m].blocks, ref[m])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_tot_and_inverse_match_reference(field):
+    rng = random.Random(5100)
+    seen = set()
+    for _ in range(8):
+        a = random_twisted_complex(field, rng, spots=6, mix=3)
+        seen |= set(a.d)
+        k = tot(a)
+        _same_blocks(k.d, _ref_tot(a))
+        for n in range(-6, 8):
+            assert tot_basis(a.module, n) == _ref_basis(a.module, n)
+            assert k.dim(n) == len(_ref_basis(a.module, n))
+        _same_family(tot_inverse(k).d, _ref_tot_inverse(k))
+        kf = random_filtered_complex(field, rng, spots=6)
+        back = tot_inverse(kf)
+        _same_family(back.d, _ref_tot_inverse(kf))
+        _same_blocks(kf.d, _ref_tot(back))
+        seen |= set(back.d)
+    # d_m with odd and even m > 0 both occurred, so every sign was compared
+    assert {1, 2} <= seen
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_tot_family_and_readings_match_reference(field, r):
+    rng = random.Random(5200 + r)
+    fam_blocks = shifted = homotopy_blocks = 0
+    for _ in range(4):
+        a = random_twisted_complex(field, rng, spots=6)
+        b = random_twisted_complex(field, rng, spots=6)
+        ka, kb = tot(a), tot(b)
+        # families of overall bidegree (r, r - 1), so u = r, both signs
+        fam = random_homotopy_family(a, b, r, rng, density=0.7)
+        fam_blocks += sum(len(fm.blocks) for fm in fam.values())
+        for extra_sign in (1, -1):
+            got = tot_family(fam, r, r - 1, ka, kb, extra_sign=extra_sign)
+            _same_blocks(got.blocks,
+                         _ref_tot_family(fam, r, r - 1, ka, kb, extra_sign))
+        # morphisms: Tot and back
+        f = random_endo_morphism(a, rng, ka)
+        shifted += any(f.f)
+        tf = tot_morphism(f, ka, ka)
+        _same_blocks(tf.blocks, _ref_tot_family(f.f, 0, 0, ka, ka))
+        _same_family(tot_inverse_morphism(tf, a, a).f,
+                     _ref_tot_inverse_morphism(tf, a, a))
+        # order-r homotopies: H = (-1)^r Tot(hhat) and back
+        g, h = random_homotopic_pair(f, r, rng)
+        homotopy_blocks += sum(len(hm.blocks) for hm in h.h.values())
+        oh = homotopy_to_tot(h, ka, ka)
+        _same_blocks(oh.h.blocks, _ref_tot_family(
+            h.h, r, r - 1, ka, ka, -1 if r % 2 else 1))
+        _same_family(tot_to_homotopy(oh, f, g).h,
+                     _ref_tot_to_homotopy(oh, f))
+    assert fam_blocks and shifted and homotopy_blocks
+
+
+# d^0 of Tot on dims {(0,0): 1, (1,1): 1, (1,2): 1, (2,3): 2}: Tot^0 has
+# columns 0 and 1 (one vector each), Tot^1 has column 1 (row 0) and
+# column 2 (rows 1, 2)
+_VIOLATION_MOD = BigradedModule(F, {(0, 0): 1, (1, 1): 1, (1, 2): 1,
+                                    (2, 3): 2})
+
+
+@pytest.mark.parametrize("rows, message", [
+    # row 1 hits column 2 from column 1 before row 2 does from column 0
+    ([[0, 1], [0, 1], [1, 0]], "column 1 hits column 2"),
+    ([[0, 1], [0, 0], [1, 0]], "column 0 hits column 2"),
+    ([[1, 0], [0, 0], [0, 1]], "column 0 hits column 1"),
+], ids=["row-major-first", "second-row", "first-block"])
+def test_filtered_complex_violation_message(rows, message):
+    mat = Matrix.from_rows(F, rows)
+    with pytest.raises(ValueError) as exc:
+        FilteredComplex(_VIOLATION_MOD, {0: mat})
+    assert str(exc.value) == \
+        f"differential violates the filtration in degree 0: {message}"
+
+
+def test_filtered_complex_shape_message():
+    with pytest.raises(ValueError) as exc:
+        FilteredComplex(_VIOLATION_MOD, {0: Matrix.zero(F, 2, 2)})
+    assert str(exc.value) == \
+        "differential in degree 0 has shape 2x2, expected 3x2"
+
+
+def test_filtered_map_violation_messages():
+    k = FilteredComplex(_VIOLATION_MOD, {})
+    # allowance -1: column i may only reach columns <= i - 1
+    mat = Matrix.from_rows(F, [[0, 1], [5, 1]])
+    with pytest.raises(ValueError) as exc:
+        FilteredMap(k, k, 0, -1, {0: mat})
+    assert str(exc.value) == ("map violates its filtration allowance -1 in "
+                              "degree 0: column 0 hits column 1")
+    # allowance 1 accepts the same matrix; degree 1 maps Tot^0 -> Tot^1
+    assert FilteredMap(k, k, 0, 1, {0: mat}).blocks[0] == mat
+    up = Matrix.from_rows(F, [[0, 0], [0, 1], [0, 1]])
+    with pytest.raises(ValueError) as exc:
+        FilteredMap(k, k, 1, 0, {0: up})
+    assert str(exc.value) == ("map violates its filtration allowance 0 in "
+                              "degree 0: column 1 hits column 2")
+    assert FilteredMap(k, k, 1, 1, {0: up}).shift == 1
+    with pytest.raises(ValueError) as exc:
+        FilteredMap(k, k, 1, 1, {0: mat})
+    assert str(exc.value) == \
+        "map block in degree 0 has shape 2x2, expected 3x2"
+
+
+def _ref_violation(mat, sb, db, shift):
+    """The per-entry filtration scan: first (i, i2) in row-major order."""
+    for rr, (i2, _) in enumerate(db):
+        for cc, (i, _) in enumerate(sb):
+            if i2 > i + shift and mat[rr, cc]:
+                return f"column {i} hits column {i2}"
+    return None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_filtration_checks_match_reference_scan(field):
+    rng = random.Random(5300)
+    for trial in range(60):
+        k = random_filtered_complex(field, rng, spots=5)
+        for n in k.degrees():
+            sb, db = k.basis(n), k.basis(n + 1)
+            if not sb or not db:
+                continue
+            mat = Matrix.from_rows(field, [
+                [rng.choice([0, 0, 0, 1, 2]) for _ in sb] for _ in db])
+            expect = _ref_violation(mat, sb, db, 0)
+            if expect is None:
+                assert FilteredComplex(k.module, {n: mat}).d_mat(n) == mat
+            else:
+                with pytest.raises(ValueError) as exc:
+                    FilteredComplex(k.module, {n: mat})
+                assert str(exc.value).endswith(expect)
+            shift = rng.randint(-2, 1)
+            expect = _ref_violation(mat, sb, db, shift)
+            if expect is None:
+                FilteredMap(k, k, 1, shift, {n: mat})
+            else:
+                with pytest.raises(ValueError) as exc:
+                    FilteredMap(k, k, 1, shift, {n: mat})
+                assert str(exc.value) == (
+                    f"map violates its filtration allowance {shift} in "
+                    f"degree {n}: {expect}")
+
+
+def test_inverse_readings_reject_a_rising_component():
+    k = FilteredComplex(_VIOLATION_MOD, {})
+    # written past the constructor's check: the differential and the map
+    # send column 1 into column 2
+    k.d[0] = Matrix.from_rows(F, [[0, 0], [0, 1], [0, 0]])
+    with pytest.raises(ValueError,
+                       match="^filtration violated by the differential$"):
+        tot_inverse(k)
+    a = TwistedComplex(_VIOLATION_MOD, {})
+    ka = tot(a)
+    fmap = identity_filtered(ka)
+    fmap.blocks[0] = Matrix.from_rows(F, [[0, 0], [1, 1]])
+    with pytest.raises(ValueError, match="^filtration violated by the map$"):
+        tot_inverse_morphism(fmap, a, a)

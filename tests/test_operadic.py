@@ -7,10 +7,11 @@ from multiplex.generators import (
     random_endo_morphism, random_homotopic_pair, random_homotopy_family,
     random_twisted_complex,
 )
-from multiplex.linalg import GF, Matrix
+from multiplex.linalg import GF, QQ, Matrix
 from multiplex.operadic import (
     check_coderh, check_square_zero_coderivation, default_truncation,
     expand_module, extract, lift, lift_morphism, lift_twisted, shift,
+    x_lowering,
 )
 from multiplex.twisted import (
     RHomotopy, TwistedComplex, compose, identity_morphism,
@@ -146,3 +147,128 @@ def test_truncation_floor_and_stability():
     with pytest.raises(ValueError):
         check_coderh(h, n0 - 1)
     assert check_coderh(h, n0) == check_coderh(h, n0 + 3)
+
+# ---------------------------------------------------------------------------
+# reference route: lift, extract and d_x one entry at a time over (slot,
+# index) bases, as they were written before the slot table; the block code
+# must agree entry by entry
+# ---------------------------------------------------------------------------
+
+FIELDS = [GF(), GF(5), GF(2), QQ]
+FIELD_IDS = ["F32003", "F5", "F2", "QQ"]
+
+
+def _ref_expand_basis(mod, n_max, i, j):
+    return [(t, a) for t in range(n_max + 1)
+            for a in range(mod.dim(i + t, j + t))]
+
+
+def _ref_lift(family, u, v, src, dst, n_max):
+    """{(i, j): Matrix} of the lift, nonzero blocks only."""
+    field = src.field
+    esrc = expand_module(src, n_max)
+    blocks = {}
+    for (i, j) in esrc.support():
+        sbasis = _ref_expand_basis(src, n_max, i, j)
+        dbasis = _ref_expand_basis(dst, n_max, i + u, j + v)
+        dindex = {key: k for k, key in enumerate(dbasis)}
+        if not sbasis or not dbasis:
+            continue
+        mat = Matrix.zero(field, len(dbasis), len(sbasis))
+        for cc, (n, aa) in enumerate(sbasis):
+            for m, fm in family.items():
+                blk = fm.blocks.get((i + n, j + n))
+                if m > n or blk is None:
+                    continue
+                slot = n - m
+                sgn = -1 if ((u + v) % 2 and slot % 2) else 1
+                for bb in range(blk.rows):
+                    val = blk[bb, aa]
+                    if val:
+                        rr = dindex[(slot, bb)]
+                        mat[rr, cc] = field.add(
+                            mat[rr, cc], val if sgn > 0 else field.neg(val))
+        if not mat.is_zero():
+            blocks[(i, j)] = mat
+    return blocks
+
+
+def _ref_extract(t):
+    """{n: {bidegree: Matrix}} of the extracted family."""
+    u, v = t.bidegree
+    field = t.src.field
+    per_n = {}
+    for (i, j), mat in t.map.blocks.items():
+        sbasis = _ref_expand_basis(t.src, t.n_max, i, j)
+        dbasis = _ref_expand_basis(t.dst, t.n_max, i + u, j + v)
+        for cc, (n, aa) in enumerate(sbasis):
+            src_bid = (i + n, j + n)
+            for rr, (slot, bb) in enumerate(dbasis):
+                val = mat[rr, cc]
+                if slot != 0 or not val:
+                    continue
+                blk = per_n.setdefault(n, {}).setdefault(
+                    src_bid, Matrix.zero(field, t.dst.dim(i + u, j + v),
+                                         t.src.dim(*src_bid)))
+                blk[bb, aa] = field.add(blk[bb, aa], val)
+    return per_n
+
+
+def _ref_x_lowering(mod, n_max):
+    field = mod.field
+    blocks = {}
+    for (i, j) in expand_module(mod, n_max).support():
+        sbasis = _ref_expand_basis(mod, n_max, i, j)
+        dbasis = _ref_expand_basis(mod, n_max, i + 1, j + 1)
+        dindex = {key: k for k, key in enumerate(dbasis)}
+        if not sbasis or not dbasis:
+            continue
+        mat = Matrix.zero(field, len(dbasis), len(sbasis))
+        for cc, (n, aa) in enumerate(sbasis):
+            if n and (n - 1, aa) in dindex:
+                mat[dindex[(n - 1, aa)], cc] = field.one()
+        if not mat.is_zero():
+            blocks[(i, j)] = mat
+    return blocks
+
+
+def _same_blocks(got: dict, ref: dict):
+    """Equal keys, shapes, values and entry types."""
+    assert got.keys() == ref.keys()
+    for key, m in ref.items():
+        g = got[key]
+        assert (g.rows, g.cols, g.data) == (m.rows, m.cols, m.data), key
+        assert [type(x) for x in g.data] == [type(x) for x in m.data], key
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_lift_extract_x_lowering_match_reference(field, r):
+    rng = random.Random(5400 + r)
+    lifted = 0
+    for trial in range(3):
+        a = random_twisted_complex(field, rng, spots=5, mix=3)
+        f = random_endo_morphism(a, rng)
+        g, h = random_homotopic_pair(f, r, rng)
+        mod = a.module
+        for n_max in (0, 1, 3, default_truncation(h)):
+            cases = [(a.d, 0, 1), (f.f, 0, 0), (h.h, r, r - 1)]
+            lifts = []
+            for fam, u, v in cases:
+                t = lift(fam, u, v, mod, mod, n_max)
+                _same_blocks(t.map.blocks,
+                             _ref_lift(fam, u, v, mod, mod, n_max))
+                lifted += len(t.map.blocks)
+                lifts.append(t)
+            dx = x_lowering(mod, n_max)
+            _same_blocks(dx.map.blocks, _ref_x_lowering(mod, n_max))
+            da, fl, hl = lifts
+            # extraction of lifts and of composites, which fill slots > 0
+            for t in lifts + [da.compose(hl), hl.compose(da),
+                              fl.compose(dx)]:
+                got = extract(t)
+                ref = _ref_extract(t)
+                assert got.keys() == ref.keys()
+                for n in ref:
+                    _same_blocks(got[n].blocks, ref[n])
+    assert lifted
