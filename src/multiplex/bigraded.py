@@ -614,3 +614,51 @@ def hom_one_map_one(m: BigradedMap, base: BigradedModule, r: int, t: int,
     return nary_tensor_maps(parts, (
         tree_iso(src_tree, power_tree(base, r + q + t)),
         tree_iso(dst_tree, power_tree(base, r + 1 + t))))
+
+
+# ---------------------------------------------------------------------------
+# totalization layout
+# ---------------------------------------------------------------------------
+
+def degrees_of(module: BigradedModule) -> list[int]:
+    """The total degrees n = j - i of the support, ascending."""
+    return sorted({j - i for (i, j) in module.dims})
+
+
+def tot_layout(module: BigradedModule, n: int) -> dict[int, tuple[int, int]]:
+    """Tot^n as one table: column i -> (offset, dim A_i^{n+i}), ascending."""
+    out, off = {}, 0
+    for i in sorted(i for (i, j) in module.dims if j - i == n):
+        dim = module.dims[(i, n + i)]
+        out[i] = (off, dim)
+        off += dim
+    return out
+
+
+def tot_matrix(family: dict[int, BigradedMap], u: int, n: int,
+               src: dict, dst: dict, field: Field, extra: int = 0) -> Matrix:
+    """Tot^n block of a family of overall bidegree (u, v): f_m from column
+    i is written at row block i - m + u, times (-1)^{(m+u)n + extra}.
+    Distinct m land in distinct row blocks, so no two writes overlap."""
+    mat = Matrix.zero(field, sum(dim for _, dim in dst.values()),
+                      sum(dim for _, dim in src.values()))
+    for i, (c0, _) in src.items():
+        for m, fm in family.items():
+            blk = fm.blocks.get((i, n + i))
+            if blk is None:
+                continue
+            if i - m + u not in dst:
+                raise AssertionError("component landed off basis")
+            mat.set_block(dst[i - m + u][0], c0,
+                          -blk if ((m + u) * n + extra) % 2 else blk)
+    return mat
+
+
+def tot_blocks(mat: Matrix, src: dict, dst: dict):
+    """The nonzero blocks of a matrix from the layout src to the layout dst,
+    as (i, i2, block) for column i to column i2, ascending in (i, i2)."""
+    for i, (c0, cols) in src.items():
+        for i2, (r0, rows) in dst.items():
+            blk = mat.get_block(r0, c0, rows, cols)
+            if not blk.is_zero():
+                yield i, i2, blk

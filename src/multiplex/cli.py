@@ -13,11 +13,13 @@ Every construction subcommand re-validates its output before writing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 
 from . import io as mio
+from .bigraded import BigradedModule
 from .dainf import (
     DAInfAlgebra, DAInfHomotopy, DAInfMorphism, check_dainf,
     check_dainf_morphism, check_r_homotopy_dainf, compose_dainf,
@@ -72,15 +74,39 @@ def _arity(keys) -> int:
     return max((j for (_, j) in keys), default=0)
 
 
-def _check_bar_budget(src: DAInfAlgebra, f_arity: int, dst: DAInfAlgebra,
+def _check_bar_budget(src: DAInfAlgebra, f_arity: int, dst_arity: int,
                       what: str):
-    """Size budget of (B_uv) for a morphism src -> dst with components of
-    arity at most f_arity, checked before any power is built: the right
-    side builds Pow(src, (largest m^dst arity) * f_arity), which also
-    bounds the bar powers of a composition, and the left side
+    """Size budget of (B_uv) for a morphism from src with components of
+    arity at most f_arity into an algebra whose largest structure arity
+    is dst_arity, checked before any power is built: the right side
+    builds Pow(src, dst_arity * f_arity), which also bounds the bar
+    powers of a composition, and the left side
     Pow(src, f_arity + (largest m^src arity) - 1)."""
-    for k in (dst.max_arity() * f_arity, f_arity + src.max_arity() - 1):
+    for k in (dst_arity * f_arity, f_arity + src.max_arity() - 1):
         mio.check_power_dimension(src.module, k, what)
+
+
+def _check_path_budget(b: DAInfAlgebra, r: int, what: str):
+    """Size budget of path_dainf(b, r), checked before it is built: the
+    r-path has three copies of b and the structure arities of b, and
+    checking its structure builds its power of arity 2k - 1 for the
+    largest such arity k."""
+    dims: dict = {}
+    for mod in (b.module, b.module.shifted((-r, 1 - r)), b.module):
+        for key, n in mod.dims.items():
+            dims[key] = dims.get(key, 0) + n
+    mio.check_power_dimension(BigradedModule(b.field, dims),
+                              2 * b.max_arity() - 1, what)
+
+
+def _check_homotopy_budget(h: DAInfHomotopy, what: str):
+    """Size budget of check_r_homotopy_dainf(h): f, g and the morphism
+    assembled into P_r(B) have components of arity at most that of the
+    largest f, g or h key, P_r(B) has the structure arities of B, and the
+    words of f, g and h in (H_mk) are bounded by the same powers."""
+    arity = max(_arity(h.f.f), _arity(h.g.f), _arity(h.h))
+    _check_bar_budget(h.src, arity, h.dst.max_arity(), what)
+    _check_path_budget(h.dst, h.r, what)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +132,7 @@ def cmd_check(args) -> int:
         raise DocumentError(f"document has no {args.what} objects")
     if args.what == "dainf-morphism":
         for name, f in sorted(targets.items()):
-            _check_bar_budget(f.src, _arity(f.f), f.dst,
+            _check_bar_budget(f.src, _arity(f.f), f.dst.max_arity(),
                               f"checking morphism {name!r}")
     reports = [(name, checker(obj)) for name, obj in sorted(targets.items())]
     return _print_reports(reports, args.format == "json")
@@ -222,6 +248,7 @@ def cmd_path(args) -> int:
     field = doc.field
     if args.dainf:
         name, a = doc.select(args.name, DAInfAlgebra, what="dainf algebra")
+        _check_path_budget(a, args.r, f"the {args.r}-path of {name!r}")
         rep = check_dainf(a)
         if not rep.ok:
             print(rep)
@@ -270,6 +297,7 @@ def cmd_homotopy(args) -> int:
             if args.r is not None and args.r != h.r:
                 raise DocumentError(f"homotopy {name!r} has level {h.r}, "
                                     f"not {args.r}")
+            _check_homotopy_budget(h, f"checking homotopy {name!r}")
             rep = check_r_homotopy_dainf(h)
         else:
             name, h = doc.select(args.name, RHomotopy, what="homotopy")
@@ -350,7 +378,8 @@ def cmd_compose(args) -> int:
         if g.dst != f.src:
             raise DocumentError("morphisms are not composable: the target "
                                 "of g must be the source of f")
-        _check_bar_budget(g.src, _arity(f.f) * _arity(g.f), f.dst,
+        _check_bar_budget(g.src, _arity(f.f) * _arity(g.f),
+                          f.dst.max_arity(),
                           f"composing {fname!r} after {gname!r}")
         out = compose_dainf(f, g)
         objects = {
@@ -550,10 +579,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use: parsing leaves it as it was,
+    so every call of main in a process shares it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -17,34 +17,25 @@ diagonal with entries (-1)^{k_1 n_2}.
 Offset layout: ``tot_layout(module, n)`` is the table
 i -> (offset, dim A_i^{n+i}) of Tot^n, so a matrix between totalizations
 is a grid of blocks, column i to column i2.  Tot writes each d_m (or f_m)
-as one signed block (``Matrix.set_block``), the inverse readings read the
-blocks back (``Matrix.get_block``), and since columns ascend, F_p Tot^n is
-a column prefix, so filtration checks are zero tests on prefixes.
+as one signed block (``tot_matrix``), the inverse readings read the
+nonzero blocks back (``tot_blocks``), and since columns ascend, F_p Tot^n
+is a column prefix, so filtration checks are zero tests on prefixes.  The
+layout, the block writer and the block reader live in ``bigraded``, since
+the twisted-complex checkers decide their conditions on Tot too.
 """
 
 from __future__ import annotations
 
-from .bigraded import BigradedMap, BigradedModule, tensor_modules, tensor_summands
+from .bigraded import (
+    BigradedMap, BigradedModule, degrees_of, tensor_modules, tensor_summands,
+    tot_blocks, tot_layout, tot_matrix,
+)
 from .linalg import Matrix
 from .reports import Report
 from .twisted import (
     RHomotopy, TwistedComplex, TwistedMorphism, check_morphism,
     check_r_homotopy, check_twisted,
 )
-
-
-def degrees_of(module: BigradedModule) -> list[int]:
-    return sorted({j - i for (i, j) in module.dims})
-
-
-def tot_layout(module: BigradedModule, n: int) -> dict[int, tuple[int, int]]:
-    """Tot^n as one table: column i -> (offset, dim A_i^{n+i}), ascending."""
-    out, off = {}, 0
-    for i in sorted(i for (i, j) in module.dims if j - i == n):
-        dim = module.dims[(i, n + i)]
-        out[i] = (off, dim)
-        off += dim
-    return out
 
 
 def tot_dim(module: BigradedModule, n: int) -> int:
@@ -256,30 +247,11 @@ def identity_filtered(k: FilteredComplex) -> FilteredMap:
 # Tot and its inverse
 # ---------------------------------------------------------------------------
 
-def _tot_matrix(family: dict[int, BigradedMap], u: int, n: int,
-                src: dict, dst: dict, field, extra: int = 0) -> Matrix:
-    """Tot^n block of a family of overall bidegree (u, v): f_m from column
-    i is written at row block i - m + u, times (-1)^{(m+u)n + extra}.
-    Distinct m land in distinct row blocks, so no two writes overlap."""
-    mat = Matrix.zero(field, sum(dim for _, dim in dst.values()),
-                      sum(dim for _, dim in src.values()))
-    for i, (c0, _) in src.items():
-        for m, fm in family.items():
-            blk = fm.blocks.get((i, n + i))
-            if blk is None:
-                continue
-            if i - m + u not in dst:
-                raise AssertionError("component landed off basis")
-            mat.set_block(dst[i - m + u][0], c0,
-                          -blk if ((m + u) * n + extra) % 2 else blk)
-    return mat
-
-
 def tot(a: TwistedComplex) -> FilteredComplex:
     """d(x)_j = sum_m (-1)^{mn} d_m(x_{j+m}) on Tot^n."""
     module = a.module
     return FilteredComplex(module, {
-        n: _tot_matrix(a.d, 0, n, tot_layout(module, n),
+        n: tot_matrix(a.d, 0, n, tot_layout(module, n),
                        tot_layout(module, n + 1), a.field)
         for n in degrees_of(module)})
 
@@ -294,7 +266,7 @@ def tot_family(family: dict[int, BigradedMap], u: int, v: int,
     """
     deg = v - u
     return FilteredMap(src, dst, deg, u, {
-        n: _tot_matrix(family, u, n, src.layout(n), dst.layout(n + deg),
+        n: tot_matrix(family, u, n, src.layout(n), dst.layout(n + deg),
                        src.field, 1 if extra_sign < 0 else 0)
         for n in src.degrees()})
 
@@ -308,16 +280,13 @@ def _tot_split(blocks: dict[int, Matrix], src: FilteredComplex,
     m = i - i2 + u; m < 0 raises ValueError(below)."""
     per_m: dict[int, dict] = {}
     for n, mat in sorted(blocks.items()):
-        for i, (c0, cols) in src.layout(n).items():
-            for i2, (r0, rows) in dst.layout(n + v - u).items():
-                blk = mat.get_block(r0, c0, rows, cols)
-                if blk.is_zero():
-                    continue
-                m = i - i2 + u
-                if m < 0:
-                    raise ValueError(below)
-                per_m.setdefault(m, {})[(i, n + i)] = \
-                    -blk if ((m + u) * n + extra) % 2 else blk
+        for i, i2, blk in tot_blocks(mat, src.layout(n),
+                                     dst.layout(n + v - u)):
+            m = i - i2 + u
+            if m < 0:
+                raise ValueError(below)
+            per_m.setdefault(m, {})[(i, n + i)] = \
+                -blk if ((m + u) * n + extra) % 2 else blk
     return {m: BigradedMap(src.module, dst.module, (u - m, v - m), blocks)
             for m, blocks in per_m.items()}
 

@@ -143,7 +143,8 @@ def page_of_morphism(f: TwistedMorphism, r: int,
 def is_er_quasi_iso(f: TwistedMorphism, r: int) -> bool:
     """True iff E_{r+1}(f) is blockwise invertible."""
     pa = spectral_page(f.src, r + 1)
-    pb = spectral_page(f.dst, r + 1)
+    # an endomorphism reads both sides off the one page
+    pb = pa if f.dst is f.src else spectral_page(f.dst, r + 1)
     blocks = page_of_morphism(f, r + 1, pa, pb)
     for (p, q), m in blocks.items():
         if m.rows != m.cols:

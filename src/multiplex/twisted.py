@@ -15,9 +15,18 @@ and an r-homotopy between f and g is a family hhat_m of bidegree
     sum_{i+j=m} (-1)^{i+r} d_i^B hhat_j + (-1)^i hhat_i d_j^A
         = 0 (m < r),  g_{m-r} - f_{m-r} (m >= r).               (H_m)
 
-The homotopy checker computes (H_m) directly and also assembles the
-candidate map x -> (f x, hhat x, g x) into the r-path of the target and
-runs the morphism checker on it; the two verdicts must agree.
+(A_m) and (B_m) are decided for all m at once on the totalization.  Tot
+puts the sign (-1)^{mn} on the d_m (or f_m) block applied in degree n, so
+the block of D^{n+1} D^n from column i to column i - m is (-1)^{mn} times
+the (A_m) defect at (i, n + i), and the same block of D_B Tot(f) -
+Tot(f) D_A is (-1)^{mn} times the (B_m) defect: each condition is one
+matrix identity per degree, and the nonzero blocks of a failing product
+are read back as the failure locations (m, i, n + i).
+
+The homotopy checker computes (H_m) directly, block by block, and also
+assembles the candidate map x -> (f x, hhat x, g x) into the r-path of the
+target and runs the morphism checker, that is the Tot route, on it; the
+two verdicts must agree.
 """
 
 from __future__ import annotations
@@ -25,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bigraded import (
-    BigradedMap, BigradedModule, compose as bcompose, direct_sum, identity_map,
-    shift_into, shift_out, tensor_maps, tensor_modules, unit_module, zero_map,
+    BigradedMap, BigradedModule, compose as bcompose, degrees_of, direct_sum,
+    identity_map, shift_into, shift_out, tensor_maps, tensor_modules,
+    tot_blocks, tot_layout, tot_matrix, unit_module, zero_map,
 )
 from .linalg import BlockLinearSystem
 from .reports import Report
@@ -187,43 +197,52 @@ def unit_complex(field) -> TwistedComplex:
 # axiom checkers
 # ---------------------------------------------------------------------------
 
+def _fail_on_tot(rep: Report, name: str, defects: dict, src: dict,
+                 dst: dict):
+    """Record the failures of a condition decided on Tot: defects[n] is a
+    matrix from the layout src[n] to the layout dst[n] whose block from
+    column i to column i2 is (-1)^{mn} times the (name_m) defect at source
+    bidegree (i, n + i), m = i - i2.  Recorded in ascending (m, i, j)."""
+    locs = sorted((i - i2, i, n + i) for n, mat in defects.items()
+                  if not mat.is_zero()
+                  for i, i2, _ in tot_blocks(mat, src[n], dst[n]))
+    for m, i, j in locs:
+        rep.fail((m, i, j), f"({name}_{m}) fails on the block at {(i, j)}")
+
+
 def check_twisted(a: TwistedComplex) -> Report:
+    """(A_m) for all m at once: with the sign (-1)^{mn} that Tot puts on
+    d_m in degree n, the block of D^{n+1} D^n from column i to column
+    i - m is (-1)^{mn} times the (A_m) defect at (i, n + i)."""
     rep = Report("twisted complex axioms (A_m)")
-    keys = sorted(a.d)
-    ms = sorted({i + j for i in keys for j in keys})
-    for m in ms:
-        acc = zero_map(a.module, a.module, (-m, -m + 2))
-        for i in keys:
-            j = m - i
-            if j in a.d:
-                term = bcompose(a.d[i], a.d[j])
-                acc = acc + (term if i % 2 == 0 else -term)
-        rep.tick()
-        for loc in sorted(acc.blocks):
-            rep.fail((m,) + loc, f"(A_{m}) fails on the block at {loc}")
+    rep.tick(len({i + j for i in a.d for j in a.d}))
+    mod, degs = a.module, degrees_of(a.module)
+    lay = {n + k: tot_layout(mod, n + k) for n in degs for k in range(3)}
+    d = {n + k: tot_matrix(a.d, 0, n + k, lay[n + k], lay[n + k + 1],
+                           a.field) for n in degs for k in range(2)}
+    _fail_on_tot(rep, "A", {n: d[n + 1] * d[n] for n in degs}, lay,
+                 {n: lay[n + 2] for n in degs})
     return rep
 
 
 def check_morphism(f: TwistedMorphism) -> Report:
+    """(B_m) for all m at once: the block of D_B^n F^n - F^{n+1} D_A^n on
+    Tot from column i to column i - m is (-1)^{mn} times the (B_m) defect
+    at (i, n + i)."""
     rep = Report("twisted morphism conditions (B_m)")
-    dk_a = sorted(f.src.d)
-    dk_b = sorted(f.dst.d)
-    fk = sorted(f.f)
-    ms = sorted({i + j for i in dk_b for j in fk} | {i + j for i in fk for j in dk_a})
-    for m in ms:
-        acc = zero_map(f.src.module, f.dst.module, (-m, -m + 1))
-        for i in dk_b:
-            j = m - i
-            if j in f.f:
-                acc = acc + bcompose(f.dst.d[i], f.f[j])
-        for i in fk:
-            j = m - i
-            if j in f.src.d:
-                term = bcompose(f.f[i], f.src.d[j])
-                acc = acc - (term if i % 2 == 0 else -term)
-        rep.tick()
-        for loc in sorted(acc.blocks):
-            rep.fail((m,) + loc, f"(B_{m}) fails on the block at {loc}")
+    rep.tick(len({i + j for i in f.dst.d for j in f.f}
+                 | {i + j for i in f.f for j in f.src.d}))
+    ma, mb, field = f.src.module, f.dst.module, f.field
+    degs = degrees_of(ma)
+    ns = set(degs) | {n + 1 for n in degs}
+    la = {n: tot_layout(ma, n) for n in ns}
+    lb = {n: tot_layout(mb, n) for n in ns}
+    tf = {n: tot_matrix(f.f, 0, n, la[n], lb[n], field) for n in ns}
+    defects = {
+        n: tot_matrix(f.dst.d, 0, n, lb[n], lb[n + 1], field) * tf[n]
+        - tf[n + 1] * tot_matrix(f.src.d, 0, n, la[n], la[n + 1], field)
+        for n in degs}
+    _fail_on_tot(rep, "B", defects, la, {n: lb[n + 1] for n in degs})
     return rep
 
 

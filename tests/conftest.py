@@ -2,8 +2,9 @@
 
 import random
 
-from multiplex.bigraded import BigradedMap
+from multiplex.bigraded import BigradedMap, compose as bcompose, zero_map
 from multiplex.linalg import Matrix, subquotient
+from multiplex.reports import Report
 from multiplex.twisted import RHomotopy, compose, identity_morphism, path
 
 
@@ -80,3 +81,46 @@ def corrupt_homotopy(h, bump=1):
     bad = dict(h.h)
     bad[m0] = BigradedMap(bad_map.src, bad_map.dst, bad_map.bidegree, blocks)
     return RHomotopy(h.r, h.f, h.g, bad)
+
+
+def check_twisted_blockwise(a):
+    """Reference for check_twisted: (A_m) summed block by block, m by m."""
+    rep = Report("twisted complex axioms (A_m)")
+    keys = sorted(a.d)
+    ms = sorted({i + j for i in keys for j in keys})
+    for m in ms:
+        acc = zero_map(a.module, a.module, (-m, -m + 2))
+        for i in keys:
+            j = m - i
+            if j in a.d:
+                term = bcompose(a.d[i], a.d[j])
+                acc = acc + (term if i % 2 == 0 else -term)
+        rep.tick()
+        for loc in sorted(acc.blocks):
+            rep.fail((m,) + loc, f"(A_{m}) fails on the block at {loc}")
+    return rep
+
+
+def check_morphism_blockwise(f):
+    """Reference for check_morphism: (B_m) summed block by block, m by m."""
+    rep = Report("twisted morphism conditions (B_m)")
+    dk_a = sorted(f.src.d)
+    dk_b = sorted(f.dst.d)
+    fk = sorted(f.f)
+    ms = sorted({i + j for i in dk_b for j in fk}
+                | {i + j for i in fk for j in dk_a})
+    for m in ms:
+        acc = zero_map(f.src.module, f.dst.module, (-m, -m + 1))
+        for i in dk_b:
+            j = m - i
+            if j in f.f:
+                acc = acc + bcompose(f.dst.d[i], f.f[j])
+        for i in fk:
+            j = m - i
+            if j in f.src.d:
+                term = bcompose(f.f[i], f.src.d[j])
+                acc = acc - (term if i % 2 == 0 else -term)
+        rep.tick()
+        for loc in sorted(acc.blocks):
+            rep.fail((m,) + loc, f"(B_{m}) fails on the block at {loc}")
+    return rep

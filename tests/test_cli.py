@@ -9,7 +9,7 @@ import pytest
 
 import multiplex
 
-from multiplex import io as mio
+from multiplex import cli, io as mio
 from multiplex import linalg, twisted
 from multiplex.cli import main
 from multiplex.dainf import lambda_r_dga
@@ -545,6 +545,107 @@ def test_dainf_bar_power_size_budget_boundary(tmp_path, capsys):
     assert main(["check", "dainf-morphism", path_g]) == 1
     assert main(["compose", "--dainf", path_f, path_g,
                  "-o", str(tmp_path / "o")]) == 1
+
+
+def _homotopy_doc(tmp_path, m_key, a_dims, f_key):
+    """The dainf_homotopy H: f ~_0 f with "h": {}, where f: A -> B has one
+    all-ones component at f_key (or none) and B is the algebra of
+    _bar_budget_docs with structure map m_key."""
+    path_g = _bar_budget_docs(tmp_path, m_key)[1]
+    objects = json.loads(open(path_g).read())["objects"]
+    objects["A"]["dims"] = a_dims
+    objects["g"]["f"] = {} if f_key is None else {
+        f_key: objects["g"]["f"]["0,7"]}
+    objects["H"] = {"type": "dainf_homotopy", "r": 0, "f": "g", "g": "g",
+                    "h": {}}
+    p = tmp_path / "homotopy-budget.json"
+    p.write_text(json.dumps({"schema_version": "1",
+                             "field": {"kind": "prime_field", "p": 32003},
+                             "objects": objects}))
+    return str(p)
+
+
+def test_dainf_homotopy_check_size_budget_exit_2(tmp_path, capsys):
+    # f = g is the f key "0,7" morphism into B with m key "0,4": checking
+    # it builds the power of arity 28 of A.  This document used to run for
+    # more than 9 s and end in a MemoryError traceback.
+    path = _homotopy_doc(tmp_path, "0,4", [[0, 0, 1], [0, 1, 1]], "0,7")
+    t0 = time.perf_counter()
+    assert main(["homotopy", "check", "--dainf", path]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "checking homotopy 'H' needs a tensor power of arity 28" in err
+    assert "size budget" in err and "Traceback" not in err
+
+
+def test_dainf_path_size_budget_exit_2(tmp_path, capsys):
+    # no component at all into B with m key "0,4": the 0-path of B has
+    # total dimension 6, and checking its structure builds the power of
+    # arity 7 (6^7 > 10^4); this document used to end in a MemoryError
+    path = _homotopy_doc(tmp_path, "0,4", [[0, 0, 1]], None)
+    for argv in (["homotopy", "check", "--dainf", path],
+                 ["path", "--dainf", path, "--name", "B", "-r", "0"]):
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "tensor power of arity 7 of a module of total dimension 6" \
+            in err
+        assert "size budget" in err and "Traceback" not in err
+
+
+def test_dainf_homotopy_budget_boundary(tmp_path, capsys):
+    # m^B of arity 2 on arity-6 words: 2^12 fits, and the 0-path of B needs
+    # 6^3; the check runs and finds that f is not a morphism (exit 1)
+    path = _homotopy_doc(tmp_path, "0,2", [[0, 0, 1], [0, 1, 1]], "0,6")
+    objects = json.loads(open(path).read())["objects"]
+    objects["g"]["f"] = {"0,6": {"bidegree": [0, -5],
+                                 "blocks": [{"src": [0, 5],
+                                             "matrix": [[1] * 6]}]}}
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"schema_version": "1",
+                             "field": {"kind": "prime_field", "p": 32003},
+                             "objects": objects}))
+    assert main(["homotopy", "check", "--dainf", path]) == 1
+    assert "f or g is not a morphism" in capsys.readouterr().out
+
+
+def _run_main(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_main_shares_one_parser(fixture_docs, capsys, monkeypatch):
+    complex_, full = fixture_docs["complex"], fixture_docs["full"]
+    runs = [["check", "twisted", complex_],
+            ["--help"],
+            ["spectral", "--help"],
+            ["spectral", complex_, "--page", "-1"],
+            ["nonsense"],
+            [],
+            ["spectral", complex_, "--page", "1", "--format", "json"],
+            ["er-qis", full, "--name", "f", "-r", "1"],
+            ["check", "morphism", full, "--name", "f", "--format", "json"],
+            ["homotopy", "check", full, "-r", "7"],
+            ["check", "twisted", complex_]]
+    # each run against a parser built for it alone
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(_run_main(capsys, argv))
+    cli._parser.cache_clear()
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    shared = [_run_main(capsys, argv) for argv in runs]
+    assert len(built) == 1
+    assert shared == fresh
+    # --help exits 0; a negative page, an unknown command, no command and
+    # a level that is not the homotopy's exit 2
+    assert [shared[k][0] for k in (1, 2, 3, 4, 5, 9)] == [0, 0, 2, 2, 2, 2]
+    assert "usage: multiplex" in shared[1][1]
 
 
 def _raise(exc):

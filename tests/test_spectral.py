@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from multiplex import spectral
 from multiplex.bigraded import BigradedMap, BigradedModule
 from multiplex.filtration import tot
 from multiplex.generators import (
@@ -14,8 +15,8 @@ from multiplex.spectral import (
     page_of_morphism, spectral_page,
 )
 from multiplex.twisted import (
-    TwistedComplex, check_twisted, compose, identity_morphism, path,
-    zero_morphism,
+    TwistedComplex, TwistedMorphism, check_twisted, compose,
+    identity_morphism, path, zero_morphism,
 )
 
 F = GF()
@@ -220,6 +221,30 @@ def test_qis_basic_cases(r):
     # the path inclusion is an r-homotopy equivalence, hence an E_r-qis
     p = path(a, r)
     assert is_er_quasi_iso(p.iota, r)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_er_qis_endomorphism_reads_one_page(seed, monkeypatch):
+    # f: A -> A computes E_{r+1}(A) once; the same f into an equal copy of
+    # A computes it twice, and both give the same blocks and verdict
+    rng = random.Random(2000 + seed)
+    a = random_twisted_complex(F, rng, spots=5)
+    twin = TwistedComplex(a.module, dict(a.d))
+    candidates = [random_endo_morphism(a, rng), identity_morphism(a),
+                  zero_morphism(a, a), random_null_homotopic_map(a, a, rng)]
+    calls = []
+    page = spectral.spectral_page
+    monkeypatch.setattr(spectral, "spectral_page",
+                        lambda *args: calls.append(args[0]) or page(*args))
+    for f in candidates:
+        g = TwistedMorphism(a, twin, f.f)
+        for r in (0, 1, 2):
+            calls.clear()
+            assert is_er_quasi_iso(f, r) == is_er_quasi_iso(g, r)
+            assert [c is a for c in calls] == [True, True, False]
+            pa, pb = page(a, r + 1), page(twin, r + 1)
+            assert page_of_morphism(f, r + 1, pa, pa) == \
+                page_of_morphism(g, r + 1, pa, pb)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import check_morphism_blockwise, check_twisted_blockwise
 from multiplex.bigraded import (
     BigradedMap, BigradedModule, identity_map, symmetry_iso, tensor_modules,
 )
@@ -9,7 +10,7 @@ from multiplex.generators import (
     random_automorphism, random_endo_morphism, random_homotopic_pair,
     random_null_homotopic_map, random_twisted_complex,
 )
-from multiplex.linalg import GF, Matrix
+from multiplex.linalg import GF, QQ, Matrix
 from multiplex.twisted import (
     RHomotopy, TwistedComplex, TwistedMorphism, add_homotopies,
     check_morphism, check_r_homotopy, check_twisted, compose, cone,
@@ -450,3 +451,159 @@ def _cone_proj_b(c):
         import pytest as _pytest
         _pytest.skip("w is not null-homotopic on this instance")
     return pair_to_cone(f, h, c)
+
+
+# ---------------------------------------------------------------------------
+# the checkers decide on Tot; the block-by-block sums are the reference
+# ---------------------------------------------------------------------------
+
+FIELDS = [GF(), GF(5), GF(2), QQ]
+FIELD_IDS = ["F32003", "F5", "F2", "QQ"]
+
+
+def _same_report(obj):
+    """The Tot-route report of obj, asserted equal to the block route's."""
+    if isinstance(obj, TwistedComplex):
+        rep, ref = check_twisted(obj), check_twisted_blockwise(obj)
+    else:
+        rep, ref = check_morphism(obj), check_morphism_blockwise(obj)
+    assert rep.to_dict() == ref.to_dict()
+    return rep
+
+
+def _spots(src, dst, bidegree):
+    """Source bidegrees where a map of this bidegree has a nonempty block."""
+    p, q = bidegree
+    return [(i, j) for (i, j) in sorted(src.dims) if dst.dim(i + p, j + q)]
+
+
+def _bumped(bmap, locs, rng):
+    """bmap with one entry raised by 1 in the block at each source bidegree
+    of locs (the entry drawn by rng)."""
+    field = bmap.field
+    p, q = bmap.bidegree
+    blocks = dict(bmap.blocks)
+    for (i, j) in locs:
+        blk = bmap.block(i, j).copy()
+        r, c = rng.randrange(blk.rows), rng.randrange(blk.cols)
+        blk[r, c] = field.add(blk[r, c], field.one())
+        blocks[(i, j)] = blk
+    return BigradedMap(bmap.src, bmap.dst, bmap.bidegree, blocks)
+
+
+def _bump_d(a, m, locs, rng):
+    d = dict(a.d)
+    d[m] = _bumped(a.d_map(m), locs, rng)
+    return TwistedComplex(a.module, d)
+
+
+def _bump_f(f, m, locs, rng):
+    comps = dict(f.f)
+    comps[m] = _bumped(f.f_map(m), locs, rng)
+    return TwistedMorphism(f.src, f.dst, comps)
+
+
+def _complex(field, seed):
+    """A random complex on most of the spots (i, i + k), i = 0..4, k = 0..2,
+    with d_m for m = 0..4."""
+    return random_twisted_complex(field, random.Random(seed), cols=(0, 4),
+                                  verts=(0, 2), max_rank=2, spots=30)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("seed", range(3))
+def test_tot_checkers_match_blockwise_random(field, seed):
+    rng = random.Random(100 + seed)
+    a = _complex(field, seed)
+    assert _same_report(a).ok
+    f = random_endo_morphism(a, rng)
+    assert _same_report(f).ok
+    assert _same_report(random_automorphism(a, rng)).ok
+    b = _complex(field, seed + 10)
+    assert _same_report(random_null_homotopic_map(a, b, rng)).ok
+    assert _same_report(compose(f, f)).ok
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_tot_checkers_match_blockwise_between_modules(field, r):
+    rng = random.Random(r)
+    a = _complex(field, 3)
+    f = random_endo_morphism(a, rng)
+    c = cone(f, r)
+    p = path(a, r)
+    maps = [c.inclusion, c.projection, p.iota, p.p_minus, p.p_plus,
+            path_morphism(f, r)]
+    assert _same_report(c.complex).ok and _same_report(p.complex).ok
+    failed = 0
+    for g in maps:
+        assert _same_report(g).ok
+        # a perturbed f_m of a map between different modules
+        for m in range(3):
+            spots = _spots(g.src.module, g.dst.module, (-m, -m))
+            if spots:
+                failed += not _same_report(
+                    _bump_f(g, m, [spots[rng.randrange(len(spots))]],
+                            rng)).ok
+    assert failed
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_tot_checkers_match_blockwise_empty(field):
+    zero = TwistedComplex(BigradedModule(field, {}), {})
+    mod = BigradedModule(field, {(0, 0): 1, (0, 1): 2, (1, 1): 1})
+    bare = TwistedComplex(mod, {})
+    a = _complex(field, 4)
+    for x in (zero, bare):
+        assert str(_same_report(x)) == \
+            "twisted complex axioms (A_m): ok (0 conditions)"
+    for g in (identity_morphism(zero), zero_morphism(zero, a),
+              zero_morphism(a, zero), identity_morphism(bare),
+              zero_morphism(a, a)):
+        assert _same_report(g).ok
+    # f_0 and f_1 with no d on either side: no condition to check
+    rng = random.Random(4)
+    g = _bump_f(_bump_f(identity_morphism(bare), 0, [(0, 1)], rng), 1,
+                [(1, 1)], rng)
+    assert str(_same_report(g)) == \
+        "twisted morphism conditions (B_m): ok (0 conditions)"
+    # d on one side only: (B_m) is -(-1)^i f_i d_j^A, or d_i^B f_j
+    spots = _spots(a.module, mod, (0, 0))
+    assert spots
+    _same_report(_bump_f(zero_morphism(a, bare), 0, spots, rng))
+    _same_report(_bump_f(zero_morphism(bare, a), 0, spots, rng))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_tot_checkers_single_block_perturbations(field):
+    a = _complex(field, 5)
+    f = random_endo_morphism(a, random.Random(5))
+    rng = random.Random(6)
+    failed_at = {"A": set(), "B": set()}
+    for m in range(5):
+        for loc in _spots(a.module, a.module, (-m, -m + 1)):
+            rep = _same_report(_bump_d(a, m, [loc], rng))
+            failed_at["A"] |= {loc[0] for loc, _ in rep.failures}
+        for loc in _spots(a.module, a.module, (-m, -m)):
+            rep = _same_report(_bump_f(f, m, [loc], rng))
+            failed_at["B"] |= {loc[0] for loc, _ in rep.failures}
+    assert failed_at["A"] >= {0, 1, 2, 3, 4}
+    assert failed_at["B"] >= {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_tot_checkers_record_cap_and_order(field):
+    # eight columns, so that (m, i, j) has room for more than 16 failures
+    a = random_twisted_complex(field, random.Random(1), cols=(0, 7),
+                               verts=(0, 2), max_rank=2, spots=60)
+    f = random_endo_morphism(a, random.Random(7))
+    rng = random.Random(8)
+    bad_a, bad_f = a, f
+    for m in range(5):
+        bad_a = _bump_d(bad_a, m, _spots(a.module, a.module, (-m, -m + 1)),
+                        rng)
+        bad_f = _bump_f(bad_f, m, _spots(a.module, a.module, (-m, -m)), rng)
+    for rep in (_same_report(bad_a), _same_report(bad_f)):
+        assert rep.failure_count > 16 and len(rep.failures) == 16
+        locs = [loc for loc, _ in rep.failures]
+        assert locs == sorted(locs)
