@@ -8,17 +8,23 @@ element a costs (-1)^{<g,a>}.
 
 Tensor products fix a deterministic summand ordering (lexicographic in the
 bidegree of the left factor, then basis order); the summands and their
-coordinate offsets are memoized per module pair, and a tensor of maps
+coordinate offsets are computed once per module pair, and a tensor of maps
 visits only pairs of nonzero blocks.  Regrouping / permutation
 isomorphisms between iterated tensor products are signed permutations,
 computed once per pair of tree shapes through basis enumerations of
 tensor trees.  The n-ary tensors of the dA-infinity formulas do not apply
 their regroupings as products: the last tensor step writes each entry at
 its regrouped row and column, read off those permutations.
+
+Every memo here is ``functools.cache`` on the function itself, keyed by
+modules (hashed by field and dims) and tensor trees (hashed by shape), so
+equal shapes share one entry whichever objects they are; ``cache_info()``
+on each memoized function gives its hits, misses and size.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import compress
 from types import MappingProxyType
 
@@ -182,17 +188,11 @@ def zero_map(src: BigradedModule, dst: BigradedModule, bidegree: Bidegree) -> Bi
     return BigradedMap(src, dst, bidegree)
 
 
-_ID_CACHE: dict = {}
-
-
+@cache
 def identity_map(mod: BigradedModule) -> BigradedMap:
-    out = _ID_CACHE.get(mod)
-    if out is None:
-        out = BigradedMap(mod, mod, (0, 0),
-                          {k: Matrix.identity(mod.field, n)
-                           for k, n in mod.dims.items()})
-        _ID_CACHE[mod] = out
-    return out
+    return BigradedMap(mod, mod, (0, 0),
+                       {k: Matrix.identity(mod.field, n)
+                        for k, n in mod.dims.items()})
 
 
 def compose(f: BigradedMap, g: BigradedMap) -> BigradedMap:
@@ -213,31 +213,22 @@ def compose(f: BigradedMap, g: BigradedMap) -> BigradedMap:
 # tensor products
 # ---------------------------------------------------------------------------
 
-_TS_CACHE: dict = {}
-_TM_CACHE: dict = {}
-
-
+@cache
 def _summand_table(a: BigradedModule, b: BigradedModule) -> dict:
     """Per bidegree (i, j) of A (x) B: its ordered summands
     (p, q, dimA(p,q), dimB(i-p,j-q)), the coordinate offset of each keyed
-    by the left bidegree (p, q), and the total dimension.  One memo entry
-    per module pair."""
-    key = (a, b)
-    table = _TS_CACHE.get(key)
-    if table is None:
-        table = {}
-        for (p, q) in a.support():
-            da = a.dims[(p, q)]
-            for (s, t), db in b.dims.items():
-                entry = table.get((p + s, q + t))
-                if entry is None:
-                    entry = table[(p + s, q + t)] = [[], {}, 0]
-                entry[0].append((p, q, da, db))
-                entry[1][(p, q)] = entry[2]
-                entry[2] += da * db
-        table = {k: tuple(v) for k, v in table.items()}
-        _TS_CACHE[key] = table
-    return table
+    by the left bidegree (p, q), and the total dimension."""
+    table = {}
+    for (p, q) in a.support():
+        da = a.dims[(p, q)]
+        for (s, t), db in b.dims.items():
+            entry = table.get((p + s, q + t))
+            if entry is None:
+                entry = table[(p + s, q + t)] = [[], {}, 0]
+            entry[0].append((p, q, da, db))
+            entry[1][(p, q)] = entry[2]
+            entry[2] += da * db
+    return {k: tuple(v) for k, v in table.items()}
 
 
 def tensor_summands(a: BigradedModule, b: BigradedModule, i: int, j: int):
@@ -246,20 +237,16 @@ def tensor_summands(a: BigradedModule, b: BigradedModule, i: int, j: int):
     return entry[0] if entry else []
 
 
+@cache
 def tensor_modules(a: BigradedModule, b: BigradedModule) -> BigradedModule:
     if a.field != b.field:
         raise ValueError("field mismatch")
-    key = (a, b)
-    out = _TM_CACHE.get(key)
-    if out is None:
-        dims: dict[Bidegree, int] = {}
-        for (p, q), da in a.dims.items():
-            for (s, t), db in b.dims.items():
-                k = (p + s, q + t)
-                dims[k] = dims.get(k, 0) + da * db
-        out = BigradedModule(a.field, dims)
-        _TM_CACHE[key] = out
-    return out
+    dims: dict[Bidegree, int] = {}
+    for (p, q), da in a.dims.items():
+        for (s, t), db in b.dims.items():
+            k = (p + s, q + t)
+            dims[k] = dims.get(k, 0) + da * db
+    return BigradedModule(a.field, dims)
 
 
 def unit_module(field: Field) -> BigradedModule:
@@ -354,25 +341,37 @@ class Tree:
     """Parenthesized tensor word; leaves are bigraded modules.
 
     ``key`` is the structural key: a leaf's module, or the pair of the
-    children's keys.  Trees of the same shape over the same modules have
-    equal keys, whichever objects they are.
+    children's keys.  Trees compare and hash by ``key``, so trees of the
+    same shape over the same modules are equal whichever objects they
+    are, and serve as one cache key.
     """
 
-    __slots__ = ("left", "right", "module", "key", "_leaves", "_basis")
+    __slots__ = ("left", "right", "module", "key", "_leaves", "_hash")
 
     def __init__(self, left=None, right=None, module: BigradedModule | None = None):
-        self._basis = {}
         if module is not None:
             self.left = self.right = None
             self.module = module
             self.key = module
             self._leaves = [module]
+            self._hash = hash(module)
         else:
             self.left = left
             self.right = right
             self.module = tensor_modules(left.module, right.module)
             self.key = (left.key, right.key)
             self._leaves = left._leaves + right._leaves
+            # from the children's hashes: hashing the nested key would
+            # walk the whole tree on every call
+            self._hash = hash((left._hash, right._hash))
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Tree)
+                                 and self._hash == other._hash
+                                 and self.key == other.key)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_leaf(self):
@@ -390,9 +389,6 @@ def node(left: Tree, right: Tree) -> Tree:
     return Tree(left, right)
 
 
-_PT_CACHE: dict = {}
-
-
 def left_tree(mods: list[BigradedModule]) -> Tree:
     t = leaf(mods[0])
     for m in mods[1:]:
@@ -400,13 +396,9 @@ def left_tree(mods: list[BigradedModule]) -> Tree:
     return t
 
 
+@cache
 def power_tree(mod: BigradedModule, k: int) -> Tree:
-    key = (mod, k)
-    t = _PT_CACHE.get(key)
-    if t is None:
-        t = left_tree([mod] * k)
-        _PT_CACHE[key] = t
-    return t
+    return left_tree([mod] * k)
 
 
 def power_module(mod: BigradedModule, k: int) -> BigradedModule:
@@ -415,31 +407,29 @@ def power_module(mod: BigradedModule, k: int) -> BigradedModule:
     return power_tree(mod, k).module
 
 
-def tree_basis(tree: Tree, i: int, j: int):
+@cache
+def tree_basis(tree: Tree, i: int, j: int) -> tuple:
     """Ordered basis of tree.module at (i,j): tuples of (p, q, idx) per leaf.
 
     The order coincides with the summand ordering produced by the binary
-    tensor constructions, so flat index in this list = coordinate index.
+    tensor constructions, so flat index in this tuple = coordinate index.
     """
-    cached = tree._basis.get((i, j))
-    if cached is not None:
-        return cached
     if tree.is_leaf:
-        out = [((i, j, a),) for a in range(tree.module.dim(i, j))]
-    else:
-        out = []
-        for (p, q, _, _) in tensor_summands(tree.left.module,
-                                            tree.right.module, i, j):
-            lefts = tree_basis(tree.left, p, q)
-            rights = tree_basis(tree.right, i - p, j - q)
-            for lt in lefts:
-                for rt in rights:
-                    out.append(lt + rt)
-    tree._basis[(i, j)] = out
-    return out
+        return tuple(((i, j, a),) for a in range(tree.module.dim(i, j)))
+    out = []
+    for (p, q, _, _) in tensor_summands(tree.left.module,
+                                        tree.right.module, i, j):
+        rights = tree_basis(tree.right, i - p, j - q)
+        for lt in tree_basis(tree.left, p, q):
+            out.extend(lt + rt for rt in rights)
+    return tuple(out)
 
 
-_ISO_CACHE: dict = {}
+@cache
+def basis_index(tree: Tree, i: int, j: int) -> dict:
+    """The inverse of tree_basis(tree, i, j): basis tuple -> coordinate.
+    Shared by every caller, so it must not be mutated."""
+    return {t: k for k, t in enumerate(tree_basis(tree, i, j))}
 
 
 def tree_iso(src: Tree, dst: Tree, perm: list[int] | None = None) -> BigradedMap:
@@ -448,16 +438,19 @@ def tree_iso(src: Tree, dst: Tree, perm: list[int] | None = None) -> BigradedMap
     perm sends source leaf position s to target leaf position perm[s]
     (identity if omitted: a pure regrouping, which carries no signs).
     For genuine permutations the Koszul sign is the product over inverted
-    pairs of (-1)^{<bideg_s, bideg_t>}.  Every block is a SignedPerm, and
-    the map is memoized on the structural keys of the two trees.
+    pairs of (-1)^{<bideg_s, bideg_t>}.  Every block is a SignedPerm.  The
+    map is memoized with functools.cache on the shapes of the two trees
+    (trees hash by structure) and the permutation; ``_tree_iso.cache_info()``
+    counts the hits and misses.
     """
-    key = (src.key, dst.key, None if perm is None else tuple(perm))
-    out = _ISO_CACHE.get(key)
-    if out is not None:
-        return out
+    return _tree_iso(src, dst, None if perm is None else tuple(perm))
+
+
+@cache
+def _tree_iso(src: Tree, dst: Tree, perm: tuple[int, ...] | None) -> BigradedMap:
     n = len(src.leaves())
     if perm is None:
-        perm = list(range(n))
+        perm = tuple(range(n))
     if sorted(perm) != list(range(n)) or len(dst.leaves()) != n:
         raise ValueError("bad permutation")
     for s in range(n):
@@ -467,7 +460,7 @@ def tree_iso(src: Tree, dst: Tree, perm: list[int] | None = None) -> BigradedMap
                   if perm[s] > perm[t]]
     blocks = {}
     for (i, j) in src.module.support():
-        dindex = {t: k for k, t in enumerate(tree_basis(dst, i, j))}
+        dindex = basis_index(dst, i, j)
         targets, neg = [], []
         for items in tree_basis(src, i, j):
             target = [None] * n
@@ -477,9 +470,7 @@ def tree_iso(src: Tree, dst: Tree, perm: list[int] | None = None) -> BigradedMap
             targets.append(dindex[tuple(target)])
             neg.append(sign % 2 == 1)
         blocks[(i, j)] = SignedPerm(src.module.field, targets, neg)
-    out = BigradedMap(src.module, dst.module, (0, 0), blocks)
-    _ISO_CACHE[key] = out
-    return out
+    return BigradedMap(src.module, dst.module, (0, 0), blocks)
 
 
 def symmetry_iso(a: BigradedModule, b: BigradedModule) -> BigradedMap:

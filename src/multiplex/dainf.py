@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .bigraded import (
-    BigradedMap, BigradedModule, compose as bcompose, direct_sum,
+    BigradedMap, BigradedModule, basis_index, compose as bcompose, direct_sum,
     hom_one_map_one, identity_map, interleave_iso, node,
     nary_tensor_maps, power_module, power_tree, shift_into, shift_out,
     tensor_maps, tensor_modules, tensor_summands, tree_basis, tree_iso,
@@ -614,14 +614,6 @@ def _path_tj(a_mod: BigradedModule, path_mod: BigradedModule, r: int,
     src = power_module(path_mod, j)
     ptree = power_tree(path_mod, j)
     atree = power_tree(a_mod, j)
-    a_index: dict = {}
-
-    def aidx(i, jj, tup):
-        key = (i, jj)
-        if key not in a_index:
-            a_index[key] = {t: k for k, t in enumerate(tree_basis(atree, i, jj))}
-        return a_index[key].get(tup)
-
     blocks = {}
     for (i, jj) in src.support():
         basis = tree_basis(ptree, i, jj)
@@ -630,49 +622,45 @@ def _path_tj(a_mod: BigradedModule, path_mod: BigradedModule, r: int,
             continue
         n_first = pw_a.dim(i, jj)
         n_mid = pw_a.dim(i + r, jj + r - 1)
+        xz_index = basis_index(atree, i, jj)
+        y_index = basis_index(atree, i + r, jj + r - 1)
         mat = Matrix.zero(field, rows, len(basis))
-        nonzero = False
         for cc, items in enumerate(basis):
-            # decode each slot into (part, A-bidegree, A-index)
-            decoded = []
+            # decode each slot into its part and its A-basis element
+            parts, elems = [], []
             for (bi, bj, idx) in items:
                 n0 = a_mod.dim(bi, bj)
                 n1 = a_mod.dim(bi + r, bj + r - 1)
                 if idx < n0:
-                    decoded.append(("x", (bi, bj), idx))
+                    part, elem = "x", (bi, bj, idx)
                 elif idx < n0 + n1:
-                    decoded.append(("y", (bi + r, bj + r - 1), idx - n0))
+                    part, elem = "y", (bi + r, bj + r - 1, idx - n0)
                 else:
-                    decoded.append(("z", (bi, bj), idx - n0 - n1))
-            parts = [d[0] for d in decoded]
+                    part, elem = "z", (bi, bj, idx - n0 - n1)
+                parts.append(part)
+                elems.append(elem)
+            tup = tuple(elems)
+            # x..x, z..z and x..x y z..z land in disjoint row ranges, so a
+            # column gets at most one entry
             if all(p == "x" for p in parts):
-                tup = tuple((b[0], b[1], ix) for (_, b, ix) in decoded)
-                rr = aidx(i, jj, tup)
+                rr = xz_index.get(tup)
                 if rr is not None:
                     mat[rr, cc] = field.one()
-                    nonzero = True
             if all(p == "z" for p in parts):
-                tup = tuple((b[0], b[1], ix) for (_, b, ix) in decoded)
-                rr = aidx(i, jj, tup)
+                rr = xz_index.get(tup)
                 if rr is not None:
-                    mat[n_first + n_mid + rr, cc] = field.add(
-                        mat[n_first + n_mid + rr, cc], field.one())
-                    nonzero = True
+                    mat[n_first + n_mid + rr, cc] = field.one()
             ys = [s for s, p in enumerate(parts) if p == "y"]
             if len(ys) == 1:
                 s0 = ys[0]
                 if all(p == "x" for p in parts[:s0]) and \
                    all(p == "z" for p in parts[s0 + 1:]):
-                    sgn = 0
-                    for (_, b, _ix) in decoded[:s0]:
-                        sgn += r * b[0] + (1 - r) * b[1]
-                    tup = tuple((b[0], b[1], ix) for (_, b, ix) in decoded)
-                    rr = aidx(i + r, jj + r - 1, tup)
+                    sgn = sum(r * e[0] + (1 - r) * e[1] for e in elems[:s0])
+                    rr = y_index.get(tup)
                     if rr is not None:
-                        v = field.one() if sgn % 2 == 0 else field.of_int(-1)
-                        mat[n_first + rr, cc] = v
-                        nonzero = True
-        if nonzero:
+                        mat[n_first + rr, cc] = field.one() if sgn % 2 == 0 \
+                            else field.of_int(-1)
+        if not mat.is_zero():
             blocks[(i, jj)] = mat
     return BigradedMap(src, target, (0, 0), blocks)
 
@@ -836,7 +824,7 @@ def diagonal_delta(r: int, field: Field | None = None):
                 rr = pair_index(bid[0], bid[1], la, lb)
                 if rr is None:
                     raise AssertionError("diagonal image off its bidegree")
-                mat[rr, cc] = field.add(mat[rr, cc], field.of_int(coef))
+                mat[rr, cc] = field.of_int(coef)
         blocks[bid] = mat
     d01 = BigradedMap(mod, sq_mod, (0, 0), blocks)
     delta = DAInfMorphism(lam.algebra, square, {(0, 1): d01})

@@ -184,24 +184,30 @@ def dump_matrix(field: Field, m: Matrix):
     return [[field.dump(m[r, c]) for c in range(m.cols)] for r in range(m.rows)]
 
 
+def _int_pair(payload, what: str) -> tuple[int, int]:
+    if (not isinstance(payload, list) or len(payload) != 2
+            or not all(_is_int(x) for x in payload)):
+        raise DocumentError(f"bad {what} {payload!r}")
+    return payload[0], payload[1]
+
+
 def parse_map(field: Field, payload, src: BigradedModule, dst: BigradedModule,
               expected_bidegree=None) -> BigradedMap:
     if not isinstance(payload, dict) or "bidegree" not in payload:
         raise DocumentError("map payload needs a 'bidegree'")
-    bid = payload["bidegree"]
-    if (not isinstance(bid, list) or len(bid) != 2
-            or not all(_is_int(x) for x in bid)):
-        raise DocumentError(f"bad bidegree {bid!r}")
-    bid = (bid[0], bid[1])
+    bid = _int_pair(payload["bidegree"], "bidegree")
     if expected_bidegree is not None and bid != expected_bidegree:
         raise DocumentError(f"bidegree {list(bid)} does not match the "
                             f"expected {list(expected_bidegree)}")
+    entries = payload.get("blocks", [])
+    if not isinstance(entries, list):
+        raise DocumentError("map blocks must be a list")
     blocks = {}
-    for entry in payload.get("blocks", []):
+    for entry in entries:
         if not isinstance(entry, dict) or "src" not in entry or \
                 "matrix" not in entry:
             raise DocumentError("map block needs 'src' and 'matrix'")
-        si, sj = entry["src"]
+        si, sj = _int_pair(entry["src"], "block source")
         rows = dst.dim(si + bid[0], sj + bid[1])
         cols = src.dim(si, sj)
         if cols == 0:
@@ -249,10 +255,9 @@ def _parse_pair_indexed_maps(field, payload, src_of, dst, bidegree_of, what,
     if not isinstance(payload, dict):
         raise DocumentError(f"{what} must map 'i,j' indices to map payloads")
     for key, mp in payload.items():
-        parts = key.split(",")
         try:
-            i, j = int(parts[0]), int(parts[1])
-        except (ValueError, IndexError):
+            i, j = (int(x) for x in key.split(","))
+        except ValueError:
             raise DocumentError(f"bad {what} index {key!r}") from None
         if i < 0 or j < min_second:
             raise DocumentError(f"bad {what} index {(i, j)}")
@@ -298,16 +303,17 @@ def load_document(payload: dict) -> Document:
     pending = dict(raw)
     # resolve in dependency order: complexes/algebras first, then maps,
     # then homotopies
+    stage_of = {"twisted_complex": 0, "dainf_algebra": 0,
+                "filtered_complex": 0, "filtered_ainf": 0,
+                "twisted_morphism": 1, "dainf_morphism": 1,
+                "bigraded_map": 1,
+                "r_homotopy": 2, "dainf_homotopy": 2}
     for stage in (0, 1, 2):
         for name, obj in sorted(pending.items()):
             if not isinstance(obj, dict) or "type" not in obj:
                 raise DocumentError(f"object {name!r} needs a 'type'")
             t = obj["type"]
-            order = {"twisted_complex": 0, "dainf_algebra": 0,
-                     "filtered_complex": 0, "filtered_ainf": 0,
-                     "twisted_morphism": 1, "dainf_morphism": 1,
-                     "bigraded_map": 1,
-                     "r_homotopy": 2, "dainf_homotopy": 2}.get(t)
+            order = stage_of.get(t) if isinstance(t, str) else None
             if order is None:
                 raise DocumentError(f"object {name!r} has unknown type {t!r}")
             if order != stage:
@@ -316,8 +322,17 @@ def load_document(payload: dict) -> Document:
     return Document(field, objects)
 
 
+def _json_object(payload, what: str) -> dict:
+    """payload as a JSON object; absent or empty means no entries."""
+    if not payload:
+        return {}
+    if not isinstance(payload, dict):
+        raise DocumentError(f"{what} must be a JSON object")
+    return payload
+
+
 def _require(objects, name, classes, what):
-    if name not in objects:
+    if not isinstance(name, str) or name not in objects:
         raise DocumentError(f"reference to unknown object {name!r}")
     if not isinstance(objects[name], classes):
         raise DocumentError(f"object {name!r} is not a {what}")
@@ -378,7 +393,7 @@ def _parse_object(field, name, obj, objects):
         if t == "filtered_complex":
             module = parse_dims(field, obj.get("dims"))
             d = {}
-            for key, mat in (obj.get("d") or {}).items():
+            for key, mat in _json_object(obj.get("d"), "d").items():
                 n = int(key)
                 d[n] = parse_matrix(field, mat, tot_dim(module, n + 1),
                                     tot_dim(module, n))
@@ -386,14 +401,14 @@ def _parse_object(field, name, obj, objects):
         if t == "filtered_ainf":
             module = parse_dims(field, obj.get("dims"))
             ms = {}
-            for kkey, per in (obj.get("m") or {}).items():
+            for kkey, per in _json_object(obj.get("m"), "m").items():
                 k = int(kkey)
                 if k < 1:
                     raise DocumentError(f"bad arity {k}")
                 _check_arity(module, k, name)
                 pw = power_module(module, k)
                 ms[k] = {}
-                for nkey, mat in per.items():
+                for nkey, mat in _json_object(per, f"m[{kkey!r}]").items():
                     n = int(nkey)
                     ms[k][n] = parse_matrix(field, mat,
                                             tot_dim(module, n + 2 - k),

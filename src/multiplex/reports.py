@@ -43,8 +43,9 @@ class Report:
     def __str__(self):
         if self.ok:
             return f"{self.subject}: ok ({self.checked} conditions)"
-        lines = [f"{self.subject}: FAILED "
-                 f"({self.failure_count} of {self.checked} conditions)"]
+        n = self.failure_count  # a condition may fail at several places
+        lines = [f"{self.subject}: FAILED ({n} failure{'' if n == 1 else 's'}"
+                 f" in {self.checked} conditions)"]
         for loc, det in self.failures:
             lines.append(f"  at {loc}: {det}" if det else f"  at {loc}")
         if self.failure_count > len(self.failures):

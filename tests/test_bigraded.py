@@ -364,6 +364,34 @@ def test_component_tensor_and_hom_one_map_one_match_dense(field, seed):
                                            _ref_dense_compose(mid, pre)))
 
 
+def test_trees_are_equal_and_hash_alike_by_shape():
+    a = BigradedModule(F, {(0, 0): 1, (1, 2): 2})
+    b = BigradedModule(F, {(0, 1): 1})
+    c = BigradedModule(F, {(-1, 0): 2})
+    t = node(node(leaf(a), leaf(b)), leaf(c))
+    # equal modules built anew give an equal tree of the same hash
+    same = node(node(leaf(BigradedModule(F, {(1, 2): 2, (0, 0): 1})),
+                     leaf(b)), leaf(c))
+    assert same is not t and same == t and hash(same) == hash(t)
+    assert power_tree(a, 3) == left_tree([a, a, a])
+    assert hash(power_tree(a, 3)) == hash(left_tree([a, a, a]))
+    # so they share one memo entry
+    assert tree_basis(same, 0, 3) is tree_basis(t, 0, 3)
+    others = [node(leaf(a), node(leaf(b), leaf(c))),    # other grouping
+              node(node(leaf(b), leaf(a)), leaf(c)),    # other order
+              node(leaf(a), leaf(b)),                   # fewer leaves
+              node(node(leaf(a), leaf(b)), leaf(b)),    # other module
+              node(node(leaf(a), leaf(b)),
+                   leaf(BigradedModule(F, {(-1, 0): 1}))),  # other rank
+              node(node(*(leaf(BigradedModule(GF(5), dict(m.dims)))
+                          for m in (a, b))),
+                   leaf(BigradedModule(GF(5), dict(c.dims))))]  # other field
+    for other in others:
+        assert other != t and t != other
+    assert leaf(a) != a and leaf(a) == leaf(a)
+    assert len({t, same, *others}) == len(others) + 1
+
+
 def test_structurally_equal_trees_give_equal_maps():
     rng = random.Random(9)
     a, b, c = (rand_module(F, rng, spots=2) for _ in range(3))

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import random
@@ -15,7 +16,8 @@ from multiplex.cli import main
 from multiplex.dainf import lambda_r_dga
 from multiplex.filtration import tot
 from multiplex.generators import (
-    random_endo_morphism, random_homotopic_pair, random_twisted_complex,
+    dainf_morphism_space, random_dainf_morphism, random_endo_morphism,
+    random_homotopic_pair, random_twisted_complex, random_zero_product_dainf,
 )
 from multiplex.io import load_document
 from multiplex.linalg import GF
@@ -262,6 +264,45 @@ def test_tiny_doc_is_valid(tmp_path, field):
 def test_bad_scalar_types_exit_2(tmp_path, capsys, kwargs):
     assert main(["check", "twisted", _tiny_doc(tmp_path, **kwargs)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+_ONE = {"bidegree": [0, 1], "blocks": [{"src": [0, 0], "matrix": [[1]]}]}
+
+
+@pytest.mark.parametrize("what, objects", [
+    ("twisted", {"A": {"type": "twisted_complex", "dims": [[0, 0, 1]],
+                       "d": {"0": dict(_ONE, blocks=[{"src": 0,
+                                                      "matrix": [[1]]}])}}}),
+    ("twisted", {"A": {"type": "twisted_complex", "dims": [[0, 0, 1]],
+                       "d": {"0": dict(_ONE, blocks=[{"src": [0, True],
+                                                      "matrix": [[1]]}])}}}),
+    ("twisted", {"A": {"type": "twisted_complex", "dims": [[0, 0, 1]],
+                       "d": {"0": dict(_ONE, blocks=7)}}}),
+    ("twisted", {"A": {"type": ["twisted_complex"]}}),
+    ("morphism", {"A": {"type": "twisted_complex", "dims": [[0, 0, 1]]},
+                  "f": {"type": "twisted_morphism", "src": ["A"],
+                        "dst": "A"}}),
+    ("filtered", {"K": {"type": "filtered_complex", "dims": [[0, 0, 1]],
+                        "d": [1]}}),
+    ("filtered-ainf", {"FA": {"type": "filtered_ainf", "dims": [[0, 0, 1]],
+                              "m": [1]}}),
+    ("filtered-ainf", {"FA": {"type": "filtered_ainf", "dims": [[0, 0, 1]],
+                              "m": {"1": [[0]]}}}),
+    ("dainf", {"A": {"type": "dainf_algebra", "dims": [[0, 0, 1]],
+                     "m": {"0,2,9": dict(_ONE, bidegree=[0, 0])}}}),
+], ids=["src-int", "src-bool", "blocks-int", "type-list", "ref-list",
+        "filtered-d-list", "ainf-m-list", "ainf-degrees-list",
+        "three-part-key"])
+def test_malformed_document_exit_2(tmp_path, capsys, what, objects):
+    # src-bool was refused before too (JSON true is never read as the
+    # integer 1), the key "0,2,9" was read as "0,2", and the rest ended in
+    # a TypeError or AttributeError traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema_version": "1",
+                                "field": {"kind": "rational"},
+                                "objects": objects}))
+    assert main(["check", what, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_gen_non_prime_modulus_exit_2(capsys):
@@ -670,3 +711,200 @@ def test_internal_check_failure_exit_1(fixture_docs, capsys, monkeypatch,
     assert main([a.format(**paths) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err == f"failed: internal check: {exc}\n"
+
+
+# -- seeded mutation fuzzer over generated documents --------------------------
+
+FUZZ_SEED = 20161
+FUZZ_CASES = 1000
+FUZZ_CASE_LIMIT_S = 2.0
+
+_TWISTED_COMMANDS = [
+    ["check", "twisted", "{doc}", "--name", "A"],
+    ["check", "morphism", "{doc}", "--name", "f"],
+    ["spectral", "{doc}", "--name", "A", "--page", "1"],
+    ["tot", "{doc}", "--name", "A", "-o", "{out}"],
+    ["path", "{doc}", "--name", "A", "-r", "1", "-o", "{out}"],
+    ["tensor", "{doc}", "{doc}", "--name-a", "A", "--name-b", "A",
+     "-o", "{out}"],
+    ["cone", "{doc}", "--name", "f", "-r", "0", "-o", "{out}"],
+    ["compose", "{doc}", "{doc}", "--name-f", "f", "--name-g", "g",
+     "-o", "{out}"],
+    ["er-qis", "{doc}", "--name", "f", "-r", "1"],
+    ["homotopy", "check", "{doc}", "--name", "h"],
+    ["homotopy", "solve", "{doc}", "-r", "1", "--f", "f", "--g", "g",
+     "-o", "{out}"],
+    ["oracle", "coderh", "{doc}", "--name", "h"],
+]
+_DAINF_FUZZ_COMMANDS = [
+    ["check", "dainf", "{doc}", "--name", "A"],
+    ["check", "dainf-morphism", "{doc}", "--name", "f"],
+    ["compose", "{doc}", "{doc}", "--dainf", "--name-f", "f", "--name-g", "f",
+     "-o", "{out}"],
+    ["path", "{doc}", "--dainf", "--name", "A", "-r", "1", "-o", "{out}"],
+]
+_WRONG_TYPES = [None, True, 1.5, "x", [], {}, [[]], -1, 10 ** 30]
+_WRONG_SCALARS = ["1/2", "1/0", 0.5, "abc", True, None, 32003, -1, 10 ** 40,
+                  [1]]
+_BAD_KEYS = ["0,2000", "0,101", "0,-3", "-1,2", "0,1,2", "x", "",
+             "99999999999999999999,1"]
+_FIELDS = [{"kind": "rational"}, {"kind": "prime_field", "p": 5},
+           {"kind": "prime_field", "p": 4}, {"kind": "prime_field"},
+           {"kind": "finite"}]
+
+
+def _positions(node, path=()):
+    """The path of every value inside a JSON value, parents first."""
+    yield path
+    if isinstance(node, dict):
+        for k in sorted(node):
+            yield from _positions(node[k], path + (k,))
+    elif isinstance(node, list):
+        for k, v in enumerate(node):
+            yield from _positions(v, path + (k,))
+
+
+def _at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+def _pick(doc, rng, test):
+    """A random (path, value) whose value passes test, or None."""
+    found = [(p, _at(doc, p)) for p in _positions(doc)]
+    found = [(p, v) for p, v in found if test(p, v)]
+    return rng.choice(found) if found else None
+
+
+def _set(doc, path, value):
+    _at(doc, path[:-1])[path[-1]] = value
+
+
+def _is_matrix(p, v):
+    return p[-1:] == ("matrix",) and isinstance(v, list) and \
+        all(isinstance(r, list) for r in v)
+
+
+def _is_entry(p, v):
+    return len(p) > 2 and p[-3] == "matrix" and isinstance(v, int)
+
+
+def _mutate(doc, rng):
+    """Apply one random mutation to doc in place; returns its kind."""
+    kind = rng.choice(["drop", "retype", "dims", "resize", "rekey", "scalar",
+                       "field", "entry", "arity"])
+    if kind == "drop":
+        hit = _pick(doc, rng, lambda p, v: isinstance(v, dict) and v)
+        if hit:
+            del hit[1][rng.choice(sorted(hit[1]))]
+    elif kind == "retype":
+        hit = _pick(doc, rng, lambda p, v: p)
+        if hit:
+            _set(doc, hit[0], copy.deepcopy(rng.choice(_WRONG_TYPES)))
+    elif kind == "dims":
+        # one coordinate or rank of a dims entry, or one more entry
+        hit = _pick(doc, rng, lambda p, v: p[-1:] == ("dims",)
+                    and isinstance(v, list))
+        if hit and hit[1] and rng.random() < 0.7:
+            entry = rng.choice(hit[1])
+            if isinstance(entry, list) and entry:
+                entry[rng.randrange(len(entry))] = rng.choice(
+                    [-1, 0, 1, 2, 5, 10 ** 5, -10 ** 9])
+        elif hit:
+            hit[1].append([rng.randint(-2, 4), rng.randint(-2, 6),
+                           rng.choice([1, 2, 5])])
+    elif kind == "resize":
+        hit = _pick(doc, rng, _is_matrix)
+        if hit:
+            mat = hit[1]
+            op = rng.randrange(4)
+            if op == 0:
+                mat.append(list(mat[0]) if mat else [1])
+            elif op == 1 and mat:
+                mat.pop()
+            elif op == 2 and mat:
+                mat[rng.randrange(len(mat))].append(1)
+            else:
+                for row in mat:
+                    del row[-1:]
+    elif kind == "rekey":
+        hit = _pick(doc, rng, lambda p, v: p[-1:] in (("d",), ("f",), ("h",),
+                                                      ("m",))
+                    and isinstance(v, dict) and v)
+        if hit:
+            hit[1][rng.choice(_BAD_KEYS)] = hit[1].pop(
+                rng.choice(sorted(hit[1])))
+    elif kind == "scalar":
+        hit = _pick(doc, rng, _is_entry)
+        if hit:
+            _set(doc, hit[0], copy.deepcopy(rng.choice(_WRONG_SCALARS)))
+    elif kind == "field":
+        doc["field"] = copy.deepcopy(rng.choice(_FIELDS))
+    elif kind == "entry":
+        # a valid value in the wrong place: the axioms may now fail
+        hit = _pick(doc, rng, _is_entry)
+        if hit:
+            _set(doc, hit[0], rng.choice([0, 1, 2, 7]))
+    else:
+        # a huge arity key with the bidegree it needs and no blocks, so
+        # only the size budget stands between it and a huge tensor power
+        k, i = rng.choice([3, 26, 51, 2000, 10 ** 6]), rng.choice([0, 1])
+        objs = doc.get("objects")
+        obj = rng.choice([objs[n] for n in sorted(objs)]) \
+            if isinstance(objs, dict) and objs else None
+        t = obj.get("type") if isinstance(obj, dict) else None
+        key, entry = {
+            "twisted_complex": ("d", (str(k), [-k, 1 - k])),
+            "twisted_morphism": ("f", (str(k), [-k, -k])),
+            "r_homotopy": ("h", (str(k), [1 - k, -k])),
+            "dainf_algebra": ("m", (f"{i},{k}", [-i, 2 - i - k])),
+            "dainf_morphism": ("f", (f"{i},{k}", [-i, 1 - i - k])),
+        }.get(t if isinstance(t, str) else None, (None, None))
+        if key and isinstance(obj.get(key, {}), dict):
+            obj.setdefault(key, {})[entry[0]] = {"bidegree": entry[1],
+                                                 "blocks": []}
+    return kind
+
+
+def _dainf_pair_doc():
+    rng = random.Random(3)
+    a = random_zero_product_dainf(F, rng, cols=(0, 1), verts=(0, 2),
+                                  max_rank=1, spots=4)
+    f = random_dainf_morphism(a, a, rng, density=1.0,
+                              space=dainf_morphism_space(a, a, max_arity=2))
+    return json.loads(mio.document_json(F, {
+        "A": mio.dump_dainf(F, a),
+        "f": mio.dump_dainf_morphism(F, f, "A", "A")}))
+
+
+def test_mutation_fuzzer_keeps_the_exit_contract(fixture_docs, capsys):
+    """Mutated documents exit 0, 1 or 2, with no traceback and in time."""
+    with open(fixture_docs["full"]) as fh:
+        bases = [(json.load(fh), _TWISTED_COMMANDS),
+                 (_dainf_pair_doc(), _DAINF_FUZZ_COMMANDS)]
+    paths = {"doc": str(fixture_docs["tmp"] / "fuzz.json"),
+             "out": str(fixture_docs["tmp"] / "fuzz-out.json")}
+    rng = random.Random(FUZZ_SEED)
+    seen = set()
+    for case in range(FUZZ_CASES):
+        base, commands = rng.choice(bases)
+        doc = copy.deepcopy(base)
+        kinds = [_mutate(doc, rng) for _ in range(rng.choice([1, 1, 2]))]
+        argv = [a.format(**paths) for a in rng.choice(commands)]
+        with open(paths["doc"], "w") as fh:
+            json.dump(doc, fh)
+        where = f"case {case} ({'+'.join(kinds)}): {' '.join(argv[:2])}"
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except Exception as exc:  # the contract forbids any escape
+            pytest.fail(f"{where} raised {exc!r}")
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), where
+        assert "Traceback" not in err, where
+        assert elapsed < FUZZ_CASE_LIMIT_S, f"{where} took {elapsed:.2f} s"
+        seen.add(code)
+    # the mutations reach past parsing: every exit code occurs
+    assert seen == {0, 1, 2}

@@ -235,6 +235,43 @@ def test_invert(seed):
         assert invert_dainf(zero_dainf_morphism(a, a)) is None
 
 
+def _memo_infos():
+    """cache_info() of every functools.cache memo in the package."""
+    import multiplex.bigraded
+    import multiplex.cli
+    return {f"{mod.__name__}.{name}": fn.cache_info()
+            for mod in (multiplex.bigraded, multiplex.cli, multiplex.dainf)
+            for name, fn in vars(mod).items() if hasattr(fn, "cache_info")}
+
+
+def test_repeated_dainf_calls_add_no_memo_entries():
+    # the memos are keyed by module and tree shape, so a second identical
+    # composition or inversion finds everything it needs in them
+    rng = random.Random(51)
+    a = random_zero_product_dainf(F, rng, cols=(0, 1), verts=(0, 2),
+                                  max_rank=1, spots=60)
+    space = dainf_morphism_space(a, a, max_arity=2)
+    f = random_dainf_morphism(a, a, rng, space=space, density=1.0)
+    g = random_dainf_morphism(a, a, rng, space=space, density=1.0)
+    b = random_zero_product_dainf(F, rng, cols=(0, 0), verts=(-1, 0),
+                                  max_rank=3, spots=20)
+    perturb = [el for el in dainf_morphism_space(b, b, max_arity=2)
+               if (0, 1) not in el]
+    e = random_dainf_morphism(b, b, rng, space=perturb, density=1.0,
+                              with_identity=True)
+    for run in (lambda: compose_dainf(g, f), lambda: invert_dainf(e)):
+        first = run()
+        before = _memo_infos()
+        assert run() == first
+        after = _memo_infos()
+        assert {k: (i.misses, i.currsize) for k, i in after.items()} == \
+            {k: (i.misses, i.currsize) for k, i in before.items()}
+        assert sum(i.hits for i in after.values()) > \
+            sum(i.hits for i in before.values())
+    assert {"multiplex.bigraded._tree_iso", "multiplex.bigraded.tree_basis",
+            "multiplex.bigraded.basis_index"} <= set(before)
+
+
 # ---------------------------------------------------------------------------
 # tensor with a twisted dga, paths
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from multiplex.generators import (
     random_null_homotopic_map, random_twisted_complex,
 )
 from multiplex.linalg import GF, QQ, Matrix
+from multiplex.reports import Report
 from multiplex.twisted import (
     RHomotopy, TwistedComplex, TwistedMorphism, add_homotopies,
     check_morphism, check_r_homotopy, check_twisted, compose, cone,
@@ -607,3 +608,24 @@ def test_tot_checkers_record_cap_and_order(field):
         assert rep.failure_count > 16 and len(rep.failures) == 16
         locs = [loc for loc, _ in rep.failures]
         assert locs == sorted(locs)
+        # more failing blocks than conditions: the summary counts the
+        # failures in the conditions, not out of them
+        assert rep.failure_count > rep.checked
+        lines = str(rep).splitlines()
+        assert lines[0] == (f"{rep.subject}: FAILED ({rep.failure_count} "
+                            f"failures in {rep.checked} conditions)")
+        assert lines[-1] == f"  ... {rep.failure_count - 16} more"
+    if field == GF():
+        assert str(_same_report(bad_a)).splitlines()[0] == (
+            "twisted complex axioms (A_m): FAILED "
+            "(28 failures in 15 conditions)")
+
+
+def test_report_summary_line():
+    rep = Report("axioms")
+    rep.tick(3)
+    assert str(rep) == "axioms: ok (3 conditions)"
+    rep.fail((1, 0, 0), "broken")
+    assert str(rep) == ("axioms: FAILED (1 failure in 3 conditions)\n"
+                        "  at (1, 0, 0): broken")
+    assert rep.to_dict()["failure_count"] == 1
