@@ -633,15 +633,14 @@ def tot_matrix(family: dict[int, BigradedMap], u: int, n: int,
     Distinct m land in distinct row blocks, so no two writes overlap."""
     mat = Matrix.zero(field, sum(dim for _, dim in dst.values()),
                       sum(dim for _, dim in src.values()))
-    for i, (c0, _) in src.items():
-        for m, fm in family.items():
-            blk = fm.blocks.get((i, n + i))
-            if blk is None:
+    for m, fm in family.items():
+        negate = ((m + u) * n + extra) % 2
+        for (i, j), blk in fm.blocks.items():
+            if j - i != n or i not in src:
                 continue
             if i - m + u not in dst:
                 raise AssertionError("component landed off basis")
-            mat.set_block(dst[i - m + u][0], c0,
-                          -blk if ((m + u) * n + extra) % 2 else blk)
+            mat.set_block(dst[i - m + u][0], src[i][0], blk, negate)
     return mat
 
 

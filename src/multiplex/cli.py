@@ -62,7 +62,7 @@ def _emit(doc_json: str, out: str | None):
 def _print_reports(reports: list[tuple[str, Report]], as_json: bool) -> int:
     if as_json:
         payload = [dict(name=name, **rep.to_dict()) for name, rep in reports]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(mio.json_text(payload))
     else:
         for name, rep in reports:
             print(f"{name}: {rep}")
@@ -185,7 +185,7 @@ def cmd_spectral(args) -> int:
             "delta": {f"{p},{q}": mio.dump_matrix(doc.field, m)
                       for (p, q), m in sorted(page.delta.items())},
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(mio.json_text(payload))
     else:
         print(f"E_{args.page}({name})")
         if not entries:

@@ -31,6 +31,14 @@ is declaration order (for totalizations: columns ascending, then basis
 order).  Rationals are "a/b" strings or integers, prime-field entries are
 integers in [0, p).  Missing blocks are zero maps.
 
+Documents are written by ``json_text``, which gives the text of
+``json.dumps(payload, indent=2, sort_keys=True)`` without json's
+pure-Python indenting encoder; the CLI's JSON reports go through it too.
+``dump_matrix`` and ``parse_matrix`` work a row at a time per field: F_p
+rows are slices of the data, and a row of plain ints becomes F_p residues
+or QQ Fractions in one pass.  Any other row is read entry by entry through
+``Field.parse``, which words every entry error.
+
 Size budget: a module declared by "dims" may have total dimension (the sum
 of its ranks, so also any single rank) at most MAX_DIMENSION = 10^4, and
 so may the tensor product that the tensor command would build from two
@@ -51,12 +59,13 @@ as p, a dims entry, a bidegree, a homotopy level or a matrix entry.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .bigraded import BigradedMap, BigradedModule, power_module
 from .dainf import DAInfAlgebra, DAInfHomotopy, DAInfMorphism
 from .filtered_ainf import FilteredAInf
 from .filtration import FilteredComplex, tot_dim
-from .linalg import Field, Matrix
+from .linalg import _QQ_ZERO, Field, Matrix
 from .twisted import RHomotopy, TwistedComplex, TwistedMorphism
 
 SCHEMA_VERSION = "1"
@@ -170,18 +179,30 @@ def parse_matrix(field: Field, payload, rows: int, cols: int) -> Matrix:
     if not isinstance(payload, list) or len(payload) != rows or \
             any(not isinstance(r, list) or len(r) != cols for r in payload):
         raise DocumentError(f"matrix must be {rows}x{cols} row lists")
-    data = []
+    p, data = field.p, []
     try:
         for row in payload:
-            for v in row:
-                data.append(field.parse(v))
+            # a row of plain ints (bool excluded) is read in one pass; any
+            # other row goes entry by entry through Field.parse, which
+            # words every error
+            if all(type(v) is int for v in row):
+                data += [v % p for v in row] if p else \
+                    [Fraction(v) if v else _QQ_ZERO for v in row]
+            else:
+                data += [field.parse(v) for v in row]
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad matrix entry: {exc}") from None
-    return Matrix(field, rows, cols, data)
+    return Matrix._of(field, rows, cols, data)
 
 
 def dump_matrix(field: Field, m: Matrix):
-    return [[field.dump(m[r, c]) for c in range(m.cols)] for r in range(m.rows)]
+    c, d = m.cols, m.data
+    rows = [d[r * c:(r + 1) * c] for r in range(m.rows)]
+    if field.p:
+        return rows
+    return [[a.numerator if a.denominator == 1
+             else f"{a.numerator}/{a.denominator}" for a in row]
+            for row in rows]
 
 
 def _int_pair(payload, what: str) -> tuple[int, int]:
@@ -480,4 +501,71 @@ def dump_bigraded_map(field, m: BigradedMap, src: str, dst: str):
 def document_json(field: Field, objects: dict) -> str:
     payload = {"schema_version": SCHEMA_VERSION, "field": dump_field(field),
                "objects": objects}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def json_text(payload) -> str:
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)``.
+
+    Written directly, because json falls back to its pure-Python encoder
+    whenever ``indent`` is set (before Python 3.13).  payload is built of
+    dicts with str keys, lists, str, int, bool and None; anything else is
+    a TypeError.  A list of plain ints, such as a matrix row, is written
+    with one join."""
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    return "".join(out)
+
+
+def _write_json(v, nl: str, out: list):
+    """Append the text of v to out; nl is a newline and the indent of the
+    line that v starts on."""
+    t = type(v)
+    if t is str:
+        out.append(_encode_str(v))
+    elif t is int:
+        out.append(str(v))
+    elif t is list:
+        if not v:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if all(type(x) is int for x in v):
+            out.append("[" + inner + ("," + inner).join(map(str, v))
+                       + nl + "]")
+            return
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _write_json(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is dict:
+        if not v:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(v):
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(sep + _encode_str(k) + ": ")
+            _write_json(v[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON "
+                        f"serializable")

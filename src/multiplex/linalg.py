@@ -15,9 +15,12 @@ products and reduces ``% p`` once per output entry (``_matmul_mod_p``,
 ints in [0, p) and QQ entries always Fractions.
 
 All elimination goes through ``Matrix._echelon``, which reduces a list of
-row lists with ``_rref_mod_p`` for F_p or ``_rref_qq`` for QQ.  The result
-is the canonical reduced row echelon form, whichever kernel produced it.
-A ``Subquotient`` Z/B is built from a single elimination of ``[B | Z]``.
+row lists with ``_rref_mod_p`` for F_p or ``_rref_qq`` for QQ.  The QQ
+kernel is fraction-free: it clears each row's denominators and eliminates
+on Python ints, and makes Fractions only when it divides each pivot row by
+its pivot at the end.  The result is the canonical reduced row echelon
+form, whichever kernel produced it.  A ``Subquotient`` Z/B is built from a
+single elimination of ``[B | Z]``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from math import gcd, lcm
 
 
 # the first 12 primes: as Miller-Rabin bases they decide primality exactly
@@ -127,13 +131,6 @@ class Field:
             return Fraction(v)
         raise ValueError(f"rational entries must be int or 'a/b' string, got {v!r}")
 
-    def dump(self, a):
-        if self.kind == "prime_field":
-            return int(a)
-        if a.denominator == 1:
-            return int(a)
-        return f"{a.numerator}/{a.denominator}"
-
     def __str__(self):
         return "QQ" if self.kind == "rational" else f"F_{self.p}"
 
@@ -228,13 +225,16 @@ class Matrix:
             data.extend(d[r * c + c0:r * c + c0 + cols])
         return Matrix._of(self.field, rows, cols, data)
 
-    def set_block(self, r0: int, c0: int, m: "Matrix"):
-        """Overwrite the block whose top left entry is (r0, c0) with m."""
+    def set_block(self, r0: int, c0: int, m: "Matrix", negate=False):
+        """Overwrite the block whose top left entry is (r0, c0) with m, or
+        with -m if negate is set."""
         if not (0 <= r0 and r0 + m.rows <= self.rows
                 and 0 <= c0 and c0 + m.cols <= self.cols):
             raise ValueError(f"block {m.rows}x{m.cols} at {(r0, c0)} outside "
                              f"{self.rows}x{self.cols}")
         c, d, k, md = self.cols, self.data, m.cols, m.data
+        if negate:
+            md = _negated(md, self.field.p)
         for r in range(m.rows):
             base = (r0 + r) * c + c0
             d[base:base + k] = md[r * k:(r + 1) * k]
@@ -520,25 +520,52 @@ def _rref_mod_p(rows: list, ncols: int, p: int) -> list:
 
 
 def _rref_qq(rows: list, ncols: int) -> list:
-    """Gauss-Jordan on row lists over QQ, in place; returns pivot columns."""
+    """Gauss-Jordan on row lists over QQ, in place; returns pivot columns.
+
+    Fraction-free: each row is scaled to integers by the lcm of its
+    denominators and divided by its content (the gcd of its entries).
+    Eliminating with pivot row P at column c replaces a row R by
+    (P_c / g) R - (R_c / g) P, g = gcd(P_c, R_c), divided by its content
+    again, all on Python ints.  Each pivot row is divided by its pivot
+    once at the end.  Scaling a row changes neither its span nor the
+    pivots, and reduced row echelon form is canonical, so the result is the
+    one that Fraction arithmetic would give."""
+    ints = []
+    for row in rows:
+        den = lcm(*[a.denominator for a in row])
+        if den == 1:
+            row = [a.numerator for a in row]
+        else:
+            row = [a.numerator * (den // a.denominator) for a in row]
+        g = gcd(*row)
+        ints.append([x // g for x in row] if g > 1 else row)
     pivots = []
-    r, nrows = 0, len(rows)
+    r, nrows = 0, len(ints)
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        pr = next((i for i in range(r, nrows) if ints[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        tail = [a * inv for a in rows[r][c:]]
-        rows[r][c:] = tail
-        for i, row in enumerate(rows):
+        ints[r], ints[pr] = ints[pr], ints[r]
+        prow = ints[r]
+        pv = prow[c]
+        for i, row in enumerate(ints):
             f = row[c]
             if f and i != r:
-                row[c:] = [a - f * b for a, b in zip(row[c:], tail)]
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                ints[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
+    for k, row in enumerate(ints):
+        if k < r:
+            pv = row[pivots[k]]
+            rows[k] = [Fraction(x, pv) if x else _QQ_ZERO for x in row]
+        else:
+            rows[k] = [_QQ_ZERO] * ncols
     return pivots
 
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ import multiplex
 
 from multiplex import cli, io as mio
 from multiplex import linalg, twisted
+from multiplex.bigraded import BigradedMap
 from multiplex.cli import main
 from multiplex.dainf import lambda_r_dga
 from multiplex.filtration import tot
@@ -20,8 +22,8 @@ from multiplex.generators import (
     random_homotopic_pair, random_twisted_complex, random_zero_product_dainf,
 )
 from multiplex.io import load_document
-from multiplex.linalg import GF
-from multiplex.twisted import identity_morphism
+from multiplex.linalg import GF, QQ
+from multiplex.twisted import TwistedMorphism, identity_morphism
 
 F = GF()
 
@@ -32,24 +34,83 @@ def write_doc(tmp_path, name, objects, field=F):
     return str(p)
 
 
-@pytest.fixture
-def fixture_docs(tmp_path):
-    rng = random.Random(4242)
-    a = random_twisted_complex(F, rng, spots=3)
+def _field_docs(tmp_path, field, seed):
+    """A complex document and an (A, f, g, h) document over field, and
+    the objects; over QQ, f has "a/b" entries."""
+    rng = random.Random(seed)
+    a = random_twisted_complex(field, rng, spots=3)
     f = random_endo_morphism(a, rng)
+    if field == QQ:
+        # a scalar multiple of a morphism is one
+        third = Fraction(1, 3)
+        f = TwistedMorphism(a, a, {
+            m: BigradedMap(fm.src, fm.dst, fm.bidegree,
+                           {k: blk.scale(third) for k, blk in fm.blocks.items()})
+            for m, fm in f.f.items()})
     g, h = random_homotopic_pair(f, 1, rng)
     objects = {
-        "A": mio.dump_twisted(F, a),
-        "f": mio.dump_twisted_morphism(F, f, "A", "A"),
-        "g": mio.dump_twisted_morphism(F, g, "A", "A"),
-        "h": mio.dump_r_homotopy(F, h, "f", "g"),
+        "A": mio.dump_twisted(field, a),
+        "f": mio.dump_twisted_morphism(field, f, "A", "A"),
+        "g": mio.dump_twisted_morphism(field, g, "A", "A"),
+        "h": mio.dump_r_homotopy(field, h, "f", "g"),
     }
     return {
-        "complex": write_doc(tmp_path, "complex.json", {"A": objects["A"]}),
-        "full": write_doc(tmp_path, "full.json", objects),
+        "complex": write_doc(tmp_path, "complex.json", {"A": objects["A"]},
+                             field),
+        "full": write_doc(tmp_path, "full.json", objects, field),
         "a": a, "f": f, "g": g, "h": h,
         "tmp": tmp_path,
     }
+
+
+@pytest.fixture
+def fixture_docs(tmp_path):
+    return _field_docs(tmp_path, F, 4242)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=str)
+def test_cli_output_is_json_dumps_text(field, tmp_path, capsys):
+    """Every document and --format json report the CLI writes is the text
+    of json.dumps(indent=2, sort_keys=True) of its own payload; over F_p
+    the inputs are the fixture_docs documents."""
+    docs = _field_docs(tmp_path, field, 4242)
+    complex_, full = docs["complex"], docs["full"]
+    out = str(tmp_path / "out.json")
+    runs = [
+        ["tot", complex_, "-o", out],
+        ["tot-inverse", out, "-o", out],
+        ["path", complex_, "-r", "1", "-o", out],
+        ["cone", full, "--name", "f", "-r", "1", "-o", out],
+        ["tensor", complex_, complex_, "-o", out],
+        ["compose", full, full, "--name-f", "f", "--name-g", "g",
+         "-o", out],
+        ["homotopy", "solve", full, "-r", "1", "--f", "f", "--g", "g",
+         "-o", out],
+        ["homotopy", "check", out, "--format", "json"],
+        ["check", "twisted", complex_, "--format", "json"],
+        ["check", "morphism", full, "--name", "f", "--format", "json"],
+        ["spectral", complex_, "--page", "1", "--format", "json"],
+        ["spectral", complex_, "--page", "0", "--format", "json"],
+    ]
+    texts = {}
+    for path in (complex_, full):
+        with open(path) as fh:
+            texts[path] = fh.read()
+    for argv in runs:
+        assert main(argv) in (0, 1), argv
+        stdout = capsys.readouterr().out
+        if "--format" in argv:
+            texts[" ".join(argv)] = stdout
+        else:
+            with open(out) as fh:
+                texts[" ".join(argv)] = fh.read()
+    for text in texts.values():
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
+    if field == QQ:
+        # f and what is built from it carry "a/b" entries
+        assert all('/' in texts[k] for k in texts
+                   if k == full or k.startswith(("cone", "compose")))
 
 
 def test_roundtrip_through_json(fixture_docs):

@@ -240,6 +240,51 @@ def test_echelon_kernel_solve_match_reference(field, seed, monkeypatch):
         assert got[3] is not None
 
 
+def _rand_rational_matrix(rows, cols, rng, big, zero_row=False):
+    """A QQ matrix with zeros, denominators up to 50 and numerators of up
+    to 40 digits if big, with one zero row if zero_row is set."""
+    bound = 10 ** 40 if big else 60
+    m = Matrix(QQ, rows, cols,
+               [Fraction(rng.randint(-bound, bound), rng.randint(1, 50))
+                if rng.random() < 0.7 else Fraction(0)
+                for _ in range(rows * cols)])
+    if zero_row and rows:
+        r = rng.randrange(rows)
+        m.data[r * cols:(r + 1) * cols] = [Fraction(0)] * cols
+    return m
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_qq_elimination_with_fractions_matches_reference(seed, monkeypatch):
+    rng = random.Random(7500 + seed)
+    rows, cols, big = rng.randint(2, 8), rng.randint(1, 8), seed % 2 == 1
+    full = _rand_rational_matrix(rows, cols, rng, big, zero_row=True)
+    low = _rand_rational_matrix(rows, 2, rng, big, zero_row=True) * \
+        _rand_rational_matrix(2, cols, rng, big)
+    square = Matrix.identity(QQ, cols).scale(Fraction(7, 3)) + \
+        _rand_rational_matrix(cols, cols, rng, big)
+    assert any(v.denominator > 1 for v in full.data)
+    for m in (full, low, square):
+        b = _rand_rational_matrix(m.rows, 2, rng, big)
+        b_in_image = m * _rand_rational_matrix(m.cols, 1, rng, big)
+
+        def run():
+            return (m._echelon(), m.kernel_basis(), m.solve(b),
+                    m.solve(b_in_image), m.inverse())
+        got = run()
+        ref = _with_ref_echelon(monkeypatch, run)
+        (ech, piv), *rest = got
+        (ref_ech, ref_piv), *ref_rest = ref
+        assert piv == ref_piv
+        assert ech.data == ref_ech.data
+        assert rest == ref_rest
+        for mat in [ech] + [x for x in rest if x is not None]:
+            _assert_canonical(mat)
+        sq = subquotient(m, m * _rand_rational_matrix(m.cols, 2, rng, big))
+        rep, dim = _ref_subquotient(sq.cycle_basis, sq.boundary_basis)
+        assert (sq.rep_basis, sq.dim) == (rep, dim)
+
+
 def _subquotient_cases(field, rng):
     n = rng.randint(1, 7)
     z = _rand_low_rank(field, n, rng.randint(1, 7), rng.randint(1, 4), rng)
