@@ -28,7 +28,7 @@ from functools import cache
 from itertools import compress
 from types import MappingProxyType
 
-from .linalg import Field, Matrix, SignedPerm
+from .linalg import Field, Matrix, SignedPerm, _qq_canonical
 
 Bidegree = tuple[int, int]
 
@@ -329,7 +329,8 @@ def tensor_maps(f: BigradedMap, g: BigradedMap, regroup=None) -> BigradedMap:
     return BigradedMap._of(
         src if src_iso is None else src_iso.dst,
         dst if dst_iso is None else dst_iso.dst, (bb, bq),
-        {k: Matrix._of(field, outs[k][1], outs[k][2], outs[k][0])
+        {k: Matrix._of(field, outs[k][1], outs[k][2],
+                       outs[k][0] if modulus else _qq_canonical(outs[k][0]))
          for k in sorted(outs)})
 
 

@@ -46,7 +46,9 @@ def _read(path: str) -> Document:
             payload = json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal over the digit limit of
+        # int() (sys.get_int_max_str_digits)
         raise DocumentError(f"{path}: invalid JSON: {exc}") from None
     return load_document(payload)
 
@@ -207,15 +209,22 @@ def cmd_er_qis(args) -> int:
     if isinstance(f, DAInfMorphism):
         f = underlying_twisted_morphism(f)
     rep = check_morphism(f)
-    if not rep.ok:
+    verdict = None
+    if rep.ok:
+        decide = is_er_quasi_iso_via_cone if args.via_cone else is_er_quasi_iso
+        verdict = decide(f, args.r)
+    if args.format == "json":
+        # verdict is null when f is not a morphism
+        print(mio.json_text({
+            "object": name, "r": args.r,
+            "via": "cone" if args.via_cone else "pages",
+            "morphism_check": rep.to_dict(), "quasi_isomorphism": verdict}))
+    elif verdict is None:
         print(rep)
-        return 1
-    if args.via_cone:
-        verdict = is_er_quasi_iso_via_cone(f, args.r)
     else:
-        verdict = is_er_quasi_iso(f, args.r)
-    how = "via the cone criterion" if args.via_cone else "via induced pages"
-    print(f"{name}: E_{args.r}-quasi-isomorphism = {verdict} ({how})")
+        how = "via the cone criterion" if args.via_cone else \
+            "via induced pages"
+        print(f"{name}: E_{args.r}-quasi-isomorphism = {verdict} ({how})")
     return 0 if verdict else 1
 
 
@@ -415,8 +424,12 @@ def cmd_oracle(args) -> int:
         verdict = check_coderh(h, n)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    print(f"{name}: coderivation identity at truncation {n} = {verdict} "
-          f"(agrees with the direct homotopy checker)")
+    if args.format == "json":
+        print(mio.json_text({"object": name, "truncation": n,
+                             "coderivation_identity": verdict}))
+    else:
+        print(f"{name}: coderivation identity at truncation {n} = {verdict} "
+              f"(agrees with the direct homotopy checker)")
     return 0 if verdict else 1
 
 
@@ -473,10 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "sequences and derived A-infinity algebras")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, output=True):
+    def add_common(p, output=True, report=True):
+        """--name, with -o for a command that writes a document and
+        --format for one that prints a report or a verdict."""
         p.add_argument("--name", help="object name inside the document")
-        p.add_argument("--format", choices=("table", "json"),
-                       default="table")
+        if report:
+            p.add_argument("--format", choices=("table", "json"),
+                           default="table")
         if output:
             p.add_argument("-o", "--output", help="write the result here "
                            "instead of stdout")
@@ -491,13 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tot", help="totalize a twisted complex")
     p.add_argument("file")
-    add_common(p)
+    add_common(p, report=False)
     p.set_defaults(func=cmd_tot)
 
     p = sub.add_parser("tot-inverse", help="read a split filtered complex "
                        "back as a twisted complex")
     p.add_argument("file")
-    add_common(p)
+    add_common(p, report=False)
     p.set_defaults(func=cmd_tot_inverse)
 
     p = sub.add_parser("spectral", help="compute a spectral sequence page")
@@ -516,14 +532,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cone", help="build the r-cone of a morphism")
     p.add_argument("file")
     p.add_argument("-r", type=_nonneg_int, required=True)
-    add_common(p)
+    add_common(p, report=False)
     p.set_defaults(func=cmd_cone)
 
     p = sub.add_parser("path", help="build the r-path")
     p.add_argument("file")
     p.add_argument("-r", type=_nonneg_int, required=True)
     p.add_argument("--dainf", action="store_true")
-    add_common(p)
+    add_common(p, report=False)
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("homotopy", help="check or solve r-homotopies")

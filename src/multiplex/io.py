@@ -34,10 +34,11 @@ integers in [0, p).  Missing blocks are zero maps.
 Documents are written by ``json_text``, which gives the text of
 ``json.dumps(payload, indent=2, sort_keys=True)`` without json's
 pure-Python indenting encoder; the CLI's JSON reports go through it too.
-``dump_matrix`` and ``parse_matrix`` work a row at a time per field: F_p
-rows are slices of the data, and a row of plain ints becomes F_p residues
-or QQ Fractions in one pass.  Any other row is read entry by entry through
-``Field.parse``, which words every entry error.
+``dump_matrix`` and ``parse_matrix`` work a row at a time per field: a row
+of plain ints is adopted as is over QQ (QQ entries are ints where integral,
+see ``linalg``) and made F_p residues in one pass, and a matrix holding no
+Fraction is dumped as slices of its data.  Any other row is read entry by
+entry through ``Field.parse``, which words every entry error.
 
 Size budget: a module declared by "dims" may have total dimension (the sum
 of its ranks, so also any single rank) at most MAX_DIMENSION = 10^4, and
@@ -65,7 +66,7 @@ from .bigraded import BigradedMap, BigradedModule, power_module
 from .dainf import DAInfAlgebra, DAInfHomotopy, DAInfMorphism
 from .filtered_ainf import FilteredAInf
 from .filtration import FilteredComplex, tot_dim
-from .linalg import _QQ_ZERO, Field, Matrix
+from .linalg import Field, Matrix
 from .twisted import RHomotopy, TwistedComplex, TwistedMorphism
 
 SCHEMA_VERSION = "1"
@@ -186,8 +187,7 @@ def parse_matrix(field: Field, payload, rows: int, cols: int) -> Matrix:
             # other row goes entry by entry through Field.parse, which
             # words every error
             if all(type(v) is int for v in row):
-                data += [v % p for v in row] if p else \
-                    [Fraction(v) if v else _QQ_ZERO for v in row]
+                data += [v % p for v in row] if p else row
             else:
                 data += [field.parse(v) for v in row]
     except (ValueError, ZeroDivisionError) as exc:
@@ -198,7 +198,7 @@ def parse_matrix(field: Field, payload, rows: int, cols: int) -> Matrix:
 def dump_matrix(field: Field, m: Matrix):
     c, d = m.cols, m.data
     rows = [d[r * c:(r + 1) * c] for r in range(m.rows)]
-    if field.p:
+    if field.p or Fraction not in set(map(type, d)):
         return rows
     return [[a.numerator if a.denominator == 1
              else f"{a.numerator}/{a.denominator}" for a in row]

@@ -8,19 +8,21 @@ enough.  No floating point anywhere.
 
 Matrix arithmetic and elimination both use one kernel per field kind, so
 field arithmetic is chosen once per operation rather than once per entry.
+F_p entries are ints in [0, p); a QQ entry is an int when integral and
+otherwise a Fraction with denominator > 1 (never a float or a bool).
 ``+``, ``-``, negation and ``scale`` are list comprehensions that pass zero
-operands through; ``*`` accumulates plain integer (F_p) or Fraction (QQ)
-products and reduces ``% p`` once per output entry (``_matmul_mod_p``,
-``_matmul_qq``); ``is_zero`` is ``not any(data)``.  F_p entries are always
-ints in [0, p) and QQ entries always Fractions.
+operands through, and ``*`` accumulates plain products in one kernel for
+both fields (``_matmul``).  F_p results are reduced ``% p`` once per entry
+and QQ results put in canonical form; ``is_zero`` is ``not any(data)``.
 
 All elimination goes through ``Matrix._echelon``, which reduces a list of
 row lists with ``_rref_mod_p`` for F_p or ``_rref_qq`` for QQ.  The QQ
-kernel is fraction-free: it clears each row's denominators and eliminates
-on Python ints, and makes Fractions only when it divides each pivot row by
-its pivot at the end.  The result is the canonical reduced row echelon
-form, whichever kernel produced it.  A ``Subquotient`` Z/B is built from a
-single elimination of ``[B | Z]``.
+kernel is fraction-free: it clears the denominators of the rows that hold a
+Fraction and eliminates on Python ints, and divides each pivot row by its
+pivot at the end, making a Fraction only where the pivot does not divide an
+entry.  The result is the canonical reduced row echelon form, whichever
+kernel produced it.  A ``Subquotient`` Z/B is built from a single
+elimination of ``[B | Z]``.
 """
 
 from __future__ import annotations
@@ -89,22 +91,22 @@ class Field:
 
     # -- element ops ---------------------------------------------------
     def zero(self):
-        return 0 if self.kind == "prime_field" else Fraction(0)
+        return 0
 
     def one(self):
-        return 1 if self.kind == "prime_field" else Fraction(1)
+        return 1
 
     def of_int(self, n: int):
-        return n % self.p if self.kind == "prime_field" else Fraction(n)
+        return n % self.p if self.kind == "prime_field" else int(n)
 
     def add(self, a, b):
-        return (a + b) % self.p if self.kind == "prime_field" else a + b
+        return (a + b) % self.p if self.p else _qq_entry(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "prime_field" else a - b
+        return (a - b) % self.p if self.p else _qq_entry(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "prime_field" else a * b
+        return (a * b) % self.p if self.p else _qq_entry(a * b)
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "prime_field" else -a
@@ -114,7 +116,8 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "prime_field":
             return pow(a, self.p - 2, self.p)
-        return 1 / a
+        # Fraction(1, a), never 1 / a: that is a float for an int a
+        return _qq_entry(Fraction(1, a))
 
     def parse(self, v):
         """Element from its JSON form: int for F_p, int or 'a/b' string for QQ."""
@@ -126,9 +129,10 @@ class Field:
                 raise ValueError(f"F_{self.p} entries must be integers, got {v!r}")
             return v % self.p
         if isinstance(v, int):
-            return Fraction(v)
-        if isinstance(v, str):
-            return Fraction(v)
+            return v
+        # no exponent: Fraction("1e999999999") would build 10 ** 999999999
+        if isinstance(v, str) and "e" not in v.lower():
+            return _qq_entry(Fraction(v))
         raise ValueError(f"rational entries must be int or 'a/b' string, got {v!r}")
 
     def __str__(self):
@@ -156,7 +160,8 @@ class Matrix:
         else:
             if len(data) != rows * cols:
                 raise ValueError("entry count does not match shape")
-            self.data = list(data)
+            # callers may pass Fraction(3); kernels adopt theirs through _of
+            self.data = list(data) if field.p else _qq_canonical(list(data))
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -254,9 +259,9 @@ class Matrix:
         return not any(self.data)
 
     # -- arithmetic --------------------------------------------------------
-    # One kernel per field kind: F_p entries are ints in [0, p) reduced once
-    # per result entry, QQ entries are Fractions.  A zero operand is passed
-    # through rather than computed, since most blocks are mostly zeros.
+    # One kernel per field kind: F_p results are reduced once per entry, QQ
+    # results put in canonical form.  A zero operand is passed through
+    # rather than computed, since most blocks are mostly zeros.
     def __add__(self, other):
         self._same_shape(other)
         p = self.field.p
@@ -264,8 +269,8 @@ class Matrix:
             data = [(a + b) % p if b else a
                     for a, b in zip(self.data, other.data)]
         else:
-            data = [(a + b if a else b) if b else a
-                    for a, b in zip(self.data, other.data)]
+            data = _qq_canonical([a + b if b else a
+                                  for a, b in zip(self.data, other.data)])
         return Matrix._of(self.field, self.rows, self.cols, data)
 
     def __sub__(self, other):
@@ -275,8 +280,8 @@ class Matrix:
             data = [(a - b) % p if b else a
                     for a, b in zip(self.data, other.data)]
         else:
-            data = [(a - b if a else -b) if b else a
-                    for a, b in zip(self.data, other.data)]
+            data = _qq_canonical([a - b if b else a
+                                  for a, b in zip(self.data, other.data)])
         return Matrix._of(self.field, self.rows, self.cols, data)
 
     def __neg__(self):
@@ -288,7 +293,7 @@ class Matrix:
         if p:
             data = [c * a % p if a else a for a in self.data]
         else:
-            data = [c * a if a else a for a in self.data]
+            data = _qq_canonical([c * a if a else a for a in self.data])
         return Matrix._of(self.field, self.rows, self.cols, data)
 
     def __mul__(self, other):
@@ -310,8 +315,8 @@ class Matrix:
             k, j = divmod(t, oc)
             right[k].append((j, od[t]))
         p = self.field.p
-        data = _matmul_mod_p(self, right, oc, p) if p else \
-            _matmul_qq(self, right, oc)
+        data = _matmul(self, right, oc)
+        data = [v % p for v in data] if p else _qq_canonical(data)
         return Matrix._of(self.field, self.rows, oc, data)
 
     def _same_shape(self, other):
@@ -327,14 +332,14 @@ class Matrix:
         for r in range(self.rows):
             data.extend(self.row(r))
             data.extend(other.row(r))
-        return Matrix(self.field, self.rows, self.cols + other.cols, data)
+        return Matrix._of(self.field, self.rows, self.cols + other.cols, data)
 
     def take_cols(self, idxs):
         data = []
         for r in range(self.rows):
             row = self.row(r)
             data.extend(row[c] for c in idxs)
-        return Matrix(self.field, self.rows, len(idxs), data)
+        return Matrix._of(self.field, self.rows, len(idxs), data)
 
     # -- elimination -------------------------------------------------------
     def _echelon(self):
@@ -458,20 +463,31 @@ class SignedPerm(Matrix):
                           [v for row in rows for v in row])
 
 
-_QQ_ZERO = Fraction(0)  # immutable, so one object serves every matrix
+def _qq_entry(v):
+    """v, an int or a Fraction, as a canonical QQ entry."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _qq_canonical(data: list) -> list:
+    """data, a list of ints and Fractions, as canonical QQ entries: the
+    list itself when it holds no Fraction, which is checked at C speed."""
+    if Fraction not in set(map(type, data)):
+        return data
+    return [v.numerator if v.denominator == 1 else v for v in data]
 
 
 def _negated(data: list, p: int) -> list:
     """Entrywise negation over F_p (p > 0) or QQ (p == 0)."""
     if p:
         return [-a % p for a in data]
-    return [-a if a else a for a in data]
+    return [-a for a in data]
 
 
-def _matmul_mod_p(a: Matrix, right: list, oc: int, p: int) -> list:
-    """Row-major data of a * B over F_p, where right[k] lists the nonzero
-    (column, value) pairs of row k of B and B has oc columns.  Sums stay
-    unreduced ints until one ``% p`` per output entry."""
+def _matmul(a: Matrix, right: list, oc: int) -> list:
+    """Row-major data of a * B before reduction, where right[k] lists the
+    nonzero (column, value) pairs of row k of B and B has oc columns.  The
+    sums are plain: the caller reduces them ``% p`` over F_p or puts them
+    in canonical form over QQ."""
     sd, n = a.data, a.cols
     out = [0] * (a.rows * oc)
     for t in compress(range(len(sd)), sd):
@@ -479,21 +495,7 @@ def _matmul_mod_p(a: Matrix, right: list, oc: int, p: int) -> list:
         x, base = sd[t], i * oc
         for j, y in right[k]:
             out[base + j] += x * y
-    return [v % p for v in out]
-
-
-def _matmul_qq(a: Matrix, right: list, oc: int) -> list:
-    """As ``_matmul_mod_p`` over QQ.  None marks an output entry that no
-    product reached, so no Fraction is ever added to zero."""
-    sd, n = a.data, a.cols
-    out = [None] * (a.rows * oc)
-    for t in compress(range(len(sd)), sd):
-        i, k = divmod(t, n)
-        x, base = sd[t], i * oc
-        for j, y in right[k]:
-            v = out[base + j]
-            out[base + j] = x * y if v is None else v + x * y
-    return [_QQ_ZERO if v is None else v for v in out]
+    return out
 
 
 def _rref_mod_p(rows: list, ncols: int, p: int) -> list:
@@ -522,50 +524,47 @@ def _rref_mod_p(rows: list, ncols: int, p: int) -> list:
 def _rref_qq(rows: list, ncols: int) -> list:
     """Gauss-Jordan on row lists over QQ, in place; returns pivot columns.
 
-    Fraction-free: each row is scaled to integers by the lcm of its
-    denominators and divided by its content (the gcd of its entries).
-    Eliminating with pivot row P at column c replaces a row R by
-    (P_c / g) R - (R_c / g) P, g = gcd(P_c, R_c), divided by its content
-    again, all on Python ints.  Each pivot row is divided by its pivot
-    once at the end.  Scaling a row changes neither its span nor the
-    pivots, and reduced row echelon form is canonical, so the result is the
-    one that Fraction arithmetic would give."""
-    ints = []
-    for row in rows:
-        den = lcm(*[a.denominator for a in row])
-        if den == 1:
-            row = [a.numerator for a in row]
-        else:
+    Fraction-free: a row holding a Fraction is scaled to integers by the
+    lcm of its denominators, and each row is divided by its content (the
+    gcd of its entries).  Eliminating with pivot row P at column c replaces
+    a row R by (P_c / g) R - (R_c / g) P, g = gcd(P_c, R_c), divided by its
+    content again, all on Python ints.  Each pivot row is divided by its
+    pivot once at the end: ``x // pv`` where exact, else a Fraction.
+    Scaling a row changes neither its span nor the pivots, and reduced row
+    echelon form is canonical, so the result is the one that Fraction
+    arithmetic would give."""
+    for k, row in enumerate(rows):
+        if Fraction in set(map(type, row)):
+            den = lcm(*[a.denominator for a in row])
             row = [a.numerator * (den // a.denominator) for a in row]
         g = gcd(*row)
-        ints.append([x // g for x in row] if g > 1 else row)
+        rows[k] = [x // g for x in row] if g > 1 else row
     pivots = []
-    r, nrows = 0, len(ints)
+    r, nrows = 0, len(rows)
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if ints[i][c]), None)
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
-        ints[r], ints[pr] = ints[pr], ints[r]
-        prow = ints[r]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
         pv = prow[c]
-        for i, row in enumerate(ints):
+        for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
                 g = gcd(pv, f)
                 a, b = pv // g, f // g
                 row = [a * x - b * y for x, y in zip(row, prow)]
                 g = gcd(*row)
-                ints[i] = [x // g for x in row] if g > 1 else row
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    for k, row in enumerate(ints):
-        if k < r:
-            pv = row[pivots[k]]
-            rows[k] = [Fraction(x, pv) if x else _QQ_ZERO for x in row]
-        else:
-            rows[k] = [_QQ_ZERO] * ncols
+    # rows from r on are all zero ints: every nonzero row gave a pivot
+    for k, c in enumerate(pivots):
+        row, pv = rows[k], rows[k][c]
+        if pv != 1:
+            rows[k] = [Fraction(x, pv) if x % pv else x // pv for x in row]
     return pivots
 
 

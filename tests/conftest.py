@@ -1,11 +1,24 @@
 """Shared helpers for the test suite and the acceptance gate."""
 
 import random
+from fractions import Fraction
 
 from multiplex.bigraded import BigradedMap, compose as bcompose, zero_map
 from multiplex.linalg import Matrix, subquotient
 from multiplex.reports import Report
 from multiplex.twisted import RHomotopy, compose, identity_morphism, path
+
+
+def assert_canonical(field, data):
+    """Every entry is in the one canonical form of its field: over F_p an
+    int in [0, p); over QQ an int (not a bool) when the value is integral,
+    otherwise a Fraction with denominator > 1, and never a float."""
+    if field.p:
+        assert all(type(v) is int and 0 <= v < field.p for v in data)
+    else:
+        assert all(type(v) is int
+                   or (type(v) is Fraction and v.denominator > 1)
+                   for v in data)
 
 
 def column_subquotient(a, p, q):

@@ -1,7 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
+
+from conftest import assert_canonical
 
 from multiplex.bigraded import (
     BigradedModule, BigradedMap, _pairs_tree, compose, hom_one_map_one,
@@ -454,25 +455,24 @@ def _ref_tensor_maps(f, g):
 
 
 def _assert_canonical_map(m):
-    """F_p entries are ints in [0, p); QQ entries are Fractions."""
-    p = m.field.p
     for blk in m.blocks.values():
-        if p:
-            assert all(type(v) is int and 0 <= v < p for v in blk.data)
-        else:
-            assert all(type(v) is Fraction for v in blk.data)
+        assert_canonical(m.field, blk.data)
 
 
 def _rand_sparse_map(src, dst, bidegree, rng, density):
     """rand_map with entries nonzero with the given probability."""
     field = src.field
+    values = [-7, -2, -1, 1, 2, 5, 11]
+    if not field.p:
+        # over QQ, products such as 2 * 1/2 are integral and must be ints
+        values += ["1/2", "-3/2", "2/3"]
     p, q = bidegree
     blocks = {}
     for (i, j), n in src.dims.items():
         m = dst.dim(i + p, j + q)
         if m:
             blocks[(i, j)] = Matrix(field, m, n, [
-                field.of_int(rng.choice([-7, -2, -1, 1, 2, 5, 11]))
+                field.parse(rng.choice(values))
                 if rng.random() < density else field.zero()
                 for _ in range(m * n)])
     return BigradedMap(src, dst, bidegree, blocks)

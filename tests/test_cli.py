@@ -15,7 +15,11 @@ from multiplex import cli, io as mio
 from multiplex import linalg, twisted
 from multiplex.bigraded import BigradedMap
 from multiplex.cli import main
-from multiplex.dainf import lambda_r_dga
+from multiplex.dainf import (
+    DAInfHomotopy, DAInfMorphism, check_r_homotopy_dainf, lambda_r_dga,
+    underlying_twisted,
+)
+from multiplex.filtered_ainf import tot_dainf
 from multiplex.filtration import tot
 from multiplex.generators import (
     dainf_morphism_space, random_dainf_morphism, random_endo_morphism,
@@ -91,6 +95,8 @@ def test_cli_output_is_json_dumps_text(field, tmp_path, capsys):
         ["check", "morphism", full, "--name", "f", "--format", "json"],
         ["spectral", complex_, "--page", "1", "--format", "json"],
         ["spectral", complex_, "--page", "0", "--format", "json"],
+        ["er-qis", full, "--name", "f", "-r", "1", "--format", "json"],
+        ["oracle", "coderh", full, "--format", "json"],
     ]
     texts = {}
     for path in (complex_, full):
@@ -149,6 +155,14 @@ def test_schema_error_exit_2(tmp_path, capsys):
     p2 = tmp_path / "worse.json"
     p2.write_text("not json")
     assert main(["check", "twisted", str(p2)]) == 2
+    # json.loads raises a plain ValueError for an integer literal over the
+    # digit limit of int(); the rank is over the size budget without one
+    p3 = tmp_path / "long.json"
+    p3.write_text('{"schema_version": "1", "field": {"kind": "rational"}, '
+                  '"objects": {"A": {"type": "twisted_complex", '
+                  '"dims": [[0, 0, ' + "1" * 5000 + ']]}}}')
+    assert main(["check", "twisted", str(p3)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_tot_roundtrip_via_cli(fixture_docs, capsys):
@@ -227,6 +241,56 @@ def test_homotopy_check_and_solve(fixture_docs, tmp_path, capsys):
 def test_oracle_subcommand(fixture_docs, capsys):
     assert main(["oracle", "coderh", fixture_docs["full"], "-N", "8"]) == 0
     assert main(["oracle", "coderh", fixture_docs["full"], "-N", "1"]) == 2
+
+
+def test_verdicts_under_format_json(fixture_docs, tmp_path, capsys):
+    """er-qis and oracle print a JSON verdict under --format json and keep
+    their table text; commands that write documents refuse --format."""
+    a = fixture_docs["a"]
+    path = write_doc(tmp_path, "ident.json", {
+        "A": mio.dump_twisted(F, a),
+        "id": mio.dump_twisted_morphism(F, identity_morphism(a), "A", "A")})
+    for flag, via, how in (([], "pages", "induced pages"),
+                           (["--via-cone"], "cone", "the cone criterion")):
+        assert main(["er-qis", path, "-r", "1"] + flag) == 0
+        assert capsys.readouterr().out == \
+            f"id: E_1-quasi-isomorphism = True (via {how})\n"
+        assert main(["er-qis", path, "-r", "1", "--format", "json"]
+                    + flag) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["morphism_check"]["ok"]
+        del got["morphism_check"]
+        assert got == {"object": "id", "r": 1, "via": via,
+                       "quasi_isomorphism": True}
+    # f o d != d o f: no verdict, the morphism report instead
+    broken = {"A": {"type": "twisted_complex", "dims": [[0, 0, 1], [0, 1, 1]],
+                    "d": {"0": {"bidegree": [0, 1], "blocks": [
+                        {"src": [0, 0], "matrix": [[1]]}]}}},
+              "f": {"type": "twisted_morphism", "src": "A", "dst": "A",
+                    "f": {"0": {"bidegree": [0, 0], "blocks": [
+                        {"src": [0, 1], "matrix": [[1]]}]}}}}
+    path = write_doc(tmp_path, "broken.json", broken)
+    assert main(["er-qis", path, "-r", "0"]) == 1
+    assert "FAILED" in capsys.readouterr().out
+    assert main(["er-qis", path, "-r", "0", "--format", "json"]) == 1
+    got = json.loads(capsys.readouterr().out)
+    assert got["quasi_isomorphism"] is None
+    assert not got["morphism_check"]["ok"]
+    full = fixture_docs["full"]
+    assert main(["oracle", "coderh", full, "-N", "8"]) == 0
+    assert capsys.readouterr().out == ("h: coderivation identity at "
+                                       "truncation 8 = True (agrees with the "
+                                       "direct homotopy checker)\n")
+    assert main(["oracle", "coderh", full, "-N", "8", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "object": "h", "truncation": 8, "coderivation_identity": True}
+    out = str(tmp_path / "out.json")
+    for argv in (["tot", fixture_docs["complex"]],
+                 ["tot-inverse", out],
+                 ["cone", full, "--name", "f", "-r", "1"],
+                 ["path", fixture_docs["complex"], "-r", "1"]):
+        assert main(argv + ["-o", out, "--format", "json"]) == 2
+        assert "--format" in capsys.readouterr().err
 
 
 def test_tensor_and_compose(fixture_docs, tmp_path):
@@ -804,9 +868,22 @@ _DAINF_FUZZ_COMMANDS = [
      "-o", "{out}"],
     ["path", "{doc}", "--dainf", "--name", "A", "-r", "1", "-o", "{out}"],
 ]
+_DAINF_HOMOTOPY_COMMANDS = [
+    ["homotopy", "check", "{doc}", "--dainf", "--name", "H"],
+    ["check", "dainf-morphism", "{doc}", "--name", "g"],
+    ["er-qis", "{doc}", "--name", "f", "-r", "1"],
+]
+_FILTERED_COMMANDS = [
+    ["check", "filtered", "{doc}", "--name", "K"],
+    ["check", "filtered-ainf", "{doc}", "--name", "FA"],
+    ["tot-inverse", "{doc}", "--name", "K", "-o", "{out}"],
+    ["spectral", "{doc}", "--name", "K", "--page", "1"],
+]
 _WRONG_TYPES = [None, True, 1.5, "x", [], {}, [[]], -1, 10 ** 30]
+# over QQ "6/2", "-0.25" and "2/-4" are entries; an exponent is refused,
+# before "1e999999999" builds 10 ** 999999999
 _WRONG_SCALARS = ["1/2", "1/0", 0.5, "abc", True, None, 32003, -1, 10 ** 40,
-                  [1]]
+                  [1], "6/2", "-0.25", "1.5", "1e3", "1e999999999", "2/-4"]
 _BAD_KEYS = ["0,2000", "0,101", "0,-3", "-1,2", "0,1,2", "x", "",
              "99999999999999999999,1"]
 _FIELDS = [{"kind": "rational"}, {"kind": "prime_field", "p": 5},
@@ -843,12 +920,20 @@ def _set(doc, path, value):
 
 
 def _is_matrix(p, v):
-    return p[-1:] == ("matrix",) and isinstance(v, list) and \
-        all(isinstance(r, list) for r in v)
+    """The "matrix" of a map block, or a matrix of a filtered_complex
+    ("d": {n: matrix}) or a filtered_ainf ("m": {k: {n: matrix}})."""
+    if not (isinstance(v, list) and all(isinstance(r, list) for r in v)):
+        return False
+    return p[-1:] == ("matrix",) or (len(p) == 4 and p[2] == "d") or \
+        (len(p) == 5 and p[2] == "m" and p[4] != "blocks")
 
 
-def _is_entry(p, v):
-    return len(p) > 2 and p[-3] == "matrix" and isinstance(v, int)
+def _pick_entry(doc, rng):
+    """A random (path, value) of a matrix entry, or None."""
+    found = [(m + (r, c), x) for m in _positions(doc)
+             if _is_matrix(m, _at(doc, m))
+             for r, row in enumerate(_at(doc, m)) for c, x in enumerate(row)]
+    return rng.choice(found) if found else None
 
 
 def _mutate(doc, rng):
@@ -897,14 +982,14 @@ def _mutate(doc, rng):
             hit[1][rng.choice(_BAD_KEYS)] = hit[1].pop(
                 rng.choice(sorted(hit[1])))
     elif kind == "scalar":
-        hit = _pick(doc, rng, _is_entry)
+        hit = _pick_entry(doc, rng)
         if hit:
             _set(doc, hit[0], copy.deepcopy(rng.choice(_WRONG_SCALARS)))
     elif kind == "field":
         doc["field"] = copy.deepcopy(rng.choice(_FIELDS))
     elif kind == "entry":
         # a valid value in the wrong place: the axioms may now fail
-        hit = _pick(doc, rng, _is_entry)
+        hit = _pick_entry(doc, rng)
         if hit:
             _set(doc, hit[0], rng.choice([0, 1, 2, 7]))
     else:
@@ -939,11 +1024,46 @@ def _dainf_pair_doc():
         "f": mio.dump_dainf_morphism(F, f, "A", "A")}))
 
 
+def _dainf_homotopy_doc():
+    """A, f, g and a dainf_homotopy H: f ~_1 g, all of arity 1."""
+    rng = random.Random(4)
+    a = random_zero_product_dainf(F, rng, cols=(0, 1), verts=(0, 2),
+                                  max_rank=1, spots=4)
+    tf = random_endo_morphism(underlying_twisted(a), rng)
+    tg, th = random_homotopic_pair(tf, 1, rng)
+    f, g = (DAInfMorphism(a, a, {(i, 1): m for i, m in t.f.items()})
+            for t in (tf, tg))
+    assert check_r_homotopy_dainf(DAInfHomotopy(
+        1, f, g, {(i, 1): m for i, m in th.h.items()})).ok
+    return json.loads(mio.document_json(F, {
+        "A": mio.dump_dainf(F, a),
+        "f": mio.dump_dainf_morphism(F, f, "A", "A"),
+        "g": mio.dump_dainf_morphism(F, g, "A", "A"),
+        "H": {"type": "dainf_homotopy", "r": 1, "f": "f", "g": "g",
+              "h": {f"{i},1": mio.dump_map(F, m)
+                    for i, m in sorted(th.h.items())}}}))
+
+
+def _filtered_doc(fixture_docs):
+    """A filtered_complex K, Tot of the fixture complex, and the
+    filtered_ainf FA of Lambda_0."""
+    return json.loads(mio.document_json(F, {
+        "K": mio.dump_filtered(F, tot(fixture_docs["a"])),
+        "FA": mio.dump_filtered_ainf(
+            F, tot_dainf(lambda_r_dga(0, F).algebra))}))
+
+
 def test_mutation_fuzzer_keeps_the_exit_contract(fixture_docs, capsys):
     """Mutated documents exit 0, 1 or 2, with no traceback and in time."""
-    with open(fixture_docs["full"]) as fh:
-        bases = [(json.load(fh), _TWISTED_COMMANDS),
-                 (_dainf_pair_doc(), _DAINF_FUZZ_COMMANDS)]
+    qq_dir = fixture_docs["tmp"] / "qq"
+    qq_dir.mkdir()
+    bases = []
+    for path in (fixture_docs["full"], _field_docs(qq_dir, QQ, 4242)["full"]):
+        with open(path) as fh:
+            bases.append((json.load(fh), _TWISTED_COMMANDS))
+    bases += [(_dainf_pair_doc(), _DAINF_FUZZ_COMMANDS),
+              (_dainf_homotopy_doc(), _DAINF_HOMOTOPY_COMMANDS),
+              (_filtered_doc(fixture_docs), _FILTERED_COMMANDS)]
     paths = {"doc": str(fixture_docs["tmp"] / "fuzz.json"),
              "out": str(fixture_docs["tmp"] / "fuzz-out.json")}
     rng = random.Random(FUZZ_SEED)

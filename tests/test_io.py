@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import assert_canonical
+
 from multiplex import io as mio
 from multiplex.io import DocumentError, json_text
 from multiplex.linalg import GF, QQ, Matrix
@@ -135,10 +137,7 @@ def test_matrix_kernels_match_field_dump_and_parse(field, seed):
         assert json_text(dumped) == _reference(dumped)
         back = mio.parse_matrix(field, dumped, rows, cols)
         assert back == m == _ref_parse(field, dumped, rows, cols)
-        if field.p:
-            assert all(type(v) is int and 0 <= v < field.p for v in back.data)
-        else:
-            assert all(type(v) is Fraction for v in back.data)
+        assert_canonical(field, back.data)
         # out-of-range F_p integers and mixed int/string QQ rows
         raw = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(cols)]
                for _ in range(rows)]
@@ -151,6 +150,7 @@ def test_matrix_kernels_match_field_dump_and_parse(field, seed):
 @pytest.mark.parametrize("field, entry", [
     (GF(5), True), (GF(5), "1"), (GF(5), 1.0), (GF(5), None),
     (QQ, False), (QQ, 1.5), (QQ, "1/0"), (QQ, "x"), (QQ, [1]),
+    (QQ, "1e99999999"), (QQ, "2E3"),
 ], ids=repr)
 def test_parse_matrix_errors_are_worded_by_field_parse(field, entry):
     payload = [[1, 2], [0, entry]]

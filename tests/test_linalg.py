@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import assert_canonical
+
 from multiplex.linalg import (
     GF, QQ, Field, Matrix, SignedPerm, induced_map, subquotient,
 )
@@ -133,6 +135,7 @@ def _dual_row(f, b, n):
         if b[i, 0]:
             row = Matrix.zero(f, 1, n)
             row[0, i] = f.inv(b[i, 0])
+            assert_canonical(f, row.data)  # never a float
             return row
     raise AssertionError("zero column")
 
@@ -161,6 +164,7 @@ def _ref_echelon(self):
                 m.data[r * m.cols + j], m.data[pr * m.cols + j] = \
                     m.data[pr * m.cols + j], m.data[r * m.cols + j]
         piv = f.inv(m.data[r * m.cols + c])
+        assert_canonical(f, [piv])  # never a float
         for j in range(c, m.cols):
             m.data[r * m.cols + j] = f.mul(piv, m.data[r * m.cols + j])
         for rr in range(m.rows):
@@ -283,6 +287,64 @@ def test_qq_elimination_with_fractions_matches_reference(seed, monkeypatch):
         sq = subquotient(m, m * _rand_rational_matrix(m.cols, 2, rng, big))
         rep, dim = _ref_subquotient(sq.cycle_basis, sq.boundary_basis)
         assert (sq.rep_basis, sq.dim) == (rep, dim)
+
+
+def test_qq_entries_are_exact_and_canonical():
+    """Field.inv divides exactly (1 / 2 would be the float 0.5, and
+    Fraction(1, 2) == 0.5), and integral values are ints."""
+    half = QQ.inv(2)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    for got, want in ((QQ.inv(Fraction(1, 3)), 3), (QQ.inv(-1), -1),
+                      (QQ.add(half, half), 1), (QQ.mul(half, 4), 2),
+                      (QQ.sub(Fraction(5, 2), half), 2), (QQ.parse("6/2"), 3),
+                      (QQ.mul(QQ.parse("-0.25"), 4), -1), (QQ.of_int(True), 1),
+                      (QQ.zero(), 0), (QQ.one(), 1)):
+        assert got == want and type(got) is int
+    m = Matrix(QQ, 1, 3, [Fraction(3), Fraction(1, 2), Fraction(0)])
+    assert m.data == [3, Fraction(1, 2), 0]
+    assert [type(v) for v in m.data] == [int, Fraction, int]
+
+
+def _unimodular(n, rng):
+    """An integer n x n matrix of determinant +-1, so its inverse is
+    integral too."""
+    u = Matrix.identity(QQ, n)
+    for _ in range(3 * n):
+        e = Matrix.identity(QQ, n)
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            e[i, j] = rng.choice([-3, -2, -1, 1, 2, 3])
+        if rng.random() < 0.2:
+            e[0, 0] = -e[0, 0]
+        u = u * e
+    return u
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_qq_integral_results_of_fraction_inputs_are_ints(seed):
+    """Rows of a unimodular matrix divided by 2..9 hold Fractions, but its
+    RREF, inverse, kernel, a solution and products are integral: those
+    entries are ints."""
+    rng = random.Random(7700 + seed)
+    n = rng.randint(1, 6)
+    u = _unimodular(n, rng)
+    d = Matrix(QQ, n, n)
+    for i in range(n):
+        d[i, i] = Fraction(1, rng.randint(2, 9))
+    a = d * u
+    assert all(any(type(v) is Fraction for v in a.row(r)) for r in range(n))
+    x = rand_matrix(QQ, n, 2, rng)
+    c = rand_matrix(QQ, n, 1, rng)
+    ech, piv = a._echelon()
+    inv = a.inverse()
+    results = [ech, inv, a.solve(a * x), a * inv, inv * a,
+               a.hstack(a * c).kernel_basis()]
+    assert (ech, piv) == (Matrix.identity(QQ, n), list(range(n)))
+    assert results[2] == x
+    assert results[3] == results[4] == Matrix.identity(QQ, n)
+    assert results[5] == Matrix(QQ, n + 1, 1, [-v for v in c.data] + [1])
+    for m in results:
+        assert all(type(v) is int for v in m.data)
 
 
 def _subquotient_cases(field, rng):
@@ -469,12 +531,7 @@ def _ref_scatter(p, m):
 
 
 def _assert_canonical(m):
-    """F_p entries are ints in [0, p); QQ entries are Fractions."""
-    p = m.field.p
-    if p:
-        assert all(type(v) is int and 0 <= v < p for v in m.data)
-    else:
-        assert all(type(v) is Fraction for v in m.data)
+    assert_canonical(m.field, m.data)
 
 
 def _rand_entry(field, rng):

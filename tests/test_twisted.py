@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from conftest import check_morphism_blockwise, check_twisted_blockwise
+from conftest import (
+    assert_canonical, check_morphism_blockwise, check_twisted_blockwise,
+)
 from multiplex.bigraded import (
     BigradedMap, BigradedModule, identity_map, symmetry_iso, tensor_modules,
 )
@@ -111,6 +113,7 @@ def test_invert(seed):
     two = TwistedMorphism(a, a, {0: identity_map(a.module).scale(F.of_int(2))})
     halves = invert(two)
     inv2 = F.inv(F.of_int(2))
+    assert_canonical(F, [inv2])  # never a float
     assert halves.f_map(0) == identity_map(a.module).scale(inv2)
     phi = random_automorphism(a, rng)
     psi = invert(phi)
