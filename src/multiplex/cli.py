@@ -297,6 +297,14 @@ def cmd_path(args) -> int:
 
 
 def cmd_homotopy(args) -> int:
+    # check prints a report and solve writes a document, so each refuses
+    # the other's option rather than ignore it
+    if args.action == "check" and args.output is not None:
+        raise DocumentError("homotopy check writes no document: "
+                            "-o/--output is not accepted")
+    if args.action == "solve" and args.format is not None:
+        raise DocumentError("homotopy solve writes a document: "
+                            "--format is not accepted")
     doc = _read(args.file)
     field = doc.field
     if args.action == "check":
@@ -550,6 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", help="source-side morphism name (solve)")
     p.add_argument("--g", help="target-side morphism name (solve)")
     add_common(p)
+    # no default, so that solve can tell an explicit --format
+    p.set_defaults(format=None)
     p.set_defaults(func=cmd_homotopy)
 
     p = sub.add_parser("tensor", help="tensor two twisted complexes")

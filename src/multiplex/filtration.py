@@ -26,6 +26,8 @@ the twisted-complex checkers decide their conditions on Tot too.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .bigraded import (
     BigradedMap, BigradedModule, degrees_of, tensor_modules, tensor_summands,
     tot_blocks, tot_layout, tot_matrix,
@@ -73,11 +75,12 @@ def _check_filtered(mat: Matrix, src: dict, dst: dict, shift: int,
 class FilteredComplex:
     """Split filtered cochain complex: splitting module + total differential."""
 
-    __slots__ = ("module", "d", "_tots")
+    __slots__ = ("module", "d", "_tots", "_kernels")
 
     def __init__(self, module: BigradedModule, d: dict[int, Matrix]):
         self.module = module
         self._tots = {}
+        self._kernels = {}
         self.d = {}
         for n, mat in d.items():
             _check_filtered(
@@ -97,13 +100,53 @@ class FilteredComplex:
     def dim(self, n: int) -> int:
         return self._tot(n)[1]
 
-    def _tot(self, n: int) -> tuple[dict, int]:
-        """(tot_layout(module, n), dim Tot^n), computed once per degree."""
+    def cut(self, n: int, p: int) -> int:
+        """dim F_p Tot^n: the number of leading basis vectors of Tot^n in
+        F_p, i.e. the offset of the first column beyond p."""
+        _, _, cols, starts = self._tot(n)
+        return starts[bisect_right(cols, p)]
+
+    def _tot(self, n: int) -> tuple[dict, int, list, list]:
+        """(tot_layout(module, n), dim Tot^n, its columns, their offsets
+        followed by dim Tot^n), computed once per degree."""
         t = self._tots.get(n)
         if t is None:
             lay = tot_layout(self.module, n)
-            t = self._tots[n] = (lay, sum(dim for _, dim in lay.values()))
+            starts = [off for off, _ in lay.values()]
+            dim = sum(dim for _, dim in lay.values())
+            t = self._tots[n] = (lay, dim, list(lay), starts + [dim])
         return t
+
+    def kernel(self, n: int, s: int, t: int) -> tuple[Matrix, list[int]]:
+        """(K, free): the columns of K are the RREF kernel basis of d^n
+        from F_t Tot^n to Tot^{n+1} / F_s, so they span
+        {x in F_t Tot^n : dx in F_s}, and K is the identity on the rows
+        listed in free.  Computed once per (n, s, t).
+
+        Column c of K has its last nonzero entry on row free[c], so for
+        t' <= t the kernel for (n, s, t') is the leading columns of K, those
+        with free[c] < dim F_t' Tot^n."""
+        key = (n, s, t)
+        got = self._kernels.get(key)
+        if got is None:
+            # d^n keeps every F_i, so only its block from the columns in
+            # (s, t] to the rows in (s, t] can be nonzero: F_s is free
+            top = self.cut(n, t)
+            low = min(self.cut(n, s), top)
+            r0 = self.cut(n + 1, s)
+            rows = self.cut(n + 1, t) - r0
+            if rows > 0 and top > low:
+                ker, ker_free = self.d_mat(n).get_block(
+                    r0, low, rows, top - low).kernel()
+            else:
+                ker = Matrix.identity(self.field, top - low)
+                ker_free = range(top - low)
+            free = list(range(low)) + [low + c for c in ker_free]
+            K = Matrix.identity(self.field, self.dim(n)).get_block(
+                0, 0, self.dim(n), len(free))
+            K.set_block(low, low, ker)
+            got = self._kernels[key] = K, free
+        return got
 
     def basis(self, n: int) -> list[tuple[int, int]]:
         return tot_basis(self.module, n)

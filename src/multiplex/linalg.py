@@ -21,8 +21,11 @@ kernel is fraction-free: it clears the denominators of the rows that hold a
 Fraction and eliminates on Python ints, and divides each pivot row by its
 pivot at the end, making a Fraction only where the pivot does not divide an
 entry.  The result is the canonical reduced row echelon form, whichever
-kernel produced it.  A ``Subquotient`` Z/B is built from a single
-elimination of ``[B | Z]``.
+kernel produced it.  A ``Subquotient`` Z/B given the rows on which Z is
+the identity (a basis from ``Matrix.kernel`` is, on the free columns that
+it reports) reads B's coordinates off those rows, checks Z C == B exactly,
+and finds its rep columns with one small echelon of the coordinates;
+without those rows it eliminates ``[B | Z]``, and Z once more for its rank.
 """
 
 from __future__ import annotations
@@ -334,6 +337,13 @@ class Matrix:
             data.extend(other.row(r))
         return Matrix._of(self.field, self.rows, self.cols + other.cols, data)
 
+    def take_rows(self, idxs):
+        c, d = self.cols, self.data
+        data = []
+        for r in idxs:
+            data.extend(d[r * c:(r + 1) * c])
+        return Matrix._of(self.field, len(idxs), c, data)
+
     def take_cols(self, idxs):
         data = []
         for r in range(self.rows):
@@ -358,6 +368,13 @@ class Matrix:
 
     def kernel_basis(self) -> "Matrix":
         """Columns form a basis of ker(self); cols = self.cols - rank."""
+        return self.kernel()[0]
+
+    def kernel(self) -> tuple["Matrix", list[int]]:
+        """(K, free): K is kernel_basis(), and free lists the non-pivot
+        columns of the echelon form.  Column k of K is 1 on row free[k],
+        0 on the other free rows and below free[k], so K restricted to the
+        rows free is the identity."""
         f = self.field
         ech, pivots = self._echelon()
         pivset = set(pivots)
@@ -369,7 +386,7 @@ class Matrix:
             col = _negated(ech.data[fc:len(pivots) * ec:ec], f.p)
             for pc, v in zip(pivots, col):
                 out.data[pc * nf + k] = v
-        return out
+        return out, free
 
     def solve(self, b: "Matrix"):
         """Some x with self*x = b (b may have several columns); None if insoluble."""
@@ -573,45 +590,82 @@ class Subquotient:
 
     Z and B are given by matrices whose columns span the cycle and boundary
     subspaces.  rep_basis columns are the first columns of Z that are
-    independent modulo B (deterministic tie-breaking by column index): they
-    are the pivot columns in the Z part of one echelon of ``[B | Z]``, B
-    first.  A second echelon gives rank Z for the containment check.
+    independent modulo B (deterministic tie-breaking by column index).
+
+    With free_rows, Z is in kernel form: its restriction to those rows is
+    the identity (checked), so its columns are independent and the
+    coordinates C of B in that basis are B's entries on those rows.  B lies
+    in span Z exactly when Z C == B (checked).  The rep columns are then
+    the pivot columns in the identity part of one echelon of ``[C | 1]``,
+    which has a row per coordinate rather than per ambient dimension, less
+    the coordinates that a column of C with a single nonzero entry already
+    puts in span C.  Without free_rows they are the pivot columns in the Z
+    part of one echelon of ``[B | Z]``, B first, and a second echelon gives
+    rank Z for the containment check.
     """
 
     __slots__ = ("field", "ambient_dim", "cycle_basis", "boundary_basis",
                  "rep_basis", "dim", "_red")
 
-    def __init__(self, Z: Matrix, B: Matrix):
+    def __init__(self, Z: Matrix, B: Matrix, free_rows: list | None = None):
         if Z.rows != B.rows:
             raise ValueError("ambient dimension mismatch")
         if Z.field != B.field:
             raise ValueError("field mismatch")
         self.field = Z.field
         self.ambient_dim = Z.rows
-        rkZ = Z.rank()
-        _, pivots = B.hstack(Z)._echelon()
-        if len(pivots) != rkZ:
-            raise ValueError("boundary span not contained in cycle span")
-        keep = [c - B.cols for c in pivots if c >= B.cols]
-        rkB = len(pivots) - len(keep)
+        if free_rows is None:
+            rkZ = Z.rank()
+            _, pivots = B.hstack(Z)._echelon()
+            if len(pivots) != rkZ:
+                raise ValueError("boundary span not contained in cycle span")
+            keep = [c - B.cols for c in pivots if c >= B.cols]
+            rkB = len(pivots) - len(keep)
+        else:
+            keep, rkZ, rkB = _rep_cols_in_coordinates(Z, B, free_rows)
         self.cycle_basis = Z
         self.boundary_basis = B
         self.rep_basis = Z.take_cols(keep)
         self.dim = rkZ - rkB
         if len(keep) != self.dim:
             raise AssertionError("rep basis size disagrees with rank arithmetic")
-        self._red = self.rep_basis.hstack(self.boundary_basis)
+        self._red = None
 
     def reduce(self, v: Matrix) -> Matrix:
         """Coordinates of [v] in the rep basis; v must lie in span(Z)."""
+        if self._red is None:
+            self._red = self.rep_basis.hstack(self.boundary_basis)
         x = self._red.solve(v)
         if x is None:
             raise ValueError("vector not in the cycle span")
         return x.get_block(0, 0, self.dim, v.cols)
 
 
-def subquotient(Z: Matrix, B: Matrix) -> Subquotient:
-    return Subquotient(Z, B)
+def _rep_cols_in_coordinates(Z: Matrix, B: Matrix, free: list):
+    """(rep columns, rank Z, rank B) for Z that is the identity on the rows
+    free; see Subquotient."""
+    f, j, bc = Z.field, Z.cols, B.cols
+    if len(free) != j or Z.take_rows(free) != Matrix.identity(f, j):
+        raise ValueError("cycle basis is not the identity on the given rows")
+    coords = B.take_rows(free)
+    if Z * coords != B:
+        raise ValueError("boundary span not contained in cycle span")
+    # a coordinate column with one nonzero entry puts that coordinate in
+    # span C outright; the others count modulo those, so those rows go
+    cd = coords.data
+    spanned = {next(compress(range(j), col))
+               for col in (cd[b::bc] for b in range(bc))
+               if col.count(0) == j - 1}
+    rest = [i for i in range(j) if i not in spanned]
+    _, pivots = coords.take_rows(rest).hstack(
+        Matrix.identity(f, len(rest)))._echelon()
+    keep = [rest[c - bc] for c in pivots if c >= bc]
+    return keep, j, j - len(keep)
+
+
+def subquotient(Z: Matrix, B: Matrix,
+                free_rows: list | None = None) -> Subquotient:
+    return Subquotient(Z, B, free_rows)
 
 
 class BlockLinearSystem:

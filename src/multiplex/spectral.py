@@ -14,9 +14,30 @@ come out on the nose (delta_0 = d_0 and delta_1 = H_{d_0}(d_1)).
 Entries are indexed by (p, q) over the support of the underlying
 bigraded module; everything else is zero (E_0 = A_p^q already vanishes
 off the support and later pages are subquotients).
+
+Kernels are shared between entries.  With s = p - r, Z_r^{p,n} is
+{x in F_p Tot^n : dx in F_s}, the kernel of d^n from F_p Tot^n to
+Tot^{n+1} / F_s, and the RREF kernel basis of a column prefix is a
+column prefix of the RREF kernel basis of a wider one.  The complex
+keeps one kernel per (n, s, t), ``FilteredComplex.kernel(n, s, t)``,
+and on page r each entry reads its three cycle spaces off two of them,
+both with t = s + r:
+
+    Z_r^{p,n}           = kernel(n, p - r, p)
+    Z_{r-1}^{p-1,n}     = kernel(n, p - r, p) cut to F_{p-1}
+    Z_{r-1}^{p+r-1,n-1} = kernel(n - 1, p, p + r) cut to F_{p+r-1}
+
+where kernel(n - 1, p, p + r) is Z_r^{p+r,n-1}, the cycles of another
+entry.  For r = 0 both cuts are the F_{p-1} and F_{p+r-1} that Z_{-1}
+stands for.  A kernel basis is the identity on its free rows, so the entry's
+``Subquotient`` reads the boundary coordinates off those rows instead of
+eliminating.  Since d^n keeps the filtration, only the columns in (s, t]
+reach rows outside F_s, and each kernel eliminates that band alone.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .filtration import FilteredComplex, tot, tot_morphism
 from .linalg import Matrix, Subquotient, induced_map, subquotient
@@ -55,36 +76,28 @@ class SpectralPage:
         return self.total_rank() == 0
 
 
-def _filtration_cut(k: FilteredComplex, n: int, p: int) -> int:
-    """Number of leading basis vectors of Tot^n lying in F_p: the offset
-    of the first column beyond p."""
-    return next((off for i, (off, _) in k.layout(n).items() if i > p),
-                k.dim(n))
+def _leading(k: FilteredComplex, kernel: tuple, n: int, p: int) -> Matrix:
+    """The columns of a kernel from FilteredComplex.kernel(n, s, t) that
+    lie in F_p Tot^n, p <= t."""
+    K, free = kernel
+    return K.get_block(0, 0, K.rows, bisect_left(free, k.cut(n, p)))
 
 
 def z_basis(k: FilteredComplex, r: int, p: int, n: int) -> Matrix:
     """Columns span Z_r^{p,n} in Tot^n coordinates (Z_{-1}^p = F_p)."""
-    total = k.dim(n)
-    fp = _filtration_cut(k, n, p)
-    # F_p Tot^n is spanned by the first fp basis vectors
-    f_p = Matrix.identity(k.field, total).get_block(0, 0, total, fp)
-    # rows of Tot^{n+1} outside F_{p-r}: a suffix, since columns ascend
-    first_bad = _filtration_cut(k, n + 1, p - r)
-    bad = k.dim(n + 1) - first_bad
-    if r < 0 or not fp or not bad:
-        return f_p
-    return f_p * k.d_mat(n).get_block(first_bad, 0, bad, fp).kernel_basis()
+    return k.kernel(n, p - r, p)[0]
 
 
 def page_entry(k: FilteredComplex, r: int, p: int, q: int) -> Subquotient:
     """E_r^{p,q} as a subquotient of Tot^{q-p} with representative lifts."""
     n = q - p
-    z = z_basis(k, r, p, n)
-    zb1 = z_basis(k, r - 1, p - 1, n)
-    zb2 = z_basis(k, r - 1, p + r - 1, n - 1)
-    d_prev = k.d_mat(n - 1)
-    b = zb1.hstack(d_prev * zb2)
-    return subquotient(z, b)
+    z, free = k.kernel(n, p - r, p)
+    # Z_{r-1}^{p-1,n} = Z_r^{p,n} cut to F_{p-1}, and Z_{r-1}^{p+r-1,n-1} =
+    # Z_r^{p+r,n-1} cut to F_{p+r-1}: leading columns of page-r kernels
+    zb1 = _leading(k, (z, free), n, p - 1)
+    zb2 = _leading(k, k.kernel(n - 1, p, p + r), n - 1, p + r - 1)
+    b = zb1.hstack(k.d_mat(n - 1) * zb2)
+    return subquotient(z, b, free)
 
 
 def spectral_page(a: TwistedComplex | FilteredComplex, r: int,

@@ -293,6 +293,29 @@ def test_verdicts_under_format_json(fixture_docs, tmp_path, capsys):
         assert "--format" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["homotopy", "solve", "{full}", "-r", "1", "--f", "f", "--g", "g",
+      "-o", "{out}", "--format", "json"], "--format"),
+    (["homotopy", "solve", "{full}", "-r", "1", "--f", "f", "--g", "g",
+      "--format", "table"], "--format"),
+    (["homotopy", "check", "{full}", "-r", "1", "-o", "{out}"], "-o"),
+    (["homotopy", "check", "{full}", "--output", "{out}",
+      "--format", "json"], "-o"),
+], ids=["solve-json", "solve-table", "check-o", "check-output-json"])
+def test_homotopy_refuses_the_other_actions_option(fixture_docs, tmp_path,
+                                                    capsys, argv, option):
+    """solve writes a document and check prints a report: each refuses
+    the option of the other (exit 2, naming it) and writes nothing."""
+    out = tmp_path / "out.json"
+    paths = dict(fixture_docs, out=str(out))
+    assert main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: homotopy ")
+    assert option in captured.err
+    assert not out.exists()
+
+
 def test_tensor_and_compose(fixture_docs, tmp_path):
     out = str(tmp_path / "tensor.json")
     assert main(["tensor", fixture_docs["complex"], fixture_docs["complex"],

@@ -389,6 +389,78 @@ def test_subquotient_rejects_boundary_outside_cycles(field, seed):
         subquotient(z, b)
 
 
+def _kernel_form(field, rng):
+    """(Z, free): Z is n x j with random entries, except that its rows
+    free are the identity."""
+    n = rng.randint(0, 8)
+    j = rng.randint(0, n)
+    free = sorted(rng.sample(range(n), j))
+    z = rand_matrix(field, n, j, rng)
+    for k, i in enumerate(free):
+        z.data[i * j:(i + 1) * j] = [int(c == k) for c in range(j)]
+    return z, free
+
+
+def _boundary_in(z, rng):
+    """Columns in span Z: unit coordinate columns (Z's own columns),
+    repeated columns and low-rank combinations, shuffled."""
+    field, j = z.field, z.cols
+    coords = _rand_low_rank(field, j, rng.randint(0, 5), rng.randint(0, 3),
+                            rng)
+    units = [c for c in range(j) if rng.random() < 0.4]
+    b = z.take_cols(units).hstack(z * coords)
+    order = list(range(b.cols)) * 2
+    rng.shuffle(order)
+    return b.take_cols(order[:rng.randint(0, len(order))])
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(12))
+def test_identity_row_subquotient_matches_reference(field, seed):
+    """Z given with the rows on which it is the identity: the rep basis is
+    read off in coordinates, and equals the reference and generic paths."""
+    rng = random.Random(8500 + seed)
+    for _ in range(4):
+        z, free = _kernel_form(field, rng)
+        b = _boundary_in(z, rng)
+        sq = subquotient(z, b, free)
+        rep, dim = _ref_subquotient(z, b)
+        generic = subquotient(z, b)
+        assert (sq.rep_basis, sq.dim) == (rep, dim)
+        assert (sq.rep_basis, sq.dim) == (generic.rep_basis, generic.dim)
+        assert sq.cycle_basis is z and sq.boundary_basis is b
+        v = z * rand_matrix(field, z.cols, 2, rng)
+        assert sq.reduce(v) == generic.reduce(v)
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(6))
+def test_identity_row_subquotient_rejects_bad_input(field, seed):
+    rng = random.Random(8700 + seed)
+    z, free = _kernel_form(field, rng)
+    while not z.cols or len(free) == z.rows:
+        z, free = _kernel_form(field, rng)
+    # a boundary column off span Z: the same error as the generic path
+    b = _boundary_in(z, rng)
+    off = Matrix.zero(field, z.rows, 1)
+    off[next(i for i in range(z.rows) if i not in free), 0] = field.one()
+    off = off + z * rand_matrix(field, z.cols, 1, rng)
+    for args in ((z, b.hstack(off), free), (z, b.hstack(off))):
+        with pytest.raises(ValueError, match="boundary span not contained"):
+            subquotient(*args)
+    with pytest.raises(ValueError):
+        _ref_subquotient(z, b.hstack(off))
+    # rows on which Z is not the identity
+    other = next(i for i in range(z.rows) if i not in free)
+    zero_row, scaled = z.copy(), z.copy()
+    zero_row.data[other * z.cols:(other + 1) * z.cols] = [0] * z.cols
+    scaled[free[0], 0] = field.of_int(2) if field.p != 2 else 0
+    for bad_z, bad_free in ((zero_row, sorted([other] + free[1:])),
+                            (z, free[1:]), (scaled, free)):
+        with pytest.raises(ValueError, match="not the identity"):
+            subquotient(bad_z, Matrix.zero(field, z.rows, 0), bad_free)
+
+
 # -- primality of the modulus ----------------------------------------------
 
 def test_large_prime_modulus_accepted_quickly():

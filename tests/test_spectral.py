@@ -9,13 +9,13 @@ from multiplex.generators import (
     random_endo_morphism, random_homotopic_pair, random_null_homotopic_map,
     random_twisted_complex,
 )
-from multiplex.linalg import GF, Matrix, subquotient
+from multiplex.linalg import GF, QQ, Matrix, subquotient
 from multiplex.spectral import (
     check_page_recursion, is_er_quasi_iso, is_er_quasi_iso_via_cone,
     page_of_morphism, spectral_page,
 )
 from multiplex.twisted import (
-    TwistedComplex, TwistedMorphism, check_twisted, compose,
+    TwistedComplex, TwistedMorphism, check_twisted, compose, cone,
     identity_morphism, path, zero_morphism,
 )
 
@@ -290,3 +290,98 @@ def test_homotopic_maps_same_next_page(seed, r):
     assert pf.keys() == pg.keys()
     for k in pf:
         assert pf[k] == pg[k]
+
+
+# -- cross-check against the per-entry route ---------------------------------
+# The reference builds every cycle basis with its own kernel_basis on the
+# column prefix F_p and every entry with the generic two-echelon
+# Subquotient; spectral_page shares one kernel per (n, s, t) and reads the
+# rep columns off in cycle coordinates.
+
+def _ref_cut(k, n, p):
+    return next((off for i, (off, _) in k.layout(n).items() if i > p),
+                k.dim(n))
+
+
+def _ref_z_basis(k, r, p, n):
+    total = k.dim(n)
+    fp = _ref_cut(k, n, p)
+    f_p = Matrix.identity(k.field, total).get_block(0, 0, total, fp)
+    first_bad = _ref_cut(k, n + 1, p - r)
+    bad = k.dim(n + 1) - first_bad
+    if r < 0 or not fp or not bad:
+        return f_p
+    return f_p * k.d_mat(n).get_block(first_bad, 0, bad, fp).kernel_basis()
+
+
+def _ref_page(k, r):
+    entries = {}
+    for p, q in sorted(k.module.dims):
+        n = q - p
+        b = _ref_z_basis(k, r - 1, p - 1, n).hstack(
+            k.d_mat(n - 1) * _ref_z_basis(k, r - 1, p + r - 1, n - 1))
+        entries[(p, q)] = subquotient(_ref_z_basis(k, r, p, n), b)
+    delta = {}
+    for (p, q), e in entries.items():
+        tgt = entries.get((p - r, q - r + 1))
+        if e.dim and tgt is not None and tgt.dim:
+            mat = tgt.reduce(k.d_mat(q - p) * e.rep_basis)
+            mat = -mat if (r * (q - p)) % 2 else mat
+            if not mat.is_zero():
+                delta[(p, q)] = mat
+    return entries, delta
+
+
+def _assert_pages_match_reference(k, pages):
+    for r in pages:
+        page = spectral_page(k, r)
+        entries, delta = _ref_page(k, r)
+        assert page.entries.keys() == entries.keys()
+        for pq, ref in entries.items():
+            got = page.entries[pq]
+            assert got.dim == ref.dim, (r, pq)
+            assert got.rep_basis == ref.rep_basis, (r, pq)
+            assert got.cycle_basis == ref.cycle_basis, (r, pq)
+            assert got.boundary_basis == ref.boundary_basis, (r, pq)
+        assert page.delta == delta, r
+    # z_basis also serves the zig-zag of check_page_recursion, at r - 1
+    for n in k.degrees():
+        for p in range(min(k.layout(n), default=0) - 1,
+                       max(k.layout(n), default=0) + 2):
+            for r in range(-1, max(pages) + 1):
+                assert spectral.z_basis(k, r, p, n) == \
+                    _ref_z_basis(k, r, p, n), (r, p, n)
+
+
+# nonzero differentials on pages 0-4, the last the benchmark's shape
+_REF_SHAPES = [dict(cols=(0, 5), verts=(-1, 3), max_rank=2, spots=12),
+               dict(cols=(0, 8), verts=(-1, 2), max_rank=1, spots=40),
+               dict(cols=(0, 6), verts=(-2, 3), max_rank=3, spots=15),
+               dict(cols=(0, 13), verts=(-1, 2), max_rank=1, spots=200)]
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=str)
+@pytest.mark.parametrize("seed", range(len(_REF_SHAPES)))
+def test_pages_match_per_entry_reference(field, seed):
+    rng = random.Random(2100 + seed)
+    a = random_twisted_complex(field, rng, **_REF_SHAPES[seed])
+    _assert_pages_match_reference(tot(a), range(5))
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_cone_page_matches_per_entry_reference(field, seed):
+    rng = random.Random(2200 + seed)
+    a = random_twisted_complex(field, rng, **_REF_SHAPES[1])
+    for f in (zero_morphism(a, a), random_null_homotopic_map(a, a, rng),
+              random_endo_morphism(a, rng)):
+        _assert_pages_match_reference(tot(cone(f, 1).complex), [2])
+
+
+def test_seed7_instance_pages_match_per_entry_reference():
+    """A seed-7 instance of total dimension 194 (Tot^n up to 29), pages
+    0-3 over F_32003."""
+    a = random_twisted_complex(F, random.Random(7), cols=(0, 8),
+                               verts=(-3, 4), max_rank=5, spots=120)
+    assert a.module.total_dim() == 194
+    _assert_pages_match_reference(tot(a), range(4))
