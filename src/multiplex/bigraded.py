@@ -178,10 +178,7 @@ class BigradedMap:
 
     def shifted(self, shift: Bidegree) -> "BigradedMap":
         """Same matrices, viewed between shifted modules, same bidegree."""
-        u, v = shift
-        return BigradedMap(self.src.shifted(shift), self.dst.shifted(shift),
-                           self.bidegree,
-                           {(i + u, j + v): m for (i, j), m in self.blocks.items()})
+        return relabel(self, shift, shift)
 
 
 def zero_map(src: BigradedModule, dst: BigradedModule, bidegree: Bidegree) -> BigradedMap:
@@ -507,52 +504,100 @@ def _pairs_tree(a: BigradedModule, b: BigradedModule, k: int) -> Tree:
     return t
 
 
-def direct_sum(parts: list[BigradedModule]):
-    """Direct sum with its injections and projections.
-
-    Basis order per bidegree: all of parts[0], then parts[1], ...
-    """
+@cache
+def _sum_table(parts: tuple) -> tuple:
+    """The direct sum of parts and, per bidegree, the offset of each part
+    there: basis order per bidegree is all of parts[0], then parts[1], ...
+    A single part is its own direct sum."""
     if not parts:
         raise ValueError("empty direct sum")
     field = parts[0].field
-    dims: dict[Bidegree, int] = {}
-    for p in parts:
-        if p.field != field:
-            raise ValueError("field mismatch")
-        for k, n in p.dims.items():
-            dims[k] = dims.get(k, 0) + n
-    total = BigradedModule(field, dims)
-    injections, projections = [], []
-    for s, p in enumerate(parts):
-        inj_blocks, proj_blocks = {}, {}
-        for (i, j), n in p.dims.items():
-            off = sum(parts[t].dim(i, j) for t in range(s))
-            tot = total.dim(i, j)
-            inj = Matrix.zero(field, tot, n)
-            proj = Matrix.zero(field, n, tot)
-            for a in range(n):
-                inj[off + a, a] = field.one()
-                proj[a, off + a] = field.one()
-            inj_blocks[(i, j)] = inj
-            proj_blocks[(i, j)] = proj
-        injections.append(BigradedMap(p, total, (0, 0), inj_blocks))
-        projections.append(BigradedMap(total, p, (0, 0), proj_blocks))
+    if any(p.field != field for p in parts):
+        raise ValueError("field mismatch")
+    offsets, dims = {}, {}
+    for k in sorted({k for p in parts for k in p.dims}):
+        offs, n = [], 0
+        for p in parts:
+            offs.append(n)
+            n += p.dim(*k)
+        offsets[k], dims[k] = tuple(offs), n
+    total = parts[0] if len(parts) == 1 else BigradedModule(field, dims)
+    return total, offsets
+
+
+def sum_module(parts) -> BigradedModule:
+    """The direct sum of the modules parts."""
+    return _sum_table(tuple(parts))[0]
+
+
+def place(src, dst, bidegree: Bidegree, pieces: dict) -> BigradedMap:
+    """The map of the given bidegree from the direct sum of the modules src
+    to that of the modules dst whose piece from src[l] to dst[k] is m, or
+    -m where negate is set, for pieces {(k, l): (m, negate)}, and zero
+    elsewhere.  Each block of m is written at the offsets of its summands
+    in the source and target bidegrees; distinct pieces land in disjoint
+    ranges, and blocks that come out all zero are dropped."""
+    stotal, soffs = _sum_table(tuple(src))
+    dtotal, doffs = _sum_table(tuple(dst))
+    p, q = bidegree
+    blocks = {}
+    for (k, l), (m, negate) in pieces.items():
+        if not (0 <= k < len(dst) and 0 <= l < len(src)) \
+                or m.src != src[l] or m.dst != dst[k] or m.bidegree != bidegree:
+            raise ValueError(f"piece {(k, l)} is not a map of bidegree "
+                             f"{bidegree} from summand {l} to summand {k}")
+        for (i, j), blk in m.blocks.items():
+            out = blocks.get((i, j))
+            if out is None:
+                out = blocks[(i, j)] = Matrix.zero(
+                    stotal.field, dtotal.dim(i + p, j + q), stotal.dim(i, j))
+            out.set_block(doffs[(i + p, j + q)][k], soffs[(i, j)][l], blk,
+                          negate)
+    return BigradedMap(stotal, dtotal, bidegree,
+                       {key: blocks[key] for key in sorted(blocks)})
+
+
+def restrict(m: BigradedMap, parts, l: int) -> BigradedMap:
+    """m after the injection of parts[l], for m out of the direct sum of
+    parts: the columns of each block at the offset of summand l."""
+    total, offsets = _sum_table(tuple(parts))
+    if m.src != total:
+        raise ValueError("map does not start at the direct sum")
+    part = parts[l]
+    return BigradedMap(part, m.dst, m.bidegree, {
+        (i, j): blk.get_block(0, offsets[(i, j)][l], blk.rows, part.dim(i, j))
+        for (i, j), blk in m.blocks.items() if part.dim(i, j)})
+
+
+def direct_sum(parts: list[BigradedModule]):
+    """Direct sum with its injections and projections, each placed as an
+    identity piece.  Basis order per bidegree: all of parts[0], then
+    parts[1], ..."""
+    parts = tuple(parts)
+    total = sum_module(parts)
+    injections = [place([p], parts, (0, 0), {(s, 0): (identity_map(p), False)})
+                  for s, p in enumerate(parts)]
+    projections = [place(parts, [p], (0, 0), {(0, s): (identity_map(p), False)})
+                   for s, p in enumerate(parts)]
     return total, injections, projections
+
+
+def relabel(m: BigradedMap, src_shift: Bidegree,
+            dst_shift: Bidegree) -> BigradedMap:
+    """m as a map m.src.shifted(src_shift) -> m.dst.shifted(dst_shift):
+    the same blocks keyed by the shifted source bidegrees, that is m
+    between the two shift isomorphisms, with no products."""
+    (u, v), (s, t) = src_shift, dst_shift
+    p, q = m.bidegree
+    return BigradedMap._of(m.src.shifted(src_shift), m.dst.shifted(dst_shift),
+                           (p + s - u, q + t - v),
+                           {(i + u, j + v): blk
+                            for (i, j), blk in m.blocks.items()})
 
 
 def shift_into(mod: BigradedModule, shift: Bidegree) -> BigradedMap:
     """Canonical iso mod -> mod.shifted(shift), identity blocks, bidegree = shift."""
-    u, v = shift
-    return BigradedMap(mod, mod.shifted(shift), (u, v),
-                       {k: Matrix.identity(mod.field, n) for k, n in mod.dims.items()})
-
-
-def shift_out(mod: BigradedModule, shift: Bidegree) -> BigradedMap:
-    """Canonical iso mod.shifted(shift) -> mod, identity blocks, bidegree = -shift."""
-    u, v = shift
-    return BigradedMap(mod.shifted(shift), mod, (-u, -v),
-                       {(i + u, j + v): Matrix.identity(mod.field, n)
-                        for (i, j), n in mod.dims.items()})
+    return relabel(identity_map(mod), (0, 0), shift)
 
 
 def nary_tensor_maps(maps: list[BigradedMap], regroup=None) -> BigradedMap:

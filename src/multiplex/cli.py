@@ -449,21 +449,29 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
     cols, verts, max_rank = args.cols, args.verts, args.max_rank
+    options = ("--cols", "--verts", "--max-rank")
     if args.dims:
         parts = args.dims.split(",")
         if len(parts) != 3:
             raise DocumentError("--dims must look like "
                                 "IMIN:IMAX,JMIN:JMAX,MAXRANK")
         cols, verts, rank_s = parts
+        options = ("--dims",) * 3
         try:
             max_rank = int(rank_s)
         except ValueError:
-            raise DocumentError(f"bad rank {rank_s!r}") from None
-    try:
-        imin, imax = (int(x) for x in cols.split(":"))
-        jmin, jmax = (int(x) for x in verts.split(":"))
-    except ValueError:
-        raise DocumentError("ranges must look like IMIN:IMAX") from None
+            raise DocumentError(f"--dims: bad rank {rank_s!r}") from None
+    imin, imax = _gen_range(cols, options[0])
+    jmin, jmax = _gen_range(verts, options[1])
+    if max_rank < 1:
+        raise DocumentError(f"{options[2]}: the maximum rank must be at "
+                            f"least 1, got {max_rank}")
+    # random_unipotent allocates a dense matrix per Tot^n, and the total
+    # dimension is at most spots * max_rank
+    if args.spots * max_rank > mio.MAX_DIMENSION:
+        raise DocumentError(
+            f"--spots {args.spots} times the maximum rank {max_rank} "
+            f"({options[2]}) is above the size budget of {mio.MAX_DIMENSION}")
     rng = random.Random(args.seed)
     a = random_twisted_complex(field, rng, cols=(imin, imax),
                                verts=(jmin, jmax), max_rank=max_rank,
@@ -472,6 +480,18 @@ def cmd_gen(args) -> int:
     objects = {"random": mio.dump_twisted(field, a)}
     _emit(mio.document_json(field, objects), args.output)
     return 0
+
+
+def _gen_range(text: str, option: str) -> tuple[int, int]:
+    """MIN:MAX of a gen option as a nonempty range of ints."""
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise DocumentError(f"{option}: ranges must look like MIN:MAX, "
+                            f"got {text!r}") from None
+    if lo > hi:
+        raise DocumentError(f"{option}: the range {text!r} is empty")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .bigraded import (
-    BigradedMap, BigradedModule, basis_index, compose as bcompose, direct_sum,
+    BigradedMap, BigradedModule, basis_index, compose as bcompose,
     hom_one_map_one, identity_map, interleave_iso, node,
-    nary_tensor_maps, power_module, power_tree, shift_into, shift_out,
+    nary_tensor_maps, power_module, power_tree, place, sum_module,
     tensor_maps, tensor_modules, tensor_summands, tree_basis, tree_iso,
     unit_module, zero_map,
 )
@@ -32,7 +32,8 @@ from .signs import (
     compose_sign_step, homotopy_beta, homotopy_sum1_sign, structure_sign,
 )
 from .twisted import (
-    TwistedComplex, TwistedMorphism, check_twisted,
+    TwistedComplex, TwistedMorphism, check_twisted, into_path, path_diagonal,
+    path_differential, path_structure_maps, path_summands,
 )
 
 class DAInfAlgebra:
@@ -573,33 +574,20 @@ class PathDainf:
     r: int
 
 
-def lambda_ident_iso(lam_mod: BigradedModule, a_mod: BigradedModule,
-                     path_mod: BigradedModule, r: int) -> BigradedMap:
+def lambda_ident_iso(a_mod: BigradedModule, r: int) -> BigradedMap:
     """Strict iso Lambda_r (x) A -> A (+) A[mid] (+) A matching
-    e_- (x) x + u (x) y + e_+ (x) z <-> (x, y, z)."""
-    field = a_mod.field
-    src = tensor_modules(lam_mod, a_mod)
-    blocks = {}
-    for (i, j) in src.support():
-        n0 = a_mod.dim(i, j)
-        n1 = a_mod.dim(i + r, j + r - 1)
-        rows = path_mod.dim(i, j)
-        cols = src.dim(i, j)
-        mat = Matrix.zero(field, rows, cols)
-        cc = 0
-        for (p, q, dl, da) in tensor_summands(lam_mod, a_mod, i, j):
-            for l_idx in range(dl):
-                for a_idx in range(da):
-                    if (p, q) == (0, 0) and l_idx == 0:
-                        mat[a_idx, cc] = field.one()
-                    elif (p, q) == (0, 0) and l_idx == 1:
-                        mat[n0 + n1 + a_idx, cc] = field.one()
-                    else:
-                        mat[n0 + a_idx, cc] = field.one()
-                    cc += 1
-        if rows and cols:
-            blocks[(i, j)] = mat
-    return BigradedMap(src, path_mod, (0, 0), blocks)
+    e_- (x) x + u (x) y + e_+ (x) z <-> (x, y, z).  Lambda_r (x) A is the
+    direct sum of its summands by left bidegree, u (x) A = A[mid] at
+    (-r, 1-r) and (e_-, e_+) (x) A at (0, 0), in ascending order."""
+    mid = a_mod.shifted((-r, 1 - r))
+    one, one_mid = identity_map(a_mod), identity_map(mid)
+    if r:  # u (x) A comes first
+        return place([mid, a_mod, a_mod], path_summands(a_mod, r), (0, 0),
+                     {(1, 0): (one_mid, False), (0, 1): (one, False),
+                      (2, 2): (one, False)})
+    return place([a_mod, a_mod, mid], path_summands(a_mod, r), (0, 0),
+                 {(0, 0): (one, False), (2, 1): (one, False),
+                  (1, 2): (one_mid, False)})
 
 
 def _path_tj(a_mod: BigradedModule, path_mod: BigradedModule, r: int,
@@ -608,9 +596,8 @@ def _path_tj(a_mod: BigradedModule, path_mod: BigradedModule, r: int,
     only the patterns x..x, x..x y z..z, z..z survive, with the sign
     xbar = (-1)^{r x_1 + (1-r) x_2} on every x left of the y."""
     field = a_mod.field
-    mid_shift = (-r, 1 - r)
     pw_a = power_module(a_mod, j)
-    target, _, _ = direct_sum([pw_a, pw_a.shifted(mid_shift), pw_a])
+    target = sum_module(path_summands(pw_a, r))
     src = power_module(path_mod, j)
     ptree = power_tree(path_mod, j)
     atree = power_tree(a_mod, j)
@@ -672,11 +659,9 @@ def path_dainf(a: DAInfAlgebra, r: int) -> PathDainf:
     lam = lambda_r_dga(r, a.field)
     tensor_alg = tensor_twisted_dga(lam.algebra, a)
 
-    mid_shift = (-r, 1 - r)
-    mid = a.module.shifted(mid_shift)
-    path_mod, (inc0, inc1, inc2), (pr0, pr1, pr2) = \
-        direct_sum([a.module, mid, a.module])
-    ident = lambda_ident_iso(lam.algebra.module, a.module, path_mod, r)
+    parts = path_summands(a.module, r)
+    path_mod = sum_module(parts)
+    ident = lambda_ident_iso(a.module, r)
     ident_inv = _invert_strict_iso(ident)
 
     # transported structure maps
@@ -687,39 +672,14 @@ def path_dainf(a: DAInfAlgebra, r: int) -> PathDainf:
 
     # direct construction: arity 1 is the twisted path, arity >= 2 the
     # diagonal matrices composed with t_j
-    direct: dict[tuple[int, int], BigradedMap] = {}
-    into_mid = shift_into(a.module, mid_shift)
-    ones = sorted({i for (i, j) in a.m if j == 1} | {r})
-    for i in ones:
-        dm = zero_map(path_mod, path_mod, (-i, 1 - i))
-        if (i, 1) in a.m:
-            da = a.m[(i, 1)]
-            middle = da.shifted(mid_shift)
-            if (i + r + 1) % 2:
-                middle = -middle
-            dm = dm + bcompose(inc0, bcompose(da, pr0)) \
-                    + bcompose(inc1, bcompose(middle, pr1)) \
-                    + bcompose(inc2, bcompose(da, pr2))
-        if i == r:
-            dm = dm - bcompose(inc1, bcompose(into_mid, pr0))
-            dm = dm + bcompose(inc1, bcompose(into_mid, pr2))
-        if not dm.is_zero():
-            direct[(i, 1)] = dm
+    direct = {(i, 1): dm for i, dm in path_differential(
+        a.module, {i: mij for (i, j), mij in a.m.items() if j == 1}, r).items()}
     for (i, j), mij in sorted(a.m.items()):
         if j < 2:
             continue
-        tj = _path_tj(a.module, path_mod, r, j)
-        pw_a = power_module(a.module, j)
-        mid_pw = pw_a.shifted(mid_shift)
-        _, (jnc0, jnc1, jnc2), (jpr0, jpr1, jpr2) = \
-            direct_sum([pw_a, mid_pw, pw_a])
-        middle = mij.shifted(mid_shift)
-        if (r * j + i + j) % 2:
-            middle = -middle
-        block = bcompose(inc0, bcompose(mij, jpr0)) \
-            + bcompose(inc1, bcompose(middle, jpr1)) \
-            + bcompose(inc2, bcompose(mij, jpr2))
-        direct[(i, j)] = bcompose(block, tj)
+        block = place(path_summands(power_module(a.module, j), r), parts,
+                      mij.bidegree, path_diagonal(mij, r, (r * j + i + j) % 2))
+        direct[(i, j)] = bcompose(block, _path_tj(a.module, path_mod, r, j))
 
     keys = sorted(set(transported) | set(direct))
     for key in keys:
@@ -735,12 +695,12 @@ def path_dainf(a: DAInfAlgebra, r: int) -> PathDainf:
 
     algebra = DAInfAlgebra(path_mod, direct)
     check_dainf(algebra).raise_if_failed()
-    iota = DAInfMorphism(a, algebra, {(0, 1): inc0 + inc2})
-    p_minus = DAInfMorphism(algebra, a, {(0, 1): pr0})
-    p_plus = DAInfMorphism(algebra, a, {(0, 1): pr2})
+    iota0, minus0, plus0, p_zero = path_structure_maps(a.module, r)
+    iota = DAInfMorphism(a, algebra, {(0, 1): iota0})
+    p_minus = DAInfMorphism(algebra, a, {(0, 1): minus0})
+    p_plus = DAInfMorphism(algebra, a, {(0, 1): plus0})
     for mor in (iota, p_minus, p_plus):
         check_dainf_morphism(mor).raise_if_failed()
-    p_zero = bcompose(shift_out(a.module, mid_shift), pr1)
     return PathDainf(algebra, iota, p_minus, p_plus, p_zero,
                      tensor_alg, ident, r)
 
@@ -764,22 +724,14 @@ def path_dainf_morphism(f: DAInfMorphism, r: int,
     """P_r(f)_{ij} = (f_{ij}, (-1)^{(r+1)(j-1)+i} f_{ij}, f_{ij}) o t_j."""
     pa = src_path or path_dainf(f.src, r)
     pb = dst_path or path_dainf(f.dst, r)
-    mid_shift = (-r, 1 - r)
+    dst = path_summands(f.dst.module, r)
     comps = {}
-    _, (binc0, binc1, binc2), _ = direct_sum(
-        [f.dst.module, f.dst.module.shifted(mid_shift), f.dst.module])
     for (i, j), fij in sorted(f.f.items()):
-        tj = _path_tj(f.src.module, pa.algebra.module, r, j)
-        pw_a = power_module(f.src.module, j)
-        mid_pw = pw_a.shifted(mid_shift)
-        _, _, (jpr0, jpr1, jpr2) = direct_sum([pw_a, mid_pw, pw_a])
-        middle = fij.shifted(mid_shift)
-        if ((r + 1) * (j - 1) + i) % 2:
-            middle = -middle
-        block = bcompose(binc0, bcompose(fij, jpr0)) \
-            + bcompose(binc1, bcompose(middle, jpr1)) \
-            + bcompose(binc2, bcompose(fij, jpr2))
-        comps[(i, j)] = bcompose(block, tj)
+        block = place(path_summands(power_module(f.src.module, j), r), dst,
+                      fij.bidegree,
+                      path_diagonal(fij, r, ((r + 1) * (j - 1) + i) % 2))
+        comps[(i, j)] = bcompose(
+            block, _path_tj(f.src.module, pa.algebra.module, r, j))
     out = DAInfMorphism(pa.algebra, pb.algebra, comps)
     check_dainf_morphism(out).raise_if_failed()
     return out
@@ -852,21 +804,10 @@ def collapse_after(delta: DAInfMorphism, lam: LambdaObject, side: str) \
 def assemble_into_path_dainf(h: DAInfHomotopy,
                              dst_path: PathDainf | None = None) -> DAInfMorphism:
     """Candidate morphism A -> P_r(B) with components (f_{ik}, h_{ik}, g_{ik})."""
-    r = h.r
-    pb = dst_path or path_dainf(h.dst, r)
-    mid_shift = (-r, 1 - r)
-    _, (inc0, inc1, inc2), _ = direct_sum(
-        [h.dst.module, h.dst.module.shifted(mid_shift), h.dst.module])
-    into_mid = shift_into(h.dst.module, mid_shift)
-    keys = sorted(set(h.f.f) | set(h.g.f) | set(h.h))
-    comps = {}
-    for (i, k) in keys:
-        c = bcompose(inc0, h.f.f_map(i, k)) + bcompose(inc2, h.g.f_map(i, k))
-        if (i, k) in h.h:
-            c = c + bcompose(inc1, bcompose(into_mid, h.h[(i, k)]))
-        if not c.is_zero():
-            comps[(i, k)] = c
-    return DAInfMorphism(h.src, pb.algebra, comps)
+    pb = dst_path or path_dainf(h.dst, h.r)
+    return DAInfMorphism(h.src, pb.algebra, {
+        key: into_path(h.f.f_map(*key), h.h.get(key), h.g.f_map(*key), h.r)
+        for key in sorted(set(h.f.f) | set(h.g.f) | set(h.h))})
 
 
 def _hmk_buckets(h: DAInfHomotopy) -> dict:

@@ -35,10 +35,11 @@ from dataclasses import dataclass
 
 from .bigraded import (
     BigradedMap, BigradedModule, compose as bcompose, degrees_of, direct_sum,
-    identity_map, shift_into, shift_out, tensor_maps, tensor_modules,
-    tot_blocks, tot_layout, tot_matrix, unit_module, zero_map,
+    identity_map, place, relabel, restrict, shift_into, sprod, sum_module,
+    tensor_maps, tensor_modules, tot_blocks, tot_layout, tot_matrix,
+    unit_module, zero_map,
 )
-from .linalg import BlockLinearSystem
+from .linalg import BlockLinearSystem, Matrix
 from .reports import Report
 
 
@@ -347,83 +348,66 @@ def tensor_morphisms(f: TwistedMorphism, g: TwistedMorphism) -> TwistedMorphism:
 
 
 def internal_hom(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
-    """[A,B] with (d_i f) = (-1)^{i(u+v)} d_i^B f - (-1)^v f d_i^A.
+    """[A,B] with (d_i f) = d_i^B f - (-1)^{<(-i, 1-i), (u, v)>} f d_i^A
+    on f of bidegree (u, v): the Koszul sign of moving d_i past f, so that
+    evaluation [A,B] (x) A -> B, f (x) a -> f(a), is a strict morphism.
 
     The (u,v) piece is the space of bigraded maps of bidegree (u,v),
-    truncated to the finite window spanned by the supports.
+    truncated to the finite window spanned by the supports: the summands
+    Hom(A_i^j, B_{i+u}^{j+v}) in ascending (i, j), each with its elementary
+    maps indexed row-major by (source index, target index).  On such a
+    summand d_i^B o - is 1 (x) d_i^B, landing in the summand of the same
+    source, and - o d_i^A is (d_i^A)^T (x) 1, landing in the summand of
+    the source of d_i^A: each is written as a Kronecker block at offsets.
     """
     field = a.field
+    offsets: dict[tuple[int, int], dict] = {}
     hom_dims: dict[tuple[int, int], int] = {}
-    for (i, j), n in a.module.dims.items():
+    for (i, j) in a.module.support():
+        n = a.module.dims[(i, j)]
         for (i2, j2), n2 in b.module.dims.items():
             k = (i2 - i, j2 - j)
+            offsets.setdefault(k, {})[(i, j)] = hom_dims.get(k, 0)
             hom_dims[k] = hom_dims.get(k, 0) + n * n2
     mod = BigradedModule(field, hom_dims)
 
-    def basis_enum(u, v):
-        """Elementary maps at (u,v): (src bidegree, src index, dst index)."""
-        out = []
-        for (i, j) in a.module.support():
-            nb = b.module.dim(i + u, j + v)
-            if nb:
-                for sa in range(a.module.dims[(i, j)]):
-                    for tb in range(nb):
-                        out.append(((i, j), sa, tb))
-        return out
-
-    enums = {uv: basis_enum(*uv) for uv in mod.support()}
-    index = {uv: {e: k for k, e in enumerate(enums[uv])} for uv in enums}
-
-    from .linalg import Matrix
-
     d: dict[int, BigradedMap] = {}
     for m in sorted(set(a.d) | set(b.d)):
+        dmb, dma = b.d.get(m), a.d.get(m)
         blocks = {}
-        for (u, v) in mod.support():
-            tgt = (u - m, v - m + 1)
-            rows = mod.dim(*tgt)
-            cols = mod.dim(u, v)
-            if not rows or not cols:
+        for (u, v), src_offs in offsets.items():
+            dst_offs = offsets.get((u - m, v - m + 1))
+            if dst_offs is None:
                 continue
-            mat = Matrix.zero(field, rows, cols)
-            nonzero = False
-            s1 = -1 if (m * (u + v)) % 2 else 1
-            s2 = -1 if v % 2 else 1
-            dmb = b.d.get(m)
-            dma = a.d.get(m)
-            for cidx, ((i, j), sa, tb) in enumerate(enums[(u, v)]):
-                # d_m^B o E: lands in elementary maps with source (i,j)
-                if dmb is not None:
-                    blk = dmb.blocks.get((i + u, j + v))
-                    if blk is not None:
-                        for tb2 in range(blk.rows):
-                            val = blk[tb2, tb]
-                            if val:
-                                ridx = index[tgt].get(((i, j), sa, tb2))
-                                if ridx is not None:
-                                    add = val if s1 > 0 else field.neg(val)
-                                    mat[ridx, cidx] = field.add(mat[ridx, cidx], add)
-                                    nonzero = True
-                # E o d_m^A: sources (i', j') with (i'-m, j'-m+1) = (i, j)
-                if dma is not None:
-                    i2, j2 = i + m, j + m - 1
-                    blk = dma.blocks.get((i2, j2))
-                    if blk is not None:
-                        for sa2 in range(blk.cols):
-                            val = blk[sa, sa2]
-                            if val:
-                                ridx = index[tgt].get(((i2, j2), sa2, tb))
-                                if ridx is not None:
-                                    sub = val if s2 > 0 else field.neg(val)
-                                    mat[ridx, cidx] = field.sub(mat[ridx, cidx], sub)
-                                    nonzero = True
-            if nonzero:
-                blocks[(u, v)] = mat
-        dm = BigradedMap(mod, mod, (-m, -m + 1), blocks)
-        if not dm.is_zero():
-            d[m] = dm
+            mat = blocks[(u, v)] = Matrix.zero(
+                field, hom_dims[(u - m, v - m + 1)], hom_dims[(u, v)])
+            for (i, j), c0 in src_offs.items():
+                na, nb = a.module.dims[(i, j)], b.module.dim(i + u, j + v)
+                blk = dmb.blocks.get((i + u, j + v)) if dmb else None
+                if blk is not None:
+                    r0 = dst_offs[(i, j)]
+                    for s in range(na):
+                        mat.set_block(r0 + s * blk.rows, c0 + s * nb, blk)
+                blk = dma.blocks.get((i + m, j + m - 1)) if dma else None
+                if blk is not None:
+                    mat.set_block(dst_offs[(i + m, j + m - 1)], c0,
+                                  _transpose_kron_identity(blk, nb),
+                                  sprod((-m, 1 - m), (u, v)) % 2 == 0)
+        d[m] = BigradedMap(mod, mod, (-m, -m + 1), blocks)
     out = TwistedComplex(mod, d)
     check_twisted(out).raise_if_failed()
+    return out
+
+
+def _transpose_kron_identity(x: Matrix, n: int) -> Matrix:
+    """x^T (x) 1_n: entry x[r, c] on the diagonal of the n x n block at
+    block row c and block column r."""
+    out = Matrix.zero(x.field, x.cols * n, x.rows * n)
+    for r, row in enumerate(x.to_rows()):
+        for c, val in enumerate(row):
+            if val:
+                for t in range(n):
+                    out[c * n + t, r * n + t] = val
     return out
 
 
@@ -441,41 +425,58 @@ class PathObject:
     r: int
 
 
+def path_summands(mod: BigradedModule, r: int) -> tuple:
+    """The summands A, A[mid], A of P_r(A), with A[mid]_i^j = A_{i+r}^{j+r-1}."""
+    return (mod, mod.shifted((-r, 1 - r)), mod)
+
+
+def path_diagonal(x: BigradedMap, r: int, negate_mid) -> dict:
+    """The pieces of (x, +-x[mid], x) between the path summands of the
+    source and the target of x, the middle copy negated if negate_mid."""
+    return {(0, 0): (x, False), (1, 1): (x.shifted((-r, 1 - r)), negate_mid),
+            (2, 2): (x, False)}
+
+
+def path_differential(mod: BigradedModule, d: dict[int, BigradedMap],
+                      r: int) -> dict[int, BigradedMap]:
+    """d_m of P_r(A) from the twisting maps d of A: (d_m, (-1)^{m+r+1}
+    d_m[mid], d_m) on the diagonal, and at m = r the shift A -> A[mid]
+    from the third summand minus the same from the first."""
+    parts = path_summands(mod, r)
+    into_mid = shift_into(mod, (-r, 1 - r))
+    out = {}
+    for m in sorted(set(d) | {r}):
+        pieces = path_diagonal(d[m], r, (m + r + 1) % 2) if m in d else {}
+        if m == r:
+            pieces[(1, 0)] = (into_mid, True)
+            pieces[(1, 2)] = (into_mid, False)
+        out[m] = place(parts, parts, (-m, -m + 1), pieces)
+    return out
+
+
+def path_structure_maps(mod: BigradedModule, r: int) -> tuple:
+    """iota, p_minus, p_plus and p_zero of P_r(A) as maps of modules."""
+    parts = path_summands(mod, r)
+    one = identity_map(mod)
+    return (place([mod], parts, (0, 0), {(0, 0): (one, False),
+                                         (2, 0): (one, False)}),
+            place(parts, [mod], (0, 0), {(0, 0): (one, False)}),
+            place(parts, [mod], (0, 0), {(0, 2): (one, False)}),
+            place(parts, [mod], (r, r - 1),
+                  {(0, 1): (relabel(one, (-r, 1 - r), (0, 0)), False)}))
+
+
 def path(a: TwistedComplex, r: int) -> PathObject:
     """The r-path P_r(A)_i^j = A_i^j (+) A_{i+r}^{j+r-1} (+) A_i^j."""
-    mid_shift = (-r, 1 - r)
-    mid = a.module.shifted(mid_shift)
-    total, (inc0, inc1, inc2), (pr0, pr1, pr2) = direct_sum([a.module, mid, a.module])
-    into_mid = shift_into(a.module, mid_shift)   # A -> mid, bidegree (-r, 1-r)
-    out_mid = shift_out(a.module, mid_shift)     # mid -> A, bidegree (r, r-1)
-
-    d: dict[int, BigradedMap] = {}
-    ms = sorted(set(a.d) | {r})
-    for m in ms:
-        dm = zero_map(total, total, (-m, -m + 1))
-        if m in a.d:
-            da = a.d[m]
-            # middle block sign (-1)^{m+r+1}; at m = r this is the -d_r entry
-            middle = da.shifted(mid_shift)
-            if (m + r + 1) % 2:
-                middle = -middle
-            dm = dm + bcompose(inc0, bcompose(da, pr0)) \
-                    + bcompose(inc1, bcompose(middle, pr1)) \
-                    + bcompose(inc2, bcompose(da, pr2))
-        if m == r:
-            dm = dm - bcompose(inc1, bcompose(into_mid, pr0))
-            dm = dm + bcompose(inc1, bcompose(into_mid, pr2))
-        if not dm.is_zero():
-            d[m] = dm
-    p = TwistedComplex(total, d)
+    p = TwistedComplex(sum_module(path_summands(a.module, r)),
+                       path_differential(a.module, a.d, r))
     check_twisted(p).raise_if_failed()
-
-    iota = TwistedMorphism(a, p, {0: inc0 + inc2})
-    p_minus = TwistedMorphism(p, a, {0: pr0})
-    p_plus = TwistedMorphism(p, a, {0: pr2})
+    iota0, minus0, plus0, p_zero = path_structure_maps(a.module, r)
+    iota = TwistedMorphism(a, p, {0: iota0})
+    p_minus = TwistedMorphism(p, a, {0: minus0})
+    p_plus = TwistedMorphism(p, a, {0: plus0})
     for mor in (iota, p_minus, p_plus):
         check_morphism(mor).raise_if_failed()
-    p_zero = bcompose(out_mid, pr1)
     return PathObject(p, iota, p_minus, p_plus, p_zero, r)
 
 
@@ -485,20 +486,10 @@ def path_morphism(f: TwistedMorphism, r: int,
     """P_r(f)_m = (f_m, (-1)^m f_m, f_m)."""
     pa = src_path or path(f.src, r)
     pb = dst_path or path(f.dst, r)
-    mid_shift = (-r, 1 - r)
-    _, (ainc0, ainc1, ainc2), (apr0, apr1, apr2) = direct_sum(
-        [f.src.module, f.src.module.shifted(mid_shift), f.src.module])
-    _, (binc0, binc1, binc2), _ = direct_sum(
-        [f.dst.module, f.dst.module.shifted(mid_shift), f.dst.module])
-    comps = {}
-    for m, fm in f.f.items():
-        middle = fm.shifted(mid_shift)
-        if m % 2:
-            middle = -middle
-        comps[m] = bcompose(binc0, bcompose(fm, apr0)) \
-            + bcompose(binc1, bcompose(middle, apr1)) \
-            + bcompose(binc2, bcompose(fm, apr2))
-    out = TwistedMorphism(pa.complex, pb.complex, comps)
+    src, dst = path_summands(f.src.module, r), path_summands(f.dst.module, r)
+    out = TwistedMorphism(pa.complex, pb.complex, {
+        m: place(src, dst, (-m, -m), path_diagonal(fm, r, m % 2))
+        for m, fm in f.f.items()})
     check_morphism(out).raise_if_failed()
     return out
 
@@ -532,25 +523,19 @@ def cone(f: TwistedMorphism, r: int) -> ConeObject:
     D_m(a,b) = ((-1)^{m+r+1} d_m a, (-1)^{m+r+1} f_{m-r}(a) + d_m b)."""
     a, b = f.src, f.dst
     shift = (r, r - 1)
-    ta = a.module.shifted(shift)
-    total, (inc_a, inc_b), (pr_a, pr_b) = direct_sum([ta, b.module])
-    out_shift = shift_out(a.module, shift)  # T_r(A) -> A, bidegree (-r, 1-r)
-
+    parts = (a.module.shifted(shift), b.module)
+    total, (_, inc_b), (pr_a, _) = direct_sum(parts)
     d: dict[int, BigradedMap] = {}
-    ms = sorted(set(a.d) | set(b.d) | {m + r for m in f.f})
-    for m in ms:
-        dm = zero_map(total, total, (-m, -m + 1))
-        sgn = 1 if (m + r + 1) % 2 == 0 else -1
+    for m in sorted(set(a.d) | set(b.d) | {m + r for m in f.f}):
+        negate = (m + r + 1) % 2
+        pieces = {}
         if m in a.d:
-            t = a.d[m].shifted(shift)
-            dm = dm + bcompose(inc_a, bcompose(t if sgn > 0 else -t, pr_a))
+            pieces[(0, 0)] = (a.d[m].shifted(shift), negate)
         if m in b.d:
-            dm = dm + bcompose(inc_b, bcompose(b.d[m], pr_b))
+            pieces[(1, 1)] = (b.d[m], False)
         if m - r in f.f:  # convention f_{<0} = 0
-            cross = bcompose(f.f[m - r], out_shift)  # T_r(A) -> B
-            dm = dm + bcompose(inc_b, bcompose(cross if sgn > 0 else -cross, pr_a))
-        if not dm.is_zero():
-            d[m] = dm
+            pieces[(1, 0)] = (relabel(f.f[m - r], shift, (0, 0)), negate)
+        d[m] = place(parts, parts, (-m, -m + 1), pieces)
     c = TwistedComplex(total, d)
     check_twisted(c).raise_if_failed()
     t_a = translation(a, r)
@@ -582,23 +567,23 @@ def _homotopy_lhs(h: RHomotopy, m: int) -> BigradedMap:
     return acc
 
 
+def into_path(f: BigradedMap, h: BigradedMap | None, g: BigradedMap,
+              r: int) -> BigradedMap:
+    """x -> (f x, h x, g x) into the summands of the r-path of f.dst, where
+    h has the bidegree of f plus (r, r - 1), or is None for zero."""
+    pieces = {(0, 0): (f, False), (2, 0): (g, False)}
+    if h is not None:
+        pieces[(1, 0)] = (relabel(h, (0, 0), (-r, 1 - r)), False)
+    return place([f.src], path_summands(f.dst, r), f.bidegree, pieces)
+
+
 def assemble_into_path(h: RHomotopy, dst_path: PathObject | None = None) \
         -> TwistedMorphism:
     """The candidate morphism A -> P_r(B) with components (f_m, hhat_m, g_m)."""
-    r = h.r
-    pb = dst_path or path(h.dst, r)
-    mid_shift = (-r, 1 - r)
-    _, (inc0, inc1, inc2), _ = direct_sum(
-        [h.dst.module, h.dst.module.shifted(mid_shift), h.dst.module])
-    into_mid = shift_into(h.dst.module, mid_shift)
-    ms = sorted(set(h.f.f) | set(h.g.f) | set(h.h))
-    comps = {}
-    for m in ms:
-        c = bcompose(inc0, h.f.f_map(m)) + bcompose(inc2, h.g.f_map(m))
-        if m in h.h:
-            c = c + bcompose(inc1, bcompose(into_mid, h.h[m]))
-        comps[m] = c
-    return TwistedMorphism(h.src, pb.complex, comps)
+    pb = dst_path or path(h.dst, h.r)
+    return TwistedMorphism(h.src, pb.complex, {
+        m: into_path(h.f.f_map(m), h.h.get(m), h.g.f_map(m), h.r)
+        for m in sorted(set(h.f.f) | set(h.g.f) | set(h.h))})
 
 
 def check_r_homotopy(h: RHomotopy) -> Report:
@@ -742,52 +727,47 @@ def add_homotopies(h1: RHomotopy, h2: RHomotopy) -> RHomotopy:
 
 def cone_to_pair(tau: TwistedMorphism, cone_obj: ConeObject):
     """From tau: C_r(w) -> X recover (f, h) with f = tau o incl and
-    h: 0 ~_r f o w given by hhat_m(a) = (-1)^m tau_m(a, 0)."""
+    h: f o w ~_r 0 given by hhat_m(a) = (-1)^m tau_m(a, 0)."""
     check_morphism(tau).raise_if_failed()
     if tau.src != cone_obj.complex:
         raise ValueError("tau does not start at the given cone")
     w, r = cone_obj.w, cone_obj.r
     a, b = w.src, w.dst
     x_cx = tau.dst
-    shift = (r, r - 1)
-    into_ta = shift_into(a.module, shift)  # A -> T_r(A) part of the cone
-    _, (inc_a, inc_b), _ = direct_sum([a.module.shifted(shift), b.module])
+    parts = (a.module.shifted((r, r - 1)), b.module)
     f = TwistedMorphism(b, x_cx,
-                        {m: bcompose(tm, inc_b) for m, tm in tau.f.items()})
+                        {m: restrict(tm, parts, 1) for m, tm in tau.f.items()})
     check_morphism(f).raise_if_failed()
     hmaps = {}
     for m, tm in tau.f.items():
-        hm = bcompose(tm, bcompose(inc_a, into_ta))
-        if m % 2:
-            hm = -hm
-        if not hm.is_zero():
-            hmaps[m] = hm
-    h = RHomotopy(r, zero_morphism(a, x_cx), compose(f, w), hmaps)
+        hm = relabel(restrict(tm, parts, 0), (-r, 1 - r), (0, 0))
+        hmaps[m] = -hm if m % 2 else hm
+    h = RHomotopy(r, compose(f, w), zero_morphism(a, x_cx), hmaps)
     check_r_homotopy(h).raise_if_failed()
     return f, h
 
 
 def pair_to_cone(f: TwistedMorphism, h: RHomotopy,
                  cone_obj: ConeObject) -> TwistedMorphism:
-    """tau_m(a, b) = (-1)^m hhat_m(a) + f_m(b)."""
+    """tau_m(a, b) = (-1)^m hhat_m(a) + f_m(b), for h: f o w ~_r 0.
+
+    On the T_r(A) summand, the (B_m) defect of tau is (-1)^{m+r} times
+    the (H_m) defect of h as a homotopy f o w ~_r 0."""
     w, r = cone_obj.w, cone_obj.r
-    if h.f != zero_morphism(w.src, f.dst) or h.g != compose(f, w, check=False):
-        raise ValueError("h must witness 0 ~_r f o w")
+    if h.f != compose(f, w, check=False) or h.g != zero_morphism(w.src, f.dst):
+        raise ValueError("h must witness f o w ~_r 0")
     check_r_homotopy(h).raise_if_failed()
     a, b = w.src, w.dst
     shift = (r, r - 1)
-    out_ta = shift_out(a.module, shift)
-    _, _, (pr_a, pr_b) = direct_sum([a.module.shifted(shift), b.module])
+    parts = (a.module.shifted(shift), b.module)
     comps = {}
     for m in sorted(set(h.h) | set(f.f)):
-        c = zero_map(cone_obj.complex.module, f.dst.module, (-m, -m))
+        pieces = {}
         if m in h.h:
-            t = bcompose(h.h[m], bcompose(out_ta, pr_a))
-            c = c + (t if m % 2 == 0 else -t)
+            pieces[(0, 0)] = (relabel(h.h[m], shift, (0, 0)), m % 2)
         if m in f.f:
-            c = c + bcompose(f.f[m], pr_b)
-        if not c.is_zero():
-            comps[m] = c
+            pieces[(0, 1)] = (f.f[m], False)
+        comps[m] = place(parts, [f.dst.module], (-m, -m), pieces)
     tau = TwistedMorphism(cone_obj.complex, f.dst, comps)
     check_morphism(tau).raise_if_failed()
     return tau

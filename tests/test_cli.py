@@ -453,6 +453,29 @@ def test_malformed_document_exit_2(tmp_path, capsys, what, objects):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("args, option", [
+    (["--cols", "5:2"], "--cols"),
+    (["--verts", "3:1"], "--verts"),
+    (["--max-rank", "0"], "--max-rank"),
+    (["--dims", "3:1,0:1,1"], "--dims"),
+    # 10001 spots of rank 1 would still be a small complex: the budget is
+    # checked on spots x max rank before anything is generated
+    (["--spots", "10001", "--max-rank", "1"], "--spots"),
+], ids=["cols-empty", "verts-empty", "rank-0", "dims-empty", "spots-budget"])
+def test_gen_bad_size_options_exit_2(tmp_path, capsys, args, option):
+    """The parent ended these in randrange's ValueError, exit 1."""
+    out = tmp_path / "c.json"
+    assert main(["gen", "random-twisted", "--seed", "1", "-o", str(out)]
+                + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and option in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+    if option == "--spots":
+        assert "size budget" in captured.err
+
+
 def test_gen_non_prime_modulus_exit_2(capsys):
     assert main(["gen", "random-twisted", "--seed", "1", "--p", "561"]) == 2
     assert "not prime" in capsys.readouterr().err
