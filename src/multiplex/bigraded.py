@@ -234,6 +234,16 @@ def tensor_summands(a: BigradedModule, b: BigradedModule, i: int, j: int):
     return entry[0] if entry else []
 
 
+def tensor_index(a: BigradedModule, b: BigradedModule, x: tuple,
+                 y: tuple) -> int:
+    """Coordinate of x (x) y in A (x) B for basis elements x = (p, q, i) of
+    A and y = (s, t, k) of B: the offset of the (p, q) summand, plus
+    i * dim B_s^t, plus k."""
+    (p, q, i), (s, t, k) = x, y
+    return _summand_table(a, b)[(p + s, q + t)][1][(p, q)] \
+        + i * b.dims[(s, t)] + k
+
+
 @cache
 def tensor_modules(a: BigradedModule, b: BigradedModule) -> BigradedModule:
     if a.field != b.field:
@@ -423,13 +433,6 @@ def tree_basis(tree: Tree, i: int, j: int) -> tuple:
     return tuple(out)
 
 
-@cache
-def basis_index(tree: Tree, i: int, j: int) -> dict:
-    """The inverse of tree_basis(tree, i, j): basis tuple -> coordinate.
-    Shared by every caller, so it must not be mutated."""
-    return {t: k for k, t in enumerate(tree_basis(tree, i, j))}
-
-
 def tree_iso(src: Tree, dst: Tree, perm: list[int] | None = None) -> BigradedMap:
     """Structural isomorphism src.module -> dst.module.
 
@@ -458,7 +461,7 @@ def _tree_iso(src: Tree, dst: Tree, perm: tuple[int, ...] | None) -> BigradedMap
                   if perm[s] > perm[t]]
     blocks = {}
     for (i, j) in src.module.support():
-        dindex = basis_index(dst, i, j)
+        dindex = {t: k for k, t in enumerate(tree_basis(dst, i, j))}
         targets, neg = [], []
         for items in tree_basis(src, i, j):
             target = [None] * n

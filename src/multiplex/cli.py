@@ -19,7 +19,7 @@ import random
 import sys
 
 from . import io as mio
-from .bigraded import BigradedModule
+from .bigraded import sum_module
 from .dainf import (
     DAInfAlgebra, DAInfHomotopy, DAInfMorphism, check_dainf,
     check_dainf_morphism, check_r_homotopy_dainf, compose_dainf,
@@ -29,14 +29,14 @@ from .filtered_ainf import FilteredAInf, check_filtered_ainf
 from .filtration import FilteredComplex, check_filtered_complex, tot, tot_inverse
 from .generators import random_twisted_complex
 from .io import Document, DocumentError, load_document
-from .linalg import GF, QQ, DEFAULT_PRIME, Field
+from .linalg import GF, QQ, DEFAULT_PRIME
 from .operadic import check_coderh, default_truncation
 from .reports import Report
 from .spectral import is_er_quasi_iso, is_er_quasi_iso_via_cone, spectral_page
 from .twisted import (
     RHomotopy, TwistedComplex, TwistedMorphism, check_morphism,
-    check_r_homotopy, check_twisted, compose, cone, path, solve_r_homotopy,
-    tensor,
+    check_r_homotopy, check_twisted, compose, cone, path, path_summands,
+    solve_r_homotopy, tensor,
 )
 
 
@@ -93,11 +93,7 @@ def _check_path_budget(b: DAInfAlgebra, r: int, what: str):
     r-path has three copies of b and the structure arities of b, and
     checking its structure builds its power of arity 2k - 1 for the
     largest such arity k."""
-    dims: dict = {}
-    for mod in (b.module, b.module.shifted((-r, 1 - r)), b.module):
-        for key, n in mod.dims.items():
-            dims[key] = dims.get(key, 0) + n
-    mio.check_power_dimension(BigradedModule(b.field, dims),
+    mio.check_power_dimension(sum_module(path_summands(b.module, r)),
                               2 * b.max_arity() - 1, what)
 
 

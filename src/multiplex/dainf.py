@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .bigraded import (
-    BigradedMap, BigradedModule, basis_index, compose as bcompose,
-    hom_one_map_one, identity_map, interleave_iso, node,
-    nary_tensor_maps, power_module, power_tree, place, sum_module,
-    tensor_maps, tensor_modules, tensor_summands, tree_basis, tree_iso,
-    unit_module, zero_map,
+    BigradedMap, BigradedModule, compose as bcompose, hom_one_map_one,
+    identity_map, interleave_iso, node, nary_tensor_maps, power_module,
+    power_tree, place, relabel, sum_module, tensor_index, tensor_maps,
+    tensor_modules, tree_iso, unit_module, zero_map,
 )
 from .linalg import Field, Matrix
 from .reports import Report
@@ -494,6 +493,18 @@ class LambdaObject:
     r: int
 
 
+def _ones_map(src: BigradedModule, dst: BigradedModule,
+              entries) -> BigradedMap:
+    """The bidegree (0, 0) map src -> dst with a 1 at each (source
+    bidegree, row, column) of entries and 0 elsewhere."""
+    blocks = {}
+    for bid, row, col in entries:
+        if bid not in blocks:
+            blocks[bid] = Matrix.zero(src.field, dst.dim(*bid), src.dim(*bid))
+        blocks[bid][row, col] = src.field.one()
+    return BigradedMap(src, dst, (0, 0), dict(sorted(blocks.items())))
+
+
 def lambda_r_dga(r: int, field: Field | None = None) -> LambdaObject:
     """Generators e_-, e_+ at (0,0) and u at (-r, 1-r);
     mu_{r1}(e_-) = -u, mu_{r1}(e_+) = u;
@@ -506,36 +517,12 @@ def lambda_r_dga(r: int, field: Field | None = None) -> LambdaObject:
     m_r1 = BigradedMap(mod, mod, (-r, 1 - r),
                        {e_bid: Matrix.from_rows(field, [[-1, 1]])})
 
-    def label(bid, idx):
-        if bid == e_bid and idx == 0:
-            return "e-"
-        if bid == e_bid and idx == 1:
-            return "e+"
-        return "u"
-
-    table = {("e-", "e-"): "e-", ("e+", "e+"): "e+",
-             ("e-", "u"): "u", ("u", "e+"): "u"}
-    pw2 = power_module(mod, 2)
-    t2 = power_tree(mod, 2)
-    back = {"e-": (e_bid, 0), "e+": (e_bid, 1), "u": (u_bid, 0)}
-    blocks = {}
-    for (i, j) in pw2.support():
-        basis = tree_basis(t2, i, j)
-        rows = {}
-        for cc, (lf, rt) in enumerate(basis):
-            prod = table.get((label(lf[:2], lf[2]), label(rt[:2], rt[2])))
-            if prod is None:
-                continue
-            tb, tidx = back[prod]
-            if (tb[0], tb[1]) != (i, j):
-                raise AssertionError("product lands off its bidegree")
-            rows[(tidx, cc)] = field.one()
-        if rows:
-            mat = Matrix.zero(field, mod.dim(i, j), len(basis))
-            for (rr, cc), v in rows.items():
-                mat[rr, cc] = v
-            blocks[(i, j)] = mat
-    m02 = BigradedMap(pw2, mod, (0, 0), blocks)
+    # mu_{02} from its four products x (x) y -> z
+    e_minus, e_plus, u = (*e_bid, 0), (*e_bid, 1), (*u_bid, 0)
+    m02 = _ones_map(power_module(mod, 2), mod, [
+        (z[:2], z[2], tensor_index(mod, mod, x, y))
+        for x, y, z in [(e_minus, e_minus, e_minus), (e_plus, e_plus, e_plus),
+                        (e_minus, u, u), (u, e_plus, u)]])
     lam = TwistedDga(mod, {(r, 1): m_r1, (0, 2): m02})
     check_dainf(lam).raise_if_failed()
 
@@ -552,14 +539,6 @@ def lambda_r_dga(r: int, field: Field | None = None) -> LambdaObject:
     for mor in (iota, p_minus, p_plus):
         check_dainf_morphism(mor).raise_if_failed()
     return LambdaObject(lam, iota, p_minus, p_plus, r)
-
-
-def _unit_collapse(mod: BigradedModule) -> BigradedMap:
-    """R (x) A -> A, the unit identification (identity matrices)."""
-    src = tensor_modules(unit_module(mod.field), mod)
-    return BigradedMap(src, mod, (0, 0),
-                       {k: Matrix.identity(mod.field, n)
-                        for k, n in mod.dims.items()})
 
 
 @dataclass
@@ -590,66 +569,23 @@ def lambda_ident_iso(a_mod: BigradedModule, r: int) -> BigradedMap:
                   (1, 2): (one_mid, False)})
 
 
-def _path_tj(a_mod: BigradedModule, path_mod: BigradedModule, r: int,
-             j: int) -> BigradedMap:
-    """t_j: P_r(A)^{(x) j} -> P_r(A^{(x) j});
-    only the patterns x..x, x..x y z..z, z..z survive, with the sign
-    xbar = (-1)^{r x_1 + (1-r) x_2} on every x left of the y."""
-    field = a_mod.field
-    pw_a = power_module(a_mod, j)
-    target = sum_module(path_summands(pw_a, r))
-    src = power_module(path_mod, j)
-    ptree = power_tree(path_mod, j)
-    atree = power_tree(a_mod, j)
-    blocks = {}
-    for (i, jj) in src.support():
-        basis = tree_basis(ptree, i, jj)
-        rows = target.dim(i, jj)
-        if not rows:
-            continue
-        n_first = pw_a.dim(i, jj)
-        n_mid = pw_a.dim(i + r, jj + r - 1)
-        xz_index = basis_index(atree, i, jj)
-        y_index = basis_index(atree, i + r, jj + r - 1)
-        mat = Matrix.zero(field, rows, len(basis))
-        for cc, items in enumerate(basis):
-            # decode each slot into its part and its A-basis element
-            parts, elems = [], []
-            for (bi, bj, idx) in items:
-                n0 = a_mod.dim(bi, bj)
-                n1 = a_mod.dim(bi + r, bj + r - 1)
-                if idx < n0:
-                    part, elem = "x", (bi, bj, idx)
-                elif idx < n0 + n1:
-                    part, elem = "y", (bi + r, bj + r - 1, idx - n0)
-                else:
-                    part, elem = "z", (bi, bj, idx - n0 - n1)
-                parts.append(part)
-                elems.append(elem)
-            tup = tuple(elems)
-            # x..x, z..z and x..x y z..z land in disjoint row ranges, so a
-            # column gets at most one entry
-            if all(p == "x" for p in parts):
-                rr = xz_index.get(tup)
-                if rr is not None:
-                    mat[rr, cc] = field.one()
-            if all(p == "z" for p in parts):
-                rr = xz_index.get(tup)
-                if rr is not None:
-                    mat[n_first + n_mid + rr, cc] = field.one()
-            ys = [s for s, p in enumerate(parts) if p == "y"]
-            if len(ys) == 1:
-                s0 = ys[0]
-                if all(p == "x" for p in parts[:s0]) and \
-                   all(p == "z" for p in parts[s0 + 1:]):
-                    sgn = sum(r * e[0] + (1 - r) * e[1] for e in elems[:s0])
-                    rr = y_index.get(tup)
-                    if rr is not None:
-                        mat[n_first + rr, cc] = field.one() if sgn % 2 == 0 \
-                            else field.of_int(-1)
-        if not mat.is_zero():
-            blocks[(i, jj)] = mat
-    return BigradedMap(src, target, (0, 0), blocks)
+def _path_tj(a_mod: BigradedModule, r: int, j: int) -> BigradedMap:
+    """t_j: P_r(A)^{(x) j} -> P_r(A^{(x) j}), the tensor words of the path
+    projections: p_-^{(x) j} into the first summand, p_+^{(x) j} into the
+    third, and into the middle the sum over s of
+    p_-^{(x) s} (x) p_0 (x) p_+^{(x) j-1-s}.  So only the patterns x..x,
+    x..x y z..z and z..z survive, and the sign xbar = (-1)^{r x_1 + (1-r) x_2}
+    on every x left of the y is the Koszul sign of moving p_0, of bidegree
+    (r, r-1), past them."""
+    _, minus, plus, zero = path_structure_maps(a_mod, r)
+    words = [nary_tensor_maps([minus] * s + [zero] + [plus] * (j - 1 - s))
+             for s in range(j)]
+    src = power_module(sum_module(path_summands(a_mod, r)), j)
+    return place([src], path_summands(power_module(a_mod, j), r), (0, 0),
+                 {(0, 0): (nary_tensor_maps([minus] * j), False),
+                  (1, 0): (relabel(sum(words[1:], words[0]), (0, 0),
+                                   (-r, 1 - r)), False),
+                  (2, 0): (nary_tensor_maps([plus] * j), False)})
 
 
 def path_dainf(a: DAInfAlgebra, r: int) -> PathDainf:
@@ -679,7 +615,7 @@ def path_dainf(a: DAInfAlgebra, r: int) -> PathDainf:
             continue
         block = place(path_summands(power_module(a.module, j), r), parts,
                       mij.bidegree, path_diagonal(mij, r, (r * j + i + j) % 2))
-        direct[(i, j)] = bcompose(block, _path_tj(a.module, path_mod, r, j))
+        direct[(i, j)] = bcompose(block, _path_tj(a.module, r, j))
 
     keys = sorted(set(transported) | set(direct))
     for key in keys:
@@ -730,8 +666,7 @@ def path_dainf_morphism(f: DAInfMorphism, r: int,
         block = place(path_summands(power_module(f.src.module, j), r), dst,
                       fij.bidegree,
                       path_diagonal(fij, r, ((r + 1) * (j - 1) + i) % 2))
-        comps[(i, j)] = bcompose(
-            block, _path_tj(f.src.module, pa.algebra.module, r, j))
+        comps[(i, j)] = bcompose(block, _path_tj(f.src.module, r, j))
     out = DAInfMorphism(pa.algebra, pb.algebra, comps)
     check_dainf_morphism(out).raise_if_failed()
     return out
@@ -748,37 +683,14 @@ def diagonal_delta(r: int, field: Field | None = None):
     lam = lambda_r_dga(r, field)
     square = tensor_twisted_dga(lam.algebra, lam.algebra)
     mod = lam.algebra.module
-    e_bid, u_bid = (0, 0), (-r, 1 - r)
-    labels = {("e-",): (e_bid, 0), ("e+",): (e_bid, 1), ("u",): (u_bid, 0)}
-
-    def pair_index(i, j, la, lb):
-        (pa, qa), ia = labels[(la,)]
-        (pb, qb), ib = labels[(lb,)]
-        if (pa + pb, qa + qb) != (i, j):
-            return None
-        off = 0
-        for (p, q, dl, da) in tensor_summands(mod, mod, i, j):
-            if (p, q) == (pa, qa):
-                return off + ia * da + ib
-            off += dl * da
-        return None
-
-    images = {"e-": [("e-", "e-", 1), ("e-", "e+", 1), ("e+", "e-", 1)],
-              "e+": [("e+", "e+", 1)],
-              "u": [("u", "e+", 1), ("e+", "u", 1)]}
-    blocks: dict = {}
-    src_labels = {e_bid: ["e-", "e+"], u_bid: ["u"]}
-    sq_mod = square.module
-    for bid, labs in src_labels.items():
-        mat = Matrix.zero(field, sq_mod.dim(*bid), len(labs))
-        for cc, lab in enumerate(labs):
-            for (la, lb, coef) in images[lab]:
-                rr = pair_index(bid[0], bid[1], la, lb)
-                if rr is None:
-                    raise AssertionError("diagonal image off its bidegree")
-                mat[rr, cc] = field.of_int(coef)
-        blocks[bid] = mat
-    d01 = BigradedMap(mod, sq_mod, (0, 0), blocks)
+    e_minus, e_plus, u = (0, 0, 0), (0, 0, 1), (-r, 1 - r, 0)
+    images = [(e_minus, [(e_minus, e_minus), (e_minus, e_plus),
+                         (e_plus, e_minus)]),
+              (e_plus, [(e_plus, e_plus)]),
+              (u, [(u, e_plus), (e_plus, u)])]
+    d01 = _ones_map(mod, square.module, [
+        (x[:2], tensor_index(mod, mod, a, b), x[2])
+        for x, words in images for a, b in words])
     delta = DAInfMorphism(lam.algebra, square, {(0, 1): d01})
     check_dainf_morphism(delta).raise_if_failed()
     return delta, lam, square
@@ -789,9 +701,8 @@ def collapse_after(delta: DAInfMorphism, lam: LambdaObject, side: str) \
     """(p^{side} (x) 1) o Delta as a strict morphism Lambda_r -> Lambda_r."""
     proj = lam.p_plus if side == "+" else lam.p_minus
     mod = lam.algebra.module
-    p01 = proj.f_map(0, 1)
-    coll = _unit_collapse(mod)
-    mixed = bcompose(coll, tensor_maps(p01, identity_map(mod)))
+    # R (x) Lambda_r is Lambda_r itself: same bidegrees, same coordinates
+    mixed = tensor_maps(proj.f_map(0, 1), identity_map(mod))
     mor = DAInfMorphism(delta.dst, lam.algebra, {(0, 1): mixed})
     check_dainf_morphism(mor).raise_if_failed()
     return compose_dainf(mor, delta)

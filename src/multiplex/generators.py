@@ -15,8 +15,7 @@ import random
 
 from .bigraded import BigradedMap, BigradedModule
 from .filtration import (
-    FilteredComplex, FilteredMap, identity_filtered, tot, tot_inverse,
-    tot_inverse_morphism, tot_morphism,
+    FilteredComplex, FilteredMap, tot, tot_inverse, tot_inverse_morphism,
 )
 from .linalg import Field, Matrix
 from .twisted import (

@@ -8,6 +8,12 @@ from multiplex.linalg import Matrix, subquotient
 from multiplex.reports import Report
 from multiplex.twisted import RHomotopy, compose, identity_morphism, path
 
+# random_twisted_complex options filling most of the spots (i, i + k),
+# i = 0..3, k = 0..2, so that the complexes, maps and homotopies drawn on
+# them are nonzero (the tests that use it assert so); with spots=3 most
+# draws have at most one twisting map and zero homotopies
+SHAPE = dict(cols=(0, 3), verts=(0, 2), max_rank=2, spots=12)
+
 
 def assert_canonical(field, data):
     """Every entry is in the one canonical form of its field: over F_p an

@@ -8,8 +8,8 @@ from multiplex.bigraded import (
     BigradedModule, BigradedMap, _pairs_tree, compose, hom_one_map_one,
     identity_map, interleave_iso, leaf, left_tree, nary_tensor_maps, node,
     power_module, power_tree, sprod, symmetry_iso, tensor_maps,
-    tensor_modules, tensor_summands, tree_basis, tree_iso, unit_module,
-    zero_map,
+    tensor_index, tensor_modules, tensor_summands, tree_basis, tree_iso,
+    unit_module, zero_map,
 )
 from multiplex.dainf import _subpower_tree, component_tensor
 from multiplex.linalg import GF, QQ, Matrix, SignedPerm
@@ -530,6 +530,17 @@ def test_tensor_summands_match_reference(seed):
             got = tensor_summands(a, b, i, j)
             assert got == _ref_tensor_summands(a, b, i, j)
             assert sum(da * db for *_, da, db in got) == ab.dim(i, j)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tensor_index_is_position_in_tree_basis(seed):
+    rng = random.Random(1300 + seed)
+    a, b = (rand_module(F, rng, spots=4, maxdim=3) for _ in range(2))
+    pair = node(leaf(a), leaf(b))
+    for (i, j) in tensor_modules(a, b).support():
+        basis = tree_basis(pair, i, j)
+        assert [tensor_index(a, b, x, y) for x, y in basis] == \
+            list(range(len(basis)))
 
 
 # -- fused n-ary tensors against nary tensor, then regroupings -----------------

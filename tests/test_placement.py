@@ -7,10 +7,11 @@ import random
 
 import pytest
 
+from conftest import SHAPE
 from multiplex.bigraded import (
     BigradedMap, BigradedModule, compose as bcompose, direct_sum,
-    identity_map, place, power_module, tensor_modules, tensor_summands,
-    zero_map,
+    identity_map, place, power_module, power_tree, sum_module,
+    tensor_modules, tensor_summands, tree_basis, zero_map,
 )
 from multiplex.dainf import (
     DAInfHomotopy, _path_tj, assemble_into_path_dainf, lambda_r_dga,
@@ -24,14 +25,11 @@ from multiplex.generators import (
 from multiplex.linalg import GF, QQ, Matrix
 from multiplex.twisted import (
     assemble_into_path, compose, cone, cone_to_pair, pair_to_cone,
-    path, path_morphism, solve_r_homotopy, zero_morphism,
+    path, path_morphism, path_summands, solve_r_homotopy, zero_morphism,
 )
 
 FIELDS = [GF(), GF(2), QQ]
 FIELD_IDS = ["F32003", "F2", "QQ"]
-# most of the spots (i, i + k), i = 0..3, k = 0..2: the complexes, maps and
-# homotopies below are asserted nonzero
-SHAPE = dict(cols=(0, 3), verts=(0, 2), max_rank=2, spots=12)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +196,69 @@ def _ref_lambda_ident(a_mod, path_mod, r):
     return BigradedMap(src, path_mod, (0, 0), blocks)
 
 
+def _ref_path_tj(a_mod, path_mod, r, j):
+    """t_j: P_r(A)^{(x) j} -> P_r(A^{(x) j}) entry by entry: each basis
+    tuple is decoded into its x/y/z parts and written where x..x, z..z or
+    x..x y z..z lands, with the sign xbar = (-1)^{r x_1 + (1-r) x_2} on
+    every x left of the y."""
+    field = a_mod.field
+    pw_a = power_module(a_mod, j)
+    target = sum_module(path_summands(pw_a, r))
+    src = power_module(path_mod, j)
+    ptree = power_tree(path_mod, j)
+    atree = power_tree(a_mod, j)
+    blocks = {}
+    for (i, jj) in src.support():
+        basis = tree_basis(ptree, i, jj)
+        rows = target.dim(i, jj)
+        if not rows:
+            continue
+        n_first = pw_a.dim(i, jj)
+        n_mid = pw_a.dim(i + r, jj + r - 1)
+        xz_index = {t: k for k, t in enumerate(tree_basis(atree, i, jj))}
+        y_index = {t: k for k, t in
+                   enumerate(tree_basis(atree, i + r, jj + r - 1))}
+        mat = Matrix.zero(field, rows, len(basis))
+        for cc, items in enumerate(basis):
+            # decode each slot into its part and its A-basis element
+            parts, elems = [], []
+            for (bi, bj, idx) in items:
+                n0 = a_mod.dim(bi, bj)
+                n1 = a_mod.dim(bi + r, bj + r - 1)
+                if idx < n0:
+                    part, elem = "x", (bi, bj, idx)
+                elif idx < n0 + n1:
+                    part, elem = "y", (bi + r, bj + r - 1, idx - n0)
+                else:
+                    part, elem = "z", (bi, bj, idx - n0 - n1)
+                parts.append(part)
+                elems.append(elem)
+            tup = tuple(elems)
+            # x..x, z..z and x..x y z..z land in disjoint row ranges, so a
+            # column gets at most one entry
+            if all(p == "x" for p in parts):
+                rr = xz_index.get(tup)
+                if rr is not None:
+                    mat[rr, cc] = field.one()
+            if all(p == "z" for p in parts):
+                rr = xz_index.get(tup)
+                if rr is not None:
+                    mat[n_first + n_mid + rr, cc] = field.one()
+            ys = [s for s, p in enumerate(parts) if p == "y"]
+            if len(ys) == 1:
+                s0 = ys[0]
+                if all(p == "x" for p in parts[:s0]) and \
+                   all(p == "z" for p in parts[s0 + 1:]):
+                    sgn = sum(r * e[0] + (1 - r) * e[1] for e in elems[:s0])
+                    rr = y_index.get(tup)
+                    if rr is not None:
+                        mat[n_first + rr, cc] = field.one() if sgn % 2 == 0 \
+                            else field.of_int(-1)
+        if not mat.is_zero():
+            blocks[(i, jj)] = mat
+    return BigradedMap(src, target, (0, 0), blocks)
+
+
 def _same(new, old):
     assert (new.src, new.dst, new.bidegree) == (old.src, old.dst, old.bidegree)
     assert sorted(new.blocks) == sorted(old.blocks)
@@ -306,7 +367,7 @@ def test_dainf_path_maps_match_dense_route(field, r):
             if j > 1:
                 direct[(i, j)] = bcompose(
                     _ref_diagonal(mij, r, (r * j + i + j) % 2),
-                    _path_tj(alg.module, pd.algebra.module, r, j))
+                    _path_tj(alg.module, r, j))
         _same_family(pd.algebra.m, direct)
     a = alg
     space = dainf_morphism_space(a, a, max_arity=2)
@@ -315,7 +376,7 @@ def test_dainf_path_maps_match_dense_route(field, r):
     assert any(j == 2 for (_, j) in f.f)
     _same_family(path_dainf_morphism(f, r, pd, pd).f, {
         (i, j): bcompose(_ref_diagonal(fij, r, ((r + 1) * (j - 1) + i) % 2),
-                         _path_tj(a.module, pd.algebra.module, r, j))
+                         _path_tj(a.module, r, j))
         for (i, j), fij in f.f.items()})
     h = DAInfHomotopy(r, f, g, {
         (i, k): _random_map(power_module(a.module, k), a.module,
@@ -324,6 +385,27 @@ def test_dainf_path_maps_match_dense_route(field, r):
     _same_family(assemble_into_path_dainf(h, pd).f, {
         key: _ref_into_path(f.f_map(*key), h.h.get(key), g.f_map(*key), r)
         for key in set(f.f) | set(g.f) | set(h.h)})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_path_tj_matches_entrywise_route(field, r):
+    # Lambda_1 has a product, so m_02 feeds t_2; the zero-product algebra
+    # has odd bidegrees for every r, so some xbar signs are -1
+    minus_one = field.of_int(-1)
+    for a_mod, signed in (
+            (lambda_r_dga(1, field).algebra.module, False),
+            (random_zero_product_dainf(field, random.Random(1), cols=(0, 2),
+                                       verts=(0, 2), spots=3).module, True)):
+        path_mod = sum_module(path_summands(a_mod, r))
+        for j in (1, 2, 3):
+            ref = _ref_path_tj(a_mod, path_mod, r, j)
+            if j > 1:
+                assert not ref.is_zero()
+                if signed and minus_one != field.one():
+                    assert any(v == minus_one for blk in ref.blocks.values()
+                               for v in blk.data)
+            _same(_path_tj(a_mod, r, j), ref)
 
 
 def test_place_rejects_a_piece_off_its_summands():

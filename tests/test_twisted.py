@@ -3,7 +3,8 @@ import random
 import pytest
 
 from conftest import (
-    assert_canonical, check_morphism_blockwise, check_twisted_blockwise,
+    SHAPE, assert_canonical, check_morphism_blockwise,
+    check_twisted_blockwise,
 )
 from multiplex.bigraded import (
     BigradedMap, BigradedModule, identity_map, symmetry_iso, tensor_modules,
@@ -171,7 +172,8 @@ def test_internal_hom_unit_and_axioms():
     assert h.module.dims == a.module.dims
     assert check_twisted(h).ok
     rng = random.Random(11)
-    b = random_twisted_complex(F, rng, spots=3)
+    b = random_twisted_complex(F, rng, **SHAPE)
+    assert b.d
     hom_ab = internal_hom(a, b)
     assert check_twisted(hom_ab).ok  # sum_i (-1)^i d_i d_{m-i} = 0
 
@@ -459,9 +461,10 @@ def _iota_witness(a, p):
 @pytest.mark.parametrize("seed", range(4))
 def test_solve_r_homotopy_recovers_perturbation(r, seed):
     rng = random.Random(200 + 10 * seed + r)
-    a = random_twisted_complex(F, rng, spots=3)
+    a = random_twisted_complex(F, rng, **SHAPE)
     f = random_endo_morphism(a, rng)
-    g, _ = random_homotopic_pair(f, r, rng)
+    g, drawn = random_homotopic_pair(f, r, rng)
+    assert a.d and drawn.h
     h = solve_r_homotopy(f, g, r)
     assert h is not None
     assert check_r_homotopy(h).ok
@@ -484,28 +487,31 @@ def test_solve_r_homotopy_reflexive_and_obstructed():
 @pytest.mark.parametrize("seed", range(3))
 def test_homotopy_equivalence_relation_witnesses(seed):
     rng = random.Random(300 + seed)
-    a = random_twisted_complex(F, rng, spots=3)
+    a = random_twisted_complex(F, rng, **SHAPE)
     f = random_endo_morphism(a, rng)
     r = rng.choice([0, 1, 2])
     g, h = random_homotopic_pair(f, r, rng)
+    assert a.d and h.h
     # reflexive
     assert check_r_homotopy(RHomotopy(r, f, f, {})).ok
     # symmetric: negate the witness
     assert check_r_homotopy(negate_homotopy(h)).ok
     # transitive: add witnesses
     g2, h2 = random_homotopic_pair(g, r, rng)
+    assert h2.h
     assert check_r_homotopy(add_homotopies(h, h2)).ok
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_homotopies_compose_with_morphisms(seed):
     rng = random.Random(400 + seed)
-    a = random_twisted_complex(F, rng, spots=3)
+    a = random_twisted_complex(F, rng, **SHAPE)
     r = rng.choice([0, 1])
     f = random_endo_morphism(a, rng)
-    g, _ = random_homotopic_pair(f, r, rng)
+    g, h = random_homotopic_pair(f, r, rng)
     f2 = random_endo_morphism(a, rng)
-    g2, _ = random_homotopic_pair(f2, r, rng)
+    g2, h2 = random_homotopic_pair(f2, r, rng)
+    assert a.d and h.h and h2.h
     assert solve_r_homotopy(compose(f2, f), compose(g2, g), r) is not None
 
 
@@ -513,8 +519,9 @@ def test_homotopies_compose_with_morphisms(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_cone_pair_roundtrip(r, seed):
     rng = random.Random(500 + seed)
-    a = random_twisted_complex(F, rng, spots=3)
+    a = random_twisted_complex(F, rng, **SHAPE)
     w = random_null_homotopic_map(a, a, rng)
+    assert a.d and w.f
     c = cone(w, r)
     # build tau from a pair: f with f o w null-homotopic; simplest is f with
     # f o w = 0 via f = 0, plus a nonzero one from dU + Ud structure
