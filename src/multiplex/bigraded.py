@@ -9,7 +9,10 @@ element a costs (-1)^{<g,a>}.
 Tensor products fix a deterministic summand ordering (lexicographic in the
 bidegree of the left factor, then basis order); the summands and their
 coordinate offsets are computed once per module pair, and a tensor of maps
-visits only pairs of nonzero blocks.  Regrouping / permutation
+visits only pairs of nonzero blocks.  Signed sums of maps, products and
+tensors of maps are accumulated in a ``MapSum``: sparse, unreduced entries
+per (key, source bidegree), reduced once when the sums are read;
+``tensor_maps`` is its one-term sum.  Regrouping / permutation
 isomorphisms between iterated tensor products are signed permutations,
 computed once per pair of tree shapes through basis enumerations of
 tensor trees.  The n-ary tensors of the dA-infinity formulas do not apply
@@ -266,79 +269,171 @@ def _nonzero_entries(m: Matrix) -> list:
     return [(t // c, t % c, d[t]) for t in compress(range(len(d)), d)]
 
 
-def tensor_maps(f: BigradedMap, g: BigradedMap, regroup=None) -> BigradedMap:
-    """Koszul rule: on the (p,q) summand the block is
-    (-1)^{<bideg g, (p,q)>} f_block (x) g_block.
+class MapSum:
+    """Signed sums of bigraded maps, one sum per bucket key.
 
-    Only pairs of nonzero blocks of f and g are visited, and each product
-    of nonzero entries is written once.  regroup, used by the n-ary
-    tensors, is a pair (src_iso, dst_iso) of sign-free regroupings
-    (``tree_iso`` without a permutation) out of the source and the target
-    of f (x) g, either one None for no regrouping; the result is then
-    dst_iso o (f (x) g) o src_iso^{-1}, each product written straight at
-    its regrouped row and column.  The isos are not checked: the callers
-    build them with ``tree_iso`` from the tensor's own tree shapes.
+    Terms go straight into sparse, unreduced entries per (key, source
+    bidegree), a dict {row * cols + col: value} whose values are plain int
+    (or, over QQ, Fraction) sums of products: ``add`` takes a map,
+    ``add_compose`` a product f o g and ``add_tensor`` the Koszul-signed
+    f (x) g, each times (-1)^odd, so a term costs its nonzero products and
+    no dense matrix is formed per term.  ``maps`` reduces each entry once
+    (% p, or to a canonical QQ entry) and drops the blocks that come out
+    zero; every key that a term was added to has a map, zero or not.
     """
-    src = tensor_modules(f.src, g.src)
-    dst = tensor_modules(f.dst, g.dst)
-    src_iso, dst_iso = regroup if regroup is not None else (None, None)
-    fb, fq = f.bidegree
-    gb, gq = g.bidegree
-    bb, bq = fb + gb, fq + gq
-    field = f.field
-    modulus, zero = field.p, field.zero()
-    src_table = _summand_table(f.src, g.src)
-    dst_table = _summand_table(f.dst, g.dst)
-    gparts = [(s, t, gblk.rows, gblk.cols, _nonzero_entries(gblk))
-              for (s, t), gblk in g.blocks.items()]
-    # per result bidegree: data, rows, cols, the source and target summand
-    # offsets, and the column and row each tensor coordinate is written at
-    outs: dict[Bidegree, tuple] = {}
-    for (p, q), fblk in f.blocks.items():
-        fnz = _nonzero_entries(fblk)
-        if sprod((gb, gq), (p, q)) % 2:
-            fnz = [(ra, ca, -fv % modulus if modulus else -fv)
-                   for ra, ca, fv in fnz]
-        fsrc, fdst = (p, q), (p + fb, q + fq)
-        for s, t, gr, gc, gnz in gparts:
-            ij = (p + s, q + t)
-            out = outs.get(ij)
-            if out is None:
-                dij = (ij[0] + bb, ij[1] + bq)
-                dentry = dst_table.get(dij)
-                if dentry is None:
+
+    __slots__ = ("_buckets",)
+
+    def __init__(self):
+        # key -> (src, dst, bidegree, {source bidegree: entries})
+        self._buckets: dict = {}
+
+    def _blocks(self, key, src, dst, bidegree) -> dict:
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = (src, dst, bidegree, {})
+        elif bucket[0] != src or bucket[1] != dst or bucket[2] != bidegree:
+            raise ValueError(f"term at {key!r} does not match the sum's "
+                             f"modules and bidegree")
+        return bucket[3]
+
+    def add(self, key, m: BigradedMap, odd: int = 0) -> None:
+        """sum[key] += (-1)^odd m."""
+        negate = odd % 2
+        blocks = self._blocks(key, m.src, m.dst, m.bidegree)
+        for bid, blk in m.blocks.items():
+            d = blocks.get(bid)
+            if d is None:
+                d = blocks[bid] = {}
+            get, data = d.get, blk.data
+            for t in compress(range(len(data)), data):
+                d[t] = get(t, 0) + (-data[t] if negate else data[t])
+
+    def add_compose(self, key, f: BigradedMap, g: BigradedMap,
+                    odd: int = 0) -> None:
+        """sum[key] += (-1)^odd f o g: the products of nonzero entries
+        only, those of each block of g grouped by row."""
+        negate = odd % 2
+        if g.dst != f.src:
+            raise ValueError("module mismatch in composition")
+        p, q = g.bidegree
+        blocks = self._blocks(key, g.src, f.dst,
+                              (f.bidegree[0] + p, f.bidegree[1] + q))
+        for (i, j), gb in g.blocks.items():
+            fb = f.blocks.get((i + p, j + q))
+            if fb is None:
+                continue
+            d = blocks.get((i, j))
+            if d is None:
+                d = blocks[(i, j)] = {}
+            gd, oc = gb.data, gb.cols
+            right = [[] for _ in range(gb.rows)]
+            for t in compress(range(len(gd)), gd):
+                right[t // oc].append((t % oc, gd[t]))
+            get, fd, n = d.get, fb.data, fb.cols
+            for t in compress(range(len(fd)), fd):
+                row = right[t % n]
+                if row:
+                    x, base = -fd[t] if negate else fd[t], t // n * oc
+                    for c, y in row:
+                        d[base + c] = get(base + c, 0) + x * y
+
+    def add_tensor(self, key, f: BigradedMap, g: BigradedMap, odd: int = 0,
+                   regroup=None) -> None:
+        """sum[key] += (-1)^odd f (x) g, which on the (p,q) summand is
+        (-1)^{<bideg g, (p,q)>} f_block (x) g_block.
+
+        Only pairs of nonzero blocks of f and g are visited.  regroup, used
+        by the n-ary tensors, is a pair (src_iso, dst_iso) of sign-free
+        regroupings (``tree_iso`` without a permutation) out of the source
+        and the target of f (x) g, either one None for no regrouping; the
+        term is then dst_iso o (f (x) g) o src_iso^{-1}, each product
+        written straight at its regrouped row and column.  The isos are not
+        checked: the callers build them with ``tree_iso`` from the tensor's
+        own tree shapes.
+        """
+        src_iso, dst_iso = regroup if regroup is not None else (None, None)
+        fb, fq = f.bidegree
+        gb, gq = g.bidegree
+        bb, bq = fb + gb, fq + gq
+        blocks = self._blocks(
+            key,
+            tensor_modules(f.src, g.src) if src_iso is None else src_iso.dst,
+            tensor_modules(f.dst, g.dst) if dst_iso is None else dst_iso.dst,
+            (bb, bq))
+        src_table = _summand_table(f.src, g.src)
+        dst_table = _summand_table(f.dst, g.dst)
+        gparts = [(s, t, gblk.rows, gblk.cols, _nonzero_entries(gblk))
+                  for (s, t), gblk in g.blocks.items()]
+        # per result bidegree: entries, cols, the source and target summand
+        # offsets, and the column and row each tensor coordinate goes to
+        outs: dict[Bidegree, tuple] = {}
+        for (p, q), fblk in f.blocks.items():
+            fnz = _nonzero_entries(fblk)
+            if (sprod((gb, gq), (p, q)) + odd) % 2:
+                fnz = [(ra, ca, -fv) for ra, ca, fv in fnz]
+            fsrc, fdst = (p, q), (p + fb, q + fq)
+            for s, t, gr, gc, gnz in gparts:
+                ij = (p + s, q + t)
+                out = outs.get(ij)
+                if out is None:
+                    dij = (ij[0] + bb, ij[1] + bq)
+                    dentry = dst_table.get(dij)
+                    if dentry is None:
+                        raise AssertionError(
+                            "tensor block landed outside target")
+                    sentry = src_table[ij]
+                    d = blocks.get(ij)
+                    if d is None:
+                        d = blocks[ij] = {}
+                    out = outs[ij] = (
+                        d, sentry[2], sentry[1], dentry[1],
+                        range(sentry[2]) if src_iso is None
+                        else src_iso.blocks[ij].targets,
+                        range(dentry[2]) if dst_iso is None
+                        else dst_iso.blocks[dij].targets)
+                d, cols, soffs, doffs, cmap, rmap = out
+                coff, roff = soffs[fsrc], doffs.get(fdst)
+                if roff is None:
                     raise AssertionError("tensor block landed outside target")
-                sentry = src_table[ij]
-                rows, cols = dentry[2], sentry[2]
-                out = outs[ij] = (
-                    [zero] * (rows * cols), rows, cols, sentry[1], dentry[1],
-                    range(cols) if src_iso is None
-                    else src_iso.blocks[ij].targets,
-                    range(rows) if dst_iso is None
-                    else dst_iso.blocks[dij].targets)
-            data, _, cols, soffs, doffs, cmap, rmap = out
-            coff, roff = soffs[fsrc], doffs.get(fdst)
-            if roff is None:
-                raise AssertionError("tensor block landed outside target")
-            # f[ra, ca] scales the copy of g whose top-left corner is at
-            # (r0, c0); rmap and cmap send each coordinate to its place
-            for ra, ca, fv in fnz:
-                r0, c0 = roff + ra * gr, coff + ca * gc
+                get = d.get
+                # f[ra, ca] scales the copy of g whose top-left corner is
+                # at (r0, c0); rmap and cmap send each coordinate to its
+                # place
+                for ra, ca, fv in fnz:
+                    r0, c0 = roff + ra * gr, coff + ca * gc
+                    for rb, cb, gv in gnz:
+                        k = rmap[r0 + rb] * cols + cmap[c0 + cb]
+                        d[k] = get(k, 0) + fv * gv
+
+    def maps(self) -> dict:
+        """{key: the reduced sum}, blocks in ascending source bidegree."""
+        out = {}
+        for key, (src, dst, (p, q), blocks) in self._buckets.items():
+            field = src.field
+            modulus, done = field.p, {}
+            for (i, j) in sorted(blocks):
+                rows, cols = dst.dim(i + p, j + q), src.dim(i, j)
+                data = [0] * (rows * cols)
                 if modulus:
-                    for rb, cb, gv in gnz:
-                        data[rmap[r0 + rb] * cols + cmap[c0 + cb]] = \
-                            fv * gv % modulus
+                    for k, v in blocks[(i, j)].items():
+                        data[k] = v % modulus
                 else:
-                    for rb, cb, gv in gnz:
-                        data[rmap[r0 + rb] * cols + cmap[c0 + cb]] = fv * gv
-    # blocks of a map are nonzero, so every block written holds a nonzero
-    # product; source-support order keeps iteration order deterministic
-    return BigradedMap._of(
-        src if src_iso is None else src_iso.dst,
-        dst if dst_iso is None else dst_iso.dst, (bb, bq),
-        {k: Matrix._of(field, outs[k][1], outs[k][2],
-                       outs[k][0] if modulus else _qq_canonical(outs[k][0]))
-         for k in sorted(outs)})
+                    for k, v in blocks[(i, j)].items():
+                        data[k] = v
+                    data = _qq_canonical(data)
+                if any(data):
+                    done[(i, j)] = Matrix._of(field, rows, cols, data)
+            out[key] = BigradedMap._of(src, dst, (p, q), done)
+        return out
+
+
+def tensor_maps(f: BigradedMap, g: BigradedMap, regroup=None) -> BigradedMap:
+    """The Koszul-signed f (x) g, regrouped as regroup says: the one-term
+    ``MapSum.add_tensor``."""
+    acc = MapSum()
+    acc.add_tensor(0, f, g, regroup=regroup)
+    return acc.maps()[0]
 
 
 # ---------------------------------------------------------------------------

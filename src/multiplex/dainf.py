@@ -12,15 +12,21 @@ A morphism is a map of bar coalgebras (Lefevre-Hasegawa 2003; Sagave
 2010), so composition, inversion and the right side of (B_uv) apply maps
 to bar powers: the signed sums of all tensor words of components in one
 class (sum p, sum q), each built from the class one letter shorter.
+
+Every such signed sum (a bar power class, the components of a composite
+or an inverse, the buckets of (A_uv), (B_uv) and (H_mk)) is accumulated
+term by term in a ``MapSum``, products and tensor words written straight
+into its sparse entries, and reduced once when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iproduct
 
 from .bigraded import (
-    BigradedMap, BigradedModule, compose as bcompose, hom_one_map_one,
+    BigradedMap, BigradedModule, MapSum, compose as bcompose, hom_one_map_one,
     identity_map, interleave_iso, node, nary_tensor_maps, power_module,
     power_tree, place, relabel, sum_module, tensor_index, tensor_maps,
     tensor_modules, tree_iso, unit_module, zero_map,
@@ -234,7 +240,7 @@ def bar_power(g: dict[tuple[int, int], BigradedMap], mod: BigradedModule,
         return g.get((U, K))
     key = (n, U, K)
     if key not in memo:
-        memo[key] = None
+        acc = MapSum()
         for (p, q), gpq in sorted(g.items()):
             hu, hk = U - p, K - q
             if hu < 0 or hk < n - 1:
@@ -244,26 +250,18 @@ def bar_power(g: dict[tuple[int, int], BigradedMap], mod: BigradedModule,
                 continue
             cols = tree_iso(node(power_tree(mod, hk), power_tree(mod, q)),
                             power_tree(mod, K))
-            _accumulate(memo, key, tensor_maps(head, gpq, (cols, None)),
-                        compose_sign_step(hu, hk, p, q))
+            acc.add_tensor(key, head, gpq, compose_sign_step(hu, hk, p, q),
+                           (cols, None))
+        memo[key] = acc.maps().get(key)
     return memo[key]
-
-
-def _accumulate(acc: dict, key, term: BigradedMap, odd: int):
-    """acc[key] += (-1)^odd term, where an absent or None entry is zero."""
-    old = acc.get(key)
-    if old is None:
-        acc[key] = -term if odd % 2 else term
-    else:
-        acc[key] = old - term if odd % 2 else old + term
 
 
 # ---------------------------------------------------------------------------
 # axiom checkers
 # ---------------------------------------------------------------------------
 
-def _add_insertions(buckets: dict, outer: dict, a: DAInfAlgebra):
-    """buckets[(i+p, j+q-1)] += (-1)^{rq+t+pj} o_{ij}(1^r (x) m_{pq} (x) 1^t)
+def _add_insertions(acc: MapSum, outer: dict, a: DAInfAlgebra):
+    """acc[(i+p, j+q-1)] += (-1)^{rq+t+pj} o_{ij}(1^r (x) m_{pq} (x) 1^t)
     for every map o_{ij} out of Pow(A, j) in outer and every m_{pq} of a."""
     memo: dict = {}
     for (i, j), oij in sorted(outer.items()):
@@ -274,12 +272,13 @@ def _add_insertions(buckets: dict, outer: dict, a: DAInfAlgebra):
                 if inner is None:
                     inner = memo[(p, q, r, t)] = \
                         hom_one_map_one(mpq, a.module, r, t, q)
-                _accumulate(buckets, (i + p, j + q - 1), bcompose(oij, inner),
-                            structure_sign(r, q, t, p, j))
+                acc.add_compose((i + p, j + q - 1), oij, inner,
+                                structure_sign(r, q, t, p, j))
 
 
-def _report(rep: Report, buckets: dict, name: str) -> Report:
+def _report(rep: Report, acc: MapSum, name: str) -> Report:
     """One condition per bucket, failing on each nonzero block."""
+    buckets = acc.maps()
     for (u, v) in sorted(buckets):
         rep.tick()
         for loc in sorted(buckets[(u, v)].blocks):
@@ -289,23 +288,23 @@ def _report(rep: Report, buckets: dict, name: str) -> Report:
 
 
 def check_dainf(a: DAInfAlgebra) -> Report:
-    buckets: dict = {}
-    _add_insertions(buckets, a.m, a)
-    return _report(Report("derived A-infinity relations (A_uv)"), buckets, "A")
+    acc = MapSum()
+    _add_insertions(acc, a.m, a)
+    return _report(Report("derived A-infinity relations (A_uv)"), acc, "A")
 
 
 def check_dainf_morphism(f: DAInfMorphism) -> Report:
     """(B_uv): the left side inserts m^A into f, the right side applies
     (-1)^u m^B_{ij} to the bar power T_j(f)[(u - i, v)]."""
-    buckets: dict = {}
-    _add_insertions(buckets, f.f, f.src)
+    acc = MapSum()
+    _add_insertions(acc, f.f, f.src)
     memo: dict = {}
     for (i, j), mij in sorted(f.dst.m.items()):
         for (U, K) in sorted(_sumset(f.f, j)):
             tens = bar_power(f.f, f.src.module, j, U, K, memo)
-            _accumulate(buckets, (i + U, K), bcompose(mij, tens), i + U + 1)
+            acc.add_compose((i + U, K), mij, tens, i + U + 1)
     return _report(Report("dA-infinity morphism relations (B_uv)"),
-                   buckets, "B")
+                   acc, "B")
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +317,13 @@ def compose_dainf(f: DAInfMorphism, g: DAInfMorphism,
     T_j(g)[(u - i, k)]."""
     if g.dst != f.src:
         raise ValueError("source/target mismatch")
-    comps: dict[tuple[int, int], BigradedMap] = {}
+    acc = MapSum()
     memo: dict = {}
     for (i, j), fij in sorted(f.f.items()):
         for (U, K) in sorted(_sumset(g.f, j)):
             tens = bar_power(g.f, g.src.module, j, U, K, memo)
-            _accumulate(comps, (i + U, K), bcompose(fij, tens), 0)
-    out = DAInfMorphism(g.src, f.dst, comps)
+            acc.add_compose((i + U, K), fij, tens)
+    out = DAInfMorphism(g.src, f.dst, acc.maps())
     if check:
         check_dainf_morphism(out).raise_if_failed()
     return out
@@ -346,22 +345,25 @@ def invert_dainf(f: DAInfMorphism, arity_cap: int = 8) -> DAInfMorphism | None:
         inv_blocks[(i, j)] = blk
     g01 = BigradedMap(b.module, a.module, (0, 0), inv_blocks)
     g: dict[tuple[int, int], BigradedMap] = {(0, 1): g01}
-    # solve (f o g)_{uk} = (1)_{uk} by recursion on (k, u): g_{uk} is not
-    # in g while its equation is summed, so the top term f_{01} g_{uk}
-    # drops out, and every other term reads components set before it
+    # solve (f o g)_{uk} = (1)_{uk} by recursion on (k, u):
+    # g_{uk} = -sum g_{01} f_{ij} T_j(g)[(u - i, k)].  g_{uk} is not in g
+    # while its equation is summed, so the top term f_{01} g_{uk} drops
+    # out, and every other term reads components set before it
+    gf = {key: bcompose(g01, fij) for key, fij in sorted(f.f.items())}
     memo: dict = {}
     for k in range(1, arity_cap + 1):
         # u values where the map space is nonzero, from bidegree sumsets
         for u in sorted(_reachable_u(b.module, a.module, k)):
             if (u, k) == (0, 1):
                 continue
-            terms = [bcompose(fij, tens) for (i, j), fij in sorted(f.f.items())
-                     if (tens := bar_power(g, b.module, j, u - i, k, memo))
-                     is not None]
-            if terms:
-                guk = -bcompose(g01, sum(terms[1:], terms[0]))
-                if not guk.is_zero():
-                    g[(u, k)] = guk
+            acc = MapSum()
+            for (i, j), gfij in gf.items():
+                tens = bar_power(g, b.module, j, u - i, k, memo)
+                if tens is not None:
+                    acc.add_compose((u, k), gfij, tens, 1)
+            guk = acc.maps().get((u, k))
+            if guk is not None and not guk.is_zero():
+                g[(u, k)] = guk
     ginv = DAInfMorphism(b, a, g)
     if compose_dainf(f, ginv, check=False) != identity_dainf(b) or \
        compose_dainf(ginv, f, check=False) != identity_dainf(a):
@@ -435,26 +437,18 @@ def tensor_twisted_dga(dga: TwistedDga, a: DAInfAlgebra,
     mod = tensor_modules(dga.module, a.module)
     id_l = identity_map(dga.module)
     id_a = identity_map(a.module)
-    m: dict[tuple[int, int], BigradedMap] = {}
-    ones = sorted({i for (i, j) in dga.m if j == 1} |
-                  {i for (i, j) in a.m if j == 1})
-    for i in ones:
-        t = zero_map(mod, mod, (-i, 1 - i))
-        if (i, 1) in dga.m:
-            t = t + tensor_maps(dga.m[(i, 1)], id_a)
-        if (i, 1) in a.m:
-            t = t + tensor_maps(id_l, a.m[(i, 1)])
-        if not t.is_zero():
-            m[(i, 1)] = t
+    acc, m = MapSum(), {}
+    for (i, j), mu in sorted(dga.m.items()):
+        if j == 1:
+            acc.add_tensor((i, 1), mu, id_a)
     for (i, j), mij in sorted(a.m.items()):
-        if j < 2:
-            continue
-        tau = interleave_iso(dga.module, a.module, j)
-        mu_j = iterated_mu(dga, j)
-        t = bcompose(tensor_maps(mu_j, mij), tau)
-        if not t.is_zero():
-            m[(i, j)] = t
-    out = DAInfAlgebra(mod, m)
+        if j == 1:
+            acc.add_tensor((i, 1), id_l, mij)
+        else:
+            tau = interleave_iso(dga.module, a.module, j)
+            m[(i, j)] = bcompose(tensor_maps(iterated_mu(dga, j), mij), tau)
+    # DAInfAlgebra drops the maps that came out zero
+    out = DAInfAlgebra(mod, {**acc.maps(), **m})
     if check:
         check_dainf(out).raise_if_failed()
     return out
@@ -484,7 +478,7 @@ def tensor_dga_morphism(dga: TwistedDga, f: DAInfMorphism,
 # Lambda_r and the functorial r-path
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LambdaObject:
     algebra: TwistedDga
     iota: DAInfMorphism       # R -> Lambda_r, 1 -> e_- + e_+
@@ -505,10 +499,14 @@ def _ones_map(src: BigradedModule, dst: BigradedModule,
     return BigradedMap(src, dst, (0, 0), dict(sorted(blocks.items())))
 
 
+@cache
 def lambda_r_dga(r: int, field: Field | None = None) -> LambdaObject:
     """Generators e_-, e_+ at (0,0) and u at (-r, 1-r);
     mu_{r1}(e_-) = -u, mu_{r1}(e_+) = u;
-    mu_{02}: e_-e_- = e_-, e_+e_+ = e_+, e_-u = u = ue_+, 0 elsewhere."""
+    mu_{02}: e_-e_- = e_-, e_+e_+ = e_+, e_-u = u = ue_+, 0 elsewhere.
+
+    A constant of (r, field), built and checked once: the result is
+    shared by every caller and must not be changed."""
     from .linalg import GF
     field = field or GF()
     e_bid = (0, 0)
@@ -721,13 +719,13 @@ def assemble_into_path_dainf(h: DAInfHomotopy,
         for key in sorted(set(h.f.f) | set(h.g.f) | set(h.h))})
 
 
-def _hmk_buckets(h: DAInfHomotopy) -> dict:
+def _hmk_buckets(h: DAInfHomotopy) -> MapSum:
     """Left side of (H_mk) minus right side, bucketed by (m, k)."""
     a, b, r = h.src, h.dst, h.r
     gk = sorted(h.g.f)
     fk = sorted(h.f.f)
     hk = sorted(h.h)
-    buckets: dict[tuple[int, int], BigradedMap] = {}
+    acc = MapSum()
     # sum 1: m^B_{il} applied to g .. g h f .. f, one tensor per word, so
     # this route stays independent of the bar powers the assembled-path
     # cross-check runs through
@@ -742,22 +740,23 @@ def _hmk_buckets(h: DAInfHomotopy) -> dict:
                          + [h.f.f[pt] for pt in parts[s + 1:]])
                 tens = component_tensor(comps, [q for (_, q) in parts],
                                         a.module)
-                _accumulate(buckets, (i + p, k), bcompose(mil, tens),
-                            homotopy_sum1_sign(r, p, s, list(parts))
-                            + i + p - r)
+                acc.add_compose((i + p, k), mil, tens,
+                                homotopy_sum1_sign(r, p, s, list(parts))
+                                + i + p - r)
     # sum 2: h_{il} applied to 1^s (x) m^A_{pq} (x) 1^t
     for (i, l) in hk:
         hil = h.h[(i, l)]
         for (p, q), mpq in sorted(a.m.items()):
             for s in range(l):
                 t = l - 1 - s
-                term = bcompose(hil, hom_one_map_one(mpq, a.module, s, t, q))
-                _accumulate(buckets, (i + p, s + q + t), term,
-                            homotopy_beta(r, s, q, t, p, l) + i + p - r)
+                acc.add_compose((i + p, s + q + t), hil,
+                                hom_one_map_one(mpq, a.module, s, t, q),
+                                homotopy_beta(r, s, q, t, p, l) + i + p - r)
     # right side
     for (i, k) in sorted(set(fk) | set(gk)):
-        _accumulate(buckets, (i + r, k), h.g.f_map(i, k) - h.f.f_map(i, k), 1)
-    return buckets
+        acc.add((i + r, k), h.g.f_map(i, k), 1)
+        acc.add((i + r, k), h.f.f_map(i, k))
+    return acc
 
 
 def check_r_homotopy_dainf(h: DAInfHomotopy) -> Report:

@@ -5,11 +5,11 @@ import pytest
 from conftest import assert_canonical
 
 from multiplex.bigraded import (
-    BigradedModule, BigradedMap, _pairs_tree, compose, hom_one_map_one,
-    identity_map, interleave_iso, leaf, left_tree, nary_tensor_maps, node,
-    power_module, power_tree, sprod, symmetry_iso, tensor_maps,
-    tensor_index, tensor_modules, tensor_summands, tree_basis, tree_iso,
-    unit_module, zero_map,
+    BigradedModule, BigradedMap, MapSum, _pairs_tree, compose,
+    hom_one_map_one, identity_map, interleave_iso, leaf, left_tree,
+    nary_tensor_maps, node, power_module, power_tree, sprod, symmetry_iso,
+    tensor_maps, tensor_index, tensor_modules, tensor_summands, tree_basis,
+    tree_iso, unit_module, zero_map,
 )
 from multiplex.dainf import _subpower_tree, component_tensor
 from multiplex.linalg import GF, QQ, Matrix, SignedPerm
@@ -507,6 +507,56 @@ def test_tensor_maps_and_negation_match_reference(field, seed):
         assert (f - f).is_zero() and (f + (-f)).is_zero()
         g = _rand_sparse_map(f.src, f.dst, f.bidegree, rng, 0.5)
         _assert_same_blocks(f - g, f + g.scale(f.field.of_int(-1)))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(4))
+def test_map_sum_matches_dense_sums(field, seed):
+    # signed products, tensors and maps summed in buckets, against the
+    # dense sum of each term formed on its own
+    rng = random.Random(1000 + seed)
+    bid_g, bid_f = ((rng.randint(-1, 1), rng.randint(-1, 1))
+                    for _ in range(2))
+    # each map has a block at every bidegree of its source
+    a = rand_module(field, rng, maxdim=3)
+    b = a.shifted(bid_g)
+    c = b.shifted(bid_f)
+    gs = [_rand_sparse_map(a, b, bid_g, rng, d) for d in (0.15, 0.5, 1.0)]
+    fs = [_rand_sparse_map(b, c, bid_f, rng, d) for d in (0.15, 0.5, 1.0)]
+    acc, want = MapSum(), {}
+
+    def add(key, term, odd):
+        term = -term if odd % 2 else term
+        want[key] = want[key] + term if key in want else term
+
+    for f in fs:
+        for g in gs:
+            odd = rng.randint(-2, 3)
+            acc.add_compose("fg", f, g, odd)
+            add("fg", compose(f, g), odd)
+            acc.add_tensor("gf", g, f, odd)
+            add("gf", _ref_tensor_maps(g, f), odd)
+    h = _rand_sparse_map(a, c, compose(fs[0], gs[0]).bidegree, rng, 0.5)
+    acc.add("fg", h, 1)
+    add("fg", h, 1)
+    # terms that cancel, and a product with no pair of blocks to multiply,
+    # leave zero maps under their keys
+    acc.add_tensor("zero", gs[2], fs[2])
+    acc.add_tensor("zero", gs[2], fs[2], 1)
+    acc.add_compose("empty", fs[0], zero_map(a, b, bid_g))
+    got = acc.maps()
+    assert sorted(got) == ["empty", "fg", "gf", "zero"]
+    assert got["zero"].is_zero() and got["empty"].is_zero()
+    assert got["zero"].src == tensor_modules(a, b)
+    for key, ref in want.items():
+        assert not ref.is_zero()
+        _assert_canonical_map(got[key])
+        _assert_same_blocks(got[key], ref)
+        assert list(got[key].blocks) == sorted(got[key].blocks)
+    with pytest.raises(ValueError):
+        acc.add("fg", gs[0])
+    with pytest.raises(ValueError):
+        acc.add_compose("fg", gs[0], fs[0])
 
 
 def _ref_tensor_summands(a, b, i, j):

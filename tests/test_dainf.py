@@ -3,18 +3,22 @@ from itertools import product as iproduct
 
 import pytest
 
+from conftest import assert_canonical
+
 from multiplex.bigraded import (
     BigradedMap, BigradedModule, compose as bcompose, hom_one_map_one,
-    identity_map, power_module, tensor_modules,
+    identity_map, node, power_module, power_tree, tensor_maps,
+    tensor_modules, tree_iso,
 )
 from multiplex.dainf import (
-    DAInfAlgebra, DAInfHomotopy, DAInfMorphism, TwistedDga, _reachable_u,
-    assemble_into_path_dainf, check_dainf, check_dainf_morphism,
-    check_r_homotopy_dainf, collapse_after, component_tensor, compose_dainf,
-    diagonal_delta, identity_dainf, invert_dainf, is_er_quasi_iso_dainf,
-    iterated_mu, lambda_r_dga, path_dainf, path_dainf_morphism,
-    tensor_dga_morphism, tensor_twisted_dga, underlying_twisted,
-    underlying_twisted_morphism, unit_dga, zero_dainf_morphism,
+    DAInfAlgebra, DAInfHomotopy, DAInfMorphism, TwistedDga, _hmk_buckets,
+    _reachable_u, _sumset, assemble_into_path_dainf, bar_power, check_dainf,
+    check_dainf_morphism, check_r_homotopy_dainf, collapse_after,
+    component_tensor, compose_dainf, diagonal_delta, identity_dainf,
+    invert_dainf, is_er_quasi_iso_dainf, iterated_mu, lambda_r_dga,
+    path_dainf, path_dainf_morphism, tensor_dga_morphism, tensor_twisted_dga,
+    underlying_twisted, underlying_twisted_morphism, unit_dga,
+    zero_dainf_morphism,
 )
 from multiplex.generators import (
     dainf_morphism_space, random_dainf_morphism, random_twisted_complex,
@@ -22,7 +26,10 @@ from multiplex.generators import (
 )
 from multiplex.linalg import GF, QQ, Matrix
 from multiplex.reports import Report
-from multiplex.signs import compose_sign, structure_sign
+from multiplex.signs import (
+    compose_sign, compose_sign_step, homotopy_beta, homotopy_sum1_sign,
+    structure_sign,
+)
 from multiplex.twisted import check_morphism as check_twisted_morphism
 from multiplex.twisted import compose as twisted_compose
 from multiplex.twisted import path as twisted_path
@@ -166,8 +173,10 @@ def test_identity_and_strict_composition():
 
 
 # rank-1 spots for every seed and rank-2 spots for seeds 1-3 stay within
-# desk scale; rank-2 seed 0 (about 7 s of arity-8 double composites) waits
-# for sparse storage of high-arity maps
+# desk scale; rank-2 seed 0 (arity-8 double composites) takes about 4 s,
+# 6-8 s before its sums were accumulated sparsely, and stays out: 20 cold
+# _tree_iso builds take 8.4 of its 9.8 s under cProfile, which waits for
+# regrouping targets and signs computed by index arithmetic
 @pytest.mark.parametrize("seed, max_rank", [
     (0, 1), (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2),
 ], ids=["0", "1", "2", "3", "1-rank2", "2-rank2", "3-rank2"])
@@ -215,9 +224,9 @@ def test_compose_associative_rank2(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_invert(seed):
     # total degrees in [-1, 0] kill every arity >= 3 (the vertical window
-    # closes), so triangular inverses stay finite while still exercising
-    # genuine arity-2 components
-    a = small_zero_product(seed + 20, max_rank=1, verts=(-1, 0))
+    # closes), so triangular inverses stay finite; the base seed gives
+    # draws whose f and inverse have arity-2 components
+    a = small_zero_product(seed + 45, max_rank=1, verts=(-1, 0), spots=8)
     rng = random.Random(60 + seed)
     assert invert_dainf(identity_dainf(a)) == identity_dainf(a)
     two = DAInfMorphism(a, a, {(0, 1): identity_map(a.module).scale(F.of_int(2))})
@@ -227,8 +236,9 @@ def test_invert(seed):
     # keep f_{01} = id so the morphism is invertible by the block criterion
     perturb = [el for el in space if (0, 1) not in el]
     f = random_dainf_morphism(a, a, rng, space=perturb, with_identity=True)
-    g = invert_dainf(f, arity_cap=6)
+    g = invert_dainf(f)
     assert g is not None
+    assert any(j >= 2 for (_, j) in f.f) and any(j >= 2 for (_, j) in g.f)
     assert compose_dainf(f, g, check=False) == identity_dainf(a)
     assert compose_dainf(g, f, check=False) == identity_dainf(a)
     if not a.module.is_zero():
@@ -245,8 +255,9 @@ def _memo_infos():
 
 
 def test_repeated_dainf_calls_add_no_memo_entries():
-    # the memos are keyed by module and tree shape, so a second identical
-    # composition or inversion finds everything it needs in them
+    # the memos are keyed by module and tree shape, and Lambda_r by (r,
+    # field), so a second identical composition, inversion or r-path finds
+    # everything it needs in them
     rng = random.Random(51)
     a = random_zero_product_dainf(F, rng, cols=(0, 1), verts=(0, 2),
                                   max_rank=1, spots=60)
@@ -259,7 +270,9 @@ def test_repeated_dainf_calls_add_no_memo_entries():
                if (0, 1) not in el]
     e = random_dainf_morphism(b, b, rng, space=perturb, density=1.0,
                               with_identity=True)
-    for run in (lambda: compose_dainf(g, f), lambda: invert_dainf(e)):
+    lam = lambda_r_dga(1, F).algebra
+    for run in (lambda: compose_dainf(g, f), lambda: invert_dainf(e),
+                lambda: path_dainf(lam, 1), lambda: path_dainf(a, 2)):
         first = run()
         before = _memo_infos()
         assert run() == first
@@ -268,8 +281,9 @@ def test_repeated_dainf_calls_add_no_memo_entries():
             {k: (i.misses, i.currsize) for k, i in before.items()}
         assert sum(i.hits for i in after.values()) > \
             sum(i.hits for i in before.values())
-    assert {"multiplex.bigraded._tree_iso",
-            "multiplex.bigraded.tree_basis"} <= set(before)
+    assert {"multiplex.bigraded._tree_iso", "multiplex.bigraded.tree_basis",
+            "multiplex.dainf.lambda_r_dga"} <= set(before)
+    assert before["multiplex.dainf.lambda_r_dga"].hits > 0
 
 
 # ---------------------------------------------------------------------------
@@ -723,3 +737,251 @@ def test_check_morphism_three_letter_words(field):
         mor = DAInfMorphism(mor.src, tgt, mor.f)
         assert check_dainf_morphism(mor).to_dict() == \
             _ref_check_morphism(mor).to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the accumulated sums against the dense per-term route
+# ---------------------------------------------------------------------------
+
+def _dense_accumulate(acc, key, term, odd):
+    """acc[key] += (-1)^odd term with dense map +, - and negation, where an
+    absent or None entry is zero: how every dA-infinity sum was formed
+    before the sparse accumulator."""
+    old = acc.get(key)
+    if old is None:
+        acc[key] = -term if odd % 2 else term
+    else:
+        acc[key] = old - term if odd % 2 else old + term
+
+
+def _dense_bar_power(g, mod, n, U, K, memo):
+    if n == 1:
+        return g.get((U, K))
+    key = (n, U, K)
+    if key not in memo:
+        memo[key] = None
+        for (p, q), gpq in sorted(g.items()):
+            hu, hk = U - p, K - q
+            if hu < 0 or hk < n - 1:
+                continue
+            head = _dense_bar_power(g, mod, n - 1, hu, hk, memo)
+            if head is None:
+                continue
+            cols = tree_iso(node(power_tree(mod, hk), power_tree(mod, q)),
+                            power_tree(mod, K))
+            _dense_accumulate(memo, key, tensor_maps(head, gpq, (cols, None)),
+                              compose_sign_step(hu, hk, p, q))
+    return memo[key]
+
+
+def _dense_insertions(buckets, outer, a):
+    for (i, j), oij in sorted(outer.items()):
+        for (p, q), mpq in sorted(a.m.items()):
+            for r in range(j):
+                t = j - 1 - r
+                _dense_accumulate(
+                    buckets, (i + p, j + q - 1),
+                    bcompose(oij, hom_one_map_one(mpq, a.module, r, t, q)),
+                    structure_sign(r, q, t, p, j))
+
+
+def _dense_report(name, buckets, letter):
+    rep = Report(name)
+    for (u, v) in sorted(buckets):
+        rep.tick()
+        for loc in sorted(buckets[(u, v)].blocks):
+            rep.fail((u, v) + loc,
+                     f"({letter}_{{{u}{v}}}) fails on the block at {loc}")
+    return rep
+
+
+def _dense_check_dainf(a):
+    buckets = {}
+    _dense_insertions(buckets, a.m, a)
+    return _dense_report("derived A-infinity relations (A_uv)", buckets, "A")
+
+
+def _dense_check_morphism(f):
+    buckets, memo = {}, {}
+    _dense_insertions(buckets, f.f, f.src)
+    for (i, j), mij in sorted(f.dst.m.items()):
+        for (U, K) in sorted(_sumset(f.f, j)):
+            tens = _dense_bar_power(f.f, f.src.module, j, U, K, memo)
+            _dense_accumulate(buckets, (i + U, K), bcompose(mij, tens),
+                              i + U + 1)
+    return _dense_report("dA-infinity morphism relations (B_uv)", buckets,
+                         "B")
+
+
+def _dense_compose(f, g):
+    comps, memo = {}, {}
+    for (i, j), fij in sorted(f.f.items()):
+        for (U, K) in sorted(_sumset(g.f, j)):
+            tens = _dense_bar_power(g.f, g.src.module, j, U, K, memo)
+            _dense_accumulate(comps, (i + U, K), bcompose(fij, tens), 0)
+    return DAInfMorphism(g.src, f.dst, comps)
+
+
+def _dense_invert(f, arity_cap=8):
+    a, b = f.src, f.dst
+    g01 = BigradedMap(b.module, a.module, (0, 0),
+                      {k: f.f_map(0, 1).block(*k).inverse()
+                       for k in b.module.dims})
+    g, memo = {(0, 1): g01}, {}
+    for k in range(1, arity_cap + 1):
+        for u in sorted(_reachable_u(b.module, a.module, k)):
+            if (u, k) == (0, 1):
+                continue
+            terms = [bcompose(fij, tens) for (i, j), fij in sorted(f.f.items())
+                     if (tens := _dense_bar_power(g, b.module, j, u - i, k,
+                                                  memo)) is not None]
+            if terms:
+                guk = -bcompose(g01, sum(terms[1:], terms[0]))
+                if not guk.is_zero():
+                    g[(u, k)] = guk
+    return DAInfMorphism(b, a, g)
+
+
+def _dense_hmk_buckets(h):
+    a, b, r = h.src, h.dst, h.r
+    gk, fk, hk = sorted(h.g.f), sorted(h.f.f), sorted(h.h)
+    buckets = {}
+    for (i, l), mil in sorted(b.m.items()):
+        for s in range(l):
+            for parts in iproduct(*([gk] * s + [hk] + [fk] * (l - s - 1))):
+                p = sum(pp for (pp, _) in parts)
+                k = sum(qq for (_, qq) in parts)
+                comps = ([h.g.f[pt] for pt in parts[:s]] + [h.h[parts[s]]]
+                         + [h.f.f[pt] for pt in parts[s + 1:]])
+                tens = component_tensor(comps, [q for (_, q) in parts],
+                                        a.module)
+                _dense_accumulate(buckets, (i + p, k), bcompose(mil, tens),
+                                  homotopy_sum1_sign(r, p, s, list(parts))
+                                  + i + p - r)
+    for (i, l) in hk:
+        for (p, q), mpq in sorted(a.m.items()):
+            for s in range(l):
+                t = l - 1 - s
+                _dense_accumulate(
+                    buckets, (i + p, s + q + t),
+                    bcompose(h.h[(i, l)],
+                             hom_one_map_one(mpq, a.module, s, t, q)),
+                    homotopy_beta(r, s, q, t, p, l) + i + p - r)
+    for (i, k) in sorted(set(fk) | set(gk)):
+        _dense_accumulate(buckets, (i + r, k),
+                          h.g.f_map(i, k) - h.f.f_map(i, k), 1)
+    return buckets
+
+
+def _assert_same_map(got, want):
+    """Same modules and bidegree, same blocks, the same entries of the
+    same types, and every entry canonical."""
+    assert (got.src, got.dst, got.bidegree) == \
+        (want.src, want.dst, want.bidegree)
+    assert sorted(got.blocks) == sorted(want.blocks)
+    for loc, blk in got.blocks.items():
+        assert_canonical(got.field, blk.data)
+        assert [(type(x), x) for x in blk.data] == \
+            [(type(x), x) for x in want.blocks[loc].data]
+
+
+def _assert_same_components(got, want):
+    assert sorted(got.f) == sorted(want.f)
+    for key, comp in want.f.items():
+        _assert_same_map(got.f[key], comp)
+
+
+@pytest.mark.parametrize("field", BAR_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_compose_and_bar_powers_match_dense_route(field, seed):
+    f, g, bad, low = _bar_corpus(field, seed)
+    bb = compose_dainf(bad, bad, check=False)
+    for outer, inner in [(g, f), (bad, g), (bad, bad), (bb, low), (low, bb)]:
+        _assert_same_components(compose_dainf(outer, inner, check=False),
+                                _dense_compose(outer, inner))
+    # every class of up to three letters, zero sums included
+    classes = 0
+    for mor in (f, bad, low):
+        memo, ref = {}, {}
+        for n in range(1, 4):
+            for (U, K) in sorted(_sumset(mor.f, n)):
+                got = bar_power(mor.f, mor.src.module, n, U, K, memo)
+                want = _dense_bar_power(mor.f, mor.src.module, n, U, K, ref)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    _assert_same_map(got, want)
+                    classes += 1
+    assert classes >= 40
+
+
+@pytest.mark.parametrize("field", BAR_FIELDS, ids=str)
+def test_checkers_match_dense_route(field):
+    rng = random.Random(700)
+    mors = _product_targets(field, rng)
+    f, g, bad, low = _bar_corpus(field, 2)
+    mors += [f, bad, low, compose_dainf(g, f, check=False)]
+    # unchecked structure maps of arity 2 and 3: (A_uv) fails, and the
+    # (B_uv) right side sums words of three letters
+    mod = f.dst.module
+    tgt = DAInfAlgebra(mod, {**f.dst.m, **{
+        (i, j): _rand_map(power_module(mod, j), mod, (-i, 2 - i - j), rng)
+        for (i, j) in [(0, 2), (1, 2), (0, 3)]}})
+    mors += [DAInfMorphism(m.src, tgt, m.f) for m in (f, bad, low)]
+    algebras = {id(x): x for m in mors for x in (m.src, m.dst)}.values()
+    failing = 0
+    for alg in algebras:
+        got = check_dainf(alg).to_dict()
+        assert got == _dense_check_dainf(alg).to_dict()
+        failing += not got["ok"]
+    for mor in mors:
+        got = check_dainf_morphism(mor).to_dict()
+        assert got == _dense_check_morphism(mor).to_dict()
+        failing += not got["ok"]
+    assert failing >= 10 and not check_dainf(tgt).ok
+
+
+@pytest.mark.parametrize("field", BAR_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", [14, 15])
+def test_invert_matches_dense_route(field, seed):
+    # seeds whose draws have arity-2 components over every field
+    rng = random.Random(800 + seed)
+    b = random_zero_product_dainf(field, rng, cols=(0, 2), verts=(-1, 0),
+                                  max_rank=1, spots=8)
+    perturb = [el for el in dainf_morphism_space(b, b, 2)
+               if (0, 1) not in el]
+    e = random_dainf_morphism(b, b, rng, space=perturb, density=1.0,
+                              with_identity=True)
+    a = DAInfAlgebra(BigradedModule(field, {
+        (i, i + d): 1 for i in (0, 1) for d in (-2, -1, 0)}), {})
+    e2 = _perturbed(identity_dainf(a), rng, [(1, 1), (2, 1), (0, 2), (1, 2)])
+    for mor in (e, e2):
+        got = invert_dainf(mor)
+        assert any(j >= 2 for (_, j) in got.f)
+        _assert_same_components(got, _dense_invert(mor))
+
+
+@pytest.mark.parametrize("field", BAR_FIELDS, ids=str)
+@pytest.mark.parametrize("r", [0, 1])
+def test_hmk_buckets_match_dense_route(field, r):
+    rng = random.Random(900 + r)
+    f, g, bad, _ = _bar_corpus(field, r)
+    mod = f.src.module
+    # random witnesses of arity 1 and 2 make most buckets nonzero; the
+    # trivial homotopy of f with itself leaves every bucket zero
+    hs = [DAInfHomotopy(r, f, g, {
+              (i, k): _rand_map(power_module(mod, k), mod, (r - i, r - i - k),
+                                rng)
+              for (i, k) in [(0, 1), (1, 1), (0, 2), (1, 2)]}),
+          DAInfHomotopy(r, bad, g, {
+              (0, 1): _rand_map(mod, mod, (r, r - 1), rng)}),
+          DAInfHomotopy(r, f, f, {})]
+    nonzero = 0
+    for h in hs:
+        got = _hmk_buckets(h).maps()
+        want = _dense_hmk_buckets(h)
+        assert sorted(got) == sorted(want)
+        for key, m in want.items():
+            _assert_same_map(got[key], m)
+            nonzero += not m.is_zero()
+    assert nonzero >= 4
+    assert all(m.is_zero() for m in _hmk_buckets(hs[2]).maps().values())

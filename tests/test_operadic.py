@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import SHAPE
+
 from multiplex.bigraded import BigradedMap, BigradedModule, identity_map
 from multiplex.generators import (
     random_endo_morphism, random_homotopic_pair, random_homotopy_family,
@@ -51,17 +53,14 @@ def test_lift_sign_on_degree_one_family():
 @pytest.mark.parametrize("seed", range(4))
 def test_lift_extract_roundtrip(seed):
     rng = random.Random(2200 + seed)
-    a = random_twisted_complex(F, rng, spots=3)
-    b = random_twisted_complex(F, rng, spots=3)
+    a = random_twisted_complex(F, rng, **SHAPE)
+    b = random_twisted_complex(F, rng, **SHAPE)
     fam = random_homotopy_family(a, b, rng.choice([0, 1, 2]), rng)
-    if not fam:
-        fam = {0: identity_map(a.module)} if a.module == b.module else {}
-    u, v = (2, 1) if fam and next(iter(fam.values())).bidegree == (2, 1) else (0, 0)
-    # use the family's own overall bidegree
-    if fam:
-        m0 = sorted(fam)[0]
-        p, q = fam[m0].bidegree
-        u, v = p + m0, q + m0
+    assert a.d and b.d and len(fam) >= 3
+    # the family's own overall bidegree
+    m0 = sorted(fam)[0]
+    p, q = fam[m0].bidegree
+    u, v = p + m0, q + m0
     lifted = lift(fam, u, v, a.module, b.module, 8)
     back = extract(lifted)
     assert back.keys() == fam.keys()
@@ -71,8 +70,9 @@ def test_lift_extract_roundtrip(seed):
 
 def test_shift_matches_index_shift():
     rng = random.Random(2300)
-    a = random_twisted_complex(F, rng, spots=3)
+    a = random_twisted_complex(F, rng, **SHAPE)
     f = random_endo_morphism(a, rng)
+    assert a.d and len(f.f) >= 2
     lf = lift_morphism(f, 8)
     shifted = shift(lf)
     fam = extract(shifted)
@@ -87,9 +87,10 @@ def test_shift_matches_index_shift():
 
 def test_lift_respects_composition():
     rng = random.Random(2400)
-    a = random_twisted_complex(F, rng, spots=3)
+    a = random_twisted_complex(F, rng, **SHAPE)
     f = random_endo_morphism(a, rng)
     g = random_endo_morphism(a, rng)
+    assert a.d and len(f.f) >= 2 and len(g.f) >= 2
     n = 8
     assert lift_morphism(compose(g, f), n) == \
         lift_morphism(g, n).compose(lift_morphism(f, n))
@@ -115,34 +116,37 @@ def test_square_zero_oracle_verdicts():
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_coderh_oracle(seed, r):
-    rng = random.Random(2600 + 10 * seed + r)
-    a = random_twisted_complex(F, rng, spots=3)
+    # the base seed gives every draw a twisting map and a nonzero homotopy,
+    # on which the one-entry corruption below is no homotopy; on some other
+    # draws it still is one, and twisted.check_r_homotopy agrees
+    rng = random.Random(2639 + 10 * seed + r)
+    a = random_twisted_complex(F, rng, **SHAPE)
     f = random_endo_morphism(a, rng)
     g, h = random_homotopic_pair(f, r, rng)
+    assert a.d and h.h
     assert check_coderh(h)
     # trivial homotopy
     assert check_coderh(RHomotopy(r, f, f, {}))
     # corrupt one entry: verdict flips in both routes (the oracle would
     # raise if they ever disagreed)
-    if h.h:
-        m0 = sorted(h.h)[0]
-        bad_map = h.h[m0]
-        loc = sorted(bad_map.blocks)[0]
-        blk = bad_map.blocks[loc].copy()
-        blk[0, 0] = F.add(blk[0, 0], F.one())
-        blocks = dict(bad_map.blocks)
-        blocks[loc] = blk
-        bad = dict(h.h)
-        bad[m0] = BigradedMap(bad_map.src, bad_map.dst, bad_map.bidegree,
-                              blocks)
-        assert not check_coderh(RHomotopy(r, f, g, bad))
+    m0 = sorted(h.h)[0]
+    bad_map = h.h[m0]
+    loc = sorted(bad_map.blocks)[0]
+    blk = bad_map.blocks[loc].copy()
+    blk[0, 0] = F.add(blk[0, 0], F.one())
+    blocks = dict(bad_map.blocks)
+    blocks[loc] = blk
+    bad = dict(h.h)
+    bad[m0] = BigradedMap(bad_map.src, bad_map.dst, bad_map.bidegree, blocks)
+    assert not check_coderh(RHomotopy(r, f, g, bad))
 
 
 def test_truncation_floor_and_stability():
     rng = random.Random(2700)
-    a = random_twisted_complex(F, rng, spots=3)
+    a = random_twisted_complex(F, rng, **SHAPE)
     f = random_endo_morphism(a, rng)
     g, h = random_homotopic_pair(f, 1, rng)
+    assert a.d and h.h
     n0 = default_truncation(h)
     with pytest.raises(ValueError):
         check_coderh(h, n0 - 1)
