@@ -9,15 +9,20 @@ element a costs (-1)^{<g,a>}.
 Tensor products fix a deterministic summand ordering (lexicographic in the
 bidegree of the left factor, then basis order); the summands and their
 coordinate offsets are computed once per module pair, and a tensor of maps
-visits only pairs of nonzero blocks.  Signed sums of maps, products and
-tensors of maps are accumulated in a ``MapSum``: sparse, unreduced entries
-per (key, source bidegree), reduced once when the sums are read;
-``tensor_maps`` is its one-term sum.  Regrouping / permutation
-isomorphisms between iterated tensor products are signed permutations,
-computed once per pair of tree shapes through basis enumerations of
-tensor trees.  The n-ary tensors of the dA-infinity formulas do not apply
-their regroupings as products: the last tensor step writes each entry at
-its regrouped row and column, read off those permutations.
+visits only pairs of nonzero blocks.  Signed sums of maps, products,
+tensors and insertions o (1^r (x) m (x) 1^t) of maps are accumulated in a
+``MapSum``: sparse, unreduced entries per (key, source bidegree), reduced
+once when the sums are read; ``tensor_maps`` is its one-term sum.
+
+Left powers base^{(x) k} = (base^{(x) k-1}) (x) base have coordinates by
+index arithmetic: the words of one letter-bidegree profile fill one
+contiguous range, from the offset of the profile (one ``tensor_index`` per
+letter) by the mixed-radix index of the letters.  The n-ary tensors of the
+dA-infinity formulas and the insertions write each entry at its place in
+the left powers from these offsets, with no regrouping isomorphism and no
+word enumeration.  Regrouping / permutation isomorphisms between other
+iterated tensor products are signed permutations, computed once per pair of
+tree shapes through basis enumerations of tensor trees.
 
 Every memo here is ``functools.cache`` on the function itself, keyed by
 modules (hashed by field and dims) and tensor trees (hashed by shape), so
@@ -31,7 +36,7 @@ from functools import cache
 from itertools import compress
 from types import MappingProxyType
 
-from .linalg import Field, Matrix, SignedPerm, _qq_canonical
+from .linalg import Field, Matrix, SignedPerm, _qq_canonical, _qq_entry
 
 Bidegree = tuple[int, int]
 
@@ -73,8 +78,12 @@ class BigradedModule:
         return not self.dims
 
     def __eq__(self, other):
+        # the modulus p names the field (0 for QQ); modules are memo keys,
+        # so this runs on every lookup of an equal module that is another
+        # object
         return self is other or (isinstance(other, BigradedModule)
-                and self.field == other.field and self.dims == other.dims)
+                                 and self._dims == other._dims
+                                 and self.field.p == other.field.p)
 
     def __hash__(self):
         if self._hash is None:
@@ -269,15 +278,159 @@ def _nonzero_entries(m: Matrix) -> list:
     return [(t // c, t % c, d[t]) for t in compress(range(len(d)), d)]
 
 
+# ---------------------------------------------------------------------------
+# left powers: coordinates by index arithmetic
+# ---------------------------------------------------------------------------
+
+@cache
+def power_module(mod: BigradedModule, k: int) -> BigradedModule:
+    """The left power mod^{(x) k} = (mod^{(x) k-1}) (x) mod; the unit
+    module for k = 0."""
+    if k == 0:
+        return unit_module(mod.field)
+    if k == 1:
+        return mod
+    return tensor_modules(power_module(mod, k - 1), mod)
+
+
+@cache
+def _power_profiles(base: BigradedModule, k: int, bid: Bidegree) -> tuple:
+    """The letter-bidegree profiles of base^{(x) k} at bid, in coordinate
+    order, as (profile, offset, size): the words whose l-th letter lies at
+    profile[l] fill the coordinates offset .. offset + size - 1, in the
+    mixed-radix order of their letters' indices (radices dim base at each
+    letter, the last letter fastest).  The empty word is the one profile
+    of k = 0."""
+    if k == 0:
+        return (((), 0, 1),) if bid == (0, 0) else ()
+    head = power_module(base, k - 1)
+    out = []
+    for (p, q, _, db) in tensor_summands(head, base, *bid):
+        letter = (bid[0] - p, bid[1] - q)
+        for prof, off, n in _power_profiles(base, k - 1, (p, q)):
+            out.append((prof + (letter,),
+                        tensor_index(head, base, (p, q, off), (*letter, 0)),
+                        n * db))
+    return tuple(out)
+
+
+def _profile_offset(base: BigradedModule, k: int, bid: Bidegree,
+                    letters) -> int:
+    """The offset P of the words u w of base^{(x) k+len(letters)}, for u
+    in base^{(x) k} at bid and w of the profile letters: u w is at
+    P + cu * n + iw, for u at coordinate cu, n the number of words of the
+    profile and iw the mixed-radix index of w, whatever the profile of u.
+    Appending a letter is one ``tensor_index``, affine in the coordinate
+    it extends, so P is what cu = 0 becomes."""
+    off = 0
+    for letter in letters:
+        off = tensor_index(power_module(base, k), base, (*bid, off),
+                           (*letter, 0))
+        bid = (bid[0] + letter[0], bid[1] + letter[1])
+        k += 1
+    return off
+
+
+@cache
+def _concat_tables(base: BigradedModule, k: int, x: Bidegree,
+                   l: int) -> dict:
+    """The regrouping base^{(x) k} (x) base^{(x) l} -> base^{(x) k+l},
+    u (x) v -> uv, for u at x: per bidegree y of v, a flat table whose
+    entry cu * dim_y + cv is the coordinate of uv, for u at coordinate cu
+    and v at cv.  Shared by every caller: read it, never change it."""
+    tables = {}
+    dx = power_module(base, k).dim(*x)
+    for y in power_module(base, l).support():
+        # v at cv, of profile pv and index iv in it: uv is at
+        # _profile_offset(pv) + iv + cu * (size of pv)
+        at_v = [(_profile_offset(base, k, x, pv) + iv, nv)
+                for pv, _, nv in _power_profiles(base, l, y)
+                for iv in range(nv)]
+        tables[y] = tuple(start + cu * nv for cu in range(dx)
+                          for start, nv in at_v)
+    return tables
+
+
+@cache
+def _insertion_table(base: BigradedModule, r: int, q: int, t: int,
+                     beta: Bidegree, xi: Bidegree) -> tuple:
+    """Where 1^r (x) m (x) 1^t sends the words a b c of base^{(x) r+q+t}
+    (a of r letters, b of q, c of t) with b at beta, for a map
+    m: base^{(x) q} -> base that sends beta to xi.
+
+    One group (sigma, tau, odd, by_col) per bidegree alpha of a and gamma
+    of c: the words a b c lie at sigma = alpha + beta + gamma, the words
+    a x c at tau = alpha + xi + gamma in base^{(x) r+1+t}, odd is the
+    parity of the Koszul sign <xi - beta, alpha> of m moving past a, and
+    by_col[col] is a flat tuple of triples (s, row0, stride), one per word
+    a b c with b at column col of m's block: a b c is at s, and a e c, for
+    e the basis element of row row of that block, at row0 + row * stride.
+    """
+    dxi = base.dim(*xi)
+    ncols = power_module(base, q).dim(*beta)
+    odd_of = (xi[0] - beta[0], xi[1] - beta[1])
+    groups = []
+    prefixes = power_module(base, r)
+    for alpha in prefixes.support():
+        da = prefixes.dim(*alpha)
+        for gamma in power_module(base, t).support():
+            by_col = [[] for _ in range(ncols)]
+            for pc, _, nc in _power_profiles(base, t, gamma):
+                # a x c is at row0 + (ca * dxi + row) * nc + ic
+                row0 = _profile_offset(base, r, alpha, (xi,) + pc)
+                for pb, ob, nb in _power_profiles(base, q, beta):
+                    s0 = _profile_offset(base, r, alpha, pb + pc)
+                    for ca in range(da):
+                        e = row0 + ca * dxi * nc
+                        for ib in range(nb):
+                            out = by_col[ob + ib]
+                            s = s0 + (ca * nb + ib) * nc
+                            for ic in range(nc):
+                                out += (s + ic, e + ic, nc)
+            groups.append(((alpha[0] + beta[0] + gamma[0],
+                            alpha[1] + beta[1] + gamma[1]),
+                           (alpha[0] + xi[0] + gamma[0],
+                            alpha[1] + xi[1] + gamma[1]),
+                           sprod(odd_of, alpha) % 2,
+                           tuple(map(tuple, by_col))))
+    return tuple(groups)
+
+
+class SparseMap:
+    """A reduced map of a fixed bidegree kept as its nonzero entries: blocks
+    maps each nonzero source bidegree to the (row, col, value) of its
+    nonzero entries, row-major.  ``MapSum.sparse_maps`` reads sums in this
+    form when only further sums read them (the bar power classes):
+    ``MapSum.add_compose`` takes it as g and ``MapSum.add_tensor`` as f."""
+
+    __slots__ = ("src", "dst", "bidegree", "blocks")
+
+    def __init__(self, src: BigradedModule, dst: BigradedModule,
+                 bidegree: Bidegree, blocks: dict):
+        self.src, self.dst, self.bidegree, self.blocks = \
+            src, dst, bidegree, blocks
+
+
+def _entries(m, bid: Bidegree) -> list:
+    """The nonzero (row, col, value) of the block of m at bid, row-major,
+    for m a BigradedMap or a SparseMap."""
+    blk = m.blocks[bid]
+    return blk if type(blk) is list else _nonzero_entries(blk)
+
+
 class MapSum:
     """Signed sums of bigraded maps, one sum per bucket key.
 
     Terms go straight into sparse, unreduced entries per (key, source
     bidegree), a dict {row * cols + col: value} whose values are plain int
     (or, over QQ, Fraction) sums of products: ``add`` takes a map,
-    ``add_compose`` a product f o g and ``add_tensor`` the Koszul-signed
-    f (x) g, each times (-1)^odd, so a term costs its nonzero products and
-    no dense matrix is formed per term.  ``maps`` reduces each entry once
+    ``add_compose`` a product f o g, ``add_tensor`` the Koszul-signed
+    f (x) g and ``add_insertion`` an insertion o (1^r (x) m (x) 1^t) between
+    left powers, each times (-1)^odd, so a term costs its nonzero products
+    and no dense matrix is formed per term: the tensor words and the
+    insertions find their coordinates in the left powers by index
+    arithmetic (``_concat_tables``, ``_insertion_table``), never through a
+    regrouping isomorphism.  ``maps`` reduces each entry once
     (% p, or to a canonical QQ entry) and drops the blocks that come out
     zero; every key that a term was added to has a map, zero or not.
     """
@@ -309,27 +462,27 @@ class MapSum:
             for t in compress(range(len(data)), data):
                 d[t] = get(t, 0) + (-data[t] if negate else data[t])
 
-    def add_compose(self, key, f: BigradedMap, g: BigradedMap,
-                    odd: int = 0) -> None:
-        """sum[key] += (-1)^odd f o g: the products of nonzero entries
-        only, those of each block of g grouped by row."""
+    def add_compose(self, key, f: BigradedMap, g, odd: int = 0) -> None:
+        """sum[key] += (-1)^odd f o g, for g a BigradedMap or a SparseMap:
+        the products of nonzero entries only, those of each block of g
+        grouped by row."""
         negate = odd % 2
         if g.dst != f.src:
             raise ValueError("module mismatch in composition")
         p, q = g.bidegree
         blocks = self._blocks(key, g.src, f.dst,
                               (f.bidegree[0] + p, f.bidegree[1] + q))
-        for (i, j), gb in g.blocks.items():
+        for (i, j) in g.blocks:
             fb = f.blocks.get((i + p, j + q))
             if fb is None:
                 continue
             d = blocks.get((i, j))
             if d is None:
                 d = blocks[(i, j)] = {}
-            gd, oc = gb.data, gb.cols
-            right = [[] for _ in range(gb.rows)]
-            for t in compress(range(len(gd)), gd):
-                right[t // oc].append((t % oc, gd[t]))
+            oc = g.src.dim(i, j)
+            right = [[] for _ in range(fb.cols)]
+            for r, c, y in _entries(g, (i, j)):
+                right[r].append((c, y))
             get, fd, n = d.get, fb.data, fb.cols
             for t in compress(range(len(fd)), fd):
                 row = right[t % n]
@@ -338,73 +491,143 @@ class MapSum:
                     for c, y in row:
                         d[base + c] = get(base + c, 0) + x * y
 
-    def add_tensor(self, key, f: BigradedMap, g: BigradedMap, odd: int = 0,
-                   regroup=None) -> None:
-        """sum[key] += (-1)^odd f (x) g, which on the (p,q) summand is
-        (-1)^{<bideg g, (p,q)>} f_block (x) g_block.
+    def add_tensor(self, key, f, g: BigradedMap, odd: int = 0,
+                   power=None) -> None:
+        """sum[key] += (-1)^odd f (x) g, for f a BigradedMap or a SparseMap,
+        which on the (p,q) summand is (-1)^{<bideg g, (p,q)>} f_block (x)
+        g_block.
 
-        Only pairs of nonzero blocks of f and g are visited.  regroup, used
-        by the n-ary tensors, is a pair (src_iso, dst_iso) of sign-free
-        regroupings (``tree_iso`` without a permutation) out of the source
-        and the target of f (x) g, either one None for no regrouping; the
-        term is then dst_iso o (f (x) g) o src_iso^{-1}, each product
-        written straight at its regrouped row and column.  The isos are not
-        checked: the callers build them with ``tree_iso`` from the tensor's
-        own tree shapes.
+        Only pairs of nonzero blocks of f and g are visited.  power, used
+        by the n-ary tensors, is a triple (base, k, l) for f out of
+        base^{(x) k} and g out of base^{(x) l}: the term then maps out of
+        base^{(x) k+l}, the column of u (x) v written at the coordinate of
+        the word uv (``_concat_tables``).
         """
-        src_iso, dst_iso = regroup if regroup is not None else (None, None)
         fb, fq = f.bidegree
         gb, gq = g.bidegree
-        bb, bq = fb + gb, fq + gq
-        blocks = self._blocks(
-            key,
-            tensor_modules(f.src, g.src) if src_iso is None else src_iso.dst,
-            tensor_modules(f.dst, g.dst) if dst_iso is None else dst_iso.dst,
-            (bb, bq))
+        if power is None:
+            src = tensor_modules(f.src, g.src)
+        else:
+            base, k, l = power
+            if f.src != power_module(base, k) or g.src != power_module(base, l):
+                raise ValueError("tensor factors are not maps out of the "
+                                 "stated left powers")
+            src = power_module(base, k + l)
+        blocks = self._blocks(key, src, tensor_modules(f.dst, g.dst),
+                              (fb + gb, fq + gq))
         src_table = _summand_table(f.src, g.src)
         dst_table = _summand_table(f.dst, g.dst)
-        gparts = [(s, t, gblk.rows, gblk.cols, _nonzero_entries(gblk))
+        gparts = [((s, t), gblk.rows, gblk.cols, _nonzero_entries(gblk))
                   for (s, t), gblk in g.blocks.items()]
-        # per result bidegree: entries, cols, the source and target summand
-        # offsets, and the column and row each tensor coordinate goes to
+        # per result bidegree: entries, cols and the target summand offsets
         outs: dict[Bidegree, tuple] = {}
-        for (p, q), fblk in f.blocks.items():
-            fnz = _nonzero_entries(fblk)
+        for (p, q) in f.blocks:
+            fnz = _entries(f, (p, q))
             if (sprod((gb, gq), (p, q)) + odd) % 2:
                 fnz = [(ra, ca, -fv) for ra, ca, fv in fnz]
-            fsrc, fdst = (p, q), (p + fb, q + fq)
-            for s, t, gr, gc, gnz in gparts:
-                ij = (p + s, q + t)
+            fdst = (p + fb, q + fq)
+            if power is not None:
+                tables = _concat_tables(base, k, (p, q), l)
+            for gsrc, gr, gc, gnz in gparts:
+                ij = (p + gsrc[0], q + gsrc[1])
                 out = outs.get(ij)
                 if out is None:
-                    dij = (ij[0] + bb, ij[1] + bq)
-                    dentry = dst_table.get(dij)
+                    dentry = dst_table.get((ij[0] + fb + gb, ij[1] + fq + gq))
                     if dentry is None:
                         raise AssertionError(
                             "tensor block landed outside target")
-                    sentry = src_table[ij]
                     d = blocks.get(ij)
                     if d is None:
                         d = blocks[ij] = {}
-                    out = outs[ij] = (
-                        d, sentry[2], sentry[1], dentry[1],
-                        range(sentry[2]) if src_iso is None
-                        else src_iso.blocks[ij].targets,
-                        range(dentry[2]) if dst_iso is None
-                        else dst_iso.blocks[dij].targets)
-                d, cols, soffs, doffs, cmap, rmap = out
-                coff, roff = soffs[fsrc], doffs.get(fdst)
+                    out = outs[ij] = (d, src.dim(*ij), dentry[1])
+                d, cols, doffs = out
+                roff = doffs.get(fdst)
                 if roff is None:
                     raise AssertionError("tensor block landed outside target")
+                if power is None:
+                    coff = src_table[ij][1][(p, q)]
+                    cmap = range(coff, coff + f.src.dim(p, q) * gc)
+                else:
+                    cmap = tables[gsrc]
                 get = d.get
                 # f[ra, ca] scales the copy of g whose top-left corner is
-                # at (r0, c0); rmap and cmap send each coordinate to its
-                # place
+                # at row r0, and cmap sends column ca * gc + cb to its place
                 for ra, ca, fv in fnz:
-                    r0, c0 = roff + ra * gr, coff + ca * gc
+                    r0, c0 = (roff + ra * gr) * cols, ca * gc
                     for rb, cb, gv in gnz:
-                        k = rmap[r0 + rb] * cols + cmap[c0 + cb]
-                        d[k] = get(k, 0) + fv * gv
+                        at = r0 + rb * cols + cmap[c0 + cb]
+                        d[at] = get(at, 0) + fv * gv
+
+    def add_insertion(self, key, o: BigradedMap, m: BigradedMap,
+                      base: BigradedModule, r: int, t: int, q: int,
+                      odd: int = 0) -> None:
+        """sum[key] += (-1)^odd o (1^r (x) m (x) 1^t), for m out of
+        base^{(x) q} into base and o out of base^{(x) r+1+t}.
+
+        1^r (x) m (x) 1^t sends a b c to (-1)^{<bideg m, bideg a>} a m(b) c;
+        it is never formed.  Each nonzero entry of m is read once per word
+        a b c of its column (``_insertion_table``) and multiplied into the
+        nonzero entries of o's column at a e c, so a term costs the
+        products it adds.
+        """
+        negate = odd % 2
+        if m.src != power_module(base, q) or m.dst != base \
+                or o.src != power_module(base, r + 1 + t):
+            raise ValueError("insertion does not match the stated arities")
+        (mp, mq), (op, oq) = m.bidegree, o.bidegree
+        src = power_module(base, r + q + t)
+        blocks = self._blocks(key, src, o.dst, (op + mp, oq + mq))
+        # o's nonzero entries by column, per source bidegree, built on use
+        ocols: dict[Bidegree, list] = {}
+        for beta, mblk in m.blocks.items():
+            by_m_col = [[] for _ in range(mblk.cols)]
+            for row, col, v in _nonzero_entries(mblk):
+                by_m_col[col].append((row, v))
+            mcols = [(col, ent) for col, ent in enumerate(by_m_col) if ent]
+            for sigma, tau, sign, by_col in _insertion_table(
+                    base, r, q, t, beta, (beta[0] + mp, beta[1] + mq)):
+                oblk = o.blocks.get(tau)
+                if oblk is None:
+                    continue
+                oc = ocols.get(tau)
+                if oc is None:
+                    oc = ocols[tau] = [[] for _ in range(oblk.cols)]
+                    for orow, ocol, v in _nonzero_entries(oblk):
+                        oc[ocol].append((orow, v))
+                d = blocks.get(sigma)
+                if d is None:
+                    d = blocks[sigma] = {}
+                get, cols, neg = d.get, src.dim(*sigma), (sign + negate) % 2
+                for col, ent in mcols:
+                    words = iter(by_col[col])
+                    for s, row0, stride in zip(words, words, words):
+                        for row, v in ent:
+                            hits = oc[row0 + row * stride]
+                            if hits:
+                                x = -v if neg else v
+                                for orow, ov in hits:
+                                    k = orow * cols + s
+                                    d[k] = get(k, 0) + ov * x
+
+    def sparse_maps(self) -> dict:
+        """{key: the reduced sum as a SparseMap}: maps with the entries
+        reduced as ``maps`` reduces them, never written out densely."""
+        out = {}
+        for key, (src, dst, bidegree, blocks) in self._buckets.items():
+            modulus, done = src.field.p, {}
+            for (i, j) in sorted(blocks):
+                cols = src.dim(i, j)
+                if modulus:
+                    nz = [(k // cols, k % cols, v % modulus)
+                          for k, v in sorted(blocks[(i, j)].items())
+                          if v % modulus]
+                else:
+                    nz = [(k // cols, k % cols, _qq_entry(v))
+                          for k, v in sorted(blocks[(i, j)].items()) if v]
+                if nz:
+                    done[(i, j)] = nz
+            out[key] = SparseMap(src, dst, bidegree, done)
+        return out
 
     def maps(self) -> dict:
         """{key: the reduced sum}, blocks in ascending source bidegree."""
@@ -428,11 +651,11 @@ class MapSum:
         return out
 
 
-def tensor_maps(f: BigradedMap, g: BigradedMap, regroup=None) -> BigradedMap:
-    """The Koszul-signed f (x) g, regrouped as regroup says: the one-term
-    ``MapSum.add_tensor``."""
+def tensor_maps(f: BigradedMap, g: BigradedMap, power=None) -> BigradedMap:
+    """The Koszul-signed f (x) g, its columns in a left power as power
+    says: the one-term ``MapSum.add_tensor``."""
     acc = MapSum()
-    acc.add_tensor(0, f, g, regroup=regroup)
+    acc.add_tensor(0, f, g, power=power)
     return acc.maps()[0]
 
 
@@ -502,12 +725,6 @@ def left_tree(mods: list[BigradedModule]) -> Tree:
 @cache
 def power_tree(mod: BigradedModule, k: int) -> Tree:
     return left_tree([mod] * k)
-
-
-def power_module(mod: BigradedModule, k: int) -> BigradedModule:
-    if k == 0:
-        return unit_module(mod.field)
-    return power_tree(mod, k).module
 
 
 @cache
@@ -698,57 +915,16 @@ def shift_into(mod: BigradedModule, shift: Bidegree) -> BigradedMap:
     return relabel(identity_map(mod), (0, 0), shift)
 
 
-def nary_tensor_maps(maps: list[BigradedMap], regroup=None) -> BigradedMap:
+def nary_tensor_maps(maps: list[BigradedMap]) -> BigradedMap:
     """Left-associated Koszul tensor of several maps.
 
     Source and target are the left-associated tensor products of the
-    sources / targets.  regroup, as in tensor_maps, regroups them: the
-    last tensor step writes its products at the regrouped coordinates.
+    sources / targets.
     """
-    if len(maps) == 1:
-        if regroup is not None:
-            raise ValueError("regroup needs at least two maps")
-        return maps[0]
     out = maps[0]
-    for m in maps[1:-1]:
+    for m in maps[1:]:
         out = tensor_maps(out, m)
-    return tensor_maps(out, maps[-1], regroup)
-
-
-def hom_one_map_one(m: BigradedMap, base: BigradedModule, r: int, t: int,
-                    q: int) -> BigradedMap:
-    """1^{(x) r} (x) m (x) 1^{(x) t} between canonical powers of base.
-
-    m maps power_module(base, q) -> base (arity q passed explicitly).
-    """
-    if m.src != power_module(base, q) or m.dst != base:
-        raise ValueError("map shape does not match the stated arity")
-    if not r and not t:
-        return m
-    parts = []
-    src_shape = []
-    dst_shape = []
-    if r:
-        parts.append(identity_map(power_module(base, r)))
-        src_shape.append(power_tree(base, r))
-        dst_shape.append(power_tree(base, r))
-    parts.append(m)
-    src_shape.append(power_tree(base, q))
-    dst_shape.append(leaf(base))
-    if t:
-        parts.append(identity_map(power_module(base, t)))
-        src_shape.append(power_tree(base, t))
-        dst_shape.append(power_tree(base, t))
-    src_tree = src_shape[0]
-    for s in src_shape[1:]:
-        src_tree = node(src_tree, s)
-    dst_tree = dst_shape[0]
-    for s in dst_shape[1:]:
-        dst_tree = node(dst_tree, s)
-    # the tensor is built straight into canonical left-power coordinates
-    return nary_tensor_maps(parts, (
-        tree_iso(src_tree, power_tree(base, r + q + t)),
-        tree_iso(dst_tree, power_tree(base, r + 1 + t))))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -167,11 +167,11 @@ def cmd_spectral(args) -> int:
     doc = _read(args.file)
     name, obj = doc.select(args.name, TwistedComplex, FilteredComplex,
                            what="complex")
-    if isinstance(obj, TwistedComplex):
-        rep = check_twisted(obj)
-        if not rep.ok:
-            print(rep)
-            return 1
+    rep = (check_twisted if isinstance(obj, TwistedComplex)
+           else check_filtered_complex)(obj)
+    if not rep.ok:
+        print(rep)
+        return 1
     page = spectral_page(obj, args.page)
     entries = {f"{p},{q}": page.dim(p, q) for (p, q) in sorted(page.entries)
                if page.dim(p, q)}

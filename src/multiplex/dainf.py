@@ -16,7 +16,12 @@ class (sum p, sum q), each built from the class one letter shorter.
 Every such signed sum (a bar power class, the components of a composite
 or an inverse, the buckets of (A_uv), (B_uv) and (H_mk)) is accumulated
 term by term in a ``MapSum``, products and tensor words written straight
-into its sparse entries, and reduced once when it is read.
+into its sparse entries, and reduced once when it is read.  An insertion
+o_{ij}(1^r (x) m_{pq} (x) 1^t) is added from m's nonzero entries and o's
+columns (``MapSum.add_insertion``), and the tensor words of bar powers and
+of ``component_tensor`` write their columns at left-power coordinates:
+both find those coordinates by index arithmetic over the summand offsets,
+so no 1^r (x) m (x) 1^t and no regrouping isomorphism is formed.
 """
 
 from __future__ import annotations
@@ -26,10 +31,10 @@ from functools import cache
 from itertools import product as iproduct
 
 from .bigraded import (
-    BigradedMap, BigradedModule, MapSum, compose as bcompose, hom_one_map_one,
-    identity_map, interleave_iso, node, nary_tensor_maps, power_module,
-    power_tree, place, relabel, sum_module, tensor_index, tensor_maps,
-    tensor_modules, tree_iso, unit_module, zero_map,
+    BigradedMap, BigradedModule, MapSum, compose as bcompose, identity_map,
+    interleave_iso, nary_tensor_maps, power_module, place, relabel,
+    sum_module, tensor_index, tensor_maps, tensor_modules, unit_module,
+    zero_map,
 )
 from .linalg import Field, Matrix
 from .reports import Report
@@ -193,26 +198,19 @@ def zero_dainf_morphism(a: DAInfAlgebra, b: DAInfAlgebra) -> DAInfMorphism:
 
 
 # ---------------------------------------------------------------------------
-# n-ary tensor of morphism components with the regrouping bookkeeping
+# n-ary tensor of morphism components and bar powers
 # ---------------------------------------------------------------------------
-
-def _subpower_tree(mod: BigradedModule, arities: list[int]):
-    t = power_tree(mod, arities[0])
-    for q in arities[1:]:
-        t = node(t, power_tree(mod, q))
-    return t
-
 
 def component_tensor(maps: list[BigradedMap], arities: list[int],
                      src_mod: BigradedModule) -> BigradedMap:
     """f_1 (x) ... (x) f_l: Pow(src, sum q_t) -> Pow(dst, l) with Koszul
-    signs; f_t maps Pow(src, arities[t]) -> dst."""
-    if len(maps) == 1:
-        return maps[0]
-    # the last tensor step writes each column at its left-power position
-    cols = tree_iso(_subpower_tree(src_mod, arities),
-                    power_tree(src_mod, sum(arities)))
-    return nary_tensor_maps(maps, (cols, None))
+    signs; f_t maps Pow(src, arities[t]) -> dst.  Each tensor step writes
+    its columns at their left-power coordinates."""
+    out, k = maps[0], arities[0]
+    for m, q in zip(maps[1:], arities[1:]):
+        out = tensor_maps(out, m, (src_mod, k, q))
+        k += q
+    return out
 
 
 def _sumset(points, k: int) -> set[tuple[int, int]]:
@@ -226,7 +224,7 @@ def _sumset(points, k: int) -> set[tuple[int, int]]:
 
 
 def bar_power(g: dict[tuple[int, int], BigradedMap], mod: BigradedModule,
-              n: int, U: int, K: int, memo: dict) -> BigradedMap | None:
+              n: int, U: int, K: int, memo: dict):
     """T_n(g)[(U, K)]: Pow(mod, K) -> Pow(dst, n), the sum of
     (-1)^compose_sign g_{p_1q_1} (x) ... (x) g_{p_nq_n} over all words of
     n components with sum p = U and sum q = K; None if there is no word.
@@ -234,7 +232,9 @@ def bar_power(g: dict[tuple[int, int], BigradedMap], mod: BigradedModule,
     Each class is built from the classes one letter shorter,
     T_n[(U, K)] = sum_{(p,q)} (-1)^e T_{n-1}[(U-p, K-q)] (x) g_{pq} with
     e = compose_sign_step.  T_1 reads g itself; memo holds the classes
-    with n >= 2, which only read components of arity below K.
+    with n >= 2, which only read components of arity below K.  Those are
+    read only by further sums, so they stay sparse: a SparseMap, where T_1
+    is the component, a BigradedMap.
     """
     if n == 1:
         return g.get((U, K))
@@ -248,11 +248,9 @@ def bar_power(g: dict[tuple[int, int], BigradedMap], mod: BigradedModule,
             head = bar_power(g, mod, n - 1, hu, hk, memo)
             if head is None:
                 continue
-            cols = tree_iso(node(power_tree(mod, hk), power_tree(mod, q)),
-                            power_tree(mod, K))
             acc.add_tensor(key, head, gpq, compose_sign_step(hu, hk, p, q),
-                           (cols, None))
-        memo[key] = acc.maps().get(key)
+                           (mod, hk, q))
+        memo[key] = acc.sparse_maps().get(key)
     return memo[key]
 
 
@@ -263,17 +261,12 @@ def bar_power(g: dict[tuple[int, int], BigradedMap], mod: BigradedModule,
 def _add_insertions(acc: MapSum, outer: dict, a: DAInfAlgebra):
     """acc[(i+p, j+q-1)] += (-1)^{rq+t+pj} o_{ij}(1^r (x) m_{pq} (x) 1^t)
     for every map o_{ij} out of Pow(A, j) in outer and every m_{pq} of a."""
-    memo: dict = {}
     for (i, j), oij in sorted(outer.items()):
         for (p, q), mpq in sorted(a.m.items()):
             for r in range(j):
                 t = j - 1 - r
-                inner = memo.get((p, q, r, t))
-                if inner is None:
-                    inner = memo[(p, q, r, t)] = \
-                        hom_one_map_one(mpq, a.module, r, t, q)
-                acc.add_compose((i + p, j + q - 1), oij, inner,
-                                structure_sign(r, q, t, p, j))
+                acc.add_insertion((i + p, j + q - 1), oij, mpq, a.module,
+                                  r, t, q, structure_sign(r, q, t, p, j))
 
 
 def _report(rep: Report, acc: MapSum, name: str) -> Report:
@@ -749,9 +742,9 @@ def _hmk_buckets(h: DAInfHomotopy) -> MapSum:
         for (p, q), mpq in sorted(a.m.items()):
             for s in range(l):
                 t = l - 1 - s
-                acc.add_compose((i + p, s + q + t), hil,
-                                hom_one_map_one(mpq, a.module, s, t, q),
-                                homotopy_beta(r, s, q, t, p, l) + i + p - r)
+                acc.add_insertion((i + p, s + q + t), hil, mpq, a.module,
+                                  s, t, q,
+                                  homotopy_beta(r, s, q, t, p, l) + i + p - r)
     # right side
     for (i, k) in sorted(set(fk) | set(gk)):
         acc.add((i + r, k), h.g.f_map(i, k), 1)

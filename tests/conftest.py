@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
-from multiplex.bigraded import BigradedMap, compose as bcompose, zero_map
+from multiplex.bigraded import (
+    BigradedMap, compose as bcompose, identity_map, leaf, nary_tensor_maps,
+    node, power_module, power_tree, tree_iso, zero_map,
+)
 from multiplex.linalg import Matrix, subquotient
 from multiplex.reports import Report
 from multiplex.twisted import RHomotopy, compose, identity_morphism, path
@@ -25,6 +28,44 @@ def assert_canonical(field, data):
         assert all(type(v) is int
                    or (type(v) is Fraction and v.denominator > 1)
                    for v in data)
+
+
+def subpower_tree(mod, arities):
+    """The tree Pow(mod, q_1) (x) ... (x) Pow(mod, q_l), left-associated
+    over the left powers of the arities."""
+    t = power_tree(mod, arities[0])
+    for q in arities[1:]:
+        t = node(t, power_tree(mod, q))
+    return t
+
+
+def hom_one_map_one(m, base, r, t, q):
+    """Reference for 1^r (x) m (x) 1^t between left powers of base, by the
+    tree route: the left-associated tensor of the identities and m, between
+    the tree_iso regroupings out of Pow(base, r+q+t) and into
+    Pow(base, r+1+t).  m maps Pow(base, q) -> base."""
+    if not r and not t:
+        return m
+    parts, src_shape, dst_shape = [], [], []
+    if r:
+        parts.append(identity_map(power_module(base, r)))
+        src_shape.append(power_tree(base, r))
+        dst_shape.append(power_tree(base, r))
+    parts.append(m)
+    src_shape.append(power_tree(base, q))
+    dst_shape.append(leaf(base))
+    if t:
+        parts.append(identity_map(power_module(base, t)))
+        src_shape.append(power_tree(base, t))
+        dst_shape.append(power_tree(base, t))
+    src_tree, dst_tree = src_shape[0], dst_shape[0]
+    for s in src_shape[1:]:
+        src_tree = node(src_tree, s)
+    for s in dst_shape[1:]:
+        dst_tree = node(dst_tree, s)
+    pre = tree_iso(power_tree(base, r + q + t), src_tree)
+    post = tree_iso(dst_tree, power_tree(base, r + 1 + t))
+    return bcompose(post, bcompose(nary_tensor_maps(parts), pre))
 
 
 def column_subquotient(a, p, q):

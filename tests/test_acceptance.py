@@ -340,12 +340,17 @@ def test_hmk_consistency(small_corpus):
             assert verdict == check_r_homotopy(bad_tw).ok
             outcomes[verdict] += 1
             checked += 1
-    # candidates with genuine products: the diagonal homotopy on paths
-    from multiplex.dainf import assemble_into_path_dainf  # noqa: F401
+    # candidates with genuine products: the diagonal homotopy on paths of
+    # algebras drawn in the dainf-fp compose shape, every one of which has
+    # a nonzero structure map (spots=3 drew none on these seeds)
+    nondegenerate = 0
     for idx in range(6):
         rng = random.Random(120_000 + idx)
         r = idx % 2
-        a = random_zero_product_dainf(F, rng, spots=3)
+        a = random_zero_product_dainf(F, rng, cols=(0, 1), verts=(0, 2),
+                                      max_rank=1, spots=60)
+        assert a.m
+        nondegenerate += 1
         h = _diagonal_homotopy(a, r)
         assert check_r_homotopy_dainf(h).ok
         outcomes[True] += 1
@@ -353,12 +358,15 @@ def test_hmk_consistency(small_corpus):
         bad = _corrupt_dainf(h)
         if bad is not None:
             verdict = check_r_homotopy_dainf(bad).ok
+            assert not verdict
             outcomes[verdict] += 1
             checked += 1
     assert checked >= 50
     _announce("(H_mk) route consistency",
               f"{checked} candidates ({outcomes[True]} valid, "
-              f"{outcomes[False]} invalid), 100% route agreement")
+              f"{outcomes[False]} invalid), 100% route agreement; "
+              f"{nondegenerate} of 6 diagonal homotopies on algebras with "
+              f"nonzero structure maps")
 
 
 def _diagonal_homotopy(a, r):

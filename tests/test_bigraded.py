@@ -2,16 +2,16 @@ import random
 
 import pytest
 
-from conftest import assert_canonical
+from conftest import assert_canonical, hom_one_map_one, subpower_tree
 
 from multiplex.bigraded import (
     BigradedModule, BigradedMap, MapSum, _pairs_tree, compose,
-    hom_one_map_one, identity_map, interleave_iso, leaf, left_tree,
-    nary_tensor_maps, node, power_module, power_tree, sprod, symmetry_iso,
-    tensor_maps, tensor_index, tensor_modules, tensor_summands, tree_basis,
-    tree_iso, unit_module, zero_map,
+    identity_map, interleave_iso, leaf, left_tree, nary_tensor_maps, node,
+    power_module, power_tree, sprod, symmetry_iso, tensor_maps,
+    tensor_index, tensor_modules, tensor_summands, tree_basis, tree_iso,
+    unit_module, zero_map,
 )
-from multiplex.dainf import _subpower_tree, component_tensor
+from multiplex.dainf import component_tensor
 from multiplex.linalg import GF, QQ, Matrix, SignedPerm
 
 F = GF()
@@ -329,6 +329,15 @@ def test_tree_iso_blocks_match_dense_reference(field, seed):
         _assert_same_blocks(tau, ref)
 
 
+def _insertion(m, base, r, t, q):
+    """1^r (x) m (x) 1^t, read off MapSum.add_insertion with the identity
+    as the outer map."""
+    acc = MapSum()
+    acc.add_insertion(0, identity_map(power_module(base, r + 1 + t)), m,
+                      base, r, t, q)
+    return acc.maps()[0]
+
+
 def _rand_nonzero_map(src, dst, rng):
     """A random map of a bidegree that joins some bidegree of src to dst."""
     (i, j), (k, l) = rng.choice(src.support()), rng.choice(dst.support())
@@ -344,12 +353,12 @@ def test_component_tensor_and_hom_one_map_one_match_dense(field, seed):
     arities = [2, 1]
     maps = [_rand_nonzero_map(power_module(base, q), base, rng)
             for q in arities]
-    pre = _ref_tree_iso(power_tree(base, 3), _subpower_tree(base, arities))
+    pre = _ref_tree_iso(power_tree(base, 3), subpower_tree(base, arities))
     _assert_same_blocks(
-        tree_iso(power_tree(base, 3), _subpower_tree(base, arities)), pre)
+        tree_iso(power_tree(base, 3), subpower_tree(base, arities)), pre)
     _assert_same_blocks(component_tensor(maps, arities, base),
                         _ref_dense_compose(nary_tensor_maps(maps), pre))
-    # hom_one_map_one shape: 1^r (x) m (x) 1^t with m of arity q
+    # the insertion 1^r (x) m (x) 1^t with m of arity q
     r, q, t = 1, 2, 1
     m = _rand_nonzero_map(power_module(base, q), base, rng)
     mid = nary_tensor_maps([identity_map(power_module(base, r)), m,
@@ -360,7 +369,7 @@ def test_component_tensor_and_hom_one_map_one_match_dense(field, seed):
                     power_tree(base, t))
     pre = _ref_tree_iso(power_tree(base, r + q + t), src_tree)
     post = _ref_tree_iso(dst_tree, power_tree(base, r + 1 + t))
-    _assert_same_blocks(hom_one_map_one(m, base, r, t, q),
+    _assert_same_blocks(_insertion(m, base, r, t, q),
                         _ref_dense_compose(post,
                                            _ref_dense_compose(mid, pre)))
 
@@ -608,32 +617,8 @@ def _ref_component_tensor(maps, arities, src_mod):
     if len(maps) == 1:
         return maps[0]
     pre = tree_iso(power_tree(src_mod, sum(arities)),
-                   _subpower_tree(src_mod, arities))
+                   subpower_tree(src_mod, arities))
     return compose(_ref_nary_tensor(maps), pre)
-
-
-def _ref_hom_one_map_one(m, base, r, t, q):
-    """hom_one_map_one as it was before the fused regroup."""
-    parts, src_shape, dst_shape = [], [], []
-    if r:
-        parts.append(identity_map(power_module(base, r)))
-        src_shape.append(power_tree(base, r))
-        dst_shape.append(power_tree(base, r))
-    parts.append(m)
-    src_shape.append(power_tree(base, q))
-    dst_shape.append(leaf(base))
-    if t:
-        parts.append(identity_map(power_module(base, t)))
-        src_shape.append(power_tree(base, t))
-        dst_shape.append(power_tree(base, t))
-    src_tree, dst_tree = src_shape[0], dst_shape[0]
-    for s in src_shape[1:]:
-        src_tree = node(src_tree, s)
-    for s in dst_shape[1:]:
-        dst_tree = node(dst_tree, s)
-    pre = tree_iso(power_tree(base, r + q + t), src_tree)
-    post = tree_iso(dst_tree, power_tree(base, r + 1 + t))
-    return compose(post, compose(_ref_nary_tensor(parts), pre))
 
 
 def _rand_component(src, dst, rng):
@@ -701,25 +686,23 @@ def test_hom_one_map_one_matches_nary_tensor_then_regroup(field, seed):
     for (r, q, t) in [(0, 1, 0), (0, 2, 0), (0, 2, 1), (1, 2, 0),
                       (1, 1, 1), (2, 1, 0), (0, 1, 2), (1, 2, 1)]:
         m = _rand_component(power_module(base, q), base, rng)
-        got = hom_one_map_one(m, base, r, t, q)
+        got = _insertion(m, base, r, t, q)
         _assert_canonical_map(got)
-        _assert_same_blocks(got, _ref_hom_one_map_one(m, base, r, t, q))
+        _assert_same_blocks(got, hom_one_map_one(m, base, r, t, q))
         assert got.src == power_module(base, r + q + t)
         assert got.dst == power_module(base, r + 1 + t)
-        if r or t:
-            assert list(got.blocks) == sorted(got.blocks)
-        else:
-            assert got is m
+        assert list(got.blocks) == sorted(got.blocks)
 
 
 def test_nary_tensor_of_one_map_and_identity_regroup():
     rng = random.Random(12)
     a, b = (rand_module(F, rng, spots=2) for _ in range(2))
     f, g = identity_map(a), identity_map(b)
-    ab = node(leaf(a), leaf(b))
     assert nary_tensor_maps([f]) is f
+    # a (x) a is the left power a^{(x) 2}: placing the columns there by
+    # left-power coordinates changes nothing
+    fa = _rand_nonzero_map(a, b, rng)
+    ga = _rand_nonzero_map(a, a, rng)
+    _assert_same_blocks(tensor_maps(fa, ga, (a, 1, 1)), tensor_maps(fa, ga))
     with pytest.raises(ValueError):
-        nary_tensor_maps([f], (tree_iso(leaf(a), leaf(a)), None))
-    # regrouping by identities changes nothing
-    same = tensor_maps(f, g, (tree_iso(ab, ab), tree_iso(ab, ab)))
-    _assert_same_blocks(same, tensor_maps(f, g))
+        tensor_maps(f, g, (a, 1, 1))

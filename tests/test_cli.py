@@ -198,6 +198,23 @@ def test_spectral_subcommand(fixture_docs, capsys):
     assert payload["dims"] == {}
 
 
+@pytest.mark.parametrize("page", [0, 1, 2])
+def test_spectral_of_filtered_complex_with_d_squared_nonzero(tmp_path, capsys,
+                                                             page):
+    # one column with rank 1 in degrees 0, 1, 2 and d^0 = d^1 = [1]: d o d
+    # is not zero, so every page is a verified failure, as in `check
+    # filtered`; page 0 printed an E_0 and exited 0 before
+    objects = {"K": {"type": "filtered_complex",
+                     "dims": [[0, 0, 1], [0, 1, 1], [0, 2, 1]],
+                     "d": {"0": [[1]], "1": [[1]]}}}
+    path = write_doc(tmp_path, "dd.json", objects)
+    assert main(["check", "filtered", path]) == 1
+    assert "d o d != 0" in capsys.readouterr().out
+    assert main(["spectral", path, "--page", str(page)]) == 1
+    out = capsys.readouterr().out
+    assert "d o d != 0" in out and "E_" not in out
+
+
 def test_er_qis_subcommand(fixture_docs, tmp_path, capsys):
     a = fixture_docs["a"]
     ident = identity_morphism(a)

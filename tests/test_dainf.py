@@ -3,12 +3,12 @@ from itertools import product as iproduct
 
 import pytest
 
-from conftest import assert_canonical
+from conftest import assert_canonical, hom_one_map_one, subpower_tree
 
 from multiplex.bigraded import (
-    BigradedMap, BigradedModule, compose as bcompose, hom_one_map_one,
-    identity_map, node, power_module, power_tree, tensor_maps,
-    tensor_modules, tree_iso,
+    BigradedMap, BigradedModule, MapSum, SparseMap, _concat_tables,
+    _summand_table, compose as bcompose, identity_map, node, power_module, power_tree,
+    tensor_maps, tensor_modules, tree_basis, tree_iso,
 )
 from multiplex.dainf import (
     DAInfAlgebra, DAInfHomotopy, DAInfMorphism, TwistedDga, _hmk_buckets,
@@ -91,7 +91,6 @@ def test_lambda_r(r):
 
 
 def _dga_product_table(mod, m02, r):
-    from multiplex.bigraded import power_tree, tree_basis
     e_bid, u_bid = (0, 0), (-r, 1 - r)
 
     def label(bid, idx):
@@ -120,7 +119,6 @@ def test_iterated_mu_lambda0():
     mu3 = iterated_mu(lam.algebra, 3)
     # mu_3(e_-, e_-, u) = u
     mod = lam.algebra.module
-    from multiplex.bigraded import power_tree, tree_basis
     t3 = power_tree(mod, 3)
     basis = tree_basis(t3, 0, 1)
     target = ((0, 0, 0), (0, 0, 0), (0, 1, 0))  # e_-, e_-, u
@@ -137,7 +135,6 @@ def test_iterated_mu_leibniz(r):
     alg = lam.algebra
     mu3 = iterated_mu(alg, 3)
     lhs = bcompose(alg.m_map(r, 1), mu3)
-    from multiplex.bigraded import hom_one_map_one
     rhs = None
     for s in range(3):
         term = bcompose(mu3, hom_one_map_one(alg.m_map(r, 1), alg.module,
@@ -172,14 +169,13 @@ def test_identity_and_strict_composition():
         identity_map(a.module).scale(F.of_int(6))
 
 
-# rank-1 spots for every seed and rank-2 spots for seeds 1-3 stay within
-# desk scale; rank-2 seed 0 (arity-8 double composites) takes about 4 s,
-# 6-8 s before its sums were accumulated sparsely, and stays out: 20 cold
-# _tree_iso builds take 8.4 of its 9.8 s under cProfile, which waits for
-# regrouping targets and signs computed by index arithmetic
+# rank-1 and rank-2 spots for every seed; rank-2 seed 0 (arity-8 double
+# composites) takes about 0.4 s: 5.5 s while its bar powers regrouped their
+# columns through cold _tree_iso builds over every word of the left powers
+# and its classes were written out densely for add_compose to scan
 @pytest.mark.parametrize("seed, max_rank", [
-    (0, 1), (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2),
-], ids=["0", "1", "2", "3", "1-rank2", "2-rank2", "3-rank2"])
+    (0, 1), (1, 1), (2, 1), (3, 1), (0, 2), (1, 2), (2, 2), (3, 2),
+], ids=["0", "1", "2", "3", "0-rank2", "1-rank2", "2-rank2", "3-rank2"])
 def test_compose_associative_and_unital(seed, max_rank):
     a = small_zero_product(seed + 10, max_rank=max_rank)
     rng = random.Random(50 + seed)
@@ -255,9 +251,9 @@ def _memo_infos():
 
 
 def test_repeated_dainf_calls_add_no_memo_entries():
-    # the memos are keyed by module and tree shape, and Lambda_r by (r,
-    # field), so a second identical composition, inversion or r-path finds
-    # everything it needs in them
+    # the memos are keyed by module, left-power shape and tree shape, and
+    # Lambda_r by (r, field), so a second identical composition, inversion
+    # or r-path finds everything it needs in them
     rng = random.Random(51)
     a = random_zero_product_dainf(F, rng, cols=(0, 1), verts=(0, 2),
                                   max_rank=1, spots=60)
@@ -282,7 +278,16 @@ def test_repeated_dainf_calls_add_no_memo_entries():
         assert sum(i.hits for i in after.values()) > \
             sum(i.hits for i in before.values())
     assert {"multiplex.bigraded._tree_iso", "multiplex.bigraded.tree_basis",
+            "multiplex.bigraded._insertion_table",
+            "multiplex.bigraded._concat_tables",
+            "multiplex.bigraded._power_profiles",
+            "multiplex.bigraded.power_module",
             "multiplex.dainf.lambda_r_dga"} <= set(before)
+    # each of them was read: the runs above insert, regroup and build powers
+    assert all(before[name].hits > 0 for name in (
+        "multiplex.bigraded._insertion_table",
+        "multiplex.bigraded._concat_tables",
+        "multiplex.bigraded._power_profiles"))
     assert before["multiplex.dainf.lambda_r_dga"].hits > 0
 
 
@@ -767,9 +772,12 @@ def _dense_bar_power(g, mod, n, U, K, memo):
             head = _dense_bar_power(g, mod, n - 1, hu, hk, memo)
             if head is None:
                 continue
-            cols = tree_iso(node(power_tree(mod, hk), power_tree(mod, q)),
-                            power_tree(mod, K))
-            _dense_accumulate(memo, key, tensor_maps(head, gpq, (cols, None)),
+            # the tree route: the tensor, then its columns regrouped into
+            # the left power
+            cols = tree_iso(power_tree(mod, K),
+                            node(power_tree(mod, hk), power_tree(mod, q)))
+            _dense_accumulate(memo, key,
+                              bcompose(tensor_maps(head, gpq), cols),
                               compose_sign_step(hu, hk, p, q))
     return memo[key]
 
@@ -891,6 +899,25 @@ def _assert_same_components(got, want):
         _assert_same_map(got.f[key], comp)
 
 
+def _densified(m):
+    """A SparseMap written out as the BigradedMap it stands for, after
+    checking that each block lists nonzero entries, row-major and each
+    place once; a BigradedMap as is."""
+    if not isinstance(m, SparseMap):
+        return m
+    p, q = m.bidegree
+    blocks = {}
+    for (i, j), nz in m.blocks.items():
+        places = [(r, c) for r, c, _ in nz]
+        assert nz and places == sorted(set(places)) and all(v for *_, v in nz)
+        rows, cols = m.dst.dim(i + p, j + q), m.src.dim(i, j)
+        data = [0] * (rows * cols)
+        for r, c, v in nz:
+            data[r * cols + c] = v
+        blocks[(i, j)] = Matrix._of(m.src.field, rows, cols, data)
+    return BigradedMap(m.src, m.dst, m.bidegree, blocks)
+
+
 @pytest.mark.parametrize("field", BAR_FIELDS, ids=str)
 @pytest.mark.parametrize("seed", range(3))
 def test_compose_and_bar_powers_match_dense_route(field, seed):
@@ -909,7 +936,8 @@ def test_compose_and_bar_powers_match_dense_route(field, seed):
                 want = _dense_bar_power(mor.f, mor.src.module, n, U, K, ref)
                 assert (got is None) == (want is None)
                 if got is not None:
-                    _assert_same_map(got, want)
+                    assert isinstance(got, SparseMap) == (n > 1)
+                    _assert_same_map(_densified(got), want)
                     classes += 1
     assert classes >= 40
 
@@ -985,3 +1013,117 @@ def test_hmk_buckets_match_dense_route(field, r):
             nonzero += not m.is_zero()
     assert nonzero >= 4
     assert all(m.is_zero() for m in _hmk_buckets(hs[2]).maps().values())
+
+
+# ---------------------------------------------------------------------------
+# insertions and left-power regroupings against the tree route
+# ---------------------------------------------------------------------------
+
+def _insertion_terms(outer, a):
+    """(key, o, m, r, t, q, odd) of every term of the (A_uv) / (B_uv) left
+    side: o_{ij}(1^r (x) m_{pq} (x) 1^t) with its structure sign."""
+    for (i, j), oij in sorted(outer.items()):
+        for (p, q), mpq in sorted(a.m.items()):
+            for r in range(j):
+                t = j - 1 - r
+                yield ((i + p, j + q - 1), oij, mpq, r, t, q,
+                       structure_sign(r, q, t, p, j))
+
+
+def _assert_insertions_match(terms, base):
+    """Each term alone and all of them summed: MapSum.add_insertion equals
+    o composed with the tree route's 1^r (x) m (x) 1^t, entry by entry and
+    type by type.  Returns the number of nonzero buckets."""
+    total, ref_total = MapSum(), MapSum()
+    nonzero = 0
+    for key, o, m, r, t, q, odd in terms:
+        got, want = MapSum(), MapSum()
+        inner = hom_one_map_one(m, base, r, t, q)
+        for acc, ref in ((got, want), (total, ref_total)):
+            acc.add_insertion(key, o, m, base, r, t, q, odd)
+            ref.add_compose(key, o, inner, odd)
+        _assert_same_map(got.maps()[key], want.maps()[key])
+    got, want = total.maps(), ref_total.maps()
+    assert sorted(got) == sorted(want)
+    for key, m in want.items():
+        _assert_same_map(got[key], m)
+        nonzero += not m.is_zero()
+    return nonzero
+
+
+def _word_coordinate(base, word):
+    """(bidegree, coordinate) of a word of letters (p, q, idx) in the left
+    power of base, read off the tree route's basis enumeration."""
+    bid = (sum(x[0] for x in word), sum(x[1] for x in word))
+    return bid, tree_basis(power_tree(base, len(word)), *bid).index(word)
+
+
+@pytest.mark.parametrize("field", BAR_FIELDS, ids=str)
+def test_add_insertion_matches_tree_route(field):
+    rng = random.Random(1300)
+    f, g, bad, low = _bar_corpus(field, 1)
+    mors = _product_targets(field, rng)[:4] + [f, bad, low]
+    # algebras with structure maps of arity 1 to 3; (A_uv) fails on the
+    # random ones, so their buckets are nonzero
+    mod = f.src.module
+    rand_alg = DAInfAlgebra(mod, {**f.src.m, **{
+        (i, j): _rand_map(power_module(mod, j), mod, (-i, 2 - i - j), rng)
+        for (i, j) in [(0, 2), (1, 2), (0, 3)]}})
+    algebras = {id(x): x for m in mors for x in (m.src, m.dst)}
+    algebras[id(rand_alg)] = rand_alg
+    nonzero = 0
+    for alg in algebras.values():
+        nonzero += _assert_insertions_match(_insertion_terms(alg.m, alg),
+                                            alg.module)
+    # morphism left sides, into the random algebra too
+    for mor in mors + [DAInfMorphism(m.src, rand_alg, m.f) for m in
+                       (f, bad)]:
+        nonzero += _assert_insertions_match(_insertion_terms(mor.f, mor.src),
+                                            mor.src.module)
+    # random outer maps o and m with q <= 3 and r + t <= 3 on a base with
+    # a rank-2 letter, so words have several letters of one bidegree
+    base = BigradedModule(field, {(0, 0): 1, (0, 1): 2, (1, 1): 1})
+    for q in (1, 2, 3):
+        for r in range(4):
+            for t in range(4 - r):
+                src = power_module(base, q)
+                beta = rng.choice(src.support())
+                xi = rng.choice(base.support())
+                m = _rand_map(src, base, (xi[0] - beta[0], xi[1] - beta[1]),
+                              rng)
+                osrc = power_module(base, r + 1 + t)
+                tau = rng.choice(osrc.support())
+                dst = rng.choice(base.support())
+                o = _rand_map(osrc, base, (dst[0] - tau[0], dst[1] - tau[1]),
+                              rng)
+                nonzero += _assert_insertions_match(
+                    [((0, 0), o, m, r, t, q, r + t)], base)
+    assert nonzero >= 40
+    # the column regroupings of bar powers and component_tensor:
+    # base^{(x) k} (x) base^{(x) l} -> base^{(x) k+l} as tree_iso builds it
+    for n in range(2, 6):
+        for k in range(1, n):
+            iso = tree_iso(node(power_tree(base, k), power_tree(base, n - k)),
+                           power_tree(base, n))
+            left, right = power_module(base, k), power_module(base, n - k)
+            for x in left.support():
+                tables = _concat_tables(base, k, x, n - k)
+                assert sorted(tables) == right.support()
+                for y, table in tables.items():
+                    ij = (x[0] + y[0], x[1] + y[1])
+                    off = _summand_table(left, right)[ij][1][x]
+                    assert table == tuple(
+                        iso.blocks[ij].targets[off:off + len(table)])
+    # component_tensor places the word of its parts step by step
+    for arities in ([1, 2], [2, 1], [2, 1, 1], [1, 1, 2], [2, 2], [1, 1, 1]):
+        tree = subpower_tree(base, arities)
+        for ij in tree.module.support():
+            for word in tree_basis(tree, *ij):
+                bid, c = _word_coordinate(base, word[:arities[0]])
+                k, at = arities[0], arities[0]
+                for q in arities[1:]:
+                    y, cv = _word_coordinate(base, word[at:at + q])
+                    dy = power_module(base, q).dim(*y)
+                    c = _concat_tables(base, k, bid, q)[y][c * dy + cv]
+                    bid, k, at = (bid[0] + y[0], bid[1] + y[1]), k + q, at + q
+                assert (bid, c) == _word_coordinate(base, word)
