@@ -544,20 +544,33 @@ class PathDainf:
     r: int
 
 
+def _lambda_ident_pieces(a_mod: BigradedModule, r: int):
+    """(summands of Lambda_r (x) A, pieces) of lambda_ident_iso."""
+    mid = a_mod.shifted((-r, 1 - r))
+    one, one_mid = identity_map(a_mod), identity_map(mid)
+    if r:  # u (x) A comes first
+        return [mid, a_mod, a_mod], {(1, 0): (one_mid, False),
+                                     (0, 1): (one, False),
+                                     (2, 2): (one, False)}
+    return [a_mod, a_mod, mid], {(0, 0): (one, False), (2, 1): (one, False),
+                                 (1, 2): (one_mid, False)}
+
+
 def lambda_ident_iso(a_mod: BigradedModule, r: int) -> BigradedMap:
     """Strict iso Lambda_r (x) A -> A (+) A[mid] (+) A matching
     e_- (x) x + u (x) y + e_+ (x) z <-> (x, y, z).  Lambda_r (x) A is the
     direct sum of its summands by left bidegree, u (x) A = A[mid] at
     (-r, 1-r) and (e_-, e_+) (x) A at (0, 0), in ascending order."""
-    mid = a_mod.shifted((-r, 1 - r))
-    one, one_mid = identity_map(a_mod), identity_map(mid)
-    if r:  # u (x) A comes first
-        return place([mid, a_mod, a_mod], path_summands(a_mod, r), (0, 0),
-                     {(1, 0): (one_mid, False), (0, 1): (one, False),
-                      (2, 2): (one, False)})
-    return place([a_mod, a_mod, mid], path_summands(a_mod, r), (0, 0),
-                 {(0, 0): (one, False), (2, 1): (one, False),
-                  (1, 2): (one_mid, False)})
+    parts, pieces = _lambda_ident_pieces(a_mod, r)
+    return place(parts, path_summands(a_mod, r), (0, 0), pieces)
+
+
+def lambda_ident_inverse(a_mod: BigradedModule, r: int) -> BigradedMap:
+    """The inverse of lambda_ident_iso: its identity pieces placed from the
+    path summands back, so no block is eliminated."""
+    parts, pieces = _lambda_ident_pieces(a_mod, r)
+    return place(path_summands(a_mod, r), parts, (0, 0),
+                 {(l, k): piece for (k, l), piece in pieces.items()})
 
 
 def _path_tj(a_mod: BigradedModule, r: int, j: int) -> BigradedMap:
@@ -589,7 +602,7 @@ def path_dainf(a: DAInfAlgebra, r: int) -> PathDainf:
     parts = path_summands(a.module, r)
     path_mod = sum_module(parts)
     ident = lambda_ident_iso(a.module, r)
-    ident_inv = _invert_strict_iso(ident)
+    ident_inv = lambda_ident_inverse(a.module, r)
 
     # transported structure maps
     transported: dict[tuple[int, int], BigradedMap] = {}
@@ -630,19 +643,6 @@ def path_dainf(a: DAInfAlgebra, r: int) -> PathDainf:
         check_dainf_morphism(mor).raise_if_failed()
     return PathDainf(algebra, iota, p_minus, p_plus, p_zero,
                      tensor_alg, ident, r)
-
-
-def _invert_strict_iso(f: BigradedMap) -> BigradedMap:
-    blocks = {}
-    p, q = f.bidegree
-    if (p, q) != (0, 0):
-        raise ValueError("only bidegree (0,0) isos are inverted here")
-    for (i, j), blk in f.blocks.items():
-        inv = blk.inverse()
-        if inv is None:
-            raise ValueError("not blockwise invertible")
-        blocks[(i, j)] = inv
-    return BigradedMap(f.dst, f.src, (0, 0), blocks)
 
 
 def path_dainf_morphism(f: DAInfMorphism, r: int,

@@ -23,9 +23,14 @@ pivot at the end, making a Fraction only where the pivot does not divide an
 entry.  The result is the canonical reduced row echelon form, whichever
 kernel produced it.  A ``Subquotient`` Z/B given the rows on which Z is
 the identity (a basis from ``Matrix.kernel`` is, on the free columns that
-it reports) reads B's coordinates off those rows, checks Z C == B exactly,
-and finds its rep columns with one small echelon of the coordinates;
-without those rows it eliminates ``[B | Z]``, and Z once more for its rank.
+it reports) works in the coordinates of that basis: a vector's coordinates
+are its entries on those rows, and it lies in span Z exactly when Z maps
+them back to its entries on the other rows.  One small echelon of B's
+coordinates picks the rep columns and gives the reduction matrix R, so
+reducing a cycle or inducing a map is a check on the non-free rows and a
+product with R, with no solve.  Without those rows it eliminates
+``[B | Z]``, and Z once more for its rank, and R comes from one more
+echelon on the first reduction.
 """
 
 from __future__ import annotations
@@ -345,11 +350,12 @@ class Matrix:
         return Matrix._of(self.field, len(idxs), c, data)
 
     def take_cols(self, idxs):
-        data = []
-        for r in range(self.rows):
-            row = self.row(r)
-            data.extend(row[c] for c in idxs)
-        return Matrix._of(self.field, self.rows, len(idxs), data)
+        c, d = self.cols, self.data
+        if not all(0 <= k < c for k in idxs):
+            raise IndexError("column index out of range")
+        cols = [d[k::c] for k in idxs]
+        return Matrix._of(self.field, self.rows, len(idxs),
+                          [v for row in zip(*cols) for v in row])
 
     # -- elimination -------------------------------------------------------
     def _echelon(self):
@@ -589,78 +595,173 @@ class Subquotient:
     """A subquotient Z/B of an ambient space, with chosen representative lifts.
 
     Z and B are given by matrices whose columns span the cycle and boundary
-    subspaces.  rep_basis columns are the first columns of Z that are
-    independent modulo B (deterministic tie-breaking by column index).
+    subspaces; with lead, the first lead columns of Z span boundaries too.
+    rep_basis columns are the first columns of Z that are independent
+    modulo B (deterministic tie-breaking by column index).  ``reduction``
+    is the matrix R that takes the coordinates of a cycle to those of its
+    class in the rep basis, so ``reduce`` is a membership check and one
+    product with R, with no solve.
 
     With free_rows, Z is in kernel form: its restriction to those rows is
-    the identity (checked), so its columns are independent and the
-    coordinates C of B in that basis are B's entries on those rows.  B lies
-    in span Z exactly when Z C == B (checked).  The rep columns are then
-    the pivot columns in the identity part of one echelon of ``[C | 1]``,
-    which has a row per coordinate rather than per ambient dimension, less
-    the coordinates that a column of C with a single nonzero entry already
-    puts in span C.  Without free_rows they are the pivot columns in the Z
-    part of one echelon of ``[B | Z]``, B first, and a second echelon gives
-    rank Z for the containment check.
+    the identity (checked), so its columns are independent, and a vector v
+    lies in span Z exactly when Z v[free] == v.  That holds on the free
+    rows already, so it is checked on the others, and the coordinates of v
+    are then v[free].  The boundary coordinates C are unit columns for the
+    lead columns and, for B, read off this way (B in span Z is checked).
+    The rep columns are the pivot columns in the identity part of one
+    echelon of ``[C | 1]``, which has a row per coordinate rather than per
+    ambient dimension, less the coordinates that a column of C with a
+    single nonzero entry already puts in span C.  The rows of that echelon
+    whose pivots are rep columns, scattered onto those coordinates, are R
+    (dim x |free|): they vanish on span C and are the identity on the rep
+    columns.
+
+    Without free_rows the rep columns are the pivot columns in the Z part
+    of one echelon of ``[B | Z]``, B first, and a second echelon gives
+    rank Z for the containment check.  R then acts on ambient vectors: on
+    the first reduce, one echelon of ``[rep | B | 1]`` gives it as the
+    leading dim rows of its identity part, and its rows from rank Z on,
+    which vanish exactly on span Z, as the membership check.
     """
 
-    __slots__ = ("field", "ambient_dim", "cycle_basis", "boundary_basis",
-                 "rep_basis", "dim", "_red")
+    # _keep: the rep columns of Z; _b: the boundary generators after the
+    # lead columns, as coordinates in kernel form and as ambient columns
+    # (lead columns included) otherwise; _nonfree, _z_rest: the other rows
+    # and Z on them; _rmat: R; _outside: N without free_rows
+    __slots__ = ("field", "ambient_dim", "cycle_basis", "rep_basis", "dim",
+                 "free_rows", "_keep", "_lead", "_b", "_nonfree", "_z_rest",
+                 "_rmat", "_outside")
 
-    def __init__(self, Z: Matrix, B: Matrix, free_rows: list | None = None):
+    def __init__(self, Z: Matrix, B: Matrix, free_rows: list | None = None,
+                 lead: int = 0):
         if Z.rows != B.rows:
             raise ValueError("ambient dimension mismatch")
         if Z.field != B.field:
             raise ValueError("field mismatch")
+        if not 0 <= lead <= Z.cols:
+            raise ValueError("lead exceeds the cycle columns")
         self.field = Z.field
         self.ambient_dim = Z.rows
+        self.cycle_basis = Z
+        self.free_rows = free_rows
+        self._rmat = self._outside = None
         if free_rows is None:
+            if lead:
+                B = Z.get_block(0, 0, Z.rows, lead).hstack(B)
             rkZ = Z.rank()
             _, pivots = B.hstack(Z)._echelon()
             if len(pivots) != rkZ:
                 raise ValueError("boundary span not contained in cycle span")
             keep = [c - B.cols for c in pivots if c >= B.cols]
-            rkB = len(pivots) - len(keep)
+            self.dim = rkZ - (len(pivots) - len(keep))
+            self._b = B
         else:
-            keep, rkZ, rkB = _rep_cols_in_coordinates(Z, B, free_rows)
-        self.cycle_basis = Z
-        self.boundary_basis = B
+            j = Z.cols
+            if len(free_rows) != j or \
+                    Z.take_rows(free_rows) != Matrix.identity(self.field, j):
+                raise ValueError("cycle basis is not the identity on the "
+                                 "given rows")
+            free = set(free_rows)
+            self._nonfree = [i for i in range(Z.rows) if i not in free]
+            self._z_rest = Z.take_rows(self._nonfree)
+            self._lead = lead
+            self._b = self._coordinates(
+                B, "boundary span not contained in cycle span")
+            keep, self._rmat = _reduction_in_coordinates(self._b, lead)
+            self.dim = len(keep)
+        self._keep = keep
         self.rep_basis = Z.take_cols(keep)
-        self.dim = rkZ - rkB
         if len(keep) != self.dim:
             raise AssertionError("rep basis size disagrees with rank arithmetic")
-        self._red = None
+
+    @property
+    def boundary_coords(self) -> Matrix | None:
+        """C, the coordinates of the boundary generators in the columns of
+        Z, in kernel form; None otherwise."""
+        if self.free_rows is None:
+            return None
+        j = self.cycle_basis.cols
+        return Matrix.identity(self.field, j).get_block(
+            0, 0, j, self._lead).hstack(self._b)
+
+    @property
+    def boundary_basis(self) -> Matrix:
+        """Columns spanning B in ambient coordinates: Z C in kernel form."""
+        if self.free_rows is None:
+            return self._b
+        return self.cycle_basis * self.boundary_coords
+
+    @property
+    def reduction(self) -> Matrix:
+        """R: the class of a cycle with coordinates x is R x in the rep
+        basis.  Coordinates are entries on the free rows in kernel form and
+        ambient entries otherwise."""
+        return self._rmat if self.free_rows is not None else self._ambient()[0]
+
+    def _ambient(self) -> tuple[Matrix, Matrix]:
+        """(R, N) without free rows: N v = 0 exactly when v is in span Z."""
+        if self._rmat is None:
+            self._rmat, self._outside = _reduction_ambient(self.rep_basis,
+                                                          self._b)
+        return self._rmat, self._outside
+
+    def _coordinates(self, v: Matrix, message: str) -> Matrix:
+        """The coordinates of the columns of v, which must lie in span Z
+        (ValueError(message) otherwise)."""
+        if v.rows != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        if self.free_rows is None:
+            if not (self._ambient()[1] * v).is_zero():
+                raise ValueError(message)
+            return v
+        x = v.take_rows(self.free_rows)
+        if self._z_rest * x != v.take_rows(self._nonfree):
+            raise ValueError(message)
+        return x
 
     def reduce(self, v: Matrix) -> Matrix:
         """Coordinates of [v] in the rep basis; v must lie in span(Z)."""
-        if self._red is None:
-            self._red = self.rep_basis.hstack(self.boundary_basis)
-        x = self._red.solve(v)
-        if x is None:
-            raise ValueError("vector not in the cycle span")
-        return x.get_block(0, 0, self.dim, v.cols)
+        return self.reduction * self._coordinates(
+            v, "vector not in the cycle span")
 
 
-def _rep_cols_in_coordinates(Z: Matrix, B: Matrix, free: list):
-    """(rep columns, rank Z, rank B) for Z that is the identity on the rows
-    free; see Subquotient."""
-    f, j, bc = Z.field, Z.cols, B.cols
-    if len(free) != j or Z.take_rows(free) != Matrix.identity(f, j):
-        raise ValueError("cycle basis is not the identity on the given rows")
-    coords = B.take_rows(free)
-    if Z * coords != B:
-        raise ValueError("boundary span not contained in cycle span")
+def _reduction_in_coordinates(coords: Matrix, lead: int):
+    """(rep columns, R) for the subquotient of the coordinate space F^j,
+    j = coords.rows, by the span of the first lead unit vectors and the
+    columns of coords; see Subquotient."""
+    f, j, bc = coords.field, coords.rows, coords.cols
     # a coordinate column with one nonzero entry puts that coordinate in
     # span C outright; the others count modulo those, so those rows go
     cd = coords.data
-    spanned = {next(compress(range(j), col))
-               for col in (cd[b::bc] for b in range(bc))
-               if col.count(0) == j - 1}
+    spanned = set(range(lead))
+    spanned.update(next(compress(range(j), col))
+                   for col in (cd[b::bc] for b in range(bc))
+                   if col.count(0) == j - 1)
     rest = [i for i in range(j) if i not in spanned]
-    _, pivots = coords.take_rows(rest).hstack(
-        Matrix.identity(f, len(rest)))._echelon()
-    keep = [rest[c - bc] for c in pivots if c >= bc]
-    return keep, j, j - len(keep)
+    part, ident = coords.take_rows(rest), Matrix.identity(f, len(rest))
+    if part.is_zero():
+        keep, rows = rest, ident.to_rows()
+    else:
+        ech, pivots = part.hstack(ident)._echelon()
+        keep = [rest[c - bc] for c in pivots if c >= bc]
+        rows = [ech.row(k)[bc:]
+                for k in range(len(pivots) - len(keep), len(pivots))]
+    red = [0] * (len(keep) * j)
+    for k, row in enumerate(rows):
+        for i, v in zip(rest, row):
+            red[k * j + i] = v
+    return keep, Matrix._of(f, len(keep), j, red)
+
+
+def _reduction_ambient(rep: Matrix, B: Matrix):
+    """(R, N) for span Z = span [rep | B], rep independent modulo B: R x is
+    the rep coordinates of x in span Z modulo B, and N x = 0 exactly when x
+    is in span Z."""
+    n, w = rep.rows, rep.cols + B.cols
+    ech, pivots = rep.hstack(B).hstack(Matrix.identity(rep.field, n))._echelon()
+    rk = sum(1 for c in pivots if c < w)
+    return (ech.get_block(0, w, rep.cols, n),
+            ech.get_block(rk, w, n - rk, n))
 
 
 def subquotient(Z: Matrix, B: Matrix,
@@ -805,16 +906,20 @@ def induced_map(f: Matrix, src: Subquotient, dst: Subquotient) -> Matrix:
     """Matrix of the map induced by f on rep bases.
 
     Requires f(span Z_src) <= span Z_dst and f(span B_src) <= span B_dst
-    (checked), which is exactly well-definedness on the subquotient.
+    (checked), which is exactly well-definedness on the subquotient.  Both
+    are read in the coordinates of dst, with no solve: x, the coordinates
+    of f Z_src, exist exactly when the first holds; the second then holds
+    exactly when R_dst kills the coordinates of f B_src, which are x C_src
+    when src is in kernel form.  The result is R_dst x on the rep columns
+    of src.
     """
     if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    fz = f * src.cycle_basis
-    if dst.cycle_basis.solve(fz) is None:
-        raise ValueError("map does not send cycles to cycles")
-    fb = f * src.boundary_basis
-    if dst.boundary_basis.solve(fb) is None:
+    cycles = "map does not send cycles to cycles"
+    x = dst._coordinates(f * src.cycle_basis, cycles)
+    coords = src.boundary_coords
+    xb = x * coords if coords is not None else \
+        dst._coordinates(f * src.boundary_basis, cycles)
+    if not (dst.reduction * xb).is_zero():
         raise ValueError("map does not send boundaries to boundaries")
-    if src.dim == 0:
-        return Matrix(f.field, dst.dim, 0)
-    return dst.reduce(f * src.rep_basis)
+    return dst.reduction * x.take_cols(src._keep)

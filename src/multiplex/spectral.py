@@ -29,10 +29,20 @@ both with t = s + r:
 
 where kernel(n - 1, p, p + r) is Z_r^{p+r,n-1}, the cycles of another
 entry.  For r = 0 both cuts are the F_{p-1} and F_{p+r-1} that Z_{-1}
-stands for.  A kernel basis is the identity on its free rows, so the entry's
-``Subquotient`` reads the boundary coordinates off those rows instead of
-eliminating.  Since d^n keeps the filtration, only the columns in (s, t]
+stands for.  Since d^n keeps the filtration, only the columns in (s, t]
 reach rows outside F_s, and each kernel eliminates that band alone.
+
+A kernel basis is the identity on its free rows, so every entry works in
+the coordinates of its cycle basis from construction to its last read.
+The first boundary part is the leading columns of Z, with unit
+coordinates; the second, d Z_{r-1}^{p+r-1}, has its free rows as
+coordinates, checked by Z C == d Z_{r-1}^{p+r-1} on the other rows.  The
+entry's ``Subquotient`` keeps one reduction matrix R, so reducing a page
+differential, an induced map or a zig-zag class is a check on the
+non-free rows and one product with R, with no solve (the zig-zag
+adjustment itself still solves in Tot).  The homology of a page is a
+subquotient of the same kind, on the free rows of the kernel of the page
+differential.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .filtration import FilteredComplex, tot, tot_morphism
-from .linalg import Matrix, Subquotient, induced_map, subquotient
+from .linalg import Matrix, Subquotient, induced_map
 from .twisted import TwistedComplex, TwistedMorphism, cone
 
 class SpectralPage:
@@ -92,12 +102,11 @@ def page_entry(k: FilteredComplex, r: int, p: int, q: int) -> Subquotient:
     """E_r^{p,q} as a subquotient of Tot^{q-p} with representative lifts."""
     n = q - p
     z, free = k.kernel(n, p - r, p)
-    # Z_{r-1}^{p-1,n} = Z_r^{p,n} cut to F_{p-1}, and Z_{r-1}^{p+r-1,n-1} =
-    # Z_r^{p+r,n-1} cut to F_{p+r-1}: leading columns of page-r kernels
-    zb1 = _leading(k, (z, free), n, p - 1)
+    # Z_{r-1}^{p-1,n} = Z_r^{p,n} cut to F_{p-1}, the leading columns of z,
+    # and Z_{r-1}^{p+r-1,n-1} = Z_r^{p+r,n-1} cut to F_{p+r-1}
     zb2 = _leading(k, k.kernel(n - 1, p, p + r), n - 1, p + r - 1)
-    b = zb1.hstack(k.d_mat(n - 1) * zb2)
-    return subquotient(z, b, free)
+    return Subquotient(z, k.d_mat(n - 1) * zb2, free,
+                       bisect_left(free, k.cut(n, p - 1)))
 
 
 def spectral_page(a: TwistedComplex | FilteredComplex, r: int,
@@ -188,9 +197,9 @@ def page_homology(page: SpectralPage) -> dict:
     for (p, q), e in sorted(page.entries.items()):
         if e.dim == 0:
             continue
-        ker = page.delta_mat(p, q).kernel_basis()
+        ker, free = page.delta_mat(p, q).kernel()
         img_src = page.delta_mat(p + r, q + r - 1)
-        out[(p, q)] = subquotient(ker, img_src)
+        out[(p, q)] = Subquotient(ker, img_src, free)
     return out
 
 
@@ -255,9 +264,9 @@ def check_page_recursion(a: TwistedComplex | FilteredComplex, r: int,
                 if tgt_e is not None and tgt_e.dim:
                     wr = tgt_e.reduce(w)
                     if not wr.is_zero():
-                        ker = page.delta_mat(*tgt_pq).kernel_basis()
+                        ker, free = page.delta_mat(*tgt_pq).kernel()
                         img = page.delta_mat(tgt_pq[0] + r, tgt_pq[1] + r - 1)
-                        if subquotient(ker, img).dim:
+                        if Subquotient(ker, img, free).dim:
                             return False, f"stray differential at {(p, q)}"
         if ((r + 1) * n) % 2:
             delta_t = -delta_t

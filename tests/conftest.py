@@ -17,6 +17,13 @@ from multiplex.twisted import RHomotopy, compose, identity_morphism, path
 # draws have at most one twisting map and zero homotopies
 SHAPE = dict(cols=(0, 3), verts=(0, 2), max_rank=2, spots=12)
 
+# random_twisted_complex options with nonzero differentials on spectral
+# pages 0-4, the last the benchmark's shape
+REF_SHAPES = [dict(cols=(0, 5), verts=(-1, 3), max_rank=2, spots=12),
+              dict(cols=(0, 8), verts=(-1, 2), max_rank=1, spots=40),
+              dict(cols=(0, 6), verts=(-2, 3), max_rank=3, spots=15),
+              dict(cols=(0, 13), verts=(-1, 2), max_rank=1, spots=200)]
+
 
 def assert_canonical(field, data):
     """Every entry is in the one canonical form of its field: over F_p an
@@ -66,6 +73,20 @@ def hom_one_map_one(m, base, r, t, q):
     pre = tree_iso(power_tree(base, r + q + t), src_tree)
     post = tree_iso(dst_tree, power_tree(base, r + 1 + t))
     return bcompose(post, bcompose(nary_tensor_maps(parts), pre))
+
+
+def invert_strict_iso(f):
+    """Reference inverse of a bidegree (0, 0) iso: each block inverted by
+    elimination."""
+    if f.bidegree != (0, 0):
+        raise ValueError("only bidegree (0,0) isos are inverted here")
+    blocks = {}
+    for (i, j), blk in f.blocks.items():
+        inv = blk.inverse()
+        if inv is None:
+            raise ValueError("not blockwise invertible")
+        blocks[(i, j)] = inv
+    return BigradedMap(f.dst, f.src, (0, 0), blocks)
 
 
 def column_subquotient(a, p, q):

@@ -10,8 +10,8 @@ import random
 import pytest
 
 from conftest import (
-    column_subquotient, corrupt_homotopy, lemma_path_homotopy,
-    page_to_column_coords,
+    column_subquotient, corrupt_homotopy, invert_strict_iso,
+    lemma_path_homotopy, page_to_column_coords,
 )
 from multiplex.dainf import (
     DAInfAlgebra, DAInfHomotopy, DAInfMorphism, check_dainf,
@@ -374,7 +374,6 @@ def _diagonal_homotopy(a, r):
     from multiplex.bigraded import (
         compose as bcompose, identity_map, leaf, node, tensor_maps, tree_iso,
     )
-    from multiplex.dainf import _invert_strict_iso
     pa = path_dainf(a, r)
     ppa = path_dainf(pa.algebra, r)
     delta, lam, _ = diagonal_delta(r, F)
@@ -390,7 +389,7 @@ def _diagonal_homotopy(a, r):
                    bcompose(outer_src,
                             bcompose(assoc,
                                      bcompose(step1,
-                                              _invert_strict_iso(pa.ident)))))
+                                              invert_strict_iso(pa.ident)))))
     f = compose_dainf(pa.iota, pa.p_minus)
     g = identity_dainf(pa.algebra)
     h01 = bcompose(ppa.p_zero, f01)

@@ -3,7 +3,9 @@ from itertools import product as iproduct
 
 import pytest
 
-from conftest import assert_canonical, hom_one_map_one, subpower_tree
+from conftest import (
+    assert_canonical, hom_one_map_one, invert_strict_iso, subpower_tree,
+)
 
 from multiplex.bigraded import (
     BigradedMap, BigradedModule, MapSum, SparseMap, _concat_tables,
@@ -15,8 +17,8 @@ from multiplex.dainf import (
     _reachable_u, _sumset, assemble_into_path_dainf, bar_power, check_dainf,
     check_dainf_morphism, check_r_homotopy_dainf, collapse_after,
     component_tensor, compose_dainf, diagonal_delta, identity_dainf,
-    invert_dainf, is_er_quasi_iso_dainf, iterated_mu, lambda_r_dga,
-    path_dainf, path_dainf_morphism, tensor_dga_morphism, tensor_twisted_dga,
+    invert_dainf, is_er_quasi_iso_dainf, iterated_mu, lambda_ident_inverse,
+    lambda_ident_iso, lambda_r_dga, path_dainf, path_dainf_morphism, tensor_dga_morphism, tensor_twisted_dga,
     underlying_twisted, underlying_twisted_morphism, unit_dga,
     zero_dainf_morphism,
 )
@@ -317,6 +319,21 @@ def test_path_dainf_matches_tensor_construction(r):
     assert up == tp.complex
 
 
+@pytest.mark.parametrize("field", [F, QQ], ids=str)
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_lambda_ident_inverse_matches_reference(field, r):
+    """The placed inverse of Lambda_r (x) A = A (+) A[mid] (+) A is the
+    inverse by elimination, and both composites are identities.  The shift
+    of A[mid] lands on bidegrees of A, so blocks mix summands."""
+    a_mod = BigradedModule(field, {(0, 0): 2, (1, 0): 1, (1, 1): 3,
+                                   (2, 1): 1, (2, 2): 2, (3, 3): 1})
+    iso = lambda_ident_iso(a_mod, r)
+    inv = lambda_ident_inverse(a_mod, r)
+    assert inv == invert_strict_iso(iso)
+    assert bcompose(inv, iso) == identity_map(iso.src)
+    assert bcompose(iso, inv) == identity_map(iso.dst)
+
+
 @pytest.mark.parametrize("r", [0, 1])
 def test_path_dainf_with_products(r):
     # Lambda_s is itself a dA-infinity algebra with a product; its path
@@ -345,9 +362,8 @@ def test_path_dainf_morphism(r):
     lam = lambda_r_dga(r, F)
     tf = tensor_dga_morphism(lam.algebra, f, pa.tensor_algebra, pa.tensor_algebra)
     transported = {}
-    from multiplex.dainf import _invert_strict_iso
     from multiplex.bigraded import nary_tensor_maps
-    ident_inv = _invert_strict_iso(pa.ident)
+    ident_inv = invert_strict_iso(pa.ident)
     for (i, j), comp in tf.f.items():
         pre = nary_tensor_maps([ident_inv] * j) if j > 1 else ident_inv
         transported[(i, j)] = bcompose(pa.ident, bcompose(comp, pre))
@@ -414,7 +430,6 @@ def _delta_tensor_homotopy(a, pa, r):
     # strict morphism P_r(A) -> P_r(P_r(A)) as the composite of
     # identifications around Delta_{01} (x) 1_A
     from multiplex.bigraded import leaf, node, tree_iso
-    from multiplex.dainf import _invert_strict_iso
     lam_mod = lam.algebra.module
     a_mod = a.module
     # Lambda (x) A --Delta (x) 1--> (Lambda (x) Lambda) (x) A
@@ -434,7 +449,7 @@ def _delta_tensor_homotopy(a, pa, r):
                    bcompose(outer_src,
                             bcompose(assoc,
                                      bcompose(step1,
-                                              _invert_strict_iso(pa.ident)))))
+                                              invert_strict_iso(pa.ident)))))
     mor = DAInfMorphism(pa.algebra, ppa.algebra, {(0, 1): f01})
     check_dainf_morphism(mor).raise_if_failed()
     # boundary checks and homotopy extraction

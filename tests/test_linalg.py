@@ -1,14 +1,18 @@
 import random
 import time
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 
-from conftest import assert_canonical
+from conftest import REF_SHAPES, assert_canonical
 
+from multiplex.filtration import tot, tot_morphism
+from multiplex.generators import random_endo_morphism, random_twisted_complex
 from multiplex.linalg import (
-    GF, QQ, Field, Matrix, SignedPerm, induced_map, subquotient,
+    GF, QQ, Field, Matrix, SignedPerm, Subquotient, induced_map, subquotient,
 )
+from multiplex.twisted import cone
 
 FIELDS = [GF(), GF(5), QQ]
 REF_FIELDS = [GF(32003), GF(5), GF(2), QQ]
@@ -428,7 +432,7 @@ def test_identity_row_subquotient_matches_reference(field, seed):
         generic = subquotient(z, b)
         assert (sq.rep_basis, sq.dim) == (rep, dim)
         assert (sq.rep_basis, sq.dim) == (generic.rep_basis, generic.dim)
-        assert sq.cycle_basis is z and sq.boundary_basis is b
+        assert sq.cycle_basis is z and sq.boundary_basis == b
         v = z * rand_matrix(field, z.cols, 2, rng)
         assert sq.reduce(v) == generic.reduce(v)
 
@@ -459,6 +463,133 @@ def test_identity_row_subquotient_rejects_bad_input(field, seed):
                             (z, free[1:]), (scaled, free)):
         with pytest.raises(ValueError, match="not the identity"):
             subquotient(bad_z, Matrix.zero(field, z.rows, 0), bad_free)
+
+
+# -- cycle coordinates against the ambient route ------------------------------
+# Spectral page entries are kernel-form subquotients: Z from
+# FilteredComplex.kernel, the boundaries its leading columns and d Z' for
+# another kernel Z'.  They reduce and induce maps in cycle coordinates.  The
+# reference is the ambient route: one echelon of [B | Z] for the rep
+# columns, and a solve per reduction and per containment check.
+
+class _AmbientSubquotient:
+    def __init__(self, Z, B):
+        _, pivots = B.hstack(Z)._echelon()
+        if len(pivots) != Z.rank():
+            raise ValueError("boundary span not contained in cycle span")
+        keep = [c - B.cols for c in pivots if c >= B.cols]
+        self.cycle_basis, self.boundary_basis = Z, B
+        self.rep_basis, self.dim = Z.take_cols(keep), len(keep)
+
+    def reduce(self, v):
+        x = self.rep_basis.hstack(self.boundary_basis).solve(v)
+        if x is None:
+            raise ValueError("vector not in the cycle span")
+        return x.get_block(0, 0, self.dim, v.cols)
+
+
+def _ambient_induced_map(f, src, dst):
+    if dst.cycle_basis.solve(f * src.cycle_basis) is None:
+        raise ValueError("map does not send cycles to cycles")
+    if dst.boundary_basis.solve(f * src.boundary_basis) is None:
+        raise ValueError("map does not send boundaries to boundaries")
+    if src.dim == 0:
+        return Matrix.zero(f.field, dst.dim, 0)
+    return dst.reduce(f * src.rep_basis)
+
+
+def _page_entry_pairs(k, r):
+    """((p, q), n, kernel-form E_r^{p,q}, its ambient reference) for each
+    entry of page r of the filtered complex k."""
+    for p, q in sorted(k.module.dims):
+        n = q - p
+        z, free = k.kernel(n, p - r, p)
+        lead = bisect_left(free, k.cut(n, p - 1))
+        z2, free2 = k.kernel(n - 1, p, p + r)
+        b2 = k.d_mat(n - 1) * z2.get_block(
+            0, 0, z2.rows, bisect_left(free2, k.cut(n - 1, p + r - 1)))
+        yield ((p, q), n, Subquotient(z, b2, free, lead),
+               _AmbientSubquotient(z, z.get_block(0, 0, z.rows, lead)
+                                   .hstack(b2)))
+
+
+def _error_text(fn):
+    with pytest.raises(ValueError) as exc:
+        fn()
+    return str(exc.value)
+
+
+def _assert_same_failures(sq, ref, free, rng):
+    """Each failure path gives the same ValueError text on both routes,
+    for Z that is the identity on the rows free; returns the number of
+    paths checked."""
+    field, z = sq.field, sq.cycle_basis
+    other = next((i for i in range(z.rows) if i not in set(free)), None)
+    if other is None or not z.cols:
+        return 0
+    unit = Matrix.zero(field, z.rows, 1)
+    unit[other, 0] = field.one()
+    v = z * rand_matrix(field, z.cols, 1, rng) + unit
+    off = Matrix.zero(field, z.rows, z.rows)
+    off[other, free[0]] = field.one()      # sends column 0 of Z to e_other
+    checks = [(lambda: sq.reduce(v), lambda: ref.reduce(v),
+               "vector not in the cycle span"),
+              (lambda: induced_map(off, sq, sq),
+               lambda: _ambient_induced_map(off, ref, ref),
+               "map does not send cycles to cycles")]
+    if sq.dim < z.cols:
+        # the identity into Z / 0 sends the nonzero boundaries outside
+        none = Matrix.zero(field, z.rows, 0)
+        bare = Subquotient(z, none, sq.free_rows)
+        bare_ref = _AmbientSubquotient(z, none)
+        one = Matrix.identity(field, z.rows)
+        checks.append((lambda: induced_map(one, sq, bare),
+                       lambda: _ambient_induced_map(one, ref, bare_ref),
+                       "map does not send boundaries to boundaries"))
+    for got, want, text in checks:
+        assert _error_text(got) == _error_text(want) == text
+    return len(checks)
+
+
+def _no_elimination(*args):
+    raise AssertionError("kernel-form route eliminated")
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_cycle_coordinates_match_ambient_route(field, seed, monkeypatch):
+    """Kernel-form page entries of REF_SHAPES complexes and of their
+    1-cones, and the generic subquotients of the same Z and B, agree with
+    the ambient route on dim, rep_basis, boundary_basis, reduce(Z x) and
+    the maps induced by a chain endomorphism, and fail with the same text.
+    Kernel-form reduce and induced_map neither solve nor eliminate."""
+    rng = random.Random(9500 + seed)
+    a = random_twisted_complex(field, rng, **REF_SHAPES[seed])
+    complexes = [a, cone(random_endo_morphism(a, rng), 1).complex]
+    failures = 0
+    for c in complexes:
+        k = tot(c)
+        endo = tot_morphism(random_endo_morphism(c, rng, k), k, k)
+        for r in range(3):
+            for pq, n, sq, ref in _page_entry_pairs(k, r):
+                generic = subquotient(ref.cycle_basis, ref.boundary_basis)
+                z, f = sq.cycle_basis, endo.block(n)
+                v = z * rand_matrix(field, z.cols, 2, rng)
+                want = (ref.dim, ref.rep_basis, ref.boundary_basis,
+                        ref.reduce(v), _ambient_induced_map(f, ref, ref))
+                assert (generic.dim, generic.rep_basis,
+                        generic.boundary_basis, generic.reduce(v),
+                        induced_map(f, generic, generic)) == want, (r, pq)
+                with monkeypatch.context() as mp:
+                    mp.setattr(Matrix, "solve", _no_elimination)
+                    mp.setattr(Matrix, "_echelon", _no_elimination)
+                    got = (sq.dim, sq.rep_basis, sq.boundary_basis,
+                           sq.reduce(v), induced_map(f, sq, sq))
+                assert got == want, (r, pq)
+                for route in (sq, generic):
+                    failures += _assert_same_failures(route, ref,
+                                                      sq.free_rows, rng)
+    assert failures
 
 
 # -- primality of the modulus ----------------------------------------------

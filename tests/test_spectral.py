@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import REF_SHAPES
 from multiplex import spectral
 from multiplex.bigraded import BigradedMap, BigradedModule
 from multiplex.filtration import tot
@@ -125,6 +126,18 @@ def _page1_delta_in_column_coords(p1, a, p, q, sq, tsq):
     return tchg * p1.delta_mat(p, q) * inv
 
 
+def _nondegenerate_draw(rng):
+    """A complex of REF_SHAPES[1] with nonzero d_1 and d_2 and a nonzero
+    page differential on some page r >= 1, which is asserted: a complex
+    whose only nonzero map is d_0 has E_1 = E_infinity, and the page
+    properties hold trivially on it."""
+    a = random_twisted_complex(F, rng, **REF_SHAPES[1])
+    assert not a.d_map(1).is_zero() and not a.d_map(2).is_zero()
+    k = tot(a)
+    assert any(spectral_page(k, r).delta for r in (1, 2, 3))
+    return a
+
+
 def _column_subquotient(a, p, q):
     """H^q(A_p^*, d_0) by direct exact-linalg computation."""
     d0 = a.d_map(0)
@@ -137,7 +150,7 @@ def _column_subquotient(a, p, q):
 def test_e1_of_morphism_closed_form(seed):
     """E_1(f) = H_{d_0}(f_0) on the canonical column coordinates."""
     rng = random.Random(2100 + seed)
-    a = random_twisted_complex(F, rng, spots=3)
+    a = _nondegenerate_draw(rng)
     f = random_endo_morphism(a, rng)
     p1 = spectral_page(a, 1)
     blocks = page_of_morphism(f, 1, p1, p1)
@@ -197,7 +210,7 @@ def test_page_of_morphism_identity_and_e0_e1(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_chain_map_property_of_induced_pages(seed):
     rng = random.Random(1700 + seed)
-    a = random_twisted_complex(F, rng, spots=3)
+    a = _nondegenerate_draw(rng)
     f = random_endo_morphism(a, rng)
     for r in (0, 1, 2):
         page = spectral_page(a, r)
@@ -250,7 +263,7 @@ def test_er_qis_endomorphism_reads_one_page(seed, monkeypatch):
 @pytest.mark.parametrize("seed", range(6))
 def test_cone_detection_agreement(seed):
     rng = random.Random(1900 + seed)
-    a = random_twisted_complex(F, rng, spots=3)
+    a = _nondegenerate_draw(rng)
     candidates = [identity_morphism(a),
                   zero_morphism(a, a),
                   random_endo_morphism(a, rng),
@@ -266,7 +279,7 @@ def test_cone_detection_agreement(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_page_functorial(seed):
     rng = random.Random(2050 + seed)
-    a = random_twisted_complex(F, rng, spots=3)
+    a = _nondegenerate_draw(rng)
     f = random_endo_morphism(a, rng)
     g = random_endo_morphism(a, rng)
     for r in (0, 1, 2):
@@ -282,7 +295,7 @@ def test_page_functorial(seed):
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_homotopic_maps_same_next_page(seed, r):
     rng = random.Random(2000 + seed)
-    a = random_twisted_complex(F, rng, spots=3)
+    a = _nondegenerate_draw(rng)
     f = random_endo_morphism(a, rng)
     g, h = random_homotopic_pair(f, r, rng)
     pf = page_of_morphism(f, r + 1)
@@ -353,18 +366,11 @@ def _assert_pages_match_reference(k, pages):
                     _ref_z_basis(k, r, p, n), (r, p, n)
 
 
-# nonzero differentials on pages 0-4, the last the benchmark's shape
-_REF_SHAPES = [dict(cols=(0, 5), verts=(-1, 3), max_rank=2, spots=12),
-               dict(cols=(0, 8), verts=(-1, 2), max_rank=1, spots=40),
-               dict(cols=(0, 6), verts=(-2, 3), max_rank=3, spots=15),
-               dict(cols=(0, 13), verts=(-1, 2), max_rank=1, spots=200)]
-
-
 @pytest.mark.parametrize("field", [F, QQ], ids=str)
-@pytest.mark.parametrize("seed", range(len(_REF_SHAPES)))
+@pytest.mark.parametrize("seed", range(len(REF_SHAPES)))
 def test_pages_match_per_entry_reference(field, seed):
     rng = random.Random(2100 + seed)
-    a = random_twisted_complex(field, rng, **_REF_SHAPES[seed])
+    a = random_twisted_complex(field, rng, **REF_SHAPES[seed])
     _assert_pages_match_reference(tot(a), range(5))
 
 
@@ -372,7 +378,7 @@ def test_pages_match_per_entry_reference(field, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_cone_page_matches_per_entry_reference(field, seed):
     rng = random.Random(2200 + seed)
-    a = random_twisted_complex(field, rng, **_REF_SHAPES[1])
+    a = random_twisted_complex(field, rng, **REF_SHAPES[1])
     for f in (zero_morphism(a, a), random_null_homotopic_map(a, a, rng),
               random_endo_morphism(a, rng)):
         _assert_pages_match_reference(tot(cone(f, 1).complex), [2])
