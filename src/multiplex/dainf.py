@@ -22,6 +22,14 @@ columns (``MapSum.add_insertion``), and the tensor words of bar powers and
 of ``component_tensor`` write their columns at left-power coordinates:
 both find those coordinates by index arithmetic over the summand offsets,
 so no 1^r (x) m (x) 1^t and no regrouping isomorphism is formed.
+
+The r-path P_r(A) is built by two routes, Lambda_r (x) A moved across
+the strict identification with A (+) A[mid] (+) A and the printed block
+matrices, compared entry by entry.  (A_uv) is decided once, on the
+printed route: the routes agree, so each (A_uv) sum of Lambda_r (x) A is
+the one of P_r(A) conjugated by invertible maps, and vanishes exactly
+when it does.  The maps that depend only on (A's module, r[, j]) are
+built once per key.
 """
 
 from __future__ import annotations
@@ -534,6 +542,14 @@ def lambda_r_dga(r: int, field: Field | None = None) -> LambdaObject:
 
 @dataclass
 class PathDainf:
+    """The functorial r-path P_r(A) with its boundary maps.
+
+    tensor_algebra is Lambda_r (x) A, which the strict isomorphism ident
+    of bidegree (0, 0) carries onto algebra, entry by entry.  Its (A_uv)
+    is not decided on its own: each of its (A_uv) sums is the one of
+    algebra conjugated by invertible maps, so it holds exactly when
+    algebra's does, which path_dainf decides."""
+
     algebra: DAInfAlgebra          # on the direct-sum module x/y/z
     iota: DAInfMorphism
     p_minus: DAInfMorphism
@@ -556,23 +572,44 @@ def _lambda_ident_pieces(a_mod: BigradedModule, r: int):
                                  (1, 2): (one_mid, False)}
 
 
+@cache
 def lambda_ident_iso(a_mod: BigradedModule, r: int) -> BigradedMap:
     """Strict iso Lambda_r (x) A -> A (+) A[mid] (+) A matching
     e_- (x) x + u (x) y + e_+ (x) z <-> (x, y, z).  Lambda_r (x) A is the
     direct sum of its summands by left bidegree, u (x) A = A[mid] at
-    (-r, 1-r) and (e_-, e_+) (x) A at (0, 0), in ascending order."""
+    (-r, 1-r) and (e_-, e_+) (x) A at (0, 0), in ascending order.
+
+    A constant of (a_mod, r), built once: the result is shared by every
+    caller and must not be changed."""
     parts, pieces = _lambda_ident_pieces(a_mod, r)
     return place(parts, path_summands(a_mod, r), (0, 0), pieces)
 
 
+@cache
 def lambda_ident_inverse(a_mod: BigradedModule, r: int) -> BigradedMap:
     """The inverse of lambda_ident_iso: its identity pieces placed from the
-    path summands back, so no block is eliminated."""
+    path summands back, so no block is eliminated.
+
+    A constant of (a_mod, r), built once: the result is shared by every
+    caller and must not be changed."""
     parts, pieces = _lambda_ident_pieces(a_mod, r)
     return place(path_summands(a_mod, r), parts, (0, 0),
                  {(l, k): piece for (k, l), piece in pieces.items()})
 
 
+@cache
+def _ident_inverse_power(a_mod: BigradedModule, r: int,
+                         j: int) -> BigradedMap:
+    """(ident^{-1})^{(x) j}: P_r(A)^{(x) j} -> (Lambda_r (x) A)^{(x) j}, the
+    right factor of the transported m_{ij}.
+
+    A constant of (a_mod, r, j), built once: the result is shared by every
+    caller and must not be changed."""
+    inv = lambda_ident_inverse(a_mod, r)
+    return nary_tensor_maps([inv] * j) if j > 1 else inv
+
+
+@cache
 def _path_tj(a_mod: BigradedModule, r: int, j: int) -> BigradedMap:
     """t_j: P_r(A)^{(x) j} -> P_r(A^{(x) j}), the tensor words of the path
     projections: p_-^{(x) j} into the first summand, p_+^{(x) j} into the
@@ -580,7 +617,10 @@ def _path_tj(a_mod: BigradedModule, r: int, j: int) -> BigradedMap:
     p_-^{(x) s} (x) p_0 (x) p_+^{(x) j-1-s}.  So only the patterns x..x,
     x..x y z..z and z..z survive, and the sign xbar = (-1)^{r x_1 + (1-r) x_2}
     on every x left of the y is the Koszul sign of moving p_0, of bidegree
-    (r, r-1), past them."""
+    (r, r-1), past them.
+
+    A constant of (a_mod, r, j), built once: the result is shared by every
+    caller and must not be changed."""
     _, minus, plus, zero = path_structure_maps(a_mod, r)
     words = [nary_tensor_maps([minus] * s + [zero] + [plus] * (j - 1 - s))
              for s in range(j)]
@@ -595,20 +635,28 @@ def _path_tj(a_mod: BigradedModule, r: int, j: int) -> BigradedMap:
 def path_dainf(a: DAInfAlgebra, r: int) -> PathDainf:
     """Functorial r-path built twice: as Lambda_r (x) A transported through
     the identification, and directly from the printed block matrices;
-    the two constructions are compared entry by entry."""
+    the two constructions are compared entry by entry.
+
+    (A_uv) is decided once, on the direct route, which is the algebra
+    returned; Lambda_r (x) A is built unchecked.  That check is implied:
+    the comparison gives m^P_{ij} = ident o mhat_{ij} o (ident^{-1})^{(x) j}
+    for every key, ident is a strict isomorphism of bidegree (0, 0), so
+    every (A_uv) sum of Lambda_r (x) A is the (A_uv) sum of P_r(A)
+    conjugated by invertible maps, with no Koszul sign, and one is zero
+    exactly when the other is.  A failure is reported at path
+    coordinates.  iota, p_minus and p_plus are checked as morphisms."""
     lam = lambda_r_dga(r, a.field)
-    tensor_alg = tensor_twisted_dga(lam.algebra, a)
+    tensor_alg = tensor_twisted_dga(lam.algebra, a, check=False)
 
     parts = path_summands(a.module, r)
     path_mod = sum_module(parts)
     ident = lambda_ident_iso(a.module, r)
-    ident_inv = lambda_ident_inverse(a.module, r)
 
     # transported structure maps
     transported: dict[tuple[int, int], BigradedMap] = {}
     for (i, j), mij in sorted(tensor_alg.m.items()):
-        pre = nary_tensor_maps([ident_inv] * j) if j > 1 else ident_inv
-        transported[(i, j)] = bcompose(ident, bcompose(mij, pre))
+        transported[(i, j)] = bcompose(
+            ident, bcompose(mij, _ident_inverse_power(a.module, r, j)))
 
     # direct construction: arity 1 is the twisted path, arity >= 2 the
     # diagonal matrices composed with t_j

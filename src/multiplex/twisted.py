@@ -32,6 +32,7 @@ two verdicts must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .bigraded import (
     BigradedMap, BigradedModule, compose as bcompose, degrees_of, direct_sum,
@@ -454,8 +455,12 @@ def path_differential(mod: BigradedModule, d: dict[int, BigradedMap],
     return out
 
 
+@cache
 def path_structure_maps(mod: BigradedModule, r: int) -> tuple:
-    """iota, p_minus, p_plus and p_zero of P_r(A) as maps of modules."""
+    """iota, p_minus, p_plus and p_zero of P_r(A) as maps of modules.
+
+    A constant of (mod, r), built once: the result is shared by every
+    caller and must not be changed."""
     parts = path_summands(mod, r)
     one = identity_map(mod)
     return (place([mod], parts, (0, 0), {(0, 0): (one, False),

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 from multiplex.bigraded import (
-    BigradedMap, compose as bcompose, identity_map, leaf, nary_tensor_maps,
-    node, power_module, power_tree, tree_iso, zero_map,
+    BigradedMap, BigradedModule, compose as bcompose, identity_map, leaf,
+    nary_tensor_maps, node, power_module, power_tree, tree_iso, zero_map,
 )
+from multiplex.dainf import DAInfAlgebra, lambda_r_dga
 from multiplex.linalg import Matrix, subquotient
 from multiplex.reports import Report
 from multiplex.twisted import RHomotopy, compose, identity_morphism, path
@@ -205,3 +206,27 @@ def check_morphism_blockwise(f):
         for loc in sorted(acc.blocks):
             rep.fail((m,) + loc, f"(B_{m}) fails on the block at {loc}")
     return rep
+
+
+def corrupt_lambda(field):
+    """Lambda_1 with the product e_- e_- -> e_+ added: one m_{02} entry
+    changed, which breaks (A_uv)."""
+    lam = lambda_r_dga(1, field).algebra
+    m02 = lam.m[(0, 2)]
+    blocks = {k: blk.copy() for k, blk in m02.blocks.items()}
+    blocks[(0, 0)][1, 0] = field.one()
+    return DAInfAlgebra(lam.module, {**lam.m, (0, 2): BigradedMap(
+        m02.src, m02.dst, m02.bidegree, blocks)})
+
+
+def d0_not_square_zero(field):
+    """A zero-product algebra whose m_{01} = d_0 has d_0 d_0 != 0."""
+    mod = BigradedModule(field, {(0, 0): 1, (0, 1): 1, (0, 2): 1})
+    one = Matrix.identity(field, 1)
+    return DAInfAlgebra(mod, {(0, 1): BigradedMap(
+        mod, mod, (0, 1), {(0, 0): one, (0, 1): one})})
+
+
+# dA-infinity algebras that fail (A_uv), by name
+BAD_ALGEBRAS = {"lambda1-m02": corrupt_lambda,
+                "d0-squared": d0_not_square_zero}

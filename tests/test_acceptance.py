@@ -10,14 +10,14 @@ import random
 import pytest
 
 from conftest import (
-    column_subquotient, corrupt_homotopy, invert_strict_iso,
+    SHAPE, column_subquotient, corrupt_homotopy, invert_strict_iso,
     lemma_path_homotopy, page_to_column_coords,
 )
 from multiplex.dainf import (
     DAInfAlgebra, DAInfHomotopy, DAInfMorphism, check_dainf,
     check_dainf_morphism, check_r_homotopy_dainf, collapse_after,
     compose_dainf, diagonal_delta, identity_dainf, lambda_r_dga, path_dainf,
-    underlying_twisted,
+    tensor_twisted_dga, underlying_twisted,
 )
 from multiplex.filtered_ainf import check_filtered_ainf, tot_dainf
 from multiplex.filtration import tot, tot_inverse
@@ -211,8 +211,17 @@ def test_lambda_and_path_coherence():
     """Lambda_r axioms; path = Lambda_r tensor blockwise; boundary maps;
     the diagonal satisfies its two collapse identities."""
     rng = random.Random(70_000)
-    fixtures = [random_zero_product_dainf(F, rng, spots=3) for _ in range(4)]
+    fixtures = [random_zero_product_dainf(F, rng, **SHAPE) for _ in range(4)]
+    # the products of Lambda_1 and of Lambda_0 (x) Lambda_1 reach the
+    # arity >= 2 route of the path and its t_j
     fixtures.append(lambda_r_dga(1, F).algebra)
+    fixtures.append(tensor_twisted_dga(lambda_r_dga(0, F).algebra,
+                                       lambda_r_dga(1, F).algebra))
+    # a nonzero m_{i1}, i >= 1, puts the signed d_m[mid] on the diagonal
+    # of the path; a draw whose only map is m_{01} has none
+    nondegenerate = sum(any(i >= 1 and j == 1 for (i, j) in a.m)
+                        for a in fixtures)
+    assert nondegenerate == len(fixtures)
     for r in range(4):
         lam = lambda_r_dga(r, F)
         assert check_dainf(lam.algebra).ok
@@ -231,7 +240,8 @@ def test_lambda_and_path_coherence():
             assert compose_dainf(p.p_minus, p.iota) == identity_dainf(a)
             assert compose_dainf(p.p_plus, p.iota) == identity_dainf(a)
     _announce("Lambda_r and path coherence",
-              "r in {0..3}, 5 fixtures, both constructions compared")
+              f"r in {{0..3}}, {len(fixtures)} fixtures, {nondegenerate} "
+              f"with a nonzero m_i1 (i >= 1), both constructions compared")
 
 
 def test_dainf_composition_algebra():
@@ -267,7 +277,6 @@ def test_tot_bridge():
     fixtures = []
     for r in range(4):
         fixtures.append(lambda_r_dga(r, F).algebra)
-    from multiplex.dainf import tensor_twisted_dga
     fixtures.append(tensor_twisted_dga(lambda_r_dga(0, F).algebra,
                                        lambda_r_dga(1, F).algebra))
     for seed in range(10):

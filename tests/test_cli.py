@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import BAD_ALGEBRAS
+
 import multiplex
 
 from multiplex import cli, io as mio
@@ -374,6 +376,27 @@ def test_path_subcommand_and_dainf_checks(tmp_path, capsys):
     p2 = write_doc(tmp_path, "under.json", objects)
     assert main(["path", p2, "-r", "1", "-o", tw]) == 0
     assert main(["check", "twisted", tw, "--name", "path"]) == 0
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=str)
+@pytest.mark.parametrize("bad", sorted(BAD_ALGEBRAS))
+def test_homotopy_check_dainf_target_failing_relations(tmp_path, capsys,
+                                                       field, bad):
+    # f = g = 0 into a target B that fails (A_uv): f, g and (H_mk) hold,
+    # and building the 1-path of B decides (A_uv) on it and fails
+    objects = {
+        "A": {"type": "dainf_algebra", "dims": [[0, 0, 1]], "m": {}},
+        "B": mio.dump_dainf(field, BAD_ALGEBRAS[bad](field)),
+        "f": {"type": "dainf_morphism", "src": "A", "dst": "B"},
+        "H": {"type": "dainf_homotopy", "r": 1, "f": "f", "g": "f",
+              "h": {}},
+    }
+    path = write_doc(tmp_path, "bad-target.json", objects, field)
+    assert main(["homotopy", "check", "--dainf", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "failed: derived A-infinity relations (A_uv): FAILED")
+    assert "Traceback" not in err
 
 
 def test_filtered_ainf_via_cli(tmp_path):

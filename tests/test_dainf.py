@@ -1,12 +1,15 @@
+import json
 import random
 from itertools import product as iproduct
 
 import pytest
 
 from conftest import (
-    assert_canonical, hom_one_map_one, invert_strict_iso, subpower_tree,
+    BAD_ALGEBRAS, assert_canonical, hom_one_map_one, invert_strict_iso,
+    subpower_tree,
 )
 
+from multiplex import io as mio
 from multiplex.bigraded import (
     BigradedMap, BigradedModule, MapSum, SparseMap, _concat_tables,
     _summand_table, compose as bcompose, identity_map, node, power_module, power_tree,
@@ -247,9 +250,17 @@ def _memo_infos():
     """cache_info() of every functools.cache memo in the package."""
     import multiplex.bigraded
     import multiplex.cli
+    import multiplex.twisted
     return {f"{mod.__name__}.{name}": fn.cache_info()
-            for mod in (multiplex.bigraded, multiplex.cli, multiplex.dainf)
+            for mod in (multiplex.bigraded, multiplex.cli, multiplex.dainf,
+                        multiplex.twisted)
             for name, fn in vars(mod).items() if hasattr(fn, "cache_info")}
+
+
+# the constants of P_r(A), built once per (module, r[, j])
+PATH_MEMOS = ("multiplex.dainf._path_tj", "multiplex.dainf.lambda_ident_iso",
+              "multiplex.dainf._ident_inverse_power",
+              "multiplex.twisted.path_structure_maps")
 
 
 def test_repeated_dainf_calls_add_no_memo_entries():
@@ -269,6 +280,7 @@ def test_repeated_dainf_calls_add_no_memo_entries():
     e = random_dainf_morphism(b, b, rng, space=perturb, density=1.0,
                               with_identity=True)
     lam = lambda_r_dga(1, F).algebra
+    path_hits = dict.fromkeys(PATH_MEMOS, 0)
     for run in (lambda: compose_dainf(g, f), lambda: invert_dainf(e),
                 lambda: path_dainf(lam, 1), lambda: path_dainf(a, 2)):
         first = run()
@@ -279,12 +291,18 @@ def test_repeated_dainf_calls_add_no_memo_entries():
             {k: (i.misses, i.currsize) for k, i in before.items()}
         assert sum(i.hits for i in after.values()) > \
             sum(i.hits for i in before.values())
+        for name in PATH_MEMOS:
+            path_hits[name] += after[name].hits - before[name].hits
+    # the second r-path of Lambda_1 (which has a product, so t_2) and of
+    # a reads every constant of the path from the memos
+    assert all(path_hits.values()), path_hits
     assert {"multiplex.bigraded._tree_iso", "multiplex.bigraded.tree_basis",
             "multiplex.bigraded._insertion_table",
             "multiplex.bigraded._concat_tables",
             "multiplex.bigraded._power_profiles",
             "multiplex.bigraded.power_module",
-            "multiplex.dainf.lambda_r_dga"} <= set(before)
+            "multiplex.dainf.lambda_r_dga",
+            "multiplex.dainf.lambda_ident_inverse", *PATH_MEMOS} <= set(before)
     # each of them was read: the runs above insert, regroup and build powers
     assert all(before[name].hits > 0 for name in (
         "multiplex.bigraded._insertion_table",
@@ -311,6 +329,8 @@ def test_path_dainf_matches_tensor_construction(r):
     a = small_zero_product(4)
     p = path_dainf(a, r)
     assert check_dainf(p.algebra).ok
+    # decided on the path algebra only, and implied for Lambda_r (x) A
+    assert check_dainf(p.tensor_algebra).ok
     assert compose_dainf(p.p_minus, p.iota) == identity_dainf(a)
     assert compose_dainf(p.p_plus, p.iota) == identity_dainf(a)
     # underlying twisted complex is the twisted path
@@ -341,6 +361,56 @@ def test_path_dainf_with_products(r):
     lam1 = lambda_r_dga(1, F)
     p = path_dainf(lam1.algebra, r)
     assert check_dainf(p.algebra).ok
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ALGEBRAS))
+@pytest.mark.parametrize("field", [F, QQ], ids=str)
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_path_dainf_rejects_failing_relations(bad, field, r):
+    # (A_uv) is decided once, on the path algebra; the routes still agree
+    # on a structure that fails it, so the certificate is what raises
+    a = BAD_ALGEBRAS[bad](field)
+    assert not check_dainf(a).ok
+    tensor_alg = tensor_twisted_dga(lambda_r_dga(r, field).algebra, a,
+                                    check=False)
+    assert not check_dainf(tensor_alg).ok
+    with pytest.raises(ValueError,
+                       match=r"^derived A-infinity relations \(A_uv\): FAILED"):
+        path_dainf(a, r)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_path_dainf_decides_relations_once(r, monkeypatch):
+    import multiplex.dainf as dainf
+    lambda_r_dga(r, F)  # built and checked once, outside the count
+    calls = []
+
+    def counting(alg):
+        calls.append(alg)
+        return check_dainf(alg)
+
+    monkeypatch.setattr(dainf, "check_dainf", counting)
+    for a in (lambda_r_dga(1, F).algebra, small_zero_product(4)):
+        calls.clear()
+        p = path_dainf(a, r)
+        assert calls == [p.algebra]
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=str)
+def test_path_dainf_equal_for_a_loaded_copy(field):
+    # the path constants are memoized by module equality: the r-path of
+    # an equal algebra read back from the document is built from the
+    # entries the first call made, and must equal the first
+    lam = lambda_r_dga(0, field).algebra
+    a = tensor_twisted_dga(lam, lambda_r_dga(1, field).algebra)
+    text = mio.document_json(field, {"A": mio.dump_dainf(field, a)})
+    _, b = mio.load_document(json.loads(text)).select("A", DAInfAlgebra)
+    assert b == a and b.module is not a.module
+    for r in range(3):
+        pa = path_dainf(a, r)
+        pb = path_dainf(b, r)
+        assert pb == pa
+        assert check_dainf(pb.algebra).ok
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])
