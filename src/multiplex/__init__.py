@@ -1,10 +1,10 @@
 """Exact computations with twisted complexes, spectral sequences and
 derived A-infinity algebras over QQ or a prime field."""
 
-from .linalg import Field, GF, QQ, Matrix, Subquotient, subquotient, induced_map
+from .linalg import Field, GF, QQ, Matrix, Subquotient, induced_map
 from .bigraded import BigradedModule, BigradedMap
 
 __all__ = [
-    "Field", "GF", "QQ", "Matrix", "Subquotient", "subquotient", "induced_map",
+    "Field", "GF", "QQ", "Matrix", "Subquotient", "induced_map",
     "BigradedModule", "BigradedMap",
 ]

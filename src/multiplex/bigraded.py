@@ -218,6 +218,21 @@ def compose(f: BigradedMap, g: BigradedMap) -> BigradedMap:
     return BigradedMap(g.src, f.dst, bid, blocks)
 
 
+def invert_blocks(f: BigradedMap) -> BigradedMap | None:
+    """The inverse of a bidegree (0, 0) map, block by block, or None when
+    its source and target differ in some dimension or a block is not
+    invertible."""
+    if f.src.dims != f.dst.dims:
+        return None
+    blocks = {}
+    for (i, j) in f.dst.dims:
+        blk = f.block(i, j).inverse()
+        if blk is None:
+            return None
+        blocks[(i, j)] = blk
+    return BigradedMap(f.dst, f.src, (0, 0), blocks)
+
+
 # ---------------------------------------------------------------------------
 # tensor products
 # ---------------------------------------------------------------------------

@@ -107,6 +107,18 @@ def _check_homotopy_budget(h: DAInfHomotopy, what: str):
     _check_path_budget(h.dst, h.r, what)
 
 
+def _decide_relations(algebras):
+    """Decide (A_uv) on each algebra that a dA-infinity morphism command
+    reads, before any work on its morphisms: a failing one raises
+    ValueError with its report, which main prints after "failed: " with
+    exit 1."""
+    seen = []
+    for alg in algebras:
+        if all(alg is not s for s in seen):
+            seen.append(alg)
+            check_dainf(alg).raise_if_failed()
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -132,6 +144,8 @@ def cmd_check(args) -> int:
         for name, f in sorted(targets.items()):
             _check_bar_budget(f.src, _arity(f.f), f.dst.max_arity(),
                               f"checking morphism {name!r}")
+        _decide_relations(a for _, f in sorted(targets.items())
+                          for a in (f.src, f.dst))
     reports = [(name, checker(obj)) for name, obj in sorted(targets.items())]
     return _print_reports(reports, args.format == "json")
 
@@ -311,6 +325,7 @@ def cmd_homotopy(args) -> int:
                 raise DocumentError(f"homotopy {name!r} has level {h.r}, "
                                     f"not {args.r}")
             _check_homotopy_budget(h, f"checking homotopy {name!r}")
+            _decide_relations((h.src, h.dst))
             rep = check_r_homotopy_dainf(h)
         else:
             name, h = doc.select(args.name, RHomotopy, what="homotopy")
@@ -394,6 +409,7 @@ def cmd_compose(args) -> int:
         _check_bar_budget(g.src, _arity(f.f) * _arity(g.f),
                           f.dst.max_arity(),
                           f"composing {fname!r} after {gname!r}")
+        _decide_relations((g.src, g.dst, f.dst))
         out = compose_dainf(f, g)
         objects = {
             "source": mio.dump_dainf(field, g.src),

@@ -40,9 +40,9 @@ from itertools import product as iproduct
 
 from .bigraded import (
     BigradedMap, BigradedModule, MapSum, compose as bcompose, identity_map,
-    interleave_iso, nary_tensor_maps, power_module, place, relabel,
-    sum_module, tensor_index, tensor_maps, tensor_modules, unit_module,
-    zero_map,
+    interleave_iso, invert_blocks, nary_tensor_maps, power_module, place,
+    relabel, sum_module, tensor_index, tensor_maps, tensor_modules,
+    unit_module, zero_map,
 )
 from .linalg import Field, Matrix
 from .reports import Report
@@ -333,18 +333,9 @@ def compose_dainf(f: DAInfMorphism, g: DAInfMorphism,
 def invert_dainf(f: DAInfMorphism, arity_cap: int = 8) -> DAInfMorphism | None:
     """Two-sided inverse when f_{01} is blockwise invertible, else None."""
     a, b = f.src, f.dst
-    if a.module.dims.keys() != b.module.dims.keys():
+    g01 = invert_blocks(f.f_map(0, 1))
+    if g01 is None:
         return None
-    f01 = f.f_map(0, 1)
-    inv_blocks = {}
-    for (i, j), n in b.module.dims.items():
-        if a.module.dim(i, j) != n:
-            return None
-        blk = f01.block(i, j).inverse()
-        if blk is None:
-            return None
-        inv_blocks[(i, j)] = blk
-    g01 = BigradedMap(b.module, a.module, (0, 0), inv_blocks)
     g: dict[tuple[int, int], BigradedMap] = {(0, 1): g01}
     # solve (f o g)_{uk} = (1)_{uk} by recursion on (k, u):
     # g_{uk} = -sum g_{01} f_{ij} T_j(g)[(u - i, k)].  g_{uk} is not in g

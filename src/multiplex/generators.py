@@ -19,7 +19,7 @@ from .filtration import (
 )
 from .linalg import Field, Matrix
 from .twisted import (
-    RHomotopy, TwistedComplex, TwistedMorphism, check_r_homotopy, zero_map,
+    RHomotopy, TwistedComplex, TwistedMorphism, check_r_homotopy, homotopy_lhs,
 )
 
 
@@ -175,29 +175,6 @@ def random_endo_morphism(a: TwistedComplex, rng: random.Random,
             blocks[n] = m
     fmap = FilteredMap(ka, ka, 0, 0, blocks)
     return tot_inverse_morphism(fmap, a, a)
-
-
-def homotopy_lhs_family(src: TwistedComplex, dst: TwistedComplex, r: int,
-                        hfam: dict[int, BigradedMap]) -> dict[int, BigradedMap]:
-    """The left side of (H_m) for a candidate family, indexed by m."""
-    from .bigraded import compose as bcompose
-    out: dict[int, BigradedMap] = {}
-    ms = {i + j for i in dst.d for j in hfam} | {i + j for i in hfam for j in src.d}
-    for m in sorted(ms):
-        acc = zero_map(src.module, dst.module, (-m + r, -m + r))
-        for i, di in dst.d.items():
-            j = m - i
-            if j in hfam:
-                term = bcompose(di, hfam[j])
-                acc = acc + (term if (i + r) % 2 == 0 else -term)
-        for i, hi in hfam.items():
-            j = m - i
-            if j in src.d:
-                term = bcompose(hi, src.d[j])
-                acc = acc + (term if i % 2 == 0 else -term)
-        if not acc.is_zero():
-            out[m] = acc
-    return out
 
 
 def random_homotopy_family(a: TwistedComplex, b: TwistedComplex, r: int,
@@ -364,9 +341,14 @@ def random_homotopic_pair(f: TwistedMorphism, r: int, rng: random.Random) \
     h: f ~_r g valid by construction."""
     a, b = f.src, f.dst
     hfam = random_homotopy_family(a, b, r, rng)
-    lhs = homotopy_lhs_family(a, b, r, hfam)
+    # g_k = f_k + the left side of (H_{k+r}) for hhat, read off f ~_r f
+    witness = RHomotopy(r, f, f, hfam)
     g_comp = dict(f.f)
-    for m, val in lhs.items():
+    ms = {i + j for i in b.d for j in hfam} | {i + j for i in hfam for j in a.d}
+    for m in sorted(ms):
+        val = homotopy_lhs(witness, m)
+        if val.is_zero():
+            continue
         k = m - r
         if k < 0:
             raise AssertionError("family has components below r")

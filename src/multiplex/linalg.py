@@ -21,16 +21,14 @@ kernel is fraction-free: it clears the denominators of the rows that hold a
 Fraction and eliminates on Python ints, and divides each pivot row by its
 pivot at the end, making a Fraction only where the pivot does not divide an
 entry.  The result is the canonical reduced row echelon form, whichever
-kernel produced it.  A ``Subquotient`` Z/B given the rows on which Z is
-the identity (a basis from ``Matrix.kernel`` is, on the free columns that
-it reports) works in the coordinates of that basis: a vector's coordinates
-are its entries on those rows, and it lies in span Z exactly when Z maps
-them back to its entries on the other rows.  One small echelon of B's
-coordinates picks the rep columns and gives the reduction matrix R, so
-reducing a cycle or inducing a map is a check on the non-free rows and a
-product with R, with no solve.  Without those rows it eliminates
-``[B | Z]``, and Z once more for its rank, and R comes from one more
-echelon on the first reduction.
+kernel produced it.  A ``Subquotient`` Z/B is given the rows on which Z
+is the identity (a basis from ``Matrix.kernel`` is, on the free columns
+that it reports) and works in the coordinates of that basis: a vector's
+coordinates are its entries on those rows, and it lies in span Z exactly
+when Z maps them back to its entries on the other rows.  One small
+echelon of B's coordinates picks the rep columns and gives the reduction
+matrix R, so reducing a cycle or inducing a map is a check on the
+non-free rows and a product with R, with no solve.
 """
 
 from __future__ import annotations
@@ -596,124 +594,76 @@ class Subquotient:
 
     Z and B are given by matrices whose columns span the cycle and boundary
     subspaces; with lead, the first lead columns of Z span boundaries too.
+    Z is in kernel form: its restriction to the rows free_rows is the
+    identity (checked), so its columns are independent, and a vector v lies
+    in span Z exactly when Z v[free] == v.  That holds on the free rows
+    already, so it is checked on the others, and the coordinates of v are
+    then v[free].  The boundary coordinates C are unit columns for the lead
+    columns and, for B, read off this way (B in span Z is checked).
+
     rep_basis columns are the first columns of Z that are independent
-    modulo B (deterministic tie-breaking by column index).  ``reduction``
-    is the matrix R that takes the coordinates of a cycle to those of its
-    class in the rep basis, so ``reduce`` is a membership check and one
-    product with R, with no solve.
-
-    With free_rows, Z is in kernel form: its restriction to those rows is
-    the identity (checked), so its columns are independent, and a vector v
-    lies in span Z exactly when Z v[free] == v.  That holds on the free
-    rows already, so it is checked on the others, and the coordinates of v
-    are then v[free].  The boundary coordinates C are unit columns for the
-    lead columns and, for B, read off this way (B in span Z is checked).
-    The rep columns are the pivot columns in the identity part of one
-    echelon of ``[C | 1]``, which has a row per coordinate rather than per
-    ambient dimension, less the coordinates that a column of C with a
-    single nonzero entry already puts in span C.  The rows of that echelon
-    whose pivots are rep columns, scattered onto those coordinates, are R
-    (dim x |free|): they vanish on span C and are the identity on the rep
-    columns.
-
-    Without free_rows the rep columns are the pivot columns in the Z part
-    of one echelon of ``[B | Z]``, B first, and a second echelon gives
-    rank Z for the containment check.  R then acts on ambient vectors: on
-    the first reduce, one echelon of ``[rep | B | 1]`` gives it as the
-    leading dim rows of its identity part, and its rows from rank Z on,
-    which vanish exactly on span Z, as the membership check.
+    modulo B (deterministic tie-breaking by column index).  They are the
+    pivot columns in the identity part of one echelon of ``[C | 1]``, which
+    has a row per coordinate rather than per ambient dimension, less the
+    coordinates that a column of C with a single nonzero entry already puts
+    in span C.  The rows of that echelon whose pivots are rep columns,
+    scattered onto those coordinates, are ``reduction``, the matrix R
+    (dim x |free|) that takes the coordinates of a cycle to those of its
+    class in the rep basis: they vanish on span C and are the identity on
+    the rep columns.  So ``reduce`` is a membership check and one product
+    with R, with no solve.
     """
 
-    # _keep: the rep columns of Z; _b: the boundary generators after the
-    # lead columns, as coordinates in kernel form and as ambient columns
-    # (lead columns included) otherwise; _nonfree, _z_rest: the other rows
-    # and Z on them; _rmat: R; _outside: N without free_rows
+    # _keep: the rep columns of Z; _b: the coordinates of the columns of B;
+    # _nonfree, _z_rest: the other rows and Z on them
     __slots__ = ("field", "ambient_dim", "cycle_basis", "rep_basis", "dim",
-                 "free_rows", "_keep", "_lead", "_b", "_nonfree", "_z_rest",
-                 "_rmat", "_outside")
+                 "free_rows", "reduction", "_keep", "_lead", "_b", "_nonfree",
+                 "_z_rest")
 
-    def __init__(self, Z: Matrix, B: Matrix, free_rows: list | None = None,
-                 lead: int = 0):
+    def __init__(self, Z: Matrix, B: Matrix, free_rows: list, lead: int = 0):
         if Z.rows != B.rows:
             raise ValueError("ambient dimension mismatch")
         if Z.field != B.field:
             raise ValueError("field mismatch")
         if not 0 <= lead <= Z.cols:
             raise ValueError("lead exceeds the cycle columns")
+        j = Z.cols
+        if len(free_rows) != j or \
+                Z.take_rows(free_rows) != Matrix.identity(Z.field, j):
+            raise ValueError("cycle basis is not the identity on the "
+                             "given rows")
         self.field = Z.field
         self.ambient_dim = Z.rows
         self.cycle_basis = Z
         self.free_rows = free_rows
-        self._rmat = self._outside = None
-        if free_rows is None:
-            if lead:
-                B = Z.get_block(0, 0, Z.rows, lead).hstack(B)
-            rkZ = Z.rank()
-            _, pivots = B.hstack(Z)._echelon()
-            if len(pivots) != rkZ:
-                raise ValueError("boundary span not contained in cycle span")
-            keep = [c - B.cols for c in pivots if c >= B.cols]
-            self.dim = rkZ - (len(pivots) - len(keep))
-            self._b = B
-        else:
-            j = Z.cols
-            if len(free_rows) != j or \
-                    Z.take_rows(free_rows) != Matrix.identity(self.field, j):
-                raise ValueError("cycle basis is not the identity on the "
-                                 "given rows")
-            free = set(free_rows)
-            self._nonfree = [i for i in range(Z.rows) if i not in free]
-            self._z_rest = Z.take_rows(self._nonfree)
-            self._lead = lead
-            self._b = self._coordinates(
-                B, "boundary span not contained in cycle span")
-            keep, self._rmat = _reduction_in_coordinates(self._b, lead)
-            self.dim = len(keep)
-        self._keep = keep
-        self.rep_basis = Z.take_cols(keep)
-        if len(keep) != self.dim:
-            raise AssertionError("rep basis size disagrees with rank arithmetic")
+        free = set(free_rows)
+        self._nonfree = [i for i in range(Z.rows) if i not in free]
+        self._z_rest = Z.take_rows(self._nonfree)
+        self._lead = lead
+        self._b = self._coordinates(
+            B, "boundary span not contained in cycle span")
+        self._keep, self.reduction = _reduction_in_coordinates(self._b, lead)
+        self.dim = len(self._keep)
+        self.rep_basis = Z.take_cols(self._keep)
 
     @property
-    def boundary_coords(self) -> Matrix | None:
+    def boundary_coords(self) -> Matrix:
         """C, the coordinates of the boundary generators in the columns of
-        Z, in kernel form; None otherwise."""
-        if self.free_rows is None:
-            return None
+        Z."""
         j = self.cycle_basis.cols
         return Matrix.identity(self.field, j).get_block(
             0, 0, j, self._lead).hstack(self._b)
 
     @property
     def boundary_basis(self) -> Matrix:
-        """Columns spanning B in ambient coordinates: Z C in kernel form."""
-        if self.free_rows is None:
-            return self._b
+        """Columns spanning B in ambient coordinates: Z C."""
         return self.cycle_basis * self.boundary_coords
-
-    @property
-    def reduction(self) -> Matrix:
-        """R: the class of a cycle with coordinates x is R x in the rep
-        basis.  Coordinates are entries on the free rows in kernel form and
-        ambient entries otherwise."""
-        return self._rmat if self.free_rows is not None else self._ambient()[0]
-
-    def _ambient(self) -> tuple[Matrix, Matrix]:
-        """(R, N) without free rows: N v = 0 exactly when v is in span Z."""
-        if self._rmat is None:
-            self._rmat, self._outside = _reduction_ambient(self.rep_basis,
-                                                          self._b)
-        return self._rmat, self._outside
 
     def _coordinates(self, v: Matrix, message: str) -> Matrix:
         """The coordinates of the columns of v, which must lie in span Z
         (ValueError(message) otherwise)."""
         if v.rows != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if self.free_rows is None:
-            if not (self._ambient()[1] * v).is_zero():
-                raise ValueError(message)
-            return v
         x = v.take_rows(self.free_rows)
         if self._z_rest * x != v.take_rows(self._nonfree):
             raise ValueError(message)
@@ -751,22 +701,6 @@ def _reduction_in_coordinates(coords: Matrix, lead: int):
         for i, v in zip(rest, row):
             red[k * j + i] = v
     return keep, Matrix._of(f, len(keep), j, red)
-
-
-def _reduction_ambient(rep: Matrix, B: Matrix):
-    """(R, N) for span Z = span [rep | B], rep independent modulo B: R x is
-    the rep coordinates of x in span Z modulo B, and N x = 0 exactly when x
-    is in span Z."""
-    n, w = rep.rows, rep.cols + B.cols
-    ech, pivots = rep.hstack(B).hstack(Matrix.identity(rep.field, n))._echelon()
-    rk = sum(1 for c in pivots if c < w)
-    return (ech.get_block(0, w, rep.cols, n),
-            ech.get_block(rk, w, n - rk, n))
-
-
-def subquotient(Z: Matrix, B: Matrix,
-                free_rows: list | None = None) -> Subquotient:
-    return Subquotient(Z, B, free_rows)
 
 
 class BlockLinearSystem:
@@ -909,17 +843,13 @@ def induced_map(f: Matrix, src: Subquotient, dst: Subquotient) -> Matrix:
     (checked), which is exactly well-definedness on the subquotient.  Both
     are read in the coordinates of dst, with no solve: x, the coordinates
     of f Z_src, exist exactly when the first holds; the second then holds
-    exactly when R_dst kills the coordinates of f B_src, which are x C_src
-    when src is in kernel form.  The result is R_dst x on the rep columns
-    of src.
+    exactly when R_dst kills x C_src, the coordinates of f B_src.  The
+    result is R_dst x on the rep columns of src.
     """
     if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    cycles = "map does not send cycles to cycles"
-    x = dst._coordinates(f * src.cycle_basis, cycles)
-    coords = src.boundary_coords
-    xb = x * coords if coords is not None else \
-        dst._coordinates(f * src.boundary_basis, cycles)
-    if not (dst.reduction * xb).is_zero():
+    x = dst._coordinates(f * src.cycle_basis,
+                         "map does not send cycles to cycles")
+    if not (dst.reduction * (x * src.boundary_coords)).is_zero():
         raise ValueError("map does not send boundaries to boundaries")
     return dst.reduction * x.take_cols(src._keep)

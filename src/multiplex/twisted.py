@@ -36,9 +36,9 @@ from functools import cache
 
 from .bigraded import (
     BigradedMap, BigradedModule, compose as bcompose, degrees_of, direct_sum,
-    identity_map, place, relabel, restrict, shift_into, sprod, sum_module,
-    tensor_maps, tensor_modules, tot_blocks, tot_layout, tot_matrix,
-    unit_module, zero_map,
+    identity_map, invert_blocks, place, relabel, restrict, shift_into, sprod,
+    sum_module, tensor_maps, tensor_modules, tot_blocks, tot_layout,
+    tot_matrix, unit_module, zero_map,
 )
 from .linalg import BlockLinearSystem, Matrix
 from .reports import Report
@@ -272,18 +272,9 @@ def compose(g: TwistedMorphism, f: TwistedMorphism,
 def invert(f: TwistedMorphism) -> TwistedMorphism | None:
     """Two-sided inverse, or None when some block of f_0 is not invertible."""
     a, b = f.src, f.dst
-    if a.module.dims.keys() != b.module.dims.keys():
+    g0 = invert_blocks(f.f_map(0))
+    if g0 is None:
         return None
-    f0 = f.f_map(0)
-    inv_blocks = {}
-    for (i, j), n in b.module.dims.items():
-        if a.module.dim(i, j) != n:
-            return None
-        blk = f0.block(i, j).inverse()
-        if blk is None:
-            return None
-        inv_blocks[(i, j)] = blk
-    g0 = BigradedMap(b.module, a.module, (0, 0), inv_blocks)
     g = {0: g0}
     # g_m = -f_0^{-1} (sum_{i+j=m, i>0} f_i g_j), a triangular recursion;
     # g_m can only be nonzero where a bidegree-(-m,-m) map B -> A exists
@@ -555,7 +546,7 @@ def cone(f: TwistedMorphism, r: int) -> ConeObject:
 # r-homotopies
 # ---------------------------------------------------------------------------
 
-def _homotopy_lhs(h: RHomotopy, m: int) -> BigradedMap:
+def homotopy_lhs(h: RHomotopy, m: int) -> BigradedMap:
     """sum_{i+j=m} (-1)^{i+r} d_i^B hhat_j + (-1)^i hhat_i d_j^A."""
     a, b, r = h.src, h.dst, h.r
     acc = zero_map(a.module, b.module, (-m + r, -m + r))
@@ -609,7 +600,7 @@ def check_r_homotopy(h: RHomotopy) -> Report:
             ms.add(i + j)
     ms |= {m + r for m in set(h.f.f) | set(h.g.f)}
     for m in sorted(ms):
-        lhs = _homotopy_lhs(h, m)
+        lhs = homotopy_lhs(h, m)
         if m >= r:
             lhs = lhs - (h.g.f_map(m - r) - h.f.f_map(m - r))
         rep.tick()

@@ -8,7 +8,7 @@ from multiplex.bigraded import (
     nary_tensor_maps, node, power_module, power_tree, tree_iso, zero_map,
 )
 from multiplex.dainf import DAInfAlgebra, lambda_r_dga
-from multiplex.linalg import Matrix, subquotient
+from multiplex.linalg import Matrix
 from multiplex.reports import Report
 from multiplex.twisted import RHomotopy, compose, identity_morphism, path
 
@@ -90,12 +90,44 @@ def invert_strict_iso(f):
     return BigradedMap(f.dst, f.src, (0, 0), blocks)
 
 
+class AmbientSubquotient:
+    """Reference subquotient Z/B in ambient coordinates, for any spanning
+    columns Z and B: the rep columns are the pivot columns in the Z part of
+    one echelon of [B | Z], and each reduction is a solve."""
+
+    def __init__(self, Z, B):
+        _, pivots = B.hstack(Z)._echelon()
+        if len(pivots) != Z.rank():
+            raise ValueError("boundary span not contained in cycle span")
+        keep = [c - B.cols for c in pivots if c >= B.cols]
+        self.cycle_basis, self.boundary_basis = Z, B
+        self.rep_basis, self.dim = Z.take_cols(keep), len(keep)
+
+    def reduce(self, v):
+        x = self.rep_basis.hstack(self.boundary_basis).solve(v)
+        if x is None:
+            raise ValueError("vector not in the cycle span")
+        return x.get_block(0, 0, self.dim, v.cols)
+
+
+def ambient_induced_map(f, src, dst):
+    """Reference induced map between AmbientSubquotients: containment
+    checked by solves, the matrix by reducing f on the rep basis."""
+    if dst.cycle_basis.solve(f * src.cycle_basis) is None:
+        raise ValueError("map does not send cycles to cycles")
+    if dst.boundary_basis.solve(f * src.boundary_basis) is None:
+        raise ValueError("map does not send boundaries to boundaries")
+    if src.dim == 0:
+        return Matrix.zero(f.field, dst.dim, 0)
+    return dst.reduce(f * src.rep_basis)
+
+
 def column_subquotient(a, p, q):
     """H^q(A_p^*, d_0) computed directly with exact linear algebra."""
     d0 = a.d_map(0)
     ker = d0.block(p, q).kernel_basis()
     img = d0.block(p, q - 1)
-    return subquotient(ker, img)
+    return AmbientSubquotient(ker, img)
 
 
 def page_to_column_coords(page, p, q, sq):

@@ -10,8 +10,8 @@ import random
 import pytest
 
 from conftest import (
-    SHAPE, column_subquotient, corrupt_homotopy, invert_strict_iso,
-    lemma_path_homotopy, page_to_column_coords,
+    SHAPE, ambient_induced_map, column_subquotient, corrupt_homotopy,
+    invert_strict_iso, lemma_path_homotopy, page_to_column_coords,
 )
 from multiplex.dainf import (
     DAInfAlgebra, DAInfHomotopy, DAInfMorphism, check_dainf,
@@ -26,7 +26,7 @@ from multiplex.generators import (
     random_filtered_complex, random_homotopic_pair, random_null_homotopic_map,
     random_twisted_complex, random_zero_product_dainf,
 )
-from multiplex.linalg import GF, QQ, Matrix, induced_map
+from multiplex.linalg import GF, QQ, Matrix
 from multiplex.operadic import check_coderh, default_truncation
 from multiplex.spectral import (
     check_page_recursion, is_er_quasi_iso, is_er_quasi_iso_via_cone,
@@ -109,7 +109,7 @@ def test_page_conformance(twisted_corpus):
                 inv = chg.inverse()
                 assert inv is not None
                 got = tchg * p1.delta_mat(p, q) * inv
-                assert got == induced_map(d1.block(p, q), sq, tsq)
+                assert got == ambient_induced_map(d1.block(p, q), sq, tsq)
         checked += 1
     rng = random.Random(41_000)
     a = random_twisted_complex(QQ, rng, spots=3)

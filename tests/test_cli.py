@@ -399,6 +399,49 @@ def test_homotopy_check_dainf_target_failing_relations(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def _bad_algebra_doc(tmp_path, field, bad):
+    """A fails (A_uv) and B is one-dimensional with no operations; f: A ->
+    B, g: B -> A and z: A -> A are zero, and H: f ~_1 f has "h": {}."""
+    objects = {
+        "A": mio.dump_dainf(field, BAD_ALGEBRAS[bad](field)),
+        "B": {"type": "dainf_algebra", "dims": [[0, 0, 1]], "m": {}},
+        "f": {"type": "dainf_morphism", "src": "A", "dst": "B"},
+        "g": {"type": "dainf_morphism", "src": "B", "dst": "A"},
+        "z": {"type": "dainf_morphism", "src": "A", "dst": "A"},
+        "H": {"type": "dainf_homotopy", "r": 1, "f": "f", "g": "f",
+              "h": {}},
+    }
+    return write_doc(tmp_path, "bad-algebra.json", objects, field)
+
+
+# each command decides (A_uv) on the algebras it reads before any morphism
+# work; every morphism condition on these zero maps holds, so without that
+# they printed "ok (0 conditions)" or wrote a composite, with exit 0
+@pytest.mark.parametrize("field", [F, QQ], ids=str)
+@pytest.mark.parametrize("bad", sorted(BAD_ALGEBRAS))
+@pytest.mark.parametrize("argv", [
+    ["homotopy", "check", "--dainf", "{doc}", "--name", "H"],
+    ["check", "dainf-morphism", "{doc}", "--name", "f"],
+    ["check", "dainf-morphism", "{doc}", "--name", "g"],
+    ["compose", "--dainf", "{doc}", "{doc}", "--name-f", "z", "--name-g",
+     "z", "-o", "{out}"],
+    ["compose", "--dainf", "{doc}", "{doc}", "--name-f", "f", "--name-g",
+     "g", "-o", "{out}"],
+], ids=["homotopy-source", "morphism-source", "morphism-target",
+        "compose-endo", "compose-middle"])
+def test_dainf_morphism_commands_decide_relations(tmp_path, capsys, field,
+                                                  bad, argv):
+    doc = _bad_algebra_doc(tmp_path, field, bad)
+    out = tmp_path / "out.json"
+    assert main([a.format(doc=doc, out=out) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "failed: derived A-infinity relations (A_uv): FAILED")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_filtered_ainf_via_cli(tmp_path):
     from multiplex.filtered_ainf import tot_dainf
     lam = lambda_r_dga(0, F)
@@ -909,7 +952,8 @@ def _raise(exc):
 @pytest.mark.parametrize("argv, owner, name, exc", [
     (["spectral", "{complex}", "--page", "1"], linalg.Subquotient,
      "__init__",
-     AssertionError("rep basis size disagrees with rank arithmetic")),
+     AssertionError("path constructions disagree at m_(0, 2): tensor "
+                    "route vs printed block matrices")),
     (["tensor", "{tiny}", "{tiny}"], twisted, "tensor_maps",
      AssertionError("tensor block landed outside target")),
     (["er-qis", "{full}", "--name", "f", "-r", "1"], linalg.Subquotient,

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import REF_SHAPES, assert_canonical
+from conftest import (
+    REF_SHAPES, AmbientSubquotient, ambient_induced_map, assert_canonical,
+)
 
 from multiplex.filtration import tot, tot_morphism
 from multiplex.generators import random_endo_morphism, random_twisted_complex
 from multiplex.linalg import (
-    GF, QQ, Field, Matrix, SignedPerm, Subquotient, induced_map, subquotient,
+    GF, QQ, Field, Matrix, SignedPerm, Subquotient, induced_map,
 )
 from multiplex.twisted import cone
 
@@ -85,26 +87,31 @@ def test_rank_nullity_and_solve_consistency(field, seed):
 
 def test_subquotient_dims():
     f = GF()
-    i2 = Matrix.identity(f, 2)
-    assert subquotient(i2, Matrix.zero(f, 2, 0)).dim == 2
-    assert subquotient(i2, i2).dim == 0
-    b = Matrix.from_rows(f, [[1], [1]])
-    sq = subquotient(i2, b)
-    assert sq.dim == 1
+    i2, free = Matrix.identity(f, 2), [0, 1]
+    for b, dim in ((Matrix.zero(f, 2, 0), 2), (i2, 0),
+                   (Matrix.from_rows(f, [[1], [1]]), 1)):
+        sq = Subquotient(i2, b, free)
+        assert sq.dim == dim
+        assert (sq.rep_basis, sq.dim) == _ref_subquotient(i2, b)
 
 
 def test_subquotient_requires_inclusion():
     f = QQ
     z = Matrix.from_rows(f, [[1], [0]])
     b = Matrix.from_rows(f, [[0], [1]])
-    with pytest.raises(ValueError):
-        subquotient(z, b)
+    for build in (lambda: Subquotient(z, b, [0]),
+                  lambda: _ref_subquotient(z, b)):
+        with pytest.raises(ValueError,
+                           match="boundary span not contained in cycle span"):
+            build()
 
 
 def test_induced_map_identity_zero_and_collapse():
     f = GF()
     i2 = Matrix.identity(f, 2)
-    sq = subquotient(i2, Matrix.from_rows(f, [[1], [1]]))
+    b = Matrix.from_rows(f, [[1], [1]])
+    sq = Subquotient(i2, b, [0, 1])
+    assert (sq.rep_basis, sq.dim) == _ref_subquotient(i2, b)
     assert induced_map(i2, sq, sq) == Matrix.identity(f, 1)
     assert induced_map(Matrix.zero(f, 2, 2), sq, sq).is_zero()
     # collapsing everything into the boundary of the target induces zero
@@ -120,7 +127,8 @@ def test_induced_map_composes(seed):
     n = 4
     amb = Matrix.identity(f, n)
     b = rand_matrix(f, n, 1, rng)
-    sq = subquotient(amb, b)
+    sq = Subquotient(amb, b, list(range(n)))
+    assert (sq.rep_basis, sq.dim) == _ref_subquotient(amb, b)
     # endomorphisms preserving everything trivially (Z = ambient)
     g1 = rand_matrix(f, n, n, rng)
     g2 = rand_matrix(f, n, n, rng)
@@ -288,9 +296,12 @@ def test_qq_elimination_with_fractions_matches_reference(seed, monkeypatch):
         assert rest == ref_rest
         for mat in [ech] + [x for x in rest if x is not None]:
             _assert_canonical(mat)
-        sq = subquotient(m, m * _rand_rational_matrix(m.cols, 2, rng, big))
+        z, free = m.kernel()
+        sq = Subquotient(z, z * _rand_rational_matrix(z.cols, 2, rng, big),
+                         free)
         rep, dim = _ref_subquotient(sq.cycle_basis, sq.boundary_basis)
         assert (sq.rep_basis, sq.dim) == (rep, dim)
+        _assert_canonical(sq.reduction)
 
 
 def test_qq_entries_are_exact_and_canonical():
@@ -352,23 +363,26 @@ def test_qq_integral_results_of_fraction_inputs_are_ints(seed):
 
 
 def _subquotient_cases(field, rng):
+    """(Z, B, free) with Z in kernel form: the kernel of a random low-rank
+    matrix, with B in its span, and edge cases."""
     n = rng.randint(1, 7)
-    z = _rand_low_rank(field, n, rng.randint(1, 7), rng.randint(1, 4), rng)
+    z, free = _rand_low_rank(field, rng.randint(0, 4), n, rng.randint(0, 3),
+                             rng).kernel()
     yield z, z * _rand_low_rank(field, z.cols, rng.randint(0, 5),
-                                rng.randint(0, 3), rng)
-    yield z, Matrix.zero(field, n, 0)                      # empty B
-    yield Matrix.zero(field, n, 0), Matrix.zero(field, n, 0)  # empty Z
-    yield Matrix.zero(field, n, 2), Matrix.zero(field, n, 1)  # zero columns
-    yield Matrix.zero(field, 0, 3), Matrix.zero(field, 0, 2)  # zero-row ambient
-    yield z.hstack(z), z                                   # B = Z, Z repeated
+                                rng.randint(0, 3), rng), free
+    yield z, Matrix.zero(field, n, 0), free                # empty B
+    yield z, Matrix.zero(field, n, 2), free                # zero columns
+    yield Matrix.zero(field, n, 0), Matrix.zero(field, n, 1), []  # empty Z
+    yield Matrix.zero(field, 0, 0), Matrix.zero(field, 0, 2), []  # zero-row ambient
+    yield z, z, free                                       # B = Z
 
 
 @pytest.mark.parametrize("field", REF_FIELDS, ids=str)
 @pytest.mark.parametrize("seed", range(12))
 def test_subquotient_matches_reference(field, seed):
     rng = random.Random(8000 + seed)
-    for z, b in _subquotient_cases(field, rng):
-        sq = subquotient(z, b)
+    for z, b, free in _subquotient_cases(field, rng):
+        sq = Subquotient(z, b, free)
         rep, dim = _ref_subquotient(z, b)
         assert sq.dim == dim
         assert sq.rep_basis == rep
@@ -381,16 +395,13 @@ def test_subquotient_rejects_boundary_outside_cycles(field, seed):
     rng = random.Random(9000 + seed)
     n = rng.randint(2, 6)
     # Z spans the first n-1 coordinates, B has a column off that span
-    z = Matrix.zero(field, n, n - 1)
-    for i in range(n - 1):
-        z[i, i] = field.one()
-    z = z * _rand_low_rank(field, n - 1, rng.randint(1, 5), n - 1, rng)
-    b = z * rand_matrix(field, z.cols, 2, rng)
+    z = Matrix.identity(field, n).get_block(0, 0, n, n - 1)
+    b = z * rand_matrix(field, n - 1, 2, rng)
     b[n - 1, rng.randrange(2)] = field.one()
     with pytest.raises(ValueError):
         _ref_subquotient(z, b)
-    with pytest.raises(ValueError):
-        subquotient(z, b)
+    with pytest.raises(ValueError, match="boundary span not contained"):
+        Subquotient(z, b, list(range(n - 1)))
 
 
 def _kernel_form(field, rng):
@@ -422,19 +433,18 @@ def _boundary_in(z, rng):
 @pytest.mark.parametrize("seed", range(12))
 def test_identity_row_subquotient_matches_reference(field, seed):
     """Z given with the rows on which it is the identity: the rep basis is
-    read off in coordinates, and equals the reference and generic paths."""
+    read off in coordinates, and equals the reference, and reduce agrees
+    with the ambient route."""
     rng = random.Random(8500 + seed)
     for _ in range(4):
         z, free = _kernel_form(field, rng)
         b = _boundary_in(z, rng)
-        sq = subquotient(z, b, free)
+        sq = Subquotient(z, b, free)
         rep, dim = _ref_subquotient(z, b)
-        generic = subquotient(z, b)
         assert (sq.rep_basis, sq.dim) == (rep, dim)
-        assert (sq.rep_basis, sq.dim) == (generic.rep_basis, generic.dim)
         assert sq.cycle_basis is z and sq.boundary_basis == b
         v = z * rand_matrix(field, z.cols, 2, rng)
-        assert sq.reduce(v) == generic.reduce(v)
+        assert sq.reduce(v) == AmbientSubquotient(z, b).reduce(v)
 
 
 @pytest.mark.parametrize("field", REF_FIELDS, ids=str)
@@ -444,14 +454,15 @@ def test_identity_row_subquotient_rejects_bad_input(field, seed):
     z, free = _kernel_form(field, rng)
     while not z.cols or len(free) == z.rows:
         z, free = _kernel_form(field, rng)
-    # a boundary column off span Z: the same error as the generic path
+    # a boundary column off span Z: the same error as the ambient route
     b = _boundary_in(z, rng)
     off = Matrix.zero(field, z.rows, 1)
     off[next(i for i in range(z.rows) if i not in free), 0] = field.one()
     off = off + z * rand_matrix(field, z.cols, 1, rng)
-    for args in ((z, b.hstack(off), free), (z, b.hstack(off))):
+    for build in (lambda: Subquotient(z, b.hstack(off), free),
+                  lambda: AmbientSubquotient(z, b.hstack(off))):
         with pytest.raises(ValueError, match="boundary span not contained"):
-            subquotient(*args)
+            build()
     with pytest.raises(ValueError):
         _ref_subquotient(z, b.hstack(off))
     # rows on which Z is not the identity
@@ -462,41 +473,16 @@ def test_identity_row_subquotient_rejects_bad_input(field, seed):
     for bad_z, bad_free in ((zero_row, sorted([other] + free[1:])),
                             (z, free[1:]), (scaled, free)):
         with pytest.raises(ValueError, match="not the identity"):
-            subquotient(bad_z, Matrix.zero(field, z.rows, 0), bad_free)
+            Subquotient(bad_z, Matrix.zero(field, z.rows, 0), bad_free)
 
 
 # -- cycle coordinates against the ambient route ------------------------------
 # Spectral page entries are kernel-form subquotients: Z from
 # FilteredComplex.kernel, the boundaries its leading columns and d Z' for
 # another kernel Z'.  They reduce and induce maps in cycle coordinates.  The
-# reference is the ambient route: one echelon of [B | Z] for the rep
-# columns, and a solve per reduction and per containment check.
-
-class _AmbientSubquotient:
-    def __init__(self, Z, B):
-        _, pivots = B.hstack(Z)._echelon()
-        if len(pivots) != Z.rank():
-            raise ValueError("boundary span not contained in cycle span")
-        keep = [c - B.cols for c in pivots if c >= B.cols]
-        self.cycle_basis, self.boundary_basis = Z, B
-        self.rep_basis, self.dim = Z.take_cols(keep), len(keep)
-
-    def reduce(self, v):
-        x = self.rep_basis.hstack(self.boundary_basis).solve(v)
-        if x is None:
-            raise ValueError("vector not in the cycle span")
-        return x.get_block(0, 0, self.dim, v.cols)
-
-
-def _ambient_induced_map(f, src, dst):
-    if dst.cycle_basis.solve(f * src.cycle_basis) is None:
-        raise ValueError("map does not send cycles to cycles")
-    if dst.boundary_basis.solve(f * src.boundary_basis) is None:
-        raise ValueError("map does not send boundaries to boundaries")
-    if src.dim == 0:
-        return Matrix.zero(f.field, dst.dim, 0)
-    return dst.reduce(f * src.rep_basis)
-
+# reference is the ambient route (conftest.AmbientSubquotient): one echelon
+# of [B | Z] for the rep columns, and a solve per reduction and per
+# containment check.
 
 def _page_entry_pairs(k, r):
     """((p, q), n, kernel-form E_r^{p,q}, its ambient reference) for each
@@ -509,8 +495,8 @@ def _page_entry_pairs(k, r):
         b2 = k.d_mat(n - 1) * z2.get_block(
             0, 0, z2.rows, bisect_left(free2, k.cut(n - 1, p + r - 1)))
         yield ((p, q), n, Subquotient(z, b2, free, lead),
-               _AmbientSubquotient(z, z.get_block(0, 0, z.rows, lead)
-                                   .hstack(b2)))
+               AmbientSubquotient(z, z.get_block(0, 0, z.rows, lead)
+                                  .hstack(b2)))
 
 
 def _error_text(fn):
@@ -535,16 +521,16 @@ def _assert_same_failures(sq, ref, free, rng):
     checks = [(lambda: sq.reduce(v), lambda: ref.reduce(v),
                "vector not in the cycle span"),
               (lambda: induced_map(off, sq, sq),
-               lambda: _ambient_induced_map(off, ref, ref),
+               lambda: ambient_induced_map(off, ref, ref),
                "map does not send cycles to cycles")]
     if sq.dim < z.cols:
         # the identity into Z / 0 sends the nonzero boundaries outside
         none = Matrix.zero(field, z.rows, 0)
         bare = Subquotient(z, none, sq.free_rows)
-        bare_ref = _AmbientSubquotient(z, none)
+        bare_ref = AmbientSubquotient(z, none)
         one = Matrix.identity(field, z.rows)
         checks.append((lambda: induced_map(one, sq, bare),
-                       lambda: _ambient_induced_map(one, ref, bare_ref),
+                       lambda: ambient_induced_map(one, ref, bare_ref),
                        "map does not send boundaries to boundaries"))
     for got, want, text in checks:
         assert _error_text(got) == _error_text(want) == text
@@ -559,10 +545,10 @@ def _no_elimination(*args):
 @pytest.mark.parametrize("seed", range(3))
 def test_cycle_coordinates_match_ambient_route(field, seed, monkeypatch):
     """Kernel-form page entries of REF_SHAPES complexes and of their
-    1-cones, and the generic subquotients of the same Z and B, agree with
-    the ambient route on dim, rep_basis, boundary_basis, reduce(Z x) and
-    the maps induced by a chain endomorphism, and fail with the same text.
-    Kernel-form reduce and induced_map neither solve nor eliminate."""
+    1-cones agree with the ambient route on dim, rep_basis,
+    boundary_basis, reduce(Z x) and the maps induced by a chain
+    endomorphism, and fail with the same text.  Kernel-form reduce and
+    induced_map neither solve nor eliminate."""
     rng = random.Random(9500 + seed)
     a = random_twisted_complex(field, rng, **REF_SHAPES[seed])
     complexes = [a, cone(random_endo_morphism(a, rng), 1).complex]
@@ -572,23 +558,17 @@ def test_cycle_coordinates_match_ambient_route(field, seed, monkeypatch):
         endo = tot_morphism(random_endo_morphism(c, rng, k), k, k)
         for r in range(3):
             for pq, n, sq, ref in _page_entry_pairs(k, r):
-                generic = subquotient(ref.cycle_basis, ref.boundary_basis)
                 z, f = sq.cycle_basis, endo.block(n)
                 v = z * rand_matrix(field, z.cols, 2, rng)
                 want = (ref.dim, ref.rep_basis, ref.boundary_basis,
-                        ref.reduce(v), _ambient_induced_map(f, ref, ref))
-                assert (generic.dim, generic.rep_basis,
-                        generic.boundary_basis, generic.reduce(v),
-                        induced_map(f, generic, generic)) == want, (r, pq)
+                        ref.reduce(v), ambient_induced_map(f, ref, ref))
                 with monkeypatch.context() as mp:
                     mp.setattr(Matrix, "solve", _no_elimination)
                     mp.setattr(Matrix, "_echelon", _no_elimination)
                     got = (sq.dim, sq.rep_basis, sq.boundary_basis,
                            sq.reduce(v), induced_map(f, sq, sq))
                 assert got == want, (r, pq)
-                for route in (sq, generic):
-                    failures += _assert_same_failures(route, ref,
-                                                      sq.free_rows, rng)
+                failures += _assert_same_failures(sq, ref, sq.free_rows, rng)
     assert failures
 
 

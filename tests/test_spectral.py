@@ -2,7 +2,10 @@ import random
 
 import pytest
 
-from conftest import REF_SHAPES
+from conftest import (
+    REF_SHAPES, AmbientSubquotient, ambient_induced_map, column_subquotient,
+    page_to_column_coords,
+)
 from multiplex import spectral
 from multiplex.bigraded import BigradedMap, BigradedModule
 from multiplex.filtration import tot
@@ -10,10 +13,10 @@ from multiplex.generators import (
     random_endo_morphism, random_homotopic_pair, random_null_homotopic_map,
     random_twisted_complex,
 )
-from multiplex.linalg import GF, QQ, Matrix, subquotient
+from multiplex.linalg import GF, QQ, Matrix, Subquotient
 from multiplex.spectral import (
-    check_page_recursion, is_er_quasi_iso, is_er_quasi_iso_via_cone,
-    page_of_morphism, spectral_page,
+    SpectralPage, check_page_recursion, is_er_quasi_iso,
+    is_er_quasi_iso_via_cone, page_of_morphism, spectral_page,
 )
 from multiplex.twisted import (
     TwistedComplex, TwistedMorphism, check_twisted, compose, cone,
@@ -80,47 +83,21 @@ def test_page_zero_and_one_closed_forms(seed):
     d1 = a.d_map(1)
     for (p, q), n in a.module.dims.items():
         # independent oracle: H^q(A_p^*, d_0) via exact-linalg subquotients
-        ker = d0.block(p, q).kernel_basis()
-        img = d0.block(p, q - 1)
-        sq = subquotient(ker, img * Matrix.identity(F, img.cols))
+        sq = column_subquotient(a, p, q)
         assert p1.dim(p, q) == sq.dim
         if sq.dim and p1.dim(p - 1, q):
-            tker = d0.block(p - 1, q).kernel_basis()
-            timg = d0.block(p - 1, q - 1)
-            tsq = subquotient(tker, timg)
+            tsq = column_subquotient(a, p - 1, q)
             # H_{d_0}(d_1) on the same deterministic rep bases
-            from multiplex.linalg import induced_map
-            expected = induced_map(d1.block(p, q), sq, tsq)
-            got = _page1_delta_in_column_coords(p1, a, p, q, sq, tsq)
+            expected = ambient_induced_map(d1.block(p, q), sq, tsq)
+            got = _page1_delta_in_column_coords(p1, p, q, sq, tsq)
             assert got == expected
 
 
-def _to_column_coords(page, p, q, sq):
-    """Change of basis from page-1 rep coordinates at (p,q) to the
-    canonical ker/im coordinates of the single column: project lifts to
-    column p and reduce by the column subquotient."""
-    k = page.complex
-    n = q - p
-    col_rows = [idx for idx, (i, _) in enumerate(k.basis(n)) if i == p]
-    e = page.entries[(p, q)]
-    field = k.field
-    chg = Matrix.zero(field, sq.dim, e.dim)
-    for c in range(e.dim):
-        v = e.rep_basis.take_cols([c])
-        colv = Matrix.zero(field, len(col_rows), 1)
-        for out_r, rr in enumerate(col_rows):
-            colv[out_r, 0] = v[rr, 0]
-        red = sq.reduce(colv)
-        for rr in range(sq.dim):
-            chg[rr, c] = red[rr, 0]
-    return chg
-
-
-def _page1_delta_in_column_coords(p1, a, p, q, sq, tsq):
+def _page1_delta_in_column_coords(p1, p, q, sq, tsq):
     """Rewrite the computed delta_1 block through the canonical
     identification of E_1^{p,q} with ker/im inside the single column."""
-    chg = _to_column_coords(p1, p, q, sq)
-    tchg = _to_column_coords(p1, p - 1, q, tsq)
+    chg = page_to_column_coords(p1, p, q, sq)
+    tchg = page_to_column_coords(p1, p - 1, q, tsq)
     inv = chg.inverse()
     assert inv is not None
     return tchg * p1.delta_mat(p, q) * inv
@@ -138,14 +115,6 @@ def _nondegenerate_draw(rng):
     return a
 
 
-def _column_subquotient(a, p, q):
-    """H^q(A_p^*, d_0) by direct exact-linalg computation."""
-    d0 = a.d_map(0)
-    ker = d0.block(p, q).kernel_basis()
-    img = d0.block(p, q - 1)
-    return subquotient(ker, img)
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_e1_of_morphism_closed_form(seed):
     """E_1(f) = H_{d_0}(f_0) on the canonical column coordinates."""
@@ -154,16 +123,15 @@ def test_e1_of_morphism_closed_form(seed):
     f = random_endo_morphism(a, rng)
     p1 = spectral_page(a, 1)
     blocks = page_of_morphism(f, 1, p1, p1)
-    from multiplex.linalg import induced_map
     for (p, q) in a.module.support():
-        sq = _column_subquotient(a, p, q)
+        sq = column_subquotient(a, p, q)
         if sq.dim == 0:
             continue
-        chg = _to_column_coords(p1, p, q, sq)
+        chg = page_to_column_coords(p1, p, q, sq)
         inv = chg.inverse()
         assert inv is not None
         got = chg * blocks[(p, q)] * inv
-        expected = induced_map(f.f_map(0).block(p, q), sq, sq)
+        expected = ambient_induced_map(f.f_map(0).block(p, q), sq, sq)
         assert got == expected
 
 
@@ -186,6 +154,40 @@ def test_page_recursion(seed, r):
     a = random_twisted_complex(F, rng)
     ok, detail = check_page_recursion(a, r)
     assert ok, detail
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=str)
+@pytest.mark.parametrize("seed", range(len(REF_SHAPES)))
+def test_page_recursion_rejects_altered_pages(field, seed):
+    """check_page_recursion accepts the true page r + 1 and rejects one
+    with a nonzero delta entry scaled by 2, or with an entry that lost a
+    rep column to its boundaries."""
+    rng = random.Random(2300 + seed)
+    k = tot(random_twisted_complex(field, rng, **REF_SHAPES[seed]))
+    scaled = 0
+    for r in range(4):
+        page, nxt = spectral_page(k, r), spectral_page(k, r + 1)
+        assert check_page_recursion(k, r, page, nxt) == (True, "")
+        for pq, m in sorted(nxt.delta.items())[:1]:
+            delta = dict(nxt.delta)
+            delta[pq] = m.scale(field.of_int(2))
+            bad = SpectralPage(r + 1, k, nxt.entries, delta)
+            assert check_page_recursion(k, r, page, bad) == \
+                (False, f"delta mismatch at {pq}")
+            scaled += 1
+        pq, e = next((pq, e) for pq, e in sorted(nxt.entries.items())
+                     if e.dim)
+        entries = dict(nxt.entries)
+        entries[pq] = Subquotient(
+            e.cycle_basis,
+            e.boundary_basis.hstack(e.rep_basis.take_cols([0])),
+            e.free_rows)
+        assert entries[pq].dim == e.dim - 1
+        bad = SpectralPage(r + 1, k, entries, nxt.delta)
+        assert check_page_recursion(k, r, page, bad) == \
+            (False, f"dim mismatch at {pq}: homology {e.dim}, "
+                    f"page {e.dim - 1}")
+    assert scaled
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -307,9 +309,10 @@ def test_homotopic_maps_same_next_page(seed, r):
 
 # -- cross-check against the per-entry route ---------------------------------
 # The reference builds every cycle basis with its own kernel_basis on the
-# column prefix F_p and every entry with the generic two-echelon
-# Subquotient; spectral_page shares one kernel per (n, s, t) and reads the
-# rep columns off in cycle coordinates.
+# column prefix F_p and every entry as an AmbientSubquotient, which picks
+# the rep columns by one echelon of [B | Z] and reduces by solving;
+# spectral_page shares one kernel per (n, s, t) and reads the rep columns
+# off in cycle coordinates.
 
 def _ref_cut(k, n, p):
     return next((off for i, (off, _) in k.layout(n).items() if i > p),
@@ -333,7 +336,7 @@ def _ref_page(k, r):
         n = q - p
         b = _ref_z_basis(k, r - 1, p - 1, n).hstack(
             k.d_mat(n - 1) * _ref_z_basis(k, r - 1, p + r - 1, n - 1))
-        entries[(p, q)] = subquotient(_ref_z_basis(k, r, p, n), b)
+        entries[(p, q)] = AmbientSubquotient(_ref_z_basis(k, r, p, n), b)
     delta = {}
     for (p, q), e in entries.items():
         tgt = entries.get((p - r, q - r + 1))
