@@ -181,12 +181,16 @@ def cmd_spectral(args) -> int:
     doc = _read(args.file)
     name, obj = doc.select(args.name, TwistedComplex, FilteredComplex,
                            what="complex")
-    rep = (check_twisted if isinstance(obj, TwistedComplex)
-           else check_filtered_complex)(obj)
+    if isinstance(obj, TwistedComplex):
+        # totalized once: (A_m) is decided on the D^n the page reads
+        k = tot(obj)
+        rep = check_twisted(obj, k)
+    else:
+        k, rep = obj, check_filtered_complex(obj)
     if not rep.ok:
         print(rep)
         return 1
-    page = spectral_page(obj, args.page)
+    page = spectral_page(k, args.page)
     entries = {f"{p},{q}": page.dim(p, q) for (p, q) in sorted(page.entries)
                if page.dim(p, q)}
     if args.format == "json":

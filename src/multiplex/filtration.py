@@ -26,7 +26,7 @@ the twisted-complex checkers decide their conditions on Tot too.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from .bigraded import (
     BigradedMap, BigradedModule, degrees_of, tensor_modules, tensor_summands,
@@ -55,21 +55,24 @@ def _check_filtered(mat: Matrix, src: dict, dst: dict, shift: int,
     """ValueError unless mat has the shape of a map from the layout src to
     the layout dst and sends column i into columns <= i + shift.  The
     message names the first offending (i, i2) in row-major order: source
-    columns ascend, so row block i2 is tested on the column prefix of the
-    columns i < i2 - shift."""
+    columns ascend, so row block i2 is tested, row by row in place, on the
+    column prefix of the columns i < i2 - shift, which ends at the offset
+    of the first column i >= i2 - shift."""
     rows = sum(dim for _, dim in dst.values())
     cols = sum(dim for _, dim in src.values())
     if mat.rows != rows or mat.cols != cols:
         raise ValueError(f"{what} has shape {mat.rows}x{mat.cols}, "
                          f"expected {rows}x{cols}")
+    keys, data = list(src), mat.data
+    ends = [c0 for c0, _ in src.values()] + [cols]
     for i2, (r0, height) in dst.items():
-        width = sum(dim for i, (_, dim) in src.items() if i < i2 - shift)
-        data = mat.get_block(r0, 0, height, width).data
-        t = next((t for t, v in enumerate(data) if v), None)
-        if t is not None:
-            i = next(i for i, (c0, dim) in src.items()
-                     if c0 <= t % width < c0 + dim)
-            raise ValueError(f"{violates}: column {i} hits column {i2}")
+        width = ends[bisect_left(keys, i2 - shift)]
+        for r in range(r0 * cols, (r0 + height) * cols, cols):
+            if any(data[r:r + width]):
+                t = next(t for t in range(width) if data[r + t])
+                i = next(i for i, (c0, dim) in src.items()
+                         if c0 <= t < c0 + dim)
+                raise ValueError(f"{violates}: column {i} hits column {i2}")
 
 
 class FilteredComplex:
@@ -123,29 +126,39 @@ class FilteredComplex:
         {x in F_t Tot^n : dx in F_s}, and K is the identity on the rows
         listed in free.  Computed once per (n, s, t).
 
+        d^n keeps every F_i, so only its block from the columns in (s, t]
+        to the rows in (s, t] can be nonzero: F_s is free.  K is written
+        directly, as unit columns on F_s and, below them, the kernel of
+        that window block; its rows beyond F_t are zero.
+
         Column c of K has its last nonzero entry on row free[c], so for
         t' <= t the kernel for (n, s, t') is the leading columns of K, those
         with free[c] < dim F_t' Tot^n."""
         key = (n, s, t)
         got = self._kernels.get(key)
         if got is None:
-            # d^n keeps every F_i, so only its block from the columns in
-            # (s, t] to the rows in (s, t] can be nonzero: F_s is free
             top = self.cut(n, t)
             low = min(self.cut(n, s), top)
             r0 = self.cut(n + 1, s)
             rows = self.cut(n + 1, t) - r0
-            if rows > 0 and top > low:
+            if rows <= 0:
+                # nothing of F_t leaves F_s: all of F_t is free
+                low = top
+            free = list(range(low))
+            if top > low:
                 ker, ker_free = self.d_mat(n).get_block(
                     r0, low, rows, top - low).kernel()
-            else:
-                ker = Matrix.identity(self.field, top - low)
-                ker_free = range(top - low)
-            free = list(range(low)) + [low + c for c in ker_free]
-            K = Matrix.identity(self.field, self.dim(n)).get_block(
-                0, 0, self.dim(n), len(free))
-            K.set_block(low, low, ker)
-            got = self._kernels[key] = K, free
+                free += [low + c for c in ker_free]
+            j = len(free)
+            data = [0] * (self.dim(n) * j)
+            data[:low * (j + 1):j + 1] = [self.field.one()] * low
+            if top > low:
+                w, kd = ker.cols, ker.data
+                for r in range(top - low):
+                    base = (low + r) * j + low
+                    data[base:base + w] = kd[r * w:(r + 1) * w]
+            got = self._kernels[key] = Matrix._of(
+                self.field, self.dim(n), j, data), free
         return got
 
     def basis(self, n: int) -> list[tuple[int, int]]:

@@ -43,13 +43,14 @@ entry through ``Field.parse``, which words every entry error.
 Size budget: a module declared by "dims" may have total dimension (the sum
 of its ranks, so also any single rank) at most MAX_DIMENSION = 10^4, and
 so may the tensor product that the tensor command would build from two
-documents and the tensor power A^{(x) v} with v = 2k - 1 for each arity
-key k of a filtered_ainf ("k"), dainf_algebra, dainf_morphism or
-dainf_homotopy ("i,k", on the source module) document: the relations of
-an algebra compose m_k after 1 (x) m_k (x) 1, and morphism and homotopy
-keys follow the same rule.  Those arities v are at most MAX_ARITY = 100.
-A larger declaration is an input error (exit 2), reported before
-anything of that size is allocated.
+documents and the tensor power A^{(x) v} that each arity key k builds:
+v = 2k - 1 for a key of a filtered_ainf ("k") or dainf_algebra ("i,k")
+document, whose relations compose m_k after 1 (x) m_k (x) 1, and v = k
+for a key of a dainf_morphism or dainf_homotopy ("i,k", on the source
+module), whose blocks live on the k-th power.  Those arities v are at
+most MAX_ARITY = 100.  A larger declaration is an input error (exit 2),
+reported before anything of that size is allocated.  The powers that a
+command builds from several keys together are bounded by that command.
 
 The modulus p is a JSON integer, prime and below 2^64 (primality is
 decided exactly by deterministic Miller-Rabin in that range); a string
@@ -84,8 +85,10 @@ class DocumentError(ValueError):
 
 
 def _is_int(x) -> bool:
-    """A JSON integer: bool is an int subclass but JSON true/false is not."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """A JSON integer: bool is an int subclass but JSON true/false is not.
+    A plain int, which is what the JSON decoder gives, passes on the
+    first test."""
+    return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_field(payload) -> Field:
@@ -136,19 +139,22 @@ def check_power_dimension(module: BigradedModule, k: int, what: str):
                 f"{MAX_DIMENSION}")
 
 
-def _check_arity(module: BigradedModule, k: int, name: str):
-    """Size budget of an arity key k on module: the relations of an
-    algebra compose m_k after 1 (x) m_k (x) 1, which builds the tensor
-    power of arity 2k - 1, and morphism and homotopy components of arity
-    k are held to the same bound."""
-    check_power_dimension(module, 2 * k - 1, f"object {name!r} (arity {k})")
+def _check_arity(module: BigradedModule, k: int, v: int, name: str):
+    """Size budget of an arity key k on module that builds the tensor
+    power of arity v: v = 2k - 1 for an algebra key, whose relations
+    compose m_k after 1 (x) m_k (x) 1, and v = k for a morphism or
+    homotopy key, whose blocks live on the k-th power.  What a command
+    builds from several keys together, such as the bar powers of (B_uv),
+    is bounded by that command before it builds anything."""
+    check_power_dimension(module, v, f"object {name!r} (arity {k})")
 
 
-def _budgeted_power(module: BigradedModule, name: str):
+def _budgeted_power(module: BigradedModule, name: str, span):
     """Source of an arity-k component, the k-th power of module, built
-    only once its arity key is within the size budget."""
+    only once its arity key is within the size budget of the power of
+    arity span(k) that the key builds."""
     def power(k: int) -> BigradedModule:
-        _check_arity(module, k, name)
+        _check_arity(module, k, span(k), name)
         return power_module(module, k)
     return power
 
@@ -177,22 +183,28 @@ def dump_dims(module: BigradedModule):
 
 
 def parse_matrix(field: Field, payload, rows: int, cols: int) -> Matrix:
-    if not isinstance(payload, list) or len(payload) != rows or \
-            any(not isinstance(r, list) or len(r) != cols for r in payload):
-        raise DocumentError(f"matrix must be {rows}x{cols} row lists")
-    p, data = field.p, []
-    try:
-        for row in payload:
-            # a row of plain ints (bool excluded) is read in one pass; any
-            # other row goes entry by entry through Field.parse, which
-            # words every error
-            if all(type(v) is int for v in row):
-                data += [v % p for v in row] if p else row
+    """The rows x cols matrix of a list of row lists, validated and copied
+    in one pass: each row's type and length are tested as it is read, a
+    row of plain ints (bool excluded) is taken in one step, made F_p
+    residues over F_p and adopted as is over QQ, and any other row is read
+    entry by entry through Field.parse, which words every entry error.  A
+    wrong shape is reported before a bad entry, whichever comes first."""
+    if isinstance(payload, list) and len(payload) == rows:
+        p, data = field.p, []
+        try:
+            for row in payload:
+                if not isinstance(row, list) or len(row) != cols:
+                    break
+                if all(type(v) is int for v in row):
+                    data += [v % p for v in row] if p else row
+                else:
+                    data += [field.parse(v) for v in row]
             else:
-                data += [field.parse(v) for v in row]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"bad matrix entry: {exc}") from None
-    return Matrix._of(field, rows, cols, data)
+                return Matrix._of(field, rows, cols, data)
+        except (ValueError, ZeroDivisionError) as exc:
+            if all(isinstance(r, list) and len(r) == cols for r in payload):
+                raise DocumentError(f"bad matrix entry: {exc}") from None
+    raise DocumentError(f"matrix must be {rows}x{cols} row lists")
 
 
 def dump_matrix(field: Field, m: Matrix):
@@ -206,14 +218,22 @@ def dump_matrix(field: Field, m: Matrix):
 
 
 def _int_pair(payload, what: str) -> tuple[int, int]:
-    if (not isinstance(payload, list) or len(payload) != 2
-            or not all(_is_int(x) for x in payload)):
-        raise DocumentError(f"bad {what} {payload!r}")
-    return payload[0], payload[1]
+    if isinstance(payload, list) and len(payload) == 2:
+        i, j = payload
+        if _is_int(i) and _is_int(j):
+            return i, j
+    raise DocumentError(f"bad {what} {payload!r}")
 
 
 def parse_map(field: Field, payload, src: BigradedModule, dst: BigradedModule,
               expected_bidegree=None) -> BigradedMap:
+    """The map src -> dst of a JSON map payload.
+
+    Each block is validated once, as it is read: its source pair by
+    ``_int_pair`` (JSON true/false stays rejected) and its matrix by the
+    one pass of ``parse_matrix``, against the shape that the two modules
+    give.  The nonzero blocks are then adopted by ``BigradedMap._of`` as
+    they are, without a second shape check."""
     if not isinstance(payload, dict) or "bidegree" not in payload:
         raise DocumentError("map payload needs a 'bidegree'")
     bid = _int_pair(payload["bidegree"], "bidegree")
@@ -223,24 +243,25 @@ def parse_map(field: Field, payload, src: BigradedModule, dst: BigradedModule,
     entries = payload.get("blocks", [])
     if not isinstance(entries, list):
         raise DocumentError("map blocks must be a list")
+    p, q = bid
     blocks = {}
     for entry in entries:
         if not isinstance(entry, dict) or "src" not in entry or \
                 "matrix" not in entry:
             raise DocumentError("map block needs 'src' and 'matrix'")
         si, sj = _int_pair(entry["src"], "block source")
-        rows = dst.dim(si + bid[0], sj + bid[1])
         cols = src.dim(si, sj)
         if cols == 0:
             raise DocumentError(f"map block at {(si, sj)} has no source")
-        mat = parse_matrix(field, entry["matrix"], rows, cols)
+        mat = parse_matrix(field, entry["matrix"], dst.dim(si + p, sj + q),
+                           cols)
         if (si, sj) in blocks:
             raise DocumentError(f"duplicate map block at {(si, sj)}")
         blocks[(si, sj)] = mat
-    try:
-        return BigradedMap(src, dst, bid, blocks)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    if src.field != dst.field:
+        raise DocumentError("field mismatch")
+    return BigradedMap._of(src, dst, bid, {k: m for k, m in blocks.items()
+                                           if any(m.data)})
 
 
 def dump_map(field: Field, m: BigradedMap):
@@ -389,7 +410,8 @@ def _parse_object(field, name, obj, objects):
         if t == "dainf_algebra":
             module = parse_dims(field, obj.get("dims"))
             m = _parse_pair_indexed_maps(
-                field, obj.get("m"), _budgeted_power(module, name),
+                field, obj.get("m"),
+                _budgeted_power(module, name, lambda k: 2 * k - 1),
                 module, lambda i, j: (-i, 2 - i - j), "m")
             return DAInfAlgebra(module, m)
         if t == "dainf_morphism":
@@ -398,7 +420,8 @@ def _parse_object(field, name, obj, objects):
             dst = _require(objects, obj.get("dst"), DAInfAlgebra,
                            "dainf algebra")
             f = _parse_pair_indexed_maps(
-                field, obj.get("f"), _budgeted_power(src.module, name),
+                field, obj.get("f"),
+                _budgeted_power(src.module, name, lambda k: k),
                 dst.module, lambda i, j: (-i, 1 - i - j), "f")
             return DAInfMorphism(src, dst, f)
         if t == "dainf_homotopy":
@@ -408,7 +431,8 @@ def _parse_object(field, name, obj, objects):
             f = _require(objects, obj.get("f"), DAInfMorphism, "dainf morphism")
             g = _require(objects, obj.get("g"), DAInfMorphism, "dainf morphism")
             h = _parse_pair_indexed_maps(
-                field, obj.get("h"), _budgeted_power(f.src.module, name),
+                field, obj.get("h"),
+                _budgeted_power(f.src.module, name, lambda k: k),
                 f.dst.module, lambda i, k: (r - i, r - i - k), "h")
             return DAInfHomotopy(r, f, g, h)
         if t == "filtered_complex":
@@ -426,7 +450,7 @@ def _parse_object(field, name, obj, objects):
                 k = int(kkey)
                 if k < 1:
                     raise DocumentError(f"bad arity {k}")
-                _check_arity(module, k, name)
+                _check_arity(module, k, 2 * k - 1, name)
                 pw = power_module(module, k)
                 ms[k] = {}
                 for nkey, mat in _json_object(per, f"m[{kkey!r}]").items():

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, chain, compress
 from math import gcd, lcm
 
 
@@ -601,6 +601,14 @@ class Subquotient:
     then v[free].  The boundary coordinates C are unit columns for the lead
     columns and, for B, read off this way (B in span Z is checked).
 
+    Z is read once, at construction: one pass over its nonzero entries
+    checks the identity on the free rows and keeps the others column by
+    column.  A membership test then visits only the nonzero coordinates of
+    v and the stored entries of their columns, and compares the sums it
+    finds with v entry by entry; v has no other nonzero entry off the free
+    rows exactly when the counts of nonzero entries agree.  No rows of v
+    other than the free ones are copied, and no dense product is formed.
+
     rep_basis columns are the first columns of Z that are independent
     modulo B (deterministic tie-breaking by column index).  They are the
     pivot columns in the identity part of one echelon of ``[C | 1]``, which
@@ -615,10 +623,12 @@ class Subquotient:
     """
 
     # _keep: the rep columns of Z; _b: the coordinates of the columns of B;
-    # _nonfree, _z_rest: the other rows and Z on them
+    # _z_ptr, _z_rows, _z_vals: Z off the free rows, column-sparse; the
+    # nonzero entries of column c are _z_vals[u] on the rows _z_rows[u],
+    # for u in range(_z_ptr[c], _z_ptr[c + 1])
     __slots__ = ("field", "ambient_dim", "cycle_basis", "rep_basis", "dim",
-                 "free_rows", "reduction", "_keep", "_lead", "_b", "_nonfree",
-                 "_z_rest")
+                 "free_rows", "reduction", "_keep", "_lead", "_b", "_z_ptr",
+                 "_z_rows", "_z_vals")
 
     def __init__(self, Z: Matrix, B: Matrix, free_rows: list, lead: int = 0):
         if Z.rows != B.rows:
@@ -627,18 +637,31 @@ class Subquotient:
             raise ValueError("field mismatch")
         if not 0 <= lead <= Z.cols:
             raise ValueError("lead exceeds the cycle columns")
-        j = Z.cols
-        if len(free_rows) != j or \
-                Z.take_rows(free_rows) != Matrix.identity(Z.field, j):
+        j, zd = Z.cols, Z.data
+        at = {i: c for c, i in enumerate(free_rows)}
+        rows, vals = [[] for _ in range(j)], [[] for _ in range(j)]
+        units = stray = 0
+        for t in compress(range(len(zd)), zd):
+            i, c = divmod(t, j)
+            if i not in at:
+                rows[c].append(i)
+                vals[c].append(zd[t])
+            elif at[i] == c and zd[t] == 1:
+                units += 1
+            else:
+                stray += 1
+        # j unit entries on distinct free rows, one per column, and no
+        # other nonzero entry there
+        if len(free_rows) != j or units != j or stray:
             raise ValueError("cycle basis is not the identity on the "
                              "given rows")
         self.field = Z.field
         self.ambient_dim = Z.rows
         self.cycle_basis = Z
         self.free_rows = free_rows
-        free = set(free_rows)
-        self._nonfree = [i for i in range(Z.rows) if i not in free]
-        self._z_rest = Z.take_rows(self._nonfree)
+        self._z_ptr = list(accumulate(map(len, rows), initial=0))
+        self._z_rows = list(chain.from_iterable(rows))
+        self._z_vals = list(chain.from_iterable(vals))
         self._lead = lead
         self._b = self._coordinates(
             B, "boundary span not contained in cycle span")
@@ -660,12 +683,33 @@ class Subquotient:
         return self.cycle_basis * self.boundary_coords
 
     def _coordinates(self, v: Matrix, message: str) -> Matrix:
-        """The coordinates of the columns of v, which must lie in span Z
-        (ValueError(message) otherwise)."""
+        """The coordinates x = v[free] of the columns of v, which must lie
+        in span Z (ValueError(message) otherwise): Z x == v, decided on the
+        rows off the free ones by summing only over the nonzero entries of
+        x."""
         if v.rows != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         x = v.take_rows(self.free_rows)
-        if self._z_rest * x != v.take_rows(self._nonfree):
+        m, vd, xd = v.cols, v.data, x.data
+        ptr, rows, vals = self._z_ptr, self._z_rows, self._z_vals
+        sums: dict = {}
+        for s in compress(range(len(xd)), xd):
+            c, k = divmod(s, m)
+            y = xd[s]
+            for u in range(ptr[c], ptr[c + 1]):
+                t = rows[u] * m + k
+                sums[t] = sums.get(t, 0) + vals[u] * y
+        p, hits = self.field.p, 0
+        for t, a in sums.items():
+            if p:
+                a %= p
+            if a != vd[t]:
+                raise ValueError(message)
+            if a:
+                hits += 1
+        # the nonzero entries of v off the free rows are len(vd) -
+        # vd.count(0) less those of x; each must be one of the hits
+        if len(vd) - vd.count(0) - len(xd) + xd.count(0) != hits:
             raise ValueError(message)
         return x
 

@@ -220,8 +220,10 @@ def check_page_recursion(a: TwistedComplex | FilteredComplex, r: int,
     hom = page_homology(page)
     keys = sorted(set(hom) | {pq for pq, e in nxt.entries.items() if e.dim})
     phi: dict = {}
+    # (p, q) -> Tot lifts of the rep classes of H(E_r), adjusted into
+    # Z_{r+1}: one zig-zag solve per entry, read by both loops
+    lifts: dict = {}
     for (p, q) in keys:
-        n = q - p
         h = hom.get((p, q))
         hdim = h.dim if h else 0
         if hdim != nxt.dim(p, q):
@@ -229,35 +231,25 @@ def check_page_recursion(a: TwistedComplex | FilteredComplex, r: int,
                           f"page {nxt.dim(p, q)}"
         if hdim == 0:
             continue
-        e = page.entries[(p, q)]
-        mat = Matrix.zero(field, nxt.dim(p, q), h.dim)
-        for c in range(h.dim):
-            hc = h.rep_basis.take_cols([c])       # class in E_r coordinates
-            x = e.rep_basis * hc                  # Tot lift
-            x2 = _zigzag_adjust(k, page, p, q, x)  # adjusted Z_{r+1} element
-            mat.set_block(0, c, nxt.entries[(p, q)].reduce(x2))
+        x = page.entries[(p, q)].rep_basis * h.rep_basis
+        lifts[(p, q)] = _zigzag_adjust(k, page, p, q, x)
+        mat = nxt.entries[(p, q)].reduce(lifts[(p, q)])
         if not mat.is_invertible():
             return False, f"zig-zag comparison map not invertible at {(p, q)}"
         phi[(p, q)] = mat
     # differential comparison: delta_{r+1} o phi = phi o delta~ where delta~
     # is computed from page-r data along the same zig-zag lifts
-    for (p, q) in keys:
-        h = hom.get((p, q))
-        if not h or h.dim == 0:
-            continue
+    for (p, q), x2 in lifts.items():
         n = q - p
-        e = page.entries[(p, q)]
         tgt_pq = (p - r - 1, q - r)
         tgt_h = hom.get(tgt_pq)
         tdim = tgt_h.dim if tgt_h else 0
-        # where H(E_r) vanishes at the target, delta~ has no rows to fill
-        delta_t = Matrix.zero(field, tdim, h.dim)
-        for c in range(h.dim if tdim else 0):
-            x = e.rep_basis * (h.rep_basis.take_cols([c]))
-            x2 = _zigzag_adjust(k, page, p, q, x)
-            w = k.d_mat(n) * x2
-            wr = page.entries[tgt_pq].reduce(w)     # class in E_r target
-            delta_t.set_block(0, c, tgt_h.reduce(wr))  # in H(E_r) target
+        if tdim:
+            wr = page.entries[tgt_pq].reduce(k.d_mat(n) * x2)  # in E_r
+            delta_t = tgt_h.reduce(wr)                         # in H(E_r)
+        else:
+            # where H(E_r) vanishes at the target, delta~ has no rows
+            delta_t = Matrix.zero(field, 0, x2.cols)
         if ((r + 1) * n) % 2:
             delta_t = -delta_t
         lhs = nxt.delta_mat(p, q) * phi[(p, q)]
@@ -270,8 +262,10 @@ def check_page_recursion(a: TwistedComplex | FilteredComplex, r: int,
 
 def _zigzag_adjust(k: FilteredComplex, page: SpectralPage, p: int, q: int,
                    x: Matrix) -> Matrix:
-    """Given x in Z_r^{p,n} whose delta_r class vanishes, return x - z2 in
-    Z_{r+1}^{p,n} representing the same page-r class."""
+    """Given the columns x in Z_r^{p,n} whose delta_r classes vanish,
+    return x - z2 in Z_{r+1}^{p,n} representing the same page-r classes.
+    One solve serves every column: its particular solution is read off one
+    reduced echelon form, column by column."""
     r = page.r
     n = q - p
     dx = k.d_mat(n) * x
@@ -284,4 +278,4 @@ def _zigzag_adjust(k: FilteredComplex, page: SpectralPage, p: int, q: int,
     sol = stacked.solve(dx)
     if sol is None:
         raise AssertionError("zig-zag decomposition failed; class not closed")
-    return x - zb2 * sol.get_block(zb1.cols, 0, zb2.cols, 1)
+    return x - zb2 * sol.get_block(zb1.cols, 0, zb2.cols, x.cols)

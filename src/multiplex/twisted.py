@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import TYPE_CHECKING
 
 from .bigraded import (
     BigradedMap, BigradedModule, compose as bcompose, degrees_of, direct_sum,
@@ -42,6 +43,9 @@ from .bigraded import (
 )
 from .linalg import BlockLinearSystem, Matrix
 from .reports import Report
+
+if TYPE_CHECKING:
+    from .filtration import FilteredComplex
 
 
 class TwistedComplex:
@@ -212,18 +216,25 @@ def _fail_on_tot(rep: Report, name: str, defects: dict, src: dict,
         rep.fail((m, i, j), f"({name}_{m}) fails on the block at {(i, j)}")
 
 
-def check_twisted(a: TwistedComplex) -> Report:
+def check_twisted(a: TwistedComplex,
+                  k: FilteredComplex | None = None) -> Report:
     """(A_m) for all m at once: with the sign (-1)^{mn} that Tot puts on
     d_m in degree n, the block of D^{n+1} D^n from column i to column
-    i - m is (-1)^{mn} times the (A_m) defect at (i, n + i)."""
+    i - m is (-1)^{mn} times the (A_m) defect at (i, n + i).  The D^n are
+    read off k = tot(a), built here unless the caller passes the one it
+    has; a D^n that is absent there is zero, and so is its product."""
+    from .filtration import tot
+    if k is None:
+        k = tot(a)
+    elif k.module is not a.module:
+        raise ValueError("k is not the totalization of a")
     rep = Report("twisted complex axioms (A_m)")
     rep.tick(len({i + j for i in a.d for j in a.d}))
-    mod, degs = a.module, degrees_of(a.module)
-    lay = {n + k: tot_layout(mod, n + k) for n in degs for k in range(3)}
-    d = {n + k: tot_matrix(a.d, 0, n + k, lay[n + k], lay[n + k + 1],
-                           a.field) for n in degs for k in range(2)}
-    _fail_on_tot(rep, "A", {n: d[n + 1] * d[n] for n in degs}, lay,
-                 {n: lay[n + 2] for n in degs})
+    degs, d = degrees_of(a.module), k.d
+    _fail_on_tot(rep, "A", {n: d[n + 1] * d[n] for n in degs
+                            if n in d and n + 1 in d},
+                 {n: k.layout(n) for n in degs},
+                 {n: k.layout(n + 2) for n in degs})
     return rep
 
 

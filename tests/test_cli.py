@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import BAD_ALGEBRAS
+from conftest import BAD_ALGEBRAS, REF_SHAPES, assert_canonical
 
 import multiplex
 
@@ -28,7 +28,7 @@ from multiplex.generators import (
     random_homotopic_pair, random_twisted_complex, random_zero_product_dainf,
 )
 from multiplex.io import load_document
-from multiplex.linalg import GF, QQ
+from multiplex.linalg import GF, QQ, Matrix
 from multiplex.twisted import TwistedMorphism, identity_morphism
 
 F = GF()
@@ -42,9 +42,11 @@ def write_doc(tmp_path, name, objects, field=F):
 
 def _field_docs(tmp_path, field, seed):
     """A complex document and an (A, f, g, h) document over field, and
-    the objects; over QQ, f has "a/b" entries."""
+    the objects; A is a REF_SHAPES[1] complex with a nonzero d_m for some
+    m >= 1, and over QQ, f has "a/b" entries."""
     rng = random.Random(seed)
-    a = random_twisted_complex(field, rng, spots=3)
+    a = random_twisted_complex(field, rng, **REF_SHAPES[1])
+    assert any(m >= 1 for m in a.d)
     f = random_endo_morphism(a, rng)
     if field == QQ:
         # a scalar multiple of a morphism is one
@@ -258,7 +260,9 @@ def test_homotopy_check_and_solve(fixture_docs, tmp_path, capsys):
 
 
 def test_oracle_subcommand(fixture_docs, capsys):
-    assert main(["oracle", "coderh", fixture_docs["full"], "-N", "8"]) == 0
+    # the fixture spans columns 0-8, so h (r = 1) needs N >= 8 + 1 + 2
+    assert main(["oracle", "coderh", fixture_docs["full"], "-N", "12"]) == 0
+    assert main(["oracle", "coderh", fixture_docs["full"], "-N", "10"]) == 2
     assert main(["oracle", "coderh", fixture_docs["full"], "-N", "1"]) == 2
 
 
@@ -296,13 +300,14 @@ def test_verdicts_under_format_json(fixture_docs, tmp_path, capsys):
     assert got["quasi_isomorphism"] is None
     assert not got["morphism_check"]["ok"]
     full = fixture_docs["full"]
-    assert main(["oracle", "coderh", full, "-N", "8"]) == 0
+    assert main(["oracle", "coderh", full, "-N", "12"]) == 0
     assert capsys.readouterr().out == ("h: coderivation identity at "
-                                       "truncation 8 = True (agrees with the "
-                                       "direct homotopy checker)\n")
-    assert main(["oracle", "coderh", full, "-N", "8", "--format", "json"]) == 0
+                                       "truncation 12 = True (agrees with "
+                                       "the direct homotopy checker)\n")
+    assert main(["oracle", "coderh", full, "-N", "12", "--format",
+                 "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {
-        "object": "h", "truncation": 8, "coderivation_identity": True}
+        "object": "h", "truncation": 12, "coderivation_identity": True}
     out = str(tmp_path / "out.json")
     for argv in (["tot", fixture_docs["complex"]],
                  ["tot-inverse", out],
@@ -739,8 +744,9 @@ def test_dainf_arity_size_budget_exit_2(tmp_path, capsys):
     assert "size budget" in err and "Traceback" not in err
 
 
-# checking arity k builds the power of arity 2k - 1, for algebras,
-# morphisms and homotopies alike
+# each case is a power v = 2 * arity - 1 over the size budget: checking
+# an algebra key of that arity builds it, and a morphism or homotopy key
+# of arity v lives on it
 @pytest.mark.parametrize("kind", ["algebra", "morphism", "homotopy"])
 @pytest.mark.parametrize("dims, arity", [
     ([[0, 0, 1], [0, -1998, 1]], 2000),
@@ -751,6 +757,8 @@ def test_dainf_arity_size_budget_exit_2(tmp_path, capsys):
         "total1-arity1e18"])
 def test_dainf_power_size_budget_exit_2(tmp_path, capsys, kind, dims,
                                         arity):
+    if kind != "algebra":
+        arity = 2 * arity - 1
     path = _dainf_doc(tmp_path, dims, arity, kind)
     cmd = _DAINF_COMMANDS[kind]
     t0 = time.perf_counter()
@@ -770,6 +778,52 @@ def test_dainf_power_size_budget_boundary(tmp_path, kind):
                         ([[0, 0, 1]], (mio.MAX_ARITY + 1) // 2)]:
         path = _dainf_doc(tmp_path, dims, arity, kind)
         assert main(cmd[:2] + [path] + cmd[2:]) == 0
+
+
+@pytest.mark.parametrize("kind, fits", [("algebra", 3), ("morphism", 6),
+                                        ("homotopy", 6)])
+def test_dainf_key_charged_the_power_it_builds(tmp_path, kind, fits):
+    """At load an algebra key of arity k is charged the power of arity
+    2k - 1 that its relations build, and a morphism or homotopy key the
+    power of arity k that its blocks live on: on a module of total
+    dimension 4, 4^5 and 4^6 are within 10^4 and 4^7 is not."""
+    dims = [[0, 0, 2], [0, 1, 2]]
+    for arity in (fits, fits + 1):
+        with open(_dainf_doc(tmp_path, dims, arity, kind)) as fh:
+            payload = json.load(fh)
+        if arity == fits:
+            load_document(payload)
+            continue
+        with pytest.raises(mio.DocumentError,
+                           match=rf"\(arity {arity}\) needs a tensor power "
+                                 rf"of arity 7 of a module of total "
+                                 rf"dimension 4"):
+            load_document(payload)
+
+
+def test_dainf_composite_is_read_back(tmp_path, capsys):
+    """compose --dainf of two arity-2 morphisms writes an arity-4
+    composite, which check dainf-morphism reads and decides (exit 0): its
+    key is charged 6^4, not the 6^7 of an algebra key of arity 4."""
+    rng = random.Random(100003)
+    a = random_zero_product_dainf(F, rng, cols=(0, 1), verts=(0, 2),
+                                  max_rank=1, spots=60)
+    space = dainf_morphism_space(a, a, max_arity=2)
+    f, h = (random_dainf_morphism(a, a, rng, space=space, density=1.0)
+            for _ in range(2))
+    path = write_doc(tmp_path, "pair.json", {
+        "A": mio.dump_dainf(F, a),
+        "f": mio.dump_dainf_morphism(F, f, "A", "A"),
+        "h": mio.dump_dainf_morphism(F, h, "A", "A")})
+    out = str(tmp_path / "composite.json")
+    assert main(["compose", "--dainf", path, path, "--name-f", "h",
+                 "--name-g", "f", "-o", out]) == 0
+    assert main(["check", "dainf-morphism", out, "--name",
+                 "composite"]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out) as fh:
+        composite = load_document(json.load(fh)).objects["composite"]
+    assert a.module.total_dim() == 6 and max(j for _, j in composite.f) == 4
 
 
 def _bar_budget_docs(tmp_path, m_key):
@@ -1219,3 +1273,134 @@ def test_mutation_fuzzer_keeps_the_exit_contract(fixture_docs, capsys):
         seen.add(code)
     # the mutations reach past parsing: every exit code occurs
     assert seen == {0, 1, 2}
+
+
+# -- the one-pass parser against the route it replaced ------------------------
+# parse_map used to run _int_pair on every block source and parse_matrix
+# over every row twice (shapes, then entries), and BigradedMap checked the
+# blocks again.  The reference below is that route; the tests compare what
+# load_document returns or raises with it.
+
+def _reference_parse_matrix(field, payload, rows, cols):
+    if not isinstance(payload, list) or len(payload) != rows or \
+            any(not isinstance(r, list) or len(r) != cols for r in payload):
+        raise mio.DocumentError(f"matrix must be {rows}x{cols} row lists")
+    data = []
+    try:
+        for row in payload:
+            data += [field.parse(v) for v in row]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise mio.DocumentError(f"bad matrix entry: {exc}") from None
+    return Matrix(field, rows, cols, data)
+
+
+def _reference_parse_map(field, payload, src, dst, expected_bidegree=None):
+    if not isinstance(payload, dict) or "bidegree" not in payload:
+        raise mio.DocumentError("map payload needs a 'bidegree'")
+    bid = mio._int_pair(payload["bidegree"], "bidegree")
+    if expected_bidegree is not None and bid != expected_bidegree:
+        raise mio.DocumentError(f"bidegree {list(bid)} does not match the "
+                                f"expected {list(expected_bidegree)}")
+    entries = payload.get("blocks", [])
+    if not isinstance(entries, list):
+        raise mio.DocumentError("map blocks must be a list")
+    blocks = {}
+    for entry in entries:
+        if not isinstance(entry, dict) or "src" not in entry or \
+                "matrix" not in entry:
+            raise mio.DocumentError("map block needs 'src' and 'matrix'")
+        si, sj = mio._int_pair(entry["src"], "block source")
+        cols = src.dim(si, sj)
+        if cols == 0:
+            raise mio.DocumentError(f"map block at {(si, sj)} has no source")
+        mat = _reference_parse_matrix(field, entry["matrix"],
+                                      dst.dim(si + bid[0], sj + bid[1]), cols)
+        if (si, sj) in blocks:
+            raise mio.DocumentError(f"duplicate map block at {(si, sj)}")
+        blocks[(si, sj)] = mat
+    try:
+        return BigradedMap(src, dst, bid, blocks)
+    except ValueError as exc:
+        raise mio.DocumentError(str(exc)) from None
+
+
+def _load_outcome(payload, parse_map, parse_matrix, monkeypatch):
+    """What load_document(payload) gives with the two parsers in place:
+    ("ok", [(bidegree, {block key: (rows, cols, entries)}) of each map
+    parsed]), or (exception type, message)."""
+    maps = []
+
+    def recorded(*args, **kwargs):
+        m = parse_map(*args, **kwargs)
+        maps.append(m)
+        return m
+    with monkeypatch.context() as mp:
+        mp.setattr(mio, "parse_map", recorded)
+        mp.setattr(mio, "parse_matrix", parse_matrix)
+        try:
+            load_document(payload)
+        except Exception as exc:  # compared by type and text below
+            return type(exc).__name__, str(exc)
+    for m in maps:
+        for blk in m.blocks.values():
+            assert_canonical(m.field, blk.data)
+    return "ok", [(m.bidegree, {k: (b.rows, b.cols, b.data)
+                                for k, b in m.blocks.items()}) for m in maps]
+
+
+def _both_outcomes(payload, monkeypatch):
+    return (_load_outcome(payload, mio.parse_map, mio.parse_matrix,
+                          monkeypatch),
+            _load_outcome(payload, _reference_parse_map,
+                          _reference_parse_matrix, monkeypatch))
+
+
+PARSE_FIELDS = [GF(32003), GF(5), GF(2), QQ]
+
+
+@pytest.mark.parametrize("field", PARSE_FIELDS, ids=str)
+def test_one_pass_parser_matches_reference_maps(field, tmp_path,
+                                                monkeypatch):
+    """The _field_docs documents load to the same maps, block by block and
+    in canonical form, as through the reference route."""
+    docs = _field_docs(tmp_path, field, 4242)
+    for path in (docs["complex"], docs["full"]):
+        with open(path) as fh:
+            payload = json.load(fh)
+        got, want = _both_outcomes(payload, monkeypatch)
+        assert got == want and got[0] == "ok"
+        # d_1, ..., f, g and h: maps with blocks, some of them zero blocks
+        assert sum(1 for _, blocks in got[1] if blocks) >= 4
+
+
+@pytest.mark.parametrize("field", PARSE_FIELDS, ids=str)
+def test_one_pass_parser_words_errors_as_reference(field, tmp_path,
+                                                   monkeypatch):
+    """On each mutation kind of the fuzzer, applied to the _field_docs
+    (A, f, g, h) document, load_document gives the reference route's maps
+    or raises its exception with the same text."""
+    with open(_field_docs(tmp_path, field, 4242)["full"]) as fh:
+        base = json.load(fh)
+    rng = random.Random(FUZZ_SEED + 1)
+    kinds, texts = set(), set()
+    for case in range(150):
+        doc = copy.deepcopy(base)
+        kind = "+".join(_mutate(doc, rng)
+                        for _ in range(rng.choice([1, 1, 2])))
+        got, want = _both_outcomes(doc, monkeypatch)
+        assert got == want, f"case {case} ({kind})"
+        kinds.update(kind.split("+"))
+        texts.add(got[1].split(":")[0] if got[0] == "DocumentError" else "")
+    assert kinds == {"drop", "retype", "dims", "resize", "rekey", "scalar",
+                     "field", "entry", "arity"}
+    assert {"bad matrix entry", "map block needs 'src' and 'matrix'"} <= texts
+    assert any(t.startswith("matrix must be") for t in texts)
+    # a wrong shape is reported before a bad entry in an earlier row
+    doc = {"schema_version": "1", "field": mio.dump_field(field),
+           "objects": {"A": {"type": "twisted_complex",
+                             "dims": [[0, 0, 2], [0, 1, 2]],
+                             "d": {"0": {"bidegree": [0, 1], "blocks": [
+                                 {"src": [0, 0],
+                                  "matrix": [["x", 1], [1, 0, 1]]}]}}}}}
+    got, want = _both_outcomes(doc, monkeypatch)
+    assert got == want == ("DocumentError", "matrix must be 2x2 row lists")

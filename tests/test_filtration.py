@@ -403,6 +403,49 @@ _VIOLATION_MOD = BigradedModule(F, {(0, 0): 1, (1, 1): 1, (1, 2): 1,
                                     (2, 3): 2})
 
 
+def _kernel_reference(k, n, s, t):
+    """FilteredComplex.kernel(n, s, t) built as it first was: the identity
+    of Tot^n cut to the kernel's columns, with the kernel of the window
+    block of d^n written over its rows from F_s to F_t."""
+    top = k.cut(n, t)
+    low = min(k.cut(n, s), top)
+    r0 = k.cut(n + 1, s)
+    rows = k.cut(n + 1, t) - r0
+    if rows > 0 and top > low:
+        ker, ker_free = k.d_mat(n).get_block(r0, low, rows,
+                                             top - low).kernel()
+    else:
+        ker, ker_free = Matrix.identity(k.field, top - low), range(top - low)
+    free = list(range(low)) + [low + c for c in ker_free]
+    K = Matrix.identity(k.field, k.dim(n)).get_block(0, 0, k.dim(n),
+                                                     len(free))
+    K.set_block(low, low, ker)
+    return K, free
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("shape", range(len(REF_SHAPES)))
+def test_kernel_matches_identity_then_overwrite(field, shape):
+    """FilteredComplex.kernel, written directly, equals the reference
+    entry by entry for every degree, s and t = s + r, r <= 3, on a
+    REF_SHAPES complex; some of those kernels have unit columns, window
+    columns and zero rows beyond F_t all at once."""
+    rng = random.Random(7100 + shape)
+    k = tot(random_twisted_complex(field, rng, **REF_SHAPES[shape]))
+    cols = sorted({i for i, _ in k.module.dims})
+    mixed = 0
+    for n in k.degrees():
+        for s in range(cols[0] - 2, cols[-1] + 1):
+            for r in range(4):
+                got = k.kernel(n, s, s + r)
+                assert got == _kernel_reference(k, n, s, s + r), (n, s, r)
+                low, top = k.cut(n, s), k.cut(n, s + r)
+                mixed += 0 < low < len(got[1]) and top < k.dim(n) \
+                    and not got[0].get_block(low, low, top - low,
+                                             len(got[1]) - low).is_zero()
+    assert mixed
+
+
 @pytest.mark.parametrize("rows, message", [
     # row 1 hits column 2 from column 1 before row 2 does from column 0
     ([[0, 1], [0, 1], [1, 0]], "column 1 hits column 2"),

@@ -572,6 +572,47 @@ def test_cycle_coordinates_match_ambient_route(field, seed, monkeypatch):
     assert failures
 
 
+@pytest.mark.parametrize("field", REF_FIELDS, ids=str)
+def test_membership_refuses_rows_in_and_beyond_the_window(field):
+    """A vector of span Z plus a unit on one non-free row is refused, as a
+    boundary and by reduce, with the same texts, whether that row lies in
+    the window of a page kernel (where Z has entries, when a kernel has
+    such a row) or beyond F_t (where Z is zero); the unchanged vector is
+    accepted.  Over the REF_SHAPES complexes, all three cases occur."""
+    found = {"window": 0, "window with entries": 0, "beyond": 0}
+    for shape in range(len(REF_SHAPES)):
+        rng = random.Random(9900 + shape)
+        k = tot(random_twisted_complex(field, rng, **REF_SHAPES[shape]))
+        for p, q in sorted(k.module.dims):
+            n = q - p
+            for r in range(4):
+                z, free = k.kernel(n, p - r, p)
+                if not z.cols:
+                    continue
+                taken = set(free)
+                window = [i for i in range(k.cut(n, p)) if i not in taken]
+                entries = [i for i in window if any(z.row(i))]
+                sq = Subquotient(z, Matrix.zero(field, z.rows, 0), free)
+                for where, rows in (("window", entries or window),
+                                    ("beyond", range(k.cut(n, p), z.rows))):
+                    if not rows:
+                        continue
+                    v = z * rand_matrix(field, z.cols, 2, rng)
+                    assert sq.reduce(v) == v.take_rows(free)
+                    i = rng.choice(rows)
+                    v[i, 1] = field.add(v[i, 1], field.one())
+                    with pytest.raises(ValueError) as exc:
+                        sq.reduce(v)
+                    assert str(exc.value) == "vector not in the cycle span"
+                    with pytest.raises(ValueError) as exc:
+                        Subquotient(z, v, free)
+                    assert str(exc.value) == \
+                        "boundary span not contained in cycle span"
+                    found[where] += 1
+                    found["window with entries"] += i in entries
+    assert all(found.values()), found
+
+
 # -- primality of the modulus ----------------------------------------------
 
 def test_large_prime_modulus_accepted_quickly():

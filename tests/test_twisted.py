@@ -10,6 +10,7 @@ from multiplex.bigraded import (
     BigradedMap, BigradedModule, identity_map, symmetry_iso, tensor_modules,
     tensor_summands,
 )
+from multiplex.filtration import tot
 from multiplex.generators import (
     random_automorphism, random_endo_morphism, random_homotopic_pair,
     random_null_homotopic_map, random_twisted_complex,
@@ -59,6 +60,12 @@ def test_check_twisted_trivial_and_broken():
     rep = check_twisted(TwistedComplex(mod3, {0: d0}))
     assert not rep.ok
     assert rep.failures[0][0][0] == 0  # failure located at m = 0
+    # the D^n it reads come from tot of the complex itself, or from none
+    broken = TwistedComplex(mod3, {0: d0})
+    assert check_twisted(broken, tot(broken)).to_dict() == rep.to_dict()
+    with pytest.raises(ValueError, match="not the totalization"):
+        check_twisted(broken, tot(TwistedComplex(
+            BigradedModule(F, {(0, 0): 1, (0, 1): 1, (0, 2): 1}), {})))
 
 
 def test_check_twisted_commutation_failure():
@@ -584,9 +591,11 @@ FIELD_IDS = ["F32003", "F5", "F2", "QQ"]
 
 
 def _same_report(obj):
-    """The Tot-route report of obj, asserted equal to the block route's."""
+    """The Tot-route report of obj, asserted equal to the block route's;
+    for a complex, also when check_twisted reads the D^n off tot(obj)."""
     if isinstance(obj, TwistedComplex):
         rep, ref = check_twisted(obj), check_twisted_blockwise(obj)
+        assert check_twisted(obj, tot(obj)).to_dict() == ref.to_dict()
     else:
         rep, ref = check_morphism(obj), check_morphism_blockwise(obj)
     assert rep.to_dict() == ref.to_dict()
