@@ -222,11 +222,19 @@ def cmd_er_qis(args) -> int:
                          what="morphism")
     if isinstance(f, DAInfMorphism):
         f = underlying_twisted_morphism(f)
+    # (A_m) on each input complex, on the Tot its pages read, before (B_m)
+    ks = []
+    for a in (f.src,) if f.dst is f.src else (f.src, f.dst):
+        ks.append(tot(a))
+        rep = check_twisted(a, ks[-1])
+        if not rep.ok:
+            print(rep)
+            return 1
     rep = check_morphism(f)
     verdict = None
     if rep.ok:
-        decide = is_er_quasi_iso_via_cone if args.via_cone else is_er_quasi_iso
-        verdict = decide(f, args.r)
+        verdict = is_er_quasi_iso_via_cone(f, args.r) if args.via_cone \
+            else is_er_quasi_iso(f, args.r, ks[0], ks[-1])
     if args.format == "json":
         # verdict is null when f is not a morphism
         print(mio.json_text({

@@ -43,6 +43,21 @@ non-free rows and one product with R, with no solve (the zig-zag
 adjustment itself still solves in Tot).  The homology of a page is a
 subquotient of the same kind, on the free rows of the kernel of the page
 differential.
+
+A question about dimensions alone needs no subquotient.  With
+z_r^{s,n} = dim Z_r^{s,n} and n = q - p,
+
+    dim E_r^{p,q} = z_r^{p,n} - z_{r-1}^{p-1,n}
+                    - (z_{r-1}^{p+r-1,n-1} - z_r^{p+r-1,n-1}).
+
+The two parts of the denominator meet in Z_{r-1}^{p-1} cap
+d Z_{r-1}^{p+r-1} = d Z_r^{p+r-1}, and Z_{r-1}^{p+r-1} and Z_r^{p+r-1}
+hold the same d-cycles, so the two images of d differ in dimension by
+exactly z_{r-1}^{p+r-1} - z_r^{p+r-1}.  ``page_dim`` reads the first
+three terms off the two kernels of ``page_entry`` (one column count and
+two cuts) and the last as the column count of kernel(n - 1, p - 1,
+p + r - 1), the cycles of the entry (p + r - 1, q + r - 2) of the same
+page.
 """
 
 from __future__ import annotations
@@ -51,7 +66,9 @@ from bisect import bisect_left
 
 from .filtration import FilteredComplex, tot, tot_morphism
 from .linalg import Matrix, Subquotient, induced_map
-from .twisted import TwistedComplex, TwistedMorphism, cone
+from .twisted import (
+    TwistedComplex, TwistedMorphism, check_twisted, cone_complex,
+)
 
 class SpectralPage:
     """The r-th page: subquotient entries with lifts, and delta matrices."""
@@ -79,12 +96,6 @@ class SpectralPage:
                             self.dim(p - self.r, q - self.r + 1), self.dim(p, q))
         return m
 
-    def total_rank(self) -> int:
-        return sum(e.dim for e in self.entries.values())
-
-    def is_zero(self) -> bool:
-        return self.total_rank() == 0
-
 
 def _leading(k: FilteredComplex, kernel: tuple, n: int, p: int) -> Matrix:
     """The columns of a kernel from FilteredComplex.kernel(n, s, t) that
@@ -107,6 +118,17 @@ def page_entry(k: FilteredComplex, r: int, p: int, q: int) -> Subquotient:
     zb2 = _leading(k, k.kernel(n - 1, p, p + r), n - 1, p + r - 1)
     return Subquotient(z, k.d_mat(n - 1) * zb2, free,
                        bisect_left(free, k.cut(n, p - 1)))
+
+
+def page_dim(k: FilteredComplex, r: int, p: int, q: int) -> int:
+    """dim E_r^{p,q} from kernel dimensions alone (module docstring)."""
+    n = q - p
+    # the columns of a kernel number len(free); its cuts are bisections
+    free = k.kernel(n, p - r, p)[1]
+    top = k.kernel(n - 1, p, p + r)[1]
+    return (len(free) - bisect_left(free, k.cut(n, p - 1))
+            - bisect_left(top, k.cut(n - 1, p + r - 1))
+            + len(k.kernel(n - 1, p - 1, p + r - 1)[1]))
 
 
 def spectral_page(a: TwistedComplex | FilteredComplex, r: int,
@@ -162,11 +184,15 @@ def page_of_morphism(f: TwistedMorphism, r: int,
     return out
 
 
-def is_er_quasi_iso(f: TwistedMorphism, r: int) -> bool:
-    """True iff E_{r+1}(f) is blockwise invertible."""
-    pa = spectral_page(f.src, r + 1)
+def is_er_quasi_iso(f: TwistedMorphism, r: int,
+                    src_k: FilteredComplex | None = None,
+                    dst_k: FilteredComplex | None = None) -> bool:
+    """True iff E_{r+1}(f) is blockwise invertible.  The pages are built
+    on src_k = tot(f.src) and dst_k = tot(f.dst) where the caller has
+    them."""
+    pa = spectral_page(f.src, r + 1, src_k)
     # an endomorphism reads both sides off the one page
-    pb = pa if f.dst is f.src else spectral_page(f.dst, r + 1)
+    pb = pa if f.dst is f.src else spectral_page(f.dst, r + 1, dst_k)
     blocks = page_of_morphism(f, r + 1, pa, pb)
     for (p, q), m in blocks.items():
         if m.rows != m.cols:
@@ -181,9 +207,13 @@ def is_er_quasi_iso(f: TwistedMorphism, r: int) -> bool:
 
 
 def is_er_quasi_iso_via_cone(f: TwistedMorphism, r: int) -> bool:
-    """True iff the r-cone is E_r-acyclic: E_{r+1}(C_r(f)) = 0."""
-    c = cone(f, r)
-    return spectral_page(c.complex, r + 1).is_zero()
+    """True iff the r-cone is E_r-acyclic: E_{r+1}(C_r(f)) = 0, counted
+    entry by entry on one Tot of the cone.  A cone failing (A_m), as it
+    does when f fails (B_m), raises ValueError with its report."""
+    c = cone_complex(f, r)
+    k = tot(c)
+    check_twisted(c, k).raise_if_failed()
+    return not any(page_dim(k, r + 1, p, q) for p, q in sorted(k.module.dims))
 
 
 # ---------------------------------------------------------------------------

@@ -525,13 +525,19 @@ class ConeObject:
     r: int
 
 
-def cone(f: TwistedMorphism, r: int) -> ConeObject:
+def cone_summands(f: TwistedMorphism, r: int) -> tuple:
+    """The summands T_r(A), B of C_r(f) as modules, for f: A -> B."""
+    return (f.src.module.shifted((r, r - 1)), f.dst.module)
+
+
+def cone_complex(f: TwistedMorphism, r: int) -> TwistedComplex:
     """C_r(f)_i^j = A_{i-r}^{j-r+1} (+) B_i^j with
-    D_m(a,b) = ((-1)^{m+r+1} d_m a, (-1)^{m+r+1} f_{m-r}(a) + d_m b)."""
+    D_m(a,b) = ((-1)^{m+r+1} d_m a, (-1)^{m+r+1} f_{m-r}(a) + d_m b),
+    unchecked: (A_m) on it holds exactly when it holds on A and on B and
+    f satisfies (B_m)."""
     a, b = f.src, f.dst
     shift = (r, r - 1)
-    parts = (a.module.shifted(shift), b.module)
-    total, (_, inc_b), (pr_a, _) = direct_sum(parts)
+    parts = cone_summands(f, r)
     d: dict[int, BigradedMap] = {}
     for m in sorted(set(a.d) | set(b.d) | {m + r for m in f.f}):
         negate = (m + r + 1) % 2
@@ -543,11 +549,17 @@ def cone(f: TwistedMorphism, r: int) -> ConeObject:
         if m - r in f.f:  # convention f_{<0} = 0
             pieces[(1, 0)] = (relabel(f.f[m - r], shift, (0, 0)), negate)
         d[m] = place(parts, parts, (-m, -m + 1), pieces)
-    c = TwistedComplex(total, d)
+    return TwistedComplex(sum_module(parts), d)
+
+
+def cone(f: TwistedMorphism, r: int) -> ConeObject:
+    """C_r(f) with its inclusion of B and its projection onto T_r(A),
+    each checked."""
+    c = cone_complex(f, r)
     check_twisted(c).raise_if_failed()
-    t_a = translation(a, r)
-    inclusion = TwistedMorphism(b, c, {0: inc_b})
-    projection = TwistedMorphism(c, t_a, {0: pr_a})
+    _, (_, inc_b), (pr_a, _) = direct_sum(cone_summands(f, r))
+    inclusion = TwistedMorphism(f.dst, c, {0: inc_b})
+    projection = TwistedMorphism(c, translation(f.src, r), {0: pr_a})
     check_morphism(inclusion).raise_if_failed()
     check_morphism(projection).raise_if_failed()
     return ConeObject(c, inclusion, projection, f, r)
@@ -741,7 +753,7 @@ def cone_to_pair(tau: TwistedMorphism, cone_obj: ConeObject):
     w, r = cone_obj.w, cone_obj.r
     a, b = w.src, w.dst
     x_cx = tau.dst
-    parts = (a.module.shifted((r, r - 1)), b.module)
+    parts = cone_summands(w, r)
     f = TwistedMorphism(b, x_cx,
                         {m: restrict(tm, parts, 1) for m, tm in tau.f.items()})
     check_morphism(f).raise_if_failed()
@@ -764,9 +776,8 @@ def pair_to_cone(f: TwistedMorphism, h: RHomotopy,
     if h.f != compose(f, w, check=False) or h.g != zero_morphism(w.src, f.dst):
         raise ValueError("h must witness f o w ~_r 0")
     check_r_homotopy(h).raise_if_failed()
-    a, b = w.src, w.dst
     shift = (r, r - 1)
-    parts = (a.module.shifted(shift), b.module)
+    parts = cone_summands(w, r)
     comps = {}
     for m in sorted(set(h.h) | set(f.f)):
         pieces = {}

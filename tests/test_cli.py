@@ -238,6 +238,53 @@ def test_er_qis_subcommand(fixture_docs, tmp_path, capsys):
         assert code2 == first
 
 
+def _corrupted_complexes(count=200):
+    """REF_SHAPES[0] draws over F_32003, seeds 0..count-1, each with 1
+    added to one entry of one d_m, kept where that breaks (A_m): pairs of
+    the draw and its corrupted copy."""
+    out = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        a = random_twisted_complex(F, rng, **REF_SHAPES[0])
+        if not a.d:
+            continue
+        m = rng.choice(sorted(a.d))
+        dm = a.d[m]
+        key = rng.choice(sorted(dm.blocks))
+        blk = dm.blocks[key].copy()
+        i, j = rng.randrange(blk.rows), rng.randrange(blk.cols)
+        blk[i, j] = F.add(blk[i, j], 1)
+        bad = twisted.TwistedComplex(a.module, {**a.d, m: BigradedMap(
+            dm.src, dm.dst, dm.bidegree, {**dm.blocks, key: blk})})
+        if not twisted.check_twisted(bad).ok:
+            out.append((a, bad))
+    return out
+
+
+def test_er_qis_decides_the_inputs_first(tmp_path, capsys):
+    """A complex failing (A_m) is never an E_r-quasi-isomorphism's source
+    or target: both routes print its (A_m) report and exit 1, for the
+    identity of a corrupted complex and for the zero morphism into one
+    from the draw it was corrupted from."""
+    corpus = _corrupted_complexes()
+    assert len(corpus) >= 20
+    for idx, (a, bad) in enumerate(corpus):
+        expected = str(twisted.check_twisted(bad)) + "\n"
+        path = write_doc(tmp_path, f"bad{idx}.json", {
+            "A": mio.dump_twisted(F, a), "B": mio.dump_twisted(F, bad),
+            "id": mio.dump_twisted_morphism(F, identity_morphism(bad),
+                                            "B", "B"),
+            "z": mio.dump_twisted_morphism(F, twisted.zero_morphism(a, bad),
+                                           "A", "B")})
+        for name in ("id", "z"):
+            for flag in ([], ["--via-cone"]):
+                code = main(["er-qis", path, "--name", name, "-r", "1"]
+                            + flag)
+                out, err = capsys.readouterr()
+                assert (code, out, err) == (1, expected, ""), (idx, name,
+                                                                flag)
+
+
 def test_homotopy_check_and_solve(fixture_docs, tmp_path, capsys):
     assert main(["homotopy", "check", fixture_docs["full"], "-r", "1"]) == 0
     out = str(tmp_path / "solved.json")

@@ -19,8 +19,8 @@ from multiplex.spectral import (
     is_er_quasi_iso_via_cone, page_of_morphism, spectral_page,
 )
 from multiplex.twisted import (
-    TwistedComplex, TwistedMorphism, check_twisted, compose, cone,
-    identity_morphism, path, zero_morphism,
+    TwistedComplex, TwistedMorphism, check_morphism, check_twisted, compose,
+    cone, cone_complex, identity_morphism, path, zero_morphism,
 )
 
 F = GF()
@@ -42,7 +42,7 @@ def test_acyclic_column():
     d0 = BigradedMap(mod, mod, (0, 1), {(0, 0): Matrix.identity(F, 1)})
     a = TwistedComplex(mod, {0: d0})
     assert spectral_page(a, 0).dims() == {(0, 0): 1, (0, 1): 1}
-    assert spectral_page(a, 1).is_zero()
+    assert not spectral_page(a, 1).dims()
 
 
 def test_one_bigraded_complex_pages():
@@ -64,7 +64,7 @@ def test_one_bigraded_complex_pages():
     assert p1.delta_mat(2, 1) == Matrix.from_rows(F, [[0], [1]])
     p2 = spectral_page(a, 2)
     # d_1 chain 0 -> R -> R^2 -> R -> 0 with these blocks is exact
-    assert p2.is_zero()
+    assert not p2.dims()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -231,7 +231,7 @@ def test_qis_basic_cases(r):
     rng = random.Random(1800 + r)
     a = random_twisted_complex(F, rng)
     assert is_er_quasi_iso(identity_morphism(a), r)
-    if not spectral_page(a, r + 1).is_zero():
+    if spectral_page(a, r + 1).dims():
         assert not is_er_quasi_iso(zero_morphism(a, a), r)
     # the path inclusion is an r-homotopy equivalence, hence an E_r-qis
     p = path(a, r)
@@ -276,6 +276,51 @@ def test_cone_detection_agreement(seed):
     for f in candidates:
         for r in (0, 1, 2):
             assert is_er_quasi_iso(f, r) == is_er_quasi_iso_via_cone(f, r)
+
+
+@pytest.mark.parametrize("field", [F, GF(5), GF(2), QQ], ids=str)
+@pytest.mark.parametrize("shape", range(len(REF_SHAPES)))
+def test_page_dim_counts_every_entry(field, shape):
+    """page_dim equals the dimension of the page_entry subquotient at every
+    bidegree of the support, zero entries included, on pages 0-4 of a
+    REF_SHAPES draw with a nonzero d_m, m >= 1, and a nonzero page
+    differential on some page r >= 1."""
+    rng = random.Random(2400 + shape)
+    a = random_twisted_complex(field, rng, **REF_SHAPES[shape])
+    assert any(m >= 1 for m in a.d)
+    k = tot(a)
+    support = sorted(k.module.dims)
+    zeros = moving = 0
+    for r in range(5):
+        page = spectral_page(k, r)
+        dims = [spectral.page_dim(k, r, p, q) for p, q in support]
+        assert dims == [page.dim(p, q) for p, q in support], r
+        zeros += dims.count(0)
+        moving += r >= 1 and bool(page.delta)
+    assert zeros and moving
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_cone_route_raises_the_cone_report_for_a_non_morphism(r):
+    """An f failing (B_m) makes its cone fail (A_m): the cone route raises
+    the report of cone(), which checks the complex of the same builder."""
+    rng = random.Random(2500 + r)
+    a = _nondegenerate_draw(rng)
+    f0 = identity_morphism(a).f[0]
+    (i, j), blk = next((key, blk) for key, blk in sorted(f0.blocks.items())
+                       if any(a.d_map(0).block(*key).data))
+    blk = blk.copy()
+    blk[0, 0] = F.add(blk[0, 0], 1)
+    g = TwistedMorphism(a, a, {0: BigradedMap(
+        f0.src, f0.dst, (0, 0), {**f0.blocks, (i, j): blk})})
+    assert not check_morphism(g).ok
+    with pytest.raises(ValueError) as via:
+        is_er_quasi_iso_via_cone(g, r)
+    with pytest.raises(ValueError) as built:
+        cone(g, r)
+    assert str(via.value) == str(built.value) == \
+        str(check_twisted(cone_complex(g, r)))
+    assert str(via.value).startswith("twisted complex axioms (A_m): FAILED")
 
 
 @pytest.mark.parametrize("seed", range(3))
