@@ -389,9 +389,12 @@ def underlying_twisted(a: DAInfAlgebra) -> TwistedComplex:
 
 
 def underlying_twisted_morphism(f: DAInfMorphism) -> TwistedMorphism:
+    """The arity-one components between the underlying twisted complexes;
+    an endomorphism stays one, on one complex."""
     comps = {i: fij for (i, j), fij in f.f.items() if j == 1}
-    return TwistedMorphism(underlying_twisted(f.src),
-                           underlying_twisted(f.dst), comps)
+    src = underlying_twisted(f.src)
+    dst = src if f.dst is f.src else underlying_twisted(f.dst)
+    return TwistedMorphism(src, dst, comps)
 
 
 def is_er_quasi_iso_dainf(f: DAInfMorphism, r: int) -> bool:

@@ -27,6 +27,11 @@ The homotopy checker computes (H_m) directly, block by block, and also
 assembles the candidate map x -> (f x, hhat x, g x) into the r-path of the
 target and runs the morphism checker, that is the Tot route, on it; the
 two verdicts must agree.
+
+The signed sums of the tensor differential, of (H_m) and of the homotopy
+solver's right sides g_{m-r} - f_{m-r} are accumulated term by term in
+one ``MapSum`` per call and reduced once when read, so no dense map is
+added or negated per term.
 """
 
 from __future__ import annotations
@@ -36,10 +41,10 @@ from functools import cache
 from typing import TYPE_CHECKING
 
 from .bigraded import (
-    BigradedMap, BigradedModule, compose as bcompose, degrees_of, direct_sum,
-    identity_map, invert_blocks, place, relabel, restrict, shift_into, sprod,
-    sum_module, tensor_maps, tensor_modules, tot_blocks, tot_layout,
-    tot_matrix, unit_module, zero_map,
+    BigradedMap, BigradedModule, MapSum, compose as bcompose, degrees_of,
+    direct_sum, identity_map, invert_blocks, place, relabel, restrict,
+    shift_into, sprod, sum_module, tensor_maps, tensor_modules, tot_blocks,
+    tot_layout, tot_matrix, unit_module, zero_map,
 )
 from .linalg import BlockLinearSystem, Matrix
 from .reports import Report
@@ -241,20 +246,22 @@ def check_twisted(a: TwistedComplex,
 def check_morphism(f: TwistedMorphism) -> Report:
     """(B_m) for all m at once: the block of D_B^n F^n - F^{n+1} D_A^n on
     Tot from column i to column i - m is (-1)^{mn} times the (B_m) defect
-    at (i, n + i)."""
+    at (i, n + i).  An endomorphism reads both sides off one D^n."""
     rep = Report("twisted morphism conditions (B_m)")
     rep.tick(len({i + j for i in f.dst.d for j in f.f}
                  | {i + j for i in f.f for j in f.src.d}))
     ma, mb, field = f.src.module, f.dst.module, f.field
     degs = degrees_of(ma)
     ns = set(degs) | {n + 1 for n in degs}
+    endo = f.src is f.dst
     la = {n: tot_layout(ma, n) for n in ns}
-    lb = {n: tot_layout(mb, n) for n in ns}
+    lb = la if endo else {n: tot_layout(mb, n) for n in ns}
     tf = {n: tot_matrix(f.f, 0, n, la[n], lb[n], field) for n in ns}
-    defects = {
-        n: tot_matrix(f.dst.d, 0, n, lb[n], lb[n + 1], field) * tf[n]
-        - tf[n + 1] * tot_matrix(f.src.d, 0, n, la[n], la[n + 1], field)
-        for n in degs}
+    da = {n: tot_matrix(f.src.d, 0, n, la[n], la[n + 1], field)
+          for n in degs}
+    db = da if endo else {n: tot_matrix(f.dst.d, 0, n, lb[n], lb[n + 1],
+                                        field) for n in degs}
+    defects = {n: db[n] * tf[n] - tf[n + 1] * da[n] for n in degs}
     _fail_on_tot(rep, "B", defects, la, {n: lb[n + 1] for n in degs})
     return rep
 
@@ -319,18 +326,16 @@ def tensor(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
     """(A (x) B, d_m^A (x) 1 + 1 (x) d_m^B)."""
     if a.field != b.field:
         raise ValueError("field mismatch")
-    mod = tensor_modules(a.module, b.module)
-    ida, idb = identity_map(a.module), identity_map(b.module)
-    d: dict[int, BigradedMap] = {}
-    for m in sorted(set(a.d) | set(b.d)):
-        dm = zero_map(mod, mod, (-m, -m + 1))
-        if m in a.d:
-            dm = dm + tensor_maps(a.d[m], idb)
-        if m in b.d:
-            dm = dm + tensor_maps(ida, b.d[m])
-        if not dm.is_zero():
-            d[m] = dm
-    out = TwistedComplex(mod, d)
+    acc = MapSum()
+    idb = identity_map(b.module)
+    for m, dm in a.d.items():
+        acc.add(m, tensor_maps(dm, idb))
+    ida = identity_map(a.module)
+    for m, dm in b.d.items():
+        acc.add(m, tensor_maps(ida, dm))
+    d = acc.maps()
+    out = TwistedComplex(tensor_modules(a.module, b.module),
+                         {m: d[m] for m in sorted(d)})
     check_twisted(out).raise_if_failed()
     return out
 
@@ -569,21 +574,24 @@ def cone(f: TwistedMorphism, r: int) -> ConeObject:
 # r-homotopies
 # ---------------------------------------------------------------------------
 
+def _add_homotopy_lhs(acc: MapSum, h: RHomotopy, m: int) -> None:
+    """acc[m] += sum_{i+j=m} (-1)^{i+r} d_i^B hhat_j + (-1)^i hhat_i d_j^A;
+    acc[m] exists afterwards, zero or not."""
+    a, b, r = h.src, h.dst, h.r
+    acc.add(m, zero_map(a.module, b.module, (-m + r, -m + r)))
+    for i, di in b.d.items():
+        if m - i in h.h:
+            acc.add_compose(m, di, h.h[m - i], i + r)
+    for i, hi in h.h.items():
+        if m - i in a.d:
+            acc.add_compose(m, hi, a.d[m - i], i)
+
+
 def homotopy_lhs(h: RHomotopy, m: int) -> BigradedMap:
     """sum_{i+j=m} (-1)^{i+r} d_i^B hhat_j + (-1)^i hhat_i d_j^A."""
-    a, b, r = h.src, h.dst, h.r
-    acc = zero_map(a.module, b.module, (-m + r, -m + r))
-    for i, di in b.d.items():
-        j = m - i
-        if j in h.h:
-            term = bcompose(di, h.h[j])
-            acc = acc + (term if (i + r) % 2 == 0 else -term)
-    for i, hi in h.h.items():
-        j = m - i
-        if j in a.d:
-            term = bcompose(hi, a.d[j])
-            acc = acc + (term if i % 2 == 0 else -term)
-    return acc
+    acc = MapSum()
+    _add_homotopy_lhs(acc, h, m)
+    return acc.maps()[m]
 
 
 def into_path(f: BigradedMap, h: BigradedMap | None, g: BigradedMap,
@@ -622,12 +630,18 @@ def check_r_homotopy(h: RHomotopy) -> Report:
         for j in h.src.d:
             ms.add(i + j)
     ms |= {m + r for m in set(h.f.f) | set(h.g.f)}
+    # the (H_m) defects lhs - (g_{m-r} - f_{m-r}), one bucket per m
+    acc = MapSum()
+    for m in ms:
+        _add_homotopy_lhs(acc, h, m)
+        if m - r in h.g.f:
+            acc.add(m, h.g.f[m - r], 1)
+        if m - r in h.f.f:
+            acc.add(m, h.f.f[m - r])
+    defects = acc.sparse_maps()
     for m in sorted(ms):
-        lhs = homotopy_lhs(h, m)
-        if m >= r:
-            lhs = lhs - (h.g.f_map(m - r) - h.f.f_map(m - r))
         rep.tick()
-        for loc in sorted(lhs.blocks):
+        for loc in sorted(defects[m].blocks):
             rep.fail((m,) + loc, f"(H_{m}) fails on the block at {loc}")
     # independent route: the assembled map must be a morphism into P_r(dst)
     assembled = check_morphism(assemble_into_path(h))
@@ -660,12 +674,19 @@ def solve_r_homotopy(f: TwistedMorphism, g: TwistedMorphism, r: int) \
                 key = ("h", m, i, j)
                 sys.variable(key, b.module.dims[tgt], a.module.dims[(i, j)])
                 hvars.append((m, (i, j)))
-    # equations: (H_m) blocks
+    # equations: (H_m) blocks, right sides g_{m-r} - f_{m-r}
     d_keys_b = sorted(b.d)
     d_keys_a = sorted(a.d)
+    acc = MapSum()
+    for m, gm in g.f.items():
+        acc.add(m + r, gm)
+    for m, fm in f.f.items():
+        acc.add(m + r, fm, 1)
+    rhs = acc.maps()
     m_eq_hi = m_hi + max(d_keys_a + d_keys_b, default=0) \
         + r + max(set(f.f) | set(g.f), default=0) + 1
     for m in range(0, m_eq_hi + 1):
+        diff = rhs.get(m)
         for (i, j) in supp_a:
             tgt = (i - m + r, j - m + r)
             if tgt not in supp_b:
@@ -693,11 +714,8 @@ def solve_r_homotopy(f: TwistedMorphism, g: TwistedMorphism, r: int) \
                 if vk in sys._vars:
                     sys.add_term(eq, vk, None, dblk,
                                  1 if hi % 2 == 0 else -1)
-            if m >= r:
-                diff = g.f_map(m - r) - f.f_map(m - r)
-                blk = diff.blocks.get((i, j))
-                if blk is not None:
-                    sys.add_rhs(eq, blk)
+            if diff is not None and (i, j) in diff.blocks:
+                sys.add_rhs(eq, diff.blocks[(i, j)])
     sol = sys.solve()
     if sol is None:
         return None

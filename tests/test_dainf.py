@@ -607,6 +607,30 @@ def test_is_er_quasi_iso_dainf(r):
         assert not is_er_quasi_iso_dainf(zero_dainf_morphism(a, a), r)
 
 
+def test_endomorphism_builds_one_page(monkeypatch):
+    """The identity of Lambda_1 stays an endomorphism of one twisted
+    complex, so is_er_quasi_iso builds page r + 1 once; a morphism between
+    two algebras still builds one page per side."""
+    import multiplex.spectral as spectral
+    calls = []
+    build = spectral.spectral_page
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "spectral_page", counted)
+    lam = lambda_r_dga(1, F).algebra
+    tf = underlying_twisted_morphism(identity_dainf(lam))
+    assert tf.src is tf.dst
+    assert is_er_quasi_iso_dainf(identity_dainf(lam), 1)
+    assert calls == [2]
+    calls.clear()
+    p = path_dainf(lam, 1)
+    assert is_er_quasi_iso_dainf(p.iota, 1)
+    assert calls == [2, 2]
+
+
 # ---------------------------------------------------------------------------
 # the bar route against the per-tuple reference
 # ---------------------------------------------------------------------------

@@ -2,24 +2,34 @@ import random
 
 import pytest
 
-from conftest import SHAPE
+from conftest import REF_SHAPES, corrupt_homotopy
 
-from multiplex.bigraded import BigradedMap, BigradedModule, identity_map
+from multiplex.bigraded import (
+    BigradedMap, BigradedModule, compose as bcompose, identity_map,
+)
 from multiplex.generators import (
     random_endo_morphism, random_homotopic_pair, random_homotopy_family,
-    random_twisted_complex,
+    random_null_homotopic_map, random_twisted_complex,
 )
 from multiplex.linalg import GF, QQ, Matrix
 from multiplex.operadic import (
     check_coderh, check_square_zero_coderivation, default_truncation,
-    expand_module, extract, lift, lift_morphism, lift_twisted, shift,
-    x_lowering,
+    expand_module, extract, lift, lift_homotopy, lift_morphism, lift_twisted,
+    shift, x_lowering,
 )
 from multiplex.twisted import (
-    RHomotopy, TwistedComplex, compose, identity_morphism,
+    RHomotopy, TwistedComplex, check_r_homotopy, check_twisted, compose,
+    identity_morphism,
 )
 
 F = GF()
+
+
+def _ref_shape_draw(field, rng):
+    """A REF_SHAPES[1] draw with a nonzero d_m for some m >= 1, asserted."""
+    a = random_twisted_complex(field, rng, **REF_SHAPES[1])
+    assert any(m >= 1 for m in a.d)
+    return a
 
 
 def test_expand_module_dims():
@@ -53,15 +63,16 @@ def test_lift_sign_on_degree_one_family():
 @pytest.mark.parametrize("seed", range(4))
 def test_lift_extract_roundtrip(seed):
     rng = random.Random(2200 + seed)
-    a = random_twisted_complex(F, rng, **SHAPE)
-    b = random_twisted_complex(F, rng, **SHAPE)
+    a = _ref_shape_draw(F, rng)
+    b = _ref_shape_draw(F, rng)
     fam = random_homotopy_family(a, b, rng.choice([0, 1, 2]), rng)
     assert a.d and b.d and len(fam) >= 3
     # the family's own overall bidegree
     m0 = sorted(fam)[0]
     p, q = fam[m0].bidegree
     u, v = p + m0, q + m0
-    lifted = lift(fam, u, v, a.module, b.module, 8)
+    # a truncation that keeps every index of the family
+    lifted = lift(fam, u, v, a.module, b.module, max(fam) + 2)
     back = extract(lifted)
     assert back.keys() == fam.keys()
     for m in fam:
@@ -70,10 +81,11 @@ def test_lift_extract_roundtrip(seed):
 
 def test_shift_matches_index_shift():
     rng = random.Random(2300)
-    a = random_twisted_complex(F, rng, **SHAPE)
+    a = _ref_shape_draw(F, rng)
     f = random_endo_morphism(a, rng)
     assert a.d and len(f.f) >= 2
-    lf = lift_morphism(f, 8)
+    # a truncation that keeps every index of the family, shifted twice
+    lf = lift_morphism(f, max(f.f) + 2)
     shifted = shift(lf)
     fam = extract(shifted)
     expect = {m + 1: fm for m, fm in f.f.items()}
@@ -87,7 +99,7 @@ def test_shift_matches_index_shift():
 
 def test_lift_respects_composition():
     rng = random.Random(2400)
-    a = random_twisted_complex(F, rng, **SHAPE)
+    a = _ref_shape_draw(F, rng)
     f = random_endo_morphism(a, rng)
     g = random_endo_morphism(a, rng)
     assert a.d and len(f.f) >= 2 and len(g.f) >= 2
@@ -116,34 +128,36 @@ def test_square_zero_oracle_verdicts():
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_coderh_oracle(seed, r):
-    # the base seed gives every draw a twisting map and a nonzero homotopy,
-    # on which the one-entry corruption below is no homotopy; on some other
-    # draws it still is one, and twisted.check_r_homotopy agrees
     rng = random.Random(2639 + 10 * seed + r)
-    a = random_twisted_complex(F, rng, **SHAPE)
+    a = _ref_shape_draw(F, rng)
     f = random_endo_morphism(a, rng)
     g, h = random_homotopic_pair(f, r, rng)
     assert a.d and h.h
     assert check_coderh(h)
     # trivial homotopy
     assert check_coderh(RHomotopy(r, f, f, {}))
-    # corrupt one entry: verdict flips in both routes (the oracle would
-    # raise if they ever disagreed)
-    m0 = sorted(h.h)[0]
-    bad_map = h.h[m0]
-    loc = sorted(bad_map.blocks)[0]
-    blk = bad_map.blocks[loc].copy()
-    blk[0, 0] = F.add(blk[0, 0], F.one())
-    blocks = dict(bad_map.blocks)
-    blocks[loc] = blk
-    bad = dict(h.h)
-    bad[m0] = BigradedMap(bad_map.src, bad_map.dst, bad_map.bidegree, blocks)
-    assert not check_coderh(RHomotopy(r, f, g, bad))
+    # one entry raised by 1 may leave a homotopy (the raised entry can be
+    # a cycle of the hom complex), and the verdict is the direct
+    # checker's; one entry raised in every block of every hhat_m leaves
+    # none here (the oracle raises if the two routes ever disagree)
+    bad = corrupt_homotopy(h)
+    assert check_coderh(bad) is check_r_homotopy(bad).ok
+    worse = RHomotopy(r, f, g, {m: _bump_every_block(hm)
+                                for m, hm in h.h.items()})
+    assert not check_coderh(worse)
+
+
+def _bump_every_block(hm):
+    blocks = {}
+    for loc, blk in hm.blocks.items():
+        blocks[loc] = blk.copy()
+        blocks[loc][0, 0] = F.add(blk[0, 0], F.one())
+    return BigradedMap(hm.src, hm.dst, hm.bidegree, blocks)
 
 
 def test_truncation_floor_and_stability():
     rng = random.Random(2700)
-    a = random_twisted_complex(F, rng, **SHAPE)
+    a = _ref_shape_draw(F, rng)
     f = random_endo_morphism(a, rng)
     g, h = random_homotopic_pair(f, 1, rng)
     assert a.d and h.h
@@ -276,3 +290,122 @@ def test_lift_extract_x_lowering_match_reference(field, r):
                 for n in ref:
                     _same_blocks(got[n].blocks, ref[n])
     assert lifted
+
+
+# ---------------------------------------------------------------------------
+# lift writes only the family's blocks and the coderivation identity sums
+# in MapSum; the slot scan and the dense sums they replaced are the
+# reference, entry by entry
+# ---------------------------------------------------------------------------
+
+def _dense_lift(family, u, v, src, dst, n_max):
+    """{(i, j): Matrix} of the lift: every slot x family index scanned at
+    every bidegree of the expansion, each hit written as a signed block."""
+    field = src.field
+
+    def layout(mod, i, j):
+        out, off = [], 0
+        for t in range(n_max + 1):
+            out.append((off, mod.dim(i + t, j + t)))
+            off += mod.dim(i + t, j + t)
+        return out
+
+    esrc, edst = expand_module(src, n_max), expand_module(dst, n_max)
+    blocks = {}
+    for (i, j) in esrc.support():
+        dslots = layout(dst, i + u, j + v)
+        mat = Matrix.zero(field, edst.dim(i + u, j + v), esrc.dim(i, j))
+        for n, (c0, _) in enumerate(layout(src, i, j)):
+            for m, fm in family.items():
+                blk = fm.blocks.get((i + n, j + n))
+                if m > n or blk is None:
+                    continue
+                slot = n - m
+                mat.set_block(dslots[slot][0], c0,
+                              -blk if slot * (u + v) % 2 else blk)
+        if not mat.is_zero():
+            blocks[(i, j)] = mat
+    return blocks
+
+
+def _dense_coderh_verdict(h, n_max):
+    """(-1)^r d~^B H~ + H~ d~^A - (S^r G~ - S^r F~) == 0, each sum dense."""
+    r = h.r
+    da, db = lift_twisted(h.src, n_max), lift_twisted(h.dst, n_max)
+    hl = lift_homotopy(h, n_max)
+    sf, sg = lift_morphism(h.f, n_max), lift_morphism(h.g, n_max)
+    for _ in range(r):
+        sf, sg = shift(sf), shift(sg)
+    lhs = bcompose(db.map, hl.map).scale(h.src.field.of_int(-1 if r % 2 else 1)) \
+        + bcompose(hl.map, da.map)
+    return (lhs - (sg.map - sf.map)).is_zero()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_lift_matches_slot_scan(field, r):
+    """d, f and hhat of REF_SHAPES[1] draws, each with a nonzero d_m for
+    some m >= 1, between one complex and between two, at truncations from
+    0 to past the default."""
+    rng = random.Random(7300 + r)
+    a, b = _ref_shape_draw(field, rng), _ref_shape_draw(field, rng)
+    f = random_null_homotopic_map(a, b, rng)
+    g, h = random_homotopic_pair(f, r, rng)
+    assert len(f.f) >= 2 and h.h
+    written = 0
+    for n_max in (0, 1, 3, default_truncation(h)):
+        for fam, u, v, src, dst in ((a.d, 0, 1, a.module, a.module),
+                                    (b.d, 0, 1, b.module, b.module),
+                                    (f.f, 0, 0, a.module, b.module),
+                                    (h.h, r, r - 1, a.module, b.module)):
+            t = lift(fam, u, v, src, dst, n_max)
+            _same_blocks(t.map.blocks, _dense_lift(fam, u, v, src, dst, n_max))
+            written += len(t.map.blocks)
+    assert written
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_coderh_matches_dense_sum(field, r):
+    """The check_coderh verdict equals the dense coderivation sum's on
+    valid witnesses between REF_SHAPES[1] draws and on corrupted ones, at
+    the default truncation and past it."""
+    rng = random.Random(7400 + r)
+    verdicts = []
+    for f_of in (lambda a, b: random_endo_morphism(a, rng),
+                 lambda a, b: random_null_homotopic_map(a, b, rng)):
+        a, b = _ref_shape_draw(field, rng), _ref_shape_draw(field, rng)
+        f = f_of(a, b)
+        g, h = random_homotopic_pair(f, r, rng)
+        assert h.h
+        for cand in (h, corrupt_homotopy(h)):
+            n0 = default_truncation(cand)
+            for n_max in (n0, n0 + 2):
+                verdict = check_coderh(cand, n_max)
+                assert verdict is _dense_coderh_verdict(cand, n_max)
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_square_zero_oracle_on_ref_draws(field):
+    """lift(d)^2 = 0 and the (A_m) sum it is cross-checked against decide
+    as check_twisted does, on REF_SHAPES[1] draws and on each with one
+    entry of one d_m raised by 1."""
+    rng = random.Random(7500)
+    verdicts = []
+    for _ in range(3):
+        a = _ref_shape_draw(field, rng)
+        m = rng.choice(sorted(m for m in a.d if m >= 1))
+        dm = a.d[m]
+        loc = rng.choice(sorted(dm.blocks))
+        blk = dm.blocks[loc].copy()
+        blk[0, 0] = field.add(blk[0, 0], field.one())
+        bad = TwistedComplex(a.module, {**a.d, m: BigradedMap(
+            dm.src, dm.dst, dm.bidegree, {**dm.blocks, loc: blk})})
+        for cx in (a, bad):
+            n_max = 2 * max(cx.d)
+            verdict = check_square_zero_coderivation(cx, n_max)
+            assert verdict is check_twisted(cx).ok
+            verdicts.append(verdict)
+    assert False in verdicts and verdicts.count(True) >= 3

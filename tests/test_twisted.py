@@ -4,11 +4,11 @@ import pytest
 
 from conftest import (
     REF_SHAPES, SHAPE, assert_canonical, check_morphism_blockwise,
-    check_twisted_blockwise,
+    check_twisted_blockwise, corrupt_homotopy,
 )
 from multiplex.bigraded import (
-    BigradedMap, BigradedModule, identity_map, symmetry_iso, tensor_modules,
-    tensor_summands,
+    BigradedMap, BigradedModule, compose as bcompose, identity_map,
+    symmetry_iso, tensor_maps, tensor_modules, tensor_summands, zero_map,
 )
 from multiplex.filtration import tot
 from multiplex.generators import (
@@ -20,7 +20,8 @@ from multiplex.reports import Report
 from multiplex.twisted import (
     RHomotopy, TwistedComplex, TwistedMorphism, add_homotopies,
     check_morphism, check_r_homotopy, check_twisted, compose, cone,
-    cone_to_pair, identity_morphism, internal_hom, invert, negate_homotopy,
+    cone_to_pair, homotopy_lhs, identity_morphism, internal_hom, invert,
+    negate_homotopy,
     pair_to_cone, path, path_morphism, shift_homotopy, solve_r_homotopy,
     tensor, tensor_morphisms, translation, unit_complex, zero_morphism,
 )
@@ -28,12 +29,12 @@ from multiplex.twisted import (
 F = GF()
 
 
-def _draw(rng):
-    """A complex of REF_SHAPES[1] with a nonzero d_m for some m >= 1,
+def _draw(rng, field=F, shape=1):
+    """A complex of REF_SHAPES[shape] with a nonzero d_m for some m >= 1,
     which is asserted: on a complex whose only map is d_0, every sign and
     shift that the paths, cones and tensor products give d_m, m >= 1,
     goes untested."""
-    a = random_twisted_complex(F, rng, **REF_SHAPES[1])
+    a = random_twisted_complex(field, rng, **REF_SHAPES[shape])
     assert any(m >= 1 for m in a.d)
     return a
 
@@ -759,3 +760,115 @@ def test_report_summary_line():
     assert str(rep) == ("axioms: FAILED (1 failure in 3 conditions)\n"
                         "  at (1, 0, 0): broken")
     assert rep.to_dict()["failure_count"] == 1
+
+
+# ---------------------------------------------------------------------------
+# tensor, (H_m) and the homotopy solver sum in MapSum; the dense sums they
+# replaced are the reference, entry by entry
+# ---------------------------------------------------------------------------
+
+def _dense_tensor(a, b):
+    """The differential of A (x) B, added densely m by m."""
+    mod = tensor_modules(a.module, b.module)
+    ida, idb = identity_map(a.module), identity_map(b.module)
+    d = {}
+    for m in sorted(set(a.d) | set(b.d)):
+        dm = zero_map(mod, mod, (-m, -m + 1))
+        if m in a.d:
+            dm = dm + tensor_maps(a.d[m], idb)
+        if m in b.d:
+            dm = dm + tensor_maps(ida, b.d[m])
+        if not dm.is_zero():
+            d[m] = dm
+    return d
+
+
+def _dense_homotopy_lhs(h, m):
+    a, b, r = h.src, h.dst, h.r
+    acc = zero_map(a.module, b.module, (-m + r, -m + r))
+    for i, di in b.d.items():
+        if m - i in h.h:
+            term = bcompose(di, h.h[m - i])
+            acc = acc + (term if (i + r) % 2 == 0 else -term)
+    for i, hi in h.h.items():
+        if m - i in a.d:
+            term = bcompose(hi, a.d[m - i])
+            acc = acc + (term if i % 2 == 0 else -term)
+    return acc
+
+
+def _dense_hm_report(h):
+    """The (H_m) part of check_r_homotopy, each defect a dense sum."""
+    rep = Report(f"{h.r}-homotopy conditions (H_m)")
+    r = h.r
+    ms = {i + j for i in h.dst.d for j in h.h} \
+        | {i + j for i in h.h for j in h.src.d} \
+        | {m + r for m in set(h.f.f) | set(h.g.f)}
+    for m in sorted(ms):
+        lhs = _dense_homotopy_lhs(h, m)
+        if m >= r:
+            lhs = lhs - (h.g.f_map(m - r) - h.f.f_map(m - r))
+        rep.tick()
+        for loc in sorted(lhs.blocks):
+            rep.fail((m,) + loc, f"(H_{m}) fails on the block at {loc}")
+    return rep
+
+
+def _same_map(got, ref):
+    """Equal modules, bidegree, block keys, entries and entry types."""
+    assert (got.src, got.dst, got.bidegree) == (ref.src, ref.dst, ref.bidegree)
+    assert got.blocks.keys() == ref.blocks.keys()
+    for key, m in ref.blocks.items():
+        g = got.blocks[key]
+        assert (g.rows, g.cols, g.data) == (m.rows, m.cols, m.data), key
+        assert [type(x) for x in g.data] == [type(x) for x in m.data], key
+
+
+def _bump_h(h, rng):
+    """h with one entry raised by 1 in every block of every hhat_m."""
+    return RHomotopy(h.r, h.f, h.g, {
+        m: _bumped(hm, sorted(hm.blocks), rng) for m, hm in h.h.items()})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("shape", [0, 1])
+def test_tensor_matches_dense_sum(field, shape):
+    rng = random.Random(7100 + shape)
+    a, b = _draw(rng, field, shape), _draw(rng, field, shape)
+    for x, y in ((a, b), (b, a), (a, a)):
+        t, ref = tensor(x, y), _dense_tensor(x, y)
+        assert t.d.keys() == ref.keys() and any(m >= 1 for m in ref)
+        for m in ref:
+            _same_map(t.d[m], ref[m])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_homotopy_sums_match_dense_route(field, r):
+    """homotopy_lhs and the (H_m) report of check_r_homotopy against the
+    dense sums, on valid witnesses f ~_r g between REF_SHAPES draws, the
+    endomorphism case and the case A != B, and on witnesses corrupted in
+    one entry or in every block: the failures, their locations and their
+    order are the same.  solve_r_homotopy finds a witness for each valid
+    pair, which check_r_homotopy accepts."""
+    rng = random.Random(7200 + r)
+    compared = failed = 0
+    for shape in (0, 1):
+        a, b = _draw(rng, field, shape), _draw(rng, field, shape)
+        for f in (random_endo_morphism(a, rng),
+                  random_null_homotopic_map(a, b, rng)):
+            g, h = random_homotopic_pair(f, r, rng)
+            assert h.h and any(m >= 1 for m in f.dst.d)
+            for cand in (h, corrupt_homotopy(h), _bump_h(h, rng)):
+                ms = {i + j for i in cand.dst.d for j in cand.h} \
+                    | {i + j for i in cand.h for j in cand.src.d}
+                for m in sorted(ms):
+                    _same_map(homotopy_lhs(cand, m),
+                              _dense_homotopy_lhs(cand, m))
+                rep = check_r_homotopy(cand)
+                assert rep.to_dict() == _dense_hm_report(cand).to_dict()
+                compared += 1
+                failed += not rep.ok
+            solved = solve_r_homotopy(f, g, r)
+            assert solved is not None and check_r_homotopy(solved).ok
+    assert compared == 12 and failed >= 4
