@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import cache
 
 from .bigraded import BigradedMap, BigradedModule, MapSum, compose as bcompose
-from .linalg import Matrix, _negated
+from .linalg import Matrix
 from .twisted import (
     RHomotopy, TwistedComplex, TwistedMorphism, check_r_homotopy,
 )
@@ -101,28 +101,21 @@ def lift(family: dict[int, BigradedMap], u: int, v: int,
     overlap and only the family's blocks are visited."""
     field = src.field
     stab, dtab = _slot_table(src, n_max), _slot_table(dst, n_max)
-    out: dict = {}  # (i, j) -> row-major entries
+    blocks: dict = {}
     for m, fm in family.items():
         for (a, b), blk in fm.blocks.items():
-            k, plain = blk.cols, blk.data
-            signed = _negated(plain, field.p) if (u + v) % 2 else plain
             for n in range(m, n_max + 1):
                 ij = (a - n, b - n)
                 soffs, doffs = stab[ij], dtab[(ij[0] + u, ij[1] + v)]
-                cols = soffs[-1]
-                d = out.get(ij)
-                if d is None:
-                    d = out[ij] = [0] * (doffs[-1] * cols)
+                mat = blocks.get(ij)
+                if mat is None:
+                    mat = blocks[ij] = Matrix.zero(field, doffs[-1],
+                                                   soffs[-1])
                 # slot n of the source column block, slot n - m of the
                 # target row block, signed (-1)^{(n-m)(u+v)}
-                md = signed if (n - m) % 2 else plain
-                base = doffs[n - m] * cols + soffs[n]
-                for r in range(blk.rows):
-                    at = base + r * cols
-                    d[at:at + k] = md[r * k:(r + 1) * k]
-    blocks = {(i, j): Matrix._of(field, dtab[(i + u, j + v)][-1],
-                                 stab[(i, j)][-1], out[(i, j)])
-              for (i, j) in sorted(out)}
+                mat.set_block(doffs[n - m], soffs[n], blk,
+                              (n - m) * (u + v) % 2)
+    blocks = {ij: blocks[ij] for ij in sorted(blocks)}
     mp = BigradedMap(expand_module(src, n_max), expand_module(dst, n_max),
                      (u, v), blocks)
     return TruncatedCoalgebraMap(n_max, src, dst, (u, v), mp)
@@ -150,19 +143,15 @@ def x_lowering(mod: BigradedModule, n_max: int) -> TruncatedCoalgebraMap:
     """d_x: x^n (x) a -> x^{n-1} (x) a, bidegree (1, 1): slot n of (i, j)
     and slot n - 1 of (i + 1, j + 1) are both mod_{(i+n, j+n)}."""
     field, table = mod.field, _slot_table(mod, n_max)
-    one = field.one()
     blocks = {}
     for (i, j), offs in table.items():
         doffs = table.get((i + 1, j + 1))
         if doffs is None:
             continue
-        rows, cols = doffs[-1], offs[-1]
-        data = [0] * (rows * cols)
+        mat = blocks[(i, j)] = Matrix.zero(field, doffs[-1], offs[-1])
         for n in range(1, n_max + 1):
-            r0, c0 = doffs[n - 1], offs[n]
-            for t in range(offs[n + 1] - c0):
-                data[(r0 + t) * cols + c0 + t] = one
-        blocks[(i, j)] = Matrix._of(field, rows, cols, data)
+            mat.set_block(doffs[n - 1], offs[n],
+                          Matrix.identity(field, offs[n + 1] - offs[n]))
     emod = expand_module(mod, n_max)
     return TruncatedCoalgebraMap(n_max, mod, mod, (1, 1),
                                  BigradedMap(emod, emod, (1, 1), blocks))

@@ -30,8 +30,9 @@ two verdicts must agree.
 
 The signed sums of the tensor differential, of (H_m) and of the homotopy
 solver's right sides g_{m-r} - f_{m-r} are accumulated term by term in
-one ``MapSum`` per call and reduced once when read, so no dense map is
-added or negated per term.
+a ``MapSum`` and reduced once when read, so no dense map is added or
+negated per term; the tensor differential and the (H_m) defects are
+summed and read one m at a time, so only one sum is held at once.
 """
 
 from __future__ import annotations
@@ -257,11 +258,12 @@ def check_morphism(f: TwistedMorphism) -> Report:
     la = {n: tot_layout(ma, n) for n in ns}
     lb = la if endo else {n: tot_layout(mb, n) for n in ns}
     tf = {n: tot_matrix(f.f, 0, n, la[n], lb[n], field) for n in ns}
-    da = {n: tot_matrix(f.src.d, 0, n, la[n], la[n + 1], field)
-          for n in degs}
-    db = da if endo else {n: tot_matrix(f.dst.d, 0, n, lb[n], lb[n + 1],
-                                        field) for n in degs}
-    defects = {n: db[n] * tf[n] - tf[n + 1] * da[n] for n in degs}
+    defects = {}
+    for n in degs:
+        da = tot_matrix(f.src.d, 0, n, la[n], la[n + 1], field)
+        db = da if endo else tot_matrix(f.dst.d, 0, n, lb[n], lb[n + 1],
+                                        field)
+        defects[n] = db * tf[n] - tf[n + 1] * da
     _fail_on_tot(rep, "B", defects, la, {n: lb[n + 1] for n in degs})
     return rep
 
@@ -326,16 +328,16 @@ def tensor(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
     """(A (x) B, d_m^A (x) 1 + 1 (x) d_m^B)."""
     if a.field != b.field:
         raise ValueError("field mismatch")
-    acc = MapSum()
-    idb = identity_map(b.module)
-    for m, dm in a.d.items():
-        acc.add(m, tensor_maps(dm, idb))
-    ida = identity_map(a.module)
-    for m, dm in b.d.items():
-        acc.add(m, tensor_maps(ida, dm))
-    d = acc.maps()
-    out = TwistedComplex(tensor_modules(a.module, b.module),
-                         {m: d[m] for m in sorted(d)})
+    ida, idb = identity_map(a.module), identity_map(b.module)
+    d = {}
+    for m in sorted(set(a.d) | set(b.d)):
+        acc = MapSum()
+        if m in a.d:
+            acc.add(m, tensor_maps(a.d[m], idb))
+        if m in b.d:
+            acc.add(m, tensor_maps(ida, b.d[m]))
+        d[m] = acc.maps()[m]
+    out = TwistedComplex(tensor_modules(a.module, b.module), d)
     check_twisted(out).raise_if_failed()
     return out
 
@@ -630,18 +632,16 @@ def check_r_homotopy(h: RHomotopy) -> Report:
         for j in h.src.d:
             ms.add(i + j)
     ms |= {m + r for m in set(h.f.f) | set(h.g.f)}
-    # the (H_m) defects lhs - (g_{m-r} - f_{m-r}), one bucket per m
-    acc = MapSum()
-    for m in ms:
+    for m in sorted(ms):
+        # the (H_m) defect lhs - (g_{m-r} - f_{m-r}), summed in one bucket
+        acc = MapSum()
         _add_homotopy_lhs(acc, h, m)
         if m - r in h.g.f:
             acc.add(m, h.g.f[m - r], 1)
         if m - r in h.f.f:
             acc.add(m, h.f.f[m - r])
-    defects = acc.sparse_maps()
-    for m in sorted(ms):
         rep.tick()
-        for loc in sorted(defects[m].blocks):
+        for loc in sorted(acc.sparse_maps()[m].blocks):
             rep.fail((m,) + loc, f"(H_{m}) fails on the block at {loc}")
     # independent route: the assembled map must be a morphism into P_r(dst)
     assembled = check_morphism(assemble_into_path(h))

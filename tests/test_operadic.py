@@ -4,9 +4,7 @@ import pytest
 
 from conftest import REF_SHAPES, corrupt_homotopy
 
-from multiplex.bigraded import (
-    BigradedMap, BigradedModule, compose as bcompose, identity_map,
-)
+from multiplex.bigraded import BigradedMap, BigradedModule, identity_map
 from multiplex.generators import (
     random_endo_morphism, random_homotopic_pair, random_homotopy_family,
     random_null_homotopic_map, random_twisted_complex,
@@ -14,8 +12,8 @@ from multiplex.generators import (
 from multiplex.linalg import GF, QQ, Matrix
 from multiplex.operadic import (
     check_coderh, check_square_zero_coderivation, default_truncation,
-    expand_module, extract, lift, lift_homotopy, lift_morphism, lift_twisted,
-    shift, x_lowering,
+    expand_module, extract, lift, lift_morphism, lift_twisted, shift,
+    x_lowering,
 )
 from multiplex.twisted import (
     RHomotopy, TwistedComplex, check_r_homotopy, check_twisted, compose,
@@ -125,6 +123,12 @@ def test_square_zero_oracle_verdicts():
     assert not check_square_zero_coderivation(broken, 6)
 
 
+# (seed, r) draws of test_coderh_oracle on which the one-entry corruption
+# leaves an r-homotopy: the raised entry is a cycle of the hom complex, as
+# the direct checker and the assembled-path route both find
+ONE_ENTRY_STILL_HOMOTOPY = {(0, 1)}
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_coderh_oracle(seed, r):
@@ -136,12 +140,13 @@ def test_coderh_oracle(seed, r):
     assert check_coderh(h)
     # trivial homotopy
     assert check_coderh(RHomotopy(r, f, f, {}))
-    # one entry raised by 1 may leave a homotopy (the raised entry can be
-    # a cycle of the hom complex), and the verdict is the direct
-    # checker's; one entry raised in every block of every hhat_m leaves
-    # none here (the oracle raises if the two routes ever disagree)
+    # one entry raised by 1 in the first block of the lowest hhat_m
     bad = corrupt_homotopy(h)
-    assert check_coderh(bad) is check_r_homotopy(bad).ok
+    if (seed, r) in ONE_ENTRY_STILL_HOMOTOPY:
+        assert check_r_homotopy(bad).ok and check_coderh(bad)
+    else:
+        assert not check_coderh(bad)
+    # one entry raised in every block of every hhat_m
     worse = RHomotopy(r, f, g, {m: _bump_every_block(hm)
                                 for m, hm in h.h.items()})
     assert not check_coderh(worse)
@@ -259,117 +264,63 @@ def _same_blocks(got: dict, ref: dict):
         assert [type(x) for x in g.data] == [type(x) for x in m.data], key
 
 
+def _match_reference(a, b, f, h):
+    """Lifts of d^A, d^B, f and hhat, d_x on both modules and extractions
+    of lifts and composites (which fill slots > 0) equal the reference
+    route at truncations from 0 to past the default; returns the number of
+    lifted blocks compared."""
+    r, lifted = h.r, 0
+    ma, mb = a.module, b.module
+    for n_max in (0, 1, 3, default_truncation(h)):
+        cases = [(a.d, 0, 1, ma, ma), (b.d, 0, 1, mb, mb),
+                 (f.f, 0, 0, ma, mb), (h.h, r, r - 1, ma, mb)]
+        lifts = []
+        for fam, u, v, src, dst in cases:
+            t = lift(fam, u, v, src, dst, n_max)
+            _same_blocks(t.map.blocks, _ref_lift(fam, u, v, src, dst, n_max))
+            lifted += len(t.map.blocks)
+            lifts.append(t)
+        dx = x_lowering(ma, n_max)
+        _same_blocks(dx.map.blocks, _ref_x_lowering(ma, n_max))
+        _same_blocks(x_lowering(mb, n_max).map.blocks,
+                     _ref_x_lowering(mb, n_max))
+        da, db, fl, hl = lifts
+        for t in lifts + [db.compose(hl), hl.compose(da), fl.compose(dx)]:
+            got = extract(t)
+            ref = _ref_extract(t)
+            assert got.keys() == ref.keys()
+            for n in ref:
+                _same_blocks(got[n].blocks, ref[n])
+    return lifted
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_lift_extract_x_lowering_match_reference(field, r):
+    """Three small endomorphism draws, then a morphism between two
+    REF_SHAPES[1] draws (each asserted to have a nonzero d_m, m >= 1)."""
     rng = random.Random(5400 + r)
     lifted = 0
     for trial in range(3):
         a = random_twisted_complex(field, rng, spots=5, mix=3)
         f = random_endo_morphism(a, rng)
         g, h = random_homotopic_pair(f, r, rng)
-        mod = a.module
-        for n_max in (0, 1, 3, default_truncation(h)):
-            cases = [(a.d, 0, 1), (f.f, 0, 0), (h.h, r, r - 1)]
-            lifts = []
-            for fam, u, v in cases:
-                t = lift(fam, u, v, mod, mod, n_max)
-                _same_blocks(t.map.blocks,
-                             _ref_lift(fam, u, v, mod, mod, n_max))
-                lifted += len(t.map.blocks)
-                lifts.append(t)
-            dx = x_lowering(mod, n_max)
-            _same_blocks(dx.map.blocks, _ref_x_lowering(mod, n_max))
-            da, fl, hl = lifts
-            # extraction of lifts and of composites, which fill slots > 0
-            for t in lifts + [da.compose(hl), hl.compose(da),
-                              fl.compose(dx)]:
-                got = extract(t)
-                ref = _ref_extract(t)
-                assert got.keys() == ref.keys()
-                for n in ref:
-                    _same_blocks(got[n].blocks, ref[n])
-    assert lifted
-
-
-# ---------------------------------------------------------------------------
-# lift writes only the family's blocks and the coderivation identity sums
-# in MapSum; the slot scan and the dense sums they replaced are the
-# reference, entry by entry
-# ---------------------------------------------------------------------------
-
-def _dense_lift(family, u, v, src, dst, n_max):
-    """{(i, j): Matrix} of the lift: every slot x family index scanned at
-    every bidegree of the expansion, each hit written as a signed block."""
-    field = src.field
-
-    def layout(mod, i, j):
-        out, off = [], 0
-        for t in range(n_max + 1):
-            out.append((off, mod.dim(i + t, j + t)))
-            off += mod.dim(i + t, j + t)
-        return out
-
-    esrc, edst = expand_module(src, n_max), expand_module(dst, n_max)
-    blocks = {}
-    for (i, j) in esrc.support():
-        dslots = layout(dst, i + u, j + v)
-        mat = Matrix.zero(field, edst.dim(i + u, j + v), esrc.dim(i, j))
-        for n, (c0, _) in enumerate(layout(src, i, j)):
-            for m, fm in family.items():
-                blk = fm.blocks.get((i + n, j + n))
-                if m > n or blk is None:
-                    continue
-                slot = n - m
-                mat.set_block(dslots[slot][0], c0,
-                              -blk if slot * (u + v) % 2 else blk)
-        if not mat.is_zero():
-            blocks[(i, j)] = mat
-    return blocks
-
-
-def _dense_coderh_verdict(h, n_max):
-    """(-1)^r d~^B H~ + H~ d~^A - (S^r G~ - S^r F~) == 0, each sum dense."""
-    r = h.r
-    da, db = lift_twisted(h.src, n_max), lift_twisted(h.dst, n_max)
-    hl = lift_homotopy(h, n_max)
-    sf, sg = lift_morphism(h.f, n_max), lift_morphism(h.g, n_max)
-    for _ in range(r):
-        sf, sg = shift(sf), shift(sg)
-    lhs = bcompose(db.map, hl.map).scale(h.src.field.of_int(-1 if r % 2 else 1)) \
-        + bcompose(hl.map, da.map)
-    return (lhs - (sg.map - sf.map)).is_zero()
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-@pytest.mark.parametrize("r", [0, 1, 2])
-def test_lift_matches_slot_scan(field, r):
-    """d, f and hhat of REF_SHAPES[1] draws, each with a nonzero d_m for
-    some m >= 1, between one complex and between two, at truncations from
-    0 to past the default."""
-    rng = random.Random(7300 + r)
+        lifted += _match_reference(a, a, f, h)
     a, b = _ref_shape_draw(field, rng), _ref_shape_draw(field, rng)
     f = random_null_homotopic_map(a, b, rng)
     g, h = random_homotopic_pair(f, r, rng)
     assert len(f.f) >= 2 and h.h
-    written = 0
-    for n_max in (0, 1, 3, default_truncation(h)):
-        for fam, u, v, src, dst in ((a.d, 0, 1, a.module, a.module),
-                                    (b.d, 0, 1, b.module, b.module),
-                                    (f.f, 0, 0, a.module, b.module),
-                                    (h.h, r, r - 1, a.module, b.module)):
-            t = lift(fam, u, v, src, dst, n_max)
-            _same_blocks(t.map.blocks, _dense_lift(fam, u, v, src, dst, n_max))
-            written += len(t.map.blocks)
-    assert written
+    lifted += _match_reference(a, b, f, h)
+    assert lifted
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("r", [0, 1, 2])
-def test_coderh_matches_dense_sum(field, r):
-    """The check_coderh verdict equals the dense coderivation sum's on
-    valid witnesses between REF_SHAPES[1] draws and on corrupted ones, at
-    the default truncation and past it."""
+def test_coderh_verdicts_on_ref_draws(field, r):
+    """check_coderh, whose verdict is cross-checked against the direct
+    (H_m) checker on every call, decides valid witnesses between
+    REF_SHAPES[1] draws and corrupted ones, at the default truncation and
+    past it; both verdicts occur."""
     rng = random.Random(7400 + r)
     verdicts = []
     for f_of in (lambda a, b: random_endo_morphism(a, rng),
@@ -381,9 +332,7 @@ def test_coderh_matches_dense_sum(field, r):
         for cand in (h, corrupt_homotopy(h)):
             n0 = default_truncation(cand)
             for n_max in (n0, n0 + 2):
-                verdict = check_coderh(cand, n_max)
-                assert verdict is _dense_coderh_verdict(cand, n_max)
-                verdicts.append(verdict)
+                verdicts.append(check_coderh(cand, n_max))
     assert True in verdicts and False in verdicts
 
 
