@@ -191,8 +191,7 @@ def cmd_spectral(args) -> int:
         print(rep)
         return 1
     page = spectral_page(k, args.page)
-    entries = {f"{p},{q}": page.dim(p, q) for (p, q) in sorted(page.entries)
-               if page.dim(p, q)}
+    entries = {f"{p},{q}": dim for (p, q), dim in page.dims().items()}
     if args.format == "json":
         payload = {
             "object": name,

@@ -58,6 +58,25 @@ three terms off the two kernels of ``page_entry`` (one column count and
 two cuts) and the last as the column count of kernel(n - 1, p - 1,
 p + r - 1), the cycles of the entry (p + r - 1, q + r - 2) of the same
 page.
+
+A ``SpectralPage`` is lazy on that count.  It counts every dimension when
+it is made (at r = 0 it reads the module's, since E_0 = A), and builds an
+entry's subquotient only when a reader asks for it, and the page
+differentials only when they are read, at the pairs whose source and
+target are both nonzero.  A built entry keeps every ``Subquotient`` check,
+and its dimension is checked against the count.
+
+Both the count and an unbuilt entry assume D^2 = 0 on Tot, which the
+caller decides: ``multiplex spectral`` runs ``check_twisted`` on the Tot
+its page reads (or ``check_filtered_complex`` on filtered input),
+``multiplex er-qis`` runs ``check_twisted`` on the Tot of the source and
+of the target that its pages read, and the cone detector on the Tot of
+the cone it counts.  An entry that no reader builds needs no B in Z
+check: Z_{r-1}^{p-1,n} lies in Z_r^{p,n} because F_{p-1} lies in F_p,
+and d Z_{r-1}^{p+r-1,n-1} does because d y lies in F_p for y in
+Z_{r-1}^{p+r-1} and d d y = 0 lies in F_{p-r}.  The first is the
+filtration, the second D^2 = 0, and ``page_dim``'s derivation already
+assumes both.
 """
 
 from __future__ import annotations
@@ -71,23 +90,71 @@ from .twisted import (
 )
 
 class SpectralPage:
-    """The r-th page: subquotient entries with lifts, and delta matrices."""
+    """The r-th page of the spectral sequence of the filtered complex k.
 
-    __slots__ = ("r", "complex", "entries", "delta")
+    Every dimension is counted when the page is made: by ``page_dim`` from
+    kernel dimensions, or, at r = 0, read off the module, since E_0 = A.
+    The rest is built on read and kept on the page.  ``entry(p, q)``
+    builds the subquotient E_r^{p,q} with its lifts (``page_entry``) the
+    first time it is asked for, and checks that its dimension is the
+    counted one.  ``delta`` builds the page differentials the first time
+    it is read, each only where its source and target are both nonzero,
+    and so builds exactly the entries that meet such a pair.
 
-    def __init__(self, r: int, complex: FilteredComplex,
-                 entries: dict, delta: dict):
+    Precondition: D^2 = 0 on k.  The counts and the unbuilt entries rest
+    on it (module docstring); a built entry that disagrees with its count
+    raises AssertionError.
+    """
+
+    __slots__ = ("r", "complex", "support", "_dims", "_entries", "_delta")
+
+    def __init__(self, r: int, complex: FilteredComplex):
         self.r = r
         self.complex = complex
-        self.entries = entries          # (p, q) -> Subquotient of Tot^{q-p}
-        self.delta = delta              # (p, q) -> Matrix to (p-r, q-r+1)
+        self.support = sorted(complex.module.dims)
+        self._dims = complex.module.dims if r == 0 else {
+            (p, q): page_dim(complex, r, p, q) for p, q in self.support}
+        self._entries = {}              # (p, q) -> Subquotient of Tot^{q-p}
+        self._delta = None              # (p, q) -> nonzero Matrix
 
     def dim(self, p: int, q: int) -> int:
-        e = self.entries.get((p, q))
-        return e.dim if e is not None else 0
+        return self._dims.get((p, q), 0)
 
     def dims(self) -> dict:
-        return {pq: e.dim for pq, e in sorted(self.entries.items()) if e.dim}
+        return {pq: d for pq, d in sorted(self._dims.items()) if d}
+
+    def entry(self, p: int, q: int) -> Subquotient:
+        """E_r^{p,q} as a subquotient of Tot^{q-p} with representative
+        lifts, built on the first call."""
+        e = self._entries.get((p, q))
+        if e is None:
+            e = page_entry(self.complex, self.r, p, q)
+            if e.dim != self.dim(p, q):
+                raise AssertionError(
+                    f"E_{self.r} entry at {(p, q)} has dimension {e.dim}, "
+                    f"counted {self.dim(p, q)}")
+            self._entries[(p, q)] = e
+        return e
+
+    @property
+    def delta(self) -> dict:
+        """(p, q) -> the nonzero matrix of delta_r from E_r^{p,q} to
+        E_r^{p-r,q-r+1}, on the rep bases, built on the first read."""
+        if self._delta is None:
+            k, r = self.complex, self.r
+            self._delta = {}
+            for p, q in self.support:
+                tgt = (p - r, q - r + 1)
+                if not (self.dim(p, q) and self.dim(*tgt)):
+                    continue
+                n = q - p
+                mat = self.entry(*tgt).reduce(
+                    k.d_mat(n) * self.entry(p, q).rep_basis)
+                if (r * n) % 2:
+                    mat = -mat
+                if not mat.is_zero():
+                    self._delta[(p, q)] = mat
+        return self._delta
 
     def delta_mat(self, p: int, q: int) -> Matrix:
         m = self.delta.get((p, q))
@@ -133,28 +200,13 @@ def page_dim(k: FilteredComplex, r: int, p: int, q: int) -> int:
 
 def spectral_page(a: TwistedComplex | FilteredComplex, r: int,
                   k: FilteredComplex | None = None) -> SpectralPage:
+    """Page r of a, on k = tot(a) where the caller has it.  D^2 = 0 is the
+    caller's to decide (``SpectralPage``)."""
     if isinstance(a, FilteredComplex):
         k = a
     else:
         k = k or tot(a)
-    support = sorted(k.module.dims)
-    entries = {(p, q): page_entry(k, r, p, q) for p, q in support}
-
-    delta: dict = {}
-    for (p, q), e in sorted(entries.items()):
-        if e.dim == 0:
-            continue
-        n = q - p
-        tgt = entries.get((p - r, q - r + 1))
-        if tgt is None or tgt.dim == 0:
-            continue
-        w = k.d_mat(n) * e.rep_basis
-        mat = tgt.reduce(w)
-        if (r * n) % 2:
-            mat = -mat
-        if not mat.is_zero():
-            delta[(p, q)] = mat
-    return SpectralPage(r, k, entries, delta)
+    return SpectralPage(r, k)
 
 
 def page_of_morphism(f: TwistedMorphism, r: int,
@@ -165,22 +217,20 @@ def page_of_morphism(f: TwistedMorphism, r: int,
     pb = dst_page or spectral_page(f.dst, r)
     tf = tot_morphism(f, pa.complex, pb.complex)
     out = {}
-    keys = sorted(set(pa.entries) | set(pb.entries))
+    dst_support = set(pb.support)
     field = pa.complex.field
-    for (p, q) in keys:
-        n = q - p
-        src_e = pa.entries.get((p, q))
-        dst_e = pb.entries.get((p, q))
-        sdim = src_e.dim if src_e else 0
-        ddim = dst_e.dim if dst_e else 0
+    for (p, q) in sorted(set(pa.support) | dst_support):
+        sdim = pa.dim(p, q)
         if sdim == 0:
-            out[(p, q)] = Matrix.zero(field, ddim, 0)
-            continue
-        if dst_e is None:
+            out[(p, q)] = Matrix.zero(field, pb.dim(p, q), 0)
+        elif (p, q) not in dst_support:
             # target page vanishes there; the induced map must be zero
             out[(p, q)] = Matrix.zero(field, 0, sdim)
-            continue
-        out[(p, q)] = induced_map(tf.block(n), src_e, dst_e)
+        else:
+            # built on both sides, also where the target is zero, so that
+            # induced_map checks the containments
+            out[(p, q)] = induced_map(tf.block(q - p), pa.entry(p, q),
+                                      pb.entry(p, q))
     return out
 
 
@@ -200,7 +250,7 @@ def is_er_quasi_iso(f: TwistedMorphism, r: int,
         if m.rows and not m.is_invertible():
             return False
     # entries outside the common support must be zero-dimensional on both sides
-    for (p, q) in set(pa.entries) ^ set(pb.entries):
+    for (p, q) in set(pa.support) ^ set(pb.support):
         if pa.dim(p, q) or pb.dim(p, q):
             return False
     return True
@@ -224,9 +274,7 @@ def page_homology(page: SpectralPage) -> dict:
     """Homology of (E_r, delta_r) at each (p, q), in page coordinates."""
     out = {}
     r = page.r
-    for (p, q), e in sorted(page.entries.items()):
-        if e.dim == 0:
-            continue
+    for (p, q) in page.dims():
         ker, free = page.delta_mat(p, q).kernel()
         img_src = page.delta_mat(p + r, q + r - 1)
         out[(p, q)] = Subquotient(ker, img_src, free)
@@ -248,7 +296,7 @@ def check_page_recursion(a: TwistedComplex | FilteredComplex, r: int,
     k = page.complex
     field = k.field
     hom = page_homology(page)
-    keys = sorted(set(hom) | {pq for pq, e in nxt.entries.items() if e.dim})
+    keys = sorted(set(hom) | set(nxt.dims()))
     phi: dict = {}
     # (p, q) -> Tot lifts of the rep classes of H(E_r), adjusted into
     # Z_{r+1}: one zig-zag solve per entry, read by both loops
@@ -261,9 +309,9 @@ def check_page_recursion(a: TwistedComplex | FilteredComplex, r: int,
                           f"page {nxt.dim(p, q)}"
         if hdim == 0:
             continue
-        x = page.entries[(p, q)].rep_basis * h.rep_basis
+        x = page.entry(p, q).rep_basis * h.rep_basis
         lifts[(p, q)] = _zigzag_adjust(k, page, p, q, x)
-        mat = nxt.entries[(p, q)].reduce(lifts[(p, q)])
+        mat = nxt.entry(p, q).reduce(lifts[(p, q)])
         if not mat.is_invertible():
             return False, f"zig-zag comparison map not invertible at {(p, q)}"
         phi[(p, q)] = mat
@@ -275,7 +323,7 @@ def check_page_recursion(a: TwistedComplex | FilteredComplex, r: int,
         tgt_h = hom.get(tgt_pq)
         tdim = tgt_h.dim if tgt_h else 0
         if tdim:
-            wr = page.entries[tgt_pq].reduce(k.d_mat(n) * x2)  # in E_r
+            wr = page.entry(*tgt_pq).reduce(k.d_mat(n) * x2)   # in E_r
             delta_t = tgt_h.reduce(wr)                         # in H(E_r)
         else:
             # where H(E_r) vanishes at the target, delta~ has no rows

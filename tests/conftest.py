@@ -136,7 +136,7 @@ def page_to_column_coords(page, p, q, sq):
     k = page.complex
     n = q - p
     col_rows = [idx for idx, (i, _) in enumerate(k.basis(n)) if i == p]
-    e = page.entries[(p, q)]
+    e = page.entry(p, q)
     field = k.field
     chg = Matrix.zero(field, sq.dim, e.dim)
     for c in range(e.dim):
@@ -181,20 +181,39 @@ def lemma_path_homotopy(a, r):
 
 
 def corrupt_homotopy(h, bump=1):
-    """Flip one matrix entry of the witness (may or may not stay valid)."""
-    if not h.h:
-        return None
-    m0 = sorted(h.h)[0]
-    bad_map = h.h[m0]
-    loc = sorted(bad_map.blocks)[0]
-    blk = bad_map.blocks[loc].copy()
-    field = blk.field
-    blk[0, 0] = field.add(blk[0, 0], field.of_int(bump))
-    blocks = dict(bad_map.blocks)
-    blocks[loc] = blk
-    bad = dict(h.h)
-    bad[m0] = BigradedMap(bad_map.src, bad_map.dst, bad_map.bidegree, blocks)
-    return RHomotopy(h.r, h.f, h.g, bad)
+    """The witness with one entry raised by bump where (H_m) then fails, or
+    None when no entry of a nonzero hhat_m has that.
+
+    Raising an entry of hhat_m by delta changes the (H_{m+t}) sum by
+    (-1)^{t+r} d_t^B delta + (-1)^m delta d_t^A, t >= 0.  The two terms
+    have their sources in different bidegrees, so this is nonzero exactly
+    when one of them is.  It is computed here from the d_t alone, d_0
+    first, for the entries of each hhat_m in order of m, of the source
+    bidegree and of row and column, and the first entry where some t
+    gives a nonzero change is raised.  A d_0 that is zero, as on some
+    REF_SHAPES[1] draws, leaves that to a d_t with t >= 1."""
+    field = h.src.module.field
+
+    def sign(e):
+        return field.of_int(-1 if e % 2 else 1)
+
+    ds = [(t, h.dst.d_map(t), h.src.d_map(t))
+          for t in sorted(set(h.src.d) | set(h.dst.d))]
+    for m, hm in sorted(h.h.items()):
+        for loc in hm.src.support():
+            blk = hm.block(*loc)
+            for i in range(blk.rows):
+                for j in range(blk.cols):
+                    unit = Matrix.zero(field, blk.rows, blk.cols)
+                    unit[i, j] = field.of_int(bump)
+                    delta = BigradedMap(hm.src, hm.dst, hm.bidegree,
+                                        {loc: unit})
+                    if any(not (bcompose(db, delta).scale(sign(t + h.r))
+                                + bcompose(delta, da).scale(sign(m)))
+                           .is_zero() for t, db, da in ds):
+                        return RHomotopy(h.r, h.f, h.g, {
+                            **h.h, m: hm + delta})
+    return None
 
 
 def check_twisted_blockwise(a):

@@ -93,42 +93,62 @@ def test_roundtrip_isomorphism(twisted_corpus):
         count_k += 1
     for seed in range(5):  # rational spot check
         rng = random.Random(40_000 + seed)
-        a = random_twisted_complex(QQ, rng, spots=3)
+        a = random_twisted_complex(QQ, rng, **REF_SHAPES[1])
+        assert any(m >= 1 for m in a.d), seed
         assert tot_inverse(tot(a)) == a
-        k = random_filtered_complex(QQ, rng, spots=3)
+        k = random_filtered_complex(QQ, rng, **REF_SHAPES[1])
+        assert any(m >= 1 for m in tot_inverse(k).d), seed
         assert tot(tot_inverse(k)) == k
     _announce("round-trip isomorphism",
-              f"{count_t} twisted + {count_k} filtered + 10 rational")
+              f"{count_t} twisted ({_nondegenerate(twisted_corpus)} with "
+              f"d_m != 0 for some m >= 1) + {count_k} filtered + 10 "
+              f"rational with d_m != 0 for some m >= 1")
+
+
+def _nondegenerate(corpus):
+    """How many complexes of corpus have d_m != 0 for some m >= 1."""
+    return sum(any(m >= 1 for m in a.d) for a in corpus)
+
+
+def _assert_page_conformance(a):
+    """E_0 = A with delta_0 = d_0; E_1 = H(A_p, d_0) with delta_1 = H(d_1)
+    on independent column subquotients."""
+    p0 = spectral_page(a, 0)
+    assert p0.dims() == {k: v for k, v in a.module.dims.items()}
+    d0 = a.d_map(0)
+    for (p, q) in a.module.support():
+        assert p0.delta_mat(p, q) == d0.block(p, q)
+    p1 = spectral_page(a, 1)
+    d1 = a.d_map(1)
+    for (p, q) in a.module.support():
+        sq = column_subquotient(a, p, q)
+        assert p1.dim(p, q) == sq.dim
+        if sq.dim and p1.dim(p - 1, q):
+            tsq = column_subquotient(a, p - 1, q)
+            chg = page_to_column_coords(p1, p, q, sq)
+            tchg = page_to_column_coords(p1, p - 1, q, tsq)
+            inv = chg.inverse()
+            assert inv is not None
+            got = tchg * p1.delta_mat(p, q) * inv
+            assert got == ambient_induced_map(d1.block(p, q), sq, tsq)
 
 
 def test_page_conformance(twisted_corpus):
     """E_0 = A with delta_0 = d_0; E_1 = H(A_p, d_0) with delta_1 = H(d_1),
-    the page-1 data checked against independent column subquotients."""
+    the page-1 data checked against independent column subquotients, over
+    F_32003 and on a rational REF_SHAPES[1] draw with d_m != 0 for some
+    m >= 1."""
     checked = 0
     for a in twisted_corpus:
-        p0 = spectral_page(a, 0)
-        assert p0.dims() == {k: v for k, v in a.module.dims.items()}
-        d0 = a.d_map(0)
-        for (p, q) in a.module.support():
-            assert p0.delta_mat(p, q) == d0.block(p, q)
-        p1 = spectral_page(a, 1)
-        d1 = a.d_map(1)
-        for (p, q) in a.module.support():
-            sq = column_subquotient(a, p, q)
-            assert p1.dim(p, q) == sq.dim
-            if sq.dim and p1.dim(p - 1, q):
-                tsq = column_subquotient(a, p - 1, q)
-                chg = page_to_column_coords(p1, p, q, sq)
-                tchg = page_to_column_coords(p1, p - 1, q, tsq)
-                inv = chg.inverse()
-                assert inv is not None
-                got = tchg * p1.delta_mat(p, q) * inv
-                assert got == ambient_induced_map(d1.block(p, q), sq, tsq)
+        _assert_page_conformance(a)
         checked += 1
     rng = random.Random(41_000)
-    a = random_twisted_complex(QQ, rng, spots=3)
-    assert spectral_page(a, 0).dims() == {k: v for k, v in a.module.dims.items()}
-    _announce("page conformance at r <= 1", f"{checked} instances + rational")
+    a = random_twisted_complex(QQ, rng, **REF_SHAPES[1])
+    assert any(m >= 1 for m in a.d)
+    _assert_page_conformance(a)
+    _announce("page conformance at r <= 1",
+              f"{checked} instances ({_nondegenerate(twisted_corpus)} with "
+              f"d_m != 0 for some m >= 1) + 1 rational with d_m != 0")
 
 
 def test_page_recursion(twisted_corpus):
@@ -332,6 +352,7 @@ def test_operadic_oracle(ref_corpus):
         bad = corrupt_homotopy(h)
         if bad is not None:
             expected = check_r_homotopy(bad).ok
+            assert expected is False
             assert check_coderh(bad, n0) is expected
             assert check_coderh(bad, n0 + 3) is expected
             agree += 2
@@ -366,12 +387,13 @@ def test_hmk_consistency(ref_corpus):
         assert ok
         outcomes[ok] += 1
         checked += 1
-        if th.h:
-            bad_tw = corrupt_homotopy(th)
+        bad_tw = corrupt_homotopy(th)
+        if bad_tw is not None:
             bad = DAInfHomotopy(r, f, g, {(i, 1): m
                                           for i, m in bad_tw.h.items()})
             verdict = check_r_homotopy_dainf(bad).ok
             assert verdict == check_r_homotopy(bad_tw).ok
+            assert not verdict
             outcomes[verdict] += 1
             checked += 1
     # candidates with genuine products: the diagonal homotopy on paths of

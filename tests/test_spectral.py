@@ -6,8 +6,10 @@ from conftest import (
     REF_SHAPES, AmbientSubquotient, ambient_induced_map, column_subquotient,
     page_to_column_coords,
 )
+from multiplex import io as mio
 from multiplex import spectral
 from multiplex.bigraded import BigradedMap, BigradedModule
+from multiplex.cli import main
 from multiplex.filtration import tot
 from multiplex.generators import (
     random_endo_morphism, random_homotopic_pair, random_null_homotopic_map,
@@ -156,12 +158,21 @@ def test_page_recursion(seed, r):
     assert ok, detail
 
 
+def _altered(page, dims=(), entries=(), delta=()):
+    """A copy of page with some counts, built entries or deltas replaced."""
+    bad = SpectralPage(page.r, page.complex)
+    bad._dims = {**page._dims, **dict(dims)}
+    bad._entries = {**page._entries, **dict(entries)}
+    bad._delta = {**page.delta, **dict(delta)}
+    return bad
+
+
 @pytest.mark.parametrize("field", [F, QQ], ids=str)
 @pytest.mark.parametrize("seed", range(len(REF_SHAPES)))
 def test_page_recursion_rejects_altered_pages(field, seed):
     """check_page_recursion accepts the true page r + 1 and rejects one
     with a nonzero delta entry scaled by 2, or with an entry that lost a
-    rep column to its boundaries."""
+    rep column to its boundaries and is counted so."""
     rng = random.Random(2300 + seed)
     k = tot(random_twisted_complex(field, rng, **REF_SHAPES[seed]))
     scaled = 0
@@ -169,21 +180,18 @@ def test_page_recursion_rejects_altered_pages(field, seed):
         page, nxt = spectral_page(k, r), spectral_page(k, r + 1)
         assert check_page_recursion(k, r, page, nxt) == (True, "")
         for pq, m in sorted(nxt.delta.items())[:1]:
-            delta = dict(nxt.delta)
-            delta[pq] = m.scale(field.of_int(2))
-            bad = SpectralPage(r + 1, k, nxt.entries, delta)
+            bad = _altered(nxt, delta={pq: m.scale(field.of_int(2))})
             assert check_page_recursion(k, r, page, bad) == \
                 (False, f"delta mismatch at {pq}")
             scaled += 1
-        pq, e = next((pq, e) for pq, e in sorted(nxt.entries.items())
-                     if e.dim)
-        entries = dict(nxt.entries)
-        entries[pq] = Subquotient(
+        pq = next(iter(nxt.dims()))
+        e = nxt.entry(*pq)
+        lost = Subquotient(
             e.cycle_basis,
             e.boundary_basis.hstack(e.rep_basis.take_cols([0])),
             e.free_rows)
-        assert entries[pq].dim == e.dim - 1
-        bad = SpectralPage(r + 1, k, entries, nxt.delta)
+        assert lost.dim == e.dim - 1
+        bad = _altered(nxt, dims={pq: lost.dim}, entries={pq: lost})
         assert check_page_recursion(k, r, page, bad) == \
             (False, f"dim mismatch at {pq}: homology {e.dim}, "
                     f"page {e.dim - 1}")
@@ -217,7 +225,7 @@ def test_chain_map_property_of_induced_pages(seed):
     for r in (0, 1, 2):
         page = spectral_page(a, r)
         blocks = page_of_morphism(f, r, page, page)
-        for (p, q) in page.entries:
+        for (p, q) in page.support:
             lhs = page.delta_mat(p, q) * blocks.get(
                 (p, q), Matrix.zero(F, page.dim(p, q), page.dim(p, q)))
             tgt = (p - r, q - r + 1)
@@ -294,7 +302,8 @@ def test_page_dim_counts_every_entry(field, shape):
     for r in range(5):
         page = spectral_page(k, r)
         dims = [spectral.page_dim(k, r, p, q) for p, q in support]
-        assert dims == [page.dim(p, q) for p, q in support], r
+        assert dims == [spectral.page_entry(k, r, p, q).dim
+                        for p, q in support], r
         zeros += dims.count(0)
         moving += r >= 1 and bool(page.delta)
     assert zeros and moving
@@ -397,9 +406,9 @@ def _assert_pages_match_reference(k, pages):
     for r in pages:
         page = spectral_page(k, r)
         entries, delta = _ref_page(k, r)
-        assert page.entries.keys() == entries.keys()
+        assert page.support == sorted(entries)
         for pq, ref in entries.items():
-            got = page.entries[pq]
+            got = page.entry(*pq)
             assert got.dim == ref.dim, (r, pq)
             assert got.rep_basis == ref.rep_basis, (r, pq)
             assert got.cycle_basis == ref.cycle_basis, (r, pq)
@@ -439,3 +448,133 @@ def test_seed7_instance_pages_match_per_entry_reference():
                                verts=(-3, 4), max_rank=5, spots=120)
     assert a.module.total_dim() == 194
     _assert_pages_match_reference(tot(a), range(4))
+
+
+# -- lazy pages against an eager reference ------------------------------------
+# SpectralPage counts its dims and builds entries and deltas on read.  The
+# reference builds every entry of the support with page_entry and every
+# delta when it is made, and reads its dims off the built entries.
+
+class EagerPage:
+    """Page r of k with every entry built up front, read as SpectralPage is."""
+
+    def __init__(self, r, k):
+        self.r, self.complex = r, k
+        self.support = sorted(k.module.dims)
+        self.entries = {pq: spectral.page_entry(k, r, *pq)
+                        for pq in self.support}
+        self.delta = {}
+        for (p, q), e in self.entries.items():
+            tgt = self.entries.get((p - r, q - r + 1))
+            if e.dim and tgt is not None and tgt.dim:
+                n = q - p
+                mat = tgt.reduce(k.d_mat(n) * e.rep_basis)
+                mat = -mat if (r * n) % 2 else mat
+                if not mat.is_zero():
+                    self.delta[(p, q)] = mat
+
+    def dim(self, p, q):
+        e = self.entries.get((p, q))
+        return e.dim if e is not None else 0
+
+    def dims(self):
+        return {pq: e.dim for pq, e in self.entries.items() if e.dim}
+
+    def entry(self, p, q):
+        return self.entries[(p, q)]
+
+    delta_mat = SpectralPage.delta_mat
+
+
+def _bases(e):
+    return e.rep_basis, e.cycle_basis, e.boundary_basis
+
+
+@pytest.mark.parametrize("field", [F, GF(5), GF(2), QQ], ids=str)
+@pytest.mark.parametrize("shape", range(len(REF_SHAPES)))
+def test_lazy_pages_match_eager_reference(field, shape, monkeypatch):
+    """On pages 0-4 of a REF_SHAPES draw with a nonzero d_m, m >= 1, and a
+    nonzero page differential on some page r >= 1, the lazy page and the
+    eager reference agree on the dims at every bidegree of the support, on
+    delta, on the bases of every entry the lazy page built, on the blocks
+    of a random endomorphism, on the page recursion check and on the
+    E_r-quasi-isomorphism verdicts of four endomorphisms."""
+    rng = random.Random(2600 + shape)
+    a = random_twisted_complex(field, rng, **REF_SHAPES[shape])
+    b = random_twisted_complex(field, rng, **REF_SHAPES[shape])
+    assert any(m >= 1 for m in a.d) and any(m >= 1 for m in b.d)
+    f = random_endo_morphism(a, rng)
+    g = random_null_homotopic_map(a, b, rng)
+    k, k_ref = tot(a), tot(a)
+    moving = 0
+    for r in range(5):
+        page, ref = spectral_page(k, r), EagerPage(r, k_ref)
+        assert page.support == ref.support
+        assert [page.dim(*pq) for pq in page.support] == \
+            [ref.dim(*pq) for pq in ref.support], r
+        assert page.dims() == ref.dims()
+        assert page.delta == ref.delta, r
+        moving += r >= 1 and bool(ref.delta)
+        assert page_of_morphism(f, r, page, page) == \
+            page_of_morphism(f, r, ref, ref), r
+        page_b = spectral_page(b, r)
+        assert page_of_morphism(g, r, page, page_b) == \
+            page_of_morphism(g, r, ref, EagerPage(r, tot(b))), r
+        # induced_map ran, with its containment checks, wherever the
+        # source is nonzero, also where the target is zero
+        assert set(page.dims()) <= set(page._entries)
+        assert set(page.dims()) & set(page_b.support) <= set(page_b._entries)
+        assert check_page_recursion(k, r, page, spectral_page(k, r + 1)) == \
+            check_page_recursion(k_ref, r, ref, EagerPage(r + 1, k_ref)), r
+        assert page._entries
+        for pq, e in page._entries.items():
+            assert _bases(e) == _bases(ref.entry(*pq)), (r, pq)
+    assert moving
+    candidates = [f, identity_morphism(a), zero_morphism(a, a),
+                  random_null_homotopic_map(a, a, rng)]
+    lazy = [is_er_quasi_iso(g, r) for g in candidates for r in range(4)]
+    monkeypatch.setattr(spectral, "spectral_page",
+                        lambda a, r, k=None: EagerPage(r, k or tot(a)))
+    assert lazy == [is_er_quasi_iso(g, r) for g in candidates
+                    for r in range(4)]
+    assert True in lazy and False in lazy
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_page_builds_fewer_entries_than_its_support(r, monkeypatch):
+    """Reading the dims and the deltas of page r >= 1 of a REF_SHAPES[3]
+    draw builds fewer subquotients than the page has bidegrees: once each,
+    the entries of the pairs whose source and target are both nonzero."""
+    a = random_twisted_complex(F, random.Random(2700 + r), **REF_SHAPES[3])
+    k = tot(a)
+    built = []
+    entry = spectral.page_entry
+    monkeypatch.setattr(spectral, "page_entry",
+                        lambda *args: built.append(args[2:]) or entry(*args))
+    page = spectral_page(k, r)
+    assert page.dims() and page.delta
+    pairs = [((p, q), (p - r, q - r + 1)) for p, q in page.support
+             if page.dim(p, q) and page.dim(p - r, q - r + 1)]
+    assert sorted(built) == sorted({pq for pair in pairs for pq in pair})
+    assert len(built) < len(page.support)
+
+
+def test_entry_that_disagrees_with_its_count_raises(tmp_path, capsys,
+                                                    monkeypatch):
+    """A built entry whose dim is not the counted one raises AssertionError,
+    and the CLI exits 1 with it as a failed internal check."""
+    a = random_twisted_complex(F, random.Random(2800), **REF_SHAPES[1])
+    path = tmp_path / "a.json"
+    path.write_text(mio.document_json(F, {"A": mio.dump_twisted(F, a)}))
+    k = tot(a)
+    page = spectral_page(k, 1)
+    pq = next(iter(page.dims()))
+    page._dims[pq] += 1
+    with pytest.raises(AssertionError, match="counted"):
+        page.entry(*pq)
+    count = spectral.page_dim
+    monkeypatch.setattr(spectral, "page_dim",
+                        lambda *args: count(*args) + 1)
+    assert main(["spectral", str(path), "--page", "1"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "failed: internal check: E_1 entry at ")
