@@ -98,10 +98,12 @@ def _check_path_budget(b: DAInfAlgebra, r: int, what: str):
 
 
 def _check_homotopy_budget(h: DAInfHomotopy, what: str):
-    """Size budget of check_r_homotopy_dainf(h): f, g and the morphism
-    assembled into P_r(B) have components of arity at most that of the
-    largest f, g or h key, P_r(B) has the structure arities of B, and the
-    words of f, g and h in (H_mk) are bounded by the same powers."""
+    """Size budget of check_r_homotopy_dainf(h), checked before it runs:
+    the (B_uv) checks of f and g at the arity of the largest f, g or h
+    key, whose powers also bound the words of f, g and h in (H_mk), and
+    the budget of P_r(B).  The checker does not build P_r(B), but the
+    equivalent route through it (the test suite's reference) does, so an
+    h whose r-path is over budget is refused whichever route decides."""
     arity = max(_arity(h.f.f), _arity(h.g.f), _arity(h.h))
     _check_bar_budget(h.src, arity, h.dst.max_arity(), what)
     _check_path_budget(h.dst, h.r, what)

@@ -5,8 +5,7 @@ bidegree (-i, 2-i-j) satisfying the signed Stasheff relations
 
 morphisms f_{ij} of bidegree (-i, 1-i-j) with relations (B_uv), twisted
 dgas and their tensor products, the three-dimensional path dga Lambda_r,
-functorial r-paths, and r-homotopies via the explicit (H_mk) conditions
-cross-checked against the assembled morphism into the r-path.
+functorial r-paths, and r-homotopies via the explicit (H_mk) conditions.
 
 A morphism is a map of bar coalgebras (Lefevre-Hasegawa 2003; Sagave
 2010), so composition, inversion and the right side of (B_uv) apply maps
@@ -50,7 +49,7 @@ from .signs import (
     compose_sign_step, homotopy_beta, homotopy_sum1_sign, structure_sign,
 )
 from .twisted import (
-    TwistedComplex, TwistedMorphism, check_twisted, into_path, path_diagonal,
+    TwistedComplex, TwistedMorphism, check_twisted, path_diagonal,
     path_differential, path_structure_maps, path_summands,
 )
 
@@ -745,15 +744,6 @@ def collapse_after(delta: DAInfMorphism, lam: LambdaObject, side: str) \
 # r-homotopies for dA-infinity morphisms
 # ---------------------------------------------------------------------------
 
-def assemble_into_path_dainf(h: DAInfHomotopy,
-                             dst_path: PathDainf | None = None) -> DAInfMorphism:
-    """Candidate morphism A -> P_r(B) with components (f_{ik}, h_{ik}, g_{ik})."""
-    pb = dst_path or path_dainf(h.dst, h.r)
-    return DAInfMorphism(h.src, pb.algebra, {
-        key: into_path(h.f.f_map(*key), h.h.get(key), h.g.f_map(*key), h.r)
-        for key in sorted(set(h.f.f) | set(h.g.f) | set(h.h))})
-
-
 def _hmk_buckets(h: DAInfHomotopy) -> MapSum:
     """Left side of (H_mk) minus right side, bucketed by (m, k)."""
     a, b, r = h.src, h.dst, h.r
@@ -762,8 +752,9 @@ def _hmk_buckets(h: DAInfHomotopy) -> MapSum:
     hk = sorted(h.h)
     acc = MapSum()
     # sum 1: m^B_{il} applied to g .. g h f .. f, one tensor per word, so
-    # this route stays independent of the bar powers the assembled-path
-    # cross-check runs through
+    # this route stays independent of the bar powers that the test suite's
+    # reference, the morphism check of the map assembled into P_r(B), runs
+    # through
     for (i, l), mil in sorted(b.m.items()):
         for s in range(l):
             slot_choices = [gk] * s + [hk] + [fk] * (l - s - 1)
@@ -795,8 +786,8 @@ def _hmk_buckets(h: DAInfHomotopy) -> MapSum:
 
 
 def check_r_homotopy_dainf(h: DAInfHomotopy) -> Report:
-    """(H_mk) evaluated directly, cross-checked against the assembled
-    morphism into the r-path of the target."""
+    """(H_mk) evaluated directly.  (A_uv) on the source and the target is
+    not decided here; `homotopy check --dainf` decides it first."""
     rep = Report(f"dA-infinity {h.r}-homotopy conditions (H_mk)")
     fr = check_dainf_morphism(h.f)
     gr = check_dainf_morphism(h.g)
@@ -804,9 +795,4 @@ def check_r_homotopy_dainf(h: DAInfHomotopy) -> Report:
         rep.fail("inputs", "f or g is not a morphism")
         return rep
     _report(rep, _hmk_buckets(h), "H")
-    assembled = check_dainf_morphism(assemble_into_path_dainf(h))
-    if assembled.ok != rep.ok:
-        raise AssertionError(
-            "dA-infinity homotopy checker disagreement: (H_mk) route says "
-            f"{rep.ok}, assembled-path route says {assembled.ok}")
     return rep

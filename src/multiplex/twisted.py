@@ -23,10 +23,10 @@ Tot(f) D_A is (-1)^{mn} times the (B_m) defect: each condition is one
 matrix identity per degree, and the nonzero blocks of a failing product
 are read back as the failure locations (m, i, n + i).
 
-The homotopy checker computes (H_m) directly, block by block, and also
-assembles the candidate map x -> (f x, hhat x, g x) into the r-path of the
-target and runs the morphism checker, that is the Tot route, on it; the
-two verdicts must agree.
+The homotopy checker computes (H_m) directly, block by block.  The
+equivalent route, the candidate map x -> (f x, hhat x, g x) into the
+r-path of the target run through the morphism checker, is the test
+suite's reference for it.
 
 The signed sums of the tensor differential, of (H_m) and of the homotopy
 solver's right sides g_{m-r} - f_{m-r} are accumulated term by term in
@@ -596,33 +596,16 @@ def homotopy_lhs(h: RHomotopy, m: int) -> BigradedMap:
     return acc.maps()[m]
 
 
-def into_path(f: BigradedMap, h: BigradedMap | None, g: BigradedMap,
-              r: int) -> BigradedMap:
-    """x -> (f x, h x, g x) into the summands of the r-path of f.dst, where
-    h has the bidegree of f plus (r, r - 1), or is None for zero."""
-    pieces = {(0, 0): (f, False), (2, 0): (g, False)}
-    if h is not None:
-        pieces[(1, 0)] = (relabel(h, (0, 0), (-r, 1 - r)), False)
-    return place([f.src], path_summands(f.dst, r), f.bidegree, pieces)
-
-
-def assemble_into_path(h: RHomotopy, dst_path: PathObject | None = None) \
-        -> TwistedMorphism:
-    """The candidate morphism A -> P_r(B) with components (f_m, hhat_m, g_m)."""
-    pb = dst_path or path(h.dst, h.r)
-    return TwistedMorphism(h.src, pb.complex, {
-        m: into_path(h.f.f_map(m), h.h.get(m), h.g.f_map(m), h.r)
-        for m in sorted(set(h.f.f) | set(h.g.f) | set(h.h))})
-
-
 def check_r_homotopy(h: RHomotopy) -> Report:
-    """Verify (H_m) for all m, cross-checked against the assembled map into P_r."""
+    """Verify (H_m) for all m.  Raises ValueError when f and g are
+    morphisms but the target fails (A_m)."""
     rep = Report(f"{h.r}-homotopy conditions (H_m)")
     fr = check_morphism(h.f)
     gr = check_morphism(h.g)
     if not fr.ok or not gr.ok:
         rep.fail("inputs", "f or g is not a morphism of twisted complexes")
         return rep
+    check_twisted(h.dst).raise_if_failed()
     r = h.r
     ms = set()
     for i in h.dst.d:
@@ -643,12 +626,6 @@ def check_r_homotopy(h: RHomotopy) -> Report:
         rep.tick()
         for loc in sorted(acc.sparse_maps()[m].blocks):
             rep.fail((m,) + loc, f"(H_{m}) fails on the block at {loc}")
-    # independent route: the assembled map must be a morphism into P_r(dst)
-    assembled = check_morphism(assemble_into_path(h))
-    if assembled.ok != rep.ok:
-        raise AssertionError(
-            "homotopy checker disagreement: direct (H_m) route says "
-            f"{rep.ok}, assembled-path route says {assembled.ok}")
     return rep
 
 

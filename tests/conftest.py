@@ -7,10 +7,16 @@ from multiplex.bigraded import (
     BigradedMap, BigradedModule, compose as bcompose, identity_map, leaf,
     nary_tensor_maps, node, power_module, power_tree, tree_iso, zero_map,
 )
-from multiplex.dainf import DAInfAlgebra, lambda_r_dga
+from multiplex.dainf import (
+    DAInfAlgebra, DAInfHomotopy, DAInfMorphism, check_dainf_morphism,
+    check_r_homotopy_dainf, lambda_r_dga, path_dainf,
+)
 from multiplex.linalg import Matrix
 from multiplex.reports import Report
-from multiplex.twisted import RHomotopy, compose, identity_morphism, path
+from multiplex.twisted import (
+    RHomotopy, TwistedMorphism, check_morphism, check_r_homotopy, compose,
+    identity_morphism, path,
+)
 
 # random_twisted_complex options filling most of the spots (i, i + k),
 # i = 0..3, k = 0..2, so that the complexes, maps and homotopies drawn on
@@ -214,6 +220,116 @@ def corrupt_homotopy(h, bump=1):
                         return RHomotopy(h.r, h.f, h.g, {
                             **h.h, m: hm + delta})
     return None
+
+
+# ---------------------------------------------------------------------------
+# the r-path route of the homotopy checkers: f ~_r g exactly when the
+# candidate x -> (f x, hhat x, g x) is a morphism into P_r(B), built here
+# through dense 0/1 injections and decided by the morphism checker
+# ---------------------------------------------------------------------------
+
+def path_parts(mod, r):
+    """The summands A, A[mid] = A shifted by (-r, 1 - r), A of P_r(A)."""
+    return [mod, mod.shifted((-r, 1 - r)), mod]
+
+
+def dense_sum(parts):
+    """The direct sum with per-entry 0/1 injections and projections."""
+    field = parts[0].field
+    dims = {}
+    for p in parts:
+        for k, n in p.dims.items():
+            dims[k] = dims.get(k, 0) + n
+    total = BigradedModule(field, dims)
+    injections, projections = [], []
+    for s, p in enumerate(parts):
+        inj_blocks, proj_blocks = {}, {}
+        for (i, j), n in p.dims.items():
+            off = sum(parts[t].dim(i, j) for t in range(s))
+            inj = Matrix.zero(field, total.dim(i, j), n)
+            proj = Matrix.zero(field, n, total.dim(i, j))
+            for a in range(n):
+                inj[off + a, a] = field.one()
+                proj[a, off + a] = field.one()
+            inj_blocks[(i, j)] = inj
+            proj_blocks[(i, j)] = proj
+        injections.append(BigradedMap(p, total, (0, 0), inj_blocks))
+        projections.append(BigradedMap(total, p, (0, 0), proj_blocks))
+    return total, injections, projections
+
+
+def shift_iso(mod, shift, into):
+    """mod -> mod.shifted(shift) (into) or back, with identity blocks."""
+    u, v = shift
+    ones = {(i, j): Matrix.identity(mod.field, n)
+            for (i, j), n in mod.dims.items()}
+    if into:
+        return BigradedMap(mod, mod.shifted(shift), (u, v), ones)
+    return BigradedMap(mod.shifted(shift), mod, (-u, -v),
+                       {(i + u, j + v): blk for (i, j), blk in ones.items()})
+
+
+def _ref_into_path(f, h, g, dst, r):
+    """inc_0 f + inc_1 shift hhat + inc_2 g, key by key, from the component
+    dicts f, hhat and g of maps into dst."""
+    _, (inc0, inc1, inc2), _ = dense_sum(path_parts(dst, r))
+    inc_mid = bcompose(inc1, shift_iso(dst, (-r, 1 - r), True))
+    out = {}
+    for key in sorted(set(f) | set(h) | set(g)):
+        terms = [bcompose(inc, x[key])
+                 for inc, x in ((inc0, f), (inc_mid, h), (inc2, g))
+                 if key in x]
+        out[key] = sum(terms[1:], terms[0])
+    return out
+
+
+def assemble_into_path(h, dst_path=None):
+    """The candidate morphism A -> P_r(B) with components
+    (f_m, hhat_m, g_m)."""
+    pb = dst_path or path(h.dst, h.r)
+    return TwistedMorphism(h.src, pb.complex, _ref_into_path(
+        h.f.f, h.h, h.g.f, h.dst.module, h.r))
+
+
+def assemble_into_path_dainf(h, dst_path=None):
+    """The candidate morphism A -> P_r(B) with components
+    (f_{ik}, h_{ik}, g_{ik})."""
+    pb = dst_path or path_dainf(h.dst, h.r)
+    return DAInfMorphism(h.src, pb.algebra, _ref_into_path(
+        h.f.f, h.h, h.g.f, h.dst.module, h.r))
+
+
+def homotopy_verdict(h):
+    """check_r_homotopy(h).ok, asserted equal to the r-path route's
+    verdict."""
+    ok = check_r_homotopy(h).ok
+    assert check_morphism(assemble_into_path(h)).ok is ok, \
+        f"(H_m) says {ok}, the assembled map into P_r says {not ok}"
+    return ok
+
+
+def corrupt_dainf_homotopy(h):
+    """The witness with entry (0, 0) of the first block of its first
+    component raised by 1, or None when it has no component."""
+    if not h.h:
+        return None
+    field = h.src.module.field
+    key = sorted(h.h)[0]
+    hk = h.h[key]
+    loc = sorted(hk.blocks)[0]
+    blk = hk.blocks[loc].copy()
+    blk[0, 0] = field.add(blk[0, 0], field.one())
+    return DAInfHomotopy(h.r, h.f, h.g, {**h.h, key: BigradedMap(
+        hk.src, hk.dst, hk.bidegree, {**hk.blocks, loc: blk})})
+
+
+def dainf_homotopy_verdict(h):
+    """check_r_homotopy_dainf(h).ok, asserted equal to the r-path route's
+    verdict."""
+    ok = check_r_homotopy_dainf(h).ok
+    assert check_dainf_morphism(assemble_into_path_dainf(h)).ok is ok, \
+        f"(H_mk) says {ok}, the assembled map into P_r says {not ok}"
+    return ok
 
 
 def check_twisted_blockwise(a):

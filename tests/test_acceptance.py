@@ -11,12 +11,13 @@ import pytest
 
 from conftest import (
     REF_SHAPES, SHAPE, ambient_induced_map, column_subquotient,
-    corrupt_homotopy, invert_strict_iso, lemma_path_homotopy,
+    corrupt_dainf_homotopy, corrupt_homotopy, dainf_homotopy_verdict,
+    homotopy_verdict, invert_strict_iso, lemma_path_homotopy,
     page_to_column_coords,
 )
 from multiplex.dainf import (
     DAInfAlgebra, DAInfHomotopy, DAInfMorphism, check_dainf,
-    check_dainf_morphism, check_r_homotopy_dainf, collapse_after,
+    check_dainf_morphism, collapse_after,
     compose_dainf, diagonal_delta, identity_dainf, lambda_r_dga, path_dainf,
     tensor_twisted_dga, underlying_twisted,
 )
@@ -34,7 +35,7 @@ from multiplex.spectral import (
     page_of_morphism, spectral_page,
 )
 from multiplex.twisted import (
-    RHomotopy, check_r_homotopy, compose, identity_morphism, path,
+    RHomotopy, compose, identity_morphism, path,
     shift_homotopy, solve_r_homotopy, zero_morphism,
 )
 
@@ -234,7 +235,7 @@ def test_path_equivalence_witness(small_corpus):
     for r in range(4):
         for a in small_corpus[:8]:
             h = lemma_path_homotopy(a, r)
-            assert check_r_homotopy(h).ok
+            assert homotopy_verdict(h)
             checked += 1
     _announce("path equivalence witness (explicit hhat_0)",
               f"{checked} fixtures, r in {{0..3}}")
@@ -244,7 +245,7 @@ def test_shift_inclusion(solved_homotopies):
     """Shifting every solved r-homotopy passes the (r+1)-check."""
     for h in solved_homotopies:
         shifted = shift_homotopy(h)
-        assert check_r_homotopy(shifted).ok
+        assert homotopy_verdict(shifted)
         assert shifted.r == h.r + 1
     _announce("shift inclusion S_r into S_{r+1}",
               f"{len(solved_homotopies)} witnesses on complexes with d_m != 0 "
@@ -335,8 +336,9 @@ def test_tot_bridge():
 
 
 def test_operadic_oracle(ref_corpus):
-    """Coderivation identity verdict == direct homotopy verdict on valid
-    and corrupted witnesses, stable under enlarging the truncation."""
+    """Coderivation identity verdict == direct homotopy verdict == r-path
+    verdict on valid and corrupted witnesses, stable under enlarging the
+    truncation."""
     agree = 0
     valid = invalid = 0
     for idx, a in enumerate(ref_corpus):
@@ -345,23 +347,25 @@ def test_operadic_oracle(ref_corpus):
         f = random_endo_morphism(a, rng)
         g, h = random_homotopic_pair(f, r, rng)
         n0 = default_truncation(h)
+        assert homotopy_verdict(h) is True
         assert check_coderh(h, n0) is True
         assert check_coderh(h, n0 + 3) is True
         agree += 2
         valid += 1
         bad = corrupt_homotopy(h)
         if bad is not None:
-            expected = check_r_homotopy(bad).ok
+            expected = homotopy_verdict(bad)
             assert expected is False
             assert check_coderh(bad, n0) is expected
             assert check_coderh(bad, n0 + 3) is expected
             agree += 2
             invalid += 0 if expected else 1
         triv = RHomotopy(r, f, f, {})
+        assert homotopy_verdict(triv) is True
         assert check_coderh(triv, default_truncation(triv)) is True
         agree += 1
         valid += 1
-    assert valid + invalid >= 100
+    assert valid and invalid and valid + invalid >= 100
     _announce("operadic coderivation oracle",
               f"{valid} valid + {invalid} corrupted-invalid witnesses on "
               f"{len(ref_corpus)} complexes with d_m != 0 for some m >= 1, "
@@ -370,7 +374,9 @@ def test_operadic_oracle(ref_corpus):
 
 def test_hmk_consistency(ref_corpus):
     """Direct (H_mk) evaluation agrees with the assembled-morphism route
-    on valid and corrupted dA-infinity homotopy candidates."""
+    (conftest.dainf_homotopy_verdict) on valid and corrupted dA-infinity
+    homotopy candidates, and on the arity-one ones with both routes of
+    the twisted checker."""
     checked = 0
     outcomes = {True: 0, False: 0}
     # arity-one candidates lifted from twisted witnesses
@@ -383,16 +389,16 @@ def test_hmk_consistency(ref_corpus):
         f = DAInfMorphism(alg, alg, {(i, 1): m for i, m in tf.f.items()})
         g = DAInfMorphism(alg, alg, {(i, 1): m for i, m in tg.f.items()})
         h = DAInfHomotopy(r, f, g, {(i, 1): m for i, m in th.h.items()})
-        ok = check_r_homotopy_dainf(h).ok  # raises if the routes disagree
-        assert ok
+        ok = dainf_homotopy_verdict(h)
+        assert ok and homotopy_verdict(th)
         outcomes[ok] += 1
         checked += 1
         bad_tw = corrupt_homotopy(th)
         if bad_tw is not None:
             bad = DAInfHomotopy(r, f, g, {(i, 1): m
                                           for i, m in bad_tw.h.items()})
-            verdict = check_r_homotopy_dainf(bad).ok
-            assert verdict == check_r_homotopy(bad_tw).ok
+            verdict = dainf_homotopy_verdict(bad)
+            assert verdict == homotopy_verdict(bad_tw)
             assert not verdict
             outcomes[verdict] += 1
             checked += 1
@@ -408,16 +414,16 @@ def test_hmk_consistency(ref_corpus):
         assert a.m
         nondegenerate += 1
         h = _diagonal_homotopy(a, r)
-        assert check_r_homotopy_dainf(h).ok
+        assert dainf_homotopy_verdict(h)
         outcomes[True] += 1
         checked += 1
-        bad = _corrupt_dainf(h)
+        bad = corrupt_dainf_homotopy(h)
         if bad is not None:
-            verdict = check_r_homotopy_dainf(bad).ok
+            verdict = dainf_homotopy_verdict(bad)
             assert not verdict
             outcomes[verdict] += 1
             checked += 1
-    assert checked >= 50
+    assert checked >= 50 and outcomes[True] and outcomes[False]
     _announce("(H_mk) route consistency",
               f"{checked} candidates ({outcomes[True]} valid, "
               f"{outcomes[False]} invalid), 100% route agreement; the "
@@ -451,19 +457,3 @@ def _diagonal_homotopy(a, r):
     g = identity_dainf(pa.algebra)
     h01 = bcompose(ppa.p_zero, f01)
     return DAInfHomotopy(r, f, g, {(0, 1): h01})
-
-
-def _corrupt_dainf(h):
-    if not h.h:
-        return None
-    key = sorted(h.h)[0]
-    bad_map = h.h[key]
-    loc = sorted(bad_map.blocks)[0]
-    blk = bad_map.blocks[loc].copy()
-    blk[0, 0] = F.add(blk[0, 0], F.one())
-    blocks = dict(bad_map.blocks)
-    blocks[loc] = blk
-    from multiplex.bigraded import BigradedMap
-    bad = dict(h.h)
-    bad[key] = BigradedMap(bad_map.src, bad_map.dst, bad_map.bidegree, blocks)
-    return DAInfHomotopy(h.r, h.f, h.g, bad)

@@ -15,7 +15,7 @@ import multiplex
 
 from multiplex import cli, io as mio
 from multiplex import linalg, twisted
-from multiplex.bigraded import BigradedMap
+from multiplex.bigraded import BigradedMap, BigradedModule
 from multiplex.cli import main
 from multiplex.dainf import (
     DAInfHomotopy, DAInfMorphism, check_r_homotopy_dainf, lambda_r_dga,
@@ -29,7 +29,10 @@ from multiplex.generators import (
 )
 from multiplex.io import load_document
 from multiplex.linalg import GF, QQ, Matrix
-from multiplex.twisted import TwistedMorphism, identity_morphism
+from multiplex.twisted import (
+    RHomotopy, TwistedComplex, TwistedMorphism, check_twisted,
+    identity_morphism, zero_morphism,
+)
 
 F = GF()
 
@@ -311,6 +314,46 @@ def test_oracle_subcommand(fixture_docs, capsys):
     assert main(["oracle", "coderh", fixture_docs["full"], "-N", "12"]) == 0
     assert main(["oracle", "coderh", fixture_docs["full"], "-N", "10"]) == 2
     assert main(["oracle", "coderh", fixture_docs["full"], "-N", "1"]) == 2
+
+
+def test_homotopy_commands_refuse_invalid_inputs(tmp_path, capsys):
+    """When f is not a morphism, `homotopy check` prints the failing
+    inputs report (exit 1) and `oracle coderh` refuses the document
+    (exit 2).  When f and g are morphisms into a target failing (A_m),
+    `homotopy check` prints nothing and exits 1 with the target's (A_m)
+    report after "failed: ", and `oracle coderh` exits 2 with it."""
+    mod = BigradedModule(F, {(0, 0): 1, (0, 1): 1, (0, 2): 1})
+    one = Matrix.identity(F, 1)
+    # f_0 = 1 on A^{0,1} only does not commute with d_0 = 1: A^{0,0} -> A^{0,1}
+    a = TwistedComplex(mod, {0: BigradedMap(mod, mod, (0, 1),
+                                            {(0, 0): one})})
+    f = TwistedMorphism(a, a, {0: BigradedMap(mod, mod, (0, 0),
+                                              {(0, 1): one})})
+    # d_0 = 1 on A^{0,0} and on A^{0,1}: d_0 d_0 != 0; zero is a morphism
+    bad = TwistedComplex(mod, {0: BigradedMap(mod, mod, (0, 1),
+                                              {(0, 0): one, (0, 1): one})})
+    z = zero_morphism(bad, bad)
+    not_a_morphism = write_doc(tmp_path, "f.json", {
+        "A": mio.dump_twisted(F, a),
+        "f": mio.dump_twisted_morphism(F, f, "A", "A"),
+        "h": mio.dump_r_homotopy(F, RHomotopy(0, f, f, {}), "f", "f")})
+    not_a_complex = write_doc(tmp_path, "a.json", {
+        "A": mio.dump_twisted(F, bad),
+        "f": mio.dump_twisted_morphism(F, z, "A", "A"),
+        "h": mio.dump_r_homotopy(F, RHomotopy(1, z, z, {}), "f", "f")})
+    assert main(["homotopy", "check", not_a_morphism]) == 1
+    assert capsys.readouterr().out == (
+        "h: 0-homotopy conditions (H_m): FAILED (1 failure in 0 "
+        "conditions)\n  at inputs: f or g is not a morphism of twisted "
+        "complexes\n")
+    assert main(["oracle", "coderh", not_a_morphism]) == 2
+    assert capsys.readouterr().err == \
+        "error: f and g must be valid morphisms of twisted complexes\n"
+    axioms = str(check_twisted(bad))
+    assert main(["homotopy", "check", not_a_complex]) == 1
+    assert capsys.readouterr() == ("", f"failed: {axioms}\n")
+    assert main(["oracle", "coderh", not_a_complex]) == 2
+    assert capsys.readouterr() == ("", f"error: {axioms}\n")
 
 
 def test_verdicts_under_format_json(fixture_docs, tmp_path, capsys):
@@ -1139,11 +1182,19 @@ def _at(doc, path):
     return doc
 
 
-def _pick(doc, rng, test):
-    """A random (path, value) whose value passes test, or None."""
-    found = [(p, _at(doc, p)) for p in _positions(doc)]
-    found = [(p, v) for p, v in found if test(p, v)]
-    return rng.choice(found) if found else None
+def _found(doc):
+    """(path, value) of every value inside doc, parents first."""
+    return [(p, _at(doc, p)) for p in _positions(doc)]
+
+
+def _pick(doc, found, rng, test):
+    """A random (path, value of doc) among found whose value passes test,
+    or None."""
+    hits = [p for p, v in found if test(p, v)]
+    if not hits:
+        return None
+    path = rng.choice(hits)
+    return path, _at(doc, path)
 
 
 def _set(doc, path, value):
@@ -1159,29 +1210,29 @@ def _is_matrix(p, v):
         (len(p) == 5 and p[2] == "m" and p[4] != "blocks")
 
 
-def _pick_entry(doc, rng):
-    """A random (path, value) of a matrix entry, or None."""
-    found = [(m + (r, c), x) for m in _positions(doc)
-             if _is_matrix(m, _at(doc, m))
-             for r, row in enumerate(_at(doc, m)) for c, x in enumerate(row)]
-    return rng.choice(found) if found else None
+def _pick_entry(found, rng):
+    """A random (path, value) of a matrix entry among found, or None."""
+    hits = [(m + (r, c), x) for m, v in found if _is_matrix(m, v)
+            for r, row in enumerate(v) for c, x in enumerate(row)]
+    return rng.choice(hits) if hits else None
 
 
-def _mutate(doc, rng):
-    """Apply one random mutation to doc in place; returns its kind."""
+def _mutate(doc, rng, found):
+    """Apply one random mutation to doc in place; returns its kind.  found
+    is _found of doc, or of a document equal to it."""
     kind = rng.choice(["drop", "retype", "dims", "resize", "rekey", "scalar",
                        "field", "entry", "arity"])
     if kind == "drop":
-        hit = _pick(doc, rng, lambda p, v: isinstance(v, dict) and v)
+        hit = _pick(doc, found, rng, lambda p, v: isinstance(v, dict) and v)
         if hit:
             del hit[1][rng.choice(sorted(hit[1]))]
     elif kind == "retype":
-        hit = _pick(doc, rng, lambda p, v: p)
+        hit = _pick(doc, found, rng, lambda p, v: p)
         if hit:
             _set(doc, hit[0], copy.deepcopy(rng.choice(_WRONG_TYPES)))
     elif kind == "dims":
         # one coordinate or rank of a dims entry, or one more entry
-        hit = _pick(doc, rng, lambda p, v: p[-1:] == ("dims",)
+        hit = _pick(doc, found, rng, lambda p, v: p[-1:] == ("dims",)
                     and isinstance(v, list))
         if hit and hit[1] and rng.random() < 0.7:
             entry = rng.choice(hit[1])
@@ -1192,7 +1243,7 @@ def _mutate(doc, rng):
             hit[1].append([rng.randint(-2, 4), rng.randint(-2, 6),
                            rng.choice([1, 2, 5])])
     elif kind == "resize":
-        hit = _pick(doc, rng, _is_matrix)
+        hit = _pick(doc, found, rng, _is_matrix)
         if hit:
             mat = hit[1]
             op = rng.randrange(4)
@@ -1206,21 +1257,20 @@ def _mutate(doc, rng):
                 for row in mat:
                     del row[-1:]
     elif kind == "rekey":
-        hit = _pick(doc, rng, lambda p, v: p[-1:] in (("d",), ("f",), ("h",),
-                                                      ("m",))
-                    and isinstance(v, dict) and v)
+        hit = _pick(doc, found, rng, lambda p, v: p[-1:] in (
+            ("d",), ("f",), ("h",), ("m",)) and isinstance(v, dict) and v)
         if hit:
             hit[1][rng.choice(_BAD_KEYS)] = hit[1].pop(
                 rng.choice(sorted(hit[1])))
     elif kind == "scalar":
-        hit = _pick_entry(doc, rng)
+        hit = _pick_entry(found, rng)
         if hit:
             _set(doc, hit[0], copy.deepcopy(rng.choice(_WRONG_SCALARS)))
     elif kind == "field":
         doc["field"] = copy.deepcopy(rng.choice(_FIELDS))
     elif kind == "entry":
         # a valid value in the wrong place: the axioms may now fail
-        hit = _pick_entry(doc, rng)
+        hit = _pick_entry(found, rng)
         if hit:
             _set(doc, hit[0], rng.choice([0, 1, 2, 7]))
     else:
@@ -1295,17 +1345,23 @@ def test_mutation_fuzzer_keeps_the_exit_contract(fixture_docs, capsys):
     bases += [(_dainf_pair_doc(), _DAINF_FUZZ_COMMANDS),
               (_dainf_homotopy_doc(), _DAINF_HOMOTOPY_COMMANDS),
               (_filtered_doc(fixture_docs), _FILTERED_COMMANDS)]
+    # each base's text and positions, made once: a case copies the base by
+    # parsing its text, its first mutation reads the base's positions and a
+    # second one those of the mutated copy
+    bases = [(json.dumps(base), commands, _found(base))
+             for base, commands in bases]
     paths = {"doc": str(fixture_docs["tmp"] / "fuzz.json"),
              "out": str(fixture_docs["tmp"] / "fuzz-out.json")}
     rng = random.Random(FUZZ_SEED)
     seen = set()
     for case in range(FUZZ_CASES):
-        base, commands = rng.choice(bases)
-        doc = copy.deepcopy(base)
-        kinds = [_mutate(doc, rng) for _ in range(rng.choice([1, 1, 2]))]
+        text, commands, found = rng.choice(bases)
+        doc = json.loads(text)
+        kinds = [_mutate(doc, rng, _found(doc) if k else found)
+                 for k in range(rng.choice([1, 1, 2]))]
         argv = [a.format(**paths) for a in rng.choice(commands)]
         with open(paths["doc"], "w") as fh:
-            json.dump(doc, fh)
+            fh.write(json.dumps(doc))
         where = f"case {case} ({'+'.join(kinds)}): {' '.join(argv[:2])}"
         start = time.perf_counter()
         try:
@@ -1428,12 +1484,13 @@ def test_one_pass_parser_words_errors_as_reference(field, tmp_path,
     or raises its exception with the same text."""
     with open(_field_docs(tmp_path, field, 4242)["full"]) as fh:
         base = json.load(fh)
+    found = _found(base)
     rng = random.Random(FUZZ_SEED + 1)
     kinds, texts = set(), set()
     for case in range(150):
         doc = copy.deepcopy(base)
-        kind = "+".join(_mutate(doc, rng)
-                        for _ in range(rng.choice([1, 1, 2])))
+        kind = "+".join(_mutate(doc, rng, _found(doc) if k else found)
+                        for k in range(rng.choice([1, 1, 2])))
         got, want = _both_outcomes(doc, monkeypatch)
         assert got == want, f"case {case} ({kind})"
         kinds.update(kind.split("+"))

@@ -5,8 +5,9 @@ from itertools import product as iproduct
 import pytest
 
 from conftest import (
-    BAD_ALGEBRAS, assert_canonical, hom_one_map_one, invert_strict_iso,
-    subpower_tree,
+    BAD_ALGEBRAS, assemble_into_path_dainf, assert_canonical,
+    corrupt_dainf_homotopy, dainf_homotopy_verdict,
+    hom_one_map_one, homotopy_verdict, invert_strict_iso, subpower_tree,
 )
 
 from multiplex import io as mio
@@ -17,8 +18,8 @@ from multiplex.bigraded import (
 )
 from multiplex.dainf import (
     DAInfAlgebra, DAInfHomotopy, DAInfMorphism, TwistedDga, _hmk_buckets,
-    _reachable_u, _sumset, assemble_into_path_dainf, bar_power, check_dainf,
-    check_dainf_morphism, check_r_homotopy_dainf, collapse_after,
+    _reachable_u, _sumset, bar_power, check_dainf,
+    check_dainf_morphism, collapse_after,
     component_tensor, compose_dainf, diagonal_delta, identity_dainf,
     invert_dainf, is_er_quasi_iso_dainf, iterated_mu, lambda_ident_inverse,
     lambda_ident_iso, lambda_r_dga, path_dainf, path_dainf_morphism, tensor_dga_morphism, tensor_twisted_dga,
@@ -480,7 +481,7 @@ def test_homotopy_reflexive():
     f = random_dainf_morphism(a, a, rng, space=space)
     for r in (0, 1, 2):
         h = DAInfHomotopy(r, f, f, {})
-        assert check_r_homotopy_dainf(h).ok
+        assert dainf_homotopy_verdict(h)
 
 
 @pytest.mark.parametrize("r", [0, 1])
@@ -489,8 +490,8 @@ def test_iota_pminus_homotopic_to_identity(r):
     a = small_zero_product(8)
     pa = path_dainf(a, r)
     h = _delta_tensor_homotopy(a, pa, r)
-    rep = check_r_homotopy_dainf(h)
-    assert rep.ok
+    assert dainf_homotopy_verdict(h)
+    assert not dainf_homotopy_verdict(corrupt_dainf_homotopy(h))
 
 
 def _delta_tensor_homotopy(a, pa, r):
@@ -535,7 +536,6 @@ def _delta_tensor_homotopy(a, pa, r):
 def test_homotopy_composes_with_morphisms(r):
     """Post-composing an r-homotopy with a morphism stays an r-homotopy,
     with the witness transported through the functorial path."""
-    from multiplex.dainf import assemble_into_path_dainf
     from multiplex.bigraded import compose as bcompose
     a = small_zero_product(12)
     ua = underlying_twisted(a)
@@ -548,6 +548,7 @@ def test_homotopy_composes_with_morphisms(r):
     h = DAInfHomotopy(r, f, g, {(i, 1): m for i, m in th.h.items()})
     space = dainf_morphism_space(a, a, max_arity=1)
     e = random_dainf_morphism(a, a, rng, space=space, max_arity=1)
+    assert dainf_homotopy_verdict(h)
     pa = path_dainf(a, r)
     assembled = assemble_into_path_dainf(h, pa)
     pe = path_dainf_morphism(e, r, pa, pa)
@@ -557,27 +558,27 @@ def test_homotopy_composes_with_morphisms(r):
         {key: bcompose(pa.p_zero, comp)
          for key, comp in composite.f.items()
          if not bcompose(pa.p_zero, comp).is_zero()})
-    assert check_r_homotopy_dainf(hafter).ok
+    assert dainf_homotopy_verdict(hafter)
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("r", [0, 1])
 def test_hmk_reduces_to_twisted_at_k1(seed, r):
     """Between zero-product algebras with arity-1 data only, the dA-infinity
-    homotopy checker and the twisted homotopy checker agree."""
+    homotopy checker and the twisted homotopy checker agree, and each
+    agrees with its r-path route."""
     from multiplex.generators import random_homotopic_pair
-    from multiplex.twisted import check_r_homotopy
     a = small_zero_product(seed + 30)
     ua = underlying_twisted(a)
     rng = random.Random(90 + seed)
     from multiplex.generators import random_endo_morphism
     tf = random_endo_morphism(ua, rng)
     tg, th = random_homotopic_pair(tf, r, rng)
-    assert check_r_homotopy(th).ok
+    assert homotopy_verdict(th)
     f = DAInfMorphism(a, a, {(i, 1): m for i, m in tf.f.items()})
     g = DAInfMorphism(a, a, {(i, 1): m for i, m in tg.f.items()})
     h = DAInfHomotopy(r, f, g, {(i, 1): m for i, m in th.h.items()})
-    assert check_r_homotopy_dainf(h).ok
+    assert dainf_homotopy_verdict(h)
     # corrupt one entry: both checkers must reject
     if th.h:
         m0 = sorted(th.h)[0]
@@ -591,9 +592,9 @@ def test_hmk_reduces_to_twisted_at_k1(seed, r):
         bad_h = dict(th.h)
         bad_h[m0] = bad
         from multiplex.twisted import RHomotopy
-        assert not check_r_homotopy(RHomotopy(r, tf, tg, bad_h)).ok
+        assert not homotopy_verdict(RHomotopy(r, tf, tg, bad_h))
         bad_dh = {(i, 1): m for i, m in bad_h.items()}
-        assert not check_r_homotopy_dainf(DAInfHomotopy(r, f, g, bad_dh)).ok
+        assert not dainf_homotopy_verdict(DAInfHomotopy(r, f, g, bad_dh))
 
 
 @pytest.mark.parametrize("r", [0, 1])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import REF_SHAPES, corrupt_homotopy
+from conftest import REF_SHAPES, corrupt_homotopy, homotopy_verdict
 
 from multiplex.bigraded import BigradedMap, BigradedModule, identity_map
 from multiplex.generators import (
@@ -15,8 +15,9 @@ from multiplex.operadic import (
     expand_module, extract, lift, lift_morphism, lift_twisted, shift,
     x_lowering,
 )
+from multiplex import twisted
 from multiplex.twisted import (
-    RHomotopy, TwistedComplex, check_r_homotopy, check_twisted, compose,
+    RHomotopy, TwistedComplex, TwistedMorphism, check_twisted, compose,
     identity_morphism,
 )
 
@@ -131,16 +132,18 @@ def test_coderh_oracle(seed, r):
     f = random_endo_morphism(a, rng)
     g, h = random_homotopic_pair(f, r, rng)
     assert a.d and h.h
-    assert check_coderh(h)
+    assert homotopy_verdict(h) and check_coderh(h)
     # trivial homotopy
-    assert check_coderh(RHomotopy(r, f, f, {}))
+    triv = RHomotopy(r, f, f, {})
+    assert homotopy_verdict(triv) and check_coderh(triv)
     # one entry raised by 1 where it breaks (H_m), found from the d_t
     bad = corrupt_homotopy(h)
-    assert not check_r_homotopy(bad).ok
+    assert not homotopy_verdict(bad)
     assert not check_coderh(bad)
     # one entry raised in every block of every hhat_m
     worse = RHomotopy(r, f, g, {m: _bump_every_block(hm)
                                 for m, hm in h.h.items()})
+    assert not homotopy_verdict(worse)
     assert not check_coderh(worse)
 
 
@@ -311,8 +314,9 @@ def test_lift_extract_x_lowering_match_reference(field, r):
 def test_coderh_verdicts_on_ref_draws(field, r):
     """check_coderh, whose verdict is cross-checked against the direct
     (H_m) checker on every call, decides valid witnesses between
-    REF_SHAPES[1] draws and corrupted ones, at the default truncation and
-    past it; both verdicts occur."""
+    REF_SHAPES[1] draws and corrupted ones as both routes of the (H_m)
+    checker do, at the default truncation and past it; both verdicts
+    occur."""
     rng = random.Random(7400 + r)
     verdicts = []
     for f_of in (lambda a, b: random_endo_morphism(a, rng),
@@ -322,10 +326,70 @@ def test_coderh_verdicts_on_ref_draws(field, r):
         g, h = random_homotopic_pair(f, r, rng)
         assert h.h
         for cand in (h, corrupt_homotopy(h)):
+            expected = homotopy_verdict(cand)
             n0 = default_truncation(cand)
             for n_max in (n0, n0 + 2):
                 verdicts.append(check_coderh(cand, n_max))
+                assert verdicts[-1] is expected
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_shift_is_the_lifted_index_shift(field):
+    """S^r F~, the lift composed r times with d_x as check_coderh builds
+    it, is the lift of the family shifted r steps up in index, (f_{m-r})_m
+    of bidegree (r, r): for f and a g homotopic to it between two
+    REF_SHAPES[1] draws, r = 0..3, at the default truncation and past it;
+    each shifted lift is nonzero."""
+    rng = random.Random(7600)
+    a, b = _ref_shape_draw(field, rng), _ref_shape_draw(field, rng)
+    f = random_null_homotopic_map(a, b, rng)
+    assert len(f.f) >= 2
+    compared = 0
+    for r in range(4):
+        g, h = random_homotopic_pair(f, r, rng)
+        n0 = default_truncation(h)
+        for n_max in (n0, n0 + 2):
+            for mor in (f, g):
+                sf = lift_morphism(mor, n_max)
+                for _ in range(r):
+                    sf = shift(sf)
+                ref = lift({m + r: fm for m, fm in mor.f.items()}, r, r,
+                           a.module, b.module, n_max)
+                assert not ref.is_zero() and sf == ref
+                compared += 1
+    assert compared == 16
+
+
+def test_coderh_decides_f_and_g_once(monkeypatch):
+    """check_coderh runs check_morphism once on f and once on g, inside
+    the (H_m) checker whose verdict it is compared with, on a valid and on
+    a corrupted witness; when f is not a morphism it raises the ValueError
+    that `oracle coderh` reports."""
+    rng = random.Random(7700)
+    a = _ref_shape_draw(F, rng)
+    f = random_endo_morphism(a, rng)
+    g, h = random_homotopic_pair(f, 1, rng)
+    calls = []
+    real = twisted.check_morphism
+    monkeypatch.setattr(twisted, "check_morphism",
+                        lambda mor: calls.append(mor) or real(mor))
+    for cand, verdict in ((h, True), (corrupt_homotopy(h), False)):
+        calls.clear()
+        assert check_coderh(cand) is verdict
+        assert len(calls) == 2 and calls[0] is f and calls[1] is g
+    # f_0 = 1 on A^{0,1} only does not commute with d_0: A^{0,0} -> A^{0,1}
+    mod = BigradedModule(F, {(0, 0): 1, (0, 1): 1})
+    one = Matrix.identity(F, 1)
+    c = TwistedComplex(mod, {0: BigradedMap(mod, mod, (0, 1), {(0, 0): one})})
+    broken = TwistedMorphism(c, c, {0: BigradedMap(mod, mod, (0, 0),
+                                                   {(0, 1): one})})
+    assert not real(broken).ok
+    calls.clear()
+    with pytest.raises(ValueError, match="^f and g must be valid morphisms "
+                       "of twisted complexes$"):
+        check_coderh(RHomotopy(0, broken, broken, {}))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

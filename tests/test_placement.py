@@ -7,25 +7,24 @@ import random
 
 import pytest
 
-from conftest import SHAPE
+from conftest import SHAPE, dense_sum, path_parts, shift_iso
 from multiplex.bigraded import (
     BigradedMap, BigradedModule, compose as bcompose, direct_sum,
     identity_map, place, power_module, power_tree, sum_module,
     tensor_modules, tensor_summands, tree_basis, zero_map,
 )
 from multiplex.dainf import (
-    DAInfHomotopy, _path_tj, assemble_into_path_dainf, lambda_r_dga,
-    path_dainf, path_dainf_morphism,
+    _path_tj, lambda_r_dga, path_dainf, path_dainf_morphism,
 )
 from multiplex.generators import (
     dainf_morphism_space, random_dainf_morphism, random_endo_morphism,
-    random_homotopic_pair, random_null_homotopic_map, random_twisted_complex,
+    random_null_homotopic_map, random_twisted_complex,
     random_zero_product_dainf,
 )
 from multiplex.linalg import GF, QQ, Matrix
 from multiplex.twisted import (
-    assemble_into_path, compose, cone, cone_to_pair, pair_to_cone,
-    path, path_morphism, path_summands, solve_r_homotopy, zero_morphism,
+    compose, cone, cone_to_pair, pair_to_cone, path, path_morphism,
+    path_summands, solve_r_homotopy, zero_morphism,
 )
 
 FIELDS = [GF(), GF(2), QQ]
@@ -36,50 +35,10 @@ FIELD_IDS = ["F32003", "F2", "QQ"]
 # the dense reference route
 # ---------------------------------------------------------------------------
 
-def _dense_sum(parts):
-    """The direct sum with per-entry 0/1 injections and projections."""
-    field = parts[0].field
-    dims = {}
-    for p in parts:
-        for k, n in p.dims.items():
-            dims[k] = dims.get(k, 0) + n
-    total = BigradedModule(field, dims)
-    injections, projections = [], []
-    for s, p in enumerate(parts):
-        inj_blocks, proj_blocks = {}, {}
-        for (i, j), n in p.dims.items():
-            off = sum(parts[t].dim(i, j) for t in range(s))
-            inj = Matrix.zero(field, total.dim(i, j), n)
-            proj = Matrix.zero(field, n, total.dim(i, j))
-            for a in range(n):
-                inj[off + a, a] = field.one()
-                proj[a, off + a] = field.one()
-            inj_blocks[(i, j)] = inj
-            proj_blocks[(i, j)] = proj
-        injections.append(BigradedMap(p, total, (0, 0), inj_blocks))
-        projections.append(BigradedMap(total, p, (0, 0), proj_blocks))
-    return total, injections, projections
-
-
-def _shift_iso(mod, shift, into):
-    """mod -> mod.shifted(shift) (into) or back, with identity blocks."""
-    u, v = shift
-    ones = {(i, j): Matrix.identity(mod.field, n)
-            for (i, j), n in mod.dims.items()}
-    if into:
-        return BigradedMap(mod, mod.shifted(shift), (u, v), ones)
-    return BigradedMap(mod.shifted(shift), mod, (-u, -v),
-                       {(i + u, j + v): blk for (i, j), blk in ones.items()})
-
-
-def _path_parts(mod, r):
-    return [mod, mod.shifted((-r, 1 - r)), mod]
-
-
 def _ref_diagonal(x, r, negate_mid):
     """inc_0 x pr_0 + inc_1 (+-x[mid]) pr_1 + inc_2 x pr_2."""
-    _, incs, _ = _dense_sum(_path_parts(x.dst, r))
-    _, _, prs = _dense_sum(_path_parts(x.src, r))
+    _, incs, _ = dense_sum(path_parts(x.dst, r))
+    _, _, prs = dense_sum(path_parts(x.src, r))
     middle = x.shifted((-r, 1 - r))
     if negate_mid:
         middle = -middle
@@ -92,8 +51,8 @@ def _ref_path(mod, d, r):
     """d, iota, p_minus, p_plus and p_zero of P_r through dense maps."""
     mid_shift = (-r, 1 - r)
     total, (inc0, inc1, inc2), (pr0, pr1, pr2) = \
-        _dense_sum(_path_parts(mod, r))
-    into_mid = _shift_iso(mod, mid_shift, True)
+        dense_sum(path_parts(mod, r))
+    into_mid = shift_iso(mod, mid_shift, True)
     out = {}
     for m in sorted(set(d) | {r}):
         dm = zero_map(total, total, (-m, -m + 1))
@@ -103,18 +62,8 @@ def _ref_path(mod, d, r):
             dm = dm - bcompose(inc1, bcompose(into_mid, pr0))
             dm = dm + bcompose(inc1, bcompose(into_mid, pr2))
         out[m] = dm
-    p_zero = bcompose(_shift_iso(mod, mid_shift, False), pr1)
+    p_zero = bcompose(shift_iso(mod, mid_shift, False), pr1)
     return out, inc0 + inc2, pr0, pr2, p_zero
-
-
-def _ref_into_path(f, h, g, r):
-    """inc_0 f + inc_1 shift h + inc_2 g."""
-    _, (inc0, inc1, inc2), _ = _dense_sum(_path_parts(f.dst, r))
-    c = bcompose(inc0, f) + bcompose(inc2, g)
-    if h is not None:
-        c = c + bcompose(inc1, bcompose(_shift_iso(f.dst, (-r, 1 - r), True),
-                                         h))
-    return c
 
 
 def _ref_cone(w, r):
@@ -122,8 +71,8 @@ def _ref_cone(w, r):
     a, b = w.src, w.dst
     shift = (r, r - 1)
     total, (inc_a, inc_b), (pr_a, pr_b) = \
-        _dense_sum([a.module.shifted(shift), b.module])
-    out_shift = _shift_iso(a.module, shift, False)
+        dense_sum([a.module.shifted(shift), b.module])
+    out_shift = shift_iso(a.module, shift, False)
     d = {}
     for m in sorted(set(a.d) | set(b.d) | {m + r for m in w.f}):
         dm = zero_map(total, total, (-m, -m + 1))
@@ -144,8 +93,8 @@ def _ref_cone(w, r):
 def _ref_pair_to_cone(f, h, w, r):
     a, b = w.src, w.dst
     shift = (r, r - 1)
-    total, _, (pr_a, pr_b) = _dense_sum([a.module.shifted(shift), b.module])
-    out_ta = _shift_iso(a.module, shift, False)
+    total, _, (pr_a, pr_b) = dense_sum([a.module.shifted(shift), b.module])
+    out_ta = shift_iso(a.module, shift, False)
     comps = {}
     for m in sorted(set(h.h) | set(f.f)):
         c = zero_map(total, f.dst.module, (-m, -m))
@@ -161,8 +110,8 @@ def _ref_pair_to_cone(f, h, w, r):
 def _ref_cone_to_pair(tau, w, r):
     a, b = w.src, w.dst
     shift = (r, r - 1)
-    into_ta = _shift_iso(a.module, shift, True)
-    _, (inc_a, inc_b), _ = _dense_sum([a.module.shifted(shift), b.module])
+    into_ta = shift_iso(a.module, shift, True)
+    _, (inc_a, inc_b), _ = dense_sum([a.module.shifted(shift), b.module])
     f = {m: bcompose(tm, inc_b) for m, tm in tau.f.items()}
     h = {}
     for m, tm in tau.f.items():
@@ -273,17 +222,6 @@ def _same_family(new, old):
         _same(new[k], v)
 
 
-def _random_map(src, dst, bidegree, rng):
-    """A map with a random block wherever src and dst meet."""
-    field, (p, q) = src.field, bidegree
-    blocks = {}
-    for (i, j), n in src.dims.items():
-        rows = dst.dim(i + p, j + q)
-        blocks[(i, j)] = Matrix(field, rows, n, [
-            field.of_int(rng.randint(-3, 3)) for _ in range(rows * n)])
-    return BigradedMap(src, dst, bidegree, blocks)
-
-
 # ---------------------------------------------------------------------------
 # comparisons
 # ---------------------------------------------------------------------------
@@ -294,7 +232,7 @@ def test_direct_sum_matches_dense_injections(field):
     parts = [random_twisted_complex(field, rng, spots=3).module
              for _ in range(3)]
     total, incs, prs = direct_sum(parts)
-    ref_total, ref_incs, ref_prs = _dense_sum(parts)
+    ref_total, ref_incs, ref_prs = dense_sum(parts)
     assert total == ref_total
     for new, old in zip(incs + prs, ref_incs + ref_prs):
         _same(new, old)
@@ -306,8 +244,7 @@ def test_path_maps_match_dense_route(field, r):
     rng = random.Random(10 + r)
     a = random_twisted_complex(field, rng, **SHAPE)
     f = random_endo_morphism(a, rng)
-    _, h = random_homotopic_pair(f, r, rng)
-    assert a.d and f.f and h.h
+    assert a.d and f.f
     p = path(a, r)
     d, iota, p_minus, p_plus, p_zero = _ref_path(a.module, a.d, r)
     _same_family(p.complex.d, d)
@@ -317,9 +254,6 @@ def test_path_maps_match_dense_route(field, r):
     _same(p.p_zero, p_zero)
     _same_family(path_morphism(f, r, p, p).f,
                  {m: _ref_diagonal(fm, r, m % 2) for m, fm in f.f.items()})
-    _same_family(assemble_into_path(h, p).f, {
-        m: _ref_into_path(h.f.f_map(m), h.h.get(m), h.g.f_map(m), r)
-        for m in set(h.f.f) | set(h.g.f) | set(h.h)})
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -372,19 +306,11 @@ def test_dainf_path_maps_match_dense_route(field, r):
     a = alg
     space = dainf_morphism_space(a, a, max_arity=2)
     f = random_dainf_morphism(a, a, rng, space=space)
-    g = random_dainf_morphism(a, a, rng, space=space)
     assert any(j == 2 for (_, j) in f.f)
     _same_family(path_dainf_morphism(f, r, pd, pd).f, {
         (i, j): bcompose(_ref_diagonal(fij, r, ((r + 1) * (j - 1) + i) % 2),
                          _path_tj(a.module, r, j))
         for (i, j), fij in f.f.items()})
-    h = DAInfHomotopy(r, f, g, {
-        (i, k): _random_map(power_module(a.module, k), a.module,
-                            (r - i, r - i - k), rng)
-        for (i, k) in [(0, 1), (1, 1), (0, 2)]})
-    _same_family(assemble_into_path_dainf(h, pd).f, {
-        key: _ref_into_path(f.f_map(*key), h.h.get(key), g.f_map(*key), r)
-        for key in set(f.f) | set(g.f) | set(h.h)})
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import (
     REF_SHAPES, SHAPE, assert_canonical, check_morphism_blockwise,
-    check_twisted_blockwise, corrupt_homotopy,
+    check_twisted_blockwise, corrupt_homotopy, homotopy_verdict,
 )
 from multiplex.bigraded import (
     BigradedMap, BigradedModule, compose as bcompose, identity_map,
@@ -447,9 +447,11 @@ def test_lemma_iota_homotopy(r):
     g = identity_morphism(pc)
     h0 = _iota_witness(a, p)
     h = RHomotopy(r, f, g, {0: h0})
-    assert check_r_homotopy(h).ok
+    assert homotopy_verdict(h)
     # and the shifted witness passes at r+1
-    assert check_r_homotopy(shift_homotopy(h)).ok
+    assert homotopy_verdict(shift_homotopy(h))
+    # one entry raised where it breaks (H_m) fails on both routes
+    assert not homotopy_verdict(corrupt_homotopy(h))
 
 
 def _iota_witness(a, p):
@@ -485,7 +487,8 @@ def test_solve_r_homotopy_recovers_perturbation(r, seed):
     assert a.d and drawn.h
     h = solve_r_homotopy(f, g, r)
     assert h is not None
-    assert check_r_homotopy(h).ok
+    assert homotopy_verdict(h)
+    assert not homotopy_verdict(corrupt_homotopy(drawn))
 
 
 def test_solve_r_homotopy_reflexive_and_obstructed():
@@ -511,13 +514,15 @@ def test_homotopy_equivalence_relation_witnesses(seed):
     g, h = random_homotopic_pair(f, r, rng)
     assert a.d and h.h
     # reflexive
-    assert check_r_homotopy(RHomotopy(r, f, f, {})).ok
+    assert homotopy_verdict(RHomotopy(r, f, f, {}))
     # symmetric: negate the witness
-    assert check_r_homotopy(negate_homotopy(h)).ok
+    assert homotopy_verdict(negate_homotopy(h))
     # transitive: add witnesses
     g2, h2 = random_homotopic_pair(g, r, rng)
     assert h2.h
-    assert check_r_homotopy(add_homotopies(h, h2)).ok
+    assert homotopy_verdict(add_homotopies(h, h2))
+    # a corrupted witness of the sum fails on both routes
+    assert not homotopy_verdict(corrupt_homotopy(add_homotopies(h, h2)))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -555,7 +560,7 @@ def test_cone_pair_roundtrip(r, seed):
     g = random_endo_morphism(a, rng)
     tau3 = compose(g, _cone_proj_b(c))
     f3, h3 = cone_to_pair(tau3, c)
-    assert check_r_homotopy(h3).ok
+    assert homotopy_verdict(h3)
     assert pair_to_cone(f3, h3, c) == tau3
     # sign check: hhat_m(a) = (-1)^m tau_m(a, 0)
     for m, tm in tau3.f.items():
@@ -849,8 +854,9 @@ def test_homotopy_sums_match_dense_route(field, r):
     dense sums, on valid witnesses f ~_r g between REF_SHAPES draws, the
     endomorphism case and the case A != B, and on witnesses corrupted in
     one entry or in every block: the failures, their locations and their
-    order are the same.  solve_r_homotopy finds a witness for each valid
-    pair, which check_r_homotopy accepts."""
+    order are the same, and the r-path route gives each verdict too.
+    solve_r_homotopy finds a witness for each valid pair, which both
+    routes accept."""
     rng = random.Random(7200 + r)
     compared = failed = 0
     for shape in (0, 1):
@@ -867,8 +873,9 @@ def test_homotopy_sums_match_dense_route(field, r):
                               _dense_homotopy_lhs(cand, m))
                 rep = check_r_homotopy(cand)
                 assert rep.to_dict() == _dense_hm_report(cand).to_dict()
+                assert homotopy_verdict(cand) is rep.ok
                 compared += 1
                 failed += not rep.ok
             solved = solve_r_homotopy(f, g, r)
-            assert solved is not None and check_r_homotopy(solved).ok
-    assert compared == 12 and failed >= 4
+            assert solved is not None and homotopy_verdict(solved)
+    assert compared == 12 and 4 <= failed < compared
