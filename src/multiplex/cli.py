@@ -234,8 +234,9 @@ def cmd_er_qis(args) -> int:
     rep = check_morphism(f)
     verdict = None
     if rep.ok:
-        verdict = is_er_quasi_iso_via_cone(f, args.r) if args.via_cone \
-            else is_er_quasi_iso(f, args.r, ks[0], ks[-1])
+        detector = is_er_quasi_iso_via_cone if args.via_cone \
+            else is_er_quasi_iso
+        verdict = detector(f, args.r, ks[0], ks[-1])
     if args.format == "json":
         # verdict is null when f is not a morphism
         print(mio.json_text({

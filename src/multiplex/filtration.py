@@ -27,16 +27,17 @@ the twisted-complex checkers decide their conditions on Tot too.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import compress
 
 from .bigraded import (
-    BigradedMap, BigradedModule, degrees_of, tensor_modules, tensor_summands,
-    tot_blocks, tot_layout, tot_matrix,
+    BigradedMap, BigradedModule, degrees_of, sum_module, tensor_modules,
+    tensor_summands, tot_blocks, tot_layout, tot_matrix,
 )
 from .linalg import Matrix
 from .reports import Report
 from .twisted import (
     RHomotopy, TwistedComplex, TwistedMorphism, check_morphism,
-    check_r_homotopy, check_twisted,
+    check_r_homotopy, check_twisted, cone_summands,
 )
 
 
@@ -354,6 +355,70 @@ def tot_morphism(f: TwistedMorphism, src_k: FilteredComplex | None = None,
     out = tot_family(f.f, 0, 0, src_k, dst_k)
     out.check_chain_map().raise_if_failed()
     return out
+
+
+def tot_cone(f: TwistedMorphism, r: int, ka: FilteredComplex,
+             kb: FilteredComplex) -> FilteredComplex:
+    """Tot(C_r(f)) assembled from ka = tot(f.src) and kb = tot(f.dst): it
+    equals tot(cone_complex(f, r)), and is as unchecked for D^2 = 0.
+
+    C_r(f)_i^j = A_{i-r}^{j-r+1} (+) B_i^j puts A first, so column i of
+    Tot(C)^n is column i - r of Tot(A)^{n+1} followed by column i of
+    Tot(B)^n, and the signs (-1)^{mn} that Tot puts on the D_m of the cone
+    make
+
+        D_C^n = [[(-1)^{r+1} D_A^{n+1},       0    ],
+                 [(-1)^{rn+1} Tot(f)^{n+1}, D_B^n]].
+
+    Each block is scattered into D_C^n through those index maps, over its
+    nonzero rows and entries only."""
+    if ka.module is not f.src.module or kb.module is not f.dst.module:
+        raise ValueError("ka and kb are not the totalizations of the "
+                         "source and target of f")
+    module = sum_module(cone_summands(f, r))
+    field, p = module.field, module.field.p
+
+    def index_maps(n):
+        """(Tot(A)^{n+1} -> Tot(C)^n, Tot(B)^n -> Tot(C)^n, dim Tot(C)^n),
+        the maps as lists of positions."""
+        la, lb = ka.layout(n + 1), kb.layout(n)
+        ia, ib, off = [0] * ka.dim(n + 1), [0] * kb.dim(n), 0
+        for i in sorted({i + r for i in la} | set(lb)):
+            a0, da = la.get(i - r, (0, 0))
+            ia[a0:a0 + da] = range(off, off + da)
+            b0, db = lb.get(i, (0, 0))
+            ib[b0:b0 + db] = range(off + da, off + da + db)
+            off += da + db
+        return ia, ib, off
+
+    def scatter(data, width, mat, rows, cols, negate):
+        vals, c = mat.data, mat.cols
+        for i, at in enumerate(rows):
+            row = vals[i * c:(i + 1) * c]
+            if any(row):
+                base = at * width
+                for j in compress(range(c), row):
+                    v = row[j]
+                    if negate:
+                        v = -v % p if p else -v
+                    data[base + cols[j]] = v
+
+    degs = degrees_of(module)
+    index = {n: index_maps(n) for n in {*degs, *(n + 1 for n in degs)}}
+    d = {}
+    for n in degs:
+        ia0, ib0, w = index[n]
+        ia1, ib1, h = index[n + 1]
+        data = [field.zero()] * (h * w)
+        if n + 1 in ka.d:
+            scatter(data, w, ka.d[n + 1], ia1, ia0, r % 2 == 0)
+        scatter(data, w, tot_matrix(f.f, 0, n + 1, ka.layout(n + 1),
+                                    kb.layout(n + 1), field),
+                ib1, ia0, (r * n) % 2 == 0)
+        if n in kb.d:
+            scatter(data, w, kb.d[n], ib1, ib0, False)
+        d[n] = Matrix._of(field, h, w, data)
+    return FilteredComplex(module, d)
 
 
 def tot_inverse(k: FilteredComplex) -> TwistedComplex:

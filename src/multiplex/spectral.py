@@ -66,12 +66,29 @@ differentials only when they are read, at the pairs whose source and
 target are both nonzero.  A built entry keeps every ``Subquotient`` check,
 and its dimension is checked against the count.
 
+Page 0 needs no entry for its differential.  E_0 is the associated graded,
+E_0^{p,q} = F_p Tot^n / F_{p-1} Tot^n = A_p^q, and since d F_{p-1} lies in
+F_{p-1}, the rep basis of page_entry there is the unit vectors of column
+p.  So delta_0 from (p, q) is the block of D^n from column p to column p,
+which is d_0 at (p, q), and ``delta`` reads it off D^n at r = 0.  The
+entries of page 0 are still built on read, for the readers that ask
+(``check_page_recursion`` and ``page_of_morphism``).
+
+The cone detector counts E_{r+1} on Tot(C_r(f)), the mapping cone of
+Tot(f) with the filtration of Tot(A) moved up by r.  ``tot_cone``
+assembles it from the Tots of the source and target, which
+``multiplex er-qis`` has already built and checked, with no bigraded cone.
+
 Both the count and an unbuilt entry assume D^2 = 0 on Tot, which the
 caller decides: ``multiplex spectral`` runs ``check_twisted`` on the Tot
 its page reads (or ``check_filtered_complex`` on filtered input),
 ``multiplex er-qis`` runs ``check_twisted`` on the Tot of the source and
-of the target that its pages read, and the cone detector on the Tot of
-the cone it counts.  An entry that no reader builds needs no B in Z
+of the target that its pages read, and the cone detector forms the
+products of ``check_twisted`` on the Tot of the cone it counts.  Only when
+one of them is nonzero does it build the bigraded cone, so that its report
+names the failing (A_m) blocks.
+
+An entry that no reader builds needs no B in Z
 check: Z_{r-1}^{p-1,n} lies in Z_r^{p,n} because F_{p-1} lies in F_p,
 and d Z_{r-1}^{p+r-1,n-1} does because d y lies in F_p for y in
 Z_{r-1}^{p+r-1} and d d y = 0 lies in F_{p-r}.  The first is the
@@ -83,7 +100,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .filtration import FilteredComplex, tot, tot_morphism
+from .filtration import FilteredComplex, tot, tot_cone, tot_morphism
 from .linalg import Matrix, Subquotient, induced_map
 from .twisted import (
     TwistedComplex, TwistedMorphism, check_twisted, cone_complex,
@@ -99,7 +116,8 @@ class SpectralPage:
     first time it is asked for, and checks that its dimension is the
     counted one.  ``delta`` builds the page differentials the first time
     it is read, each only where its source and target are both nonzero,
-    and so builds exactly the entries that meet such a pair.
+    and so builds exactly the entries that meet such a pair; at r = 0 it
+    reads delta_0 off D^n and builds none.
 
     Precondition: D^2 = 0 on k.  The counts and the unbuilt entries rest
     on it (module docstring); a built entry that disagrees with its count
@@ -148,8 +166,16 @@ class SpectralPage:
                 if not (self.dim(p, q) and self.dim(*tgt)):
                     continue
                 n = q - p
-                mat = self.entry(*tgt).reduce(
-                    k.d_mat(n) * self.entry(p, q).rep_basis)
+                if r == 0:
+                    # the rep basis of E_0^{p,q} = A_p^q is the unit
+                    # vectors of column p, so delta_0 is the diagonal
+                    # block of D^n there
+                    r0, rows = k.layout(n + 1)[p]
+                    c0, cols = k.layout(n)[p]
+                    mat = k.d_mat(n).get_block(r0, c0, rows, cols)
+                else:
+                    mat = self.entry(*tgt).reduce(
+                        k.d_mat(n) * self.entry(p, q).rep_basis)
                 if (r * n) % 2:
                     mat = -mat
                 if not mat.is_zero():
@@ -256,13 +282,23 @@ def is_er_quasi_iso(f: TwistedMorphism, r: int,
     return True
 
 
-def is_er_quasi_iso_via_cone(f: TwistedMorphism, r: int) -> bool:
+def is_er_quasi_iso_via_cone(f: TwistedMorphism, r: int,
+                             src_k: FilteredComplex | None = None,
+                             dst_k: FilteredComplex | None = None) -> bool:
     """True iff the r-cone is E_r-acyclic: E_{r+1}(C_r(f)) = 0, counted
-    entry by entry on one Tot of the cone.  A cone failing (A_m), as it
-    does when f fails (B_m), raises ValueError with its report."""
-    c = cone_complex(f, r)
-    k = tot(c)
-    check_twisted(c, k).raise_if_failed()
+    entry by entry on Tot(C_r(f)), which ``tot_cone`` assembles from
+    src_k = tot(f.src) and dst_k = tot(f.dst) where the caller has them.
+    D^2 = 0 is decided on that Tot.  A cone failing (A_m), as it does when
+    f fails (B_m), raises ValueError with the report that ``cone`` raises
+    for it."""
+    src_k = src_k or tot(f.src)
+    dst_k = dst_k or (src_k if f.dst is f.src else tot(f.dst))
+    k = tot_cone(f, r, src_k, dst_k)
+    d = k.d
+    if any(not (d[n + 1] * d[n]).is_zero() for n in d if n + 1 in d):
+        # only a failure builds the bigraded cone, whose (A_m) blocks the
+        # report names; check_twisted forms the same products on k
+        check_twisted(cone_complex(f, r), k).raise_if_failed()
     return not any(page_dim(k, r + 1, p, q) for p, q in sorted(k.module.dims))
 
 

@@ -239,6 +239,21 @@ def test_er_qis_subcommand(fixture_docs, tmp_path, capsys):
         code2 = main(["er-qis", fixture_docs["full"], "--name", "f",
                       "-r", "0"] + (["--via-cone"] if not flag else []))
         assert code2 == first
+    # f and 0 into a copy B of A, another object: each detector totalizes
+    # both, and the two agree on each verdict
+    split = write_doc(tmp_path, "split.json", {
+        "A": objects["A"], "B": objects["A"],
+        "f": mio.dump_twisted_morphism(F, fixture_docs["f"], "A", "B"),
+        "z": mio.dump_twisted_morphism(F, twisted.zero_morphism(a, a),
+                                       "A", "B")})
+    verdicts = set()
+    for name in ("f", "z"):
+        for r in ("0", "1"):
+            codes = {main(["er-qis", split, "--name", name, "-r", r] + flag)
+                     for flag in ([], ["--via-cone"])}
+            assert len(codes) == 1, (name, r)
+            verdicts |= codes
+    assert verdicts == {0, 1}
 
 
 def _corrupted_complexes(count=200):

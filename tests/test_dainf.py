@@ -535,9 +535,11 @@ def _delta_tensor_homotopy(a, pa, r):
 @pytest.mark.parametrize("r", [0, 1])
 def test_homotopy_composes_with_morphisms(r):
     """Post-composing an r-homotopy with a morphism stays an r-homotopy,
-    with the witness transported through the functorial path."""
+    with the witness transported through the functorial path.  The algebra
+    fills 12 spots of four columns, so that the witness and its transport
+    are nonzero, which is asserted."""
     from multiplex.bigraded import compose as bcompose
-    a = small_zero_product(12)
+    a = small_zero_product(12, cols=(0, 3), spots=12)
     ua = underlying_twisted(a)
     rng = random.Random(95 + r)
     from multiplex.generators import random_endo_morphism, random_homotopic_pair
@@ -558,6 +560,8 @@ def test_homotopy_composes_with_morphisms(r):
         {key: bcompose(pa.p_zero, comp)
          for key, comp in composite.f.items()
          if not bcompose(pa.p_zero, comp).is_zero()})
+    # hafter keeps only its nonzero components
+    assert any(not m.is_zero() for m in h.h.values()) and hafter.h
     assert dainf_homotopy_verdict(hafter)
 
 

@@ -7,17 +7,18 @@ from multiplex.bigraded import BigradedModule, symmetry_iso
 from multiplex.filtration import (
     FilteredComplex, FilteredMap, check_filtered_complex,
     check_order_homotopy, degrees_of, graded_map_tensor, graded_tensor,
-    homotopy_to_tot, identity_filtered, mu, tot, tot_basis, tot_family,
-    tot_inverse, tot_inverse_morphism, tot_morphism, tot_to_homotopy,
+    homotopy_to_tot, identity_filtered, mu, tot, tot_basis, tot_cone,
+    tot_family, tot_inverse, tot_inverse_morphism, tot_morphism,
+    tot_to_homotopy,
 )
 from multiplex.generators import (
     random_endo_morphism, random_filtered_complex, random_homotopic_pair,
-    random_homotopy_family, random_twisted_complex,
+    random_homotopy_family, random_null_homotopic_map, random_twisted_complex,
 )
 from multiplex.linalg import GF, QQ, Matrix
 from multiplex.twisted import (
-    TwistedComplex, TwistedMorphism, check_morphism, compose,
-    identity_morphism, tensor, tensor_morphisms,
+    TwistedComplex, TwistedMorphism, check_morphism, compose, cone_complex,
+    identity_morphism, path, tensor, tensor_morphisms,
 )
 
 F = GF()
@@ -421,6 +422,32 @@ def _kernel_reference(k, n, s, t):
                                                      len(free))
     K.set_block(low, low, ker)
     return K, free
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("r", range(4))
+def test_tot_cone_matches_tot_of_the_bigraded_cone(field, r):
+    """tot_cone(f, r) equals tot(cone_complex(f, r)) in its module and in
+    every D^n, for an endomorphism of A, for the r-path inclusion
+    A -> P_r(A) and for a map A -> B into another complex, on REF_SHAPES[1]
+    draws with a nonzero d_m, m >= 1, and nonzero maps; Tots of other
+    complexes are refused."""
+    rng = random.Random(5300 + r)
+    a = random_twisted_complex(field, rng, **REF_SHAPES[1])
+    b = random_twisted_complex(field, rng, **REF_SHAPES[1])
+    assert any(m >= 1 for m in a.d) and any(m >= 1 for m in b.d)
+    ka = tot(a)
+    for f in (random_endo_morphism(a, rng), path(a, r).iota,
+              random_null_homotopic_map(a, b, rng)):
+        assert f.f
+        kb = ka if f.dst is a else tot(f.dst)
+        got, ref = tot_cone(f, r, ka, kb), tot(cone_complex(f, r))
+        assert got.module == ref.module
+        assert sorted(got.d) == sorted(ref.d)
+        for n in ref.degrees():
+            assert got.d_mat(n) == ref.d_mat(n), n
+    with pytest.raises(ValueError, match="not the totalizations"):
+        tot_cone(f, r, kb, ka)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

@@ -540,11 +540,12 @@ def test_lazy_pages_match_eager_reference(field, shape, monkeypatch):
     assert True in lazy and False in lazy
 
 
-@pytest.mark.parametrize("r", range(1, 5))
+@pytest.mark.parametrize("r", range(5))
 def test_page_builds_fewer_entries_than_its_support(r, monkeypatch):
-    """Reading the dims and the deltas of page r >= 1 of a REF_SHAPES[3]
-    draw builds fewer subquotients than the page has bidegrees: once each,
-    the entries of the pairs whose source and target are both nonzero."""
+    """Reading the dims and the deltas of page r of a REF_SHAPES[3] draw
+    builds fewer subquotients than the page has bidegrees: none on page 0,
+    which reads delta_0 off D^n, and on later pages once each the entries
+    of the pairs whose source and target are both nonzero."""
     a = random_twisted_complex(F, random.Random(2700 + r), **REF_SHAPES[3])
     k = tot(a)
     built = []
@@ -555,8 +556,30 @@ def test_page_builds_fewer_entries_than_its_support(r, monkeypatch):
     assert page.dims() and page.delta
     pairs = [((p, q), (p - r, q - r + 1)) for p, q in page.support
              if page.dim(p, q) and page.dim(p - r, q - r + 1)]
-    assert sorted(built) == sorted({pq for pair in pairs for pq in pair})
+    assert sorted(built) == (
+        sorted({pq for pair in pairs for pq in pair}) if r else [])
     assert len(built) < len(page.support)
+
+
+@pytest.mark.parametrize("field", [F, GF(5), GF(2), QQ], ids=str)
+@pytest.mark.parametrize("shape", range(len(REF_SHAPES)))
+def test_delta_0_matches_the_page_entry_route(field, shape):
+    """delta_0, read off D^n, equals the page_entry route, d applied to
+    the rep lifts and reduced in the target entry, at every pair whose
+    source and target are both nonzero, on a REF_SHAPES draw with a
+    nonzero d_m, m >= 1, and a nonzero delta_0."""
+    rng = random.Random(2930 + shape)
+    a = random_twisted_complex(field, rng, **REF_SHAPES[shape])
+    assert any(m >= 1 for m in a.d)
+    k = tot(a)
+    page = spectral_page(k, 0)
+    assert page.delta
+    for p, q in page.support:
+        if page.dim(p, q) and page.dim(p, q + 1):
+            src = spectral.page_entry(k, 0, p, q)
+            tgt = spectral.page_entry(k, 0, p, q + 1)
+            assert page.delta_mat(p, q) == \
+                tgt.reduce(k.d_mat(q - p) * src.rep_basis), (p, q)
 
 
 def test_entry_that_disagrees_with_its_count_raises(tmp_path, capsys,
