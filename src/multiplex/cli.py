@@ -7,7 +7,10 @@ internal self-check that disagreed (``failed: internal check: ...``),
 budget of ``io.MAX_DIMENSION`` (and ``io.MAX_ARITY`` for the tensor
 powers that checking or composing A-infinity structures builds).
 
-Every construction subcommand re-validates its output before writing.
+A command decides the axioms of its inputs before it builds anything
+from them, and nothing about what it builds, which satisfies its axioms
+whenever the inputs do (the tests decide those implications).  A twisted
+command prints a failing input report on stdout and exits 1.
 """
 
 from __future__ import annotations
@@ -109,6 +112,22 @@ def _check_homotopy_budget(h: DAInfHomotopy, what: str):
     _check_path_budget(h.dst, h.r, what)
 
 
+def _refused(reports) -> bool:
+    """Print the first failing report of the (label, report) pairs on
+    stdout, after "label: " unless label is None, and say whether there
+    was one.  A generator is read no further than its first failure."""
+    for label, rep in reports:
+        if not rep.ok:
+            print(rep if label is None else f"{label}: {rep}")
+            return True
+    return False
+
+
+def _ends(f: TwistedMorphism) -> tuple:
+    """The source and target of f, the source alone for an endomorphism."""
+    return (f.src,) if f.dst is f.src else (f.src, f.dst)
+
+
 def _decide_relations(algebras):
     """Decide (A_uv) on each algebra that a dA-infinity morphism command
     reads, before any work on its morphisms: a failing one raises
@@ -155,12 +174,9 @@ def cmd_check(args) -> int:
 def cmd_tot(args) -> int:
     doc = _read(args.file)
     name, a = doc.select(args.name, TwistedComplex, what="twisted complex")
-    rep = check_twisted(a)
-    if not rep.ok:
-        print(rep)
-        return 1
     k = tot(a)
-    check_filtered_complex(k).raise_if_failed()
+    if _refused([(None, check_twisted(a, k))]):
+        return 1
     objects = {name + "_tot": mio.dump_filtered(doc.field, k)}
     _emit(mio.document_json(doc.field, objects), args.output)
     return 0
@@ -169,9 +185,7 @@ def cmd_tot(args) -> int:
 def cmd_tot_inverse(args) -> int:
     doc = _read(args.file)
     name, k = doc.select(args.name, FilteredComplex, what="filtered complex")
-    rep = check_filtered_complex(k)
-    if not rep.ok:
-        print(rep)
+    if _refused([(None, check_filtered_complex(k))]):
         return 1
     a = tot_inverse(k)
     objects = {name + "_twisted": mio.dump_twisted(doc.field, a)}
@@ -189,8 +203,7 @@ def cmd_spectral(args) -> int:
         rep = check_twisted(obj, k)
     else:
         k, rep = obj, check_filtered_complex(obj)
-    if not rep.ok:
-        print(rep)
+    if _refused([(None, rep)]):
         return 1
     page = spectral_page(k, args.page)
     entries = {f"{p},{q}": dim for (p, q), dim in page.dims().items()}
@@ -224,13 +237,9 @@ def cmd_er_qis(args) -> int:
     if isinstance(f, DAInfMorphism):
         f = underlying_twisted_morphism(f)
     # (A_m) on each input complex, on the Tot its pages read, before (B_m)
-    ks = []
-    for a in (f.src,) if f.dst is f.src else (f.src, f.dst):
-        ks.append(tot(a))
-        rep = check_twisted(a, ks[-1])
-        if not rep.ok:
-            print(rep)
-            return 1
+    ks = [tot(a) for a in _ends(f)]
+    if _refused((None, check_twisted(a, k)) for a, k in zip(_ends(f), ks)):
+        return 1
     rep = check_morphism(f)
     verdict = None
     if rep.ok:
@@ -255,9 +264,8 @@ def cmd_er_qis(args) -> int:
 def cmd_cone(args) -> int:
     doc = _read(args.file)
     name, f = doc.select(args.name, TwistedMorphism, what="morphism")
-    rep = check_morphism(f)
-    if not rep.ok:
-        print(rep)
+    if _refused([*((None, check_twisted(a)) for a in _ends(f)),
+                 (None, check_morphism(f))]):
         return 1
     c = cone(f, args.r)
     field = doc.field
@@ -282,9 +290,7 @@ def cmd_path(args) -> int:
     if args.dainf:
         name, a = doc.select(args.name, DAInfAlgebra, what="dainf algebra")
         _check_path_budget(a, args.r, f"the {args.r}-path of {name!r}")
-        rep = check_dainf(a)
-        if not rep.ok:
-            print(rep)
+        if _refused([(None, check_dainf(a))]):
             return 1
         p = path_dainf(a, args.r)
         objects = {
@@ -300,9 +306,7 @@ def cmd_path(args) -> int:
         }
     else:
         name, a = doc.select(args.name, TwistedComplex, what="twisted complex")
-        rep = check_twisted(a)
-        if not rep.ok:
-            print(rep)
+        if _refused([(None, check_twisted(a))]):
             return 1
         p = path(a, args.r)
         objects = {
@@ -364,11 +368,11 @@ def cmd_homotopy(args) -> int:
     else:
         fname, f = doc.select(args.f, TwistedMorphism, what="morphism")
         gname, g = doc.select(args.g, TwistedMorphism, what="morphism")
-    for nm, mor in ((fname, f), (gname, g)):
-        rep = check_morphism(mor)
-        if not rep.ok:
-            print(f"{nm}: {rep}")
-            return 1
+    # what homotopy check decides on the written witness besides (H_m)
+    if _refused([*((None, check_twisted(a)) for a in _ends(f)),
+                 *((nm, check_morphism(mor))
+                   for nm, mor in ((fname, f), (gname, g)))]):
+        return 1
     h = solve_r_homotopy(f, g, args.r)
     if h is None:
         print(f"no {args.r}-homotopy from {fname} to {gname}")
@@ -395,11 +399,9 @@ def cmd_tensor(args) -> int:
                              what="twisted complex")
     mio.check_dimension(a.module.total_dim() * b.module.total_dim(),
                         "tensor product")
-    for nm, obj in ((name_a, a), (name_b, b)):
-        rep = check_twisted(obj)
-        if not rep.ok:
-            print(f"{nm}: {rep}")
-            return 1
+    if _refused((nm, check_twisted(obj))
+                for nm, obj in ((name_a, a), (name_b, b))):
+        return 1
     t = tensor(a, b)
     objects = {f"{name_a}_tensor_{name_b}": mio.dump_twisted(doc_a.field, t)}
     _emit(mio.document_json(doc_a.field, objects), args.output)
@@ -437,6 +439,9 @@ def cmd_compose(args) -> int:
         if g.dst != f.src:
             raise DocumentError("morphisms are not composable: the target "
                                 "of g must be the source of f")
+        if _refused((nm, check_morphism(mor))
+                    for nm, mor in ((gname, g), (fname, f))):
+            return 1
         out = compose(f, g)
         objects = {
             "source": mio.dump_twisted(field, g.src),

@@ -272,9 +272,9 @@ def check_morphism(f: TwistedMorphism) -> Report:
 # category structure
 # ---------------------------------------------------------------------------
 
-def compose(g: TwistedMorphism, f: TwistedMorphism,
-            check: bool = True) -> TwistedMorphism:
-    """g after f, (g o f)_m = sum_{i+j=m} g_i f_j."""
+def compose(g: TwistedMorphism, f: TwistedMorphism) -> TwistedMorphism:
+    """g after f, (g o f)_m = sum_{i+j=m} g_i f_j.  A morphism when f and
+    g are: on Tot, D G F - G F D = (D G - G D) F + G (D F - F D)."""
     if f.dst != g.src:
         raise ValueError("source/target mismatch in composition")
     comps: dict[int, BigradedMap] = {}
@@ -283,14 +283,12 @@ def compose(g: TwistedMorphism, f: TwistedMorphism,
             m = i + j
             term = bcompose(gi, fj)
             comps[m] = comps[m] + term if m in comps else term
-    out = TwistedMorphism(f.src, g.dst, comps)
-    if check:
-        check_morphism(out).raise_if_failed()
-    return out
+    return TwistedMorphism(f.src, g.dst, comps)
 
 
 def invert(f: TwistedMorphism) -> TwistedMorphism | None:
-    """Two-sided inverse, or None when some block of f_0 is not invertible."""
+    """Two-sided inverse, or None when some block of f_0 is not invertible;
+    a morphism, since on Tot D G = G F D G = G D F G = G D."""
     a, b = f.src, f.dst
     g0 = invert_blocks(f.f_map(0))
     if g0 is None:
@@ -313,10 +311,9 @@ def invert(f: TwistedMorphism) -> TwistedMorphism | None:
         if not gm.is_zero():
             g[m] = gm
     ginv = TwistedMorphism(b, a, g)
-    if compose(ginv, f, check=False) != identity_morphism(a) or \
-       compose(f, ginv, check=False) != identity_morphism(b):
+    if compose(ginv, f) != identity_morphism(a) or \
+       compose(f, ginv) != identity_morphism(b):
         raise AssertionError("triangular inversion failed to produce an inverse")
-    check_morphism(ginv).raise_if_failed()
     return ginv
 
 
@@ -325,7 +322,8 @@ def invert(f: TwistedMorphism) -> TwistedMorphism | None:
 # ---------------------------------------------------------------------------
 
 def tensor(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
-    """(A (x) B, d_m^A (x) 1 + 1 (x) d_m^B)."""
+    """(A (x) B, d_m^A (x) 1 + 1 (x) d_m^B), a twisted complex when A and B
+    are: with Koszul signs, D^2 = D_A^2 (x) 1 + 1 (x) D_B^2."""
     if a.field != b.field:
         raise ValueError("field mismatch")
     ida, idb = identity_map(a.module), identity_map(b.module)
@@ -337,13 +335,12 @@ def tensor(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
         if m in b.d:
             acc.add(m, tensor_maps(ida, b.d[m]))
         d[m] = acc.maps()[m]
-    out = TwistedComplex(tensor_modules(a.module, b.module), d)
-    check_twisted(out).raise_if_failed()
-    return out
+    return TwistedComplex(tensor_modules(a.module, b.module), d)
 
 
 def tensor_morphisms(f: TwistedMorphism, g: TwistedMorphism) -> TwistedMorphism:
-    """(f (x) g)_m = sum_{i+j=m} f_i (x) g_j."""
+    """(f (x) g)_m = sum_{i+j=m} f_i (x) g_j, a morphism when f and g are:
+    then f (x) g commutes with D (x) 1 + 1 (x) D."""
     src = tensor(f.src, g.src)
     dst = tensor(f.dst, g.dst)
     comps: dict[int, BigradedMap] = {}
@@ -352,9 +349,7 @@ def tensor_morphisms(f: TwistedMorphism, g: TwistedMorphism) -> TwistedMorphism:
             m = i + j
             term = tensor_maps(fi, gj)
             comps[m] = comps[m] + term if m in comps else term
-    out = TwistedMorphism(src, dst, comps)
-    check_morphism(out).raise_if_failed()
-    return out
+    return TwistedMorphism(src, dst, comps)
 
 
 def internal_hom(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
@@ -369,6 +364,8 @@ def internal_hom(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
     summand d_i^B o - is 1 (x) d_i^B, landing in the summand of the same
     source, and - o d_i^A is (d_i^A)^T (x) 1, landing in the summand of
     the source of d_i^A: each is written as a Kronecker block at offsets.
+    A twisted complex when A and B are: d f = D_B f - (-1)^{|f|} f D_A
+    squares to D_B^2 f - f D_A^2.
     """
     field = a.field
     offsets: dict[tuple[int, int], dict] = {}
@@ -404,9 +401,7 @@ def internal_hom(a: TwistedComplex, b: TwistedComplex) -> TwistedComplex:
                                   _transpose_kron_identity(blk, nb),
                                   sprod((-m, 1 - m), (u, v)) % 2 == 0)
         d[m] = BigradedMap(mod, mod, (-m, -m + 1), blocks)
-    out = TwistedComplex(mod, d)
-    check_twisted(out).raise_if_failed()
-    return out
+    return TwistedComplex(mod, d)
 
 
 def _transpose_kron_identity(x: Matrix, n: int) -> Matrix:
@@ -481,35 +476,36 @@ def path_structure_maps(mod: BigradedModule, r: int) -> tuple:
 
 
 def path(a: TwistedComplex, r: int) -> PathObject:
-    """The r-path P_r(A)_i^j = A_i^j (+) A_{i+r}^{j+r-1} (+) A_i^j."""
+    """The r-path P_r(A)_i^j = A_i^j (+) A_{i+r}^{j+r-1} (+) A_i^j, with
+    iota and p+- morphisms when A is twisted: (A_m) on each summand is
+    +-(A_m) of A, a shift at m = r and d_{m-r} cancel in pairs, and the
+    shifts send (x, 0, x) to 0."""
     p = TwistedComplex(sum_module(path_summands(a.module, r)),
                        path_differential(a.module, a.d, r))
-    check_twisted(p).raise_if_failed()
     iota0, minus0, plus0, p_zero = path_structure_maps(a.module, r)
-    iota = TwistedMorphism(a, p, {0: iota0})
-    p_minus = TwistedMorphism(p, a, {0: minus0})
-    p_plus = TwistedMorphism(p, a, {0: plus0})
-    for mor in (iota, p_minus, p_plus):
-        check_morphism(mor).raise_if_failed()
-    return PathObject(p, iota, p_minus, p_plus, p_zero, r)
+    return PathObject(p, TwistedMorphism(a, p, {0: iota0}),
+                      TwistedMorphism(p, a, {0: minus0}),
+                      TwistedMorphism(p, a, {0: plus0}), p_zero, r)
 
 
 def path_morphism(f: TwistedMorphism, r: int,
                   src_path: PathObject | None = None,
                   dst_path: PathObject | None = None) -> TwistedMorphism:
-    """P_r(f)_m = (f_m, (-1)^m f_m, f_m)."""
+    """P_r(f)_m = (f_m, (-1)^m f_m, f_m), a morphism when f is: (B_m) on
+    each diagonal summand is (B_m) of f, and the shifts at m = r commute
+    with the diagonal."""
     pa = src_path or path(f.src, r)
     pb = dst_path or path(f.dst, r)
     src, dst = path_summands(f.src.module, r), path_summands(f.dst.module, r)
-    out = TwistedMorphism(pa.complex, pb.complex, {
+    return TwistedMorphism(pa.complex, pb.complex, {
         m: place(src, dst, (-m, -m), path_diagonal(fm, r, m % 2))
         for m, fm in f.f.items()})
-    check_morphism(out).raise_if_failed()
-    return out
 
 
 def translation(a: TwistedComplex, r: int) -> TwistedComplex:
-    """T_r(A)_i^j = A_{i-r}^{j-r+1} with T_r(d_m) = (-1)^{m+r+1} d_m."""
+    """T_r(A)_i^j = A_{i-r}^{j-r+1} with T_r(d_m) = (-1)^{m+r+1} d_m, a
+    twisted complex when A is: T_r(d_i) T_r(d_j) is (-1)^m d_i d_j, so
+    (A_m) of T_r(A) is (-1)^m times (A_m) of A."""
     shift = (r, r - 1)
     mod = a.module.shifted(shift)
     d = {}
@@ -518,9 +514,7 @@ def translation(a: TwistedComplex, r: int) -> TwistedComplex:
         if (m + r + 1) % 2:
             t = -t
         d[m] = t
-    out = TwistedComplex(mod, d)
-    check_twisted(out).raise_if_failed()
-    return out
+    return TwistedComplex(mod, d)
 
 
 @dataclass
@@ -539,9 +533,9 @@ def cone_summands(f: TwistedMorphism, r: int) -> tuple:
 
 def cone_complex(f: TwistedMorphism, r: int) -> TwistedComplex:
     """C_r(f)_i^j = A_{i-r}^{j-r+1} (+) B_i^j with
-    D_m(a,b) = ((-1)^{m+r+1} d_m a, (-1)^{m+r+1} f_{m-r}(a) + d_m b),
-    unchecked: (A_m) on it holds exactly when it holds on A and on B and
-    f satisfies (B_m)."""
+    D_m(a,b) = ((-1)^{m+r+1} d_m a, (-1)^{m+r+1} f_{m-r}(a) + d_m b).
+    (A_m) on it holds exactly when it holds on A and on B and f satisfies
+    (B_m)."""
     a, b = f.src, f.dst
     shift = (r, r - 1)
     parts = cone_summands(f, r)
@@ -561,15 +555,13 @@ def cone_complex(f: TwistedMorphism, r: int) -> TwistedComplex:
 
 def cone(f: TwistedMorphism, r: int) -> ConeObject:
     """C_r(f) with its inclusion of B and its projection onto T_r(A),
-    each checked."""
+    morphisms when f is one between twisted complexes (``cone_complex``):
+    D_m has no block from B to T_r(A), and its T_r(A) row is T_r(d_m)."""
     c = cone_complex(f, r)
-    check_twisted(c).raise_if_failed()
     _, (_, inc_b), (pr_a, _) = direct_sum(cone_summands(f, r))
-    inclusion = TwistedMorphism(f.dst, c, {0: inc_b})
-    projection = TwistedMorphism(c, translation(f.src, r), {0: pr_a})
-    check_morphism(inclusion).raise_if_failed()
-    check_morphism(projection).raise_if_failed()
-    return ConeObject(c, inclusion, projection, f, r)
+    return ConeObject(c, TwistedMorphism(f.dst, c, {0: inc_b}),
+                      TwistedMorphism(c, translation(f.src, r), {0: pr_a}),
+                      f, r)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +623,9 @@ def check_r_homotopy(h: RHomotopy) -> Report:
 
 def solve_r_homotopy(f: TwistedMorphism, g: TwistedMorphism, r: int) \
         -> RHomotopy | None:
-    """Find hhat with f ~_r g, or None when the linear system is insoluble."""
+    """Find hhat with f ~_r g, or None when the linear system is insoluble.
+    Its equations are every (H_m) block that can be nonzero, so a
+    solution satisfies (H_m)."""
     if f.src != g.src or f.dst != g.dst:
         raise ValueError("f and g must share source and target")
     a, b = f.src, f.dst
@@ -703,9 +697,7 @@ def solve_r_homotopy(f: TwistedMorphism, g: TwistedMorphism, r: int) \
             per_m.setdefault(m, {})[(i, j)] = blk
     h = {m: BigradedMap(a.module, b.module, (-m + r, -m + r - 1), blocks)
          for m, blocks in per_m.items()}
-    out = RHomotopy(r, f, g, h)
-    check_r_homotopy(out).raise_if_failed()
-    return out
+    return RHomotopy(r, f, g, h)
 
 
 def shift_homotopy(h: RHomotopy) -> RHomotopy:
@@ -713,12 +705,10 @@ def shift_homotopy(h: RHomotopy) -> RHomotopy:
 
     Reindexing m -> m-1 flips the parity of every sign in (H_m), so the
     bare index shift witnesses g ~ f; negating the family keeps the
-    direction f ~ g.
+    direction f ~ g: (H_m) of the result is (H_{m-1}) of h, decided here.
     """
     check_r_homotopy(h).raise_if_failed()
-    out = RHomotopy(h.r + 1, h.f, h.g, {m + 1: -hm for m, hm in h.h.items()})
-    check_r_homotopy(out).raise_if_failed()
-    return out
+    return RHomotopy(h.r + 1, h.f, h.g, {m + 1: -hm for m, hm in h.h.items()})
 
 
 def negate_homotopy(h: RHomotopy) -> RHomotopy:
@@ -741,7 +731,9 @@ def add_homotopies(h1: RHomotopy, h2: RHomotopy) -> RHomotopy:
 
 def cone_to_pair(tau: TwistedMorphism, cone_obj: ConeObject):
     """From tau: C_r(w) -> X recover (f, h) with f = tau o incl and
-    h: f o w ~_r 0 given by hhat_m(a) = (-1)^m tau_m(a, 0)."""
+    h: f o w ~_r 0 given by hhat_m(a) = (-1)^m tau_m(a, 0).  tau is decided
+    here; f is its restriction to the subcomplex B, and h satisfies (H_m)
+    by the identity of ``pair_to_cone``."""
     check_morphism(tau).raise_if_failed()
     if tau.src != cone_obj.complex:
         raise ValueError("tau does not start at the given cone")
@@ -751,14 +743,11 @@ def cone_to_pair(tau: TwistedMorphism, cone_obj: ConeObject):
     parts = cone_summands(w, r)
     f = TwistedMorphism(b, x_cx,
                         {m: restrict(tm, parts, 1) for m, tm in tau.f.items()})
-    check_morphism(f).raise_if_failed()
     hmaps = {}
     for m, tm in tau.f.items():
         hm = relabel(restrict(tm, parts, 0), (-r, 1 - r), (0, 0))
         hmaps[m] = -hm if m % 2 else hm
-    h = RHomotopy(r, compose(f, w), zero_morphism(a, x_cx), hmaps)
-    check_r_homotopy(h).raise_if_failed()
-    return f, h
+    return f, RHomotopy(r, compose(f, w), zero_morphism(a, x_cx), hmaps)
 
 
 def pair_to_cone(f: TwistedMorphism, h: RHomotopy,
@@ -766,9 +755,10 @@ def pair_to_cone(f: TwistedMorphism, h: RHomotopy,
     """tau_m(a, b) = (-1)^m hhat_m(a) + f_m(b), for h: f o w ~_r 0.
 
     On the T_r(A) summand, the (B_m) defect of tau is (-1)^{m+r} times
-    the (H_m) defect of h as a homotopy f o w ~_r 0."""
+    the (H_m) defect of h as a homotopy f o w ~_r 0, decided here, and on
+    B it is that of f, a morphism by precondition."""
     w, r = cone_obj.w, cone_obj.r
-    if h.f != compose(f, w, check=False) or h.g != zero_morphism(w.src, f.dst):
+    if h.f != compose(f, w) or h.g != zero_morphism(w.src, f.dst):
         raise ValueError("h must witness f o w ~_r 0")
     check_r_homotopy(h).raise_if_failed()
     shift = (r, r - 1)
@@ -781,6 +771,4 @@ def pair_to_cone(f: TwistedMorphism, h: RHomotopy,
         if m in f.f:
             pieces[(0, 1)] = (f.f[m], False)
         comps[m] = place(parts, [f.dst.module], (-m, -m), pieces)
-    tau = TwistedMorphism(cone_obj.complex, f.dst, comps)
-    check_morphism(tau).raise_if_failed()
-    return tau
+    return TwistedMorphism(cone_obj.complex, f.dst, comps)

@@ -35,8 +35,8 @@ from multiplex.spectral import (
     page_of_morphism, spectral_page,
 )
 from multiplex.twisted import (
-    RHomotopy, compose, identity_morphism, path,
-    shift_homotopy, solve_r_homotopy, zero_morphism,
+    RHomotopy, check_morphism, check_twisted, compose, identity_morphism,
+    path, shift_homotopy, solve_r_homotopy, zero_morphism,
 )
 
 F = GF()
@@ -59,19 +59,10 @@ def twisted_corpus():
 
 
 @pytest.fixture(scope="module")
-def small_corpus():
-    out = []
-    for seed in range(N_INSTANCES):
-        rng = random.Random(20_000 + seed)
-        out.append(random_twisted_complex(F, rng, cols=(0, 2), verts=(0, 2),
-                                          max_rank=2, spots=3))
-    return out
-
-
-@pytest.fixture(scope="module")
 def ref_corpus():
     """REF_SHAPES[1] draws, each with a nonzero d_m for some m >= 1,
-    which is asserted (on the spots=3 small_corpus 9 of 50 draws have one)."""
+    which is asserted (on spots=3 draws of cols (0, 2), verts (0, 2) and
+    rank 2, 9 of 50 have one)."""
     out = []
     for seed in range(N_INSTANCES):
         rng = random.Random(20_000 + seed)
@@ -229,16 +220,23 @@ def test_homotopy_implies_page_equality(solved_homotopies):
               f"d_m != 0 for some m >= 1, r in {{0,1,2}}")
 
 
-def test_path_equivalence_witness(small_corpus):
-    """hhat_0(x,y,z) = (0,0,y) witnesses iota o p_minus ~_r id on P_r(A)."""
+def test_path_equivalence_witness(ref_corpus):
+    """P_r(A) is a twisted complex with morphisms iota and p+-, which path()
+    does not decide, and hhat_0(x,y,z) = (0,0,y) witnesses iota o p_minus
+    ~_r id on it."""
     checked = 0
     for r in range(4):
-        for a in small_corpus[:8]:
+        for a in ref_corpus[:8]:
+            p = path(a, r)
+            assert check_twisted(p.complex).ok
+            for mor in (p.iota, p.p_minus, p.p_plus):
+                assert check_morphism(mor).ok
             h = lemma_path_homotopy(a, r)
             assert homotopy_verdict(h)
             checked += 1
     _announce("path equivalence witness (explicit hhat_0)",
-              f"{checked} fixtures, r in {{0..3}}")
+              f"{checked} fixtures, each with d_m != 0 for some m >= 1, "
+              f"r in {{0..3}}")
 
 
 def test_shift_inclusion(solved_homotopies):

@@ -15,7 +15,7 @@ import multiplex
 
 from multiplex import cli, io as mio
 from multiplex import linalg, twisted
-from multiplex.bigraded import BigradedMap, BigradedModule
+from multiplex.bigraded import BigradedMap, BigradedModule, identity_map
 from multiplex.cli import main
 from multiplex.dainf import (
     DAInfHomotopy, DAInfMorphism, check_r_homotopy_dainf, lambda_r_dga,
@@ -301,6 +301,68 @@ def test_er_qis_decides_the_inputs_first(tmp_path, capsys):
                 out, err = capsys.readouterr()
                 assert (code, out, err) == (1, expected, ""), (idx, name,
                                                                 flag)
+
+
+def _refusal_docs(tmp_path):
+    """Per corrupted pair (a, bad) of _corrupted_complexes()[:20]: a
+    document with A = a, B = bad, f = 0 out of B ("out") and into B
+    ("in"), and g: A -> B the identity of modules, which fails (B_m); with
+    the (A_m) report of bad and the (B_m) report of g."""
+    corpus = _corrupted_complexes()[:20]
+    assert len(corpus) == 20
+    for idx, (a, bad) in enumerate(corpus):
+        g = TwistedMorphism(a, bad, {0: identity_map(a.module)})
+        morphism = twisted.check_morphism(g)
+        assert not morphism.ok
+        path = write_doc(tmp_path, f"bad{idx}.json", {
+            "A": mio.dump_twisted(F, a), "B": mio.dump_twisted(F, bad),
+            "out": mio.dump_twisted_morphism(F, zero_morphism(bad, a),
+                                             "B", "A"),
+            "in": mio.dump_twisted_morphism(F, zero_morphism(a, bad),
+                                            "A", "B"),
+            "g": mio.dump_twisted_morphism(F, g, "A", "B")})
+        yield path, f"{check_twisted(bad)}\n", f"g: {morphism}\n"
+
+
+def _assert_refused(argv, expected, tmp_path, capsys):
+    """argv exits 1 with expected on stdout, nothing on stderr and no
+    document written."""
+    out = tmp_path / "out.json"
+    code = main(argv + ["-o", str(out)])
+    assert (code, *capsys.readouterr()) == (1, expected, ""), argv
+    assert not out.exists()
+
+
+def test_cone_decides_its_ends_first(tmp_path, capsys):
+    """cone decides (A_m) on the source and the target of f before (B_m)
+    on f: for f = 0 out of and into a complex failing (A_m) it prints the
+    (A_m) report on stdout and exits 1 (the failure used to surface from
+    the check of the cone, on stderr)."""
+    for path, axioms, _ in _refusal_docs(tmp_path):
+        for name in ("out", "in"):
+            _assert_refused(["cone", path, "--name", name, "-r", "1"],
+                            axioms, tmp_path, capsys)
+
+
+def test_homotopy_solve_decides_its_ends_first(tmp_path, capsys):
+    """homotopy solve decides (A_m) on the source and the target of f and
+    g, then (B_m) on each: for f = g = 0 out of a complex failing (A_m)
+    (which used to exit 0 with a witness) and into one it prints the
+    (A_m) report on stdout and exits 1."""
+    for path, axioms, _ in _refusal_docs(tmp_path):
+        for name in ("out", "in"):
+            _assert_refused(["homotopy", "solve", path, "-r", "1",
+                             "--f", name, "--g", name],
+                            axioms, tmp_path, capsys)
+
+
+def test_compose_decides_its_morphisms_first(tmp_path, capsys):
+    """compose decides (B_m) on g and on f: a g failing it, composed with
+    f = 0 (which used to exit 0 with the zero composite), prints g's
+    report on stdout and exits 1."""
+    for path, _, morphism in _refusal_docs(tmp_path):
+        _assert_refused(["compose", path, path, "--name-f", "out",
+                         "--name-g", "g"], morphism, tmp_path, capsys)
 
 
 def test_homotopy_check_and_solve(fixture_docs, tmp_path, capsys):
@@ -1168,6 +1230,18 @@ _FILTERED_COMMANDS = [
     ["tot-inverse", "{doc}", "--name", "K", "-o", "{out}"],
     ["spectral", "{doc}", "--name", "K", "--page", "1"],
 ]
+# the checks that decide what a twisted command that exits 0 built, on
+# the document it wrote: the constructions do not decide it themselves.
+# compose decides (B_m) on f and g, not (A_m) on the complexes it copies
+_CONSTRUCTED = {
+    "tot": [["check", "filtered"]],
+    "tot-inverse": [["check", "twisted"]],
+    "path": [["check", "twisted"], ["check", "morphism"]],
+    "tensor": [["check", "twisted"]],
+    "cone": [["check", "twisted"], ["check", "morphism"]],
+    "compose": [["check", "morphism"]],
+    "solve": [["check", "twisted"], ["homotopy", "check"]],
+}
 _WRONG_TYPES = [None, True, 1.5, "x", [], {}, [[]], -1, 10 ** 30]
 # over QQ "6/2", "-0.25" and "2/-4" are entries; an exponent is refused,
 # before "1e999999999" builds 10 ** 999999999
@@ -1350,7 +1424,10 @@ def _filtered_doc(fixture_docs):
 
 
 def test_mutation_fuzzer_keeps_the_exit_contract(fixture_docs, capsys):
-    """Mutated documents exit 0, 1 or 2, with no traceback and in time."""
+    """Mutated documents exit 0, 1 or 2, with no traceback and in time.
+    When a twisted construction command exits 0, every object it built
+    passes its check on the document it wrote, and each such command
+    exits 0 on some case."""
     qq_dir = fixture_docs["tmp"] / "qq"
     qq_dir.mkdir()
     bases = []
@@ -1369,6 +1446,7 @@ def test_mutation_fuzzer_keeps_the_exit_contract(fixture_docs, capsys):
              "out": str(fixture_docs["tmp"] / "fuzz-out.json")}
     rng = random.Random(FUZZ_SEED)
     seen = set()
+    built = dict.fromkeys(_CONSTRUCTED, 0)
     for case in range(FUZZ_CASES):
         text, commands, found = rng.choice(bases)
         doc = json.loads(text)
@@ -1389,8 +1467,16 @@ def test_mutation_fuzzer_keeps_the_exit_contract(fixture_docs, capsys):
         assert "Traceback" not in err, where
         assert elapsed < FUZZ_CASE_LIMIT_S, f"{where} took {elapsed:.2f} s"
         seen.add(code)
-    # the mutations reach past parsing: every exit code occurs
+        command = argv[1] if argv[0] == "homotopy" else argv[0]
+        if code == 0 and command in built and "--dainf" not in argv:
+            built[command] += 1
+            for check in _CONSTRUCTED[command]:
+                assert main(check + [paths["out"]]) == 0, (where, check)
+            capsys.readouterr()
+    # the mutations reach past parsing: every exit code occurs, and every
+    # construction is built and decided
     assert seen == {0, 1, 2}
+    assert min(built.values()) >= 1, built
 
 
 # -- the one-pass parser against the route it replaced ------------------------

@@ -430,7 +430,8 @@ def test_tot_cone_matches_tot_of_the_bigraded_cone(field, r):
     """tot_cone(f, r) equals tot(cone_complex(f, r)) in its module and in
     every D^n, for an endomorphism of A, for the r-path inclusion
     A -> P_r(A) and for a map A -> B into another complex, on REF_SHAPES[1]
-    draws with a nonzero d_m, m >= 1, and nonzero maps; Tots of other
+    draws with a nonzero d_m, m >= 1, and nonzero maps, and D^2 = 0 on it,
+    which the cone detector takes from its inputs; Tots of other
     complexes are refused."""
     rng = random.Random(5300 + r)
     a = random_twisted_complex(field, rng, **REF_SHAPES[1])
@@ -442,6 +443,7 @@ def test_tot_cone_matches_tot_of_the_bigraded_cone(field, r):
         assert f.f
         kb = ka if f.dst is a else tot(f.dst)
         got, ref = tot_cone(f, r, ka, kb), tot(cone_complex(f, r))
+        assert check_filtered_complex(got).ok
         assert got.module == ref.module
         assert sorted(got.d) == sorted(ref.d)
         for n in ref.degrees():

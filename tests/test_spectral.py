@@ -310,9 +310,12 @@ def test_page_dim_counts_every_entry(field, shape):
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])
-def test_cone_route_raises_the_cone_report_for_a_non_morphism(r):
-    """An f failing (B_m) makes its cone fail (A_m): the cone route raises
-    the report of cone(), which checks the complex of the same builder."""
+def test_a_non_morphism_has_a_failing_cone_that_the_cli_refuses(r, tmp_path,
+                                                                capsys):
+    """An f failing (B_m) makes its cone fail (A_m), and the report names
+    (A_m) blocks.  Neither the cone detector nor cone() decides that:
+    `er-qis --via-cone` and `cone` decide (B_m) on f first, and exit 1
+    with its report on stdout, writing nothing."""
     rng = random.Random(2500 + r)
     a = _nondegenerate_draw(rng)
     f0 = identity_morphism(a).f[0]
@@ -322,14 +325,21 @@ def test_cone_route_raises_the_cone_report_for_a_non_morphism(r):
     blk[0, 0] = F.add(blk[0, 0], 1)
     g = TwistedMorphism(a, a, {0: BigradedMap(
         f0.src, f0.dst, (0, 0), {**f0.blocks, (i, j): blk})})
-    assert not check_morphism(g).ok
-    with pytest.raises(ValueError) as via:
-        is_er_quasi_iso_via_cone(g, r)
-    with pytest.raises(ValueError) as built:
-        cone(g, r)
-    assert str(via.value) == str(built.value) == \
-        str(check_twisted(cone_complex(g, r)))
-    assert str(via.value).startswith("twisted complex axioms (A_m): FAILED")
+    morphism = check_morphism(g)
+    assert not morphism.ok
+    rep = check_twisted(cone_complex(g, r))
+    assert str(rep).startswith("twisted complex axioms (A_m): FAILED")
+    assert all(detail.startswith("(A_") for _, detail in rep.failures)
+    path = tmp_path / "g.json"
+    path.write_text(mio.document_json(F, {
+        "A": mio.dump_twisted(F, a),
+        "g": mio.dump_twisted_morphism(F, g, "A", "A")}))
+    out = tmp_path / "cone.json"
+    for argv in (["er-qis", "--via-cone"], ["cone", "-o", str(out)]):
+        code = main([argv[0], str(path), "--name", "g", "-r", str(r)]
+                    + argv[1:])
+        assert (code, *capsys.readouterr()) == (1, f"{morphism}\n", "")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", range(3))

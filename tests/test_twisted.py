@@ -10,10 +10,10 @@ from multiplex.bigraded import (
     BigradedMap, BigradedModule, compose as bcompose, identity_map,
     symmetry_iso, tensor_maps, tensor_modules, tensor_summands, zero_map,
 )
-from multiplex.filtration import tot
+from multiplex.filtration import tot, tot_inverse, tot_morphism
 from multiplex.generators import (
-    random_automorphism, random_endo_morphism, random_homotopic_pair,
-    random_null_homotopic_map, random_twisted_complex,
+    random_automorphism, random_endo_morphism, random_filtered_complex,
+    random_homotopic_pair, random_null_homotopic_map, random_twisted_complex,
 )
 from multiplex.linalg import GF, QQ, Matrix
 from multiplex.reports import Report
@@ -137,7 +137,7 @@ def test_invert(seed):
     assert halves.f_map(0) == identity_map(a.module).scale(inv2)
     phi = random_automorphism(a, rng)
     psi = invert(phi)
-    assert psi is not None
+    assert psi is not None and check_morphism(psi).ok
     assert compose(psi, phi) == identity_morphism(a)
     assert compose(phi, psi) == identity_morphism(a)
     # non-invertible: zero morphism on a nonzero module
@@ -320,6 +320,8 @@ def test_path_and_its_maps(r, seed):
     a = _draw(rng)
     p = path(a, r)
     assert check_twisted(p.complex).ok
+    for mor in (p.iota, p.p_minus, p.p_plus):
+        assert check_morphism(mor).ok
     assert compose(p.p_minus, p.iota) == identity_morphism(a)
     assert compose(p.p_plus, p.iota) == identity_morphism(a)
     assert p.p_zero.bidegree == (r, r - 1)
@@ -581,7 +583,7 @@ def _cone_proj_b(c):
     from multiplex.twisted import solve_r_homotopy as solve
     b = c.w.dst
     f = idm(b)
-    h = solve(compose(f, c.w, check=False), zero_morphism(c.w.src, b), c.r)
+    h = solve(compose(f, c.w), zero_morphism(c.w.src, b), c.r)
     if h is None:
         import pytest as _pytest
         _pytest.skip("w is not null-homotopic on this instance")
@@ -594,6 +596,59 @@ def _cone_proj_b(c):
 
 FIELDS = [GF(), GF(5), GF(2), QQ]
 FIELD_IDS = ["F32003", "F5", "F2", "QQ"]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("shape", [0, 1])
+def test_constructions_keep_the_axioms(field, shape):
+    """The constructions decide nothing about what they build from inputs
+    that satisfy their axioms; this test decides it.  On REF_SHAPES draws
+    A and B with a nonzero d_m, m >= 1, an endomorphism e and an
+    automorphism of A, a null-homotopic w: A -> B and r = 0..2: [A,B],
+    T_r(A), P_r(A) and C_r(w) are twisted complexes; composites, inverses,
+    tensor products, iota, p+-, P_r(w), the cone's inclusion and
+    projection, pair_to_cone's tau and cone_to_pair's f are morphisms;
+    shift_homotopy's and cone_to_pair's witnesses satisfy (H_m); Tot of a
+    morphism is a chain map, and tot_inverse of a split filtered complex
+    with d^2 = 0 satisfies (A_m).  (tensor and solve_r_homotopy are
+    decided in test_tensor_matches_dense_sum and
+    test_homotopy_sums_match_dense_route, the cone Tot of the detector in
+    test_tot_cone_matches_tot_of_the_bigraded_cone.)"""
+    rng = random.Random(7300 + shape)
+    a, b = _draw(rng, field, shape), _draw(rng, field, shape)
+    ka, kb = tot(a), tot(b)
+    e = random_endo_morphism(a, rng, ka)
+    w = random_null_homotopic_map(a, b, rng, ka, kb)
+    assert e.f and w.f
+    complexes = [internal_hom(a, b)]
+    morphisms = [compose(w, e), invert(random_automorphism(a, rng, ka)),
+                 tensor_morphisms(e, w)]
+    homotopies = []
+    for r in range(3):
+        p, c = path(a, r), cone(w, r)
+        complexes += [translation(a, r), p.complex, c.complex]
+        morphisms += [p.iota, p.p_minus, p.p_plus, path_morphism(w, r),
+                      c.inclusion, c.projection]
+        homotopies.append(shift_homotopy(random_homotopic_pair(e, r, rng)[1]))
+        # h: v ~_r 0 makes (1_B, h) a pair for the cone of v
+        v, h0 = random_homotopic_pair(zero_morphism(a, b), r, rng)
+        assert v.f and h0.h
+        cv = cone(v, r)
+        tau = pair_to_cone(identity_morphism(b), negate_homotopy(h0), cv)
+        f2, h2 = cone_to_pair(compose(random_endo_morphism(b, rng), tau), cv)
+        morphisms += [tau, f2]
+        homotopies.append(h2)
+    for x in complexes:
+        assert check_twisted(x).ok
+    for x in morphisms:
+        assert check_morphism(x).ok
+    for h in homotopies:
+        assert check_r_homotopy(h).ok
+    assert tot_morphism(e, ka, ka).check_chain_map().ok
+    assert tot_morphism(w, ka, kb).check_chain_map().ok
+    back = tot_inverse(random_filtered_complex(field, rng,
+                                               **REF_SHAPES[shape]))
+    assert any(m >= 1 for m in back.d) and check_twisted(back).ok
 
 
 def _same_report(obj):
@@ -843,6 +898,7 @@ def test_tensor_matches_dense_sum(field, shape):
     for x, y in ((a, b), (b, a), (a, a)):
         t, ref = tensor(x, y), _dense_tensor(x, y)
         assert t.d.keys() == ref.keys() and any(m >= 1 for m in ref)
+        assert check_twisted(t).ok
         for m in ref:
             _same_map(t.d[m], ref[m])
 
