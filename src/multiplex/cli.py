@@ -9,8 +9,9 @@ powers that checking or composing A-infinity structures builds).
 
 A command decides the axioms of its inputs before it builds anything
 from them, and nothing about what it builds, which satisfies its axioms
-whenever the inputs do (the tests decide those implications).  A twisted
-command prints a failing input report on stdout and exits 1.
+whenever the inputs do (the tests decide those implications).  Every
+command prints the first failing input report on stdout, writes no
+document and exits 1.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import functools
 import json
 import random
 import sys
+from itertools import chain
 
 from . import io as mio
 from .bigraded import sum_module
@@ -123,21 +125,20 @@ def _refused(reports) -> bool:
     return False
 
 
-def _ends(f: TwistedMorphism) -> tuple:
+def _ends(f) -> tuple:
     """The source and target of f, the source alone for an endomorphism."""
     return (f.src,) if f.dst is f.src else (f.src, f.dst)
 
 
-def _decide_relations(algebras):
-    """Decide (A_uv) on each algebra that a dA-infinity morphism command
-    reads, before any work on its morphisms: a failing one raises
-    ValueError with its report, which main prints after "failed: " with
-    exit 1."""
+def _axioms(objs, checker):
+    """(None, checker report) for each object of objs, for _refused, once
+    per object: a document gives a name one object, so an input read
+    twice is decided once."""
     seen = []
-    for alg in algebras:
-        if all(alg is not s for s in seen):
-            seen.append(alg)
-            check_dainf(alg).raise_if_failed()
+    for obj in objs:
+        if all(obj is not s for s in seen):
+            seen.append(obj)
+            yield None, checker(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +166,9 @@ def cmd_check(args) -> int:
         for name, f in sorted(targets.items()):
             _check_bar_budget(f.src, _arity(f.f), f.dst.max_arity(),
                               f"checking morphism {name!r}")
-        _decide_relations(a for _, f in sorted(targets.items())
-                          for a in (f.src, f.dst))
+        if _refused(_axioms((a for _, f in sorted(targets.items())
+                             for a in (f.src, f.dst)), check_dainf)):
+            return 1
     reports = [(name, checker(obj)) for name, obj in sorted(targets.items())]
     return _print_reports(reports, args.format == "json")
 
@@ -343,13 +345,16 @@ def cmd_homotopy(args) -> int:
                 raise DocumentError(f"homotopy {name!r} has level {h.r}, "
                                     f"not {args.r}")
             _check_homotopy_budget(h, f"checking homotopy {name!r}")
-            _decide_relations((h.src, h.dst))
+            if _refused(_axioms((h.src, h.dst), check_dainf)):
+                return 1
             rep = check_r_homotopy_dainf(h)
         else:
             name, h = doc.select(args.name, RHomotopy, what="homotopy")
             if args.r is not None and args.r != h.r:
                 raise DocumentError(f"homotopy {name!r} has level {h.r}, "
                                     f"not {args.r}")
+            if _refused([(None, check_twisted(h.dst))]):
+                return 1
             rep = check_r_homotopy(h)
         return _print_reports([(name, rep)], args.format == "json")
     # solve
@@ -415,40 +420,35 @@ def cmd_compose(args) -> int:
         raise DocumentError("the two documents use different fields")
     field = doc_f.field
     if args.dainf:
-        fname, f = doc_f.select(args.name_f, DAInfMorphism,
-                                what="dainf morphism")
-        gname, g = doc_g.select(args.name_g, DAInfMorphism,
-                                what="dainf morphism")
-        if g.dst != f.src:
-            raise DocumentError("morphisms are not composable: the target "
-                                "of g must be the source of f")
+        cls, what, axioms, morphism = (DAInfMorphism, "dainf morphism",
+                                       check_dainf, check_dainf_morphism)
+        dump, dump_morphism = mio.dump_dainf, mio.dump_dainf_morphism
+    else:
+        cls, what, axioms, morphism = (TwistedMorphism, "morphism",
+                                       check_twisted, check_morphism)
+        dump, dump_morphism = mio.dump_twisted, mio.dump_twisted_morphism
+    fname, f = doc_f.select(args.name_f, cls, what=what)
+    gname, g = doc_g.select(args.name_g, cls, what=what)
+    if g.dst != f.src:
+        raise DocumentError("morphisms are not composable: the target "
+                            "of g must be the source of f")
+    if args.dainf:
+        for nm, mor in ((gname, g), (fname, f)):
+            _check_bar_budget(mor.src, _arity(mor.f), mor.dst.max_arity(),
+                              f"checking morphism {nm!r}")
         _check_bar_budget(g.src, _arity(f.f) * _arity(g.f),
                           f.dst.max_arity(),
                           f"composing {fname!r} after {gname!r}")
-        _decide_relations((g.src, g.dst, f.dst))
-        out = compose_dainf(f, g)
-        objects = {
-            "source": mio.dump_dainf(field, g.src),
-            "target": mio.dump_dainf(field, f.dst),
-            "composite": mio.dump_dainf_morphism(field, out, "source",
-                                                 "target"),
-        }
-    else:
-        fname, f = doc_f.select(args.name_f, TwistedMorphism, what="morphism")
-        gname, g = doc_g.select(args.name_g, TwistedMorphism, what="morphism")
-        if g.dst != f.src:
-            raise DocumentError("morphisms are not composable: the target "
-                                "of g must be the source of f")
-        if _refused((nm, check_morphism(mor))
-                    for nm, mor in ((gname, g), (fname, f))):
-            return 1
-        out = compose(f, g)
-        objects = {
-            "source": mio.dump_twisted(field, g.src),
-            "target": mio.dump_twisted(field, f.dst),
-            "composite": mio.dump_twisted_morphism(field, out, "source",
-                                                   "target"),
-        }
+    if _refused(chain(_axioms((g.src, g.dst, f.dst), axioms),
+                      ((nm, morphism(mor))
+                       for nm, mor in ((gname, g), (fname, f))))):
+        return 1
+    out = compose_dainf(f, g, check=False) if args.dainf else compose(f, g)
+    objects = {
+        "source": dump(field, g.src),
+        "target": dump(field, f.dst),
+        "composite": dump_morphism(field, out, "source", "target"),
+    }
     _emit(mio.document_json(field, objects), args.output)
     return 0
 
@@ -459,6 +459,8 @@ def cmd_oracle(args) -> int:
     if args.r is not None and args.r != h.r:
         raise DocumentError(f"homotopy {name!r} has level {h.r}, not {args.r}")
     n = args.n if args.n is not None else default_truncation(h)
+    if _refused([(None, check_twisted(h.dst))]):
+        return 1
     try:
         verdict = check_coderh(h, n)
     except ValueError as exc:

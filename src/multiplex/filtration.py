@@ -36,8 +36,8 @@ from .bigraded import (
 from .linalg import Matrix
 from .reports import Report
 from .twisted import (
-    RHomotopy, TwistedComplex, TwistedMorphism, check_morphism,
-    check_r_homotopy, cone_summands,
+    RHomotopy, TwistedComplex, TwistedMorphism, check_r_homotopy,
+    cone_summands,
 )
 
 
@@ -431,14 +431,15 @@ def tot_inverse(k: FilteredComplex) -> TwistedComplex:
 
 def tot_inverse_morphism(fmap: FilteredMap, src: TwistedComplex,
                          dst: TwistedComplex) -> TwistedMorphism:
-    """f_m(a) = (-1)^{nm} f(a)_{i-m}; fmap must be a degree-0 filtered chain map."""
+    """f_m(a) = (-1)^{nm} f(a)_{i-m}; fmap must be a degree-0 filtered map
+    from tot(src) to tot(dst).  A morphism when fmap is a chain map: Tot of
+    the result is fmap, and its (B_m) defect is the chain-map defect of
+    fmap, block by block (``tot_morphism``)."""
     if fmap.degree != 0 or fmap.shift > 0:
         raise ValueError("not a filtration-preserving degree-0 map")
-    out = TwistedMorphism(src, dst, _tot_split(
+    return TwistedMorphism(src, dst, _tot_split(
         fmap.blocks, fmap.src, fmap.dst, 0, 0, 0,
         "filtration violated by the map"))
-    check_morphism(out).raise_if_failed()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +569,8 @@ def mu(a: TwistedComplex, b: TwistedComplex,
     (a (x) b)_{k_1,k_2} -> (-1)^{k_1 n_2} a_{k_1} (x) b_{k_2}.
 
     With the shared basis ordering the map is diagonal; in the bounded
-    (finite support) case it is an isomorphism.
+    (finite support) case it is an isomorphism of complexes when A and B
+    are twisted (Tot is lax monoidal).
     """
     from .twisted import tensor
     ka = tot_a or tot(a)
@@ -587,9 +589,7 @@ def mu(a: TwistedComplex, b: TwistedComplex,
             n2 = n - n1
             mat[cc, cc] = field.one() if (p * n2) % 2 == 0 else field.of_int(-1)
         blocks[n] = mat
-    out = FilteredMap(src, dst, 0, 0, blocks)
-    out.check_chain_map().raise_if_failed()
-    return out
+    return FilteredMap(src, dst, 0, 0, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -629,25 +629,25 @@ def homotopy_to_tot(h: RHomotopy,
                     src_k: FilteredComplex | None = None,
                     dst_k: FilteredComplex | None = None) -> OrderRHomotopy:
     """Exact Cartan-Eilenberg form: H = (-1)^r Tot(hhat) (enriched Tot at
-    bidegree (r, r-1)); then dH + Hd = Tot(g) - Tot(f) holds on the nose."""
+    bidegree (r, r-1)).  h is decided here; then dH + Hd = Tot(g) - Tot(f)
+    holds on the nose, block by block the (H_m) of h."""
     check_r_homotopy(h).raise_if_failed()
     src_k = src_k or tot(h.src)
     dst_k = dst_k or tot(h.dst)
     hmap = tot_family(h.h, h.r, h.r - 1, src_k, dst_k,
                       extra_sign=-1 if h.r % 2 else 1)
-    out = OrderRHomotopy(h.r, tot_morphism(h.f, src_k, dst_k),
-                         tot_morphism(h.g, src_k, dst_k), hmap)
-    check_order_homotopy(out).raise_if_failed()
-    return out
+    return OrderRHomotopy(h.r, tot_morphism(h.f, src_k, dst_k),
+                          tot_morphism(h.g, src_k, dst_k), hmap)
 
 
 def tot_to_homotopy(oh: OrderRHomotopy, f: TwistedMorphism,
                     g: TwistedMorphism) -> RHomotopy:
-    """Inverse reading: hhat_m(a) = (-1)^{(m+r)n + r} H(a)_{i-m+r}."""
+    """Inverse reading: hhat_m(a) = (-1)^{(m+r)n + r} H(a)_{i-m+r}.  oh is
+    decided here; for morphisms f and g with Tot(f) and Tot(g) the ends of
+    oh, (H_m) of the result is dH + Hd = Tot(g) - Tot(f) read block by
+    block (``homotopy_to_tot``)."""
     check_order_homotopy(oh).raise_if_failed()
     r = oh.r
-    out = RHomotopy(r, f, g, _tot_split(
+    return RHomotopy(r, f, g, _tot_split(
         oh.h.blocks, oh.h.src, oh.h.dst, r, r - 1, r,
         "homotopy exceeds its filtration allowance"))
-    check_r_homotopy(out).raise_if_failed()
-    return out

@@ -208,8 +208,8 @@ def check_coderh(h: RHomotopy, n_max: int | None = None) -> bool:
     """(-1)^r d~^B H~ + H~ d~^A = S^r G~ - S^r F~ on R[x]_{<=N} (x) A,
     cross-checked against the direct (H_m) checker, which also decides f
     and g, once; the verdicts must agree.  Raises ValueError when f or g
-    is not a morphism, when the target fails (A_m), or when N is too small
-    to see all conditions.  S^r F~ is F~ composed r times with d_x
+    is not a morphism, or when N is too small to see all conditions.
+    (A_m) on the target is a precondition, which `oracle coderh` decides.  S^r F~ is F~ composed r times with d_x
     (``shift``); the test suite asserts that it is the lift of the
     index-shifted family."""
     req = default_truncation(h)

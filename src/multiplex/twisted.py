@@ -589,15 +589,15 @@ def homotopy_lhs(h: RHomotopy, m: int) -> BigradedMap:
 
 
 def check_r_homotopy(h: RHomotopy) -> Report:
-    """Verify (H_m) for all m.  Raises ValueError when f and g are
-    morphisms but the target fails (A_m)."""
+    """Verify (H_m) for all m, after (B_m) on f and g.  (A_m) on the
+    target is not decided here; `homotopy check` and `oracle coderh`
+    decide it first."""
     rep = Report(f"{h.r}-homotopy conditions (H_m)")
     fr = check_morphism(h.f)
     gr = check_morphism(h.g)
     if not fr.ok or not gr.ok:
         rep.fail("inputs", "f or g is not a morphism of twisted complexes")
         return rep
-    check_twisted(h.dst).raise_if_failed()
     r = h.r
     ms = set()
     for i in h.dst.d:
@@ -755,11 +755,12 @@ def pair_to_cone(f: TwistedMorphism, h: RHomotopy,
     """tau_m(a, b) = (-1)^m hhat_m(a) + f_m(b), for h: f o w ~_r 0.
 
     On the T_r(A) summand, the (B_m) defect of tau is (-1)^{m+r} times
-    the (H_m) defect of h as a homotopy f o w ~_r 0, decided here, and on
-    B it is that of f, a morphism by precondition."""
+    the (H_m) defect of h as a homotopy f o w ~_r 0, and on B it is that
+    of f; both are decided here."""
     w, r = cone_obj.w, cone_obj.r
     if h.f != compose(f, w) or h.g != zero_morphism(w.src, f.dst):
         raise ValueError("h must witness f o w ~_r 0")
+    check_morphism(f).raise_if_failed()
     check_r_homotopy(h).raise_if_failed()
     shift = (r, r - 1)
     parts = cone_summands(w, r)

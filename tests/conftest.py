@@ -375,6 +375,26 @@ def check_morphism_blockwise(f):
     return rep
 
 
+def bumped_identity(a):
+    """The identity of a with 1 added to the diagonal entry (r, r) of f_0
+    on the block at the first source bidegree of the lowest nonzero d_m,
+    r its first nonzero column: not a morphism.  With delta that unit,
+    the (B) defect D delta - delta D is d_t delta at that source for
+    every t, and d_m delta = d_m e_r != 0, so (B_m) fails there."""
+    m = min(a.d)
+    loc = min(a.d[m].blocks)
+    blk = a.d[m].blocks[loc]
+    r = next(c for c in range(blk.cols)
+             if any(blk[i, c] for i in range(blk.rows)))
+    one = identity_map(a.module)
+    bumped = one.block(*loc).copy()
+    bumped[r, r] = a.field.add(bumped[r, r], a.field.one())
+    f = TwistedMorphism(a, a, {0: BigradedMap(
+        one.src, one.dst, one.bidegree, {**one.blocks, loc: bumped})})
+    assert not check_morphism(f).ok
+    return f
+
+
 def corrupt_lambda(field):
     """Lambda_1 with the product e_- e_- -> e_+ added: one m_{02} entry
     changed, which breaks (A_uv)."""

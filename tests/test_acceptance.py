@@ -316,21 +316,30 @@ def test_dainf_composition_algebra():
 
 def test_tot_bridge():
     """tot_dainf output passes the filtered A-infinity checker, including
-    every filtration containment."""
+    every filtration containment.  tot_dainf decides nothing about it, so
+    this is where its output is decided, with
+    test_filtration.py::test_tot_constructions_keep_the_axioms."""
     fixtures = []
     for r in range(4):
         fixtures.append(lambda_r_dga(r, F).algebra)
     fixtures.append(tensor_twisted_dga(lambda_r_dga(0, F).algebra,
                                        lambda_r_dga(1, F).algebra))
+    # a nonzero m_{i1}, i >= 1, puts the Tot sign (-1)^{mn} and a
+    # filtration shift into m_1; a draw whose only map is m_{01} has none
     for seed in range(10):
         rng = random.Random(90_000 + seed)
-        fixtures.append(random_zero_product_dainf(F, rng, spots=3))
+        a = random_zero_product_dainf(F, rng, **REF_SHAPES[1])
+        assert any(i >= 1 for (i, _) in a.m)
+        fixtures.append(a)
+    nondegenerate = sum(any(i >= 1 and j == 1 for (i, j) in a.m)
+                        for a in fixtures)
     for a in fixtures:
         fa = tot_dainf(a)
         rep = check_filtered_ainf(fa)
         assert rep.ok, str(rep)
     _announce("Tot bridge to filtered A-infinity",
-              f"{len(fixtures)} fixtures incl. products")
+              f"{len(fixtures)} fixtures incl. products, {nondegenerate} "
+              f"with a nonzero m_i1 (i >= 1)")
 
 
 def test_operadic_oracle(ref_corpus):

@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import BAD_ALGEBRAS, REF_SHAPES, assert_canonical
+from conftest import (
+    BAD_ALGEBRAS, REF_SHAPES, assert_canonical, bumped_identity,
+)
 
 import multiplex
 
@@ -18,8 +20,8 @@ from multiplex import linalg, twisted
 from multiplex.bigraded import BigradedMap, BigradedModule, identity_map
 from multiplex.cli import main
 from multiplex.dainf import (
-    DAInfHomotopy, DAInfMorphism, check_r_homotopy_dainf, lambda_r_dga,
-    underlying_twisted,
+    DAInfHomotopy, DAInfMorphism, check_dainf, check_dainf_morphism,
+    check_r_homotopy_dainf, lambda_r_dga, underlying_twisted,
 )
 from multiplex.filtered_ainf import tot_dainf
 from multiplex.filtration import tot
@@ -306,21 +308,21 @@ def test_er_qis_decides_the_inputs_first(tmp_path, capsys):
 def _refusal_docs(tmp_path):
     """Per corrupted pair (a, bad) of _corrupted_complexes()[:20]: a
     document with A = a, B = bad, f = 0 out of B ("out") and into B
-    ("in"), and g: A -> B the identity of modules, which fails (B_m); with
-    the (A_m) report of bad and the (B_m) report of g."""
+    ("in"), and g: A -> A the identity with one entry raised, which fails
+    (B_m) (``bumped_identity``); with the (A_m) report of bad and the
+    (B_m) report of g."""
     corpus = _corrupted_complexes()[:20]
     assert len(corpus) == 20
     for idx, (a, bad) in enumerate(corpus):
-        g = TwistedMorphism(a, bad, {0: identity_map(a.module)})
+        g = bumped_identity(a)
         morphism = twisted.check_morphism(g)
-        assert not morphism.ok
         path = write_doc(tmp_path, f"bad{idx}.json", {
             "A": mio.dump_twisted(F, a), "B": mio.dump_twisted(F, bad),
             "out": mio.dump_twisted_morphism(F, zero_morphism(bad, a),
                                              "B", "A"),
             "in": mio.dump_twisted_morphism(F, zero_morphism(a, bad),
                                             "A", "B"),
-            "g": mio.dump_twisted_morphism(F, g, "A", "B")})
+            "g": mio.dump_twisted_morphism(F, g, "A", "A")})
         yield path, f"{check_twisted(bad)}\n", f"g: {morphism}\n"
 
 
@@ -358,11 +360,21 @@ def test_homotopy_solve_decides_its_ends_first(tmp_path, capsys):
 
 def test_compose_decides_its_morphisms_first(tmp_path, capsys):
     """compose decides (B_m) on g and on f: a g failing it, composed with
-    f = 0 (which used to exit 0 with the zero composite), prints g's
-    report on stdout and exits 1."""
+    itself, prints g's report on stdout and exits 1."""
     for path, _, morphism in _refusal_docs(tmp_path):
-        _assert_refused(["compose", path, path, "--name-f", "out",
+        _assert_refused(["compose", path, path, "--name-f", "g",
                          "--name-g", "g"], morphism, tmp_path, capsys)
+
+
+def test_compose_decides_its_complexes_first(tmp_path, capsys):
+    """compose decides (A_m) on the source and target of g and the target
+    of f before (B_m): for f = g = 0 through a complex failing (A_m), and
+    out of and into one (which used to exit 0 with the zero composite),
+    it prints the (A_m) report on stdout and exits 1."""
+    for path, axioms, _ in _refusal_docs(tmp_path):
+        for f, g in (("out", "in"), ("in", "out")):
+            _assert_refused(["compose", path, path, "--name-f", f,
+                             "--name-g", g], axioms, tmp_path, capsys)
 
 
 def test_homotopy_check_and_solve(fixture_docs, tmp_path, capsys):
@@ -397,8 +409,8 @@ def test_homotopy_commands_refuse_invalid_inputs(tmp_path, capsys):
     """When f is not a morphism, `homotopy check` prints the failing
     inputs report (exit 1) and `oracle coderh` refuses the document
     (exit 2).  When f and g are morphisms into a target failing (A_m),
-    `homotopy check` prints nothing and exits 1 with the target's (A_m)
-    report after "failed: ", and `oracle coderh` exits 2 with it."""
+    both decide it first: they print the target's (A_m) report on stdout
+    and exit 1."""
     mod = BigradedModule(F, {(0, 0): 1, (0, 1): 1, (0, 2): 1})
     one = Matrix.identity(F, 1)
     # f_0 = 1 on A^{0,1} only does not commute with d_0 = 1: A^{0,0} -> A^{0,1}
@@ -427,10 +439,31 @@ def test_homotopy_commands_refuse_invalid_inputs(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "error: f and g must be valid morphisms of twisted complexes\n"
     axioms = str(check_twisted(bad))
-    assert main(["homotopy", "check", not_a_complex]) == 1
-    assert capsys.readouterr() == ("", f"failed: {axioms}\n")
-    assert main(["oracle", "coderh", not_a_complex]) == 2
-    assert capsys.readouterr() == ("", f"error: {axioms}\n")
+    for argv in (["homotopy", "check"], ["oracle", "coderh"]):
+        assert main(argv + [not_a_complex]) == 1
+        assert capsys.readouterr() == (f"{axioms}\n", "")
+
+
+def test_homotopy_commands_decide_the_target_once(fixture_docs,
+                                                  monkeypatch):
+    """`homotopy check` and `oracle coderh` decide (A_m) once per run, on
+    the target of the witness, and the checkers they call decide none."""
+    calls = []
+    real = twisted.check_twisted
+
+    def counting(a, *rest):
+        calls.append(a)
+        return real(a, *rest)
+
+    monkeypatch.setattr(cli, "check_twisted", counting)
+    monkeypatch.setattr(twisted, "check_twisted", counting)
+    full = fixture_docs["full"]
+    with open(full) as fh:
+        _, h = load_document(json.load(fh)).select("h", RHomotopy)
+    for argv in (["homotopy", "check", full], ["oracle", "coderh", full]):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [h.dst]
 
 
 def test_verdicts_under_format_json(fixture_docs, tmp_path, capsys):
@@ -555,20 +588,19 @@ def test_path_subcommand_and_dainf_checks(tmp_path, capsys):
 def test_homotopy_check_dainf_target_failing_relations(tmp_path, capsys,
                                                        field, bad):
     # f = g = 0 into a target B that fails (A_uv): f, g and (H_mk) hold,
-    # and building the 1-path of B decides (A_uv) on it and fails
+    # and homotopy check decides (A_uv) on B first, printing its report
+    # on stdout
+    b = BAD_ALGEBRAS[bad](field)
     objects = {
         "A": {"type": "dainf_algebra", "dims": [[0, 0, 1]], "m": {}},
-        "B": mio.dump_dainf(field, BAD_ALGEBRAS[bad](field)),
+        "B": mio.dump_dainf(field, b),
         "f": {"type": "dainf_morphism", "src": "A", "dst": "B"},
         "H": {"type": "dainf_homotopy", "r": 1, "f": "f", "g": "f",
               "h": {}},
     }
     path = write_doc(tmp_path, "bad-target.json", objects, field)
     assert main(["homotopy", "check", "--dainf", path]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(
-        "failed: derived A-infinity relations (A_uv): FAILED")
-    assert "Traceback" not in err
+    assert capsys.readouterr() == (f"{check_dainf(b)}\n", "")
 
 
 def _bad_algebra_doc(tmp_path, field, bad):
@@ -587,8 +619,9 @@ def _bad_algebra_doc(tmp_path, field, bad):
 
 
 # each command decides (A_uv) on the algebras it reads before any morphism
-# work; every morphism condition on these zero maps holds, so without that
-# they printed "ok (0 conditions)" or wrote a composite, with exit 0
+# work, printing the report on stdout; every morphism condition on these
+# zero maps holds, so without that they printed "ok (0 conditions)" or
+# wrote a composite, with exit 0
 @pytest.mark.parametrize("field", [F, QQ], ids=str)
 @pytest.mark.parametrize("bad", sorted(BAD_ALGEBRAS))
 @pytest.mark.parametrize("argv", [
@@ -606,11 +639,65 @@ def test_dainf_morphism_commands_decide_relations(tmp_path, capsys, field,
     doc = _bad_algebra_doc(tmp_path, field, bad)
     out = tmp_path / "out.json"
     assert main([a.format(doc=doc, out=out) for a in argv]) == 1
+    assert capsys.readouterr() == (
+        f"{check_dainf(BAD_ALGEBRAS[bad](field))}\n", "")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=str)
+def test_compose_dainf_decides_its_morphisms(tmp_path, capsys, field):
+    """compose --dainf decides (B_uv) on g and then on f once the algebras
+    pass (A_uv): a random (0,1) map on a zero-product algebra, which is
+    not a morphism, composed after or before z = 0 (which used to exit 0
+    with a composite after z) prints its report on stdout and exits 1."""
+    rng = random.Random(3)
+    a = random_zero_product_dainf(field, rng, cols=(0, 3), verts=(0, 2),
+                                  max_rank=2, spots=12)
+    assert any(i >= 1 for (i, _) in a.m)
+    one = identity_map(a.module)
+    f = DAInfMorphism(a, a, {(0, 1): BigradedMap(one.src, one.dst, (0, 0), {
+        loc: Matrix.from_rows(field, [[rng.randrange(1, 5)
+                                       for _ in range(blk.cols)]
+                                      for _ in range(blk.rows)])
+        for loc, blk in one.blocks.items()})})
+    rep = check_dainf_morphism(f)
+    assert not rep.ok
+    path = write_doc(tmp_path, "pair.json", {
+        "A": mio.dump_dainf(field, a),
+        "f": mio.dump_dainf_morphism(field, f, "A", "A"),
+        "z": {"type": "dainf_morphism", "src": "A", "dst": "A"}}, field)
+    out = tmp_path / "out.json"
+    for names in (("f", "z"), ("z", "f")):
+        assert main(["compose", "--dainf", path, path, "--name-f", names[0],
+                     "--name-g", names[1], "-o", str(out)]) == 1
+        assert capsys.readouterr() == (f"f: {rep}\n", "")
+        assert not out.exists()
+
+
+def test_compose_dainf_bounds_the_checks_of_its_inputs(tmp_path, capsys):
+    """compose --dainf bounds the (B_uv) checks it makes on g and f, not
+    only the composite: f: B -> Lambda_0 with dim B = 101 needs the square
+    of B on its right side (10201 > 10^4), so compose of f after g = 0
+    from a one-dimensional A exits 2 naming f, before that power is
+    built, although the composite, from A, is within budget."""
+    lam = lambda_r_dga(0, F).algebra
+    f01 = BigradedMap(BigradedModule(F, {(0, 0): 101}), lam.module, (0, 0),
+                      {(0, 0): Matrix.from_rows(F, [[1] * 101, [0] * 101])})
+    b = {"type": "dainf_algebra", "dims": [[0, 0, 101]], "m": {}}
+    path = write_doc(tmp_path, "big.json", {
+        "A": {"type": "dainf_algebra", "dims": [[0, 0, 1]], "m": {}},
+        "B": b, "L": mio.dump_dainf(F, lam),
+        "f": {"type": "dainf_morphism", "src": "B", "dst": "L",
+              "f": {"0,1": mio.dump_map(F, f01)}},
+        "g": {"type": "dainf_morphism", "src": "A", "dst": "B"}})
+    out = tmp_path / "out.json"
+    assert main(["compose", "--dainf", path, path, "--name-f", "f",
+                 "--name-g", "g", "-o", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(
-        "failed: derived A-infinity relations (A_uv): FAILED")
-    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: checking morphism 'f' needs a "
+                                   "tensor power of arity 2 of a module of "
+                                   "total dimension 101")
     assert not out.exists()
 
 

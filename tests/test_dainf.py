@@ -16,6 +16,7 @@ from multiplex.bigraded import (
     _summand_table, compose as bcompose, identity_map, node, power_module, power_tree,
     tensor_maps, tensor_modules, tree_basis, tree_iso,
 )
+from multiplex.cli import main
 from multiplex.dainf import (
     DAInfAlgebra, DAInfHomotopy, DAInfMorphism, TwistedDga, _hmk_buckets,
     _reachable_u, _sumset, bar_power, check_dainf,
@@ -37,6 +38,7 @@ from multiplex.signs import (
     structure_sign,
 )
 from multiplex.twisted import check_morphism as check_twisted_morphism
+from multiplex.twisted import check_twisted
 from multiplex.twisted import compose as twisted_compose
 from multiplex.twisted import path as twisted_path
 
@@ -364,37 +366,57 @@ def test_path_dainf_with_products(r):
     assert check_dainf(p.algebra).ok
 
 
+def _path_argv(tmp_path, field, a, r):
+    """The argv of `path --dainf` on a written as "A", and its -o path."""
+    doc = tmp_path / "a.json"
+    doc.write_text(mio.document_json(field, {"A": mio.dump_dainf(field, a)}))
+    out = tmp_path / "out.json"
+    return ["path", str(doc), "-r", str(r), "--dainf", "-o", str(out)], out
+
+
 @pytest.mark.parametrize("bad", sorted(BAD_ALGEBRAS))
 @pytest.mark.parametrize("field", [F, QQ], ids=str)
 @pytest.mark.parametrize("r", [0, 1, 2])
-def test_path_dainf_rejects_failing_relations(bad, field, r):
-    # (A_uv) is decided once, on the path algebra; the routes still agree
-    # on a structure that fails it, so the certificate is what raises
+def test_path_dainf_rejects_failing_relations(bad, field, r, tmp_path,
+                                              capsys):
+    # the routes agree on a structure that fails (A_uv), and P_r(A) and
+    # Lambda_r (x) A fail it with A; `path --dainf` decides it on A and
+    # refuses, with the report on stdout and no document written
     a = BAD_ALGEBRAS[bad](field)
-    assert not check_dainf(a).ok
-    tensor_alg = tensor_twisted_dga(lambda_r_dga(r, field).algebra, a,
-                                    check=False)
-    assert not check_dainf(tensor_alg).ok
-    with pytest.raises(ValueError,
-                       match=r"^derived A-infinity relations \(A_uv\): FAILED"):
-        path_dainf(a, r)
+    rep = check_dainf(a)
+    assert not rep.ok
+    assert not check_dainf(tensor_twisted_dga(lambda_r_dga(r, field).algebra,
+                                              a)).ok
+    assert not check_dainf(path_dainf(a, r).algebra).ok
+    argv, out = _path_argv(tmp_path, field, a, r)
+    assert main(argv) == 1
+    assert capsys.readouterr() == (f"{rep}\n", "")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])
-def test_path_dainf_decides_relations_once(r, monkeypatch):
+def test_path_dainf_decides_relations_once(r, tmp_path, monkeypatch):
+    """`path --dainf` decides (A_uv) once, on the algebra it reads, and no
+    axiom of the path it writes."""
+    import multiplex.cli as cli
     import multiplex.dainf as dainf
-    lambda_r_dga(r, F)  # built and checked once, outside the count
     calls = []
 
-    def counting(alg):
-        calls.append(alg)
-        return check_dainf(alg)
+    def counting(checker):
+        def run(obj):
+            calls.append((checker.__name__, obj))
+            return checker(obj)
+        return run
 
-    monkeypatch.setattr(dainf, "check_dainf", counting)
+    for owner in (cli, dainf):
+        for checker in (check_dainf, check_dainf_morphism):
+            monkeypatch.setattr(owner, checker.__name__, counting(checker))
     for a in (lambda_r_dga(1, F).algebra, small_zero_product(4)):
         calls.clear()
-        p = path_dainf(a, r)
-        assert calls == [p.algebra]
+        argv, out = _path_argv(tmp_path, F, a, r)
+        assert main(argv) == 0 and out.exists()
+        assert [(name, obj.module) for name, obj in calls] == \
+            [("check_dainf", a.module)]
 
 
 @pytest.mark.parametrize("field", [F, QQ], ids=str)
@@ -468,6 +490,62 @@ def test_diagonal_delta(r):
     assert plus == identity_dainf(lam.algebra)
     minus = collapse_after(delta, lam, "-")
     assert minus == compose_dainf(lam.iota, lam.p_minus)
+
+
+FIELDS = [GF(), GF(5), GF(2), QQ]
+FIELD_IDS = ["F32003", "F5", "F2", "QQ"]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_dainf_constructions_keep_the_axioms(field):
+    """The constructions decide nothing about what they build from inputs
+    that satisfy their axioms; this test decides it.  On a zero-product
+    algebra A with a nonzero m_{i1}, i >= 1, an arity-2 morphism f of it,
+    Lambda_1 (which has a product), and an automorphism e of another
+    algebra whose inverse has an arity-2 component, for r = 0..2:
+    Lambda_r, Lambda_r (x) A, P_r(A), P_r(Lambda_1) and Lambda_r (x)
+    Lambda_r satisfy (A_uv), and their underlying complexes (A_m); the
+    boundary maps of Lambda_r and of each path, 1 (x) f, P_r(f), the
+    diagonal, both collapse maps p^+- (x) 1 and their composites with it,
+    and the inverse of e are morphisms."""
+    rng = random.Random(7406)
+    a = random_zero_product_dainf(field, rng, cols=(0, 2), verts=(0, 2),
+                                  max_rank=1, spots=60)
+    f = random_dainf_morphism(a, a, rng, density=1.0,
+                              space=dainf_morphism_space(a, a, 2))
+    b = random_zero_product_dainf(field, rng, cols=(0, 2), verts=(-1, 0),
+                                  max_rank=2, spots=12)
+    e = random_dainf_morphism(
+        b, b, rng, density=1.0, with_identity=True,
+        space=[el for el in dainf_morphism_space(b, b, 2) if (0, 1) not in el])
+    inverse = invert_dainf(e)
+    assert any(i >= 1 for (i, _) in a.m)
+    assert all(any(j >= 2 for (_, j) in mor.f) for mor in (f, e, inverse))
+    lam1 = lambda_r_dga(1, field).algebra
+    algebras, morphisms = [], [inverse]
+    for r in range(3):
+        lam = lambda_r_dga(r, field)
+        la = tensor_twisted_dga(lam.algebra, a)
+        delta, _, square = diagonal_delta(r, field)
+        algebras += [lam.algebra, la, square]
+        morphisms += [lam.iota, lam.p_minus, lam.p_plus, delta,
+                      tensor_dga_morphism(lam.algebra, f, la, la)]
+        for x in (a, lam1):
+            p = path_dainf(x, r)
+            algebras.append(p.algebra)
+            morphisms += [p.iota, p.p_minus, p.p_plus]
+        pa = path_dainf(a, r)
+        morphisms.append(path_dainf_morphism(f, r, pa, pa))
+        for proj in (lam.p_plus, lam.p_minus):
+            morphisms.append(DAInfMorphism(square, lam.algebra, {
+                (0, 1): tensor_maps(proj.f_map(0, 1),
+                                    identity_map(lam.algebra.module))}))
+        morphisms += [collapse_after(delta, lam, side) for side in "+-"]
+    for x in algebras:
+        assert check_dainf(x).ok
+        assert check_twisted(underlying_twisted(x)).ok
+    for mor in morphisms:
+        assert check_dainf_morphism(mor).ok
 
 
 # ---------------------------------------------------------------------------

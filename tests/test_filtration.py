@@ -4,6 +4,8 @@ import pytest
 
 from conftest import REF_SHAPES
 from multiplex.bigraded import BigradedModule, symmetry_iso
+from multiplex.dainf import lambda_r_dga, tensor_twisted_dga
+from multiplex.filtered_ainf import check_filtered_ainf, tot_dainf
 from multiplex.filtration import (
     FilteredComplex, FilteredMap, check_filtered_complex,
     check_order_homotopy, degrees_of, graded_map_tensor, graded_tensor,
@@ -14,11 +16,12 @@ from multiplex.filtration import (
 from multiplex.generators import (
     random_endo_morphism, random_filtered_complex, random_homotopic_pair,
     random_homotopy_family, random_null_homotopic_map, random_twisted_complex,
+    random_zero_product_dainf,
 )
 from multiplex.linalg import GF, QQ, Matrix
 from multiplex.twisted import (
-    TwistedComplex, TwistedMorphism, check_morphism, compose, cone_complex,
-    identity_morphism, path, tensor, tensor_morphisms,
+    TwistedComplex, TwistedMorphism, check_morphism, check_r_homotopy,
+    compose, cone_complex, identity_morphism, path, tensor, tensor_morphisms,
 )
 
 F = GF()
@@ -193,6 +196,45 @@ def test_homotopy_tot_roundtrip(r, seed):
     oz = homotopy_to_tot(z)
     assert oz.h.is_zero()
     assert not tot_to_homotopy(oz, f, f).h
+
+
+FIELDS = [GF(), GF(5), GF(2), QQ]
+FIELD_IDS = ["F32003", "F5", "F2", "QQ"]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_tot_constructions_keep_the_axioms(field):
+    """The bridge decides nothing about what it builds from inputs that
+    satisfy their axioms; this test decides it.  On REF_SHAPES[1] draws A
+    and B with a nonzero d_m, m >= 1: tot_inverse_morphism of filtered
+    chain maps (an endomorphism e of A and a null-homotopic w: A -> B,
+    through the generators) are morphisms, mu_{A,B} is a chain map, and
+    for r = 0..2 and a nonzero r-homotopy h from e, homotopy_to_tot(h)
+    satisfies dH + Hd = g - f and tot_to_homotopy of it (H_m); tot_dainf
+    of a zero-product algebra with a nonzero m_{i1}, i >= 1, of Lambda_r,
+    r = 0..2, and of Lambda_0 (x) Lambda_1 passes the filtered
+    A-infinity checker."""
+    rng = random.Random(7600)
+    a = random_twisted_complex(field, rng, **REF_SHAPES[1])
+    b = random_twisted_complex(field, rng, **REF_SHAPES[1])
+    assert all(any(m >= 1 for m in x.d) for x in (a, b))
+    ka, kb = tot(a), tot(b)
+    e = random_endo_morphism(a, rng, ka)
+    w = random_null_homotopic_map(a, b, rng, ka, kb)
+    assert e.f and w.f
+    assert check_morphism(e).ok and check_morphism(w).ok
+    assert mu(a, b, ka, kb).check_chain_map().ok
+    for r in range(3):
+        g, h = random_homotopic_pair(e, r, rng)
+        assert h.h
+        oh = homotopy_to_tot(h, ka, ka)
+        assert check_order_homotopy(oh).ok
+        assert check_r_homotopy(tot_to_homotopy(oh, e, g)).ok
+    z = random_zero_product_dainf(field, rng, **REF_SHAPES[1])
+    assert any(i >= 1 for (i, _) in z.m)
+    lam = [lambda_r_dga(r, field).algebra for r in range(3)]
+    for x in (z, *lam, tensor_twisted_dga(lam[0], lam[1])):
+        assert check_filtered_ainf(tot_dainf(x)).ok
 
 
 # ---------------------------------------------------------------------------

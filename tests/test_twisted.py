@@ -3,8 +3,9 @@ import random
 import pytest
 
 from conftest import (
-    REF_SHAPES, SHAPE, assert_canonical, check_morphism_blockwise,
-    check_twisted_blockwise, corrupt_homotopy, homotopy_verdict,
+    REF_SHAPES, SHAPE, assert_canonical, bumped_identity,
+    check_morphism_blockwise, check_twisted_blockwise, corrupt_homotopy,
+    homotopy_verdict,
 )
 from multiplex.bigraded import (
     BigradedMap, BigradedModule, compose as bcompose, identity_map,
@@ -574,6 +575,21 @@ def test_cone_pair_roundtrip(r, seed):
         if m % 2:
             expect = -expect
         assert h3.h_map(m) == expect
+
+
+def test_pair_to_cone_decides_f():
+    """pair_to_cone decides (B_m) of f: for a non-morphism g, the identity
+    of a REF_SHAPES[1] draw with one entry of a block under a nonzero d_0
+    raised, and the zero witness of g o 0 ~_1 0 (which used to give a tau
+    failing (B_m), with no error), it raises ValueError."""
+    a = random_twisted_complex(F, random.Random(2500), **REF_SHAPES[1])
+    assert 0 in a.d
+    g = bumped_identity(a)
+    w = zero_morphism(a, a)
+    h = RHomotopy(1, compose(g, w), zero_morphism(a, a), {})
+    with pytest.raises(ValueError, match=r"^twisted morphism conditions "
+                                         r"\(B_m\): FAILED"):
+        pair_to_cone(g, h, cone(w, 1))
 
 
 def _cone_proj_b(c):
