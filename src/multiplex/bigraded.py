@@ -36,7 +36,9 @@ from functools import cache
 from itertools import compress
 from types import MappingProxyType
 
-from .linalg import Field, Matrix, SignedPerm, _qq_canonical, _qq_entry
+from .linalg import (
+    Field, Matrix, SignedPerm, _negated, _qq_canonical, _qq_entry,
+)
 
 Bidegree = tuple[int, int]
 
@@ -961,22 +963,41 @@ def tot_layout(module: BigradedModule, n: int) -> dict[int, tuple[int, int]]:
     return out
 
 
-def tot_matrix(family: dict[int, BigradedMap], u: int, n: int,
-               src: dict, dst: dict, field: Field, extra: int = 0) -> Matrix:
-    """Tot^n block of a family of overall bidegree (u, v): f_m from column
-    i is written at row block i - m + u, times (-1)^{(m+u)n + extra}.
-    Distinct m land in distinct row blocks, so no two writes overlap."""
-    mat = Matrix.zero(field, sum(dim for _, dim in dst.values()),
-                      sum(dim for _, dim in src.values()))
+def tot_matrix(family: dict[int, BigradedMap], u: int, deg: int, ns,
+               src_layout, dst_layout, field: Field,
+               extra: int = 0) -> dict[int, Matrix]:
+    """Tot^n of a family of overall bidegree (u, u + deg) for each degree n
+    in ns, from the layout src_layout(n) to the layout dst_layout(n + deg),
+    in one pass over the blocks of the family: each block of f_m from
+    column i of Tot^n is written once, at row block i - m + u, times
+    (-1)^{(m+u)n + extra}.  Distinct m land in distinct row blocks, so no
+    two writes overlap; a block whose degree is not in ns is skipped."""
+    p, zero = field.p, field.zero()
+    out, at = {}, {}
+    for n in ns:
+        src, dst = src_layout(n), dst_layout(n + deg)
+        rows = sum(dim for _, dim in dst.values())
+        cols = sum(dim for _, dim in src.values())
+        out[n] = Matrix._of(field, rows, cols, [zero] * (rows * cols))
+        at[n] = (src, dst, cols, out[n].data)
     for m, fm in family.items():
-        negate = ((m + u) * n + extra) % 2
         for (i, j), blk in fm.blocks.items():
-            if j - i != n or i not in src:
+            n = j - i
+            t = at.get(n)
+            if t is None or i not in t[0]:
                 continue
-            if i - m + u not in dst:
+            src, dst, width, data = t
+            to = dst.get(i - m + u)
+            if to is None:
                 raise AssertionError("component landed off basis")
-            mat.set_block(dst[i - m + u][0], src[i][0], blk, negate)
-    return mat
+            k, bd = blk.cols, blk.data
+            if ((m + u) * n + extra) % 2:
+                bd = _negated(bd, p)
+            at0 = to[0] * width + src[i][0]
+            for r in range(0, len(bd), k):
+                data[at0:at0 + k] = bd[r:r + k]
+                at0 += width
+    return out
 
 
 def tot_blocks(mat: Matrix, src: dict, dst: dict):

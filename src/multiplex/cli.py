@@ -10,8 +10,8 @@ powers that checking or composing A-infinity structures builds).
 A command decides the axioms of its inputs before it builds anything
 from them, and nothing about what it builds, which satisfies its axioms
 whenever the inputs do (the tests decide those implications).  Every
-command prints the first failing input report on stdout, writes no
-document and exits 1.
+command prints the first failing input report on stdout (as JSON under
+--format json), writes no document and exits 1.
 """
 
 from __future__ import annotations
@@ -114,13 +114,18 @@ def _check_homotopy_budget(h: DAInfHomotopy, what: str):
     _check_path_budget(h.dst, h.r, what)
 
 
-def _refused(reports) -> bool:
+def _refused(reports, as_json: bool = False) -> bool:
     """Print the first failing report of the (label, report) pairs on
-    stdout, after "label: " unless label is None, and say whether there
-    was one.  A generator is read no further than its first failure."""
+    stdout, and say whether there was one.  As text it follows "label: "
+    unless label is None; as JSON (--format json) it is the list that
+    ``check`` prints, with label as its one "name".  A generator is read
+    no further than its first failure."""
     for label, rep in reports:
         if not rep.ok:
-            print(rep if label is None else f"{label}: {rep}")
+            if as_json:
+                _print_reports([(label, rep)], True)
+            else:
+                print(rep if label is None else f"{label}: {rep}")
             return True
     return False
 
@@ -167,7 +172,8 @@ def cmd_check(args) -> int:
             _check_bar_budget(f.src, _arity(f.f), f.dst.max_arity(),
                               f"checking morphism {name!r}")
         if _refused(_axioms((a for _, f in sorted(targets.items())
-                             for a in (f.src, f.dst)), check_dainf)):
+                             for a in (f.src, f.dst)), check_dainf),
+                    args.format == "json"):
             return 1
     reports = [(name, checker(obj)) for name, obj in sorted(targets.items())]
     return _print_reports(reports, args.format == "json")
@@ -205,7 +211,7 @@ def cmd_spectral(args) -> int:
         rep = check_twisted(obj, k)
     else:
         k, rep = obj, check_filtered_complex(obj)
-    if _refused([(None, rep)]):
+    if _refused([(None, rep)], args.format == "json"):
         return 1
     page = spectral_page(k, args.page)
     entries = {f"{p},{q}": dim for (p, q), dim in page.dims().items()}
@@ -240,9 +246,11 @@ def cmd_er_qis(args) -> int:
         f = underlying_twisted_morphism(f)
     # (A_m) on each input complex, on the Tot its pages read, before (B_m)
     ks = [tot(a) for a in _ends(f)]
-    if _refused((None, check_twisted(a, k)) for a, k in zip(_ends(f), ks)):
+    if _refused(((None, check_twisted(a, k)) for a, k in zip(_ends(f), ks)),
+                args.format == "json"):
         return 1
-    rep = check_morphism(f)
+    # (B_m) on the same Tots, and on the Tot(f) that both detectors read
+    rep = check_morphism(f, ks[0], ks[-1])
     verdict = None
     if rep.ok:
         detector = is_er_quasi_iso_via_cone if args.via_cone \
@@ -345,7 +353,8 @@ def cmd_homotopy(args) -> int:
                 raise DocumentError(f"homotopy {name!r} has level {h.r}, "
                                     f"not {args.r}")
             _check_homotopy_budget(h, f"checking homotopy {name!r}")
-            if _refused(_axioms((h.src, h.dst), check_dainf)):
+            if _refused(_axioms((h.src, h.dst), check_dainf),
+                        args.format == "json"):
                 return 1
             rep = check_r_homotopy_dainf(h)
         else:
@@ -353,7 +362,8 @@ def cmd_homotopy(args) -> int:
             if args.r is not None and args.r != h.r:
                 raise DocumentError(f"homotopy {name!r} has level {h.r}, "
                                     f"not {args.r}")
-            if _refused([(None, check_twisted(h.dst))]):
+            if _refused([(None, check_twisted(h.dst))],
+                        args.format == "json"):
                 return 1
             rep = check_r_homotopy(h)
         return _print_reports([(name, rep)], args.format == "json")
@@ -459,7 +469,7 @@ def cmd_oracle(args) -> int:
     if args.r is not None and args.r != h.r:
         raise DocumentError(f"homotopy {name!r} has level {h.r}, not {args.r}")
     n = args.n if args.n is not None else default_truncation(h)
-    if _refused([(None, check_twisted(h.dst))]):
+    if _refused([(None, check_twisted(h.dst))], args.format == "json"):
         return 1
     try:
         verdict = check_coderh(h, n)

@@ -16,8 +16,9 @@ diagonal with entries (-1)^{k_1 n_2}.
 
 Offset layout: ``tot_layout(module, n)`` is the table
 i -> (offset, dim A_i^{n+i}) of Tot^n, so a matrix between totalizations
-is a grid of blocks, column i to column i2.  Tot writes each d_m (or f_m)
-as one signed block (``tot_matrix``), the inverse readings read the
+is a grid of blocks, column i to column i2.  Tot writes each block of a
+d_m (or f_m) once, as one signed block, in one pass over the family that
+fills every degree at once (``tot_matrix``), the inverse readings read the
 nonzero blocks back (``tot_blocks``), and since columns ascend, F_p Tot^n
 is a column prefix, so filtration checks are zero tests on prefixes.  The
 layout, the block writer and the block reader live in ``bigraded``, since
@@ -93,6 +94,14 @@ class FilteredComplex:
                 f"differential violates the filtration in degree {n}")
             if not mat.is_zero():
                 self.d[n] = mat
+
+    @classmethod
+    def _of(cls, module: BigradedModule, d: dict[int, Matrix]):
+        """FilteredComplex that adopts d, nonzero D^n of the right shapes
+        that keep the filtration, as is (``tot``)."""
+        k = object.__new__(cls)
+        k.module, k.d, k._tots, k._kernels = module, d, {}, {}
+        return k
 
     @property
     def field(self):
@@ -305,12 +314,20 @@ def identity_filtered(k: FilteredComplex) -> FilteredMap:
 # ---------------------------------------------------------------------------
 
 def tot(a: TwistedComplex) -> FilteredComplex:
-    """d(x)_j = sum_m (-1)^{mn} d_m(x_{j+m}) on Tot^n."""
-    module = a.module
-    return FilteredComplex(module, {
-        n: tot_matrix(a.d, 0, n, tot_layout(module, n),
-                       tot_layout(module, n + 1), a.field)
-        for n in degrees_of(module)})
+    """d(x)_j = sum_m (-1)^{mn} d_m(x_{j+m}) on Tot^n, written in one pass
+    over the blocks of the d_m.
+
+    The filtration check of ``FilteredComplex`` is not run on these D^n:
+    ``tot_matrix`` writes the block of d_m from column i to column i - m,
+    and m >= 0 (``TwistedComplex`` refuses a negative twisting index), so
+    D^n sends column i into the columns <= i, and its shape is that of
+    the layouts it is written on.  A document of type filtered_complex
+    is read through the checked constructor."""
+    k = FilteredComplex._of(a.module, {})
+    k.d = {n: mat for n, mat in tot_matrix(
+        a.d, 0, 1, k.degrees(), k.layout, k.layout, a.field).items()
+        if not mat.is_zero()}
+    return k
 
 
 def tot_family(family: dict[int, BigradedMap], u: int, v: int,
@@ -322,10 +339,9 @@ def tot_family(family: dict[int, BigradedMap], u: int, v: int,
     extra_sign multiplies every block (used for homotopy normalization).
     """
     deg = v - u
-    return FilteredMap(src, dst, deg, u, {
-        n: tot_matrix(family, u, n, src.layout(n), dst.layout(n + deg),
-                       src.field, 1 if extra_sign < 0 else 0)
-        for n in src.degrees()})
+    return FilteredMap(src, dst, deg, u, tot_matrix(
+        family, u, deg, src.degrees(), src.layout, dst.layout, src.field,
+        1 if extra_sign < 0 else 0))
 
 
 def _tot_split(blocks: dict[int, Matrix], src: FilteredComplex,
@@ -351,10 +367,13 @@ def _tot_split(blocks: dict[int, Matrix], src: FilteredComplex,
 def tot_morphism(f: TwistedMorphism, src_k: FilteredComplex | None = None,
                  dst_k: FilteredComplex | None = None) -> FilteredMap:
     """Tot(f), a chain map when f is a morphism: D_B Tot(f) - Tot(f) D_A
-    is the (B_m) defect of f, block by block (``twisted.check_morphism``)."""
+    is the (B_m) defect of f, block by block (``twisted.check_morphism``).
+    Its blocks are the Tot(f)^n that f holds (``TwistedMorphism.tot``)."""
     src_k = src_k or tot(f.src)
     dst_k = dst_k or tot(f.dst)
-    return tot_family(f.f, 0, 0, src_k, dst_k)
+    tf = f.tot(src_k, dst_k)
+    return FilteredMap(src_k, dst_k, 0, 0,
+                       {n: tf[n] for n in src_k.degrees()})
 
 
 def tot_cone(f: TwistedMorphism, r: int, ka: FilteredComplex,
@@ -405,6 +424,7 @@ def tot_cone(f: TwistedMorphism, r: int, ka: FilteredComplex,
 
     degs = degrees_of(module)
     index = {n: index_maps(n) for n in {*degs, *(n + 1 for n in degs)}}
+    tf = f.tot(ka, kb)
     d = {}
     for n in degs:
         ia0, ib0, w = index[n]
@@ -412,9 +432,8 @@ def tot_cone(f: TwistedMorphism, r: int, ka: FilteredComplex,
         data = [field.zero()] * (h * w)
         if n + 1 in ka.d:
             scatter(data, w, ka.d[n + 1], ia1, ia0, r % 2 == 0)
-        scatter(data, w, tot_matrix(f.f, 0, n + 1, ka.layout(n + 1),
-                                    kb.layout(n + 1), field),
-                ib1, ia0, (r * n) % 2 == 0)
+        if n + 1 in tf:
+            scatter(data, w, tf[n + 1], ib1, ia0, (r * n) % 2 == 0)
         if n in kb.d:
             scatter(data, w, kb.d[n], ib1, ib0, False)
         d[n] = Matrix._of(field, h, w, data)

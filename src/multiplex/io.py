@@ -229,11 +229,16 @@ def parse_map(field: Field, payload, src: BigradedModule, dst: BigradedModule,
               expected_bidegree=None) -> BigradedMap:
     """The map src -> dst of a JSON map payload.
 
-    Each block is validated once, as it is read: its source pair by
-    ``_int_pair`` (JSON true/false stays rejected) and its matrix by the
-    one pass of ``parse_matrix``, against the shape that the two modules
-    give.  The nonzero blocks are then adopted by ``BigradedMap._of`` as
-    they are, without a second shape check."""
+    Each block is validated once, in one pass, as it is read: its source
+    is a pair of plain ints (JSON true/false stays rejected), a bidegree
+    of both modules' ``_dims``, not met before, and its matrix is a list
+    of row lists of the shape those dims give, whose entries, taken
+    together, are plain ints: made F_p residues over F_p and adopted as
+    they are over QQ.  A block that is anything else (a string or
+    Fraction entry over QQ among them) is read by the helpers
+    ``_int_pair`` and ``parse_matrix``, which word the first error.  The
+    nonzero blocks are then adopted by ``BigradedMap._of`` as they are,
+    without a second shape check."""
     if not isinstance(payload, dict) or "bidegree" not in payload:
         raise DocumentError("map payload needs a 'bidegree'")
     bid = _int_pair(payload["bidegree"], "bidegree")
@@ -244,8 +249,28 @@ def parse_map(field: Field, payload, src: BigradedModule, dst: BigradedModule,
     if not isinstance(entries, list):
         raise DocumentError("map blocks must be a list")
     p, q = bid
+    sdims, ddims, fp = src._dims, dst._dims, field.p
     blocks = {}
     for entry in entries:
+        try:
+            (si, sj), rows_in = entry["src"], entry["matrix"]
+            cols = sdims[si, sj] if type(si) is type(sj) is int else 0
+        except (KeyError, TypeError, ValueError):
+            cols = 0
+        if cols and type(rows_in) is list and (si, sj) not in blocks \
+                and len(rows_in) == ddims.get((si + p, sj + q), 0):
+            data = []
+            for row in rows_in:
+                if type(row) is not list or len(row) != cols:
+                    break
+                data += row
+            else:
+                if {*map(type, data)} <= {int}:
+                    blocks[si, sj] = Matrix._of(
+                        field, len(rows_in), cols,
+                        [v % fp for v in data] if fp else data)
+                    continue
+        # not a block of plain ints: the helpers read it, or word its error
         if not isinstance(entry, dict) or "src" not in entry or \
                 "matrix" not in entry:
             raise DocumentError("map block needs 'src' and 'matrix'")

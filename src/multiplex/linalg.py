@@ -886,14 +886,20 @@ def induced_map(f: Matrix, src: Subquotient, dst: Subquotient) -> Matrix:
     Requires f(span Z_src) <= span Z_dst and f(span B_src) <= span B_dst
     (checked), which is exactly well-definedness on the subquotient.  Both
     are read in the coordinates of dst, with no solve: x, the coordinates
-    of f Z_src, exist exactly when the first holds; the second then holds
-    exactly when R_dst kills x C_src, the coordinates of f B_src.  The
-    result is R_dst x on the rep columns of src.
+    of f Z_src, exist exactly when the first holds.  R_dst is applied
+    once, to Y = R_dst x; the second then holds exactly when R_dst kills
+    x C_src, the coordinates of f B_src, and R_dst (x C_src) = Y C_src is
+    zero exactly when Y is zero on the lead columns of src and Y C = 0
+    for the other boundary coordinates C.  The result is Y on the rep
+    columns of src.
     """
     if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     x = dst._coordinates(f * src.cycle_basis,
                          "map does not send cycles to cycles")
-    if not (dst.reduction * (x * src.boundary_coords)).is_zero():
+    y = dst.reduction * x
+    c, lead, yd = y.cols, src._lead, y.data
+    if lead and any(any(yd[r:r + lead]) for r in range(0, len(yd), c)) \
+            or not (y * src._b).is_zero():
         raise ValueError("map does not send boundaries to boundaries")
-    return dst.reduction * x.take_cols(src._keep)
+    return y.take_cols(src._keep)

@@ -40,7 +40,8 @@ coordinates, checked by Z C == d Z_{r-1}^{p+r-1} on the other rows.  The
 entry's ``Subquotient`` keeps one reduction matrix R, so reducing a page
 differential, an induced map or a zig-zag class is a check on the
 non-free rows and one product with R, with no solve (the zig-zag
-adjustment itself still solves in Tot).  The homology of a page is a
+adjustment itself still solves in Tot).  An induced map applies R once,
+to the coordinates x of f Z, and reads the boundary check off R x.  The homology of a page is a
 subquotient of the same kind, on the free rows of the kernel of the page
 differential.
 
@@ -77,13 +78,17 @@ entries of page 0 are still built on read, for the readers that ask
 The cone detector counts E_{r+1} on Tot(C_r(f)), the mapping cone of
 Tot(f) with the filtration of Tot(A) moved up by r.  ``tot_cone``
 assembles it from the Tots of the source and target, which
-``multiplex er-qis`` has already built and checked, with no bigraded cone.
+``multiplex er-qis`` has already built and checked, with no bigraded cone,
+and from Tot(f), which f holds (``TwistedMorphism.tot``).  ``er-qis``
+decides (B_m) on those same Tots, and that check writes Tot(f), in one
+pass over the blocks of f; the pages route reads the same Tot(f) through
+``tot_morphism``.  So neither detector totalizes anything again.
 
 Both the count and an unbuilt entry assume D^2 = 0 on Tot, which the
 caller decides: ``multiplex spectral`` runs ``check_twisted`` on the Tot
 its page reads (or ``check_filtered_complex`` on filtered input), and
 ``multiplex er-qis`` runs ``check_twisted`` on the Tot of the source and
-of the target, then ``check_morphism`` on f.  Both detectors take those
+of the target, then ``check_morphism`` on f, on those same Tots.  Both detectors take those
 three facts as their precondition.  On the cone they give D^2 = 0: (A_m)
 on C_r(f) holds exactly when it holds on A and on B and f satisfies
 (B_m), so the cone detector forms no product D^{n+1} D^n.

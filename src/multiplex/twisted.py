@@ -45,7 +45,7 @@ from .bigraded import (
     BigradedMap, BigradedModule, MapSum, compose as bcompose, degrees_of,
     direct_sum, identity_map, invert_blocks, place, relabel, restrict,
     shift_into, sprod, sum_module, tensor_maps, tensor_modules, tot_blocks,
-    tot_layout, tot_matrix, unit_module, zero_map,
+    tot_matrix, unit_module, zero_map,
 )
 from .linalg import BlockLinearSystem, Matrix
 from .reports import Report
@@ -97,12 +97,16 @@ class TwistedComplex:
 
 
 class TwistedMorphism:
-    __slots__ = ("src", "dst", "f")
+    """A family f_m of bidegree (-m, -m) from src to dst.  It holds its Tot,
+    the matrices Tot(f)^n, once they are first asked for (``tot``)."""
+
+    __slots__ = ("src", "dst", "f", "_tots")
 
     def __init__(self, src: TwistedComplex, dst: TwistedComplex,
                  f: dict[int, BigradedMap] | None = None):
         self.src = src
         self.dst = dst
+        self._tots = None
         self.f = {}
         for m, fm in (f or {}).items():
             if m < 0:
@@ -118,6 +122,22 @@ class TwistedMorphism:
     @property
     def field(self):
         return self.src.field
+
+    def tot(self, ka: FilteredComplex, kb: FilteredComplex) -> dict:
+        """n -> Tot(f)^n, from Tot^n of src to Tot^n of dst, for every
+        degree n of src and every n + 1: what (B_m), Tot(f) and the cone
+        read.  ka and kb are Tots of modules equal to those of src and dst
+        and give the layouts.  Written in one pass over the blocks of f on
+        the first call, and held."""
+        if self._tots is None:
+            if ka.module != self.src.module or kb.module != self.dst.module:
+                raise ValueError("ka and kb are not the totalizations of "
+                                 "the source and target of f")
+            degs = degrees_of(self.src.module)
+            self._tots = tot_matrix(self.f, 0, 0,
+                                    {*degs, *(n + 1 for n in degs)},
+                                    ka.layout, kb.layout, self.field)
+        return self._tots
 
     def f_map(self, m: int) -> BigradedMap:
         fm = self.f.get(m)
@@ -244,27 +264,27 @@ def check_twisted(a: TwistedComplex,
     return rep
 
 
-def check_morphism(f: TwistedMorphism) -> Report:
+def check_morphism(f: TwistedMorphism,
+                   src_k: FilteredComplex | None = None,
+                   dst_k: FilteredComplex | None = None) -> Report:
     """(B_m) for all m at once: the block of D_B^n F^n - F^{n+1} D_A^n on
     Tot from column i to column i - m is (-1)^{mn} times the (B_m) defect
-    at (i, n + i).  An endomorphism reads both sides off one D^n."""
+    at (i, n + i).  D_A^n and D_B^n are read off src_k = tot(f.src) and
+    dst_k = tot(f.dst), built here unless the caller passes the ones it
+    has (an endomorphism reads both off one), and F^n is the Tot that f
+    holds (``TwistedMorphism.tot``)."""
+    from .filtration import tot
     rep = Report("twisted morphism conditions (B_m)")
     rep.tick(len({i + j for i in f.dst.d for j in f.f}
                  | {i + j for i in f.f for j in f.src.d}))
-    ma, mb, field = f.src.module, f.dst.module, f.field
-    degs = degrees_of(ma)
-    ns = set(degs) | {n + 1 for n in degs}
-    endo = f.src is f.dst
-    la = {n: tot_layout(ma, n) for n in ns}
-    lb = la if endo else {n: tot_layout(mb, n) for n in ns}
-    tf = {n: tot_matrix(f.f, 0, n, la[n], lb[n], field) for n in ns}
-    defects = {}
-    for n in degs:
-        da = tot_matrix(f.src.d, 0, n, la[n], la[n + 1], field)
-        db = da if endo else tot_matrix(f.dst.d, 0, n, lb[n], lb[n + 1],
-                                        field)
-        defects[n] = db * tf[n] - tf[n + 1] * da
-    _fail_on_tot(rep, "B", defects, la, {n: lb[n + 1] for n in degs})
+    src_k = src_k or tot(f.src)
+    dst_k = dst_k or (src_k if f.dst is f.src else tot(f.dst))
+    tf = f.tot(src_k, dst_k)
+    degs = degrees_of(f.src.module)
+    defects = {n: dst_k.d_mat(n) * tf[n] - tf[n + 1] * src_k.d_mat(n)
+               for n in degs}
+    _fail_on_tot(rep, "B", defects, {n: src_k.layout(n) for n in degs},
+                 {n: dst_k.layout(n + 1) for n in degs})
     return rep
 
 

@@ -128,6 +128,38 @@ def ambient_induced_map(f, src, dst):
     return dst.reduce(f * src.rep_basis)
 
 
+def induced_map_via_boundary_coords(f, src, dst):
+    """Reference for linalg.induced_map, the route it replaced: the
+    coordinates x of f Z_src in dst, then the boundary check as R_dst
+    times x C_src, with C_src the boundary coordinates of src, and the
+    result R_dst times x on the rep columns of src."""
+    if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    x = dst._coordinates(f * src.cycle_basis,
+                         "map does not send cycles to cycles")
+    if not (dst.reduction * (x * src.boundary_coords)).is_zero():
+        raise ValueError("map does not send boundaries to boundaries")
+    return dst.reduction * x.take_cols(src._keep)
+
+
+def tot_matrix_per_degree(family, u, n, src, dst, field, extra=0):
+    """Reference for bigraded.tot_matrix, the route it replaced: the Tot^n
+    block alone, from the layout src to the layout dst, by a scan over
+    every block of the family.  f_m from column i is written at row block
+    i - m + u, times (-1)^{(m+u)n + extra}."""
+    mat = Matrix.zero(field, sum(dim for _, dim in dst.values()),
+                      sum(dim for _, dim in src.values()))
+    for m, fm in family.items():
+        negate = ((m + u) * n + extra) % 2
+        for (i, j), blk in fm.blocks.items():
+            if j - i != n or i not in src:
+                continue
+            if i - m + u not in dst:
+                raise AssertionError("component landed off basis")
+            mat.set_block(dst[i - m + u][0], src[i][0], blk, negate)
+    return mat
+
+
 def column_subquotient(a, p, q):
     """H^q(A_p^*, d_0) computed directly with exact linear algebra."""
     d0 = a.d_map(0)

@@ -20,8 +20,9 @@ from multiplex import linalg, twisted
 from multiplex.bigraded import BigradedMap, BigradedModule, identity_map
 from multiplex.cli import main
 from multiplex.dainf import (
-    DAInfHomotopy, DAInfMorphism, check_dainf, check_dainf_morphism,
-    check_r_homotopy_dainf, lambda_r_dga, underlying_twisted,
+    DAInfAlgebra, DAInfHomotopy, DAInfMorphism, check_dainf,
+    check_dainf_morphism, check_r_homotopy_dainf, lambda_r_dga,
+    underlying_twisted,
 )
 from multiplex.filtered_ainf import tot_dainf
 from multiplex.filtration import tot
@@ -258,27 +259,30 @@ def test_er_qis_subcommand(fixture_docs, tmp_path, capsys):
     assert verdicts == {0, 1}
 
 
+def _corrupted_draw(seed):
+    """The REF_SHAPES[0] draw over F_32003 for seed, and its copy with 1
+    added to one entry of one d_m; None when the draw has no d_m."""
+    rng = random.Random(seed)
+    a = random_twisted_complex(F, rng, **REF_SHAPES[0])
+    if not a.d:
+        return None
+    m = rng.choice(sorted(a.d))
+    dm = a.d[m]
+    key = rng.choice(sorted(dm.blocks))
+    blk = dm.blocks[key].copy()
+    i, j = rng.randrange(blk.rows), rng.randrange(blk.cols)
+    blk[i, j] = F.add(blk[i, j], 1)
+    return a, twisted.TwistedComplex(a.module, {**a.d, m: BigradedMap(
+        dm.src, dm.dst, dm.bidegree, {**dm.blocks, key: blk})})
+
+
 def _corrupted_complexes(count=200):
     """REF_SHAPES[0] draws over F_32003, seeds 0..count-1, each with 1
     added to one entry of one d_m, kept where that breaks (A_m): pairs of
     the draw and its corrupted copy."""
-    out = []
-    for seed in range(count):
-        rng = random.Random(seed)
-        a = random_twisted_complex(F, rng, **REF_SHAPES[0])
-        if not a.d:
-            continue
-        m = rng.choice(sorted(a.d))
-        dm = a.d[m]
-        key = rng.choice(sorted(dm.blocks))
-        blk = dm.blocks[key].copy()
-        i, j = rng.randrange(blk.rows), rng.randrange(blk.cols)
-        blk[i, j] = F.add(blk[i, j], 1)
-        bad = twisted.TwistedComplex(a.module, {**a.d, m: BigradedMap(
-            dm.src, dm.dst, dm.bidegree, {**dm.blocks, key: blk})})
-        if not twisted.check_twisted(bad).ok:
-            out.append((a, bad))
-    return out
+    pairs = (_corrupted_draw(seed) for seed in range(count))
+    return [pair for pair in pairs
+            if pair and not twisted.check_twisted(pair[1]).ok]
 
 
 def test_er_qis_decides_the_inputs_first(tmp_path, capsys):
@@ -375,6 +379,57 @@ def test_compose_decides_its_complexes_first(tmp_path, capsys):
         for f, g in (("out", "in"), ("in", "out")):
             _assert_refused(["compose", path, path, "--name-f", f,
                              "--name-g", g], axioms, tmp_path, capsys)
+
+
+def _seed17_refusals(tmp_path):
+    """The seed-17 corrupted draw (the one the CI smoke run builds) as a
+    document with the identity f of the corrupted complex A, the zero
+    r-homotopy h from f to f, and A read as a dA-infinity algebra D (d_m
+    as m_{m,1}) with its zero endomorphism z; with the argv of each command
+    that refuses it and the report it refuses it with."""
+    _, bad = _corrupted_draw(17)
+    alg = DAInfAlgebra(bad.module, {(m, 1): dm for m, dm in bad.d.items()})
+    f = identity_morphism(bad)
+    path = write_doc(tmp_path, "bad17.json", {
+        "A": mio.dump_twisted(F, bad),
+        "f": mio.dump_twisted_morphism(F, f, "A", "A"),
+        "h": mio.dump_r_homotopy(F, RHomotopy(1, f, f, {}), "f", "f"),
+        "D": mio.dump_dainf(F, alg),
+        "z": {"type": "dainf_morphism", "src": "D", "dst": "D"}})
+    axioms, dainf_axioms = check_twisted(bad), check_dainf(alg)
+    assert not axioms.ok and not dainf_axioms.ok
+    return {
+        "check": (["check", "dainf-morphism", path, "--name", "z"],
+                  dainf_axioms),
+        "spectral": (["spectral", path, "--name", "A", "--page", "2"],
+                     axioms),
+        "er-qis": (["er-qis", path, "--name", "f", "-r", "1"], axioms),
+        "er-qis --via-cone": (["er-qis", path, "--name", "f", "-r", "1",
+                               "--via-cone"], axioms),
+        "homotopy check": (["homotopy", "check", path, "--name", "h"],
+                           axioms),
+        "oracle coderh": (["oracle", "coderh", path, "--name", "h"],
+                          axioms),
+    }
+
+
+@pytest.mark.parametrize("command", ["check", "spectral", "er-qis",
+                                     "er-qis --via-cone", "homotopy check",
+                                     "oracle coderh"])
+def test_refusals_under_format_json(command, tmp_path, capsys):
+    """A command that refuses an input prints its report as JSON under
+    --format json: on the seed-17 corrupted draw it exits 1 with the list
+    that `check` prints, its one entry unnamed, on stdout, which
+    json.loads reads, and nothing on stderr.  The table text is the
+    report as before."""
+    argv, rep = _seed17_refusals(tmp_path)[command]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (f"{rep}\n", "")
+    assert main(argv + ["--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == [dict(name=None, **rep.to_dict())]
+    assert out == mio.json_text([dict(name=None, **rep.to_dict())]) + "\n"
 
 
 def test_homotopy_check_and_solve(fixture_docs, tmp_path, capsys):

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from conftest import REF_SHAPES
-from multiplex.bigraded import BigradedModule, symmetry_iso
+from conftest import REF_SHAPES, tot_matrix_per_degree
+from multiplex.bigraded import (
+    BigradedModule, symmetry_iso, tot_layout,
+)
 from multiplex.dainf import lambda_r_dga, tensor_twisted_dga
 from multiplex.filtered_ainf import check_filtered_ainf, tot_dainf
 from multiplex.filtration import (
@@ -492,6 +494,85 @@ def test_tot_cone_matches_tot_of_the_bigraded_cone(field, r):
             assert got.d_mat(n) == ref.d_mat(n), n
     with pytest.raises(ValueError, match="not the totalizations"):
         tot_cone(f, r, kb, ka)
+
+
+def _per_degree(family, u, deg, ns, src_mod, dst_mod, field, extra=0):
+    """{n: Tot^n of the family} through conftest.tot_matrix_per_degree."""
+    return {n: tot_matrix_per_degree(family, u, n, tot_layout(src_mod, n),
+                                     tot_layout(dst_mod, n + deg), field,
+                                     extra)
+            for n in ns}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("shape", range(len(REF_SHAPES)))
+def test_one_pass_tot_matches_per_degree_reference(field, shape):
+    """The one-pass tot_matrix equals the per-degree scan it replaced
+    (conftest.tot_matrix_per_degree) entry by entry: in the D^n of tot,
+    in the Tot(f)^n that a morphism holds (an endomorphism and a map into
+    another complex) and in tot_morphism, in tot_family at the homotopy
+    shift u = r with both extra signs, and in the D^n of tot_cone.  The
+    draws are REF_SHAPES draws with a nonzero d_m, m >= 1, and nonzero
+    maps."""
+    rng = random.Random(5400 + shape)
+    a = random_twisted_complex(field, rng, **REF_SHAPES[shape])
+    b = random_twisted_complex(field, rng, **REF_SHAPES[shape])
+    assert any(m >= 1 for m in a.d) and any(m >= 1 for m in b.d)
+    ka, kb = tot(a), tot(b)
+    for c, k in ((a, ka), (b, kb)):
+        ref = _per_degree(c.d, 0, 1, k.degrees(), c.module, c.module, field)
+        assert all(k.d_mat(n) == ref[n] for n in k.degrees())
+    degs = ka.degrees()
+    ns = sorted({*degs, *(n + 1 for n in degs)})
+    for f, kf in ((random_endo_morphism(a, rng, ka), ka),
+                  (random_null_homotopic_map(a, b, rng), kb)):
+        assert f.f
+        held = f.tot(ka, kf)
+        assert f.tot(ka, kf) is held
+        ref = _per_degree(f.f, 0, 0, ns, a.module, f.dst.module, field)
+        assert sorted(held) == ns
+        assert all(held[n] == ref[n] for n in ns)
+        tf = tot_morphism(f, ka, kf)
+        assert all(tf.block(n) == ref[n] for n in degs)
+        for r in range(3):
+            got = tot_cone(f, r, ka, kf)
+            c = cone_complex(f, r)
+            want = _per_degree(c.d, 0, 1, got.degrees(), c.module, c.module,
+                               field)
+            assert got.module == c.module
+            assert all(got.d_mat(n) == want[n] for n in got.degrees())
+    for r in range(3):
+        fam = random_homotopy_family(a, b, r, rng, density=0.7)
+        assert fam
+        for extra_sign in (1, -1):
+            got = tot_family(fam, r, r - 1, ka, kb, extra_sign=extra_sign)
+            want = _per_degree(fam, r, -1, degs, a.module, b.module, field,
+                               1 if extra_sign < 0 else 0)
+            assert all(got.block(n) == want[n] for n in degs)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_tot_writes_differentials_that_keep_the_filtration(field):
+    """tot adopts the D^n it writes without the filtration check of
+    FilteredComplex, since tot_matrix writes d_m from column i to column
+    i - m with m >= 0.  The checked constructor accepts every such D^n:
+    on REF_SHAPES draws with a nonzero d_m, m >= 1, on their r-paths and
+    r-cones (which have d_m up to m = r + 1 and more), it rebuilds the
+    same complex; a differential that leaves the filtration is still
+    refused there, as for a filtered_complex document."""
+    rng = random.Random(5500)
+    for shape in REF_SHAPES:
+        a = random_twisted_complex(field, rng, **shape)
+        assert any(m >= 1 for m in a.d)
+        for r in range(3):
+            for c in (a, path(a, r).complex,
+                      cone_complex(random_endo_morphism(a, rng), r)):
+                k = tot(c)
+                assert FilteredComplex(k.module, k.d) == k
+    up = Matrix.zero(field, 3, 2)
+    up[0, 0] = field.one()
+    with pytest.raises(ValueError, match="violates the filtration"):
+        FilteredComplex(_VIOLATION_MOD, {0: up})
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

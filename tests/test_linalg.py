@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     REF_SHAPES, AmbientSubquotient, ambient_induced_map, assert_canonical,
+    induced_map_via_boundary_coords,
 )
 
 from multiplex.filtration import tot, tot_morphism
@@ -570,6 +571,64 @@ def test_cycle_coordinates_match_ambient_route(field, seed, monkeypatch):
                 assert got == want, (r, pq)
                 failures += _assert_same_failures(sq, ref, sq.free_rows, rng)
     assert failures
+
+
+def _outcome(fn, *args):
+    """("ok", result) or ("ValueError", its text)."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=str)
+def test_induced_map_matches_boundary_coordinate_route(field):
+    """induced_map, which applies R_dst once and reads the boundary check
+    off R_dst x, equals the route that multiplies x through the boundary
+    coordinates first (conftest.induced_map_via_boundary_coords), entry
+    by entry or in the text it raises.  The maps are Tot of an
+    endomorphism on the page entries of r = 0-2 of REF_SHAPES draws with a
+    nonzero d_m, m >= 1; the same map with one entry raised; and the
+    identity into Z / 0, from each entry and from the same entry with its
+    lead columns given as boundary coordinates, so that both parts of the
+    boundary check (the lead columns and Y C) refuse maps."""
+    seen = {"ok": 0, "map does not send cycles to cycles": 0}
+    refused = {"lead": 0, "coords": 0}
+    for shape in range(len(REF_SHAPES)):
+        rng = random.Random(9700 + shape)
+        a = random_twisted_complex(field, rng, **REF_SHAPES[shape])
+        assert any(m >= 1 for m in a.d)
+        k = tot(a)
+        endo = tot_morphism(random_endo_morphism(a, rng, k), k, k)
+        for r in range(3):
+            for _, n, sq, _ in _page_entry_pairs(k, r):
+                z, f = sq.cycle_basis, endo.block(n)
+                bumped = f.copy()
+                i, j = rng.randrange(f.rows), rng.randrange(f.cols)
+                bumped[i, j] = field.add(bumped[i, j], field.one())
+                for m in (f, bumped):
+                    got = _outcome(induced_map, m, sq, sq)
+                    assert got == _outcome(induced_map_via_boundary_coords,
+                                           m, sq, sq)
+                    key = "ok" if got[0] == "ok" else got[1]
+                    if key in seen:
+                        seen[key] += 1
+                lead = sq._lead
+                b = z.get_block(0, 0, z.rows, lead).hstack(
+                    sq.boundary_basis.get_block(0, lead, z.rows,
+                                                sq.boundary_basis.cols - lead))
+                bare = Subquotient(z, Matrix.zero(field, z.rows, 0),
+                                   sq.free_rows)
+                one = Matrix.identity(field, z.rows)
+                for src in (sq, Subquotient(z, b, sq.free_rows)):
+                    got = _outcome(induced_map, one, src, bare)
+                    assert got == _outcome(induced_map_via_boundary_coords,
+                                           one, src, bare)
+                    if got[0] != "ok":
+                        assert got[1] == ("map does not send boundaries "
+                                          "to boundaries")
+                        refused["lead" if src._lead else "coords"] += 1
+    assert all(seen.values()) and all(refused.values()), (seen, refused)
 
 
 @pytest.mark.parametrize("field", REF_FIELDS, ids=str)

@@ -484,7 +484,7 @@ def _iota_witness(a, p):
 @pytest.mark.parametrize("seed", range(4))
 def test_solve_r_homotopy_recovers_perturbation(r, seed):
     rng = random.Random(200 + 10 * seed + r)
-    a = random_twisted_complex(F, rng, **SHAPE)
+    a = _draw(rng)
     f = random_endo_morphism(a, rng)
     g, drawn = random_homotopic_pair(f, r, rng)
     assert a.d and drawn.h
@@ -511,7 +511,7 @@ def test_solve_r_homotopy_reflexive_and_obstructed():
 @pytest.mark.parametrize("seed", range(3))
 def test_homotopy_equivalence_relation_witnesses(seed):
     rng = random.Random(300 + seed)
-    a = random_twisted_complex(F, rng, **SHAPE)
+    a = _draw(rng)
     f = random_endo_morphism(a, rng)
     r = rng.choice([0, 1, 2])
     g, h = random_homotopic_pair(f, r, rng)
@@ -531,7 +531,7 @@ def test_homotopy_equivalence_relation_witnesses(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_homotopies_compose_with_morphisms(seed):
     rng = random.Random(400 + seed)
-    a = random_twisted_complex(F, rng, **SHAPE)
+    a = _draw(rng)
     r = rng.choice([0, 1])
     f = random_endo_morphism(a, rng)
     g, h = random_homotopic_pair(f, r, rng)
@@ -545,7 +545,7 @@ def test_homotopies_compose_with_morphisms(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_cone_pair_roundtrip(r, seed):
     rng = random.Random(500 + seed)
-    a = random_twisted_complex(F, rng, **SHAPE)
+    a = _draw(rng)
     w = random_null_homotopic_map(a, a, rng)
     assert a.d and w.f
     c = cone(w, r)
