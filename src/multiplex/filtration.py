@@ -390,10 +390,9 @@ def tot_cone(f: TwistedMorphism, r: int, ka: FilteredComplex,
                  [(-1)^{rn+1} Tot(f)^{n+1}, D_B^n]].
 
     Each block is scattered into D_C^n through those index maps, over its
-    nonzero rows and entries only."""
-    if ka.module is not f.src.module or kb.module is not f.dst.module:
-        raise ValueError("ka and kb are not the totalizations of the "
-                         "source and target of f")
+    nonzero rows and entries only.  Tot(f) is the one f holds, which
+    refuses a ka or kb that is not the Tot of f's source or target."""
+    tf = f.tot(ka, kb)
     module = sum_module(cone_summands(f, r))
     field, p = module.field, module.field.p
 
@@ -424,7 +423,6 @@ def tot_cone(f: TwistedMorphism, r: int, ka: FilteredComplex,
 
     degs = degrees_of(module)
     index = {n: index_maps(n) for n in {*degs, *(n + 1 for n in degs)}}
-    tf = f.tot(ka, kb)
     d = {}
     for n in degs:
         ia0, ib0, w = index[n]

@@ -34,11 +34,12 @@ integers in [0, p).  Missing blocks are zero maps.
 Documents are written by ``json_text``, which gives the text of
 ``json.dumps(payload, indent=2, sort_keys=True)`` without json's
 pure-Python indenting encoder; the CLI's JSON reports go through it too.
-``dump_matrix`` and ``parse_matrix`` work a row at a time per field: a row
-of plain ints is adopted as is over QQ (QQ entries are ints where integral,
-see ``linalg``) and made F_p residues in one pass, and a matrix holding no
-Fraction is dumped as slices of its data.  Any other row is read entry by
-entry through ``Field.parse``, which words every entry error.
+``dump_matrix`` works a row at a time per field: a matrix holding no
+Fraction is dumped as slices of its data.  ``parse_matrix`` reads a whole
+matrix: entries that are all plain ints are adopted as they are over QQ
+(QQ entries are ints where integral, see ``linalg``) and made F_p
+residues in one pass, and any other matrix is read entry by entry through
+``Field.parse``, which words every entry error.
 
 Size budget: a module declared by "dims" may have total dimension (the sum
 of its ranks, so also any single rank) at most MAX_DIMENSION = 10^4, and
@@ -183,26 +184,27 @@ def dump_dims(module: BigradedModule):
 
 
 def parse_matrix(field: Field, payload, rows: int, cols: int) -> Matrix:
-    """The rows x cols matrix of a list of row lists, validated and copied
-    in one pass: each row's type and length are tested as it is read, a
-    row of plain ints (bool excluded) is taken in one step, made F_p
-    residues over F_p and adopted as is over QQ, and any other row is read
-    entry by entry through Field.parse, which words every entry error.  A
-    wrong shape is reported before a bad entry, whichever comes first."""
+    """The rows x cols matrix of a list of row lists.  Each row's type and
+    length are tested as its entries are gathered; then the entries, if
+    all of them are plain ints (bool excluded), are made F_p residues over
+    F_p and adopted as they are over QQ, and otherwise each is read
+    through Field.parse, which words every entry error.  So a wrong shape
+    is reported before a bad entry, whichever comes first."""
     if isinstance(payload, list) and len(payload) == rows:
-        p, data = field.p, []
-        try:
-            for row in payload:
-                if not isinstance(row, list) or len(row) != cols:
-                    break
-                if all(type(v) is int for v in row):
-                    data += [v % p for v in row] if p else row
-                else:
-                    data += [field.parse(v) for v in row]
-            else:
-                return Matrix._of(field, rows, cols, data)
-        except (ValueError, ZeroDivisionError) as exc:
-            if all(isinstance(r, list) and len(r) == cols for r in payload):
+        data = []
+        for row in payload:
+            if not isinstance(row, list) or len(row) != cols:
+                break
+            data += row
+        else:
+            p = field.p
+            if {*map(type, data)} <= {int}:
+                return Matrix._of(field, rows, cols,
+                                  [v % p for v in data] if p else data)
+            try:
+                return Matrix._of(field, rows, cols,
+                                  [field.parse(v) for v in data])
+            except (ValueError, ZeroDivisionError) as exc:
                 raise DocumentError(f"bad matrix entry: {exc}") from None
     raise DocumentError(f"matrix must be {rows}x{cols} row lists")
 
@@ -229,16 +231,11 @@ def parse_map(field: Field, payload, src: BigradedModule, dst: BigradedModule,
               expected_bidegree=None) -> BigradedMap:
     """The map src -> dst of a JSON map payload.
 
-    Each block is validated once, in one pass, as it is read: its source
-    is a pair of plain ints (JSON true/false stays rejected), a bidegree
-    of both modules' ``_dims``, not met before, and its matrix is a list
-    of row lists of the shape those dims give, whose entries, taken
-    together, are plain ints: made F_p residues over F_p and adopted as
-    they are over QQ.  A block that is anything else (a string or
-    Fraction entry over QQ among them) is read by the helpers
-    ``_int_pair`` and ``parse_matrix``, which word the first error.  The
-    nonzero blocks are then adopted by ``BigradedMap._of`` as they are,
-    without a second shape check."""
+    Each block is validated once, as it is read: its source pair by
+    ``_int_pair`` (JSON true/false stays rejected) and its matrix by the
+    one pass of ``parse_matrix``, against the shape that the two modules'
+    dims give.  The nonzero blocks are then adopted by ``BigradedMap._of``
+    as they are, without a second shape check."""
     if not isinstance(payload, dict) or "bidegree" not in payload:
         raise DocumentError("map payload needs a 'bidegree'")
     bid = _int_pair(payload["bidegree"], "bidegree")
@@ -249,37 +246,18 @@ def parse_map(field: Field, payload, src: BigradedModule, dst: BigradedModule,
     if not isinstance(entries, list):
         raise DocumentError("map blocks must be a list")
     p, q = bid
-    sdims, ddims, fp = src._dims, dst._dims, field.p
+    sdims, ddims = src._dims, dst._dims
     blocks = {}
     for entry in entries:
-        try:
-            (si, sj), rows_in = entry["src"], entry["matrix"]
-            cols = sdims[si, sj] if type(si) is type(sj) is int else 0
-        except (KeyError, TypeError, ValueError):
-            cols = 0
-        if cols and type(rows_in) is list and (si, sj) not in blocks \
-                and len(rows_in) == ddims.get((si + p, sj + q), 0):
-            data = []
-            for row in rows_in:
-                if type(row) is not list or len(row) != cols:
-                    break
-                data += row
-            else:
-                if {*map(type, data)} <= {int}:
-                    blocks[si, sj] = Matrix._of(
-                        field, len(rows_in), cols,
-                        [v % fp for v in data] if fp else data)
-                    continue
-        # not a block of plain ints: the helpers read it, or word its error
         if not isinstance(entry, dict) or "src" not in entry or \
                 "matrix" not in entry:
             raise DocumentError("map block needs 'src' and 'matrix'")
         si, sj = _int_pair(entry["src"], "block source")
-        cols = src.dim(si, sj)
-        if cols == 0:
+        cols = sdims.get((si, sj))
+        if cols is None:
             raise DocumentError(f"map block at {(si, sj)} has no source")
-        mat = parse_matrix(field, entry["matrix"], dst.dim(si + p, sj + q),
-                           cols)
+        mat = parse_matrix(field, entry["matrix"],
+                           ddims.get((si + p, sj + q), 0), cols)
         if (si, sj) in blocks:
             raise DocumentError(f"duplicate map block at {(si, sj)}")
         blocks[(si, sj)] = mat

@@ -126,13 +126,13 @@ class TwistedMorphism:
     def tot(self, ka: FilteredComplex, kb: FilteredComplex) -> dict:
         """n -> Tot(f)^n, from Tot^n of src to Tot^n of dst, for every
         degree n of src and every n + 1: what (B_m), Tot(f) and the cone
-        read.  ka and kb are Tots of modules equal to those of src and dst
-        and give the layouts.  Written in one pass over the blocks of f on
-        the first call, and held."""
+        read.  ka and kb are the Tots of src and dst, which give the
+        layouts; any other pair raises ValueError, on every call.  Written
+        in one pass over the blocks of f on the first call, and held."""
+        if ka.module is not self.src.module or kb.module is not self.dst.module:
+            raise ValueError("ka and kb are not the totalizations of the "
+                             "source and target of f")
         if self._tots is None:
-            if ka.module != self.src.module or kb.module != self.dst.module:
-                raise ValueError("ka and kb are not the totalizations of "
-                                 "the source and target of f")
             degs = degrees_of(self.src.module)
             self._tots = tot_matrix(self.f, 0, 0,
                                     {*degs, *(n + 1 for n in degs)},

@@ -529,6 +529,14 @@ def test_one_pass_tot_matches_per_degree_reference(field, shape):
         assert f.f
         held = f.tot(ka, kf)
         assert f.tot(ka, kf) is held
+        # once held, a Tot of an equal module that is not f's source or
+        # target is still refused, not answered with the held matrices
+        twin = tot(TwistedComplex(BigradedModule(field, dict(a.module.dims))))
+        assert twin.module == ka.module
+        with pytest.raises(ValueError, match="not the totalizations"):
+            f.tot(twin, kf)
+        with pytest.raises(ValueError, match="not the totalizations"):
+            check_morphism(f, twin, kf)
         ref = _per_degree(f.f, 0, 0, ns, a.module, f.dst.module, field)
         assert sorted(held) == ns
         assert all(held[n] == ref[n] for n in ns)
